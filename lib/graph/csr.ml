@@ -6,6 +6,40 @@ let n_edges c = Array.length c.dst / 2
 let check_vertex c u =
   if u < 0 || u >= n_vertices c then invalid_arg "Csr: vertex out of range"
 
+(* Sort one adjacency slice by neighbor id. Ids are unique within a
+   slice, so any correct sort yields the one canonical layout. *)
+let sort_slice dst wgt lo hi =
+  let tmp = Array.init (hi - lo) (fun i -> (dst.(lo + i), wgt.(lo + i))) in
+  Array.sort (fun (a, _) (b, _) -> compare (a : int) b) tmp;
+  Array.iteri
+    (fun i (v, w) ->
+      dst.(lo + i) <- v;
+      wgt.(lo + i) <- w)
+    tmp
+
+let of_arrays ~off ~dst ~wgt =
+  let n = Array.length off - 1 in
+  if n < 0 then invalid_arg "Csr.of_arrays: empty offset array";
+  let m2 = Array.length dst in
+  if Array.length wgt <> m2 then
+    invalid_arg "Csr.of_arrays: dst/wgt length mismatch";
+  if off.(0) <> 0 || off.(n) <> m2 then
+    invalid_arg "Csr.of_arrays: offsets do not span the arcs";
+  for u = 0 to n - 1 do
+    let lo = off.(u) and hi = off.(u + 1) in
+    if hi < lo || hi > m2 then invalid_arg "Csr.of_arrays: decreasing offsets";
+    (* Slices must be sorted by id for binary search and deterministic
+       iteration; sort any slice that arrived out of order. *)
+    let sorted = ref true in
+    for k = lo to hi - 1 do
+      if dst.(k) < 0 || dst.(k) >= n then
+        invalid_arg "Csr.of_arrays: arc target out of range";
+      if k > lo && dst.(k) <= dst.(k - 1) then sorted := false
+    done;
+    if not !sorted then sort_slice dst wgt lo hi
+  done;
+  { off; dst; wgt }
+
 let of_wgraph g =
   let n = Wgraph.n_vertices g in
   let off = Array.make (n + 1) 0 in
@@ -22,22 +56,8 @@ let of_wgraph g =
         wgt.(k) <- w;
         cursor.(u) <- k + 1)
   done;
-  (* Sort each slice by neighbor id so lookups can binary-search and
-     iteration order is deterministic (hashtable order is not). *)
-  for u = 0 to n - 1 do
-    let lo = off.(u) and hi = off.(u + 1) in
-    let len = hi - lo in
-    if len > 1 then begin
-      let tmp = Array.init len (fun i -> (dst.(lo + i), wgt.(lo + i))) in
-      Array.sort (fun (a, _) (b, _) -> compare (a : int) b) tmp;
-      Array.iteri
-        (fun i (v, w) ->
-          dst.(lo + i) <- v;
-          wgt.(lo + i) <- w)
-        tmp
-    end
-  done;
-  { off; dst; wgt }
+  (* Hashtable order is not deterministic; [of_arrays] sorts. *)
+  of_arrays ~off ~dst ~wgt
 
 let degree c u =
   check_vertex c u;
@@ -169,199 +189,3 @@ let to_wgraph c =
   let g = Wgraph.create (n_vertices c) in
   iter_edges c (fun u v w -> Wgraph.add_edge g u v w);
   g
-
-(* ------------------------------------------------------------------ *)
-(* Packed (int32) snapshots                                            *)
-(* ------------------------------------------------------------------ *)
-
-type csr = t
-
-module Packed = struct
-  type dst_arr =
-    (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  type wgt_arr =
-    (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  type t = { off : int array; dst : dst_arr; wgt : wgt_arr }
-
-  let max_id = Int32.to_int Int32.max_int
-
-  let check_capacity ~n_vertices ~n_arcs =
-    if n_vertices < 0 || n_arcs < 0 then
-      invalid_arg "Csr.Packed: negative size";
-    if n_vertices > max_id then
-      invalid_arg
-        (Printf.sprintf
-           "Csr.Packed: %d vertices overflow the int32 id space (max %d)"
-           n_vertices max_id);
-    if n_arcs > max_id then
-      invalid_arg
-        (Printf.sprintf
-           "Csr.Packed: %d arcs overflow the int32 offset space (max %d)"
-           n_arcs max_id)
-
-  let fits ~n_vertices ~n_arcs =
-    try
-      check_capacity ~n_vertices ~n_arcs;
-      true
-    with Invalid_argument _ -> false
-
-  let n_vertices c = Array.length c.off - 1
-  let n_edges c = Bigarray.Array1.dim c.dst / 2
-
-  let check_vertex c u =
-    if u < 0 || u >= n_vertices c then
-      invalid_arg "Csr.Packed: vertex out of range"
-
-  let degree c u =
-    check_vertex c u;
-    c.off.(u + 1) - c.off.(u)
-
-  let max_degree c =
-    let m = ref 0 in
-    for u = 0 to n_vertices c - 1 do
-      let d = c.off.(u + 1) - c.off.(u) in
-      if d > !m then m := d
-    done;
-    !m
-
-  (* Index of v in u's sorted slice, -1 if absent. *)
-  let find_arc c u v =
-    let v32 = Int32.of_int v in
-    let lo = ref c.off.(u) and hi = ref (c.off.(u + 1) - 1) in
-    let found = ref (-1) in
-    while !found < 0 && !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      let x = Bigarray.Array1.get c.dst mid in
-      if x = v32 then found := mid
-      else if Int32.compare x v32 < 0 then lo := mid + 1
-      else hi := mid - 1
-    done;
-    !found
-
-  let mem_edge c u v =
-    check_vertex c u;
-    check_vertex c v;
-    find_arc c u v >= 0
-
-  let weight c u v =
-    check_vertex c u;
-    check_vertex c v;
-    let k = find_arc c u v in
-    if k < 0 then None else Some (Bigarray.Array1.get c.wgt k)
-
-  let iter_neighbors c u f =
-    check_vertex c u;
-    for k = c.off.(u) to c.off.(u + 1) - 1 do
-      f (Int32.to_int (Bigarray.Array1.unsafe_get c.dst k))
-        (Bigarray.Array1.unsafe_get c.wgt k)
-    done
-
-  let neighbors c u =
-    check_vertex c u;
-    let acc = ref [] in
-    for k = c.off.(u + 1) - 1 downto c.off.(u) do
-      acc :=
-        ( Int32.to_int (Bigarray.Array1.get c.dst k),
-          Bigarray.Array1.get c.wgt k )
-        :: !acc
-    done;
-    !acc
-
-  let iter_edges c f =
-    for u = 0 to n_vertices c - 1 do
-      for k = c.off.(u) to c.off.(u + 1) - 1 do
-        let v = Int32.to_int (Bigarray.Array1.unsafe_get c.dst k) in
-        if u < v then f u v (Bigarray.Array1.unsafe_get c.wgt k)
-      done
-    done
-
-  (* Sort one adjacency slice by neighbor id. Ids are unique within a
-     slice, so any correct sort yields the identical layout as the
-     legacy [Csr.of_wgraph] normalization. *)
-  let sort_slice dst wgt lo hi =
-    let len = hi - lo in
-    let tmp =
-      Array.init len (fun i ->
-          ( Bigarray.Array1.get dst (lo + i),
-            Bigarray.Array1.get wgt (lo + i) ))
-    in
-    Array.sort (fun (a, _) (b, _) -> Int32.compare a b) tmp;
-    Array.iteri
-      (fun i (v, w) ->
-        Bigarray.Array1.set dst (lo + i) v;
-        Bigarray.Array1.set wgt (lo + i) w)
-      tmp
-
-  let slice_sorted c lo hi =
-    let ok = ref true in
-    for k = lo + 1 to hi - 1 do
-      if Bigarray.Array1.get c.dst k <= Bigarray.Array1.get c.dst (k - 1) then
-        ok := false
-    done;
-    !ok
-
-  let of_buffers ~off ~dst ~wgt =
-    let n = Array.length off - 1 in
-    if n < 0 then invalid_arg "Csr.Packed.of_buffers: empty offset array";
-    let m2 = Bigarray.Array1.dim dst in
-    if Bigarray.Array1.dim wgt <> m2 then
-      invalid_arg "Csr.Packed.of_buffers: dst/wgt length mismatch";
-    if off.(0) <> 0 || off.(n) <> m2 then
-      invalid_arg "Csr.Packed.of_buffers: offsets do not span the arcs";
-    check_capacity ~n_vertices:n ~n_arcs:m2;
-    let c = { off; dst; wgt } in
-    for u = 0 to n - 1 do
-      if off.(u + 1) < off.(u) then
-        invalid_arg "Csr.Packed.of_buffers: decreasing offsets";
-      (* Normalize: slices must be sorted by id for binary search and
-         deterministic iteration; sort any slice emitted out of order. *)
-      if not (slice_sorted c off.(u) off.(u + 1)) then
-        sort_slice dst wgt off.(u) off.(u + 1)
-    done;
-    c
-
-  let of_csr (c : csr) =
-    let n = Array.length c.off - 1 in
-    let m2 = Array.length c.dst in
-    check_capacity ~n_vertices:n ~n_arcs:m2;
-    let dst =
-      Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout m2
-    in
-    let wgt =
-      Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout m2
-    in
-    for k = 0 to m2 - 1 do
-      Bigarray.Array1.unsafe_set dst k (Int32.of_int c.dst.(k));
-      Bigarray.Array1.unsafe_set wgt k c.wgt.(k)
-    done;
-    { off = Array.copy c.off; dst; wgt }
-
-  let of_wgraph g = of_csr (of_wgraph g)
-
-  let to_csr c : csr =
-    let n = n_vertices c in
-    let m2 = Bigarray.Array1.dim c.dst in
-    let dst = Array.make m2 0 and wgt = Array.make m2 0.0 in
-    for k = 0 to m2 - 1 do
-      dst.(k) <- Int32.to_int (Bigarray.Array1.unsafe_get c.dst k);
-      wgt.(k) <- Bigarray.Array1.unsafe_get c.wgt k
-    done;
-    { off = Array.sub c.off 0 (n + 1); dst; wgt }
-
-  let to_wgraph c = to_wgraph (to_csr c)
-
-  let equal a b =
-    a.off = b.off
-    && Bigarray.Array1.dim a.dst = Bigarray.Array1.dim b.dst
-    &&
-    let ok = ref true in
-    for k = 0 to Bigarray.Array1.dim a.dst - 1 do
-      if
-        Bigarray.Array1.get a.dst k <> Bigarray.Array1.get b.dst k
-        || Bigarray.Array1.get a.wgt k <> Bigarray.Array1.get b.wgt k
-      then ok := false
-    done;
-    !ok
-end

@@ -6,13 +6,18 @@
     arc) hold the neighbor ids and edge weights. Within each vertex's
     slice the neighbors are sorted by id, so membership and weight
     lookups are binary searches and iteration is a cache-friendly
-    linear scan — no hashtable bucket chasing.
+    linear scan — no hashtable bucket chasing. An arc costs 16 bytes:
+    an [int] target plus an unboxed [float] weight.
 
-    The mutable {!Wgraph.t} remains the builder type; the read-heavy
-    layers (Dijkstra, cluster covers, cluster graphs, query selection,
-    the distributed runtime) freeze a snapshot once and consume it for
-    every subsequent traversal. Building is O(n + m); a snapshot never
-    observes later mutations of the source graph. *)
+    This is the one frozen-graph type, and this module is the one that
+    knows the arc layout. The mutable {!Wgraph.t} remains the builder
+    type; the read-heavy layers (Dijkstra, cluster covers, cluster
+    graphs, query selection, the oracle, the distributed runtime)
+    freeze a snapshot once and consume it for every subsequent
+    traversal. A snapshot comes from {!of_wgraph}, or from
+    {!of_arrays} when a builder emits the arcs itself (the cluster
+    graph does). Building is O(n + m); a snapshot never observes later
+    mutations of the source graph. *)
 
 type t = private {
   off : int array;  (** length [n + 1]; vertex [u]'s arcs live in
@@ -23,6 +28,17 @@ type t = private {
 
 (** [of_wgraph g] freezes [g] into a snapshot in O(n + m). *)
 val of_wgraph : Wgraph.t -> t
+
+(** [of_arrays ~off ~dst ~wgt] adopts caller-built arrays as a
+    snapshot without copying them; the caller must not mutate them
+    afterwards. [off] must have length [n + 1], start at [0], never
+    decrease and end at the common length of [dst] and [wgt], and every
+    arc target must be a vertex in [0, n). A slice not already sorted
+    by neighbor id is sorted in place, so arcs may be emitted in any
+    order within a slice and the result has exactly {!of_wgraph}'s
+    layout for the same edge set. Raises [Invalid_argument] on a
+    malformed shape. *)
+val of_arrays : off:int array -> dst:int array -> wgt:float array -> t
 
 (** [to_wgraph c] thaws the snapshot back into a fresh mutable graph
     with the same vertex set, edge set and weights. *)
@@ -77,90 +93,3 @@ val total_weight : t -> float
     have different vertex counts — vertices absent from one side are
     treated as isolated. O(m_before + m_after). *)
 val diff : before:t -> after:t -> Wgraph.edge array * Wgraph.edge array
-
-(** Alias for {!t}, so the packed submodule can name the boxed
-    representation. *)
-type csr = t
-
-(** Packed (int32) CSR snapshots.
-
-    Same layout contract as {!t} — [off] delimits per-vertex slices,
-    slices sorted by neighbor id — but arc targets are unboxed 4-byte
-    int32s in a Bigarray and weights are an unboxed float64 Bigarray.
-    Halves the memory traffic of the [dst] scan on every downstream
-    Dijkstra relaxation, which is what the cluster-graph query plane
-    spends its time on at n >= 10^4.
-
-    Vertex ids and arc counts must fit in int32; every constructor
-    calls {!Packed.check_capacity} and rejects anything larger with
-    [Invalid_argument] rather than truncating. Bigarray storage is
-    off-heap, so a snapshot shared read-only across domains costs the
-    GC nothing. *)
-module Packed : sig
-  type dst_arr =
-    (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  type wgt_arr =
-    (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-  type t = private {
-    off : int array;  (** length [n + 1], same contract as {!Csr.t} *)
-    dst : dst_arr;  (** arc targets, int32, sorted within each slice *)
-    wgt : wgt_arr;  (** arc weights, parallel to [dst] *)
-  }
-
-  (** [check_capacity ~n_vertices ~n_arcs] raises [Invalid_argument]
-      when either count is negative or exceeds the int32 range. Called
-      by every constructor; exposed so callers (and tests) can probe
-      the guard without allocating. *)
-  val check_capacity : n_vertices:int -> n_arcs:int -> unit
-
-  (** [fits ~n_vertices ~n_arcs] is [check_capacity]'s verdict as a
-      boolean. *)
-  val fits : n_vertices:int -> n_arcs:int -> bool
-
-  (** [of_wgraph g] freezes [g] straight into a packed snapshot. Slice
-      order is identical to [of_csr (Csr.of_wgraph g)]. *)
-  val of_wgraph : Wgraph.t -> t
-
-  (** [of_csr c] converts a boxed snapshot; O(n + m). *)
-  val of_csr : csr -> t
-
-  (** [to_csr c] widens back to the boxed representation; O(n + m). *)
-  val to_csr : t -> csr
-
-  (** [to_wgraph c] thaws into a fresh mutable graph. *)
-  val to_wgraph : t -> Wgraph.t
-
-  (** [of_buffers ~off ~dst ~wgt] adopts caller-owned buffers without
-      copying (the flat cluster-graph build emits directly into them).
-      Validates the shape: [off] ascending, spanning exactly the arc
-      arrays, capacities in range. Any slice not already sorted by
-      neighbor id is sorted in place. Raises [Invalid_argument] on a
-      malformed shape. *)
-  val of_buffers : off:int array -> dst:dst_arr -> wgt:wgt_arr -> t
-
-  (** [equal a b] is structural equality on the packed layout (same
-      offsets, same arcs, bit-identical weights). *)
-  val equal : t -> t -> bool
-
-  val n_vertices : t -> int
-  val n_edges : t -> int
-  val degree : t -> int -> int
-  val max_degree : t -> int
-
-  (** [mem_edge c u v] tests edge presence by binary search. *)
-  val mem_edge : t -> int -> int -> bool
-
-  (** [weight c u v] is [Some w] if the edge exists, else [None]. *)
-  val weight : t -> int -> int -> float option
-
-  (** [iter_neighbors c u f] calls [f v w] in increasing id order. *)
-  val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
-
-  val neighbors : t -> int -> (int * float) list
-
-  (** [iter_edges c f] calls [f u v w] once per undirected edge with
-      [u < v], in lexicographic order. *)
-  val iter_edges : t -> (int -> int -> float -> unit) -> unit
-end

@@ -1,11 +1,18 @@
-(* Every search below is written once against an abstract neighbor
-   iterator and instantiated twice: over the mutable hashtable-backed
-   [Wgraph.t] (builder-side callers) and over immutable [Csr.t]
-   snapshots (the hot read paths of the phase pipeline). *)
+(* Three relaxation loops serve every search in this module, each
+   written once against an abstract neighbor iterator and instantiated
+   over the mutable hashtable-backed [Wgraph.t] (builder-side callers)
+   and over immutable [Csr.t] snapshots (the hot read paths):
 
-let gen_distances_and_parents ~n ~iter src =
+   - [unbounded]: the full single-source search on fresh plain arrays.
+     Certification runs it once per source, where a workspace's stamp
+     checks would only add work;
+   - [settle]: the bounded settle on a stamped workspace, under every
+     bounded, ball, tree and multi-source entry;
+   - [hop_bounded]: the hop-and-length bounded search of Lemma 8, on
+     the same workspace. *)
+
+let unbounded ~n ~iter src =
   let dist = Array.make n infinity in
-  let parent = Array.make n (-1) in
   let heap = Heap.create n in
   dist.(src) <- 0.0;
   Heap.insert heap src 0.0;
@@ -17,108 +24,22 @@ let gen_distances_and_parents ~n ~iter src =
         let dv = du +. w in
         if dv < dist.(v) then begin
           dist.(v) <- dv;
-          parent.(v) <- u;
           Heap.insert_or_decrease heap v dv
         end)
   done;
-  (dist, parent)
-
-let gen_search_until ~n ~iter src ~stop ~bound =
-  let dist = Array.make n infinity in
-  let heap = Heap.create n in
-  dist.(src) <- 0.0;
-  Heap.insert heap src 0.0;
-  let finished = ref false in
-  while (not !finished) && not (Heap.is_empty heap) do
-    let u, du = Heap.pop_min heap in
-    if du > bound || stop u then finished := true
-    else
-      iter u (fun v w ->
-          let dv = du +. w in
-          if dv < dist.(v) then begin
-            dist.(v) <- dv;
-            Heap.insert_or_decrease heap v dv
-          end)
-  done;
   dist
-
-(* Settled vertices come back in nondecreasing-distance order (the
-   order the heap releases them), so the ball is read off the settle
-   trace instead of an O(n) scan over dist — the bounded search only
-   ever pays for what it touched. *)
-let gen_within ~n ~iter src ~bound =
-  let dist = Array.make n infinity in
-  let heap = Heap.create n in
-  dist.(src) <- 0.0;
-  Heap.insert heap src 0.0;
-  let settled = Array.make n 0 in
-  let n_settled = ref 0 in
-  let finished = ref false in
-  while (not !finished) && not (Heap.is_empty heap) do
-    let u, du = Heap.pop_min heap in
-    if du > bound then finished := true
-    else begin
-      settled.(!n_settled) <- u;
-      incr n_settled;
-      iter u (fun v w ->
-          let dv = du +. w in
-          if dv < dist.(v) then begin
-            dist.(v) <- dv;
-            Heap.insert_or_decrease heap v dv
-          end)
-    end
-  done;
-  let acc = ref [] in
-  for i = !n_settled - 1 downto 0 do
-    let v = settled.(i) in
-    acc := (v, dist.(v)) :: !acc
-  done;
-  !acc
-
-let gen_hop_bounded_distance ~n ~iter src dst ~max_hops ~bound =
-  if src = dst then 0.0
-  else begin
-    (* dist.(v) = best length of a path src->v with at most h hops, for
-       the current round h. Only vertices improved in the previous round
-       need relaxing, so we keep an explicit frontier; the round number
-       stamped into [mark] dedupes it without a per-round hashtable. *)
-    let dist = Array.make n infinity in
-    dist.(src) <- 0.0;
-    let mark = Array.make n 0 in
-    let frontier = ref [ src ] in
-    let h = ref 0 in
-    while !h < max_hops && !frontier <> [] do
-      incr h;
-      let improved = ref [] in
-      List.iter
-        (fun u ->
-          let du = dist.(u) in
-          iter u (fun v w ->
-              let dv = du +. w in
-              if dv < dist.(v) && dv <= bound then begin
-                dist.(v) <- dv;
-                if mark.(v) <> !h then begin
-                  mark.(v) <- !h;
-                  improved := v :: !improved
-                end
-              end))
-        !frontier;
-      frontier := !improved
-    done;
-    dist.(dst)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Reusable epoch-stamped workspaces                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Bounded searches touch a small neighborhood but the plain entry
-   points above still pay O(n) to allocate dist arrays. A workspace
-   amortizes that: arrays are invalidated by bumping an epoch counter
-   instead of being refilled, and the heap is recycled with
-   [Heap.clear] (cost: leftover entries only). One workspace serves one
-   search at a time; [domain_workspace] hands every domain its own, so
-   the parallel phase stages reuse scratch state without sharing it. *)
+(* Bounded searches touch a small neighborhood, so they run on a
+   workspace instead of fresh O(n) arrays: arrays are invalidated by
+   bumping an epoch counter instead of being refilled, and the heap is
+   recycled with [Heap.clear] (cost: leftover entries only). One
+   workspace serves one search at a time; [domain_workspace] hands
+   every domain its own, so the parallel phase stages reuse scratch
+   state without sharing it. *)
 
 type workspace = {
   mutable dist : float array; (* valid at v iff stamp.(v) = epoch *)
@@ -148,6 +69,13 @@ let create_workspace () =
 let ws_key = Domain.DLS.new_key create_workspace
 let domain_workspace () = Domain.DLS.get ws_key
 
+(* The plain entries run on a second per-domain workspace, never on
+   [domain_workspace ()]: a caller may keep a tree in its own workspace
+   across calls to them (the oracle's route reader walks one in
+   place). *)
+let plain_key = Domain.DLS.new_key create_workspace
+let plain_workspace () = Domain.DLS.get plain_key
+
 (* Grow to >= n and invalidate everything from the previous search.
    Fresh stamp arrays are all 0, so the epoch starts at 1. *)
 let ws_prepare ws n =
@@ -172,38 +100,34 @@ let ws_set ws v d =
   ws.dist.(v) <- d;
   ws.stamp.(v) <- ws.epoch
 
-(* Same relaxation sequence as [gen_search_until], so results are
-   bit-identical; the dist array is left in the workspace. *)
-let gen_search_until_ws ws ~n ~iter src ~stop ~bound =
-  ws_prepare ws n;
-  ws_set ws src 0.0;
-  Heap.insert ws.heap src 0.0;
-  let finished = ref false in
-  while (not !finished) && not (Heap.is_empty ws.heap) do
-    let u, du = Heap.pop_min ws.heap in
-    if du > bound || stop u then finished := true
-    else
-      iter u (fun v w ->
-          let dv = du +. w in
-          if dv < ws_get ws v then begin
-            ws_set ws v dv;
-            Heap.insert_or_decrease ws.heap v dv
-          end)
-  done
+(* The workspace may be larger than the graph, so range is checked
+   against [n], not against the arrays. *)
+let check_vertex ~n v =
+  if v < 0 || v >= n then invalid_arg "Dijkstra: vertex out of range"
 
-(* Runs the bounded search and leaves the ball in the workspace: the
-   settled vertices, in nondecreasing-distance order, in
-   [touched.(0 .. n_touched - 1)] with their final distances in [dist].
-   Steady state allocates nothing — every result-producing wrapper
-   below reads the settle trace instead of consing during the loop. *)
-let gen_settle_within_ws ws ~n ~iter src ~bound =
-  ws_prepare ws n;
-  ws_set ws src 0.0;
-  Heap.insert ws.heap src 0.0;
+(* Seeds source [s] at distance 0; a repeated source is a no-op. *)
+let seed ws ~n s =
+  check_vertex ~n s;
+  if ws_get ws s > 0.0 then begin
+    ws_set ws s 0.0;
+    ws.par.(s) <- -1;
+    Heap.insert_or_decrease ws.heap s 0.0
+  end
+
+(* The bounded settle, run on a prepared and seeded workspace. It pops
+   in nondecreasing-distance order until the frontier exceeds [bound]
+   or [target] (-1 for none) is popped, and appends every settled
+   vertex to [touched.(0 .. n_touched - 1)], so results are read off
+   the settle trace, never off an O(n) scan, and steady state
+   allocates nothing. With [parents], [par.(v)] records the
+   predecessor that last improved [v]; that never changes the
+   relaxation sequence, so every entry point sees the same distances
+   and settle order. *)
+let settle ws ~iter ~target ~parents ~bound =
   let finished = ref false in
   while (not !finished) && not (Heap.is_empty ws.heap) do
     let u, du = Heap.pop_min ws.heap in
-    if du > bound then finished := true
+    if du > bound || u = target then finished := true
     else begin
       ws.touched.(ws.n_touched) <- u;
       ws.n_touched <- ws.n_touched + 1;
@@ -211,39 +135,29 @@ let gen_settle_within_ws ws ~n ~iter src ~bound =
           let dv = du +. w in
           if dv < ws_get ws v then begin
             ws_set ws v dv;
+            if parents then ws.par.(v) <- u;
             Heap.insert_or_decrease ws.heap v dv
           end)
     end
   done
 
-(* [gen_settle_within_ws] plus tree parents: identical relaxation and
-   settle order (so results stay bit-identical to the parentless
-   variant), with [par.(v)] recording the predecessor that last
-   improved [v]. Valid only at settled vertices of this search. *)
-let gen_settle_parents_ws ws ~n ~iter src ~bound =
+let settle_from ws ~n ~iter src ~target ~parents ~bound =
   ws_prepare ws n;
-  ws_set ws src 0.0;
-  ws.par.(src) <- -1;
-  Heap.insert ws.heap src 0.0;
-  let finished = ref false in
-  while (not !finished) && not (Heap.is_empty ws.heap) do
-    let u, du = Heap.pop_min ws.heap in
-    if du > bound then finished := true
-    else begin
-      ws.touched.(ws.n_touched) <- u;
-      ws.n_touched <- ws.n_touched + 1;
-      iter u (fun v w ->
-          let dv = du +. w in
-          if dv < ws_get ws v then begin
-            ws_set ws v dv;
-            ws.par.(v) <- u;
-            Heap.insert_or_decrease ws.heap v dv
-          end)
-    end
-  done
+  seed ws ~n src;
+  settle ws ~iter ~target ~parents ~bound
 
-let gen_within_ws ws ~n ~iter src ~bound =
-  gen_settle_within_ws ws ~n ~iter src ~bound;
+(* Early-exits at [dst]. A value above [bound] is a tentative frontier
+   label or [infinity], both meaning "no path within [bound]". *)
+let upto ws ~n ~iter src dst ~bound =
+  check_vertex ~n dst;
+  if src = dst then 0.0
+  else begin
+    settle_from ws ~n ~iter src ~target:dst ~parents:false ~bound;
+    ws_get ws dst
+  end
+
+let ball ws ~n ~iter src ~bound =
+  settle_from ws ~n ~iter src ~target:(-1) ~parents:false ~bound;
   let acc = ref [] in
   for i = ws.n_touched - 1 downto 0 do
     let v = ws.touched.(i) in
@@ -251,11 +165,28 @@ let gen_within_ws ws ~n ~iter src ~bound =
   done;
   !acc
 
-(* [gen_hop_bounded_distance] with the dist array and the per-round
-   dedup table replaced by stamped workspace arrays: identical
-   relaxation order, no per-call allocation beyond the frontier
-   lists. *)
-let gen_hop_bounded_distance_ws ws ~n ~iter src dst ~max_hops ~bound =
+(* Copies the settle trace into caller-owned buffers: the hot parallel
+   stages (cluster graphs, covers) never materialize an assoc list per
+   center, since list cells were what serialized the multicore minor
+   GC when many domains searched at once. *)
+let read_ball ws ~name ~out_v ~out_d =
+  let k = ws.n_touched in
+  if Array.length out_v < k || Array.length out_d < k then
+    invalid_arg (name ^ ": result buffers too small");
+  for i = 0 to k - 1 do
+    let v = ws.touched.(i) in
+    out_v.(i) <- v;
+    out_d.(i) <- ws.dist.(v)
+  done;
+  k
+
+(* dist.(v) = best length of a path src->v with at most h hops, for the
+   current round h. Only vertices improved in the previous round need
+   relaxing, so we keep an explicit frontier; the round number stamped
+   into [mark] dedupes it without a per-round hashtable. *)
+let hop_bounded ws ~n ~iter src dst ~max_hops ~bound =
+  check_vertex ~n src;
+  check_vertex ~n dst;
   if src = dst then 0.0
   else begin
     ws_prepare ws n;
@@ -290,54 +221,42 @@ let gen_hop_bounded_distance_ws ws ~n ~iter src dst ~max_hops ~bound =
 
 let wg_iter g u f = Wgraph.iter_neighbors g u f
 
-let distances_and_parents g src =
-  gen_distances_and_parents ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src
+let distances g src = unbounded ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src
 
-let distances g src = fst (distances_and_parents g src)
-
-let search_until g src ~stop ~bound =
-  gen_search_until ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src ~stop ~bound
-
-let distance g src dst =
-  if src = dst then 0.0
-  else
-    let dist = search_until g src ~stop:(fun u -> u = dst) ~bound:infinity in
-    dist.(dst)
+let distance_upto_ws ws g src dst ~bound =
+  upto ws ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src dst ~bound
 
 let distance_upto g src dst ~bound =
-  if src = dst then 0.0
-  else
-    let dist = search_until g src ~stop:(fun u -> u = dst) ~bound in
-    dist.(dst)
+  distance_upto_ws (plain_workspace ()) g src dst ~bound
 
-let within g src ~bound =
-  gen_within ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src ~bound
+let distance g src dst = distance_upto g src dst ~bound:infinity
 
+let within_ws ws g src ~bound =
+  ball ws ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src ~bound
+
+let within g src ~bound = within_ws (plain_workspace ()) g src ~bound
+
+(* Read off a tree search from [src] that stopped at [dst]: every
+   vertex on the chain settled before [dst], so its parent is final. *)
 let path g src dst =
+  let n = Wgraph.n_vertices g and ws = plain_workspace () in
+  check_vertex ~n dst;
   if src = dst then Some [ src ]
   else begin
-    let _, parent = distances_and_parents g src in
-    if parent.(dst) = -1 then None
+    settle_from ws ~n ~iter:(wg_iter g) src ~target:dst ~parents:true
+      ~bound:infinity;
+    if ws_get ws dst = infinity then None
     else begin
-      let rec walk v acc = if v = src then v :: acc else walk parent.(v) (v :: acc) in
+      let rec walk v acc =
+        if v = src then v :: acc else walk ws.par.(v) (v :: acc)
+      in
       Some (walk dst [])
     end
   end
 
 let hop_bounded_distance g src dst ~max_hops ~bound =
-  gen_hop_bounded_distance ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src dst
-    ~max_hops ~bound
-
-let distance_upto_ws ws g src dst ~bound =
-  if src = dst then 0.0
-  else begin
-    gen_search_until_ws ws ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src
-      ~stop:(fun u -> u = dst) ~bound;
-    ws_get ws dst
-  end
-
-let within_ws ws g src ~bound =
-  gen_within_ws ws ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src ~bound
+  hop_bounded (plain_workspace ()) ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g)
+    src dst ~max_hops ~bound
 
 (* ------------------------------------------------------------------ *)
 (* Csr instantiation                                                    *)
@@ -345,173 +264,60 @@ let within_ws ws g src ~bound =
 
 let csr_iter c u f = Csr.iter_neighbors c u f
 
-let distances_and_parents_csr c src =
-  gen_distances_and_parents ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src
+let distances_csr c src = unbounded ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src
 
-let distances_csr c src = fst (distances_and_parents_csr c src)
+let distance_upto_csr_ws ws c src dst ~bound =
+  upto ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src dst ~bound
 
 let distance_upto_csr c src dst ~bound =
-  if src = dst then 0.0
-  else
-    let dist =
-      gen_search_until ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src
-        ~stop:(fun u -> u = dst) ~bound
-    in
-    dist.(dst)
+  distance_upto_csr_ws (plain_workspace ()) c src dst ~bound
 
 let distance_csr c src dst = distance_upto_csr c src dst ~bound:infinity
 
-let within_csr c src ~bound =
-  gen_within ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src ~bound
+let within_csr_ws ws c src ~bound =
+  ball ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src ~bound
+
+let within_csr c src ~bound = within_csr_ws (plain_workspace ()) c src ~bound
+
+let hop_bounded_distance_csr_ws ws c src dst ~max_hops ~bound =
+  hop_bounded ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src dst ~max_hops
+    ~bound
 
 let hop_bounded_distance_csr c src dst ~max_hops ~bound =
-  gen_hop_bounded_distance ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src dst
-    ~max_hops ~bound
+  hop_bounded_distance_csr_ws (plain_workspace ()) c src dst ~max_hops ~bound
 
-let distance_upto_csr_ws ws c src dst ~bound =
-  if src = dst then 0.0
-  else begin
-    gen_search_until_ws ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src
-      ~stop:(fun u -> u = dst) ~bound;
-    ws_get ws dst
-  end
-
-let within_csr_ws ws c src ~bound =
-  gen_within_ws ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src ~bound
-
-(* The allocation-free ball: the caller owns the result buffers, so the
-   hot parallel stages (cluster graphs, covers) never materialize an
-   assoc list per center — list cells were what serialized the
-   multicore minor GC when many domains searched at once. *)
 let within_csr_into ws c src ~bound ~out_v ~out_d =
-  gen_settle_within_ws ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src ~bound;
-  let k = ws.n_touched in
-  if Array.length out_v < k || Array.length out_d < k then
-    invalid_arg "Dijkstra.within_csr_into: result buffers too small";
-  for i = 0 to k - 1 do
-    let v = ws.touched.(i) in
-    out_v.(i) <- v;
-    out_d.(i) <- ws.dist.(v)
-  done;
-  k
+  settle_from ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src ~target:(-1)
+    ~parents:false ~bound;
+  read_ball ws ~name:"Dijkstra.within_csr_into" ~out_v ~out_d
 
-(* Runs the parents search and leaves everything in the workspace for
-   [ws_reached] / [ws_distance] / [ws_parent] — the oracle's route
-   reader walks the tree in place instead of copying it out. *)
+(* Leaves the tree in the workspace for [ws_parent]: the oracle's route
+   reader walks it in place instead of copying it out. *)
 let settle_parents_csr_ws ws c src ~bound =
-  gen_settle_parents_ws ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src ~bound
+  settle_from ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src ~target:(-1)
+    ~parents:true ~bound
 
-let ws_reached ws v = ws.stamp.(v) = ws.epoch
-let ws_distance ws v = ws_get ws v
 let ws_parent ws v = if ws.stamp.(v) = ws.epoch then ws.par.(v) else -1
 
-(* The oracle's shortest-path-tree primitive: same settle trace as
-   [within_csr_into], plus the tree parent of every settled vertex
-   ([-1] at [src]). *)
 let within_parents_csr_into ws c src ~bound ~out_v ~out_d ~out_p =
-  gen_settle_parents_ws ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src ~bound;
-  let k = ws.n_touched in
-  if Array.length out_v < k || Array.length out_d < k || Array.length out_p < k
-  then invalid_arg "Dijkstra.within_parents_csr_into: result buffers too small";
+  settle_parents_csr_ws ws c src ~bound;
+  if Array.length out_p < ws.n_touched then
+    invalid_arg "Dijkstra.within_parents_csr_into: result buffers too small";
+  let k = read_ball ws ~name:"Dijkstra.within_parents_csr_into" ~out_v ~out_d in
   for i = 0 to k - 1 do
-    let v = ws.touched.(i) in
-    out_v.(i) <- v;
-    out_d.(i) <- ws.dist.(v);
-    out_p.(i) <- ws.par.(v)
+    out_p.(i) <- ws.par.(out_v.(i))
   done;
   k
 
-(* Multi-source bounded settle: the same relaxation loop as
-   [gen_settle_within_ws] but seeded with every source at distance 0,
-   so one search covers the union ball — the repair path's marking
-   scan, where per-source balls overlap heavily. *)
+(* Every source seeded at distance 0, so one settle covers the union
+   ball: the repair path's marking scan, where per-source balls
+   overlap heavily. *)
 let within_multi_csr_into ws c ~srcs ~bound ~out_v =
   let n = Csr.n_vertices c in
   if Array.length out_v < n then
     invalid_arg "Dijkstra.within_multi_csr_into: result buffer too small";
   ws_prepare ws n;
-  Array.iter
-    (fun s ->
-      if s < 0 || s >= n then
-        invalid_arg "Dijkstra.within_multi_csr_into: source out of range";
-      if ws_get ws s > 0.0 then begin
-        ws_set ws s 0.0;
-        Heap.insert_or_decrease ws.heap s 0.0
-      end)
-    srcs;
-  let iter = csr_iter c in
-  let finished = ref false in
-  while (not !finished) && not (Heap.is_empty ws.heap) do
-    let u, du = Heap.pop_min ws.heap in
-    if du > bound then finished := true
-    else begin
-      ws.touched.(ws.n_touched) <- u;
-      ws.n_touched <- ws.n_touched + 1;
-      iter u (fun v w ->
-          let dv = du +. w in
-          if dv < ws_get ws v then begin
-            ws_set ws v dv;
-            Heap.insert_or_decrease ws.heap v dv
-          end)
-    end
-  done;
-  let cnt = ws.n_touched in
-  Array.blit ws.touched 0 out_v 0 cnt;
-  cnt
-
-let hop_bounded_distance_csr_ws ws c src dst ~max_hops ~bound =
-  gen_hop_bounded_distance_ws ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src
-    dst ~max_hops ~bound
-
-(* ------------------------------------------------------------------ *)
-(* Csr.Packed instantiation                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Same generic searches over the int32 snapshot: the relaxation
-   sequence depends only on the (id, weight) stream, and packed slices
-   are sorted identically to boxed ones, so every packed result is
-   bit-identical to its [_csr] counterpart on the widened graph. *)
-
-let pk_iter c u f = Csr.Packed.iter_neighbors c u f
-
-let distances_packed c src =
-  fst
-    (gen_distances_and_parents
-       ~n:(Csr.Packed.n_vertices c)
-       ~iter:(pk_iter c) src)
-
-let distance_upto_packed c src dst ~bound =
-  if src = dst then 0.0
-  else
-    let dist =
-      gen_search_until
-        ~n:(Csr.Packed.n_vertices c)
-        ~iter:(pk_iter c) src
-        ~stop:(fun u -> u = dst)
-        ~bound
-    in
-    dist.(dst)
-
-let distance_packed c src dst = distance_upto_packed c src dst ~bound:infinity
-
-let within_packed c src ~bound =
-  gen_within ~n:(Csr.Packed.n_vertices c) ~iter:(pk_iter c) src ~bound
-
-let within_packed_into ws c src ~bound ~out_v ~out_d =
-  gen_settle_within_ws ws
-    ~n:(Csr.Packed.n_vertices c)
-    ~iter:(pk_iter c) src ~bound;
-  let k = ws.n_touched in
-  if Array.length out_v < k || Array.length out_d < k then
-    invalid_arg "Dijkstra.within_packed_into: result buffers too small";
-  for i = 0 to k - 1 do
-    let v = ws.touched.(i) in
-    out_v.(i) <- v;
-    out_d.(i) <- ws.dist.(v)
-  done;
-  k
-
-let hop_bounded_distance_packed_ws ws c src dst ~max_hops ~bound =
-  gen_hop_bounded_distance_ws ws
-    ~n:(Csr.Packed.n_vertices c)
-    ~iter:(pk_iter c) src dst ~max_hops ~bound
+  Array.iter (seed ws ~n) srcs;
+  settle ws ~iter:(csr_iter c) ~target:(-1) ~parents:false ~bound;
+  Array.blit ws.touched 0 out_v 0 ws.n_touched;
+  ws.n_touched

@@ -1,18 +1,33 @@
 (** Single-source shortest paths (Dijkstra's algorithm).
 
-    Three variants cover the paper's uses: full single-source trees
-    (MST-ratio and stretch analysis), distance-bounded exploration
-    (cluster-cover construction, Section 2.2.1, stops once the frontier
-    exceeds a radius), and hop-and-length bounded search (query answering
-    on the cluster graph, Lemma 8). *)
+    Every entry point runs one of three loops, each written once over
+    an abstract neighbor iterator:
+
+    - the {b unbounded} search on fresh plain arrays, behind
+      {!distances} and {!distances_csr}: full single-source distances
+      for MST-ratio and stretch analysis, and for certification, which
+      runs it once per source;
+    - the {b bounded settle} on a stamped {!workspace}, behind
+      {!distance}, {!distance_upto}, {!within}, {!path} and every
+      [_csr], [_ws], [_into], [_parents] and [_multi] entry. It takes
+      one or many sources, an optional early-exit target and optional
+      tree parents, and stops once the frontier exceeds the bound:
+      cluster balls (Section 2.2.1), exact near-pair distances and
+      routes, and the oracle's trees;
+    - the {b hop-bounded} search behind {!hop_bounded_distance},
+      {!hop_bounded_distance_csr} and {!hop_bounded_distance_csr_ws}:
+      query answering on the cluster graph (Lemma 8).
+
+    The bounded and hop-bounded entries without a workspace argument
+    run on a private per-domain workspace, never on the one
+    {!domain_workspace} returns, so calling them leaves a caller's
+    tree in that workspace intact. Like any workspace it serves one
+    search at a time: systhreads sharing a domain must not run these
+    entries concurrently. *)
 
 (** [distances g src] is the array of shortest-path distances from
     [src]; [infinity] marks unreachable vertices. *)
 val distances : Wgraph.t -> int -> float array
-
-(** [distances_and_parents g src] additionally returns the shortest-path
-    tree as a parent array ([-1] for [src] and unreachable vertices). *)
-val distances_and_parents : Wgraph.t -> int -> float array * int array
 
 (** [distance g src dst] is the shortest-path distance between two
     vertices, [infinity] if disconnected. Early-exits at [dst]. *)
@@ -52,7 +67,6 @@ val hop_bounded_distance :
     hop-bounded search against the flat arrays. *)
 
 val distances_csr : Csr.t -> int -> float array
-val distances_and_parents_csr : Csr.t -> int -> float array * int array
 val distance_csr : Csr.t -> int -> int -> float
 val distance_upto_csr : Csr.t -> int -> int -> bound:float -> float
 val within_csr : Csr.t -> int -> bound:float -> (int * float) list
@@ -62,17 +76,15 @@ val hop_bounded_distance_csr :
 
 (** {2 Reusable workspaces}
 
-    Bounded searches explore small neighborhoods, but the entry points
-    above still allocate O(n) dist arrays per call. A {!workspace}
-    amortizes that across calls: previous results are invalidated by an
-    epoch bump (O(1)), not a refill, and the internal heap is recycled.
-    A bounded search additionally records the vertices it settles on a
-    touched-vertex stack, so results are read off the settle trace —
-    the search never scans, allocates or frees anything proportional
-    to the whole graph in steady state. The [_ws] variants run the
-    {e same relaxation sequence} as their plain counterparts, so every
-    returned distance — and the settle order of every ball — is
-    bit-identical to the plain entry points.
+    A {!workspace} amortizes a bounded search's scratch state across
+    calls: previous results are invalidated by an epoch bump (O(1)),
+    not a refill, and the internal heap is recycled. A bounded search
+    records the vertices it settles on a touched-vertex stack, so
+    results are read off the settle trace: the search never scans,
+    allocates or frees anything proportional to the whole graph in
+    steady state. The [_ws] variants run the same loop as their plain
+    counterparts on the caller's workspace, so every returned distance,
+    and the settle order of every ball, is bit-identical to them.
 
     A workspace serves one search at a time and must not be shared
     between domains; {!domain_workspace} returns a per-domain instance
@@ -85,7 +97,8 @@ type workspace
     the largest graph it is used on. *)
 val create_workspace : unit -> workspace
 
-(** [domain_workspace ()] is the calling domain's private workspace. *)
+(** [domain_workspace ()] is the calling domain's workspace. The entry
+    points without a workspace argument never use it. *)
 val domain_workspace : unit -> workspace
 
 val distance_upto_ws :
@@ -117,25 +130,16 @@ val within_csr_into :
   int
 
 (** [settle_parents_csr_ws ws c src ~bound] runs the bounded
-    shortest-path-tree search from [src] and leaves the result in the
-    workspace, to be read in place through the three accessors below —
-    no copy-out. The tree is valid until the workspace's next search. *)
+    shortest-path-tree search from [src] and leaves the tree in the
+    workspace, to be read in place through {!ws_parent}, with no
+    copy-out. The tree is valid until the workspace's next search. *)
 val settle_parents_csr_ws : workspace -> Csr.t -> int -> bound:float -> unit
 
-(** [ws_reached ws v] is [true] when the last search touched [v]. A
-    touched vertex whose final distance is within the bound is settled
-    and its distance and parent are exact; a touched-but-unsettled
-    frontier vertex (tentative label beyond the bound) reports its
-    tentative values — callers walking the tree should start from a
-    vertex they know is settled. *)
-val ws_reached : workspace -> int -> bool
-
-(** Distance label of the last search, [infinity] when untouched. *)
-val ws_distance : workspace -> int -> float
-
 (** Tree parent from the last {e parents} search, [-1] when untouched
-    (or the source). After a parentless search the value is stale —
-    only use after {!settle_parents_csr_ws} /
+    (or the source). Exact at settled vertices; a touched but unsettled
+    frontier vertex reports its tentative parent, so walks should start
+    from a vertex known to be settled. After a parentless search the
+    value is stale: only use after {!settle_parents_csr_ws} /
     {!within_parents_csr_into}. *)
 val ws_parent : workspace -> int -> int
 
@@ -170,37 +174,3 @@ val within_multi_csr_into :
 
 val hop_bounded_distance_csr_ws :
   workspace -> Csr.t -> int -> int -> max_hops:int -> bound:float -> float
-
-(** {2 Packed (int32) snapshot variants}
-
-    The same generic searches instantiated over {!Csr.Packed.t}. The
-    relaxation sequence depends only on the (neighbor id, weight)
-    stream, and packed slices are sorted identically to boxed ones, so
-    every packed result is bit-identical to its [_csr] counterpart on
-    the widened snapshot. The cluster-graph query plane runs on these:
-    4-byte arc targets halve the memory traffic of every relaxation
-    scan. *)
-
-val distances_packed : Csr.Packed.t -> int -> float array
-val distance_packed : Csr.Packed.t -> int -> int -> float
-val distance_upto_packed : Csr.Packed.t -> int -> int -> bound:float -> float
-val within_packed : Csr.Packed.t -> int -> bound:float -> (int * float) list
-
-(** Allocation-free packed ball; contract of {!within_csr_into}. *)
-val within_packed_into :
-  workspace ->
-  Csr.Packed.t ->
-  int ->
-  bound:float ->
-  out_v:int array ->
-  out_d:float array ->
-  int
-
-val hop_bounded_distance_packed_ws :
-  workspace ->
-  Csr.Packed.t ->
-  int ->
-  int ->
-  max_hops:int ->
-  bound:float ->
-  float

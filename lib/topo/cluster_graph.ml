@@ -1,26 +1,12 @@
-module Wgraph = Graph.Wgraph
 module Csr = Graph.Csr
 module Dijkstra = Graph.Dijkstra
 
 type t = {
-  hcsr : Csr.Packed.t;
+  hcsr : Csr.t;
   w_prev : float;
   cover : Cluster_cover.t;
   inter_degree : int array;
 }
-
-(* The flat arena pipeline is the default; TOPO_CG_FLAT=0 (or
-   [set_flat false]) falls back to the legacy Wgraph-and-hashtable
-   build. Both paths freeze the same H — the flat one just never
-   materializes the mutable graph. *)
-let flat_default =
-  match Sys.getenv_opt "TOPO_CG_FLAT" with
-  | Some ("0" | "false" | "no") -> false
-  | _ -> true
-
-let flat_flag = ref flat_default
-let set_flat b = flat_flag := b
-let flat_enabled () = !flat_flag
 
 (* Per-domain scratch for [Dijkstra.within_csr_into]: each pool worker
    reuses one pair of ball buffers, so a per-center search allocates
@@ -95,85 +81,7 @@ let mem_key keys key =
   !found
 
 (* ------------------------------------------------------------------ *)
-(* Legacy build (Wgraph + hashtable), kept behind the flag              *)
-(* ------------------------------------------------------------------ *)
-
-let build_csr_legacy ~spanner ~cover ~w_prev =
-  check_radius ~cover ~w_prev;
-  let n = Csr.n_vertices spanner in
-  let h = Wgraph.create n in
-  let inter_degree = Array.make n 0 in
-  (* Intra-cluster edges: center to every member, weighted by the true
-     sp distance recorded in the cover. *)
-  Array.iter
-    (fun a ->
-      List.iter
-        (fun x ->
-          if x <> a then
-            Wgraph.add_edge h a x cover.Cluster_cover.dist_to_center.(x))
-        (Option.value ~default:[]
-           (Hashtbl.find_opt cover.Cluster_cover.members a)))
-    cover.Cluster_cover.centers;
-  (* Cross-cluster spanner edges force inter-cluster edges (condition
-     (ii) of Section 2.2.3). Sized from the candidate-arc count so the
-     table never rehash-thrashes at large n. *)
-  let candidates = ref 0 in
-  Csr.iter_edges spanner (fun u v _ ->
-      if
-        cover.Cluster_cover.center_of.(u) <> cover.Cluster_cover.center_of.(v)
-      then incr candidates);
-  let crossing = Hashtbl.create (max 64 !candidates) in
-  Csr.iter_edges spanner (fun u v _ ->
-      let a = cover.Cluster_cover.center_of.(u)
-      and b = cover.Cluster_cover.center_of.(v) in
-      if a <> b then Hashtbl.replace crossing (min a b, max a b) ());
-  (* Merge order of each center doubles as its pair stamp: non-centers
-     keep [max_int]. *)
-  let merge_order = Array.make n max_int in
-  Array.iteri (fun i a -> merge_order.(a) <- i) cover.Cluster_cover.centers;
-  (* The per-center searches read only the frozen snapshot, so they fan
-     out over the pool; the edge merge below runs in center order so H
-     is identical to the sequential build. *)
-  let reach = reach_of ~cover ~w_prev in
-  let ball_into a =
-    let vbuf, dbuf = ball_buffers n in
-    let k =
-      Dijkstra.within_csr_into
-        (Dijkstra.domain_workspace ())
-        spanner a ~bound:reach ~out_v:vbuf ~out_d:dbuf
-    in
-    (Array.sub vbuf 0 k, Array.sub dbuf 0 k)
-  in
-  let balls = Parallel.Pool.map ball_into cover.Cluster_cover.centers in
-  Array.iteri
-    (fun i a ->
-      let bs, ds = balls.(i) in
-      for k = 0 to Array.length bs - 1 do
-        let b = bs.(k) and d = ds.(k) in
-        (* [merge_order.(b) > i] admits exactly the partners no earlier
-           merge step could have inserted: balls are symmetric (sp and
-           the qualifying conditions are), so the pair {a, b} is
-           discovered from both endpoints and the earlier-processed one
-           already added it. The stamp comparison replaces the
-           per-candidate [Wgraph.mem_edge] hashtable probe. *)
-        if merge_order.(b) > i && merge_order.(b) < max_int && d > 0.0 then begin
-          let qualifies =
-            d <= w_prev +. 1e-12 || Hashtbl.mem crossing (min a b, max a b)
-          in
-          if qualifies then begin
-            Wgraph.add_edge h a b d;
-            inter_degree.(a) <- inter_degree.(a) + 1;
-            inter_degree.(b) <- inter_degree.(b) + 1
-          end
-        end
-      done)
-    cover.Cluster_cover.centers;
-  (* Freeze H itself: step (iv) answers every query of the phase
-     against this one snapshot. *)
-  { hcsr = Csr.Packed.of_wgraph h; w_prev; cover; inter_degree }
-
-(* ------------------------------------------------------------------ *)
-(* Flat build: arenas + direct CSR emit                                 *)
+(* Build: arenas + direct CSR emit                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-chunk arena for qualifying inter-cluster partners. A chunk of
@@ -202,9 +110,8 @@ let arena_push ar b d =
   ar.pw.(ar.len) <- d;
   ar.len <- ar.len + 1
 
-(* The flat pipeline builds the identical H as [build_csr_legacy] —
-   same edge set, bit-identical weights — without ever materializing
-   the mutable Wgraph or its hashtables:
+(* H is built flat, without ever materializing a mutable graph or a
+   hashtable:
 
      1. crossing pairs: sorted key array (binary-search membership);
      2. per-center balls + qualification fan out over the pool in
@@ -212,16 +119,15 @@ let arena_push ar b d =
         qualifying set is a pure function of the frozen inputs, so
         chunking does not change it;
      3. a sequential merge in center order drains the arenas;
-     4. degrees -> prefix sum -> direct arc fill into int32 CSR
-        buffers, adopted by [Csr.Packed.of_buffers] (which sorts the
-        few center slices whose inter arcs arrived out of id order).
+     4. degrees -> prefix sum -> direct arc fill into plain CSR arrays,
+        adopted by [Csr.of_arrays] (which sorts the few center slices
+        whose inter arcs arrived out of id order).
 
-   Identity with the legacy path holds because CSR layout is a function
-   of the edge set alone (slices are sorted by unique neighbor id), the
-   intra weights are read from the same cover, and the inter weights
-   come from the same bounded search run from the same (earlier-merged)
-   endpoint. *)
-let build_csr_flat ~spanner ~cover ~w_prev =
+   The result is a function of the edge set alone (CSR slices are
+   sorted by unique neighbor id): the intra weights are read from the
+   cover, and each inter weight comes from the bounded search run from
+   the pair's earlier-merged endpoint. *)
+let build_csr ~spanner ~cover ~w_prev =
   check_radius ~cover ~w_prev;
   let n = Csr.n_vertices spanner in
   let centers = cover.Cluster_cover.centers in
@@ -230,6 +136,10 @@ let build_csr_flat ~spanner ~cover ~w_prev =
   let k_centers = Array.length centers in
   let inter_degree = Array.make n 0 in
   let crossing = crossing_keys spanner ~cover ~n in
+  (* Merge order of each center doubles as its pair stamp (non-centers
+     keep [max_int]). Balls are symmetric (sp and the qualifying
+     conditions are), so the pair {a, b} is found from both endpoints;
+     [merge_order.(b) > i] keeps it only at the earlier one. *)
   let merge_order = Array.make n max_int in
   Array.iteri (fun i a -> merge_order.(a) <- i) centers;
   let reach = reach_of ~cover ~w_prev in
@@ -297,14 +207,12 @@ let build_csr_flat ~spanner ~cover ~w_prev =
     off.(u + 1) <- off.(u) + deg.(u)
   done;
   let m2 = off.(n) in
-  Csr.Packed.check_capacity ~n_vertices:n ~n_arcs:m2;
-  let dst = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout m2 in
-  let wgt = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout m2 in
+  let dst = Array.make m2 0 and wgt = Array.make m2 0.0 in
   let cursor = Array.sub off 0 n in
   let emit u v w =
     let c = cursor.(u) in
-    Bigarray.Array1.unsafe_set dst c (Int32.of_int v);
-    Bigarray.Array1.unsafe_set wgt c w;
+    dst.(c) <- v;
+    wgt.(c) <- w;
     cursor.(u) <- c + 1
   in
   (* Intra arcs in ascending member order: member slices (degree 1 for
@@ -343,23 +251,19 @@ let build_csr_flat ~spanner ~cover ~w_prev =
         done;
         cur_off := !cur_off + run
   done;
-  let hcsr = Csr.Packed.of_buffers ~off ~dst ~wgt in
+  let hcsr = Csr.of_arrays ~off ~dst ~wgt in
   { hcsr; w_prev; cover; inter_degree }
-
-let build_csr ~spanner ~cover ~w_prev =
-  if !flat_flag then build_csr_flat ~spanner ~cover ~w_prev
-  else build_csr_legacy ~spanner ~cover ~w_prev
 
 let build ~spanner ~cover ~w_prev =
   build_csr ~spanner:(Csr.of_wgraph spanner) ~cover ~w_prev
 
-let to_wgraph t = Csr.Packed.to_wgraph t.hcsr
+let to_wgraph t = Csr.to_wgraph t.hcsr
 
 (* Queries fan out over the pool in step (iv); the calling domain's own
    workspace keeps each search allocation-free, and results are
    bit-identical to the plain hop-bounded search. *)
 let sp_upto t ~max_hops x y ~bound =
-  Dijkstra.hop_bounded_distance_packed_ws
+  Dijkstra.hop_bounded_distance_csr_ws
     (Dijkstra.domain_workspace ())
     t.hcsr x y ~max_hops ~bound
 

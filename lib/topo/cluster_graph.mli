@@ -13,38 +13,26 @@
     hop budget of [2 + ceil (t r / delta)] (Lemma 8), which makes the
     search exact for the accept/reject decision.
 
-    Two construction pipelines freeze the same [H]. The default {e flat}
-    path never materializes a mutable graph: crossing pairs live in a
-    sorted key array (binary-search membership), per-center balls fan
-    out over the pool in contiguous chunks appending to per-chunk
-    arenas, and the arcs are emitted directly into int32
-    {!Graph.Csr.Packed} buffers. The legacy Wgraph-and-hashtable path
-    is kept behind [TOPO_CG_FLAT=0] / {!set_flat}; both produce
-    bit-identical snapshots. *)
+    [H] is built flat and never materializes a mutable graph: crossing
+    pairs live in a sorted key array (binary-search membership),
+    per-center balls fan out over the pool in contiguous chunks
+    appending to per-chunk arenas, and the arcs are emitted straight
+    into plain [int] / [float] arrays adopted by {!Graph.Csr.of_arrays}.
+    [H] is therefore an ordinary {!Graph.Csr.t}, searched by the same
+    Dijkstra core as the spanner. *)
 
 type t = private {
-  hcsr : Graph.Csr.Packed.t;
-      (** frozen int32 snapshot of H; all queries run here *)
+  hcsr : Graph.Csr.t;  (** frozen snapshot of H; all queries run here *)
   w_prev : float;  (** the bin threshold [W_{i-1}] *)
   cover : Cluster_cover.t;
   inter_degree : int array;  (** center -> number of inter-cluster edges *)
 }
 
-(** Whether {!build_csr} uses the flat arena pipeline (default [true];
-    the environment variable [TOPO_CG_FLAT=0] flips the initial
-    value). *)
-val flat_enabled : unit -> bool
-
-(** [set_flat b] selects the construction pipeline for subsequent
-    builds. Both pipelines freeze bit-identical snapshots; the switch
-    exists for A/B benchmarking and as an escape hatch. *)
-val set_flat : bool -> unit
-
 (** [build_csr ~spanner ~cover ~w_prev] constructs [H] from the frozen
     snapshot of [G' = spanner] and a cover of radius [<= w_prev]. The
     phase pipeline passes the snapshot it already holds, so [G'] is
     frozen exactly once per phase. [H] itself is frozen on return and
-    every subsequent {!query} runs against that packed CSR. *)
+    every subsequent {!query} runs against that snapshot. *)
 val build_csr :
   spanner:Graph.Csr.t -> cover:Cluster_cover.t -> w_prev:float -> t
 

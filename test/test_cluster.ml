@@ -199,26 +199,61 @@ let prop_query_consistent_with_sp =
       done;
       !ok)
 
-let prop_flat_matches_legacy =
-  (* The flat arena pipeline must freeze a bit-identical packed
-     snapshot (and the same inter-degree profile) as the legacy
-     Wgraph-and-hashtable build, on phase-shaped inputs and on
-     arbitrary random graphs with arbitrary covers. *)
-  qtest ~count:25 "cluster graph: flat build bit-identical to legacy" seed_arb
+(* H straight from the Section 2.2.3 definition, with none of the
+   build's machinery: a star edge {a, x} weighted [dist_to_center x]
+   for every member x of C_a, and a center pair {a, b}, a earlier in
+   [cover.centers], weighted by an unbounded search from a, kept when
+   0 < d <= W + 2r and either d <= W or a spanner edge crosses between
+   C_a and C_b. *)
+let reference_h ~spanner ~cover ~w_prev =
+  let c = Graph.Csr.of_wgraph spanner in
+  let n = Graph.Csr.n_vertices c in
+  let center_of = cover.Cluster_cover.center_of in
+  let h = Wgraph.create n in
+  let inter_degree = Array.make n 0 in
+  for x = 0 to n - 1 do
+    let a = center_of.(x) in
+    if a >= 0 && a <> x then
+      Wgraph.add_edge h a x cover.Cluster_cover.dist_to_center.(x)
+  done;
+  let crosses a b =
+    let hit = ref false in
+    Graph.Csr.iter_edges c (fun u v _ ->
+        let cu = center_of.(u) and cv = center_of.(v) in
+        if (cu = a && cv = b) || (cu = b && cv = a) then hit := true);
+    !hit
+  in
+  let reach = w_prev +. (2.0 *. cover.Cluster_cover.radius) +. 1e-12 in
+  let centers = cover.Cluster_cover.centers in
+  Array.iteri
+    (fun i a ->
+      let dist = Graph.Dijkstra.distances_csr c a in
+      for j = i + 1 to Array.length centers - 1 do
+        let b = centers.(j) in
+        let d = dist.(b) in
+        if d > 0.0 && d <= reach && (d <= w_prev +. 1e-12 || crosses a b)
+        then begin
+          Wgraph.add_edge h a b d;
+          inter_degree.(a) <- inter_degree.(a) + 1;
+          inter_degree.(b) <- inter_degree.(b) + 1
+        end
+      done)
+    centers;
+  (Graph.Csr.of_wgraph h, inter_degree)
+
+let prop_matches_reference =
+  (* On phase-shaped inputs and on arbitrary random graphs with
+     arbitrary covers, the build must freeze exactly the reference
+     snapshot (same arcs, bit-identical weights) and the same
+     inter-degree profile. *)
+  qtest ~count:25 "cluster graph: build equals the reference H" seed_arb
     (fun seed ->
       let st = rand_state seed in
-      let build ~spanner ~cover ~w_prev flag =
-        Cluster_graph.set_flat flag;
-        Fun.protect
-          ~finally:(fun () -> Cluster_graph.set_flat true)
-          (fun () -> Cluster_graph.build ~spanner ~cover ~w_prev)
-      in
       let agree ~spanner ~cover ~w_prev =
-        let flat = build ~spanner ~cover ~w_prev true in
-        let legacy = build ~spanner ~cover ~w_prev false in
-        Graph.Csr.Packed.equal flat.Cluster_graph.hcsr
-          legacy.Cluster_graph.hcsr
-        && flat.Cluster_graph.inter_degree = legacy.Cluster_graph.inter_degree
+        let h = Cluster_graph.build ~spanner ~cover ~w_prev in
+        let hcsr, inter_degree = reference_h ~spanner ~cover ~w_prev in
+        h.Cluster_graph.hcsr = hcsr
+        && h.Cluster_graph.inter_degree = inter_degree
       in
       let _, spanner, cover, w_prev = phase_context ~seed ~n:40 in
       agree ~spanner ~cover ~w_prev
@@ -260,7 +295,7 @@ let () =
           prop_cluster_graph_dominates_sp;
           prop_cluster_graph_lemma7_upper;
           prop_query_consistent_with_sp;
-          prop_flat_matches_legacy;
+          prop_matches_reference;
           Alcotest.test_case "rejects oversized radius" `Quick
             test_build_rejects_big_radius;
         ] );

@@ -135,154 +135,52 @@ let test_total_weight () =
     (Option.value ~default:nan (Csr.weight c 2 1))
 
 (* ------------------------------------------------------------------ *)
-(* Packed (int32) snapshots                                            *)
+(* Adopting caller-built arrays                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Packed = Csr.Packed
-
-let prop_packed_structure_agrees =
-  qtest ~count:50 "packed: of_wgraph agrees with boxed CSR everywhere"
-    seed_arb (fun seed ->
-      let st = rand_state seed in
-      let n = 2 + Random.State.int st 60 in
-      let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 80) in
-      let c = Csr.of_wgraph g in
-      let p = Packed.of_wgraph g in
-      let ok = ref (Packed.n_vertices p = Csr.n_vertices c) in
-      if Packed.n_edges p <> Csr.n_edges c then ok := false;
-      if Packed.max_degree p <> Csr.max_degree c then ok := false;
-      for u = 0 to n - 1 do
-        if Packed.degree p u <> Csr.degree c u then ok := false;
-        if Packed.neighbors p u <> Csr.neighbors c u then ok := false
-      done;
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          if u <> v then begin
-            if Packed.mem_edge p u v <> Csr.mem_edge c u v then ok := false;
-            if Packed.weight p u v <> Csr.weight c u v then ok := false
-          end
-        done
-      done;
-      (* Round-trips land exactly where they started. *)
-      if not (Packed.equal p (Packed.of_csr c)) then ok := false;
-      if Packed.to_csr p <> c then ok := false;
-      if edge_set (Wgraph.edges (Packed.to_wgraph p)) <> edge_set (Wgraph.edges g)
-      then ok := false;
-      !ok)
-
-let prop_packed_dijkstra_agrees =
-  (* The packed searches must be bit-identical to the boxed ones — the
-     cluster-graph query plane relies on it for cross-domain replay
-     determinism. *)
-  qtest ~count:30 "packed: Dijkstra results bit-identical to boxed CSR"
-    seed_arb (fun seed ->
-      let model = random_model ~seed ~n:60 ~dim:2 ~alpha:0.8 in
-      let g = model.Ubg.Model.graph in
-      let c = Csr.of_wgraph g in
-      let p = Packed.of_csr c in
-      let n = Wgraph.n_vertices g in
-      let ws = Graph.Dijkstra.create_workspace () in
-      let ok = ref true in
-      for src = 0 to min 9 (n - 1) do
-        if Graph.Dijkstra.distances_csr c src
-           <> Graph.Dijkstra.distances_packed p src
-        then ok := false;
-        let dst = n - 1 - src in
-        if Graph.Dijkstra.distance_csr c src dst
-           <> Graph.Dijkstra.distance_packed p src dst
-        then ok := false;
-        if Graph.Dijkstra.within_csr c src ~bound:0.5
-           <> Graph.Dijkstra.within_packed p src ~bound:0.5
-        then ok := false;
-        if Graph.Dijkstra.hop_bounded_distance_csr c src dst ~max_hops:4
-             ~bound:2.0
-           <> Graph.Dijkstra.hop_bounded_distance_packed_ws ws p src dst
-                ~max_hops:4 ~bound:2.0
-        then ok := false;
-        let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
-        let out_v' = Array.make n 0 and out_d' = Array.make n 0.0 in
-        let k =
-          Graph.Dijkstra.within_csr_into ws c src ~bound:0.5 ~out_v ~out_d
-        in
-        let k' =
-          Graph.Dijkstra.within_packed_into ws p src ~bound:0.5 ~out_v:out_v'
-            ~out_d:out_d'
-        in
-        if k <> k' then ok := false
-        else
-          for i = 0 to k - 1 do
-            if out_v.(i) <> out_v'.(i) || out_d.(i) <> out_d'.(i) then
-              ok := false
-          done
-      done;
-      !ok)
-
-let prop_packed_of_buffers_sorts =
-  (* of_buffers must normalize arbitrarily-ordered slices to the exact
-     layout of_wgraph produces — this is the contract the flat
-     cluster-graph emit depends on. *)
-  qtest ~count:40 "packed: of_buffers normalizes unsorted slices" seed_arb
+let prop_of_arrays_sorts =
+  (* of_arrays must normalize arbitrarily-ordered slices to the exact
+     layout of_wgraph produces — this is the contract the cluster-graph
+     emit depends on. *)
+  qtest ~count:40 "csr: of_arrays normalizes reversed slices" seed_arb
     (fun seed ->
       let st = rand_state seed in
       let n = 2 + Random.State.int st 40 in
       let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 50) in
-      let p = Packed.of_wgraph g in
-      let m2 = Bigarray.Array1.dim p.Packed.dst in
-      let dst = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout m2 in
-      let wgt = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout m2 in
-      (* Refill each slice in reverse order, then let of_buffers sort. *)
+      let c = Csr.of_wgraph g in
+      let m2 = Array.length c.Csr.dst in
+      let dst = Array.make m2 0 and wgt = Array.make m2 0.0 in
+      (* Refill each slice in reverse order, then let of_arrays sort. *)
       for u = 0 to n - 1 do
-        let lo = p.Packed.off.(u) and hi = p.Packed.off.(u + 1) in
+        let lo = c.Csr.off.(u) and hi = c.Csr.off.(u + 1) in
         for k = lo to hi - 1 do
           let k' = hi - 1 - (k - lo) in
-          Bigarray.Array1.set dst k (Bigarray.Array1.get p.Packed.dst k');
-          Bigarray.Array1.set wgt k (Bigarray.Array1.get p.Packed.wgt k')
+          dst.(k) <- c.Csr.dst.(k');
+          wgt.(k) <- c.Csr.wgt.(k')
         done
       done;
-      let q = Packed.of_buffers ~off:(Array.copy p.Packed.off) ~dst ~wgt in
-      Packed.equal p q)
+      Csr.of_arrays ~off:(Array.copy c.Csr.off) ~dst ~wgt = c)
 
-let test_packed_overflow_rejected () =
-  let over = Int32.to_int Int32.max_int + 1 in
-  let rejects f =
+let test_of_arrays_rejects_malformed () =
+  let rejects ~off ~dst ~wgt =
     try
-      f ();
+      ignore (Csr.of_arrays ~off ~dst ~wgt);
       false
     with Invalid_argument _ -> true
   in
-  Alcotest.(check bool) "vertex overflow" true
-    (rejects (fun () -> Packed.check_capacity ~n_vertices:over ~n_arcs:0));
-  Alcotest.(check bool) "arc overflow" true
-    (rejects (fun () -> Packed.check_capacity ~n_vertices:0 ~n_arcs:over));
-  Alcotest.(check bool) "negative" true
-    (rejects (fun () -> Packed.check_capacity ~n_vertices:(-1) ~n_arcs:0));
-  Alcotest.(check bool) "fits at the boundary" true
-    (Packed.fits
-       ~n_vertices:(Int32.to_int Int32.max_int)
-       ~n_arcs:(Int32.to_int Int32.max_int));
-  Alcotest.(check bool) "fits rejects past it" false
-    (Packed.fits ~n_vertices:over ~n_arcs:0)
-
-let test_packed_of_buffers_rejects_malformed () =
-  let dst = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 2 in
-  let wgt = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 2 in
-  Bigarray.Array1.fill dst 1l;
-  Bigarray.Array1.fill wgt 1.0;
-  let rejects off =
-    try
-      ignore (Packed.of_buffers ~off ~dst ~wgt);
-      false
-    with Invalid_argument _ -> true
-  in
+  let dst = [| 1; 0 |] and wgt = [| 1.0; 1.0 |] in
   Alcotest.(check bool) "offsets must span the arcs" true
-    (rejects [| 0; 1; 1 |]);
+    (rejects ~off:[| 0; 1; 1 |] ~dst ~wgt);
   Alcotest.(check bool) "offsets must be ascending" true
-    (rejects [| 0; 2; 1; 2 |]);
+    (rejects ~off:[| 0; 2; 1; 2 |] ~dst:[| 1; 2 |] ~wgt);
+  Alcotest.(check bool) "dst/wgt lengths must match" true
+    (rejects ~off:[| 0; 1; 2 |] ~dst ~wgt:[| 1.0 |]);
+  Alcotest.(check bool) "offset array must not be empty" true
+    (rejects ~off:[||] ~dst:[||] ~wgt:[||]);
+  Alcotest.(check bool) "arc targets must be vertices" true
+    (rejects ~off:[| 0; 1; 2 |] ~dst:[| 1; 2 |] ~wgt);
   Alcotest.(check bool) "well-formed accepted" true
-    (try
-       ignore (Packed.of_buffers ~off:[| 0; 1; 2 |] ~dst ~wgt);
-       true
-     with Invalid_argument _ -> false)
+    (not (rejects ~off:[| 0; 1; 2 |] ~dst ~wgt))
 
 let () =
   Alcotest.run "csr"
@@ -298,14 +196,10 @@ let () =
         ] );
       ( "algorithms",
         [ prop_dijkstra_agrees; prop_mst_agrees; prop_components_agree ] );
-      ( "packed",
+      ( "adopt",
         [
-          prop_packed_structure_agrees;
-          prop_packed_dijkstra_agrees;
-          prop_packed_of_buffers_sorts;
-          Alcotest.test_case "overflow rejected" `Quick
-            test_packed_overflow_rejected;
-          Alcotest.test_case "of_buffers rejects malformed" `Quick
-            test_packed_of_buffers_rejects_malformed;
+          prop_of_arrays_sorts;
+          Alcotest.test_case "of_arrays rejects malformed" `Quick
+            test_of_arrays_rejects_malformed;
         ] );
     ]

@@ -179,6 +179,9 @@ let test_eager_wake_same_results () =
 
 let sorted_pairs l = List.sort compare l
 
+(* Inside the bound, every bounded label must equal the unbounded
+   plain-array search's bit for bit: the bounded core relaxes in the
+   same order up to the point where it stops. *)
 let prop_workspace_agrees =
   qtest ~count:40 "workspace: _ws searches bit-identical to plain ones"
     seed_arb (fun seed ->
@@ -193,29 +196,62 @@ let prop_workspace_agrees =
       for _ = 1 to 20 do
         let u = Random.State.int st n and v = Random.State.int st n in
         let bound = Random.State.float st 3.0 in
-        if
-          Dijkstra.distance_upto g u v ~bound
-          <> Dijkstra.distance_upto_ws ws g u v ~bound
-        then ok := false;
-        if
-          Dijkstra.distance_upto_csr c u v ~bound
-          <> Dijkstra.distance_upto_csr_ws ws c u v ~bound
-        then ok := false;
-        if
-          sorted_pairs (Dijkstra.within g u ~bound)
-          <> sorted_pairs (Dijkstra.within_ws ws g u ~bound)
-        then ok := false;
-        if
-          sorted_pairs (Dijkstra.within_csr c u ~bound)
-          <> sorted_pairs (Dijkstra.within_csr_ws ws c u ~bound)
-        then ok := false;
-        let max_hops = 1 + Random.State.int st 6 in
-        if
-          Dijkstra.hop_bounded_distance_csr c u v ~max_hops ~bound
-          <> Dijkstra.hop_bounded_distance_csr_ws ws c u v ~max_hops ~bound
-        then ok := false
+        let dist = Dijkstra.distances g u in
+        if Dijkstra.distances_csr c u <> dist then ok := false;
+        let expected_ball =
+          List.filter
+            (fun (_, d) -> d <= bound)
+            (List.init n (fun x -> (x, dist.(x))))
+        in
+        List.iter
+          (fun ball -> if sorted_pairs ball <> expected_ball then ok := false)
+          [
+            Dijkstra.within g u ~bound;
+            Dijkstra.within_ws ws g u ~bound;
+            Dijkstra.within_csr c u ~bound;
+            Dijkstra.within_csr_ws ws c u ~bound;
+          ];
+        List.iter
+          (fun d ->
+            if dist.(v) <= bound then (if d <> dist.(v) then ok := false)
+            else if not (d > bound) then ok := false)
+          [
+            Dijkstra.distance_upto g u v ~bound;
+            Dijkstra.distance_upto_ws ws g u v ~bound;
+            Dijkstra.distance_upto_csr c u v ~bound;
+            Dijkstra.distance_upto_csr_ws ws c u v ~bound;
+          ]
       done;
       !ok)
+
+(* The oracle's route reader walks a tree left in [domain_workspace ()]
+   while other searches run on the same domain: the plain entry points
+   must never touch that workspace. *)
+let prop_plain_entries_keep_domain_tree =
+  qtest ~count:40 "workspace: plain searches keep the domain tree" seed_arb
+    (fun seed ->
+      let st = rand_state seed in
+      let n = 2 + Random.State.int st 50 in
+      let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 70) in
+      let c = Csr.of_wgraph g in
+      let ws = Dijkstra.domain_workspace () in
+      let src = Random.State.int st n in
+      Dijkstra.settle_parents_csr_ws ws c src ~bound:infinity;
+      let parents () = Array.init n (Dijkstra.ws_parent ws) in
+      let before = parents () in
+      let u = Random.State.int st n and v = Random.State.int st n in
+      ignore (Dijkstra.distance_csr c u v);
+      ignore (Dijkstra.within_csr c u ~bound:1.0);
+      ignore (Dijkstra.hop_bounded_distance_csr c u v ~max_hops:3 ~bound:2.0);
+      ignore (Dijkstra.distance g u v);
+      ignore (Dijkstra.within g u ~bound:1.0);
+      ignore (Dijkstra.path g u v);
+      (* Every vertex is reachable (the graph is connected), so the
+         tree spans it: a clobbered workspace would read -1 below. *)
+      parents () = before
+      && Array.for_all
+           (fun x -> x = src || before.(x) >= 0)
+           (Array.init n Fun.id))
 
 let prop_within_into_agrees =
   qtest ~count:40 "workspace: within_csr_into fills what within_csr returns"
@@ -341,7 +377,12 @@ let () =
           Alcotest.test_case "eager wake same results" `Quick
             test_eager_wake_same_results;
         ] );
-      ("workspace", [ prop_workspace_agrees; prop_within_into_agrees ]);
+      ( "workspace",
+        [
+          prop_workspace_agrees;
+          prop_within_into_agrees;
+          prop_plain_entries_keep_domain_tree;
+        ] );
       ( "determinism",
         [
           prop_build_deterministic `Local
