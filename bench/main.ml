@@ -9,7 +9,11 @@
 
    Run with:  dune exec bench/main.exe            (all experiments)
               dune exec bench/main.exe -- E4 E8   (a subset)
-              dune exec bench/main.exe -- quick   (smaller sweeps) *)
+              dune exec bench/main.exe -- quick   (smaller sweeps)
+
+   Gated experiments write BENCH_<x>.json records (see record.ml); if
+   any gate failed, the run exits 2 after the last selected
+   experiment. *)
 
 module Wgraph = Graph.Wgraph
 module Model = Ubg.Model
@@ -17,7 +21,7 @@ module Relaxed_greedy = Topo.Relaxed_greedy
 module Report = Analysis.Report
 module Metrics = Analysis.Metrics
 
-let quick = ref false
+let quick = Record.quick
 
 let model_of ~seed ~n ~dim ~alpha =
   let side =
@@ -815,103 +819,11 @@ let e_csr () =
   print_endline
     "   (sweep visits every adjacency once; csr walks two flat arrays)"
 
-(* ------------------------------------------------------------------ *)
-(* E-par: domain-pool scaling of the phase pipeline.                   *)
-(* ------------------------------------------------------------------ *)
-
-(* One relaxed-greedy build per domain count, with the per-stage
-   Profile counters switched to wall time. Emits the scaling table and
-   a machine-readable BENCH_relaxed.json, and cross-checks that every
-   domain count produces the bit-identical spanner (the PR's core
-   invariant: parallel merges are order-preserving). *)
 let canonical_edges g =
   List.sort compare
     (List.map
        (fun (e : Wgraph.edge) -> (min e.u e.v, max e.u e.v, e.w))
        (Wgraph.edges g))
-
-let e_par () =
-  let n = if !quick then 300 else 1200 in
-  let eps = 0.5 in
-  let model = model_of ~seed:(42 + n) ~n ~dim:2 ~alpha:0.8 in
-  Topo.Profile.set_clock Unix.gettimeofday;
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let runs =
-    List.map
-      (fun d ->
-        Parallel.Pool.set_domains d;
-        Topo.Profile.reset ();
-        let t0 = Unix.gettimeofday () in
-        let r = Relaxed_greedy.build_eps ~eps model in
-        let wall = Unix.gettimeofday () -. t0 in
-        (d, wall, Topo.Profile.read (), canonical_edges r.Relaxed_greedy.spanner))
-      domain_counts
-  in
-  Parallel.Pool.clear_domains ();
-  let _, base_wall, _, base_edges = List.hd runs in
-  let deterministic =
-    List.for_all (fun (_, _, _, edges) -> edges = base_edges) runs
-  in
-  let t =
-    Report.create
-      ~title:
-        (Printf.sprintf
-           "E-par: build scaling vs domains (n = %d, eps = %.2f, %d cores)" n
-           eps (Domain.recommended_domain_count ()))
-      ~columns:
-        [ "domains"; "wall s"; "speedup"; "cover s"; "select s"; "queries s";
-          "identical" ]
-  in
-  List.iter
-    (fun (d, wall, stages, edges) ->
-      let stage name = List.assoc name stages in
-      Report.add_row t
-        [
-          Report.cell_i d;
-          Printf.sprintf "%.2f" wall;
-          Printf.sprintf "%.2fx" (base_wall /. wall);
-          Printf.sprintf "%.2f" (stage "cover");
-          Printf.sprintf "%.2f" (stage "select");
-          Printf.sprintf "%.2f" (stage "queries");
-          (if edges = base_edges then "yes" else "NO");
-        ])
-    runs;
-  Report.print t;
-  print_endline
-    (if deterministic then
-       "   (spanner bit-identical across all domain counts)"
-     else "   (DETERMINISM VIOLATION: outputs differ across domain counts)");
-  (* Hand-written JSON: no json library in the image, and the schema is
-     flat enough that printf is clearer than a dependency. *)
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E-par\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"n\": %d,\n  \"eps\": %.2f,\n" n eps);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"deterministic\": %b,\n" deterministic);
-  Buffer.add_string buf "  \"runs\": [\n";
-  List.iteri
-    (fun i (d, wall, stages, _) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"domains\": %d, \"wall_s\": %.6f, \"speedup\": %.4f, \
-            \"stages\": { %s } }%s\n"
-           d wall (base_wall /. wall)
-           (String.concat ", "
-              (List.map
-                 (fun (name, s) -> Printf.sprintf "\"%s\": %.6f" name s)
-                 stages))
-           (if i = List.length runs - 1 then "" else ","))
-      )
-    runs;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_relaxed.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "   [wrote BENCH_relaxed.json]\n"
 
 (* ------------------------------------------------------------------ *)
 (* E-scale: the scaling study — domains {1, 2, 4, 8} with per-stage    *)
@@ -920,9 +832,8 @@ let e_par () =
 
 (* One relaxed-greedy build per domain count (best of [reps] runs, so
    the smoke-sized gate is not decided by timer noise), with per-stage
-   wall times from Topo.Profile. Emits BENCH_scale.json. When
-   TOPO_SCALE_GATE is set in the environment a gate failure exits
-   non-zero (the bench-scale-smoke make target sets it).
+   wall times from the [stage.<name>] timers. Emits the "scale" record
+   and gates determinism and wall time.
 
    The soft perf gate is hardware-aware. With >= 2 cores it asserts
    real scaling: 4-domain wall time <= 1-domain wall time within 10%
@@ -952,7 +863,11 @@ let e_scale () =
   let eps = 0.5 in
   let reps = if !quick then 3 else if n <= 5_000 then 2 else 1 in
   let model = model_of ~seed:(42 + n) ~n ~dim:2 ~alpha:0.8 in
-  Topo.Profile.set_clock Unix.gettimeofday;
+  let stage_timers =
+    List.map
+      (fun s -> (s, Obs.Metrics.timer ("stage." ^ s)))
+      Relaxed_greedy.stages
+  in
   let gc0 = Gc.get () in
   Gc.set
     {
@@ -964,19 +879,20 @@ let e_scale () =
     Parallel.Pool.set_domains d;
     let best = ref None in
     for _ = 1 to reps do
-      Topo.Profile.reset ();
+      List.iter (fun (_, t) -> Obs.Metrics.reset t) stage_timers;
       let t0 = Unix.gettimeofday () in
       let r = Relaxed_greedy.build_eps ~eps model in
       let wall = Unix.gettimeofday () -. t0 in
-      let stages = Topo.Profile.read () in
-      let calls = Topo.Profile.read_calls () in
+      let stages =
+        List.map (fun (s, t) -> (s, Obs.Metrics.timer_value t)) stage_timers
+      in
       let edges = canonical_edges r.Relaxed_greedy.spanner in
       match !best with
-      | Some (w, _, _, _) when w <= wall -> ()
-      | Some _ | None -> best := Some (wall, stages, calls, edges)
+      | Some (w, _, _) when w <= wall -> ()
+      | Some _ | None -> best := Some (wall, stages, edges)
     done;
-    let wall, stages, calls, edges = Option.get !best in
-    (d, wall, stages, calls, edges)
+    let wall, stages, edges = Option.get !best in
+    (d, wall, stages, edges)
   in
   let domain_counts = [ 1; 2; 4; 8 ] in
   let runs = List.map measure domain_counts in
@@ -1012,25 +928,25 @@ let e_scale () =
     end
   in
   Gc.set gc0;
-  let _, base_wall, base_stages, _, base_edges = List.hd runs in
+  let _, base_wall, base_stages, base_edges = List.hd runs in
   let deterministic =
-    List.for_all (fun (_, _, _, _, edges) -> edges = base_edges) runs
+    List.for_all (fun (_, _, _, edges) -> edges = base_edges) runs
   in
-  let cores = Domain.recommended_domain_count () in
-  let scaling_mode = cores >= 2 in
-  let gate_mode = if scaling_mode then "scaling" else "oversubscription" in
-  let gate_limit = if scaling_mode then 1.10 else 2.0 in
+  let gate_mode, gate_limit =
+    Record.by_cores [ (2, ("scaling", 1.10)); (1, ("oversubscription", 2.0)) ]
+  in
   let wall_of d =
-    let _, w, _, _, _ = List.find (fun (d', _, _, _, _) -> d' = d) runs in
+    let _, w, _, _ = List.find (fun (d', _, _, _) -> d' = d) runs in
     w
   in
   let gate_ratio = wall_of 4 /. wall_of 1 in
   let gate_pass = gate_ratio <= gate_limit in
   (* Did the cluster_graph stage wall stay flat as domains grew? *)
-  let cg_of stages = List.assoc "cluster_graph" stages in
+  let stage_s stages name = fst (List.assoc name stages) in
+  let cg_of stages = stage_s stages "cluster_graph" in
   let cluster_graph_stage_flat =
     List.for_all
-      (fun (_, _, stages, _, _) ->
+      (fun (_, _, stages, _) ->
         cg_of stages <= (1.10 *. cg_of base_stages) +. 0.005)
       runs
   in
@@ -1040,25 +956,23 @@ let e_scale () =
         (Printf.sprintf
            "E-scale: build scaling vs domains (n = %d, eps = %.2f, %d cores, \
             best of %d)"
-           n eps
-           (Domain.recommended_domain_count ())
-           reps)
+           n eps Record.cores reps)
       ~columns:
         [ "domains"; "wall s"; "speedup"; "cover s"; "select s";
           "cluster_graph s"; "queries s"; "identical" ]
   in
   List.iter
-    (fun (d, wall, stages, _, edges) ->
-      let stage name = List.assoc name stages in
+    (fun (d, wall, stages, edges) ->
+      let stage name = Printf.sprintf "%.3f" (stage_s stages name) in
       Report.add_row t
         [
           Report.cell_i d;
           Printf.sprintf "%.3f" wall;
           Printf.sprintf "%.2fx" (base_wall /. wall);
-          Printf.sprintf "%.3f" (stage "cover");
-          Printf.sprintf "%.3f" (stage "select");
-          Printf.sprintf "%.3f" (stage "cluster_graph");
-          Printf.sprintf "%.3f" (stage "queries");
+          stage "cover";
+          stage "select";
+          stage "cluster_graph";
+          stage "queries";
           (if edges = base_edges then "yes" else "NO");
         ])
     runs;
@@ -1080,73 +994,50 @@ let e_scale () =
         "   n = %d end-to-end: generate %.2f s, build %.2f s, %d spanner \
          edges\n"
         nb gen_s build_s edges);
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf "  \"experiment\": \"E-scale\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"n\": %d,\n  \"eps\": %.2f,\n  \"reps\": %d,\n" n eps
-       reps);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cores\": %d,\n" (Domain.recommended_domain_count ()));
-  Buffer.add_string buf
-    (Printf.sprintf "  \"deterministic\": %b,\n" deterministic);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"cluster_graph_stage_flat\": %b,\n"
-       cluster_graph_stage_flat);
-  (match big with
-  | None -> Buffer.add_string buf "  \"big\": null,\n"
-  | Some (nb, gen_s, build_s, edges) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  \"big\": { \"n\": %d, \"generate_s\": %.6f, \"build_s\": %.6f, \
-            \"spanner_edges\": %d },\n"
-           nb gen_s build_s edges));
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"gate\": { \"mode\": \"%s\", \"limit_ratio\": %.2f, \
-        \"wall_1d_s\": %.6f, \"wall_4d_s\": %.6f, \"ratio\": %.4f, \
-        \"pass\": %b },\n"
-       gate_mode gate_limit (wall_of 1) (wall_of 4) gate_ratio gate_pass);
-  Buffer.add_string buf "  \"runs\": [\n";
-  List.iteri
-    (fun i (d, wall, stages, calls, _) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"domains\": %d, \"wall_s\": %.6f, \"speedup\": %.4f, \
-            \"stages\": { %s }, \"stage_calls\": { %s } }%s\n"
-           d wall (base_wall /. wall)
-           (String.concat ", "
+  Record.write "scale"
+    Obs.Json.(
+      Obj
+        [
+          ("experiment", Str "E-scale"); ("n", int n); ("eps", Num eps);
+          ("reps", int reps); ("cores", int Record.cores);
+          ("deterministic", Bool deterministic);
+          ("cluster_graph_stage_flat", Bool cluster_graph_stage_flat);
+          ( "big",
+            match big with
+            | None -> Null
+            | Some (nb, gen_s, build_s, edges) ->
+                Obj
+                  [
+                    ("n", int nb); ("generate_s", Num gen_s);
+                    ("build_s", Num build_s); ("spanner_edges", int edges);
+                  ] );
+          ( "gate",
+            Obj
+              [
+                ("mode", Str gate_mode); ("limit_ratio", Num gate_limit);
+                ("wall_1d_s", Num (wall_of 1)); ("wall_4d_s", Num (wall_of 4));
+                ("ratio", Num gate_ratio); ("pass", Bool gate_pass);
+              ] );
+          ( "runs",
+            Arr
               (List.map
-                 (fun (name, s) -> Printf.sprintf "\"%s\": %.6f" name s)
-                 stages))
-           (String.concat ", "
-              (List.map
-                 (fun (name, c) -> Printf.sprintf "\"%s\": %d" name c)
-                 calls))
-           (if i = List.length runs - 1 then "" else ",")))
-    runs;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_scale.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "   [wrote BENCH_scale.json]\n";
-  if Sys.getenv_opt "TOPO_SCALE_GATE" <> None then begin
-    if not deterministic then begin
-      prerr_endline "E-scale: DETERMINISM VIOLATION";
-      exit 2
-    end;
-    if not gate_pass then begin
-      prerr_endline
-        "E-scale: soft perf gate FAILED (4-domain build slower than \
-         1-domain beyond the mode's limit)";
-      exit 2
-    end;
-    if scaling_mode && not cluster_graph_stage_flat then begin
-      prerr_endline
-        "E-scale: cluster_graph stage not flat across domain counts";
-      exit 2
-    end
-  end
+                 (fun (d, wall, stages, _) ->
+                   let per_stage f =
+                     Obj (List.map (fun (s, timer) -> (s, f timer)) stages)
+                   in
+                   Obj
+                     [
+                       ("domains", int d); ("wall_s", Num wall);
+                       ("speedup", Num (base_wall /. wall));
+                       ("stages", per_stage (fun (sec, _) -> Num sec));
+                       ("stage_calls", per_stage (fun (_, calls) -> int calls));
+                     ])
+                 runs) );
+        ]);
+  Record.gate "E-scale.deterministic" deterministic;
+  Record.gate "E-scale.perf" gate_pass;
+  Record.gate "E-scale.cluster_graph_flat"
+    (gate_mode <> "scaling" || cluster_graph_stage_flat)
 
 (* ------------------------------------------------------------------ *)
 (* E-churn: incremental repair vs full rebuild per epoch.              *)
@@ -1155,8 +1046,8 @@ let e_scale () =
 (* Replays a recorded churn trace through Dynamic.Engine, measuring per
    epoch the incremental repair against a from-scratch relaxed-greedy
    rebuild of the same live instance. Also replays the whole trace at 1
-   and 4 domains and cross-checks that every epoch's spanner is
-   bit-identical. Emits BENCH_dynamic.json. *)
+   and 4 domains and gates on every epoch's spanner being
+   bit-identical. Emits the "dynamic" record. *)
 let e_churn () =
   let n = if !quick then 300 else 1200 in
   let eps = 0.5 and alpha = 0.8 in
@@ -1253,41 +1144,43 @@ let e_churn () =
     min_speedup
     (sum_rebuild /. Float.max 1e-9 sum_repair)
     deterministic;
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"experiment\": \"E-churn\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"n\": %d,\n  \"eps\": %.2f,\n  \"batch_max\": %d,\n\
-       \  \"initial_build_s\": %.6f,\n  \"deterministic\": %b,\n\
-       \  \"min_speedup\": %.4f,\n  \"epochs\": [\n"
-       n eps batch_max build_s deterministic min_speedup);
-  List.iteri
-    (fun i ((r : Dynamic.Engine.report), rebuild_s) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"epoch\": %d, \"events\": %d, \"dirty_fraction\": %.6f, \
-            \"kind\": \"%s\", \"repair_s\": %.6f, \"certify_s\": %.6f, \
-            \"rebuild_s\": %.6f, \"speedup\": %.4f, \"stretch\": %.6f, \
-            \"max_degree\": %d, \"weight_ratio\": %.6f }%s\n"
-           r.Dynamic.Engine.epoch r.Dynamic.Engine.n_events
-           r.Dynamic.Engine.dirty_fraction
-           (match r.Dynamic.Engine.kind with
-           | Dynamic.Engine.Incremental -> "incremental"
-           | Dynamic.Engine.Rebuild_threshold -> "rebuild_threshold"
-           | Dynamic.Engine.Rebuild_cert_failure -> "rebuild_cert_failure"
-           | Dynamic.Engine.Rebuild_backend -> "rebuild_backend")
-           r.Dynamic.Engine.repair_seconds r.Dynamic.Engine.certify_seconds
-           rebuild_s
-           (rebuild_s /. Float.max 1e-9 r.Dynamic.Engine.repair_seconds)
-           r.Dynamic.Engine.stretch r.Dynamic.Engine.max_degree
-           r.Dynamic.Engine.weight_ratio
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_dynamic.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "   [wrote BENCH_dynamic.json]\n"
+  Record.write "dynamic"
+    Obs.Json.(
+      Obj
+        [
+          ("experiment", Str "E-churn"); ("n", int n); ("eps", Num eps);
+          ("batch_max", int batch_max); ("initial_build_s", Num build_s);
+          ("deterministic", Bool deterministic);
+          ("min_speedup", Num min_speedup);
+          ( "epochs",
+            Arr
+              (List.map
+                 (fun ((r : Dynamic.Engine.report), rebuild_s) ->
+                   let kind =
+                     match r.Dynamic.Engine.kind with
+                     | Dynamic.Engine.Incremental -> "incremental"
+                     | Dynamic.Engine.Rebuild_threshold -> "rebuild_threshold"
+                     | Dynamic.Engine.Rebuild_cert_failure ->
+                         "rebuild_cert_failure"
+                     | Dynamic.Engine.Rebuild_backend -> "rebuild_backend"
+                   in
+                   let repair_s = r.Dynamic.Engine.repair_seconds in
+                   Obj
+                     [
+                       ("epoch", int r.Dynamic.Engine.epoch);
+                       ("events", int r.Dynamic.Engine.n_events);
+                       ("dirty_fraction", Num r.Dynamic.Engine.dirty_fraction);
+                       ("kind", Str kind); ("repair_s", Num repair_s);
+                       ("certify_s", Num r.Dynamic.Engine.certify_seconds);
+                       ("rebuild_s", Num rebuild_s);
+                       ("speedup", Num (rebuild_s /. Float.max 1e-9 repair_s));
+                       ("stretch", Num r.Dynamic.Engine.stretch);
+                       ("max_degree", int r.Dynamic.Engine.max_degree);
+                       ("weight_ratio", Num r.Dynamic.Engine.weight_ratio);
+                     ])
+                 rows) );
+        ]);
+  Record.gate "E-churn.deterministic" deterministic
 
 (* ------------------------------------------------------------------ *)
 (* E-obs: tracing overhead — the disabled path must be free.           *)
@@ -1362,20 +1255,13 @@ let e_compare () =
             params.Topo.Params.t)
        rows);
   Spanner.Compare.set_gauges rows;
-  let json = Spanner.Compare.to_json ~params ~model rows in
-  (match Obs.Json.parse json with
-  | Ok _ -> ()
-  | Error e -> failwith ("E-compare: emitted JSON does not parse: " ^ e));
-  let oc = open_out "BENCH_compare.json" in
-  output_string oc json;
-  close_out oc;
-  Printf.printf "   [wrote BENCH_compare.json]\n";
+  Record.write "compare" (Spanner.Compare.to_json ~params ~model rows);
   List.iter
     (fun (r : Spanner.Compare.row) ->
-      if r.Spanner.Compare.t_ok = Some false then
-        failwith
-          (Spanner.Backend.name r.Spanner.Compare.backend
-          ^ ": measured stretch exceeds the advertised bound"))
+      Record.gate
+        ("E-compare." ^ Spanner.Backend.name r.Spanner.Compare.backend
+       ^ ".stretch")
+        (r.Spanner.Compare.t_ok <> Some false))
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -1402,8 +1288,7 @@ let e_compare () =
      the ratio is recorded but waived (oversubscription mode, like
      E-scale) and only the correctness sub-gates bind.
 
-   Emits BENCH_oracle.json; TOPO_QPS_GATE=1 turns any sub-gate failure
-   into exit 2 (CI). *)
+   Emits the "oracle" record; each sub-check is a gate. *)
 let e_qps () =
   let n = if !quick then 1500 else 10_000 in
   let eps = 0.5 in
@@ -1521,11 +1406,13 @@ let e_qps () =
   let mixed_wall = dist_wall +. hop_wall +. path_wall in
   let mixed_qps = float_of_int total /. mixed_wall in
   (* -- gates ---------------------------------------------------------- *)
-  let cores = Domain.recommended_domain_count () in
   let gate_mode, gate_limit =
-    if cores >= 4 then ("scaling", 2.0)
-    else if cores >= 2 then ("partial", 1.2)
-    else ("oversubscription", 0.0)
+    Record.by_cores
+      [
+        (4, ("scaling", 2.0));
+        (2, ("partial", 1.2));
+        (1, ("oversubscription", 0.0));
+      ]
   in
   let gate_ratio = qps4 /. qps1 in
   let gate_pass = gate_ratio >= gate_limit in
@@ -1535,7 +1422,7 @@ let e_qps () =
         (Printf.sprintf
            "E-qps: oracle serving throughput (n = %d, eps = %.2f, %d \
             clusters, %d cores)"
-           n eps st.Oracle.Dist.n_clusters cores)
+           n eps st.Oracle.Dist.n_clusters Record.cores)
       ~columns:[ "workload"; "queries"; "wall s"; "queries/s"; "note" ]
   in
   Report.add_row t
@@ -1596,129 +1483,66 @@ let e_qps () =
     gate_mode gate_limit
     (if gate_pass then "PASS" else "FAIL")
     gate_ratio;
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\n  \"experiment\": \"E-qps\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"n\": %d,\n  \"m\": %d,\n  \"eps\": %.2f,\n  \"cores\": %d,\n" n
-       st.Oracle.Dist.n_edges eps cores);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"oracle\": { \"clusters\": %d, \"radius\": %.6f, \
-        \"near_bound\": %.6f, \"table_words\": %d, \"build_s\": %.6f, \
-        \"spanner_build_s\": %.6f },\n"
-       st.Oracle.Dist.n_clusters st.Oracle.Dist.radius
-       st.Oracle.Dist.near_bound st.Oracle.Dist.table_words
-       st.Oracle.Dist.build_seconds spanner_s);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"queries\": { \"distance\": %d, \"next_hop\": %d, \"path\": %d, \
-        \"total\": %d, \"mixed_wall_s\": %.6f, \"mixed_qps\": %.1f },\n"
-       dist_total !hops path_total total mixed_wall mixed_qps);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"batch\": { \"qps_1d\": %.1f, \"qps_4d\": %.1f, \"ratio\": \
-        %.4f, \"deterministic\": %b },\n"
-       qps1 qps4 gate_ratio deterministic);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"alloc\": { \"measured\": %b, \"far_queries\": %d, \
-        \"minor_words_per_query\": %s, \"pass\": %b },\n"
-       alloc_measured !n_far
-       (if alloc_measured then Printf.sprintf "%.6f" alloc_per_query
-        else "null")
-       alloc_pass);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"correctness\": { \"pairs\": %d, \"max_ratio\": %.6f, \
-        \"bound\": %.2f, \"pass\": %b },\n"
-       sample_pairs !max_ratio (1.0 +. eps) !correct);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"gate\": { \"mode\": \"%s\", \"limit_ratio\": %.2f, \"ratio\": \
-        %.4f, \"pass\": %b }\n"
-       gate_mode gate_limit gate_ratio gate_pass);
-  Buffer.add_string buf "}\n";
-  (match Obs.Json.parse (Buffer.contents buf) with
-  | Ok _ -> ()
-  | Error e -> failwith ("E-qps: emitted JSON does not parse: " ^ e));
-  let oc = open_out "BENCH_oracle.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "   [wrote BENCH_oracle.json]\n";
-  if Sys.getenv_opt "TOPO_QPS_GATE" <> None then begin
-    if not !correct then begin
-      prerr_endline "E-qps: oracle estimate outside [exact, (1+eps)*exact]";
-      exit 2
-    end;
-    if not deterministic then begin
-      prerr_endline "E-qps: DETERMINISM VIOLATION (1d vs 4d batch differs)";
-      exit 2
-    end;
-    if not alloc_pass then begin
-      prerr_endline "E-qps: far-path batch allocates per query";
-      exit 2
-    end;
-    if not gate_pass then begin
-      prerr_endline
-        "E-qps: soft qps gate FAILED (4-domain batch below the mode's \
-         speedup floor)";
-      exit 2
-    end
-  end
+  Record.write "oracle"
+    Obs.Json.(
+      Obj
+        [
+          ("experiment", Str "E-qps"); ("n", int n);
+          ("m", int st.Oracle.Dist.n_edges); ("eps", Num eps);
+          ("cores", int Record.cores);
+          ( "oracle",
+            Obj
+              [
+                ("clusters", int st.Oracle.Dist.n_clusters);
+                ("radius", Num st.Oracle.Dist.radius);
+                ("near_bound", Num st.Oracle.Dist.near_bound);
+                ("table_words", int st.Oracle.Dist.table_words);
+                ("build_s", Num st.Oracle.Dist.build_seconds);
+                ("spanner_build_s", Num spanner_s);
+              ] );
+          ( "queries",
+            Obj
+              [
+                ("distance", int dist_total); ("next_hop", int !hops);
+                ("path", int path_total); ("total", int total);
+                ("mixed_wall_s", Num mixed_wall); ("mixed_qps", Num mixed_qps);
+              ] );
+          ( "batch",
+            Obj
+              [
+                ("qps_1d", Num qps1); ("qps_4d", Num qps4);
+                ("ratio", Num gate_ratio);
+                ("deterministic", Bool deterministic);
+              ] );
+          (* minor_words_per_query is nan, so null, when not measured *)
+          ( "alloc",
+            Obj
+              [
+                ("measured", Bool alloc_measured); ("far_queries", int !n_far);
+                ("minor_words_per_query", Num alloc_per_query);
+                ("pass", Bool alloc_pass);
+              ] );
+          ( "correctness",
+            Obj
+              [
+                ("pairs", int sample_pairs); ("max_ratio", Num !max_ratio);
+                ("bound", Num (1.0 +. eps)); ("pass", Bool !correct);
+              ] );
+          ( "gate",
+            Obj
+              [
+                ("mode", Str gate_mode); ("limit_ratio", Num gate_limit);
+                ("ratio", Num gate_ratio); ("pass", Bool gate_pass);
+              ] );
+        ]);
+  Record.gate "E-qps.correct" !correct;
+  Record.gate "E-qps.deterministic" deterministic;
+  Record.gate "E-qps.alloc" alloc_pass;
+  Record.gate "E-qps.perf" gate_pass
 
 (* ------------------------------------------------------------------ *)
 (* E-repair: incremental oracle repair vs scratch rebuild.             *)
 (* ------------------------------------------------------------------ *)
-
-let find_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-(* Append (or replace) a "repair" member at the tail of the E-qps
-   emission so one artifact carries the whole oracle story; a
-   standalone object when E-qps has not run. *)
-let splice_repair_json repair_json =
-  let path = "BENCH_oracle.json" in
-  let marker = ",\n  \"repair\":" in
-  let body =
-    if Sys.file_exists path then begin
-      let ic = open_in_bin path in
-      let s =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      let s =
-        match find_substring s marker with
-        | Some i -> String.sub s 0 i
-        | None ->
-            (* strip trailing whitespace and the closing brace *)
-            let e = ref (String.length s) in
-            while !e > 0 && (s.[!e - 1] = '\n' || s.[!e - 1] = ' ') do
-              decr e
-            done;
-            if !e > 0 && s.[!e - 1] = '}' then String.sub s 0 (!e - 1)
-            else s
-      in
-      s ^ marker ^ " " ^ repair_json ^ "\n}\n"
-    end
-    else
-      "{\n  \"experiment\": \"E-repair\"" ^ marker ^ " " ^ repair_json
-      ^ "\n}\n"
-  in
-  (match Obs.Json.parse body with
-  | Ok _ -> ()
-  | Error e -> failwith ("E-repair: spliced JSON does not parse: " ^ e));
-  let oc = open_out path in
-  output_string oc body;
-  close_out oc;
-  Printf.printf "   [updated BENCH_oracle.json]\n"
 
 (* Replays a mild churn trace (<= 8 events/epoch) through the engine
    and, per epoch, times Dist.repair chained from the previous oracle
@@ -1734,15 +1558,13 @@ let splice_repair_json repair_json =
    the repaired oracle is only held to "no worse than scratch" there —
    its widened near band usually answers such pairs exactly.
 
-   TOPO_REPAIR_GATE=1 (CI): a validity failure is exit 2; aggregate
-   repair speedup < 1x vs scratch is exit 2 on multi-core boxes and a
-   recorded waiver on 1 core, matching E-qps's oversubscription rule. *)
+   Gates: validity, and an aggregate repair speedup >= 1x vs scratch
+   on multi-core boxes (a recorded waiver on 1 core, matching E-qps's
+   oversubscription rule). The result becomes the "repair" member of
+   the "oracle" record, so one artifact carries the whole oracle
+   story. *)
 let e_repair () =
-  let n =
-    match Sys.getenv_opt "TOPO_REPAIR_N" with
-    | Some s -> int_of_string s
-    | None -> if !quick then 1500 else 10_000
-  in
+  let n = if !quick then 1500 else 10_000 in
   let eps = 0.5 in
   let epochs = 12 in
   let batch_max = 8 in
@@ -1771,7 +1593,7 @@ let e_repair () =
   in
   let repairs = ref 0 and fallbacks = ref 0 in
   let scratch_total = ref 0.0 and repair_total = ref 0.0 in
-  let per_epoch = Buffer.create 1024 in
+  let per_epoch = ref [] in
   let t =
     Report.create
       ~title:
@@ -1850,22 +1672,24 @@ let e_repair () =
           Printf.sprintf "%.2f" (1e3 *. repair_s);
           Printf.sprintf "%.2f" (scratch_s /. repair_s);
         ];
-      if Buffer.length per_epoch > 0 then Buffer.add_string per_epoch ",\n";
-      Buffer.add_string per_epoch
-        (Printf.sprintf
-           "    { \"epoch\": %d, \"events\": %d, \"dirty\": %d, \
-            \"affected\": %d, \"repaired\": %b, \"scratch_s\": %.6f, \
-            \"repair_s\": %.6f }"
-           (i + 1) (Array.length batch) (Array.length dirty)
-           r.Oracle.Dist.affected_clusters r.Oracle.Dist.repaired scratch_s
-           repair_s);
+      per_epoch :=
+        Obs.Json.(
+          Obj
+            [
+              ("epoch", int (i + 1)); ("events", int (Array.length batch));
+              ("dirty", int (Array.length dirty));
+              ("affected", int r.Oracle.Dist.affected_clusters);
+              ("repaired", Bool r.Oracle.Dist.repaired);
+              ("scratch_s", Num scratch_s); ("repair_s", Num repair_s);
+            ])
+        :: !per_epoch;
       prev := r.Oracle.Dist.oracle)
     trace.Ubg.Churn.batches;
   Report.print t;
   let speedup = !scratch_total /. !repair_total in
-  let cores = Domain.recommended_domain_count () in
-  let waived = cores < 2 in
-  let gate_pass = speedup >= 1.0 || waived in
+  let limit = Record.by_cores [ (2, 1.0); (1, 0.0) ] in
+  let waived = limit = 0.0 in
+  let gate_pass = speedup >= limit in
   Printf.printf
     "   %d epochs: %d repaired, %d scratch fallbacks; totals scratch %.3f \
      s, repair %.3f s (speedup %.2fx)\n"
@@ -1879,33 +1703,28 @@ let e_repair () =
     (if waived then ", waived on 1 core" else "")
     (if gate_pass then "PASS" else "FAIL")
     speedup;
-  splice_repair_json
-    (Printf.sprintf
-       "{\n\
-       \  \"n\": %d, \"eps\": %.2f, \"epochs\": %d, \"batch_max\": %d, \
-        \"cores\": %d,\n\
-       \  \"repairs\": %d, \"fallbacks\": %d,\n\
-       \  \"scratch_s_total\": %.6f, \"repair_s_total\": %.6f, \
-        \"speedup\": %.4f,\n\
-       \  \"valid\": %b, \"scratch_breaches\": %d, \"gate\": { \"pass\": \
-        %b, \"waived\": %b },\n\
-       \  \"per_epoch\": [\n%s\n  ]\n  }"
-       n eps epochs batch_max cores !repairs !fallbacks !scratch_total
-       !repair_total speedup !valid !scratch_breaches gate_pass waived
-       (Buffer.contents per_epoch));
-  if Sys.getenv_opt "TOPO_REPAIR_GATE" <> None then begin
-    if not !valid then begin
-      prerr_endline
-        "E-repair: repaired oracle underestimates or breaches the \
-         (1+eps) envelope where scratch does not";
-      exit 2
-    end;
-    if not gate_pass then begin
-      prerr_endline
-        "E-repair: repair slower than scratch rebuild (speedup < 1x)";
-      exit 2
-    end
-  end
+  let repair =
+    Obs.Json.(
+      Obj
+        [
+          ("n", int n); ("eps", Num eps); ("epochs", int epochs);
+          ("batch_max", int batch_max); ("cores", int Record.cores);
+          ("repairs", int !repairs); ("fallbacks", int !fallbacks);
+          ("scratch_s_total", Num !scratch_total);
+          ("repair_s_total", Num !repair_total); ("speedup", Num speedup);
+          ("valid", Bool !valid); ("scratch_breaches", int !scratch_breaches);
+          ("gate", Obj [ ("pass", Bool gate_pass); ("waived", Bool waived) ]);
+          ("per_epoch", Arr (List.rev !per_epoch));
+        ])
+  in
+  let fields =
+    match Record.read "oracle" with
+    | Some (Obs.Json.Obj fields) -> List.remove_assoc "repair" fields
+    | Some _ | None -> [ ("experiment", Obs.Json.Str "E-repair") ]
+  in
+  Record.write "oracle" (Obs.Json.Obj (fields @ [ ("repair", repair) ]));
+  Record.gate "E-repair.valid" !valid;
+  Record.gate "E-repair.speedup" gate_pass
 
 (* ------------------------------------------------------------------ *)
 (* E-daemon: the serve daemon — ingest rate, concurrent qps, resume.   *)
@@ -1925,8 +1744,7 @@ let e_repair () =
      finish with a final checkpoint byte-identical to the
      uninterrupted run's (the kill/restart acceptance criterion).
 
-   Emits BENCH_daemon.json; TOPO_DAEMON_GATE=1 turns a consistency or
-   resume failure into exit 2 (CI). *)
+   Emits the "daemon" record; consistency and resume are gates. *)
 let e_daemon () =
   let n = if !quick then 300 else 1000 in
   let epochs = if !quick then 30 else 120 in
@@ -1955,12 +1773,7 @@ let e_daemon () =
       (fun f -> if Sys.file_exists f then Sys.remove f)
       [ tracef; cka; ckb; cka ^ ".tmp"; ckb ^ ".tmp"; sock ]
   in
-  let read_file path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let read_file path = In_channel.with_open_bin path In_channel.input_all in
   cleanup ();
   Fun.protect ~finally:cleanup @@ fun () ->
   Ubg.Io.save_trace tracef trace;
@@ -2091,52 +1904,43 @@ let e_daemon () =
       (if identical then "checkpoint identical" else "DIFFERS");
     ];
   Report.print t;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"experiment\": \"E-daemon\",\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"config\": { \"n\": %d, \"epochs\": %d, \"events\": %d, \"eps\": \
-        %.2f, \"quick\": %b },\n"
-       n epochs events eps !quick);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"ingest\": { \"wall_s\": %.6f, \"ev_per_s\": %.1f, \"epochs\": %d, \
-        \"checkpoints\": %d },\n"
-       ingest_wall ev_per_s sa.Daemon.Runtime.final_epoch
-       sa.Daemon.Runtime.checkpoints_written);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"serve\": { \"window_s\": %.6f, \"queries\": %d, \"qps\": %.1f, \
-        \"workers\": 2, \"requests_served\": %d, \"epochs_observed\": %d, \
-        \"consistent_per_epoch\": %b },\n"
-       serve_wall queries qps sserve.Daemon.Runtime.requests_served
-       epochs_observed !consistent);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"resume\": { \"from_epoch\": %d, \"epochs_replayed\": %d, \
-        \"identical\": %b }\n"
-       half sb.Daemon.Runtime.epochs_applied identical);
-  Buffer.add_string buf "}\n";
-  (match Obs.Json.parse (Buffer.contents buf) with
-  | Ok _ -> ()
-  | Error e -> failwith ("E-daemon: emitted JSON does not parse: " ^ e));
-  let oc = open_out "BENCH_daemon.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "   [wrote BENCH_daemon.json]\n";
-  if Sys.getenv_opt "TOPO_DAEMON_GATE" <> None then begin
-    if not !consistent then begin
-      prerr_endline
-        "E-daemon: CONSISTENCY VIOLATION (same pair, same epoch, different \
-         answers)";
-      exit 2
-    end;
-    if not identical then begin
-      prerr_endline
-        "E-daemon: resume fingerprint differs from the uninterrupted run";
-      exit 2
-    end
-  end
+  Record.write "daemon"
+    Obs.Json.(
+      Obj
+        [
+          ("experiment", Str "E-daemon");
+          ( "config",
+            Obj
+              [
+                ("n", int n); ("epochs", int epochs); ("events", int events);
+                ("eps", Num eps); ("quick", Bool !quick);
+              ] );
+          ( "ingest",
+            Obj
+              [
+                ("wall_s", Num ingest_wall); ("ev_per_s", Num ev_per_s);
+                ("epochs", int sa.Daemon.Runtime.final_epoch);
+                ("checkpoints", int sa.Daemon.Runtime.checkpoints_written);
+              ] );
+          ( "serve",
+            Obj
+              [
+                ("window_s", Num serve_wall); ("queries", int queries);
+                ("qps", Num qps); ("workers", int 2);
+                ("requests_served", int sserve.Daemon.Runtime.requests_served);
+                ("epochs_observed", int epochs_observed);
+                ("consistent_per_epoch", Bool !consistent);
+              ] );
+          ( "resume",
+            Obj
+              [
+                ("from_epoch", int half);
+                ("epochs_replayed", int sb.Daemon.Runtime.epochs_applied);
+                ("identical", Bool identical);
+              ] );
+        ]);
+  Record.gate "E-daemon.consistent" !consistent;
+  Record.gate "E-daemon.resume" identical
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test per experiment's kernel.        *)
@@ -2283,7 +2087,6 @@ let experiments =
     ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
     ("E17", e17); ("E18", e18);
     ("E-csr", e_csr);
-    ("E-par", e_par);
     ("E-scale", e_scale);
     ("E-churn", e_churn);
     ("E-obs", e_obs);
@@ -2333,4 +2136,9 @@ let () =
       run ();
       Printf.printf "   [%s finished in %.1f s]\n\n%!" name
         (Unix.gettimeofday () -. t0))
-    selected
+    selected;
+  match List.rev !Record.failed with
+  | [] -> ()
+  | failed ->
+      List.iter (fun g -> prerr_endline ("gate FAILED: " ^ g)) failed;
+      exit 2

@@ -330,7 +330,8 @@ let compare_cmd =
     Option.iter
       (fun path ->
         let oc = open_out path in
-        output_string oc (Spanner.Compare.to_json ~params ~model rows);
+        output_string oc
+          (Obs.Json.render (Spanner.Compare.to_json ~params ~model rows));
         close_out oc;
         Format.printf "wrote %s@." path)
       json

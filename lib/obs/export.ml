@@ -1,30 +1,6 @@
 (* Exporters: Chrome trace-event JSON (loads in Perfetto / chrome://
-   tracing) and a flat key/value report. Both are hand-written — the
-   image carries no JSON library — and both read shards at quiescence. *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* A float that is valid JSON: no "inf"/"nan", always a decimal point
-   or exponent so Perfetto's strict parser is happy. *)
-let json_float f =
-  if Float.is_nan f then "0"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%.17g" f
+   tracing) and a flat key/value report. Both read shards at
+   quiescence. *)
 
 (* Chrome trace-event format: one complete event ("ph":"X") per span,
    tid = recording domain, timestamps in microseconds relative to the
@@ -38,39 +14,27 @@ let chrome_json () =
       infinity events
   in
   let t_base = if Float.is_finite t_base then t_base else 0.0 in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  List.iteri
-    (fun i (e : Trace.event) ->
-      if i > 0 then Buffer.add_char buf ',';
-      let ts = Float.max 0.0 ((e.t0 -. t_base) *. 1e6) in
-      let dur = Float.max 0.0 ((e.t1 -. e.t0) *. 1e6) in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "\n{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\",\"pid\":0,\"tid\":%d,\"ts\":%s,\"dur\":%s"
-           (escape e.name)
-           (escape (if e.cat = "" then "default" else e.cat))
-           e.dom (json_float ts) (json_float dur));
-      if e.args <> [] then begin
-        Buffer.add_string buf ",\"args\":{";
-        List.iteri
-          (fun j (k, v) ->
-            if j > 0 then Buffer.add_char buf ',';
-            Buffer.add_string buf
-              (Printf.sprintf "\"%s\":%s" (escape k) (json_float v)))
-          e.args;
-        Buffer.add_char buf '}'
-      end;
-      Buffer.add_char buf '}')
-    events;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  let event (e : Trace.event) =
+    let args = List.map (fun (k, v) -> (k, Json.Num v)) e.args in
+    Json.Obj
+      ([
+         ("name", Json.Str e.name);
+         ("cat", Json.Str (if e.cat = "" then "default" else e.cat));
+         ("ph", Json.Str "X"); ("pid", Json.int 0); ("tid", Json.int e.dom);
+         ("ts", Json.Num (Float.max 0.0 ((e.t0 -. t_base) *. 1e6)));
+         ("dur", Json.Num (Float.max 0.0 ((e.t1 -. e.t0) *. 1e6)));
+       ]
+      @ if args = [] then [] else [ ("args", Json.Obj args) ])
+  in
+  Json.render
+    (Json.Obj
+       [
+         ("displayTimeUnit", Json.Str "ms");
+         ("traceEvents", Json.Arr (List.map event events));
+       ])
 
 let write_chrome path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (chrome_json ()))
+  Out_channel.with_open_bin path (fun oc -> output_string oc (chrome_json ()))
 
 (* Flat report: span aggregates by (cat, name) — total seconds and call
    count — followed by every registered metric, key-sorted. *)
@@ -95,14 +59,6 @@ let kv () =
     (fun (a, _) (b, _) -> compare a b)
     (span_rows @ Metrics.kv ())
 
-let write_kv path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter (fun (k, v) -> Printf.fprintf oc "%s\t%s\n" k (json_float v))
-        (kv ()))
-
 (* Trace validation: parse the file back and check that within every
    (pid, tid) lane the complete events are strictly nested — each event
    either disjoint from or fully contained in any other. Used by
@@ -114,10 +70,8 @@ let validate json =
   let ( let* ) = Result.bind in
   let* events =
     match Json.member "traceEvents" json with
-    | Some v -> (
-        match Json.to_list v with
-        | Some l -> Ok l
-        | None -> Error "traceEvents is not an array")
+    | Some (Json.Arr l) -> Ok l
+    | Some _ -> Error "traceEvents is not an array"
     | None -> Error "missing traceEvents"
   in
   let* rows =
@@ -125,14 +79,14 @@ let validate json =
       (fun acc ev ->
         let* acc = acc in
         let num k =
-          match Option.bind (Json.member k ev) Json.to_number with
-          | Some f -> Ok f
-          | None -> Error (Printf.sprintf "event missing numeric %S" k)
+          match Json.member k ev with
+          | Some (Json.Num f) -> Ok f
+          | _ -> Error (Printf.sprintf "event missing numeric %S" k)
         in
         let* _ =
-          match Option.bind (Json.member "name" ev) Json.to_string with
-          | Some _ -> Ok ()
-          | None -> Error "event missing name"
+          match Json.member "name" ev with
+          | Some (Json.Str _) -> Ok ()
+          | _ -> Error "event missing name"
         in
         let* ts = num "ts" in
         let* dur = num "dur" in
@@ -190,12 +144,7 @@ let validate json =
     }
 
 let validate_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | src -> (
       match Json.parse src with

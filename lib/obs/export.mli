@@ -17,8 +17,6 @@ val write_chrome : string -> unit
     [.calls] aggregates over the recorded spans, plus {!Metrics.kv}. *)
 val kv : unit -> (string * float) list
 
-val write_kv : string -> unit
-
 type summary = { n_events : int; n_lanes : int; max_depth : int }
 
 (** [validate_file path] parses a Chrome trace file and checks every

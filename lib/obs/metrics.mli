@@ -34,8 +34,7 @@ val gauge_value : gauge -> float
 val timer : string -> t
 
 (** [time t f] accumulates the duration of [f ()] into [t] and counts
-    one call. If [f] raises, nothing is recorded (matching the historic
-    [Topo.Profile.time] behaviour). *)
+    one call. If [f] raises, nothing is recorded. *)
 val time : t -> (unit -> 'a) -> 'a
 
 (** [add_seconds t dt] accumulates an externally measured duration into

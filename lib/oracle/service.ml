@@ -39,7 +39,6 @@ type t = {
   eps : float option;
   max_clusters : int option;
   label : string;
-  repair_enabled : bool;
   g_epoch : Obs.Metrics.gauge;
   g_build : Obs.Metrics.gauge;
   c_repairs : int Atomic.t;
@@ -59,11 +58,6 @@ type service_stats = {
 
 let current s = Atomic.get s.cell
 
-let repair_env_enabled () =
-  match Sys.getenv_opt "TOPO_ORACLE_REPAIR" with
-  | Some ("0" | "false" | "no") -> false
-  | Some _ | None -> true
-
 (* ------------------------------------------------------------------ *)
 (* Construction and installation                                       *)
 (* ------------------------------------------------------------------ *)
@@ -78,7 +72,7 @@ let compute s ~dirty ~epoch csr =
   let t0 = Unix.gettimeofday () in
   let oracle =
     match dirty with
-    | Some d when s.repair_enabled && epoch = prev.epoch + 1 ->
+    | Some d when epoch = prev.epoch + 1 ->
         let r =
           Dist.repair ?max_clusters:s.max_clusters ~prev:prev.oracle ~dirty:d
             csr
@@ -214,7 +208,6 @@ let create ?eps ?max_clusters ~label ~epoch csr =
       eps;
       max_clusters;
       label;
-      repair_enabled = repair_env_enabled ();
       g_epoch = Obs.Metrics.gauge ("oracle.published_epoch." ^ label);
       g_build = Obs.Metrics.gauge ("oracle.build_seconds." ^ label);
       c_repairs = Atomic.make 0;

@@ -19,8 +19,7 @@
     is {!Dist.repair}ed forward from the previous one using the
     engine's [snap_dirty] payload, falling back to a scratch
     {!Dist.build} whenever the dirty chain is broken (first epoch,
-    missed epochs) or the cover degraded (see {!Dist.repair}). Set
-    [TOPO_ORACLE_REPAIR=0] to force scratch builds on every epoch.
+    missed epochs) or the cover degraded (see {!Dist.repair}).
 
     Each service owns labelled gauges
     [oracle.published_epoch.<label>] and [oracle.build_seconds.<label>]

@@ -262,21 +262,13 @@ let submit pool job =
 
 (* The grain is the number of items per chunk. Sticky settings mirror
    the domain-count ones: a [?grain] argument wins for that call, then
-   [set_grain], then [TOPO_GRAIN]. With no setting the default is
-   adaptive: enough chunks for the cursor to balance uneven item costs
-   (~6 per domain, the middle of the 4-8x band), never more chunks
-   than items, and a single chunk when only one domain would claim
-   them. Chunks are contiguous index ranges whatever the grain, so
-   every combinator stays order-preserving. *)
+   [set_grain]. With no setting the default is adaptive: enough chunks
+   for the cursor to balance uneven item costs (~6 per domain, the
+   middle of the 4-8x band), never more chunks than items, and a
+   single chunk when only one domain would claim them. Chunks are
+   contiguous index ranges whatever the grain, so every combinator
+   stays order-preserving. *)
 let programmatic_grain : int option ref = ref None
-
-let env_grain () =
-  match Sys.getenv_opt "TOPO_GRAIN" with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some g when g >= 1 -> Some g
-      | Some _ | None -> None)
 
 let set_grain g =
   if g < 1 then invalid_arg "Pool.set_grain: need grain >= 1";
@@ -289,7 +281,7 @@ let chunks_for pool ?grain n =
     match grain with
     | Some g when g >= 1 -> Some g
     | Some _ -> invalid_arg "Pool: grain must be >= 1"
-    | None -> ( match !programmatic_grain with Some g -> Some g | None -> env_grain ())
+    | None -> !programmatic_grain
   in
   match forced with
   | Some g -> (n + g - 1) / g

@@ -36,11 +36,10 @@ val set_domains : int -> unit
 val clear_domains : unit -> unit
 
 (** [set_grain g] fixes the number of items per chunk for subsequent
-    combinator calls (overriding the [TOPO_GRAIN] environment variable;
-    a per-call [?grain] still wins). Without any setting the grain is
-    adaptive: roughly 6 chunks per domain, so the claiming cursor can
-    balance uneven item costs while bookkeeping stays a fetch-and-add
-    per chunk. Chunks are contiguous index ranges for every grain, so
+    combinator calls (a per-call [?grain] still wins). Without any
+    setting the grain is adaptive: roughly 6 chunks per domain, so the
+    claiming cursor can balance uneven item costs while bookkeeping
+    stays a fetch-and-add per chunk. Chunks are contiguous index ranges for every grain, so
     results are bit-identical whatever the setting — the determinism
     suite pins this down. Raises [Invalid_argument] on [g <= 0]. *)
 val set_grain : int -> unit

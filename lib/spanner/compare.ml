@@ -67,58 +67,35 @@ let table ~title rows =
     rows;
   report
 
-let json_num b x =
-  if Float.is_finite x then Buffer.add_string b (Printf.sprintf "%.6g" x)
-  else Buffer.add_string b "null"
-
 let to_json ~params ~model rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b
-    (Printf.sprintf "  \"n\": %d,\n  \"dim\": %d,\n" (Model.n model)
-       (Model.dim model));
-  Buffer.add_string b
-    (Printf.sprintf "  \"alpha\": %.6g,\n  \"t\": %.6g,\n"
-       model.Model.alpha params.Topo.Params.t);
-  Buffer.add_string b "  \"backends\": [\n";
-  List.iteri
-    (fun i { backend = bk; result = r; summary = s; t_ok } ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b "    { \"name\": \"";
-      Buffer.add_string b (Backend.name bk);
-      Buffer.add_string b "\"";
-      let caps = Backend.capabilities bk in
-      Buffer.add_string b
-        (Printf.sprintf
-           ", \"incremental\": %b, \"localized\": %b, \"subgraph\": %b"
-           caps.Backend.incremental caps.Backend.localized
-           caps.Backend.subgraph);
-      Buffer.add_string b
-        (Printf.sprintf ", \"edges\": %d, \"max_degree\": %d"
-           s.Metrics.n_edges s.Metrics.max_degree);
-      Buffer.add_string b ", \"stretch\": ";
-      json_num b s.Metrics.edge_stretch;
-      Buffer.add_string b ", \"advertised_stretch\": ";
-      (match r.Backend.advertised_stretch with
-      | Some t -> json_num b t
-      | None -> Buffer.add_string b "null");
-      Buffer.add_string b ", \"t_ok\": ";
-      (match t_ok with
-      | None -> Buffer.add_string b "null"
-      | Some ok -> Buffer.add_string b (string_of_bool ok));
-      Buffer.add_string b ", \"mst_ratio\": ";
-      json_num b s.Metrics.mst_ratio;
-      Buffer.add_string b ", \"power_ratio\": ";
-      json_num b s.Metrics.power_ratio;
-      Buffer.add_string b
-        (Printf.sprintf ", \"rounds\": %d, \"messages\": %d"
-           r.Backend.rounds r.Backend.messages);
-      Buffer.add_string b ", \"build_seconds\": ";
-      json_num b r.Backend.build_seconds;
-      Buffer.add_string b " }")
-    rows;
-  Buffer.add_string b "\n  ]\n}\n";
-  Buffer.contents b
+  let open Obs.Json in
+  let backend { backend = bk; result = r; summary = s; t_ok } =
+    let caps = Backend.capabilities bk in
+    let opt f = Option.fold ~none:Null ~some:f in
+    Obj
+      [
+        ("name", Str (Backend.name bk));
+        ("incremental", Bool caps.Backend.incremental);
+        ("localized", Bool caps.Backend.localized);
+        ("subgraph", Bool caps.Backend.subgraph);
+        ("edges", int s.Metrics.n_edges);
+        ("max_degree", int s.Metrics.max_degree);
+        ("stretch", Num s.Metrics.edge_stretch);
+        ( "advertised_stretch",
+          opt (fun t -> Num t) r.Backend.advertised_stretch );
+        ("t_ok", opt (fun ok -> Bool ok) t_ok);
+        ("mst_ratio", Num s.Metrics.mst_ratio);
+        ("power_ratio", Num s.Metrics.power_ratio);
+        ("rounds", int r.Backend.rounds); ("messages", int r.Backend.messages);
+        ("build_seconds", Num r.Backend.build_seconds);
+      ]
+  in
+  Obj
+    [
+      ("n", int (Model.n model)); ("dim", int (Model.dim model));
+      ("alpha", Num model.Model.alpha); ("t", Num params.Topo.Params.t);
+      ("backends", Arr (List.map backend rows));
+    ]
 
 let set_gauges rows =
   let set name v =

@@ -5,9 +5,8 @@
     summarized against the same base graph (stretch, degree,
     weight-vs-MST, power cost — {!Analysis.Metrics.summarize}) and
     checked against the backend's advertised stretch when it has one.
-    Results render as an {!Analysis.Report} table, as JSON (parseable
-    by {!Obs.Json}), and as metric gauges so [Obs.Export.kv] carries
-    them. *)
+    Results render as an {!Analysis.Report} table, as an {!Obs.Json}
+    document, and as metric gauges so [Obs.Export.kv] carries them. *)
 
 type row = {
   backend : Backend.t;
@@ -35,8 +34,9 @@ val table : title:string -> row list -> Analysis.Report.t
 
 (** [to_json ~params ~model rows] is a standalone JSON document:
     instance header plus one object per backend. Non-finite floats
-    (disconnected stretch) are emitted as [null]. *)
-val to_json : params:Topo.Params.t -> model:Ubg.Model.t -> row list -> string
+    (disconnected stretch) render as [null]. *)
+val to_json :
+  params:Topo.Params.t -> model:Ubg.Model.t -> row list -> Obs.Json.t
 
 (** [set_gauges rows] publishes [compare.<backend>.<quantity>] gauges
     into the {!Obs.Metrics} registry. *)

@@ -37,6 +37,21 @@ let m_query_edges = Obs.Metrics.counter "relaxed.query_edges"
 let m_added = Obs.Metrics.counter "relaxed.added"
 let m_removed = Obs.Metrics.counter "relaxed.removed"
 
+(* Stage timing: each pipeline stage is a [stage.<name>] timer, always
+   on, plus a "stage" span when tracing is enabled. *)
+let stages =
+  [
+    "short_edges"; "freeze"; "cover"; "select"; "cluster_graph"; "queries";
+    "redundant";
+  ]
+
+let stage_timers =
+  List.map (fun s -> (s, Obs.Metrics.timer ("stage." ^ s))) stages
+
+let stage name f =
+  Obs.Metrics.time (List.assoc name stage_timers) (fun () ->
+      Obs.Trace.span ~cat:"stage" name f)
+
 let bin_span i info f =
   if Obs.Trace.enabled () then
     Obs.Trace.span ~cat:"bin"
@@ -66,7 +81,7 @@ let process_short_edges ~model ~metric ~params ~bin_edges ~spanner =
     (fun (e : Wgraph.edge) -> Wgraph.add_edge g0 e.u e.v e.w)
     bin_edges;
   let before = Wgraph.n_edges spanner in
-  Profile.time Profile.Short_edges (fun () ->
+  stage "short_edges" (fun () ->
       let components =
         Array.of_list
           (List.filter
@@ -108,21 +123,21 @@ let phase_core ~model ~params ~phi ~phase ~w_prev_len ~w_len ~bin_edges
     ~spanner =
   let w_prev = phi w_prev_len in
   let radius = params.Params.delta *. w_prev in
-  let frozen = Profile.time Profile.Freeze (fun () -> Csr.of_wgraph spanner) in
+  let frozen = stage "freeze" (fun () -> Csr.of_wgraph spanner) in
   (* Step (i): cluster cover of radius delta * W_{i-1}. *)
   let cover =
-    Profile.time Profile.Cover (fun () ->
+    stage "cover" (fun () ->
         Cluster_cover.compute_csr frozen ~radius)
   in
   (* Step (ii): covered-edge filter + one query edge per cluster pair. *)
   let selection =
-    Profile.time Profile.Select (fun () ->
+    stage "select" (fun () ->
         Query_select.select ~weight_of_len:phi ~model ~spanner:frozen ~cover
           ~params bin_edges)
   in
   (* Step (iii): the cluster graph H_{i-1}. *)
   let h =
-    Profile.time Profile.Cluster_graph (fun () ->
+    stage "cluster_graph" (fun () ->
         Cluster_graph.build_csr ~spanner:frozen ~cover ~w_prev)
   in
   (* Step (iv): answer every query on the frozen H. The lazy update —
@@ -135,7 +150,7 @@ let phase_core ~model ~params ~phi ~phase ~w_prev_len ~w_len ~bin_edges
     2 + int_of_float (ceil (params.Params.t *. ratio /. params.Params.delta))
   in
   let added =
-    Profile.time Profile.Queries (fun () ->
+    stage "queries" (fun () ->
         let queries = selection.Query_select.query_edges in
         let dists = Array.make (Array.length queries) infinity in
         Parallel.Pool.parallel_for (Array.length queries) (fun i ->
@@ -154,7 +169,7 @@ let phase_core ~model ~params ~phi ~phase ~w_prev_len ~w_len ~bin_edges
   (* Step (v): strip mutually redundant additions via an MIS of the
      conflict graph. *)
   let redundancy =
-    Profile.time Profile.Redundant (fun () ->
+    stage "redundant" (fun () ->
         Redundant.filter ~max_hops ~h ~params added)
   in
   let stats =

@@ -35,6 +35,14 @@ type result = {
   stats : phase_stats list;  (** one per nonempty phase, phase order *)
 }
 
+(** The pipeline stages in order: phase 0's [short_edges], then the
+    per-phase [freeze] of the partial spanner and the five
+    [PROCESS-LONG-EDGES] steps [cover], [select], [cluster_graph],
+    [queries] and [redundant]. Every run of a stage adds one call to the
+    {!Obs.Metrics} timer [stage.<name>] and, with tracing enabled,
+    records one span of category ["stage"] named [<name>]. *)
+val stages : string list
+
 (** [build ?metric ?mode ~params model] runs the algorithm on [model].
     The params' [alpha]/[dim] must match the model. Default metric:
     Euclidean.

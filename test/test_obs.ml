@@ -117,7 +117,7 @@ let test_counter_and_timer () =
   let total, calls = Obs.Metrics.timer_value tm in
   check_float "one tick elapsed" 1.0 total;
   Alcotest.(check int) "one call" 1 calls;
-  (* Historic Profile contract: a raising section records nothing. *)
+  (* A raising section records nothing. *)
   (try Obs.Metrics.time tm (fun () -> failwith "x") with Failure _ -> ());
   Alcotest.(check bool) "raise records nothing" true
     (Obs.Metrics.timer_value tm = (total, calls))
@@ -195,12 +195,17 @@ let test_chrome_roundtrip () =
   | Error e -> Alcotest.failf "chrome_json does not parse: %s" e
   | Ok json ->
       let events =
-        Option.get (Obs.Json.to_list (Option.get (Obs.Json.member "traceEvents" json)))
+        match Obs.Json.member "traceEvents" json with
+        | Some (Obs.Json.Arr l) -> l
+        | _ -> Alcotest.fail "traceEvents is not an array"
       in
       Alcotest.(check int) "one event per span" 2 (List.length events);
       let names =
         List.filter_map
-          (fun ev -> Option.bind (Obs.Json.member "name" ev) Obs.Json.to_string)
+          (fun ev ->
+            match Obs.Json.member "name" ev with
+            | Some (Obs.Json.Str s) -> Some s
+            | _ -> None)
           events
       in
       Alcotest.(check bool) "names survive" true
@@ -241,27 +246,154 @@ let test_export_kv_includes_span_aggregates () =
      List.sort compare keys = keys)
 
 (* ------------------------------------------------------------------ *)
-(* Topo.Profile over shards: concurrent sections merge losslessly      *)
+(* Sharded timers: concurrent sections merge losslessly               *)
 (* ------------------------------------------------------------------ *)
 
-(* The historic Profile accumulated into plain global float/int arrays,
-   so sections timed inside pool workers raced and dropped updates.
-   Now each domain accumulates into its own shard; the merged call
-   count must be exact no matter where the sections ran. *)
-let test_profile_multidomain () =
-  Topo.Profile.reset ();
+(* Each domain accumulates into its own shard; the merged call count
+   must be exact no matter where the sections ran. *)
+let test_timer_multidomain () =
+  let tm = Obs.Metrics.timer "test.multidomain" in
+  Obs.Metrics.reset tm;
   let n = 400 in
   Pool.set_domains 4;
   Fun.protect ~finally:Pool.clear_domains (fun () ->
-      Pool.parallel_for n (fun _ ->
-          Topo.Profile.time Topo.Profile.Cover (fun () -> ())));
-  Alcotest.(check int) "no lost sections across domains" n
-    (List.assoc "cover" (Topo.Profile.read_calls ()));
-  Alcotest.(check bool) "total is non-negative" true
-    (List.assoc "cover" (Topo.Profile.read ()) >= 0.0);
-  Topo.Profile.reset ();
+      Pool.parallel_for n (fun _ -> Obs.Metrics.time tm ignore));
+  let total, calls = Obs.Metrics.timer_value tm in
+  Alcotest.(check int) "no lost sections across domains" n calls;
+  Alcotest.(check bool) "total is non-negative" true (total >= 0.0);
+  Obs.Metrics.reset tm;
   Alcotest.(check int) "reset zeroes every shard" 0
-    (List.assoc "cover" (Topo.Profile.read_calls ()))
+    (snd (Obs.Metrics.timer_value tm))
+
+(* ------------------------------------------------------------------ *)
+(* Json: the writer round-trips through the strict parser             *)
+(* ------------------------------------------------------------------ *)
+
+(* Strings stress the escapes: quotes, backslashes, every control
+   character, and raw bytes >= 0x80 (not necessarily valid UTF-8). *)
+let json_string_gen =
+  QCheck.Gen.(
+    string_size (int_bound 8)
+      ~gen:
+        (frequency
+           [
+             (2, oneofl [ '"'; '\\'; '/' ]);
+             (2, char_range '\000' '\031');
+             (2, char_range '\128' '\255');
+             (4, printable);
+           ]))
+
+(* Any finite bit pattern, plus the forms random bits rarely hit:
+   subnormals of either sign, integers at and beyond 1e15, and plain
+   negatives. *)
+let json_float_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map
+            (fun b ->
+              let f = Int64.float_of_bits b in
+              if Float.is_finite f then f else 0.0)
+            ui64 );
+        ( 1,
+          map2
+            (fun m neg ->
+              let f = Float.ldexp (float_of_int m) (-1074) in
+              if neg then -.f else f)
+            (int_bound 1_000_000) bool );
+        (1, map (fun k -> 1e15 +. float_of_int k) (int_bound 1_000_000_000));
+        (1, float_range (-1000.0) 0.0);
+      ])
+
+let json_gen =
+  let open Obs.Json in
+  QCheck.Gen.(
+    sized_size (int_bound 3)
+    @@ fix (fun self depth ->
+           let scalar =
+             frequency
+               [
+                 (1, return Null);
+                 (1, map (fun b -> Bool b) bool);
+                 (3, map (fun f -> Num f) json_float_gen);
+                 (3, map (fun s -> Str s) json_string_gen);
+               ]
+           in
+           if depth = 0 then scalar
+           else
+             frequency
+               [
+                 (2, scalar);
+                 ( 1,
+                   map (fun l -> Arr l)
+                     (list_size (int_bound 4) (self (depth - 1))) );
+                 ( 1,
+                   map (fun l -> Obj l)
+                     (list_size (int_bound 4)
+                        (pair json_string_gen (self (depth - 1)))) );
+               ]))
+
+(* Structural equality with floats compared bit for bit, so a lost
+   sign of zero or a last-digit rounding fails. *)
+let rec json_same a b =
+  let open Obs.Json in
+  match (a, b) with
+  | Num x, Num y -> Int64.bits_of_float x = Int64.bits_of_float y
+  | Arr l, Arr m -> List.equal json_same l m
+  | Obj l, Obj m ->
+      List.equal (fun (k, v) (k', v') -> k = k' && json_same v v') l m
+  | _ -> a = b
+
+let prop_json_roundtrip =
+  qtest ~count:500 "parse (render v) = v"
+    (QCheck.make ~print:Obs.Json.render json_gen)
+    (fun v ->
+      match Obs.Json.parse (Obs.Json.render v) with
+      | Ok v' -> json_same v v'
+      | Error _ -> false)
+
+let test_json_nonfinite_null () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string)
+        (Printf.sprintf "%h renders as null" f)
+        "null\n"
+        (Obs.Json.render (Obs.Json.Num f)))
+    [ nan; infinity; neg_infinity ]
+
+let test_json_accepts () =
+  let num src =
+    match Obs.Json.parse src with
+    | Ok (Obs.Json.Num f) -> f
+    | Ok _ | Error _ -> Alcotest.failf "%S does not parse as a number" src
+  in
+  List.iter
+    (fun (src, f) ->
+      Alcotest.(check bool) src true
+        (Int64.bits_of_float (num src) = Int64.bits_of_float f))
+    [ ("0", 0.0); ("-0", -0.0); ("10", 10.0); ("-1.5e-3", -1.5e-3);
+      ("2E+2", 200.0); ("0.25", 0.25) ];
+  Alcotest.(check bool) "surrogate pair decodes to 4-byte UTF-8" true
+    (Obs.Json.parse {|"\ud83d\ude00"|} = Ok (Obs.Json.Str "\xF0\x9F\x98\x80"))
+
+let json_rejects =
+  List.map
+    (fun (label, src) ->
+      Alcotest.test_case ("rejects " ^ label) `Quick (fun () ->
+          match Obs.Json.parse src with
+          | Ok _ -> Alcotest.failf "%S parsed" src
+          | Error _ -> ()))
+    [
+      ("leading plus", "+1");
+      ("leading dot", ".5");
+      ("leading zero", "01");
+      ("trailing dot", "1.");
+      ("underscore in \\u escape", {|"\u00_1"|});
+      ("lone high surrogate", {|"\ud83d"|});
+      ("lone low surrogate", {|"\ude00"|});
+      ("raw control character", "\"a\tb\"");
+    ]
 
 let () =
   Alcotest.run "obs"
@@ -281,6 +413,8 @@ let () =
             test_histogram_buckets;
           Alcotest.test_case "kind mismatch rejected" `Quick
             test_kind_mismatch_rejected;
+          Alcotest.test_case "multi-domain sections merge" `Quick
+            test_timer_multidomain;
         ] );
       ( "cost",
         [
@@ -296,9 +430,12 @@ let () =
           Alcotest.test_case "kv span aggregates" `Quick
             test_export_kv_includes_span_aggregates;
         ] );
-      ( "profile",
+      ( "json",
         [
-          Alcotest.test_case "multi-domain sections merge" `Quick
-            test_profile_multidomain;
-        ] );
+          prop_json_roundtrip;
+          Alcotest.test_case "non-finite renders as null" `Quick
+            test_json_nonfinite_null;
+          Alcotest.test_case "accepts RFC 8259 forms" `Quick test_json_accepts;
+        ]
+        @ json_rejects );
     ]

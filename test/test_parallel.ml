@@ -337,22 +337,49 @@ let prop_build_deterministic_grain_grid =
 
 (* Tracing must observe the build, never perturb it: spanner edges and
    phase stats bit-identical with spans recorded or not, at the domain
-   counts the observability work promises (1 and 4). *)
+   counts the observability work promises (1 and 4). The traced build
+   also pins the stage names E-scale and perfbench report: "stage"
+   spans carry exactly these seven names, each as many times as its
+   stage.<name> timer counts calls. *)
+let stage_names =
+  [
+    "short_edges"; "freeze"; "cover"; "select"; "cluster_graph"; "queries";
+    "redundant";
+  ]
+
 let prop_build_identical_traced =
   qtest ~count:4 "build bit-identical with tracing on, 1/4 domains" seed_arb
     (fun seed ->
       let model = connected_model ~seed ~n:90 ~dim:2 ~alpha:0.8 in
       let base = build_fingerprint ~domains:1 ~mode:`Local model in
+      let timers =
+        List.map (fun s -> (s, Obs.Metrics.timer ("stage." ^ s))) stage_names
+      in
       let traced domains =
+        List.iter (fun (_, t) -> Obs.Metrics.reset t) timers;
         let prev = Obs.Trace.enabled () in
         Obs.Trace.set_enabled true;
+        Obs.Trace.clear ();
         Fun.protect
           ~finally:(fun () ->
             Obs.Trace.set_enabled prev;
             Obs.Trace.clear ())
-          (fun () -> build_fingerprint ~domains ~mode:`Local model)
+          (fun () ->
+            let fingerprint = build_fingerprint ~domains ~mode:`Local model in
+            let spans =
+              List.filter_map
+                (fun (e : Obs.Trace.event) ->
+                  if e.cat = "stage" then Some e.name else None)
+                (Obs.Trace.events ())
+            in
+            let count s = List.length (List.filter (String.equal s) spans) in
+            fingerprint = base
+            && List.sort_uniq compare spans = List.sort compare stage_names
+            && List.for_all
+                 (fun (s, t) -> snd (Obs.Metrics.timer_value t) = count s)
+                 timers)
       in
-      traced 1 = base && traced 4 = base)
+      Topo.Relaxed_greedy.stages = stage_names && traced 1 && traced 4)
 
 let () =
   Alcotest.run "parallel"
