@@ -1979,8 +1979,8 @@ let micro_benchmarks () =
       Test.make ~name:"E5: query-edge selection (one phase, n=150)"
         (Staged.stage (fun () ->
              ignore
-               (Topo.Query_select.select ~model ~spanner:frozen ~cover ~params
-                  bin)));
+               (Topo.Query_select.select ~points:model.Ubg.Model.points
+                  ~spanner:frozen ~cover ~params bin)));
       Test.make ~name:"E6: cluster graph construction (n=150)"
         (Staged.stage (fun () ->
              ignore (Topo.Cluster_graph.build ~spanner ~cover ~w_prev)));

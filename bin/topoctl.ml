@@ -237,10 +237,12 @@ let build_cmd =
       & info [ "algo" ]
           ~doc:
             "relaxed | greedy | yao | theta | gabriel | rng | lmst | xtc | \
-             udel | ft | ft-vertex | mst.")
+             udel | bounded-planar | ft | ft-vertex | mst.")
   in
   let k =
-    Arg.(value & opt int 1 & info [ "k" ] ~doc:"Fault budget for --algo ft.")
+    Arg.(
+      value & opt int 1
+      & info [ "k" ] ~doc:"Fault budget for --algo ft and --algo ft-vertex.")
   in
   let cones =
     Arg.(value & opt int 8 & info [ "cones" ] ~doc:"Cones for yao/theta.")

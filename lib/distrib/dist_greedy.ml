@@ -105,7 +105,8 @@ let long_edge_phase ~seed ~model ~params ~phase ~w_prev ~w_cur ~bin_edges
     }
   else begin
     let selection =
-      Topo.Query_select.select ~model ~spanner:frozen ~cover ~params bin_edges
+      Topo.Query_select.select ~points:model.Ubg.Model.points ~spanner:frozen
+        ~cover ~params bin_edges
     in
     let h = Topo.Cluster_graph.build_csr ~spanner:frozen ~cover ~w_prev in
     let max_hops = Params.query_hop_limit params in

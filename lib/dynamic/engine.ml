@@ -168,9 +168,10 @@ let greedy_repair t ws edges =
     edges
 
 (* Re-run the five-step PROCESS-LONG-EDGES pipeline for bin [i] on the
-   sub-instance of nodes within the dirty threshold plus the phase's
-   own consultation reach. Kept additions map back to slot ids; the
-   surviving spanner is never shrunk, so certified paths persist. *)
+   region of alive nodes within the dirty threshold plus the phase's own
+   consultation reach. The runner hands back kept additions in slot
+   ids; the surviving spanner is never shrunk, so certified paths
+   persist. *)
 let pipeline_repair t ~dmin ~bins i (edges : Wgraph.edge array) =
   let w_len = Bins.w bins i and w_prev_len = Bins.w bins (i - 1) in
   let thresh =
@@ -178,44 +179,19 @@ let pipeline_repair t ~dmin ~bins i (edges : Wgraph.edge array) =
   in
   let reach = (t.params.Params.t +. 1.0) *. w_len in
   let radius = thresh +. reach in
-  let cap = Population.capacity t.pop in
   let region = ref [] in
-  for s = cap - 1 downto 0 do
+  for s = Population.capacity t.pop - 1 downto 0 do
     if Population.is_alive t.pop s && dmin.(s) <= radius then
       region := s :: !region
   done;
-  let region = Array.of_list !region in
-  let nr = Array.length region in
-  let local_of = Array.make cap (-1) in
-  Array.iteri (fun li s -> local_of.(s) <- li) region;
-  let sub_points = Array.map (fun s -> t.pop.Population.points.(s)) region in
-  let induce g =
-    let sub = Wgraph.create nr in
-    Array.iteri
-      (fun li s ->
-        Wgraph.iter_neighbors g s (fun v w ->
-            let lv = local_of.(v) in
-            if lv > li then Wgraph.add_edge sub li lv w))
-      region;
-    sub
-  in
-  let sub_model =
-    Model.make ~alpha:t.params.Params.alpha sub_points (induce t.ubg)
-  in
-  let sub_spanner = induce t.spanner in
-  let bin_edges =
-    Array.map
-      (fun (e : Wgraph.edge) ->
-        { Wgraph.u = local_of.(e.u); v = local_of.(e.v); w = e.w })
-      edges
-  in
   let kept, _stats =
-    Topo.Relaxed_greedy.run_phase ~model:sub_model ~params:t.params ~phase:i
-      ~w_prev_len ~w_len ~bin_edges ~spanner:sub_spanner
+    Topo.Relaxed_greedy.run_region ~points:t.pop.Population.points
+      ~params:t.params ~phase:i ~w_prev_len ~w_len
+      ~region:(Array.of_list !region) ~spanner:t.spanner edges
   in
   Array.iter
     (fun (e : Wgraph.edge) ->
-      ignore (Wgraph.add_edge_min t.spanner region.(e.u) region.(e.v) e.w))
+      ignore (Wgraph.add_edge_min t.spanner e.u e.v e.w))
     kept
 
 (* ------------------------------------------------------------------ *)
@@ -419,13 +395,9 @@ let apply_batch_impl t (events : Churn.event array) =
       else begin
         t.n_incremental <- t.n_incremental + 1;
         Obs.Metrics.incr m_incremental;
-        let sorted =
-          List.sort
-            (fun (a : Wgraph.edge) (b : Wgraph.edge) ->
-              compare (a.w, a.u, a.v) (b.w, b.u, b.v))
-            !dirty
+        let binned =
+          Bins.partition bins (List.sort Wgraph.compare_edge !dirty)
         in
-        let binned = Bins.partition bins sorted in
         let ws = Dijkstra.create_workspace () in
         Array.iteri
           (fun i edges ->

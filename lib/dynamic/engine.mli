@@ -23,8 +23,10 @@
 
     Dirty bins are repaired in ascending order: sparse bins by the
     greedy rule itself (one bounded Dijkstra per edge), dense bins by
-    re-running the full {!Topo.Relaxed_greedy.run_phase} five-step
-    pipeline on the extracted sub-instance. Repairs only {e add}
+    handing the region around the dirty edges to
+    {!Topo.Relaxed_greedy.run_region}, the five-step pipeline's region
+    runner, which reads only positions and the spanner's
+    region-induced CSR. Repairs only {e add}
     edges, never remove surviving spanner edges, so certified paths
     persist within a repair; when the dirty fraction crosses
     [rebuild_threshold] the engine falls back to a full rebuild.

@@ -14,10 +14,11 @@
     type; the read-heavy layers (Dijkstra, cluster covers, cluster
     graphs, query selection, the oracle, the distributed runtime)
     freeze a snapshot once and consume it for every subsequent
-    traversal. A snapshot comes from {!of_wgraph}, or from
-    {!of_arrays} when a builder emits the arcs itself (the cluster
-    graph does). Building is O(n + m); a snapshot never observes later
-    mutations of the source graph. *)
+    traversal. A snapshot comes from {!of_wgraph}, from {!induced}
+    when only a region of the builder is wanted (a relaxed-greedy
+    phase's sub-instance), or from {!of_arrays} when a builder emits
+    the arcs itself (the cluster graph does). Building is O(n + m); a
+    snapshot never observes later mutations of the source graph. *)
 
 type t = private {
   off : int array;  (** length [n + 1]; vertex [u]'s arcs live in
@@ -26,8 +27,17 @@ type t = private {
   wgt : float array;  (** arc weights, parallel to [dst] *)
 }
 
-(** [of_wgraph g] freezes [g] into a snapshot in O(n + m). *)
+(** [of_wgraph g] freezes [g] into a snapshot in O(n + m): {!induced}
+    with every vertex in place. *)
 val of_wgraph : Wgraph.t -> t
+
+(** [induced g ~region ~local_of] freezes the subgraph of [g] induced
+    by [region] (distinct vertices), relabelled so that [region.(i)]
+    becomes vertex [i]; [local_of] maps each vertex of [g] to its
+    region index, or [-1] outside it. The arcs go straight into
+    {!of_arrays}: the result equals {!of_wgraph} of the induced
+    {!Wgraph.t}, bit for bit, without building one. *)
+val induced : Wgraph.t -> region:int array -> local_of:int array -> t
 
 (** [of_arrays ~off ~dst ~wgt] adopts caller-built arrays as a
     snapshot without copying them; the caller must not mutate them

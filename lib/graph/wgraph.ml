@@ -2,6 +2,13 @@ type t = { adj : (int, float) Hashtbl.t array; mutable n_edges : int }
 
 type edge = { u : int; v : int; w : float }
 
+let compare_edge a b =
+  let c = Float.compare a.w b.w in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.u b.u in
+    if c <> 0 then c else Int.compare a.v b.v
+
 let create n =
   if n < 0 then invalid_arg "Wgraph.create: negative size";
   { adj = Array.init n (fun _ -> Hashtbl.create 8); n_edges = 0 }

@@ -9,6 +9,13 @@ type t
 
 type edge = { u : int; v : int; w : float }
 
+(** [compare_edge a b] is the canonical edge order: by weight
+    ([Float.compare]), then [u], then [v]. Every weight-ordered edge
+    scan (the relaxed greedy's binning, SEQ-GREEDY, the dynamic
+    engine's dirty repair) sorts with it, so a build is a function of
+    the edge set rather than of a builder's insertion history. *)
+val compare_edge : edge -> edge -> int
+
 (** [create n] is the edgeless graph on [n >= 0] vertices. *)
 val create : int -> t
 

@@ -21,11 +21,7 @@ module type S = sig
   val capabilities : capabilities
 
   val build :
-    ?metric:Geometry.Metric.t ->
-    ?mode:[ `Auto | `Global | `Local ] ->
-    params:Topo.Params.t ->
-    Ubg.Model.t ->
-    result
+    ?metric:Geometry.Metric.t -> params:Topo.Params.t -> Ubg.Model.t -> result
 end
 
 type t = (module S)
@@ -59,7 +55,7 @@ let default () =
         (Printf.sprintf "TOPO_BACKEND=%s: unknown backend (known: %s)" n
            (String.concat ", " (names ())))
 
-let build ((module B : S) : t) ?metric ?mode ~params model =
+let build ((module B : S) : t) ?metric ~params model =
   let t0 = Unix.gettimeofday () in
   (* The backend tag rides as a span argument; Trace args are float
      pairs, so the name goes in the key ("backend=<name>", 1.). *)
@@ -72,5 +68,5 @@ let build ((module B : S) : t) ?metric ?mode ~params model =
       ])
     "build"
   @@ fun () ->
-  let r = B.build ?metric ?mode ~params model in
+  let r = B.build ?metric ~params model in
   { r with build_seconds = Unix.gettimeofday () -. t0 }

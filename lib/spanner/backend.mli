@@ -56,14 +56,9 @@ module type S = sig
   val capabilities : capabilities
 
   val build :
-    ?metric:Geometry.Metric.t ->
-    ?mode:[ `Auto | `Global | `Local ] ->
-    params:Topo.Params.t ->
-    Ubg.Model.t ->
-    result
+    ?metric:Geometry.Metric.t -> params:Topo.Params.t -> Ubg.Model.t -> result
   (** Raw build; [build_seconds] may be 0, the registry wrapper fills
-      it. [mode] is meaningful for the relaxed greedy only; others
-      ignore it. *)
+      it. *)
 end
 
 type t = (module S)
@@ -97,7 +92,7 @@ val default : unit -> t
 
 (** {1 Driving a backend} *)
 
-(** [build b ?metric ?mode ~params model] runs the backend inside a
+(** [build b ?metric ~params model] runs the backend inside a
     top-level [Obs.Trace] span (cat ["build"], name ["build"], carrying
     a [backend=<name>] argument so traces from different backends stay
     distinguishable in one file) and fills [build_seconds] with the
@@ -105,7 +100,6 @@ val default : unit -> t
 val build :
   t ->
   ?metric:Geometry.Metric.t ->
-  ?mode:[ `Auto | `Global | `Local ] ->
   params:Topo.Params.t ->
   Ubg.Model.t ->
   result

@@ -31,8 +31,8 @@ module Relaxed = struct
       subgraph = true;
     }
 
-  let build ?metric ?mode ~params model =
-    let r = Topo.Relaxed_greedy.build ?metric ?mode ~params model in
+  let build ?metric ~params model =
+    let r = Topo.Relaxed_greedy.build ?metric ~params model in
     {
       (plain ~name ~stretch:params.Topo.Params.t
          r.Topo.Relaxed_greedy.spanner)
@@ -55,7 +55,7 @@ module Seq_greedy_b = struct
       subgraph = true;
     }
 
-  let build ?metric ?mode:_ ~params model =
+  let build ?metric ~params model =
     let g = input_graph ?metric model in
     let s = Topo.Seq_greedy.spanner g ~t:params.Topo.Params.t in
     plain ~name ~stretch:params.Topo.Params.t s
@@ -76,7 +76,7 @@ module Dp_quasi = struct
       subgraph = true;
     }
 
-  let build ?metric:_ ?mode:_ ~params model =
+  let build ?metric:_ ~params model =
     let r = Distrib.Dp_spanner.build ~params model in
     {
       (plain ~name ~stretch:params.Topo.Params.t
@@ -103,7 +103,7 @@ let ft_greedy ~k : Backend.t =
         subgraph = true;
       }
 
-    let build ?metric ?mode:_ ~params model =
+    let build ?metric ~params model =
       let g = input_graph ?metric model in
       let s = Topo.Fault_tolerant.spanner g ~t:params.Topo.Params.t ~k in
       plain ~name ~stretch:params.Topo.Params.t s
@@ -121,7 +121,7 @@ module Lmst_b = struct
       subgraph = true;
     }
 
-  let build ?metric:_ ?mode:_ ~params:_ model =
+  let build ?metric:_ ~params:_ model =
     plain ~name (Baselines.Lmst.build model)
 end
 
@@ -139,7 +139,7 @@ module Xtc_b = struct
       subgraph = true;
     }
 
-  let build ?metric:_ ?mode:_ ~params:_ model =
+  let build ?metric:_ ~params:_ model =
     plain ~name (Baselines.Xtc.build model)
 end
 
@@ -157,7 +157,7 @@ module Yao_b = struct
       subgraph = true;
     }
 
-  let build ?metric:_ ?mode:_ ~params:_ model =
+  let build ?metric:_ ~params:_ model =
     plain ~name (Baselines.Cone_graphs.yao model ~cones)
 end
 
@@ -173,7 +173,7 @@ module Theta_b = struct
       subgraph = true;
     }
 
-  let build ?metric:_ ?mode:_ ~params:_ model =
+  let build ?metric:_ ~params:_ model =
     plain ~name (Baselines.Cone_graphs.theta model ~cones)
 end
 
@@ -192,7 +192,7 @@ module Wspd_b = struct
       subgraph = false;
     }
 
-  let build ?metric:_ ?mode:_ ~params model =
+  let build ?metric:_ ~params model =
     let s =
       Baselines.Wspd.spanner ~t:params.Topo.Params.t
         model.Model.points

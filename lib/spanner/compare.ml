@@ -9,7 +9,7 @@ type row = {
   t_ok : bool option;
 }
 
-let run ?metric ?mode ?backends ~params model =
+let run ?metric ?backends ~params model =
   let backends =
     match backends with Some bs -> bs | None -> Backend.all ()
   in
@@ -19,7 +19,7 @@ let run ?metric ?mode ?backends ~params model =
   in
   List.map
     (fun b ->
-      let result = Backend.build b ?metric ?mode ~params model in
+      let result = Backend.build b ?metric ~params model in
       let summary = Metrics.summarize ~base result.Backend.spanner in
       let t_ok =
         Option.map

@@ -17,13 +17,12 @@ type row = {
           advertises no stretch bound *)
 }
 
-(** [run ?metric ?mode ?backends ~params model] builds the instance
+(** [run ?metric ?backends ~params model] builds the instance
     with every backend (default: the whole registry, name order) and
     summarizes each against the input graph reweighted through
     [metric]. *)
 val run :
   ?metric:Geometry.Metric.t ->
-  ?mode:[ `Auto | `Global | `Local ] ->
   ?backends:Backend.t list ->
   params:Topo.Params.t ->
   Ubg.Model.t ->

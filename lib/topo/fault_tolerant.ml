@@ -27,11 +27,7 @@ let spanner g ~t ~k =
   if t < 1.0 then invalid_arg "Fault_tolerant.spanner: t < 1";
   if k < 0 then invalid_arg "Fault_tolerant.spanner: k < 0";
   let out = Wgraph.create (Wgraph.n_vertices g) in
-  let sorted =
-    List.sort
-      (fun (a : Wgraph.edge) b -> compare (a.w, a.u, a.v) (b.w, b.u, b.v))
-      (Wgraph.edges g)
-  in
+  let sorted = List.sort Wgraph.compare_edge (Wgraph.edges g) in
   List.iter
     (fun (e : Wgraph.edge) ->
       let budget = t *. e.w in
@@ -73,11 +69,7 @@ let vertex_spanner g ~t ~k =
   if t < 1.0 then invalid_arg "Fault_tolerant.vertex_spanner: t < 1";
   if k < 0 then invalid_arg "Fault_tolerant.vertex_spanner: k < 0";
   let out = Wgraph.create (Wgraph.n_vertices g) in
-  let sorted =
-    List.sort
-      (fun (a : Wgraph.edge) b -> compare (a.w, a.u, a.v) (b.w, b.u, b.v))
-      (Wgraph.edges g)
-  in
+  let sorted = List.sort Wgraph.compare_edge (Wgraph.edges g) in
   List.iter
     (fun (e : Wgraph.edge) ->
       let budget = t *. e.w in

@@ -1,5 +1,6 @@
 module Wgraph = Graph.Wgraph
 module Csr = Graph.Csr
+module Point = Geometry.Point
 
 type selection = {
   query_edges : Wgraph.edge array;
@@ -13,21 +14,23 @@ type selection = {
    and a narrow wedge at u. |uz| <= |uv| always holds here because
    spanner edges come from earlier bins, but we keep the explicit check
    that Lemma 3 requires. *)
-let covered_at ~model ~spanner ~params ~pivot ~far ~len =
+let covered_at ~points ~spanner ~params ~pivot ~far ~len =
+  let dist a b = Point.distance points.(a) points.(b) in
   Csr.fold_neighbors spanner pivot
     (fun z _ acc ->
       acc
       || (z <> far
-         && Ubg.Model.distance model z far <= params.Params.alpha
-         && Ubg.Model.distance model pivot z <= len
-         && Ubg.Model.angle model ~apex:pivot far z <= params.Params.theta))
+         && dist z far <= params.Params.alpha
+         && dist pivot z <= len
+         && Point.angle ~apex:points.(pivot) points.(far) points.(z)
+            <= params.Params.theta))
     false
 
-let is_covered ~model ~spanner ~params ~u ~v ~len =
-  covered_at ~model ~spanner ~params ~pivot:u ~far:v ~len
-  || covered_at ~model ~spanner ~params ~pivot:v ~far:u ~len
+let is_covered ~points ~spanner ~params ~u ~v ~len =
+  covered_at ~points ~spanner ~params ~pivot:u ~far:v ~len
+  || covered_at ~points ~spanner ~params ~pivot:v ~far:u ~len
 
-let select ?(weight_of_len = fun len -> len) ~model ~spanner ~cover ~params
+let select ?(weight_of_len = fun len -> len) ~points ~spanner ~cover ~params
     bin_edges =
   let n_bin_edges = Array.length bin_edges in
   let n_covered = ref 0 in
@@ -41,7 +44,8 @@ let select ?(weight_of_len = fun len -> len) ~model ~spanner ~cover ~params
   let covered = Array.make n_bin_edges false in
   Parallel.Pool.parallel_for n_bin_edges (fun i ->
       let (e : Wgraph.edge) = bin_edges.(i) in
-      covered.(i) <- is_covered ~model ~spanner ~params ~u:e.u ~v:e.v ~len:e.w);
+      covered.(i) <-
+        is_covered ~points ~spanner ~params ~u:e.u ~v:e.v ~len:e.w);
   let best = Hashtbl.create 64 in
   Array.iteri
     (fun i (e : Wgraph.edge) ->

@@ -25,28 +25,30 @@ type selection = {
       (** largest number of query edges incident on one cluster *)
 }
 
-(** [select ~model ~spanner ~cover ~params bin_edges] applies both
+(** [select ~points ~spanner ~cover ~params bin_edges] applies both
     filters to [bin_edges] (the current bin, Euclidean-weighted) in one
-    pass over the array. [spanner] is the phase's frozen snapshot of
-    [G'_{i-1}]: the cone test walks its sorted adjacency slices rather
-    than hashtable buckets. [weight_of_len] (default: identity) maps
+    pass over the array. [points.(v)] is vertex [v]'s position: the
+    cone test needs only pairwise distances and angles, never the
+    α-UBG. [spanner] is the phase's frozen snapshot of [G'_{i-1}] on
+    the same vertex ids: the cone test walks its sorted adjacency
+    slices rather than hashtable buckets. [weight_of_len] (default: identity) maps
     Euclidean lengths into the weight space of [spanner] so that
     inequality (1) compares commensurable quantities under an energy
     metric; the covered-edge geometry always stays Euclidean. *)
 val select :
   ?weight_of_len:(float -> float) ->
-  model:Ubg.Model.t ->
+  points:Geometry.Point.t array ->
   spanner:Graph.Csr.t ->
   cover:Cluster_cover.t ->
   params:Params.t ->
   Graph.Wgraph.edge array ->
   selection
 
-(** [is_covered ~model ~spanner ~params ~u ~v ~len] is the bare
+(** [is_covered ~points ~spanner ~params ~u ~v ~len] is the bare
     covered-edge test for [{u, v}] of Euclidean length [len]; exposed
     for the Figure 1 / Lemma 3 property tests. *)
 val is_covered :
-  model:Ubg.Model.t ->
+  points:Geometry.Point.t array ->
   spanner:Graph.Csr.t ->
   params:Params.t ->
   u:int ->

@@ -113,17 +113,16 @@ let process_short_edges ~model ~metric ~params ~bin_edges ~spanner =
     max_inter_degree = 0;
   }
 
-(* Phase i >= 1, PROCESS-LONG-EDGES, five steps of Section 2.2. Bin
+(* Phase i >= 1, PROCESS-LONG-EDGES, five steps of Section 2.2, on the
+   phase's own vertex ids: [points] are their positions and [frozen] is
+   the one CSR snapshot of G'_{i-1} that steps (i)-(iv) all read. Bin
    edges carry Euclidean lengths; [phi] maps lengths into the spanner's
-   weight space. Pure with respect to [spanner]: returns the surviving
-   additions instead of inserting them. The partial spanner G'_{i-1} is
-   frozen into ONE CSR snapshot here; steps (i)-(iv) all read that
-   snapshot, never the hashtable builder. *)
-let phase_core ~model ~params ~phi ~phase ~w_prev_len ~w_len ~bin_edges
-    ~spanner =
+   weight space. Returns the surviving additions instead of inserting
+   them. *)
+let phase_core ~points ~params ~phi ~phase ~w_prev_len ~w_len ~bin_edges
+    ~frozen =
   let w_prev = phi w_prev_len in
   let radius = params.Params.delta *. w_prev in
-  let frozen = stage "freeze" (fun () -> Csr.of_wgraph spanner) in
   (* Step (i): cluster cover of radius delta * W_{i-1}. *)
   let cover =
     stage "cover" (fun () ->
@@ -132,7 +131,7 @@ let phase_core ~model ~params ~phi ~phase ~w_prev_len ~w_len ~bin_edges
   (* Step (ii): covered-edge filter + one query edge per cluster pair. *)
   let selection =
     stage "select" (fun () ->
-        Query_select.select ~weight_of_len:phi ~model ~spanner:frozen ~cover
+        Query_select.select ~weight_of_len:phi ~points ~spanner:frozen ~cover
           ~params bin_edges)
   in
   (* Step (iii): the cluster graph H_{i-1}. *)
@@ -189,6 +188,41 @@ let phase_core ~model ~params ~phi ~phase ~w_prev_len ~w_len ~bin_edges
   in
   (redundancy.Redundant.kept, stats)
 
+let relabel f (e : Wgraph.edge) = { e with Wgraph.u = f e.u; v = f e.v }
+
+(* The region runner: one phase on the sub-instance induced by
+   [region] (strictly increasing global ids). Extraction is the local
+   form of freezing G'_{i-1}, so it all runs in the [freeze] stage:
+   a flat global -> local id map, the region's positions, the spanner's
+   region-induced CSR and the bin in local ids. The kept additions come
+   back in global ids. *)
+let run_region ?(metric = Geometry.Metric.Euclidean) ~points ~params ~phase
+    ~w_prev_len ~w_len ~region ~spanner bin_edges =
+  let sub_points, frozen, sub_bin =
+    stage "freeze" (fun () ->
+        let local_of = Array.make (Array.length points) (-1) in
+        Array.iteri
+          (fun i v ->
+            if i > 0 && region.(i - 1) >= v then
+              invalid_arg "Relaxed_greedy.run_region: region not increasing";
+            local_of.(v) <- i)
+          region;
+        let local v =
+          if local_of.(v) < 0 then
+            invalid_arg "Relaxed_greedy.run_region: bin edge outside region";
+          local_of.(v)
+        in
+        ( Array.map (Array.get points) region,
+          Csr.induced spanner ~region ~local_of,
+          Array.map (relabel local) bin_edges ))
+  in
+  let kept, stats =
+    phase_core ~points:sub_points ~params
+      ~phi:(Geometry.Metric.of_distance metric)
+      ~phase ~w_prev_len ~w_len ~bin_edges:sub_bin ~frozen
+  in
+  (Array.map (relabel (Array.get region)) kept, stats)
+
 let insert_kept ~spanner kept stats =
   let n_added = ref 0 in
   Array.iter
@@ -197,25 +231,15 @@ let insert_kept ~spanner kept stats =
     kept;
   { stats with n_added = !n_added }
 
-let process_long_edges ~model ~params ~phi ~phase ~w_prev_len ~w_len
-    ~bin_edges ~spanner =
-  let kept, stats =
-    phase_core ~model ~params ~phi ~phase ~w_prev_len ~w_len ~bin_edges
-      ~spanner
-  in
-  insert_kept ~spanner kept stats
-
-(* Locality-optimized phase (DESIGN.md S4, mirroring Section 3's local
+(* Locality-optimized region (DESIGN.md S15, mirroring Section 3's local
    computation): everything a phase can possibly consult — t-spanner
    paths for its queries, the clusters along them, the inter-cluster
    Dijkstra reach — lies within Euclidean distance (t + 3) W_i of some
-   bin-edge endpoint, so the five steps run on the induced sub-instance
-   of that region only. Euclidean weights only (path weight bounds
-   Euclidean displacement). *)
-let process_long_edges_local ~model ~tree ~params ~phase ~w_prev_len ~w_len
-    ~bin_edges ~spanner =
+   bin-edge endpoint. Euclidean weights only (path weight bounds
+   Euclidean displacement). Returns the region in increasing id order. *)
+let local_region ~tree ~points ~params ~w_len bin_edges =
   let reach = (params.Params.t +. 3.0) *. w_len in
-  let n = Model.n model in
+  let n = Array.length points in
   let in_region = Array.make n false in
   (* Endpoints repeat across a bin's edges (every vertex of a dense bin
      shows up in many of them); issuing the range query once per
@@ -229,9 +253,7 @@ let process_long_edges_local ~model ~tree ~params ~phase ~w_prev_len ~w_len
             queried.(v) <- true;
             List.iter
               (fun x -> in_region.(x) <- true)
-              (Geometry.Kdtree.range tree
-                 ~center:model.Model.points.(v)
-                 ~radius:reach)
+              (Geometry.Kdtree.range tree ~center:points.(v) ~radius:reach)
           end)
         [ e.u; e.v ])
     bin_edges;
@@ -239,50 +261,7 @@ let process_long_edges_local ~model ~tree ~params ~phase ~w_prev_len ~w_len
   for v = n - 1 downto 0 do
     if in_region.(v) then region := v :: !region
   done;
-  let region = Array.of_list !region in
-  let local_of = Hashtbl.create (Array.length region) in
-  Array.iteri (fun i v -> Hashtbl.add local_of v i) region;
-  (* Induced sub-instance: a valid α-UBG because short pairs inside the
-     region keep their edges. *)
-  let sub_points = Array.map (fun v -> model.Model.points.(v)) region in
-  let sub_graph = Wgraph.create (Array.length region) in
-  Array.iteri
-    (fun i v ->
-      Wgraph.iter_neighbors model.Model.graph v (fun u w ->
-          match Hashtbl.find_opt local_of u with
-          | Some j when i < j -> Wgraph.add_edge sub_graph i j w
-          | Some _ | None -> ()))
-    region;
-  let sub_model = Model.make ~alpha:model.Model.alpha sub_points sub_graph in
-  let sub_spanner = Wgraph.create (Array.length region) in
-  Array.iteri
-    (fun i v ->
-      Wgraph.iter_neighbors spanner v (fun u w ->
-          match Hashtbl.find_opt local_of u with
-          | Some j when i < j -> Wgraph.add_edge sub_spanner i j w
-          | Some _ | None -> ()))
-    region;
-  let sub_bin =
-    Array.map
-      (fun (e : Wgraph.edge) ->
-        {
-          Wgraph.u = Hashtbl.find local_of e.u;
-          v = Hashtbl.find local_of e.v;
-          w = e.w;
-        })
-      bin_edges
-  in
-  let kept, stats =
-    phase_core ~model:sub_model ~params ~phi:Fun.id ~phase ~w_prev_len ~w_len
-      ~bin_edges:sub_bin ~spanner:sub_spanner
-  in
-  let kept_global =
-    Array.map
-      (fun (e : Wgraph.edge) ->
-        { e with Wgraph.u = region.(e.u); v = region.(e.v) })
-      kept
-  in
-  insert_kept ~spanner kept_global stats
+  Array.of_list !region
 
 let build ?(metric = Geometry.Metric.Euclidean) ?(mode = `Auto)
     ?(observer = fun ~phase:_ ~spanner:_ -> ()) ~params model =
@@ -300,7 +279,6 @@ let build ?(metric = Geometry.Metric.Euclidean) ?(mode = `Auto)
     | `Auto, Geometry.Metric.Euclidean -> true
     | `Auto, Geometry.Metric.Energy _ -> false
   in
-  let phi = Geometry.Metric.of_distance metric in
   let n = Model.n model in
   let bins = Bins.make ~params ~n in
   (* Canonical (w, u, v) edge order before binning: Wgraph iteration
@@ -309,16 +287,25 @@ let build ?(metric = Geometry.Metric.Euclidean) ?(mode = `Auto)
      on scan order. Sorting makes [build] a function of the edge SET —
      what lets a checkpoint-restored engine (whose graphs were re-thawed
      in CSR order) rebuild bit-identically to an uninterrupted one. *)
-  let canonical_edges =
-    List.sort
-      (fun (a : Wgraph.edge) (b : Wgraph.edge) ->
-        compare (a.w, a.u, a.v) (b.w, b.u, b.v))
-      (Wgraph.edges model.Model.graph)
+  let binned =
+    Bins.partition bins
+      (List.sort Wgraph.compare_edge (Wgraph.edges model.Model.graph))
   in
-  let binned = Bins.partition bins canonical_edges in
   let spanner = Wgraph.create n in
-  let tree =
-    if local then Some (Geometry.Kdtree.build model.Model.points) else None
+  let points = model.Model.points in
+  (* A local phase runs on its kd-tree region, timed as part of the
+     freeze it feeds; a global one on every vertex. *)
+  let region_of =
+    if local then begin
+      let tree = Geometry.Kdtree.build points in
+      fun ~w_len bin_edges ->
+        stage "freeze" (fun () ->
+            local_region ~tree ~points ~params ~w_len bin_edges)
+    end
+    else begin
+      let all = Array.init n Fun.id in
+      fun ~w_len:_ _ -> all
+    end
   in
   let stats = ref [] in
   let push s =
@@ -352,17 +339,15 @@ let build ?(metric = Geometry.Metric.Euclidean) ?(mode = `Auto)
         if Array.length binned.(i) > 0 then begin
           let w_prev_len = Bins.w bins (i - 1) and w_len = Bins.w bins i in
           let info = ref [] in
+          let bin_edges = binned.(i) in
           let s =
             bin_span i info (fun () ->
-                let s =
-                  match tree with
-                  | Some tree ->
-                      process_long_edges_local ~model ~tree ~params ~phase:i
-                        ~w_prev_len ~w_len ~bin_edges:binned.(i) ~spanner
-                  | None ->
-                      process_long_edges ~model ~params ~phi ~phase:i
-                        ~w_prev_len ~w_len ~bin_edges:binned.(i) ~spanner
+                let kept, s =
+                  run_region ~metric ~points ~params ~phase:i ~w_prev_len
+                    ~w_len ~region:(region_of ~w_len bin_edges) ~spanner
+                    bin_edges
                 in
+                let s = insert_kept ~spanner kept s in
                 info := span_info s;
                 s)
           in
@@ -405,9 +390,3 @@ let totals stats =
 
 let total_added stats = (totals stats).sum_added
 let total_removed stats = (totals stats).sum_removed
-
-(* Exported for Dynamic.Engine: one Euclidean PROCESS-LONG-EDGES phase,
-   pure with respect to [spanner] — the caller inserts the kept edges. *)
-let run_phase ~model ~params ~phase ~w_prev_len ~w_len ~bin_edges ~spanner =
-  phase_core ~model ~params ~phi:Fun.id ~phase ~w_prev_len ~w_len ~bin_edges
-    ~spanner

@@ -38,23 +38,28 @@ type result = {
 (** The pipeline stages in order: phase 0's [short_edges], then the
     per-phase [freeze] of the partial spanner and the five
     [PROCESS-LONG-EDGES] steps [cover], [select], [cluster_graph],
-    [queries] and [redundant]. Every run of a stage adds one call to the
-    {!Obs.Metrics} timer [stage.<name>] and, with tracing enabled,
-    records one span of category ["stage"] named [<name>]. *)
+    [queries] and [redundant]. [freeze] covers the whole extraction of
+    a phase's sub-instance: in [`Local] mode the kd-tree region (one
+    run), then in {!run_region} the id map, the region's positions, the
+    region-induced CSR of [G'_{i-1}] and the bin in local ids (one
+    more). Every run of a stage adds one call to the {!Obs.Metrics}
+    timer [stage.<name>] and, with tracing enabled, records one span of
+    category ["stage"] named [<name>]. *)
 val stages : string list
 
 (** [build ?metric ?mode ~params model] runs the algorithm on [model].
     The params' [alpha]/[dim] must match the model. Default metric:
     Euclidean.
 
-    [mode] selects the phase engine: [`Global] runs every phase over
-    the whole graph (the literal Section 2 formulation); [`Local]
-    restricts each phase to the Euclidean neighborhood that its bin
-    can possibly consult — the sequential mirror of Section 3's local
-    computation, asymptotically faster on large instances and
-    Euclidean-only; [`Auto] (default) picks [`Local] when the metric
-    allows it. Both engines produce outputs with the same three
-    guarantees (they may differ in which equivalent edges they keep).
+    [mode] selects the region each phase runs on through
+    {!run_region}: [`Global] passes every vertex (the literal Section 2
+    formulation); [`Local] passes the Euclidean neighborhood that its
+    bin can possibly consult, found with a kd-tree — the sequential
+    mirror of Section 3's local computation, asymptotically faster on
+    large instances and Euclidean-only; [`Auto] (default) picks
+    [`Local] when the metric allows it. Both produce outputs with the
+    same three guarantees (they may differ in which equivalent edges
+    they keep).
 
     [observer], when given, is invoked after every executed phase with
     the phase index and a read-only view of the partial spanner [G'_i];
@@ -77,23 +82,33 @@ val build_eps :
   Ubg.Model.t ->
   result
 
-(** [run_phase ~model ~params ~phase ~w_prev_len ~w_len ~bin_edges
-    ~spanner] runs one Euclidean [PROCESS-LONG-EDGES] phase (the five
-    Section 2.2 steps) for the bin [(w_prev_len, w_len]] against the
-    partial spanner, and returns the kept additions plus stats {e
-    without} inserting them — the caller decides how to merge
-    ([Wgraph.add_edge_min]; [n_added] in the returned stats is 0 until
-    then). [spanner] is only read (frozen into one CSR snapshot). The
-    incremental engine ([Dynamic.Engine]) uses this to re-run a phase
-    restricted to a dirty sub-instance. *)
-val run_phase :
-  model:Ubg.Model.t ->
+(** [run_region ?metric ~points ~params ~phase ~w_prev_len ~w_len
+    ~region ~spanner bin_edges] is the region runner: one
+    [PROCESS-LONG-EDGES] phase (the five Section 2.2 steps) for the bin
+    [(w_prev_len, w_len]] on the sub-instance that [region] (strictly
+    increasing global ids, holding every bin-edge endpoint) induces.
+    [build] passes a kd-tree region in [`Local] mode and every vertex
+    otherwise; [Dynamic.Engine] passes its dirty region. A phase reads
+    only positions ([points]) and [G'_{i-1}] ([spanner], only read:
+    {!Graph.Csr.induced} freezes its region-induced subgraph), so no
+    α-UBG is built for the region. Local ids follow global order, so
+    the all-vertices region is exactly the whole-graph phase.
+    [bin_edges] carry Euclidean lengths, mapped into the spanner's
+    weight space by [metric] (default Euclidean). Returns the kept
+    additions in global ids plus stats, {e without} inserting them
+    ([n_added] is 0): the caller merges with [Wgraph.add_edge_min].
+    Raises [Invalid_argument] if [region] is not increasing or a bin
+    edge leaves it. *)
+val run_region :
+  ?metric:Geometry.Metric.t ->
+  points:Geometry.Point.t array ->
   params:Params.t ->
   phase:int ->
   w_prev_len:float ->
   w_len:float ->
-  bin_edges:Graph.Wgraph.edge array ->
+  region:int array ->
   spanner:Graph.Wgraph.t ->
+  Graph.Wgraph.edge array ->
   Graph.Wgraph.edge array * phase_stats
 
 (** [total_added stats] and [total_removed stats] fold the per-phase

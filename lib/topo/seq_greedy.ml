@@ -13,9 +13,7 @@ let process_sorted_edges edges ~t ~into =
     edges;
   into
 
-let sorted_edges g =
-  List.sort (fun (a : Wgraph.edge) b -> compare (a.w, a.u, a.v) (b.w, b.u, b.v))
-    (Wgraph.edges g)
+let sorted_edges g = List.sort Wgraph.compare_edge (Wgraph.edges g)
 
 let spanner_into g ~t ~into =
   if t < 1.0 then invalid_arg "Seq_greedy: t < 1";
@@ -39,12 +37,7 @@ let clique_spanner ~points ~members ~metric ~t ~into =
         pairs rest
   in
   pairs members;
-  let sorted =
-    List.sort
-      (fun (a : Wgraph.edge) b -> compare (a.w, a.u, a.v) (b.w, b.u, b.v))
-      !edges
-  in
-  ignore (process_sorted_edges sorted ~t ~into)
+  ignore (process_sorted_edges (List.sort Wgraph.compare_edge !edges) ~t ~into)
 
 (* The pure sibling of [clique_spanner]: greedy over the clique runs on
    a k-vertex graph local to the component, so components can be

@@ -161,6 +161,159 @@ let prop_of_arrays_sorts =
       done;
       Csr.of_arrays ~off:(Array.copy c.Csr.off) ~dst ~wgt = c)
 
+(* The region snapshot: [induced] must freeze exactly what the builder
+   route did — an induced Wgraph assembled vertex by vertex, then
+   [of_wgraph] — with offsets, targets and weight bit patterns equal,
+   and every arc mapped back through [region] must be the global edge
+   it came from. Regions: empty, one vertex, every vertex, and a random
+   subset in shuffled order (the emitter does not need sorted ids). *)
+let bits c = Array.map Int64.bits_of_float c.Csr.wgt
+
+let region_snapshot_ok g region =
+  let n = Wgraph.n_vertices g in
+  let local_of = Array.make n (-1) in
+  Array.iteri (fun i v -> local_of.(v) <- i) region;
+  let c = Csr.induced g ~region ~local_of in
+  let h = Wgraph.create (Array.length region) in
+  Array.iteri
+    (fun i v ->
+      Wgraph.iter_neighbors g v (fun u w ->
+          let j = local_of.(u) in
+          if j > i then Wgraph.add_edge h i j w))
+    region;
+  let expected = Csr.of_wgraph h in
+  c.Csr.off = expected.Csr.off
+  && c.Csr.dst = expected.Csr.dst
+  && bits c = bits expected
+  &&
+  let global_ok = ref true in
+  Csr.iter_edges c (fun i j w ->
+      match Wgraph.weight g region.(i) region.(j) with
+      | Some w' when Int64.bits_of_float w' = Int64.bits_of_float w -> ()
+      | Some _ | None -> global_ok := false);
+  !global_ok
+
+let prop_induced_matches_builder =
+  qtest ~count:50
+    "csr: induced region snapshot = of_wgraph of the induced graph" seed_arb
+    (fun seed ->
+      let st = rand_state seed in
+      let n = 1 + Random.State.int st 60 in
+      let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 80) in
+      let keep = Random.State.float st 1.0 in
+      let subset =
+        Array.of_list
+          (List.filter
+             (fun _ -> Random.State.float st 1.0 < keep)
+             (List.init n Fun.id))
+      in
+      for i = Array.length subset - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = subset.(i) in
+        subset.(i) <- subset.(j);
+        subset.(j) <- x
+      done;
+      List.for_all (region_snapshot_ok g)
+        [ [||]; [| Random.State.int st n |]; Array.init n Fun.id; subset ])
+
+(* The region runner on a mid-algorithm phase (greedy partial spanner
+   over the short half of a random α-UBG's edges, next band of edges as
+   the bin): on a random sorted region holding the bin's endpoints its
+   kept additions, mapped back, carry global ids — they are bin edges —
+   and equal a run on the explicitly relabelled sub-instance, bit for
+   bit, stats included. *)
+let prop_region_runner_global_ids =
+  let params = Topo.Params.make ~t:1.5 ~alpha:0.8 ~dim:2 () in
+  qtest ~count:20 "csr: region runner keeps bin edges in global ids" seed_arb
+    (fun seed ->
+      let st = rand_state seed in
+      let model = connected_model ~seed ~n:60 ~dim:2 ~alpha:0.8 in
+      let n = Ubg.Model.n model and points = model.Ubg.Model.points in
+      let edges =
+        List.sort Wgraph.compare_edge (Wgraph.edges model.Ubg.Model.graph)
+      in
+      let m = List.length edges in
+      let w_prev = (List.nth edges ((m / 2) - 1)).w in
+      let w_len = w_prev *. params.Topo.Params.r in
+      let spanner = Wgraph.create n in
+      List.iteri
+        (fun i (e : Wgraph.edge) ->
+          let budget = params.Topo.Params.t *. e.w in
+          if
+            i < m / 2
+            && Graph.Dijkstra.distance_upto spanner e.u e.v ~bound:budget
+               > budget
+          then Wgraph.add_edge spanner e.u e.v e.w)
+        edges;
+      let bin =
+        Array.of_list
+          (List.filter
+             (fun (e : Wgraph.edge) -> e.w > w_prev && e.w <= w_len)
+             edges)
+      in
+      let inside = Array.init n (fun _ -> Random.State.bool st) in
+      Array.iter
+        (fun (e : Wgraph.edge) ->
+          inside.(e.u) <- true;
+          inside.(e.v) <- true)
+        bin;
+      let region =
+        Array.of_list (List.filter (fun v -> inside.(v)) (List.init n Fun.id))
+      in
+      let nr = Array.length region in
+      let run ~points ~region ~spanner bin =
+        Topo.Relaxed_greedy.run_region ~points ~params ~phase:1
+          ~w_prev_len:w_prev ~w_len ~region ~spanner bin
+      in
+      let kept, stats = run ~points ~region ~spanner bin in
+      (* The reference: relabel by hand, run on every local vertex, map
+         the kept edges back. *)
+      let local_of = Array.make n (-1) in
+      Array.iteri (fun i v -> local_of.(v) <- i) region;
+      let sub_spanner = Wgraph.create nr in
+      Wgraph.iter_edges spanner (fun u v w ->
+          if local_of.(u) >= 0 && local_of.(v) >= 0 then
+            Wgraph.add_edge sub_spanner local_of.(u) local_of.(v) w);
+      let ref_kept, ref_stats =
+        run
+          ~points:(Array.map (fun v -> points.(v)) region)
+          ~region:(Array.init nr Fun.id) ~spanner:sub_spanner
+          (Array.map
+             (fun (e : Wgraph.edge) ->
+               { e with Wgraph.u = local_of.(e.u); v = local_of.(e.v) })
+             bin)
+      in
+      let same (a : Wgraph.edge) (b : Wgraph.edge) =
+        a.u = b.u && a.v = b.v
+        && Int64.bits_of_float a.w = Int64.bits_of_float b.w
+      in
+      Array.length kept = Array.length ref_kept
+      && Array.for_all2
+           (fun a (b : Wgraph.edge) ->
+             same a { b with Wgraph.u = region.(b.u); v = region.(b.v) })
+           kept ref_kept
+      && stats = ref_stats
+      && Array.for_all (fun e -> Array.exists (same e) bin) kept)
+
+let test_region_runner_rejects () =
+  let params = Topo.Params.make ~t:1.5 ~alpha:0.8 ~dim:2 () in
+  let points =
+    Array.init 3 (fun i -> Geometry.Point.make2 (float_of_int i *. 0.5) 0.0)
+  in
+  let spanner = Wgraph.create 3 in
+  let bin = [| { Wgraph.u = 0; v = 2; w = 1.0 } |] in
+  let rejects region =
+    try
+      ignore
+        (Topo.Relaxed_greedy.run_region ~points ~params ~phase:1
+           ~w_prev_len:0.5 ~w_len:1.0 ~region ~spanner bin);
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "region must increase" true (rejects [| 2; 0 |]);
+  Alcotest.(check bool) "bin edges must stay inside" true (rejects [| 0; 1 |]);
+  Alcotest.(check bool) "well-formed accepted" false (rejects [| 0; 2 |])
+
 let test_of_arrays_rejects_malformed () =
   let rejects ~off ~dst ~wgt =
     try
@@ -201,5 +354,12 @@ let () =
           prop_of_arrays_sorts;
           Alcotest.test_case "of_arrays rejects malformed" `Quick
             test_of_arrays_rejects_malformed;
+        ] );
+      ( "region",
+        [
+          prop_induced_matches_builder;
+          prop_region_runner_global_ids;
+          Alcotest.test_case "region runner rejects bad regions" `Quick
+            test_region_runner_rejects;
         ] );
     ]

@@ -463,7 +463,7 @@ module Sabotage_backend = struct
       subgraph = true;
     }
 
-  let build ?metric:_ ?mode:_ ~params model =
+  let build ?metric:_ ~params model =
     let spanner =
       if !sabotage_armed then Wgraph.create (Ubg.Model.n model)
       else (Topo.Relaxed_greedy.build ~params model).Topo.Relaxed_greedy.spanner

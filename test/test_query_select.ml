@@ -45,7 +45,10 @@ let prop_one_query_per_cluster_pair =
   qtest ~count:25 "select: at most one query edge per cluster pair" seed_arb
     (fun seed ->
       let model, _, frozen, cover, bin = phase_snapshot ~seed ~n:50 in
-      let sel = Query_select.select ~model ~spanner:frozen ~cover ~params bin in
+      let sel =
+        Query_select.select ~points:model.Ubg.Model.points ~spanner:frozen
+          ~cover ~params bin
+      in
       let pairs = Hashtbl.create 16 in
       Array.for_all
         (fun (e : Wgraph.edge) ->
@@ -63,7 +66,10 @@ let prop_query_edges_are_candidates =
   qtest ~count:25 "select: query edges come from the bin and are uncovered"
     seed_arb (fun seed ->
       let model, _, frozen, cover, bin = phase_snapshot ~seed ~n:50 in
-      let sel = Query_select.select ~model ~spanner:frozen ~cover ~params bin in
+      let sel =
+        Query_select.select ~points:model.Ubg.Model.points ~spanner:frozen
+          ~cover ~params bin
+      in
       let in_bin (e : Wgraph.edge) =
         Array.exists
           (fun (f : Wgraph.edge) -> f.u = e.u && f.v = e.v && f.w = e.w)
@@ -73,14 +79,17 @@ let prop_query_edges_are_candidates =
         (fun (e : Wgraph.edge) ->
           in_bin e
           && not
-               (Query_select.is_covered ~model ~spanner:frozen ~params ~u:e.u
-                  ~v:e.v ~len:e.w))
+               (Query_select.is_covered ~points:model.Ubg.Model.points
+                  ~spanner:frozen ~params ~u:e.u ~v:e.v ~len:e.w))
         sel.Query_select.query_edges)
 
 let prop_counters_consistent =
   qtest ~count:25 "select: counters add up" seed_arb (fun seed ->
       let model, _, frozen, cover, bin = phase_snapshot ~seed ~n:50 in
-      let sel = Query_select.select ~model ~spanner:frozen ~cover ~params bin in
+      let sel =
+        Query_select.select ~points:model.Ubg.Model.points ~spanner:frozen
+          ~cover ~params bin
+      in
       sel.Query_select.n_bin_edges = Array.length bin
       && sel.Query_select.n_covered + sel.Query_select.n_candidates
          = sel.Query_select.n_bin_edges
@@ -100,8 +109,8 @@ let prop_covered_witness_geometry =
       Array.for_all
         (fun (e : Wgraph.edge) ->
           let covered =
-            Query_select.is_covered ~model ~spanner:frozen ~params ~u:e.u
-              ~v:e.v ~len:e.w
+            Query_select.is_covered ~points:model.Ubg.Model.points
+              ~spanner:frozen ~params ~u:e.u ~v:e.v ~len:e.w
           in
           if not covered then true
           else begin
@@ -124,7 +133,10 @@ let prop_covered_witness_geometry =
 
 let test_select_empty_bin () =
   let model, _, frozen, cover, _ = phase_snapshot ~seed:3 ~n:30 in
-  let sel = Query_select.select ~model ~spanner:frozen ~cover ~params [||] in
+  let sel =
+    Query_select.select ~points:model.Ubg.Model.points ~spanner:frozen ~cover
+      ~params [||]
+  in
   Alcotest.(check int) "no queries" 0
     (Array.length sel.Query_select.query_edges);
   Alcotest.(check int) "no bin edges" 0 sel.Query_select.n_bin_edges;
@@ -134,7 +146,10 @@ let prop_max_queries_per_cluster_counts =
   qtest ~count:25 "select: per-cluster maximum matches the selection"
     seed_arb (fun seed ->
       let model, _, frozen, cover, bin = phase_snapshot ~seed ~n:50 in
-      let sel = Query_select.select ~model ~spanner:frozen ~cover ~params bin in
+      let sel =
+        Query_select.select ~points:model.Ubg.Model.points ~spanner:frozen
+          ~cover ~params bin
+      in
       let per = Hashtbl.create 16 in
       let bump c =
         Hashtbl.replace per c (1 + Option.value ~default:0 (Hashtbl.find_opt per c))
