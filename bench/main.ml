@@ -463,45 +463,6 @@ let e12 () =
     [ 0; 1; 2 ];
   Report.print t
 
-(* E13: ablation of the design choices DESIGN.md calls out — the
-   locality-restricted phase engine versus the literal global
-   formulation: same guarantees, different wall clock. *)
-let e13 () =
-  let t =
-    Report.create
-      ~title:"E13 (ablation): global vs locality-restricted phase engine"
-      ~columns:
-        [ "n"; "global s"; "local s"; "speedup"; "m global"; "m local";
-          "stretch g"; "stretch l" ]
-  in
-  let ns = if !quick then [ 300; 600 ] else [ 300; 600; 1200 ] in
-  List.iter
-    (fun n ->
-      let model = model_of ~seed:(13 + n) ~n ~dim:2 ~alpha:0.8 in
-      let run mode =
-        let t0 = Unix.gettimeofday () in
-        let r = Relaxed_greedy.build_eps ~mode ~eps:0.5 model in
-        ( Unix.gettimeofday () -. t0,
-          Wgraph.n_edges r.Relaxed_greedy.spanner,
-          Topo.Verify.edge_stretch ~base:model.Model.graph
-            ~spanner:r.Relaxed_greedy.spanner )
-      in
-      let tg, mg, sg = run `Global in
-      let tl, ml, sl = run `Local in
-      Report.add_row t
-        [
-          Report.cell_i n;
-          Printf.sprintf "%.2f" tg;
-          Printf.sprintf "%.2f" tl;
-          Printf.sprintf "%.1fx" (tg /. tl);
-          Report.cell_i mg;
-          Report.cell_i ml;
-          Printf.sprintf "%.4f" sg;
-          Printf.sprintf "%.4f" sl;
-        ])
-    ns;
-  Report.print t
-
 (* E14: the Section 1.4 computational-geometry context — greedy versus
    the WSPD spanner on complete Euclidean graphs. *)
 let e14 () =
@@ -2084,7 +2045,7 @@ let experiments =
   [
     ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
     ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
-    ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E16", e16);
+    ("E12", e12); ("E14", e14); ("E15", e15); ("E16", e16);
     ("E17", e17); ("E18", e18);
     ("E-csr", e_csr);
     ("E-scale", e_scale);

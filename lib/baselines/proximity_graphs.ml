@@ -2,21 +2,28 @@ module Point = Geometry.Point
 module Wgraph = Graph.Wgraph
 module Model = Ubg.Model
 
-(* Witness scan via a kd-tree range query around the edge midpoint: any
-   Gabriel/RNG witness for {u, v} lies within |uv| of the midpoint. *)
+(* Witness scan around the edge midpoint: any Gabriel/RNG witness for
+   {u, v} lies within |uv| of the midpoint, so a grid whose cell is the
+   longest edge answers every edge's scan from at most 3^d cells. *)
 let filtered model ~blocks =
   let points = model.Model.points in
-  let tree = Geometry.Kdtree.build points in
   let out = Wgraph.create (Model.n model) in
-  Wgraph.iter_edges model.Model.graph (fun u v w ->
-      let mid = Point.midpoint points.(u) points.(v) in
-      let candidates = Geometry.Kdtree.range tree ~center:mid ~radius:w in
-      let blocked =
-        List.exists
-          (fun z -> z <> u && z <> v && blocks ~pu:points.(u) ~pv:points.(v) ~w points.(z))
-          candidates
-      in
-      if not blocked then Wgraph.add_edge out u v w);
+  let longest = ref 0.0 in
+  Wgraph.iter_edges model.Model.graph (fun _ _ w ->
+      longest := Float.max !longest w);
+  if !longest > 0.0 then begin
+    let grid = Geometry.Grid.build ~cell:!longest points in
+    Wgraph.iter_edges model.Model.graph (fun u v w ->
+        let pu = points.(u) and pv = points.(v) in
+        let blocked = ref false in
+        Geometry.Grid.iter_within grid ~radius:w (Point.midpoint pu pv)
+          (fun z _ ->
+            if
+              (not !blocked) && z <> u && z <> v
+              && blocks ~pu ~pv ~w points.(z)
+            then blocked := true);
+        if not !blocked then Wgraph.add_edge out u v w)
+  end;
   out
 
 let gabriel model =

@@ -4,7 +4,7 @@
     The paper's Section 1.4 situates its algorithm within the
     computational-geometry literature on spanners of complete Euclidean
     graphs; the WSPD spanner is the classic non-greedy member of that
-    family and serves as the reference baseline in experiment E13. A
+    family and serves as the reference baseline in experiment E14. A
     split tree is built by halving bounding boxes along their longest
     side; two subsets are [s]-well-separated when they fit in balls of
     radius [r] at center distance at least [s * r]. Picking one edge

@@ -70,14 +70,7 @@ let build ~params model =
     Array.fold_left (fun acc l -> max acc (List.length l)) 0 views
   in
   let edges = Array.of_list (Wgraph.edges g) in
-  Array.sort
-    (fun (a : Wgraph.edge) (b : Wgraph.edge) ->
-      let c = compare a.w b.w in
-      if c <> 0 then c
-      else
-        let c = compare a.u b.u in
-        if c <> 0 then c else compare a.v b.v)
-    edges;
+  Array.sort Wgraph.compare_edge edges;
   let kept = Wgraph.create n in
   let in_view = Array.make n false in
   let dist = Array.make n infinity in

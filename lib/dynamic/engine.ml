@@ -1,5 +1,5 @@
 module Point = Geometry.Point
-module Kdtree = Geometry.Kdtree
+module Grid = Geometry.Grid
 module Wgraph = Graph.Wgraph
 module Csr = Graph.Csr
 module Dijkstra = Graph.Dijkstra
@@ -322,25 +322,25 @@ let apply_batch_impl t (events : Churn.event array) =
     (sort_uniq (!dead @ !refreshed));
   let alpha = t.params.Params.alpha in
   let points = t.pop.Population.points in
-  let tree = Kdtree.build points in
-  List.iter
-    (fun s ->
-      if Population.is_alive t.pop s then
-        List.iter
-          (fun j ->
-            if j <> s && Population.is_alive t.pop j then begin
-              let d = Point.distance points.(s) points.(j) in
-              if d > 0.0 && d <= 1.0 then begin
+  (* Unit-cell grid over every stored coordinate, dead slots included
+     (they are skipped below); a leave-only batch builds none. *)
+  let refreshed = sort_uniq !refreshed in
+  if refreshed <> [] then begin
+    let grid = Grid.build ~cell:1.0 points in
+    List.iter
+      (fun s ->
+        if Population.is_alive t.pop s then
+          Grid.iter_within grid ~radius:1.0 points.(s) (fun j d ->
+              if j <> s && d > 0.0 && Population.is_alive t.pop j then begin
                 let keep =
                   d <= alpha
                   || Ubg.Gray_zone.decide t.gray ~alpha ~u:s ~v:j
                        ~pu:points.(s) ~pv:points.(j) ~dist:d
                 in
                 if keep then Wgraph.add_edge t.ubg s j d
-              end
-            end)
-          (Kdtree.range tree ~center:points.(s) ~radius:1.0))
-    (sort_uniq !refreshed);
+              end))
+      refreshed
+  end;
   (* 3. Dirty marking: edge {u,v} of length len in bin i is dirty when
      an endpoint is within t*len/2 + delta*W_{i-1} of a touched
      position (see the .mli headnote / DESIGN.md section 10). *)

@@ -8,10 +8,11 @@
     renumber across epochs.
 
     Repair is local. A batch first updates the α-UBG itself (edges
-    incident to touched nodes are re-derived through a kd-tree and the
-    gray-zone policy), then marks {e dirty} base edges: edge [{u, v}]
-    of length [len] in bin [i] is dirty when some endpoint lies within
-    [t·len/2 + δ·W_{i-1}] of a touched position. The [t·len/2] term is
+    incident to touched nodes are re-derived through a unit-cell
+    {!Geometry.Grid} and the gray-zone policy), then marks {e dirty}
+    base edges: edge [{u, v}] of length [len] in bin [i] is dirty when
+    some endpoint lies within [t·len/2 + δ·W_{i-1}] of a touched
+    position. The [t·len/2] term is
     the certification radius — a surviving t-path for [{u, v}] that
     detours through a touched node [x] satisfies
     [d(u,x) + d(x,v) <= t·len], so one endpoint is within [t·len/2] of

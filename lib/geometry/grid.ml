@@ -1,22 +1,52 @@
 (* Flat bucket layout: points are counting-sorted into dense cell ids,
    so a cell's members are one contiguous slice of [cell_pts] — no
    per-cell list cells, no string keys. Cell coordinate vectors are
-   interned in one hashtable (structural hashing of small int arrays),
-   which keeps the index correct for any dimension and any coordinate
-   magnitude; every scan after that is integer arithmetic over flat
-   arrays. *)
+   interned in an open-addressing table keyed by the vectors
+   themselves, which keeps the index correct for any dimension and any
+   coordinate magnitude without allocating per lookup; every scan
+   after that is integer arithmetic over flat arrays. *)
 type t = {
   cell : float;
   dim : int;
   points : Point.t array;
-  pt_cell : int array; (* point -> dense cell id *)
-  cell_ids : (int array, int) Hashtbl.t; (* coord vector -> dense id *)
+  slots : int array; (* power-of-two table: dense cell id, or -1 *)
   cell_coord : int array; (* n_cells * dim, coord vector of each cell *)
   cell_start : int array; (* n_cells + 1, slice bounds into cell_pts *)
   cell_pts : int array; (* point ids, bucketed by cell, ascending *)
 }
 
-let coord_of ~cell p i = int_of_float (floor (Point.coord p i /. cell))
+let coord_of ~cell x = int_of_float (floor (x /. cell))
+
+(* Multiplicative hash of the coord vector [key.(off) .. key.(off +
+   dim - 1)]; the top bits are the well-mixed ones. *)
+let hash key off dim =
+  let h = ref 0 in
+  for k = off to off + dim - 1 do
+    h := (!h + key.(k)) * 0x9E3779B97F4A7C1
+  done;
+  !h lsr 30
+
+(* Linear probing from slot [s]: the slot holding the cell whose coord
+   vector is [key]'s row at [off], or the empty slot where it belongs.
+   Top-level rather than a local closure, so a lookup allocates
+   nothing. *)
+let rec linear_probe ~slots ~coords ~dim key off s =
+  let id = slots.(s) in
+  if id < 0 then s
+  else begin
+    let k = ref 0 in
+    while !k < dim && coords.((id * dim) + !k) = key.(off + !k) do
+      incr k
+    done;
+    if !k = dim then s
+    else
+      linear_probe ~slots ~coords ~dim key off
+        ((s + 1) land (Array.length slots - 1))
+  end
+
+let slot_of ~slots ~coords ~dim key off =
+  linear_probe ~slots ~coords ~dim key off
+    (hash key off dim land (Array.length slots - 1))
 
 let build ~cell points =
   if cell <= 0.0 then invalid_arg "Grid.build: cell <= 0";
@@ -27,39 +57,32 @@ let build ~cell points =
       if Point.dim p <> dim then invalid_arg "Grid.build: mixed dimensions")
     points;
   let n = Array.length points in
-  let cell_ids = Hashtbl.create n in
   let pt_cell = Array.make n 0 in
-  let coord_buf = ref (Array.make (max 1 (n * dim / 4)) 0) in
+  (* At most n cells, so a table of at least 2n slots is never more
+     than half full. Each point's coord vector is written into the next
+     free row of [coords] and looked up from there: a new cell keeps
+     the row, a known one leaves it to be overwritten. *)
+  let size = ref 2 in
+  while !size < 2 * n do
+    size := 2 * !size
+  done;
+  let slots = Array.make !size (-1) in
+  let coords = Array.make (n * dim) 0 in
   let n_cells = ref 0 in
-  let probe = Array.make dim 0 in
-  Array.iteri
-    (fun i p ->
-      for d = 0 to dim - 1 do
-        probe.(d) <- coord_of ~cell p d
-      done;
-      let id =
-        match Hashtbl.find_opt cell_ids probe with
-        | Some id -> id
-        | None ->
-            let id = !n_cells in
-            incr n_cells;
-            Hashtbl.add cell_ids (Array.copy probe) id;
-            if id * dim + dim > Array.length !coord_buf then begin
-              let grown =
-                Array.make
-                  (max (2 * Array.length !coord_buf) ((id * dim) + dim))
-                  0
-              in
-              Array.blit !coord_buf 0 grown 0 (id * dim);
-              coord_buf := grown
-            end;
-            Array.blit probe 0 !coord_buf (id * dim) dim;
-            id
-      in
-      pt_cell.(i) <- id)
-    points;
+  for i = 0 to n - 1 do
+    let off = !n_cells * dim in
+    for d = 0 to dim - 1 do
+      coords.(off + d) <- coord_of ~cell (Point.coord points.(i) d)
+    done;
+    let s = slot_of ~slots ~coords ~dim coords off in
+    if slots.(s) < 0 then begin
+      slots.(s) <- !n_cells;
+      incr n_cells
+    end;
+    pt_cell.(i) <- slots.(s)
+  done;
   let n_cells = !n_cells in
-  let cell_coord = Array.sub !coord_buf 0 (n_cells * dim) in
+  let cell_coord = Array.sub coords 0 (n_cells * dim) in
   (* Counting sort: each cell's members end up as one ascending run. *)
   let cell_start = Array.make (n_cells + 1) 0 in
   Array.iter (fun c -> cell_start.(c + 1) <- cell_start.(c + 1) + 1) pt_cell;
@@ -73,52 +96,71 @@ let build ~cell points =
       cell_pts.(cursor.(c)) <- i;
       cursor.(c) <- cursor.(c) + 1)
     pt_cell;
-  { cell; dim; points; pt_cell; cell_ids; cell_coord; cell_start; cell_pts }
+  { cell; dim; points; slots; cell_coord; cell_start; cell_pts }
 
-let cell_size t = t.cell
+(* Dense id of the cell with coord vector [probe], or -1 if empty. *)
+let find_cell t probe =
+  t.slots.(slot_of ~slots:t.slots ~coords:t.cell_coord ~dim:t.dim probe 0)
 
-let cell_of t p =
-  Array.init t.dim (fun i -> coord_of ~cell:t.cell p i)
+let check_radius t ~radius name =
+  if radius > t.cell +. 1e-12 then invalid_arg (name ^ ": radius > cell")
 
-let find_cell t c = Hashtbl.find_opt t.cell_ids c
-
-let points_in_cell t c =
-  match find_cell t c with
-  | None -> []
-  | Some id ->
-      let acc = ref [] in
-      for k = t.cell_start.(id + 1) - 1 downto t.cell_start.(id) do
-        acc := t.cell_pts.(k) :: !acc
-      done;
-      !acc
-
-(* Visit every cell within Chebyshev distance 1 of the cell with dense
-   id [ci], reusing one probe vector — no allocation per neighbor. *)
-let iter_neighborhood_ids t ci f =
-  let d = t.dim in
-  let base = ci * d in
-  let probe = Array.make d 0 in
+(* Visit the dense id of every occupied cell that meets the box
+   [p - radius, p + radius], reusing one probe vector. With
+   [radius <= cell] that is at most 3 cells per axis, and only 2 when
+   the box does not straddle a whole cell. *)
+let iter_box_cells t p ~radius f =
+  if Point.dim p <> t.dim then invalid_arg "Grid: query dimension mismatch";
+  let probe = Array.make t.dim 0 in
   let rec loop i =
-    if i = d then (match find_cell t probe with Some id -> f id | None -> ())
-    else
-      for v = -1 to 1 do
-        probe.(i) <- t.cell_coord.(base + i) + v;
+    if i = t.dim then (
+      let id = find_cell t probe in
+      if id >= 0 then f id)
+    else begin
+      let x = Point.coord p i in
+      for c = coord_of ~cell:t.cell (x -. radius)
+          to coord_of ~cell:t.cell (x +. radius) do
+        probe.(i) <- c;
         loop (i + 1)
       done
+    end
   in
   loop 0
 
-let neighbors t i ~radius =
-  if radius > t.cell +. 1e-12 then invalid_arg "Grid.neighbors: radius > cell";
-  let p = t.points.(i) in
-  let acc = ref [] in
-  iter_neighborhood_ids t t.pt_cell.(i) (fun id ->
+let iter_within t ~radius p f =
+  check_radius t ~radius "Grid.iter_within";
+  iter_box_cells t p ~radius (fun id ->
       for k = t.cell_start.(id) to t.cell_start.(id + 1) - 1 do
         let j = t.cell_pts.(k) in
-        if j <> i && Point.distance p t.points.(j) <= radius then
-          acc := j :: !acc
-      done);
-  !acc
+        let dist = Point.distance t.points.(j) p in
+        if dist <= radius then f j dist
+      done)
+
+(* Union of balls: [unmarked.(c)] counts cell c's members not yet
+   marked, so once a cell is used up no later centre rescans it. Dense
+   centre sets (a bin's endpoints, whose balls overlap heavily) then
+   cost one lookup per box cell instead of one distance per member. *)
+let mark_within t ~radius centres =
+  check_radius t ~radius "Grid.mark_within";
+  let marked = Array.make (Array.length t.points) false in
+  let unmarked =
+    Array.init (Array.length t.cell_start - 1) (fun c ->
+        t.cell_start.(c + 1) - t.cell_start.(c))
+  in
+  Array.iter
+    (fun p ->
+      iter_box_cells t p ~radius (fun id ->
+          if unmarked.(id) > 0 then
+            for k = t.cell_start.(id) to t.cell_start.(id + 1) - 1 do
+              let j = t.cell_pts.(k) in
+              if (not marked.(j)) && Point.distance t.points.(j) p <= radius
+              then begin
+                marked.(j) <- true;
+                unmarked.(id) <- unmarked.(id) - 1
+              end
+            done))
+    centres;
+  marked
 
 (* Lexicographically positive offsets of {-1,0,1}^d: first nonzero
    component positive. Scanning only these (plus the home cell) visits
@@ -147,8 +189,7 @@ let half_offsets d =
   Array.of_list (List.rev !acc)
 
 let iter_close_pairs t ~radius f =
-  if radius > t.cell +. 1e-12 then
-    invalid_arg "Grid.iter_close_pairs: radius > cell";
+  check_radius t ~radius "Grid.iter_close_pairs";
   let d = t.dim in
   let n_cells = Array.length t.cell_start - 1 in
   let offsets = half_offsets d in
@@ -173,16 +214,12 @@ let iter_close_pairs t ~radius f =
         for k = 0 to d - 1 do
           probe.(k) <- t.cell_coord.(base + k) + off.(k)
         done;
-        match find_cell t probe with
-        | None -> ()
-        | Some cj ->
-            let lo' = t.cell_start.(cj) and hi' = t.cell_start.(cj + 1) in
-            for a = lo to hi - 1 do
-              for b = lo' to hi' - 1 do
-                emit t.cell_pts.(a) t.cell_pts.(b)
-              done
-            done)
+        let cj = find_cell t probe in
+        if cj >= 0 then
+          for a = lo to hi - 1 do
+            for b = t.cell_start.(cj) to t.cell_start.(cj + 1) - 1 do
+              emit t.cell_pts.(a) t.cell_pts.(b)
+            done
+          done)
       offsets
   done
-
-let occupied_cells t = Hashtbl.length t.cell_ids

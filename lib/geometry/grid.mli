@@ -1,9 +1,11 @@
-(** Axis-parallel bucket grids over point sets.
+(** Axis-parallel bucket grids over point sets: the one spatial index.
 
-    Used for near-linear-time construction of α-UBG edge sets: points are
-    hashed into cubic cells of side [cell]; all pairs at distance at most
-    [cell] are found by scanning the 3^d neighborhood of each cell. Also
-    backs the grid-cell counting argument of Theorem 11. *)
+    Points are hashed into cubic cells of side [cell]; every query
+    scans only the cells that a ball of radius at most [cell] can
+    meet, at most [3^d] of them. Uses: α-UBG edge enumeration and
+    validation ({!iter_close_pairs}), the dynamic engine's edge
+    re-derivation and the Gabriel/RNG witness scan ({!iter_within}),
+    and the relaxed greedy's per-phase regions ({!mark_within}). *)
 
 type t
 
@@ -12,25 +14,22 @@ type t
     dimension-homogeneous point array. *)
 val build : cell:float -> Point.t array -> t
 
-(** [cell_size t] is the cell side length. *)
-val cell_size : t -> float
+(** [iter_within t ~radius p f] calls [f j dist] once for every indexed
+    point [j] at distance [dist <= radius] from [p]. [p] need not be
+    indexed; if it is, [f] also sees it, at distance 0. Requires
+    [radius <= cell] and [p] of the grid's dimension. *)
+val iter_within : t -> radius:float -> Point.t -> (int -> float -> unit) -> unit
 
-(** [cell_of t p] is the integer cell coordinate vector containing [p]. *)
-val cell_of : t -> Point.t -> int array
-
-(** [points_in_cell t c] is the list of point indices stored in cell [c]
-    (empty if the cell is unoccupied). *)
-val points_in_cell : t -> int array -> int list
-
-(** [neighbors t i ~radius] is the list of indices [j <> i] whose points
-    lie within Euclidean distance [radius] of point [i]. Requires
-    [radius <= cell_size t] for completeness. *)
-val neighbors : t -> int -> radius:float -> int list
+(** [mark_within t ~radius centres] is the indicator array, over the
+    indexed points, of the union of the closed balls of radius [radius]
+    around [centres]: [j] is marked iff
+    [Point.distance points.(j) c <= radius] for some centre [c]. A cell
+    whose members are all marked is never scanned again, so heavily
+    overlapping balls cost one lookup per cell. Requires
+    [radius <= cell]. *)
+val mark_within : t -> radius:float -> Point.t array -> bool array
 
 (** [iter_close_pairs t ~radius f] calls [f i j dist] once for every
     unordered pair [(i, j)], [i < j], at distance [dist <= radius].
-    Requires [radius <= cell_size t]. *)
+    Requires [radius <= cell]. *)
 val iter_close_pairs : t -> radius:float -> (int -> int -> float -> unit) -> unit
-
-(** [occupied_cells t] is the number of nonempty cells. *)
-val occupied_cells : t -> int

@@ -7,8 +7,9 @@
 
     Registered names, with provenance:
     - ["relaxed"] — the paper's relaxed greedy (1+ε)-spanner
-      (Sections 2–3), [`Global]/[`Local] phase engines, energy-metric
-      aware, the only backend with an incremental repair path;
+      (Sections 2–3), grid-region phases under Euclidean weights and
+      whole-graph phases under the energy metric, the only backend
+      with an incremental repair path;
     - ["seq-greedy"] — classical greedy spanner (Althöfer et al.), the
       paper's quality reference (Section 1.4);
     - ["dp-quasi"] — Damian–Pemmaraju localized quasi-UDG

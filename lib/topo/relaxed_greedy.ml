@@ -236,49 +236,42 @@ let insert_kept ~spanner kept stats =
    paths for its queries, the clusters along them, the inter-cluster
    Dijkstra reach — lies within Euclidean distance (t + 3) W_i of some
    bin-edge endpoint. Euclidean weights only (path weight bounds
-   Euclidean displacement). Returns the region in increasing id order. *)
-let local_region ~tree ~points ~params ~w_len bin_edges =
+   Euclidean displacement). One reach-sized grid per bin; its marker
+   takes each distinct endpoint once and skips cells it has used up.
+   Returns the region in increasing id order. *)
+let local_region ~points ~params ~w_len bin_edges =
   let reach = (params.Params.t +. 3.0) *. w_len in
   let n = Array.length points in
-  let in_region = Array.make n false in
-  (* Endpoints repeat across a bin's edges (every vertex of a dense bin
-     shows up in many of them); issuing the range query once per
-     distinct endpoint spares rescanning the same kd-tree ball. *)
-  let queried = Array.make n false in
+  let seen = Array.make n false and centres = ref [] in
   Array.iter
     (fun (e : Wgraph.edge) ->
       List.iter
         (fun v ->
-          if not queried.(v) then begin
-            queried.(v) <- true;
-            List.iter
-              (fun x -> in_region.(x) <- true)
-              (Geometry.Kdtree.range tree ~center:points.(v) ~radius:reach)
+          if not seen.(v) then begin
+            seen.(v) <- true;
+            centres := points.(v) :: !centres
           end)
         [ e.u; e.v ])
     bin_edges;
+  let in_region =
+    Geometry.Grid.mark_within
+      (Geometry.Grid.build ~cell:reach points)
+      ~radius:reach
+      (Array.of_list !centres)
+  in
   let region = ref [] in
   for v = n - 1 downto 0 do
     if in_region.(v) then region := v :: !region
   done;
   Array.of_list !region
 
-let build ?(metric = Geometry.Metric.Euclidean) ?(mode = `Auto)
+let build ?(metric = Geometry.Metric.Euclidean)
     ?(observer = fun ~phase:_ ~spanner:_ -> ()) ~params model =
   Geometry.Metric.validate metric;
   if abs_float (params.Params.alpha -. model.Model.alpha) > 1e-12 then
     invalid_arg "Relaxed_greedy.build: params/model alpha mismatch";
   if params.Params.dim <> Model.dim model then
     invalid_arg "Relaxed_greedy.build: params/model dimension mismatch";
-  let local =
-    match (mode, metric) with
-    | `Global, _ -> false
-    | `Local, Geometry.Metric.Euclidean -> true
-    | `Local, Geometry.Metric.Energy _ ->
-        invalid_arg "Relaxed_greedy.build: local mode needs Euclidean weights"
-    | `Auto, Geometry.Metric.Euclidean -> true
-    | `Auto, Geometry.Metric.Energy _ -> false
-  in
   let n = Model.n model in
   let bins = Bins.make ~params ~n in
   (* Canonical (w, u, v) edge order before binning: Wgraph iteration
@@ -293,19 +286,19 @@ let build ?(metric = Geometry.Metric.Euclidean) ?(mode = `Auto)
   in
   let spanner = Wgraph.create n in
   let points = model.Model.points in
-  (* A local phase runs on its kd-tree region, timed as part of the
-     freeze it feeds; a global one on every vertex. *)
+  (* The metric picks the region: Euclidean weights bound Euclidean
+     displacement, so a phase runs on its grid region, timed as part of
+     the freeze it feeds; under Energy weights it runs on every
+     vertex. *)
   let region_of =
-    if local then begin
-      let tree = Geometry.Kdtree.build points in
-      fun ~w_len bin_edges ->
-        stage "freeze" (fun () ->
-            local_region ~tree ~points ~params ~w_len bin_edges)
-    end
-    else begin
-      let all = Array.init n Fun.id in
-      fun ~w_len:_ _ -> all
-    end
+    match metric with
+    | Geometry.Metric.Euclidean ->
+        fun ~w_len bin_edges ->
+          stage "freeze" (fun () ->
+              local_region ~points ~params ~w_len bin_edges)
+    | Geometry.Metric.Energy _ ->
+        let all = Array.init n Fun.id in
+        fun ~w_len:_ _ -> all
   in
   let stats = ref [] in
   let push s =
@@ -357,11 +350,11 @@ let build ?(metric = Geometry.Metric.Euclidean) ?(mode = `Auto)
       done);
   { spanner; params; bins; stats = List.rev !stats }
 
-let build_eps ?metric ?mode ~eps model =
+let build_eps ?metric ~eps model =
   let params =
     Params.of_epsilon ~eps ~alpha:model.Model.alpha ~dim:(Model.dim model)
   in
-  build ?metric ?mode ~params model
+  build ?metric ~params model
 
 type totals = {
   sum_added : int;

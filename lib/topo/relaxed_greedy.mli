@@ -39,27 +39,27 @@ type result = {
     per-phase [freeze] of the partial spanner and the five
     [PROCESS-LONG-EDGES] steps [cover], [select], [cluster_graph],
     [queries] and [redundant]. [freeze] covers the whole extraction of
-    a phase's sub-instance: in [`Local] mode the kd-tree region (one
-    run), then in {!run_region} the id map, the region's positions, the
+    a phase's sub-instance: under Euclidean weights the grid region
+    (one run: a reach-sized {!Geometry.Grid} and its ball marker), then
+    in {!run_region} the id map, the region's positions, the
     region-induced CSR of [G'_{i-1}] and the bin in local ids (one
     more). Every run of a stage adds one call to the {!Obs.Metrics}
     timer [stage.<name>] and, with tracing enabled, records one span of
     category ["stage"] named [<name>]. *)
 val stages : string list
 
-(** [build ?metric ?mode ~params model] runs the algorithm on [model].
-    The params' [alpha]/[dim] must match the model. Default metric:
+(** [build ?metric ~params model] runs the algorithm on [model]. The
+    params' [alpha]/[dim] must match the model. Default metric:
     Euclidean.
 
-    [mode] selects the region each phase runs on through
-    {!run_region}: [`Global] passes every vertex (the literal Section 2
-    formulation); [`Local] passes the Euclidean neighborhood that its
-    bin can possibly consult, found with a kd-tree — the sequential
-    mirror of Section 3's local computation, asymptotically faster on
-    large instances and Euclidean-only; [`Auto] (default) picks
-    [`Local] when the metric allows it. Both produce outputs with the
-    same three guarantees (they may differ in which equivalent edges
-    they keep).
+    The metric picks the region each phase runs on through
+    {!run_region}. Under Euclidean weights it is the sequential mirror
+    of Section 3's local computation: every point within Euclidean
+    distance [(t + 3)·W_i] of a bin-edge endpoint, which holds
+    everything the phase can consult, found with one
+    {!Geometry.Grid.mark_within} per bin. Energy weights do not bound
+    Euclidean displacement, so there a phase runs on every vertex (the
+    literal Section 2 formulation).
 
     [observer], when given, is invoked after every executed phase with
     the phase index and a read-only view of the partial spanner [G'_i];
@@ -67,17 +67,15 @@ val stages : string list
     phase by phase. The spanner must not be mutated from the callback. *)
 val build :
   ?metric:Geometry.Metric.t ->
-  ?mode:[ `Auto | `Global | `Local ] ->
   ?observer:(phase:int -> spanner:Graph.Wgraph.t -> unit) ->
   params:Params.t ->
   Ubg.Model.t ->
   result
 
-(** [build_eps ?metric ?mode ~eps model] derives params via
+(** [build_eps ?metric ~eps model] derives params via
     {!Params.of_epsilon} from the model's own alpha and dimension. *)
 val build_eps :
   ?metric:Geometry.Metric.t ->
-  ?mode:[ `Auto | `Global | `Local ] ->
   eps:float ->
   Ubg.Model.t ->
   result
@@ -87,8 +85,9 @@ val build_eps :
     [PROCESS-LONG-EDGES] phase (the five Section 2.2 steps) for the bin
     [(w_prev_len, w_len]] on the sub-instance that [region] (strictly
     increasing global ids, holding every bin-edge endpoint) induces.
-    [build] passes a kd-tree region in [`Local] mode and every vertex
-    otherwise; [Dynamic.Engine] passes its dirty region. A phase reads
+    [build] passes its grid region under Euclidean weights and every
+    vertex under Energy weights; [Dynamic.Engine] passes its dirty
+    region. A phase reads
     only positions ([points]) and [G'_{i-1}] ([spanner], only read:
     {!Graph.Csr.induced} freezes its region-induced subgraph), so no
     α-UBG is built for the region. Local ids follow global order, so

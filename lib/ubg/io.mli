@@ -64,8 +64,8 @@ val load_trace : string -> Churn.trace
     Full dynamic-engine state at an epoch boundary, as primitive data
     (this library cannot see [Dynamic.Engine]; the engine provides
     export/restore on its side). Slots are capacity-indexed — dead
-    slots keep their last position, because the engine's kd-tree passes
-    index every stored coordinate. Format:
+    slots keep their last position, because the engine's grid indexes
+    every stored coordinate. Format:
     {v
     ubg-checkpoint v1
     <epoch> <events> <cap> <dim> <alpha> <stretch>

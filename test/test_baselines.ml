@@ -95,30 +95,51 @@ let test_yao_3d () =
 (* Gabriel / RNG                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let brute_gabriel_blocked model u v =
-  let pts = model.Model.points in
-  let n = Model.n model in
-  let rec scan z =
-    if z >= n then false
-    else if z <> u && z <> v
-            && Point.sq_distance pts.(u) pts.(z)
-               +. Point.sq_distance pts.(v) pts.(z)
-               < Point.sq_distance pts.(u) pts.(v) -. 1e-15
-    then true
-    else scan (z + 1)
-  in
-  scan 0
+(* Brute-force witness scans over every node, with the textbook
+   predicates: Gabriel looks inside the ball with diameter uv, RNG
+   inside the lune max(|uz|, |vz|) < |uv|. *)
+let gabriel_blocks pu pv _ pz =
+  Point.sq_distance pu pz +. Point.sq_distance pv pz
+  < Point.sq_distance pu pv -. 1e-15
 
-let prop_gabriel_matches_brute_force =
-  qtest ~count:15 "gabriel: kd-tree filter equals brute force" seed_arb
+let rng_blocks pu pv w pz =
+  Float.max (Point.distance pu pz) (Point.distance pv pz) < w -. 1e-12
+
+let brute_kept ~blocks model u v w =
+  let pts = model.Model.points in
+  not
+    (List.exists
+       (fun z -> z <> u && z <> v && blocks pts.(u) pts.(v) w pts.(z))
+       (List.init (Model.n model) Fun.id))
+
+let prop_proximity_matches_brute_force =
+  qtest ~count:15
+    "gabriel/rng: witness filter equals brute force in 2-D and 3-D" seed_arb
     (fun seed ->
-      let model = random_model ~seed ~n:40 ~dim:2 ~alpha:0.7 in
-      let gg = Proximity.gabriel model in
-      let ok = ref true in
-      Wgraph.iter_edges model.Model.graph (fun u v _ ->
-          let expect = not (brute_gabriel_blocked model u v) in
-          if Wgraph.mem_edge gg u v <> expect then ok := false);
-      !ok)
+      List.for_all
+        (fun dim ->
+          let model = random_model ~seed ~n:40 ~dim ~alpha:0.7 in
+          List.for_all
+            (fun (filter, blocks) ->
+              let g = filter model in
+              let ok = ref true and kept = ref 0 in
+              Wgraph.iter_edges model.Model.graph (fun u v w ->
+                  let expect = brute_kept ~blocks model u v w in
+                  if expect then incr kept;
+                  if Wgraph.mem_edge g u v <> expect then ok := false);
+              !ok && Wgraph.n_edges g = !kept)
+            [
+              (Proximity.gabriel, gabriel_blocks); (Proximity.rng, rng_blocks);
+            ])
+        [ 2; 3 ])
+
+let test_proximity_edgeless () =
+  let model =
+    Ubg.Generator.instance ~alpha:0.8
+      [| Point.make2 0.0 0.0; Point.make2 5.0 0.0 |]
+  in
+  Alcotest.(check int) "gabriel" 0 (Wgraph.n_edges (Proximity.gabriel model));
+  Alcotest.(check int) "rng" 0 (Wgraph.n_edges (Proximity.rng model))
 
 let prop_rng_subset_gabriel =
   qtest ~count:15 "rng: contained in gabriel" seed_arb (fun seed ->
@@ -253,7 +274,8 @@ let () =
         ] );
       ( "gabriel/rng",
         [
-          prop_gabriel_matches_brute_force;
+          prop_proximity_matches_brute_force;
+          Alcotest.test_case "edgeless input" `Quick test_proximity_edgeless;
           prop_rng_subset_gabriel;
           prop_emst_subset_rng_on_udg;
           prop_proximity_connected_on_udg;

@@ -236,6 +236,61 @@ let prop_engine_certifies_and_tracks_rebuild =
             ok := false);
       !ok)
 
+(* The α-UBG over the alive slots, derived from scratch: every pair
+   within alpha, and pairs in (alpha, 1] as the gray policy decides. *)
+let brute_ubg ~gray ~alpha points alive =
+  let acc = ref [] in
+  Array.iteri
+    (fun u pu ->
+      Array.iteri
+        (fun v pv ->
+          if u < v && alive.(u) && alive.(v) then begin
+            let dist = Point.distance pu pv in
+            if
+              dist > 0.0 && dist <= 1.0
+              && Ubg.Gray_zone.decide gray ~alpha ~u ~v ~pu ~pv ~dist
+            then acc := (u, v, dist) :: !acc
+          end)
+        points)
+    points;
+  List.sort compare !acc
+
+(* Checks the engine's own edge re-derivation, (alpha, 1] edges
+   included: [current_model]'s validation only catches missing pairs
+   within alpha. *)
+let prop_engine_ubg_matches_brute_force =
+  qtest ~count:6 "engine: UBG equals brute force every epoch, two policies"
+    seed_arb (fun seed ->
+      List.for_all
+        (fun gray ->
+          let alpha = 0.8 and n = 60 in
+          let side =
+            Ubg.Generator.side_for_expected_degree ~dim:2 ~n ~alpha
+              ~degree:9.0
+          in
+          let model =
+            Ubg.Generator.connected ~seed ~dim:2 ~n ~alpha ~gray
+              (Ubg.Generator.Uniform { side })
+          in
+          let trace =
+            Churn.generate ~seed:(seed + 17) ~epochs:8 ~batch_max:6
+              (Churn.default_dynamics ~side)
+              model
+          in
+          let e = Engine.create ~gray ~params:(params_for model) model in
+          let ok = ref true in
+          Engine.replay e trace ~f:(fun _ ->
+              let snap = Engine.latest e in
+              if
+                canonical (Engine.ubg e)
+                <> brute_ubg ~gray ~alpha snap.Engine.snap_points
+                     snap.Engine.snap_alive
+              then ok := false);
+          !ok)
+        [
+          Ubg.Gray_zone.Keep_all; Ubg.Gray_zone.Bernoulli { p = 0.4; seed = 7 };
+        ])
+
 let with_grain g thunk =
   match g with
   | None -> thunk ()
@@ -653,6 +708,7 @@ let () =
       ( "engine",
         [
           prop_engine_certifies_and_tracks_rebuild;
+          prop_engine_ubg_matches_brute_force;
           prop_engine_bit_identical_across_domains;
           prop_engine_identical_traced;
           Alcotest.test_case "dead slots isolated" `Quick

@@ -1,7 +1,6 @@
 module Point = Geometry.Point
 module Cone = Geometry.Cone
 module Grid = Geometry.Grid
-module Kdtree = Geometry.Kdtree
 module Metric = Geometry.Metric
 open Test_helpers
 
@@ -162,76 +161,57 @@ let prop_grid_close_pairs =
       Grid.iter_close_pairs grid ~radius (fun i j _ -> got := (i, j) :: !got);
       List.sort compare !got = brute_close_pairs points radius)
 
+(* Random instances for the radius queries: d in {2, 3}, radii up to
+   and including the cell size. *)
+let within_case st =
+  let n = 1 + Random.State.int st 80 in
+  let dim = 2 + Random.State.int st 2 in
+  let points = Array.init n (fun _ -> random_point st dim) in
+  let cell = 0.5 +. Random.State.float st 2.0 in
+  let radius =
+    if Random.State.bool st then cell else Random.State.float st cell
+  in
+  (points, dim, Grid.build ~cell points, radius)
+
+(* Centres are fresh random points, not members of the indexed set. *)
 let prop_grid_neighbors =
-  qtest ~count:40 "grid: neighbors match brute force" seed_arb (fun seed ->
+  qtest ~count:60 "grid: neighbors match brute force" seed_arb (fun seed ->
       let st = rand_state seed in
-      let n = 2 + Random.State.int st 40 in
-      let points = Array.init n (fun _ -> random_point st 2) in
-      let radius = 1.0 in
-      let grid = Grid.build ~cell:radius points in
-      let i = Random.State.int st n in
-      let got = List.sort compare (Grid.neighbors grid i ~radius) in
+      let points, dim, grid, radius = within_case st in
+      let centre = random_point st dim in
+      let got = ref [] in
+      Grid.iter_within grid ~radius centre (fun j d -> got := (j, d) :: !got);
       let want =
-        List.sort compare
-          (List.filter_map
-             (fun j ->
-               if j <> i && Point.distance points.(i) points.(j) <= radius then
-                 Some j
-               else None)
-             (List.init n Fun.id))
+        List.filter_map
+          (fun j ->
+            let d = Point.distance points.(j) centre in
+            if d <= radius then Some (j, d) else None)
+          (List.init (Array.length points) Fun.id)
       in
-      got = want)
+      List.sort compare !got = want)
 
-(* ------------------------------------------------------------------ *)
-(* Kdtree                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let prop_kdtree_range =
-  qtest ~count:40 "kdtree: range query matches brute force" seed_arb
-    (fun seed ->
+(* Many centres packed into the middle of the field, some repeated, so
+   the balls overlap and cells are used up before the last centre. *)
+let prop_grid_mark_within =
+  qtest ~count:60 "grid: marked balls match brute force" seed_arb (fun seed ->
       let st = rand_state seed in
-      let n = 1 + Random.State.int st 80 in
-      let dim = 2 + Random.State.int st 2 in
-      let points = Array.init n (fun _ -> random_point st dim) in
-      let tree = Kdtree.build points in
-      let center = random_point st dim in
-      let radius = Random.State.float st 4.0 in
-      let got = List.sort compare (Kdtree.range tree ~center ~radius) in
-      let want =
-        List.sort compare
-          (List.filter
-             (fun i -> Point.distance points.(i) center <= radius)
-             (List.init n Fun.id))
+      let points, dim, grid, radius = within_case st in
+      let fresh =
+        Array.init
+          (1 + Random.State.int st 40)
+          (fun _ -> Point.random ~st ~dim ~lo:(-3.0) ~hi:3.0)
       in
-      got = want)
-
-let prop_kdtree_nearest =
-  qtest ~count:60 "kdtree: nearest matches brute force" seed_arb (fun seed ->
-      let st = rand_state seed in
-      let n = 1 + Random.State.int st 80 in
-      let points = Array.init n (fun _ -> random_point st 3) in
-      let tree = Kdtree.build points in
-      let query = random_point st 3 in
-      let _, d = Kdtree.nearest tree ~query in
-      let want =
-        Array.fold_left
-          (fun acc p -> min acc (Point.distance p query))
-          infinity points
-      in
-      close ~eps:1e-9 d want)
-
-let test_kdtree_excluding () =
-  let points = [| Point.make2 0.0 0.0; Point.make2 1.0 0.0 |] in
-  let tree = Kdtree.build points in
-  (match Kdtree.nearest_excluding tree ~query:(Point.make2 0.1 0.0)
-           ~excluded:(fun i -> i = 0)
-   with
-  | Some (i, _) -> Alcotest.(check int) "skips excluded" 1 i
-  | None -> Alcotest.fail "expected a result");
-  Alcotest.(check bool) "all excluded" true
-    (Kdtree.nearest_excluding tree ~query:(Point.make2 0.0 0.0)
-       ~excluded:(fun _ -> true)
-    = None)
+      let centres = Array.append fresh (Array.sub fresh 0 1) in
+      let marked = Grid.mark_within grid ~radius centres in
+      Array.length marked = Array.length points
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun j m ->
+                m
+                = Array.exists
+                    (fun c -> Point.distance points.(j) c <= radius)
+                    centres)
+              marked))
 
 (* ------------------------------------------------------------------ *)
 (* Metric                                                             *)
@@ -279,12 +259,8 @@ let () =
           Alcotest.test_case "axes are unit" `Quick test_cone_axes_unit;
           prop_cone_assign_within_theta;
         ] );
-      ("grid", [ prop_grid_close_pairs; prop_grid_neighbors ]);
-      ( "kdtree",
-        [
-          prop_kdtree_range;
-          prop_kdtree_nearest;
-          Alcotest.test_case "nearest excluding" `Quick test_kdtree_excluding;
-        ] );
+      ( "grid",
+        [ prop_grid_close_pairs; prop_grid_neighbors; prop_grid_mark_within ]
+      );
       ("metric", [ Alcotest.test_case "weights" `Quick test_metric; prop_metric_monotone ]);
     ]

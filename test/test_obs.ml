@@ -77,7 +77,7 @@ let traced_structure ~domains model =
   Obs.Trace.clear ();
   Pool.set_domains domains;
   Fun.protect ~finally:Pool.clear_domains (fun () ->
-      ignore (Topo.Relaxed_greedy.build_eps ~mode:`Local ~eps:0.5 model));
+      ignore (Topo.Relaxed_greedy.build_eps ~eps:0.5 model));
   Obs.Trace.structure ()
 
 let test_structure_deterministic () =

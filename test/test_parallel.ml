@@ -296,19 +296,21 @@ let stats_tuple (s : Topo.Relaxed_greedy.phase_stats) =
   ( s.phase, s.n_bin_edges, s.n_covered, s.n_candidates, s.n_query, s.n_added,
     s.n_removed )
 
-let build_fingerprint ~domains ~mode model =
+let build_fingerprint ?metric ~domains model =
   Pool.set_domains domains;
   Fun.protect ~finally:Pool.clear_domains (fun () ->
-      let r = Topo.Relaxed_greedy.build_eps ~mode ~eps:0.5 model in
+      let r = Topo.Relaxed_greedy.build_eps ?metric ~eps:0.5 model in
       ( edge_set r.Topo.Relaxed_greedy.spanner,
         List.map stats_tuple r.Topo.Relaxed_greedy.stats ))
 
-let prop_build_deterministic mode name =
+(* The metric picks the region policy: Euclidean weights run each phase
+   on its grid region, Energy weights on every vertex. *)
+let prop_build_deterministic metric name =
   qtest ~count:8 name seed_arb (fun seed ->
       let model = connected_model ~seed ~n:90 ~dim:2 ~alpha:0.8 in
-      let base = build_fingerprint ~domains:1 ~mode model in
-      build_fingerprint ~domains:2 ~mode model = base
-      && build_fingerprint ~domains:4 ~mode model = base)
+      let base = build_fingerprint ~metric ~domains:1 model in
+      build_fingerprint ~metric ~domains:2 model = base
+      && build_fingerprint ~metric ~domains:4 model = base)
 
 let with_grain g thunk =
   match g with
@@ -324,13 +326,13 @@ let prop_build_deterministic_grain_grid =
   qtest ~count:4 "build bit-identical across grains {1,default,n} x domains"
     seed_arb (fun seed ->
       let model = connected_model ~seed ~n:90 ~dim:2 ~alpha:0.8 in
-      let base = build_fingerprint ~domains:1 ~mode:`Local model in
+      let base = build_fingerprint ~domains:1 model in
       List.for_all
         (fun g ->
           List.for_all
             (fun d ->
               with_grain g (fun () ->
-                  build_fingerprint ~domains:d ~mode:`Local model)
+                  build_fingerprint ~domains:d model)
               = base)
             [ 1; 4; 8 ])
         [ Some 1; None; Some 100_000 ])
@@ -351,7 +353,7 @@ let prop_build_identical_traced =
   qtest ~count:4 "build bit-identical with tracing on, 1/4 domains" seed_arb
     (fun seed ->
       let model = connected_model ~seed ~n:90 ~dim:2 ~alpha:0.8 in
-      let base = build_fingerprint ~domains:1 ~mode:`Local model in
+      let base = build_fingerprint ~domains:1 model in
       let timers =
         List.map (fun s -> (s, Obs.Metrics.timer ("stage." ^ s))) stage_names
       in
@@ -365,7 +367,7 @@ let prop_build_identical_traced =
             Obs.Trace.set_enabled prev;
             Obs.Trace.clear ())
           (fun () ->
-            let fingerprint = build_fingerprint ~domains ~mode:`Local model in
+            let fingerprint = build_fingerprint ~domains model in
             let spans =
               List.filter_map
                 (fun (e : Obs.Trace.event) ->
@@ -412,9 +414,10 @@ let () =
         ] );
       ( "determinism",
         [
-          prop_build_deterministic `Local
+          prop_build_deterministic Geometry.Metric.Euclidean
             "build (local mode) bit-identical at 1/2/4 domains";
-          prop_build_deterministic `Global
+          prop_build_deterministic
+            (Geometry.Metric.Energy { c = 1.0; gamma = 2.0 })
             "build (global mode) bit-identical at 1/2/4 domains";
           prop_build_deterministic_grain_grid;
           prop_build_identical_traced;

@@ -140,38 +140,6 @@ let prop_phase_invariant =
       ignore (Relaxed_greedy.build ~observer ~params model);
       !ok)
 
-let prop_local_matches_global =
-  (* The locality-optimized engine must deliver the same three
-     guarantees as the literal Section 2 formulation, on the same
-     instance. *)
-  qtest ~count:12 "relaxed: local and global engines agree on guarantees"
-    seed_arb (fun seed ->
-      let model, eps = random_case seed in
-      let t = 1.0 +. eps in
-      let rl = Relaxed_greedy.build_eps ~mode:`Local ~eps model
-      and rg = Relaxed_greedy.build_eps ~mode:`Global ~eps model in
-      let base = model.Model.graph in
-      Verify.is_t_spanner ~base ~spanner:rl.Relaxed_greedy.spanner ~t
-      && Verify.is_t_spanner ~base ~spanner:rg.Relaxed_greedy.spanner ~t
-      && Graph.Components.labels rl.Relaxed_greedy.spanner
-         = Graph.Components.labels rg.Relaxed_greedy.spanner
-      (* Sizes track closely: boundary effects may flip a few edges. *)
-      && abs
-           (Wgraph.n_edges rl.Relaxed_greedy.spanner
-           - Wgraph.n_edges rg.Relaxed_greedy.spanner)
-         <= 1 + (Wgraph.n_edges rg.Relaxed_greedy.spanner / 10))
-
-let test_local_rejects_energy () =
-  let model = random_model ~seed:4 ~n:20 ~dim:2 ~alpha:0.8 in
-  Alcotest.(check bool) "local + energy rejected" true
-    (try
-       ignore
-         (Relaxed_greedy.build_eps ~mode:`Local
-            ~metric:(Geometry.Metric.Energy { c = 1.0; gamma = 2.0 })
-            ~eps:0.5 model);
-       false
-     with Invalid_argument _ -> true)
-
 let prop_clustered_instances =
   (* Multi-scale point sets exercise nontrivial cluster covers. *)
   qtest ~count:10 "relaxed: holds on clustered placements" seed_arb
@@ -255,9 +223,6 @@ let () =
           prop_energy_spanner;
           prop_clustered_instances;
           prop_gray_zone_instances;
-          prop_local_matches_global;
-          Alcotest.test_case "local rejects energy metric" `Quick
-            test_local_rejects_energy;
         ] );
       ( "edge cases",
         [
