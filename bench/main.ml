@@ -1010,7 +1010,7 @@ let e_scale () =
    and 4 domains and gates on every epoch's spanner being
    bit-identical. Emits the "dynamic" record. *)
 let e_churn () =
-  let n = if !quick then 300 else 1200 in
+  let n = if !quick then 300 else 10_000 in
   let eps = 0.5 and alpha = 0.8 in
   let epochs = 10 and batch_max = 8 in
   let model = model_of ~seed:(9 + n) ~n ~dim:2 ~alpha in
@@ -1707,7 +1707,7 @@ let e_repair () =
 
    Emits the "daemon" record; consistency and resume are gates. *)
 let e_daemon () =
-  let n = if !quick then 300 else 1000 in
+  let n = if !quick then 300 else 10_000 in
   let epochs = if !quick then 30 else 120 in
   let batch_max = if !quick then 6 else 10 in
   let eps = 0.5 in

@@ -55,6 +55,8 @@ let g_rate = lazy (Obs.Metrics.gauge "daemon.ev_per_s")
 let g_tail = lazy (Obs.Metrics.gauge "daemon.tail_batches")
 let g_batches = lazy (Obs.Metrics.gauge "daemon.batches_read")
 let g_checkpoints = lazy (Obs.Metrics.gauge "daemon.checkpoints")
+let g_repair_ms = lazy (Obs.Metrics.gauge "daemon.repair_ms")
+let g_certify_ms = lazy (Obs.Metrics.gauge "daemon.certify_ms")
 
 let run ?stop config =
   if config.tick <= 0.0 then invalid_arg "Runtime.run: tick must be positive";
@@ -143,6 +145,8 @@ let run ?stop config =
     [
       ("engine.epoch", string_of_int (int_of_float (g g_epoch)));
       ("engine.alive", string_of_int (int_of_float (g g_alive)));
+      ("engine.repair_ms", Printf.sprintf "%.3f" (g g_repair_ms));
+      ("engine.certify_ms", Printf.sprintf "%.3f" (g g_certify_ms));
       ("ingest.events", string_of_int (int_of_float (g g_events)));
       ("ingest.ev_per_s", Printf.sprintf "%.1f" (g g_rate));
       ("ingest.batches", string_of_int (int_of_float (g g_batches)));
@@ -266,7 +270,12 @@ let run ?stop config =
          if Clock.due clock then (
            match next_batch () with
            | `Batch batch ->
-               let _report = Engine.apply_batch engine batch in
+               let report = Engine.apply_batch engine batch in
+               (* The last epoch's split, as the engine timed it. *)
+               Obs.Metrics.set_gauge (Lazy.force g_repair_ms)
+                 (1e3 *. report.Engine.repair_seconds);
+               Obs.Metrics.set_gauge (Lazy.force g_certify_ms)
+                 (1e3 *. report.Engine.certify_seconds);
                incr epochs;
                events := !events + Array.length batch;
                Clock.advance clock;

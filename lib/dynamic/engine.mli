@@ -32,8 +32,13 @@
     persist within a repair; when the dirty fraction crosses
     [rebuild_threshold] the engine falls back to a full rebuild.
 
-    Every epoch is re-certified with {!Topo.Verify.edge_stretch_csr}
-    on frozen {!Graph.Csr} snapshots. A certification failure triggers
+    Every epoch is re-certified from scratch with
+    {!Topo.Verify.edge_stretch_csr} on frozen {!Graph.Csr} snapshots.
+    Its search from each vertex stops at the vertex's farthest base
+    neighbour, so certification settles a t-ball per vertex, not the
+    whole graph: 42–86 ms per epoch at n = 10⁴ (E-churn,
+    [BENCH_dynamic.json]), where one search per vertex over the whole
+    graph took 13–15 s. A certification failure triggers
     a full rebuild; if even that fails, the engine rolls back to the
     previous snapshot and raises. Snapshots are epoch-stamped and kept
     in a bounded history for {!diff} and {!rollback}. *)

@@ -3,11 +3,12 @@
    over the mutable hashtable-backed [Wgraph.t] (builder-side callers)
    and over immutable [Csr.t] snapshots (the hot read paths):
 
-   - [unbounded]: the full single-source search on fresh plain arrays.
-     Certification runs it once per source, where a workspace's stamp
-     checks would only add work;
+   - [unbounded]: the full single-source search on fresh plain arrays,
+     for callers that want every distance (all-pairs analysis);
    - [settle]: the bounded settle on a stamped workspace, under every
-     bounded, ball, tree and multi-source entry;
+     bounded, ball, tree, multi-source and target entry. Certification
+     runs it once per source, stopping at the source's farthest base
+     neighbour;
    - [hop_bounded]: the hop-and-length bounded search of Lemma 8, on
      the same workspace. *)
 
@@ -114,20 +115,45 @@ let seed ws ~n s =
     Heap.insert_or_decrease ws.heap s 0.0
   end
 
+(* Opens a new mark round; [settle] waits for the vertices marked in
+   it. *)
+let new_round ws = ws.mark_epoch <- ws.mark_epoch + 1
+
+(* Marks target [v] in the current round: 1 when newly marked, 0 for a
+   repeat, so a repeated target is waited for once. *)
+let mark ws ~n v =
+  check_vertex ~n v;
+  if ws.mark.(v) = ws.mark_epoch then 0
+  else begin
+    ws.mark.(v) <- ws.mark_epoch;
+    1
+  end
+
 (* The bounded settle, run on a prepared and seeded workspace. It pops
    in nondecreasing-distance order until the frontier exceeds [bound]
-   or [target] (-1 for none) is popped, and appends every settled
-   vertex to [touched.(0 .. n_touched - 1)], so results are read off
-   the settle trace, never off an O(n) scan, and steady state
-   allocates nothing. With [parents], [par.(v)] records the
-   predecessor that last improved [v]; that never changes the
+   or the last of the [targets] vertices marked in the current round
+   is popped ([targets] = 0: no target stop), and appends every
+   settled vertex to [touched.(0 .. n_touched - 1)], so results are
+   read off the settle trace, never off an O(n) scan, and steady state
+   allocates nothing. A popped label is final, so every target's label
+   is exact once the search stops. With [parents], [par.(v)] records
+   the predecessor that last improved [v]; that never changes the
    relaxation sequence, so every entry point sees the same distances
    and settle order. *)
-let settle ws ~iter ~target ~parents ~bound =
+let settle ws ~iter ~targets ~parents ~bound =
+  let pending = ref targets in
   let finished = ref false in
   while (not !finished) && not (Heap.is_empty ws.heap) do
     let u, du = Heap.pop_min ws.heap in
-    if du > bound || u = target then finished := true
+    let last_target =
+      !pending > 0
+      && ws.mark.(u) = ws.mark_epoch
+      && begin
+           decr pending;
+           !pending = 0
+         end
+    in
+    if du > bound || last_target then finished := true
     else begin
       ws.touched.(ws.n_touched) <- u;
       ws.n_touched <- ws.n_touched + 1;
@@ -141,10 +167,13 @@ let settle ws ~iter ~target ~parents ~bound =
     end
   done
 
+(* One target, or none when [target] is -1. *)
 let settle_from ws ~n ~iter src ~target ~parents ~bound =
   ws_prepare ws n;
   seed ws ~n src;
-  settle ws ~iter ~target ~parents ~bound
+  new_round ws;
+  let targets = if target < 0 then 0 else mark ws ~n target in
+  settle ws ~iter ~targets ~parents ~bound
 
 (* Early-exits at [dst]. A value above [bound] is a tentative frontier
    label or [infinity], both meaning "no path within [bound]". *)
@@ -266,6 +295,20 @@ let csr_iter c u f = Csr.iter_neighbors c u f
 
 let distances_csr c src = unbounded ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src
 
+(* The settle a full search would run, cut at the last target's pop:
+   labels never depend on how ties were broken, so each target reads
+   [distances_csr]'s value bit for bit. No target, no search. *)
+let distances_to_csr c src ~targets =
+  let n = Csr.n_vertices c and ws = plain_workspace () in
+  ws_prepare ws n;
+  seed ws ~n src;
+  new_round ws;
+  let pending = Array.fold_left (fun k v -> k + mark ws ~n v) 0 targets in
+  if pending > 0 then
+    settle ws ~iter:(csr_iter c) ~targets:pending ~parents:false
+      ~bound:infinity;
+  Array.map (ws_get ws) targets
+
 let distance_upto_csr_ws ws c src dst ~bound =
   upto ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src dst ~bound
 
@@ -318,6 +361,6 @@ let within_multi_csr_into ws c ~srcs ~bound ~out_v =
     invalid_arg "Dijkstra.within_multi_csr_into: result buffer too small";
   ws_prepare ws n;
   Array.iter (seed ws ~n) srcs;
-  settle ws ~iter:(csr_iter c) ~target:(-1) ~parents:false ~bound;
+  settle ws ~iter:(csr_iter c) ~targets:0 ~parents:false ~bound;
   Array.blit ws.touched 0 out_v 0 ws.n_touched;
   ws.n_touched

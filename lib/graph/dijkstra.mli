@@ -4,16 +4,17 @@
     an abstract neighbor iterator:
 
     - the {b unbounded} search on fresh plain arrays, behind
-      {!distances} and {!distances_csr}: full single-source distances
-      for MST-ratio and stretch analysis, and for certification, which
-      runs it once per source;
+      {!distances} and {!distances_csr}: full single-source distances,
+      for callers that want every one (all-pairs analysis);
     - the {b bounded settle} on a stamped {!workspace}, behind
-      {!distance}, {!distance_upto}, {!within}, {!path} and every
-      [_csr], [_ws], [_into], [_parents] and [_multi] entry. It takes
-      one or many sources, an optional early-exit target and optional
-      tree parents, and stops once the frontier exceeds the bound:
-      cluster balls (Section 2.2.1), exact near-pair distances and
-      routes, and the oracle's trees;
+      {!distance}, {!distance_upto}, {!within}, {!path},
+      {!distances_to_csr} and every [_csr], [_ws], [_into], [_parents]
+      and [_multi] entry. It takes one or many sources, optional
+      early-exit targets and optional tree parents, and stops once the
+      frontier exceeds the bound or the last target is popped: cluster
+      balls (Section 2.2.1), exact near-pair distances and routes, the
+      oracle's trees, and certification, which searches once per
+      source up to its farthest base neighbour;
     - the {b hop-bounded} search behind {!hop_bounded_distance},
       {!hop_bounded_distance_csr} and {!hop_bounded_distance_csr_ws}:
       query answering on the cluster graph (Lemma 8).
@@ -67,6 +68,19 @@ val hop_bounded_distance :
     hop-bounded search against the flat arrays. *)
 
 val distances_csr : Csr.t -> int -> float array
+
+(** [distances_to_csr c src ~targets] is the array of
+    [sp(src, targets.(i))], [infinity] where unreachable: bit for bit
+    the values {!distances_csr} returns at those vertices. The search
+    stops once the last distinct target is popped, so it settles only
+    vertices closer to [src] than its farthest target, plus some tied
+    with it. An unreachable target makes it settle all of [src]'s
+    component; an empty [targets] settles nothing. Repeated targets
+    and [src] itself are fine. Raises [Invalid_argument] on an
+    out-of-range source or target. This is the certifier's search
+    ([Topo.Verify.edge_stretch_csr]). *)
+val distances_to_csr : Csr.t -> int -> targets:int array -> float array
+
 val distance_csr : Csr.t -> int -> int -> float
 val distance_upto_csr : Csr.t -> int -> int -> bound:float -> float
 val within_csr : Csr.t -> int -> bound:float -> (int * float) list

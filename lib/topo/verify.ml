@@ -1,54 +1,49 @@
 module Wgraph = Graph.Wgraph
-
-let edge_stretch ~base ~spanner =
-  if Wgraph.n_vertices base <> Wgraph.n_vertices spanner then
-    invalid_arg "Verify.edge_stretch: vertex set mismatch";
-  let worst = ref 1.0 in
-  (* Group queries by source so each vertex costs one Dijkstra. *)
-  let by_src = Hashtbl.create 64 in
-  Wgraph.iter_edges base (fun u v w ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt by_src u) in
-      Hashtbl.replace by_src u ((v, w) :: cur));
-  Hashtbl.iter
-    (fun u targets ->
-      let dist = Graph.Dijkstra.distances spanner u in
-      List.iter
-        (fun (v, w) ->
-          let r = dist.(v) /. w in
-          if r > !worst then worst := r)
-        targets)
-    by_src;
-  !worst
-
-let is_t_spanner ~base ~spanner ~t = edge_stretch ~base ~spanner <= t +. 1e-9
+module Csr = Graph.Csr
 
 let edge_stretch_csr ~base ~spanner =
-  let module Csr = Graph.Csr in
   if Csr.n_vertices base <> Csr.n_vertices spanner then
     invalid_arg "Verify.edge_stretch_csr: vertex set mismatch";
-  let n = Csr.n_vertices base in
-  (* One Dijkstra per source vertex that has a base neighbor v > u;
-     sources fan out over the pool, and max is commutative so the
-     ordered fold is bit-identical at any pool size. *)
+  (* One search per source u with a base neighbor v > u. Slices are
+     sorted, so those forward neighbors are a suffix of u's slice, and
+     the search stops once the farthest of them is popped. Sources fan
+     out over the pool; max is commutative, so the ordered fold is
+     bit-identical at any pool size. *)
+  let forward u =
+    let lo = ref base.Csr.off.(u + 1) in
+    while !lo > base.Csr.off.(u) && base.Csr.dst.(!lo - 1) > u do
+      decr lo
+    done;
+    !lo
+  in
   let sources = ref [] in
-  for u = n - 1 downto 0 do
-    let has_fwd = ref false in
-    Csr.iter_neighbors base u (fun v _ -> if v > u then has_fwd := true);
-    if !has_fwd then sources := u :: !sources
+  for u = Csr.n_vertices base - 1 downto 0 do
+    if forward u < base.Csr.off.(u + 1) then sources := u :: !sources
   done;
   let per_source =
     Parallel.Pool.map
       (fun u ->
-        let dist = Graph.Dijkstra.distances_csr spanner u in
-        Csr.fold_neighbors base u
-          (fun v w acc -> if v > u then Float.max acc (dist.(v) /. w) else acc)
-          1.0)
+        let lo = forward u in
+        let targets = Array.sub base.Csr.dst lo (base.Csr.off.(u + 1) - lo) in
+        let dist = Graph.Dijkstra.distances_to_csr spanner u ~targets in
+        let worst = ref 1.0 in
+        Array.iteri
+          (fun i d -> worst := Float.max !worst (d /. base.Csr.wgt.(lo + i)))
+          dist;
+        !worst)
       (Array.of_list !sources)
   in
   Array.fold_left Float.max 1.0 per_source
 
 let is_t_spanner_csr ~base ~spanner ~t =
   edge_stretch_csr ~base ~spanner <= t +. 1e-9
+
+let edge_stretch ~base ~spanner =
+  if Wgraph.n_vertices base <> Wgraph.n_vertices spanner then
+    invalid_arg "Verify.edge_stretch: vertex set mismatch";
+  edge_stretch_csr ~base:(Csr.of_wgraph base) ~spanner:(Csr.of_wgraph spanner)
+
+let is_t_spanner ~base ~spanner ~t = edge_stretch ~base ~spanner <= t +. 1e-9
 
 let exact_stretch ~base ~spanner =
   Graph.Apsp.max_ratio

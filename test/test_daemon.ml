@@ -370,6 +370,14 @@ let test_daemon_serves_published_oracle () =
       Alcotest.(check int) "stats epoch stamp" epochs sep;
       Alcotest.(check bool) "stats report the epoch gauge" true
         (List.mem_assoc "engine.epoch" rows);
+      (* The last epoch's split: both layers timed, neither negative. *)
+      List.iter
+        (fun key ->
+          match Option.bind (List.assoc_opt key rows) float_of_string_opt with
+          | Some ms ->
+              Alcotest.(check bool) (key ^ " is a duration") true (ms >= 0.0)
+          | None -> Alcotest.failf "STATS lacks a numeric %s" key)
+        [ "engine.repair_ms"; "engine.certify_ms" ];
       let final = Client.shutdown c in
       Alcotest.(check int) "final epoch" epochs final;
       Client.close c;

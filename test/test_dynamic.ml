@@ -168,24 +168,105 @@ let test_csr_diff_vertex_growth () =
     (added.(0).Wgraph.u = 2 && added.(0).Wgraph.v = 3)
 
 (* ------------------------------------------------------------------ *)
-(* edge_stretch_csr agrees with edge_stretch                           *)
+(* The certifier against per-source unbounded searches                 *)
 (* ------------------------------------------------------------------ *)
 
-let prop_edge_stretch_csr_agrees =
-  qtest ~count:20 "verify: edge_stretch_csr = edge_stretch" seed_arb
-    (fun seed ->
+let bits = Int64.bits_of_float
+
+(* The reference the certifier must match bit for bit: one unbounded
+   search per source with a forward base edge, then the max of
+   sp(u, v) / w(u, v) over those edges. *)
+let reference_stretch ~base ~spanner =
+  let base = Csr.of_wgraph base and spanner = Csr.of_wgraph spanner in
+  let worst = ref 1.0 in
+  for u = 0 to Csr.n_vertices base - 1 do
+    if Csr.fold_neighbors base u (fun v _ fwd -> fwd || v > u) false then begin
+      let dist = Graph.Dijkstra.distances_csr spanner u in
+      Csr.iter_neighbors base u (fun v w ->
+          if v > u then worst := Float.max !worst (dist.(v) /. w))
+    end
+  done;
+  !worst
+
+(* Removes the longest spanner edge whose loss leaves a finite stretch
+   above [t], and returns that stretch; [nan] when no edge does. *)
+let drop_far_edge ~base ~spanner ~t =
+  let longest_first =
+    List.sort (fun (a : Wgraph.edge) b -> compare b.w a.w) (Wgraph.edges spanner)
+  in
+  let rec go = function
+    | [] -> nan
+    | (e : Wgraph.edge) :: rest ->
+        ignore (Wgraph.remove_edge spanner e.u e.v);
+        let s = reference_stretch ~base ~spanner in
+        if s > t +. 1e-9 && s < infinity then s
+        else begin
+          Wgraph.add_edge spanner e.u e.v e.w;
+          go rest
+        end
+  in
+  go longest_first
+
+(* Copies of [base] and [spanner] with vertex i moved to slot 2i + 1,
+   so every even slot is isolated, as dead engine slots are. *)
+let spread g =
+  let h = Wgraph.create ((2 * Wgraph.n_vertices g) + 1) in
+  Wgraph.iter_edges g (fun u v w -> Wgraph.add_edge h ((2 * u) + 1) ((2 * v) + 1) w);
+  h
+
+(* A copy of [g] with one more vertex, isolated. *)
+let with_pendant g =
+  let h = Wgraph.create (Wgraph.n_vertices g + 1) in
+  Wgraph.iter_edges g (fun u v w -> Wgraph.add_edge h u v w);
+  h
+
+let prop_certifier_matches_reference =
+  qtest ~count:12 "verify: certifier = per-source unbounded max, bit for bit"
+    seed_arb (fun seed ->
+      let eps = 0.5 in
+      let t = 1.0 +. eps in
       let model = random_model ~seed ~n:45 ~dim:2 ~alpha:0.8 in
-      let base = model.Ubg.Model.graph in
-      let spanner =
-        (Topo.Relaxed_greedy.build_eps ~eps:0.5 model)
+      let relaxed ?metric () =
+        (Topo.Relaxed_greedy.build_eps ?metric ~eps model)
           .Topo.Relaxed_greedy.spanner
       in
-      let a = Topo.Verify.edge_stretch ~base ~spanner in
-      let b =
-        Topo.Verify.edge_stretch_csr ~base:(Csr.of_wgraph base)
-          ~spanner:(Csr.of_wgraph spanner)
+      let euclid = model.Ubg.Model.graph in
+      let energy = Geometry.Metric.Energy { c = 1.0; gamma = 2.0 } in
+      let far = relaxed () in
+      let dropped = drop_far_edge ~base:euclid ~spanner:far ~t in
+      (* The base gains a pendant edge the spanner lacks: a missing
+         bridge. *)
+      let bridged = with_pendant euclid in
+      Wgraph.add_edge bridged 0 (Ubg.Model.n model) 0.5;
+      let cases =
+        [
+          (euclid, relaxed ());
+          (Ubg.Model.reweight model energy, relaxed ~metric:energy ());
+          (euclid, far);
+          (bridged, with_pendant (relaxed ()));
+          (spread euclid, spread (relaxed ()));
+        ]
       in
-      close ~eps:1e-12 a b)
+      let certified =
+        List.map
+          (fun (base, spanner) ->
+            let expected = reference_stretch ~base ~spanner in
+            let csr =
+              Topo.Verify.edge_stretch_csr ~base:(Csr.of_wgraph base)
+                ~spanner:(Csr.of_wgraph spanner)
+            in
+            if
+              bits csr = bits expected
+              && bits (Topo.Verify.edge_stretch ~base ~spanner) = bits expected
+            then Some csr
+            else None)
+          cases
+      in
+      match certified with
+      | [ Some _; Some _; Some far_s; Some bridge_s; Some _ ] ->
+          far_s > t +. 1e-9 && far_s < infinity && far_s = dropped
+          && bridge_s = infinity
+      | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* The engine: certification, rebuild parity, determinism              *)
@@ -221,6 +302,8 @@ let prop_engine_certifies_and_tracks_rebuild =
              certified; check the reported numbers anyway. *)
           if r.Engine.stretch > t +. 1e-9 then ok := false;
           let spanner = Engine.spanner e and base = Engine.ubg e in
+          if bits r.Engine.stretch <> bits (reference_stretch ~base ~spanner) then
+            ok := false;
           Wgraph.iter_edges spanner (fun u v _ ->
               if not (Wgraph.mem_edge base u v) then ok := false);
           let fresh_model, _ids = Engine.current_model e in
@@ -500,15 +583,52 @@ let test_engine_cert_failure_fallback () =
   Alcotest.(check bool) "next epoch incremental again" true
     (r2.Engine.kind = Engine.Incremental)
 
-(* A backend that builds honestly until armed, then emits an edgeless
-   "spanner" every rebuild. Non-incremental, so every epoch routes
-   through it — the engine's last line of defense (certify, roll back,
-   raise) is what's under test. *)
-let sabotage_armed = ref false
+(* One far spanner edge short, away from the batch: the incremental
+   repair never revisits it, so the epoch fails certification and a
+   full rebuild recovers, its stretch exact. *)
+let test_engine_far_edge_cert_failure () =
+  let model = connected_model ~seed:41 ~n:60 ~dim:2 ~alpha:0.8 in
+  let params = params_for model in
+  let t = params.Topo.Params.t in
+  let e = Engine.create ~params model in
+  let sp = Engine.spanner e in
+  let before = canonical sp in
+  let s = drop_far_edge ~base:(Engine.ubg e) ~spanner:sp ~t in
+  Alcotest.(check bool) "a far edge was dropped" true (s > t && s < infinity);
+  let u =
+    match List.filter (fun x -> not (List.mem x (canonical sp))) before with
+    | [ (u, _, _) ] -> u
+    | _ -> Alcotest.fail "expected exactly one dropped edge"
+  in
+  let pts = model.Ubg.Model.points in
+  let far_slot = ref 0 in
+  Array.iteri
+    (fun i p ->
+      if Point.distance p pts.(u) > Point.distance pts.(!far_slot) pts.(u) then
+        far_slot := i)
+    pts;
+  let r = Engine.apply_batch e (nudge model !far_slot) in
+  Alcotest.(check bool) "fell back to a cert-failure rebuild" true
+    (r.Engine.kind = Engine.Rebuild_cert_failure);
+  Alcotest.(check bool) "the rebuilt epoch's stretch is exact" true
+    (bits r.Engine.stretch
+    = bits (reference_stretch ~base:(Engine.ubg e) ~spanner:(Engine.spanner e)))
+
+(* A backend that builds honestly until armed, then sabotages every
+   rebuild: an edgeless "spanner", or an honest one missing one far
+   edge. Non-incremental, so every epoch routes through it — the
+   engine's last line of defense (certify, roll back, raise) is what's
+   under test. *)
+type sabotage = Honest | Edgeless | Drop_far_edge
+
+let sabotage = ref Honest
+
+(* The reference stretch of the last [Drop_far_edge] build. *)
+let sabotaged_stretch = ref nan
 
 module Sabotage_backend = struct
   let name = "test-sabotage"
-  let description = "adversarial test backend: edgeless spanner when armed"
+  let description = "adversarial test backend: broken spanner when armed"
 
   let capabilities =
     {
@@ -519,9 +639,19 @@ module Sabotage_backend = struct
     }
 
   let build ?metric:_ ~params model =
+    let honest () =
+      (Topo.Relaxed_greedy.build ~params model).Topo.Relaxed_greedy.spanner
+    in
     let spanner =
-      if !sabotage_armed then Wgraph.create (Ubg.Model.n model)
-      else (Topo.Relaxed_greedy.build ~params model).Topo.Relaxed_greedy.spanner
+      match !sabotage with
+      | Honest -> honest ()
+      | Edgeless -> Wgraph.create (Ubg.Model.n model)
+      | Drop_far_edge ->
+          let sp = honest () in
+          sabotaged_stretch :=
+            drop_far_edge ~base:model.Ubg.Model.graph ~spanner:sp
+              ~t:params.Topo.Params.t;
+          sp
     in
     {
       Spanner.Backend.backend = name;
@@ -534,27 +664,21 @@ module Sabotage_backend = struct
     }
 end
 
-let test_engine_rebuild_failure_rolls_back () =
-  let model = connected_model ~seed:37 ~n:50 ~dim:2 ~alpha:0.8 in
-  let params = params_for model in
-  sabotage_armed := false;
-  let e =
-    Engine.create ~backend:(module Sabotage_backend : Spanner.Backend.S)
-      ~params model
-  in
-  (* One honest epoch so there is a certified snapshot to fall back to. *)
-  let r1 = Engine.apply_batch e (nudge model 0) in
-  Alcotest.(check bool) "backend epochs report Rebuild_backend" true
-    (r1.Engine.kind = Engine.Rebuild_backend);
+(* Arms [mode] for one batch and expects the engine to roll back and
+   raise; returns the failure message. *)
+let sabotaged_batch_rolls_back e model mode =
   let snap_before = Engine.latest e in
   let spanner_before = canonical (Engine.spanner e) in
-  sabotage_armed := true;
+  let _, _, failures_before = Engine.counters e in
+  sabotage := mode;
   Fun.protect
-    ~finally:(fun () -> sabotage_armed := false)
+    ~finally:(fun () -> sabotage := Honest)
     (fun () ->
-      (match Engine.apply_batch e (nudge model 1) with
-      | _ -> Alcotest.fail "sabotaged rebuild must not certify"
-      | exception Failure _ -> ());
+      let msg =
+        match Engine.apply_batch e (nudge model 1) with
+        | _ -> Alcotest.fail "sabotaged rebuild must not certify"
+        | exception Failure msg -> msg
+      in
       (* Rolled back: same epoch, same certified snapshot, population
          restored, and the live spanner matches the snapshot again. *)
       Alcotest.(check int) "epoch unchanged" snap_before.Engine.snap_epoch
@@ -564,7 +688,33 @@ let test_engine_rebuild_failure_rolls_back () =
       Alcotest.(check bool) "live spanner restored" true
         (canonical (Engine.spanner e) = spanner_before);
       let _, _, failures = Engine.counters e in
-      Alcotest.(check int) "failure counted" 1 failures);
+      Alcotest.(check int) "failure counted" (failures_before + 1) failures;
+      msg)
+
+let test_engine_rebuild_failure_rolls_back () =
+  let model = connected_model ~seed:37 ~n:50 ~dim:2 ~alpha:0.8 in
+  let params = params_for model in
+  sabotage := Honest;
+  let e =
+    Engine.create ~backend:(module Sabotage_backend : Spanner.Backend.S)
+      ~params model
+  in
+  (* One honest epoch so there is a certified snapshot to fall back to. *)
+  let r1 = Engine.apply_batch e (nudge model 0) in
+  Alcotest.(check bool) "backend epochs report Rebuild_backend" true
+    (r1.Engine.kind = Engine.Rebuild_backend);
+  ignore (sabotaged_batch_rolls_back e model Edgeless);
+  (* One far edge short: the failure names the exact stretch. *)
+  let msg = sabotaged_batch_rolls_back e model Drop_far_edge in
+  let s = !sabotaged_stretch in
+  Alcotest.(check bool) "a far edge was dropped" true
+    (s > params.Topo.Params.t && s < infinity);
+  Alcotest.(check string) "the failure names the exact stretch"
+    (Printf.sprintf
+       "Engine.apply_batch: stretch %g exceeds t = %g even after full \
+        rebuild; rolled back to epoch %d"
+       s params.Topo.Params.t (Engine.epoch e))
+    msg;
   (* Disarmed, the engine serves and advances again. *)
   let r3 = Engine.apply_batch e (nudge model 2) in
   Alcotest.(check bool) "recovers once the backend behaves" true
@@ -704,7 +854,7 @@ let () =
           prop_csr_diff;
           Alcotest.test_case "vertex growth" `Quick test_csr_diff_vertex_growth;
         ] );
-      ("verify-csr", [ prop_edge_stretch_csr_agrees ]);
+      ("verify-csr", [ prop_certifier_matches_reference ]);
       ( "engine",
         [
           prop_engine_certifies_and_tracks_rebuild;
@@ -726,6 +876,8 @@ let () =
         [
           Alcotest.test_case "cert failure falls back to rebuild" `Quick
             test_engine_cert_failure_fallback;
+          Alcotest.test_case "one far edge short: cert-failure rebuild" `Quick
+            test_engine_far_edge_cert_failure;
           Alcotest.test_case "failed rebuild rolls back and raises" `Quick
             test_engine_rebuild_failure_rolls_back;
           Alcotest.test_case "partition/heal burst certifies" `Quick

@@ -2,6 +2,7 @@ module Wgraph = Graph.Wgraph
 module Heap = Graph.Heap
 module Union_find = Graph.Union_find
 module Dijkstra = Graph.Dijkstra
+module Csr = Graph.Csr
 module Bfs = Graph.Bfs
 module Mst = Graph.Mst
 module Components = Graph.Components
@@ -205,6 +206,92 @@ let prop_within_bound =
              (fun acc d -> if d <= bound then acc + 1 else acc)
              0 dist)
 
+(* Two random components plus up to two isolated vertices, so every
+   source has unreachable vertices. *)
+let split_graph st =
+  let n1 = 1 + Random.State.int st 30 and n2 = 1 + Random.State.int st 12 in
+  let g = Wgraph.create (n1 + n2 + Random.State.int st 3) in
+  let copy off h =
+    Wgraph.iter_edges h (fun u v w -> Wgraph.add_edge g (u + off) (v + off) w)
+  in
+  copy 0 (random_graph ~st ~n:n1 ~extra_edges:(Random.State.int st 45));
+  copy n1 (random_graph ~st ~n:n2 ~extra_edges:(Random.State.int st 15));
+  g
+
+(* Targets as the certifier picks them (the source's neighbors) or
+   anywhere, with repeats and the source itself mixed in; sometimes
+   none. *)
+let random_targets st g src =
+  let n = Wgraph.n_vertices g in
+  let near = Array.of_list (List.map fst (Wgraph.neighbors g src)) in
+  let k = Random.State.int st 7 in
+  let targets = Array.make k src in
+  for i = 0 to k - 1 do
+    targets.(i) <-
+      (match Random.State.int st 6 with
+      | 0 -> src
+      | 1 when i > 0 -> targets.(Random.State.int st i)
+      | (1 | 2 | 3) when Array.length near > 0 ->
+          near.(Random.State.int st (Array.length near))
+      | _ -> Random.State.int st n)
+  done;
+  targets
+
+(* [c] with every edge whose endpoints both lie farther than [r] from
+   the source reweighted to [neg_infinity]. A search that stops at its
+   farthest target never relaxes such an edge; one that runs on
+   drives labels to [neg_infinity], and they spread to the targets. *)
+let tripwired c ~dist ~r =
+  let wgt = Array.copy c.Csr.wgt in
+  for u = 0 to Csr.n_vertices c - 1 do
+    for k = c.Csr.off.(u) to c.Csr.off.(u + 1) - 1 do
+      if dist.(u) > r && dist.(c.Csr.dst.(k)) > r then wgt.(k) <- neg_infinity
+    done
+  done;
+  Csr.of_arrays ~off:(Array.copy c.Csr.off) ~dst:(Array.copy c.Csr.dst) ~wgt
+
+let prop_distances_to_exact =
+  qtest ~count:60
+    "dijkstra: distances_to_csr = distances_csr at each target, bit for bit"
+    seed_arb (fun seed ->
+      let st = rand_state seed in
+      let g = split_graph st in
+      let c = Csr.of_wgraph g in
+      let bits = Array.map Int64.bits_of_float in
+      let ok = ref true in
+      for _ = 1 to 12 do
+        let src = Random.State.int st (Wgraph.n_vertices g) in
+        let targets = random_targets st g src in
+        let dist = Dijkstra.distances_csr c src in
+        let expected = bits (Array.map (fun v -> dist.(v)) targets) in
+        if bits (Dijkstra.distances_to_csr c src ~targets) <> expected then
+          ok := false;
+        (* No edge past the farthest target may be relaxed. With an
+           unreachable target [r] is infinite and nothing is wired. *)
+        let r =
+          Array.fold_left (fun m v -> Float.max m dist.(v)) neg_infinity targets
+        in
+        if
+          bits (Dijkstra.distances_to_csr (tripwired c ~dist ~r) src ~targets)
+          <> expected
+        then ok := false
+      done;
+      !ok)
+
+let test_distances_to_range () =
+  let c = Csr.of_wgraph (Wgraph.of_edges ~n:3 [ (0, 1, 1.0); (1, 2, 1.0) ]) in
+  let rejects src targets =
+    try
+      ignore (Dijkstra.distances_to_csr c src ~targets);
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "target past the end" true (rejects 0 [| 1; 3 |]);
+  Alcotest.(check bool) "negative target" true (rejects 0 [| -1 |]);
+  Alcotest.(check bool) "source out of range" true (rejects 3 [| 0 |]);
+  Alcotest.(check (array (float 0.0))) "in range" [| 2.0; 0.0 |]
+    (Dijkstra.distances_to_csr c 0 ~targets:[| 2; 0 |])
+
 (* ------------------------------------------------------------------ *)
 (* BFS                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -377,6 +464,9 @@ let () =
           prop_hop_bounded_unbounded_agrees;
           Alcotest.test_case "hop bound honored" `Quick test_hop_bounded_respects_hops;
           prop_within_bound;
+          prop_distances_to_exact;
+          Alcotest.test_case "distances_to_csr range checks" `Quick
+            test_distances_to_range;
         ] );
       ( "bfs",
         [ Alcotest.test_case "path graph" `Quick test_bfs_path_graph; prop_induced_ball ] );

@@ -243,6 +243,7 @@ let prop_plain_entries_keep_domain_tree =
       ignore (Dijkstra.distance_csr c u v);
       ignore (Dijkstra.within_csr c u ~bound:1.0);
       ignore (Dijkstra.hop_bounded_distance_csr c u v ~max_hops:3 ~bound:2.0);
+      ignore (Dijkstra.distances_to_csr c u ~targets:[| v; u; v |]);
       ignore (Dijkstra.distance g u v);
       ignore (Dijkstra.within g u ~bound:1.0);
       ignore (Dijkstra.path g u v);
