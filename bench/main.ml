@@ -1238,7 +1238,8 @@ let e_compare () =
    - correctness: on sampled pairs the estimate is sandwiched between
      the exact CSR distance and (1 + eps) times it, the oracle's
      advertised regime (near answers are exact, far answers are real
-     walk lengths);
+     walk lengths), and [spanner_path] returns a spanner walk of length
+     exactly the estimate; the far pairs among them are counted;
    - determinism: the distance batch is bit-identical at 1 and 4
      domains (slot-disjoint writes, schedule-independent values);
    - allocation: a far-only single-domain batch must not allocate per
@@ -1264,15 +1265,32 @@ let e_qps () =
   let oracle = Oracle.Dist.build ~eps csr in
   let st = Oracle.Dist.stats oracle in
   let qws = Oracle.Dist.create_query_ws () in
-  (* -- correctness: estimate in [exact, (1+eps) * exact] on samples -- *)
+  (* -- correctness: estimate in [exact, (1+eps) * exact] on samples,
+     and the route a spanner walk of length exactly the estimate -- *)
   let rand = Random.State.make [| 42 + n; 0x09d5 |] in
   let sample_pairs = 200 in
   let max_ratio = ref 1.0 in
   let correct = ref true in
+  let sampled_far = ref 0 and bad_routes = ref 0 in
+  let is_walk_of_length ~est ~u ~v route =
+    let k = Array.length route in
+    let len = ref 0.0 and ok = ref (route.(0) = u && route.(k - 1) = v) in
+    for i = 0 to k - 2 do
+      match Graph.Csr.weight csr route.(i) route.(i + 1) with
+      | Some w -> len := !len +. w
+      | None -> ok := false
+    done;
+    !ok && Float.abs (!len -. est) <= 1e-6 *. Float.max 1.0 est
+  in
   for _ = 1 to sample_pairs do
     let u = Random.State.int rand n and v = Random.State.int rand n in
     let est = Oracle.Dist.distance_estimate oracle qws u v in
     let exact = Graph.Dijkstra.distance_csr csr u v in
+    if est < infinity && est > st.Oracle.Dist.near_bound then incr sampled_far;
+    (match Oracle.Dist.spanner_path oracle qws ~src:u ~dst:v with
+    | None -> if est <> infinity then incr bad_routes
+    | Some route ->
+        if not (is_walk_of_length ~est ~u ~v route) then incr bad_routes);
     if exact = infinity then begin
       if est <> infinity then correct := false
     end
@@ -1282,6 +1300,7 @@ let e_qps () =
       if exact > 0.0 then max_ratio := Float.max !max_ratio (est /. exact)
     end
   done;
+  if !bad_routes > 0 then correct := false;
   (* -- distance batches at 1 and 4 domains ------------------------- *)
   let us = Array.init dist_total (fun _ -> Random.State.int rand n) in
   let vs = Array.init dist_total (fun _ -> Random.State.int rand n) in
@@ -1426,11 +1445,11 @@ let e_qps () =
     st.Oracle.Dist.radius st.Oracle.Dist.near_bound
     st.Oracle.Dist.table_words;
   Printf.printf
-    "   correctness on %d sampled pairs: %s (max est/exact %.4f, bound \
-     %.4f)\n"
-    sample_pairs
+    "   correctness on %d sampled pairs (%d far): %s (max est/exact %.4f, \
+     bound %.4f; %d routes not a walk of length = estimate)\n"
+    sample_pairs !sampled_far
     (if !correct then "PASS" else "FAIL")
-    !max_ratio (1.0 +. eps);
+    !max_ratio (1.0 +. eps) !bad_routes;
   Printf.printf "   allocation: %s\n"
     (if not alloc_measured then
        Printf.sprintf "skipped (%d far pairs < 1000)" !n_far
@@ -1486,8 +1505,9 @@ let e_qps () =
           ( "correctness",
             Obj
               [
-                ("pairs", int sample_pairs); ("max_ratio", Num !max_ratio);
-                ("bound", Num (1.0 +. eps)); ("pass", Bool !correct);
+                ("pairs", int sample_pairs); ("far", int !sampled_far);
+                ("max_ratio", Num !max_ratio); ("bound", Num (1.0 +. eps));
+                ("bad_routes", int !bad_routes); ("pass", Bool !correct);
               ] );
           ( "gate",
             Obj

@@ -342,25 +342,19 @@ let settle_parents_csr_ws ws c src ~bound =
 
 let ws_parent ws v = if ws.stamp.(v) = ws.epoch then ws.par.(v) else -1
 
-let within_parents_csr_into ws c src ~bound ~out_v ~out_d ~out_p =
-  settle_parents_csr_ws ws c src ~bound;
-  if Array.length out_p < ws.n_touched then
-    invalid_arg "Dijkstra.within_parents_csr_into: result buffers too small";
-  let k = read_ball ws ~name:"Dijkstra.within_parents_csr_into" ~out_v ~out_d in
+(* Every source seeded at distance 0, so one settle grows the whole
+   forest: each vertex within [bound] of some source hangs off the
+   nearest one, and a parent always settles before its child. This is
+   the oracle's cluster forest. *)
+let within_multi_csr_into ws c ~srcs ~bound ~out_v ~out_d ~out_p =
+  let n = Csr.n_vertices c in
+  if Array.length out_v < n || Array.length out_d < n || Array.length out_p < n
+  then invalid_arg "Dijkstra.within_multi_csr_into: result buffers too small";
+  ws_prepare ws n;
+  Array.iter (seed ws ~n) srcs;
+  settle ws ~iter:(csr_iter c) ~targets:0 ~parents:true ~bound;
+  let k = read_ball ws ~name:"Dijkstra.within_multi_csr_into" ~out_v ~out_d in
   for i = 0 to k - 1 do
     out_p.(i) <- ws.par.(out_v.(i))
   done;
   k
-
-(* Every source seeded at distance 0, so one settle covers the union
-   ball: the repair path's marking scan, where per-source balls
-   overlap heavily. *)
-let within_multi_csr_into ws c ~srcs ~bound ~out_v =
-  let n = Csr.n_vertices c in
-  if Array.length out_v < n then
-    invalid_arg "Dijkstra.within_multi_csr_into: result buffer too small";
-  ws_prepare ws n;
-  Array.iter (seed ws ~n) srcs;
-  settle ws ~iter:(csr_iter c) ~targets:0 ~parents:false ~bound;
-  Array.blit ws.touched 0 out_v 0 ws.n_touched;
-  ws.n_touched

@@ -13,8 +13,8 @@
       early-exit targets and optional tree parents, and stops once the
       frontier exceeds the bound or the last target is popped: cluster
       balls (Section 2.2.1), exact near-pair distances and routes, the
-      oracle's trees, and certification, which searches once per
-      source up to its farthest base neighbour;
+      oracle's cluster forest, and certification, which searches once
+      per source up to its farthest base neighbour;
     - the {b hop-bounded} search behind {!hop_bounded_distance},
       {!hop_bounded_distance_csr} and {!hop_bounded_distance_csr_ws}:
       query answering on the cluster graph (Lemma 8).
@@ -153,38 +153,33 @@ val settle_parents_csr_ws : workspace -> Csr.t -> int -> bound:float -> unit
     (or the source). Exact at settled vertices; a touched but unsettled
     frontier vertex reports its tentative parent, so walks should start
     from a vertex known to be settled. After a parentless search the
-    value is stale: only use after {!settle_parents_csr_ws} /
-    {!within_parents_csr_into}. *)
+    value is stale: only use after {!settle_parents_csr_ws}. *)
 val ws_parent : workspace -> int -> int
 
-(** [within_parents_csr_into ws c src ~bound ~out_v ~out_d ~out_p] is
-    {!within_csr_into} plus the shortest-path tree: [out_p.(i)] is the
-    tree parent of [out_v.(i)] ([-1] for [src]). Same relaxation and
-    settle order as the parentless variant, so [out_v] / [out_d] are
-    bit-identical to it. This is the oracle's SPT primitive. *)
-val within_parents_csr_into :
+(** [within_multi_csr_into ws c ~srcs ~bound ~out_v ~out_d ~out_p]
+    grows the shortest-path forest of every source at once: one search
+    seeded with all of [srcs] at distance [0]. It settles every vertex
+    within [bound] of {e some} source and writes, in settle
+    (nondecreasing-label) order, the vertex to [out_v], its label to
+    [out_d] and its forest parent to [out_p] ([-1] at a source); it
+    returns the count. Each label is bit for bit the minimum over
+    sources of {!distances_csr}. A parent settles before its child, so
+    one pass over the output in order can carry anything from a root
+    down its tree, and every parent chain ends at a source after edges
+    that sum, from that source, to the label. Duplicate sources are
+    fine; an empty [srcs] settles nothing. This is the oracle's cluster
+    forest ([Oracle.Dist]). Raises [Invalid_argument] on an
+    out-of-range source, or when a buffer is shorter than
+    [Csr.n_vertices c]. *)
+val within_multi_csr_into :
   workspace ->
   Csr.t ->
-  int ->
+  srcs:int array ->
   bound:float ->
   out_v:int array ->
   out_d:float array ->
   out_p:int array ->
   int
-
-(** [within_multi_csr_into ws c ~srcs ~bound ~out_v] settles the union
-    ball of every source at once — one search seeded with all of
-    [srcs] at distance [0] instead of one bounded search per source —
-    and writes the settled vertices (every vertex within [bound] of
-    {e some} source, in nondecreasing distance-to-nearest-source
-    order) into [out_v], returning their count. Duplicate sources are
-    fine; an empty [srcs] settles nothing. This is the oracle repair's
-    dirty-region marking primitive: overlapping balls are scanned
-    once, not once per source. Raises [Invalid_argument] on an
-    out-of-range source or when [out_v] is shorter than the settled
-    count could be ([Csr.n_vertices c]). *)
-val within_multi_csr_into :
-  workspace -> Csr.t -> srcs:int array -> bound:float -> out_v:int array -> int
 
 val hop_bounded_distance_csr_ws :
   workspace -> Csr.t -> int -> int -> max_hops:int -> bound:float -> float

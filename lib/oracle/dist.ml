@@ -4,7 +4,9 @@ module Pool = Parallel.Pool
 
 (* Flat-array oracle over one frozen snapshot. Center indices (not
    vertex ids) index every k-sized table; [dmat] / [next_center] are
-   k x k row-major. The center graph H keeps its own CSR-style arrays
+   k x k row-major. The clusters are the trees of one shortest-path
+   forest grown from every center at once, so [up] chains stay inside
+   their cluster. The center graph H keeps its own CSR-style arrays
    so each H edge can carry its portal (the crossing spanner edge the
    route expansion threads through) — [Graph.Csr] has no edge
    payloads. *)
@@ -17,7 +19,7 @@ type t = {
   centers : int array; (* center index -> vertex id *)
   center_ix : int array; (* vertex -> center index, -1 = isolated *)
   dist_to_center : float array; (* vertex -> exact d(v, own center) *)
-  up : int array; (* vertex -> SPT parent toward own center, -1 at centers *)
+  up : int array; (* vertex -> forest parent toward own center, -1 at centers *)
   dmat : float array; (* k*k center-graph distances *)
   next_center : int array; (* k*k first center hop, -1 = unreachable *)
   h_off : int array; (* k+1: center graph adjacency offsets *)
@@ -83,7 +85,13 @@ let m_query_latency =
 (* Build                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Pick the cover by radius doubling: start at four mean edge weights
+let cluster_cap ?max_clusters n =
+  match max_clusters with
+  | Some k when k >= 1 -> k
+  | Some _ -> invalid_arg "Oracle.build: max_clusters must be >= 1"
+  | None -> max 16 (int_of_float (4.0 *. sqrt (float_of_int n)))
+
+(* Pick the centers by radius doubling: start at four mean edge weights
    and double until the greedy cover fits under the cluster cap, so k
    stays O(max_clusters) whatever the weight scale. Everything is a
    pure function of the snapshot — no randomness, no schedule
@@ -91,26 +99,53 @@ let m_query_latency =
 let find_cover j ~max_clusters =
   let m = Csr.n_edges j in
   let mean_w = if m = 0 then 0.0 else Csr.total_weight j /. float_of_int m in
-  let rho = ref (4.0 *. mean_w) in
-  let cover = ref None in
-  let attempts = ref 0 in
-  while !cover = None && !attempts < 60 do
-    incr attempts;
-    (match
-       Topo.Cluster_cover.compute_csr_limited j ~radius:!rho
-         ~skip_isolated:true ~max_clusters ()
-     with
-    | Some c -> cover := Some c
-    | None -> rho := !rho *. 2.0)
-  done;
-  match !cover with
-  | Some c -> c
-  | None ->
+  let rec attempt rho attempts =
+    if attempts = 60 then
       (* Radius exceeds the total edge weight: clusters are whole
          components and the count cannot shrink further — accept. *)
-      Option.get
-        (Topo.Cluster_cover.compute_csr_limited j ~radius:!rho
-           ~skip_isolated:true ~max_clusters:max_int ())
+      ( Option.get
+          (Topo.Cluster_cover.compute_csr_limited j ~radius:rho
+             ~max_clusters:max_int),
+        rho )
+    else
+      match
+        Topo.Cluster_cover.compute_csr_limited j ~radius:rho ~max_clusters
+      with
+      | Some centers -> (centers, rho)
+      | None -> attempt (rho *. 2.0) (attempts + 1)
+  in
+  attempt (4.0 *. mean_w) 0
+
+(* The clusters: one search seeded with every center at 0 and bounded
+   by the radius assigns each vertex to its nearest center. A parent
+   settles before its child, so one pass over the settle trace carries
+   each root's index down its tree; [up] is the forest parent and
+   [dist_to_center] the label, so every up-chain stays in its cluster
+   and ends at its own center after exactly [dist_to_center]. Vertices
+   farther than the radius from every center stay unassigned. The
+   search is sequential, so the result is schedule-free. *)
+let grow_forest j ~centers ~radius =
+  let n = Csr.n_vertices j in
+  let center_ix = Array.make n (-1) in
+  let dist_to_center = Array.make n infinity in
+  let up = Array.make n (-1) in
+  Array.iteri (fun ix c -> center_ix.(c) <- ix) centers;
+  let out_v = Array.make n 0 in
+  let out_d = Array.make n 0.0 in
+  let out_p = Array.make n 0 in
+  let cnt =
+    Dijkstra.within_multi_csr_into (Dijkstra.domain_workspace ()) j
+      ~srcs:centers ~bound:radius ~out_v ~out_d ~out_p
+  in
+  for i = 0 to cnt - 1 do
+    let v = out_v.(i) and p = out_p.(i) in
+    dist_to_center.(v) <- out_d.(i);
+    if p >= 0 then begin
+      up.(v) <- p;
+      center_ix.(v) <- center_ix.(p)
+    end
+  done;
+  (center_ix, dist_to_center, up)
 
 (* Center-graph stage, shared by [build] and [repair]: scan the
    snapshot's edges (deterministic u < v lexicographic order) for
@@ -264,57 +299,14 @@ let center_tables j ~k ~center_ix ~dist_to_center =
       done);
   (h_off, h_dst, h_px, h_py, dmat, next_center)
 
-let build ?(eps = 0.5) ?max_clusters j =
-  if not (eps > 0.0) then invalid_arg "Oracle.build: eps must be > 0";
-  let t0 = Unix.gettimeofday () in
-  let n = Csr.n_vertices j in
-  let max_clusters =
-    match max_clusters with
-    | Some k when k >= 1 -> k
-    | Some _ -> invalid_arg "Oracle.build: max_clusters must be >= 1"
-    | None -> max 16 (int_of_float (4.0 *. sqrt (float_of_int n)))
-  in
-  let cover = find_cover j ~max_clusters in
-  let centers = cover.Topo.Cluster_cover.centers in
+(* The tables both [build] and [repair] end with, from the centers and
+   their forest. *)
+let assemble j ~t0 ~eps ~radius ~near_bound ~centers
+    (center_ix, dist_to_center, up) =
   let k = Array.length centers in
-  let radius = cover.Topo.Cluster_cover.radius in
-  let center_ix = Array.make n (-1) in
-  Array.iteri (fun ix c -> center_ix.(c) <- ix) centers;
-  (* center_of holds vertex ids; fold to indices in one pass. *)
-  let center_of = cover.Topo.Cluster_cover.center_of in
-  for v = 0 to n - 1 do
-    if center_of.(v) >= 0 then center_ix.(v) <- center_ix.(center_of.(v))
-  done;
-  let dist_to_center = Array.copy cover.Topo.Cluster_cover.dist_to_center in
-  (* Cluster SPTs: one bounded parents search per center, batched on
-     the pool in contiguous chunks so each chunk pays for its scratch
-     buffers once. Members of distinct clusters are disjoint, so the
-     [up] writes are slot-disjoint and the result is schedule-free. *)
-  let up = Array.make n (-1) in
-  Pool.iter_chunks k (fun lo hi ->
-      let ws = Dijkstra.domain_workspace () in
-      let out_v = Array.make n 0 in
-      let out_d = Array.make n 0.0 in
-      let out_p = Array.make n 0 in
-      for ix = lo to hi - 1 do
-        let c = centers.(ix) in
-        let cnt =
-          Dijkstra.within_parents_csr_into ws j c ~bound:radius ~out_v ~out_d
-            ~out_p
-        in
-        for i = 0 to cnt - 1 do
-          let v = out_v.(i) in
-          if center_ix.(v) = ix && v <> c then up.(v) <- out_p.(i)
-        done
-      done);
   let h_off, h_dst, h_px, h_py, dmat, next_center =
     center_tables j ~k ~center_ix ~dist_to_center
   in
-  let near_bound =
-    if k = 0 then 0.0 else 4.0 *. radius *. (1.0 +. (1.0 /. eps))
-  in
-  let build_seconds = Unix.gettimeofday () -. t0 in
-  Obs.Metrics.incr m_builds;
   {
     csr = j;
     eps;
@@ -331,8 +323,23 @@ let build ?(eps = 0.5) ?max_clusters j =
     h_dst;
     h_px;
     h_py;
-    build_seconds;
+    build_seconds = Unix.gettimeofday () -. t0;
   }
+
+let build ?(eps = 0.5) ?max_clusters j =
+  if not (eps > 0.0) then invalid_arg "Oracle.build: eps must be > 0";
+  let t0 = Unix.gettimeofday () in
+  let max_clusters = cluster_cap ?max_clusters (Csr.n_vertices j) in
+  let centers, radius = find_cover j ~max_clusters in
+  let near_bound =
+    if centers = [||] then 0.0 else 4.0 *. radius *. (1.0 +. (1.0 /. eps))
+  in
+  let t =
+    assemble j ~t0 ~eps ~radius ~near_bound ~centers
+      (grow_forest j ~centers ~radius)
+  in
+  Obs.Metrics.incr m_builds;
+  t
 
 let build ?eps ?max_clusters j =
   if not (Obs.Control.enabled ()) then build ?eps ?max_clusters j
@@ -363,29 +370,63 @@ type repair_result = {
   repair_seconds : float;
 }
 
-(* Repair keeps [prev]'s cover (centers, radius, eps, near_bound) and
-   re-anchors only the clusters whose radius-balls touch a dirty
-   vertex. Correctness rests on one invariant: a cluster whose ball
-   (in either the old or the new snapshot) contains no dirty vertex
-   has a byte-identical ball in both — any edge change inside the ball
-   puts both endpoints in [dirty], and the bounded scans below would
-   have reached the center from them. Retained [dist_to_center] / [up]
-   entries therefore describe genuine shortest paths in the new
-   snapshot, and every repaired table value remains the length of a
-   real walk — the never-underestimate contract survives repair.
-   The center tables are recomputed outright from the re-anchored
-   assignment (portal costs depend on [dist_to_center], and the H scan
-   is O(m) — cheap next to the cover doubling + n-scale SPTs a scratch
-   build pays).
+(* A live vertex the forest left unassigned is farther than the radius
+   from every center: exactly where a scratch greedy would start a
+   cluster. Mint centers there in id order, each claiming its radius
+   ball as the greedy would, so every live vertex ends within the
+   radius of a kept or minted center. *)
+let mint j ~radius ~center_ix =
+  let n = Csr.n_vertices j in
+  let claimed = Array.map (fun ix -> ix >= 0) center_ix in
+  let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
+  let ws = Dijkstra.domain_workspace () in
+  let minted = ref [] in
+  for v = 0 to n - 1 do
+    if (not claimed.(v)) && Csr.degree j v > 0 then begin
+      minted := v :: !minted;
+      let cnt = Dijkstra.within_csr_into ws j v ~bound:radius ~out_v ~out_d in
+      for i = 0 to cnt - 1 do
+        claimed.(out_v.(i)) <- true
+      done
+    end
+  done;
+  Array.of_list (List.rev !minted)
 
-   The cover itself can evolve: a vertex stranded outside every kept
-   ball is where a scratch greedy would mint a new cluster, and repair
-   mints one in place (a new lowest-priority center). Past local
-   patching — the weight scale drifting away from the doubling floor
-   the radius was chosen at, churn concentrated in the cover, or
-   minting overflowing the cluster cap — repair falls back to a
-   scratch [build] (mirroring the engine's own rebuild fallback) and
-   says why in [fallback]. *)
+(* Clusters, named by center vertex, that gained, lost or moved a
+   member between [prev] and the new assignment. *)
+let count_affected ~prev ~centers ~center_ix ~dist_to_center =
+  let n = Array.length center_ix and n_prev = Array.length prev.center_ix in
+  let changed = Array.make n false and count = ref 0 in
+  let mark c =
+    if c >= 0 && not changed.(c) then begin
+      changed.(c) <- true;
+      incr count
+    end
+  in
+  for v = 0 to n - 1 do
+    let ix = center_ix.(v) in
+    let c = if ix < 0 then -1 else centers.(ix) in
+    let ix0 = if v < n_prev then prev.center_ix.(v) else -1 in
+    let c0 = if ix0 < 0 then -1 else prev.centers.(ix0) in
+    if c <> c0 || (c >= 0 && dist_to_center.(v) <> prev.dist_to_center.(v))
+    then begin
+      mark c;
+      mark c0
+    end
+  done;
+  !count
+
+(* Repair keeps [prev]'s cover (centers, radius, eps) and regrows the
+   forest over the new snapshot, minting centers where a live vertex
+   fell outside every kept ball. The forest is grown from scratch, so
+   every table value is the length of a real walk in the new snapshot
+   whatever [dirty] says; [dirty] only feeds the gate below. What
+   repair saves over [build] is the cover's radius doubling. Where the
+   kept cover stops fitting — the weight scale drifting away from the
+   doubling floor the radius was chosen at, churn concentrated in the
+   cover, or minting overflowing the cluster cap — repair falls back
+   to a scratch [build] (mirroring the engine's own rebuild fallback)
+   and says why in [fallback]. *)
 let repair_impl ?max_clusters ~prev ~dirty j =
   let t0 = Unix.gettimeofday () in
   let n = Csr.n_vertices j in
@@ -398,6 +439,16 @@ let repair_impl ?max_clusters ~prev ~dirty j =
       repaired = false;
       fallback = Some reason;
       affected_clusters = k;
+      repair_seconds = Unix.gettimeofday () -. t0;
+    }
+  in
+  let repaired oracle affected_clusters =
+    Obs.Metrics.incr m_repairs;
+    {
+      oracle;
+      repaired = true;
+      fallback = None;
+      affected_clusters;
       repair_seconds = Unix.gettimeofday () -. t0;
     }
   in
@@ -417,225 +468,51 @@ let repair_impl ?max_clusters ~prev ~dirty j =
     scratch "radius_drift"
   else if 4 * Array.length dirty > n then scratch "dirty_fraction"
   else begin
-    (* 1. Mark affected clusters: bounded scans from every dirty
-       vertex, on both snapshots, flag every center settled within the
-       cover radius. Sequential — [dirty] is small by the gate above,
-       and determinism is free this way. *)
-    let affected = Array.make k false in
-    let is_center = Array.make n (-1) in
-    Array.iteri (fun ix c -> is_center.(c) <- ix) prev.centers;
-    let ws = Dijkstra.domain_workspace () in
-    let out_v = Array.make n 0 in
-    let out_d = Array.make n 0.0 in
-    let out_p = Array.make n 0 in
-    (* One multi-source scan per snapshot settles the union of the
-       dirty balls — they overlap heavily when a batch's events
-       cluster, and a single seeded search also pays the per-search
-       constant once instead of once per dirty vertex. *)
-    let mark_in g =
-      let ng = Csr.n_vertices g in
-      let srcs =
-        Array.of_seq
-          (Seq.filter
-             (fun d -> d < ng && Csr.degree g d > 0)
-             (Array.to_seq dirty))
-      in
-      if Array.length srcs > 0 then begin
-        let cnt =
-          Dijkstra.within_multi_csr_into ws g ~srcs ~bound:prev.radius ~out_v
-        in
-        for i = 0 to cnt - 1 do
-          let ix = is_center.(out_v.(i)) in
-          if ix >= 0 then affected.(ix) <- true
-        done
-      end
-    in
     Array.iter
       (fun d ->
         if d < 0 || d >= n then invalid_arg "Oracle.repair: dirty out of range")
       dirty;
-    mark_in prev.csr;
-    mark_in j;
-    Array.iter
-      (fun d ->
-        (* A dirty vertex stranded outside every ball (e.g. isolated in
-           both snapshots) still invalidates its old assignment. Slots
-           born this epoch ([d >= n_prev]) had none. *)
-        if d < n_prev && prev.center_ix.(d) >= 0 then
-          affected.(prev.center_ix.(d)) <- true)
-      dirty;
-    let n_affected = ref 0 in
-    Array.iter (fun a -> if a then incr n_affected) affected;
-    (* Per-vertex tables sized to the new snapshot; slots born this
-       epoch start unassigned (a live one is dirty and gets claimed,
-       a degree-0 one needs no cover). *)
-    let grow src fill =
-      if n_prev = n then Array.copy src
-      else begin
-        let a = Array.make n fill in
-        Array.blit src 0 a 0 n_prev;
-        a
-      end
-    in
-    if
-      !n_affected = 0
-      && Array.exists (fun d -> Csr.degree j d > 0) dirty
-      (* Zero affected clusters means every dirty vertex was uncovered
-         before (a covered one's own ball would have been marked); one
-         that is now live sits outside every ball and the kept cover
-         cannot answer for it. *)
-    then scratch "coverage_cert"
-    else if !n_affected = 0 then begin
-      (* Nothing the cover can see changed; the previous oracle is
-         valid as-is, but re-point it at the new snapshot so near
-         queries search the graph being served. *)
-      Obs.Metrics.incr m_repairs;
-      let oracle =
-        if n_prev = n then { prev with csr = j }
-        else
-          {
-            prev with
-            csr = j;
-            center_ix = grow prev.center_ix (-1);
-            dist_to_center = grow prev.dist_to_center infinity;
-            up = grow prev.up (-1);
-          }
+    if dirty = [||] then begin
+      (* Nothing changed; the previous oracle is valid as-is, but
+         re-point it at the new snapshot so near queries search the
+         graph being served. Slots born this epoch are isolated (a
+         live one would be dirty) and stay unassigned. *)
+      let grow src fill =
+        if n_prev = n then src
+        else Array.append src (Array.make (n - n_prev) fill)
       in
-      {
-        oracle;
-        repaired = true;
-        fallback = None;
-        affected_clusters = 0;
-        repair_seconds = Unix.gettimeofday () -. t0;
-      }
+      repaired
+        {
+          prev with
+          csr = j;
+          center_ix = grow prev.center_ix (-1);
+          dist_to_center = grow prev.dist_to_center infinity;
+          up = grow prev.up (-1);
+        }
+        0
     end
-    else if 4 * !n_affected > k then scratch "affected_fraction"
     else begin
-      (* 2. Re-anchor: clear every member of an affected cluster, then
-         let the affected centers re-claim in creation order — the
-         same earliest-center-wins rule the greedy cover uses. A claim
-         also overrides a retained assignment to a LATER-created
-         (necessarily unaffected) center: an affected ball that grew
-         over such a vertex is where greedy would have put it. The
-         result is exactly the greedy assignment for [prev]'s centers
-         and radius on the new snapshot — an unaffected center's ball
-         is unchanged, so it cannot have gained a claim on anything it
-         did not already own, and every other priority is replayed
-         here. Keeping that property is what keeps the repaired
-         center-graph H as tight as a build's, which the near/far
-         envelope margin quietly relies on. *)
-      let center_ix = grow prev.center_ix (-1) in
-      let dist_to_center = grow prev.dist_to_center infinity in
-      let up = grow prev.up (-1) in
-      for v = 0 to n - 1 do
-        let ix = center_ix.(v) in
-        if ix >= 0 && affected.(ix) then begin
-          center_ix.(v) <- -1;
-          dist_to_center.(v) <- infinity;
-          up.(v) <- -1
-        end
-      done;
-      for ix = 0 to k - 1 do
-        if affected.(ix) then begin
-          let c = prev.centers.(ix) in
-          if Csr.degree j c > 0 then begin
-            let cnt =
-              Dijkstra.within_parents_csr_into ws j c ~bound:prev.radius ~out_v
-                ~out_d ~out_p
-            in
-            for i = 0 to cnt - 1 do
-              let v = out_v.(i) in
-              let cur = center_ix.(v) in
-              if cur = -1 || cur > ix then begin
-                center_ix.(v) <- ix;
-                dist_to_center.(v) <- out_d.(i);
-                up.(v) <- (if v = c then -1 else out_p.(i))
-              end
-            done
-          end
-        end
-      done;
-      (* 3. Rescue leftovers: a cleared vertex can fall out of every
-         affected ball yet still sit inside an unaffected (necessarily
-         later-created) center's unchanged ball — a scratch greedy
-         would assign it there. One bounded scan from the vertex finds
-         the earliest such center; the reversed parent chain gives the
-         first hop toward it. A vertex outside EVERY ball is exactly
-         where greedy would mint a fresh center, so mint one: the
-         vertex becomes a new lowest-priority center and its scan tree
-         claims whatever is still unassigned in its ball. Minting
-         keeps the cover certificate intact without the scratch build
-         this case used to force; the cap check below stops a
-         degrading cover from minting without bound. *)
-      let minted = ref [] in
-      let n_minted = ref 0 in
-      for v = 0 to n - 1 do
-        if center_ix.(v) = -1 && Csr.degree j v > 0 then begin
-          let cnt =
-            Dijkstra.within_parents_csr_into ws j v ~bound:prev.radius ~out_v
-              ~out_d ~out_p
-          in
-          let best = ref (-1) and best_i = ref (-1) in
-          for i = 0 to cnt - 1 do
-            let ix = is_center.(out_v.(i)) in
-            if ix >= 0 && (!best = -1 || ix < !best) then begin
-              best := ix;
-              best_i := i
-            end
-          done;
-          if !best >= 0 then begin
-            center_ix.(v) <- !best;
-            dist_to_center.(v) <- out_d.(!best_i);
-            (* Walk the tree chain center -> v; the vertex whose parent
-               is [v] is [v]'s neighbor on this shortest path. *)
-            let x = ref out_v.(!best_i) in
-            while Dijkstra.ws_parent ws !x <> v do
-              x := Dijkstra.ws_parent ws !x
-            done;
-            up.(v) <- !x
-          end
-          else begin
-            let ix = k + !n_minted in
-            minted := v :: !minted;
-            incr n_minted;
-            is_center.(v) <- ix;
-            for i = 0 to cnt - 1 do
-              let w = out_v.(i) in
-              if center_ix.(w) = -1 then begin
-                center_ix.(w) <- ix;
-                dist_to_center.(w) <- out_d.(i);
-                up.(w) <- (if w = v then -1 else out_p.(i))
-              end
-            done
-          end
-        end
-      done;
-      let k = k + !n_minted in
-      let centers =
-        if !n_minted = 0 then prev.centers
-        else Array.append prev.centers (Array.of_list (List.rev !minted))
+      let radius = prev.radius in
+      let kept =
+        Array.of_seq
+          (Seq.filter (fun c -> Csr.degree j c > 0) (Array.to_seq prev.centers))
       in
-      (* 4. Coverage certificate: every live vertex must have found a
-         home (minting makes this unconditional; the loop stays as a
-         cheap safety net), and the minted cover must still fit the
-         cluster cap a scratch build would use. *)
-      let cap =
-        match max_clusters with
-        | Some c -> c
-        | None -> max 16 (int_of_float (4.0 *. sqrt (float_of_int n)))
+      let ((center_ix, _, _) as forest) = grow_forest j ~centers:kept ~radius in
+      let centers, forest =
+        match mint j ~radius ~center_ix with
+        | [||] -> (kept, forest)
+        | minted ->
+            let centers = Array.append kept minted in
+            (centers, grow_forest j ~centers ~radius)
       in
-      let covered = ref true in
-      for v = 0 to n - 1 do
-        if center_ix.(v) = -1 && Csr.degree j v > 0 then covered := false
-      done;
-      if not !covered then scratch "coverage_cert"
-      else if k > max cap prev.k then scratch "cluster_overflow"
+      let center_ix, dist_to_center, _ = forest in
+      let affected =
+        count_affected ~prev ~centers ~center_ix ~dist_to_center
+      in
+      if 4 * affected > k then scratch "affected_fraction"
+      else if Array.length centers > max (cluster_cap ?max_clusters n) k then
+        scratch "cluster_overflow"
       else begin
-        let h_off, h_dst, h_px, h_py, dmat, next_center =
-          center_tables j ~k ~center_ix ~dist_to_center
-        in
-        let repair_seconds = Unix.gettimeofday () -. t0 in
-        Obs.Metrics.incr m_repairs;
         (* A build's near bound [4r(1 + 1/eps)] is exactly tight: far
            correctness needs the center detour <= 4r, and greedy covers
            sit within a hair of that line. A repaired cover's detour
@@ -646,34 +523,11 @@ let repair_impl ?max_clusters ~prev ~dirty j =
            function of (radius, eps) only, so chained repairs do not
            inflate it further. *)
         let near_bound =
-          (4.0 *. prev.radius *. (1.0 +. (1.0 /. prev.eps)))
-          +. (4.0 *. prev.radius)
+          (4.0 *. radius *. (1.0 +. (1.0 /. prev.eps))) +. (4.0 *. radius)
         in
-        {
-          oracle =
-            {
-              csr = j;
-              eps = prev.eps;
-              radius = prev.radius;
-              near_bound;
-              k;
-              centers;
-              center_ix;
-              dist_to_center;
-              up;
-              dmat;
-              next_center;
-              h_off;
-              h_dst;
-              h_px;
-              h_py;
-              build_seconds = repair_seconds;
-            };
-          repaired = true;
-          fallback = None;
-          affected_clusters = !n_affected + !n_minted;
-          repair_seconds;
-        }
+        repaired
+          (assemble j ~t0 ~eps:prev.eps ~radius ~near_bound ~centers forest)
+          affected
       end
     end
   end

@@ -4,42 +4,49 @@
     The oracle is the read side of the system: it is built once per
     epoch from an immutable {!Graph.Csr.t} (typically a
     [Dynamic.Engine] spanner snapshot) and then answers point-to-point
-    queries without touching the builder again. Its landmark structure
-    is the paper's own cluster machinery (Section 2.2.1): a
-    Das–Narasimhan cluster cover of radius [rho] picks [k = O(sqrt n)]
-    centers, and the oracle stores
+    queries without touching the builder again. Its landmarks come from
+    the paper's own cluster machinery (Section 2.2.1): a Das–Narasimhan
+    greedy cover of radius [rho] picks [k = O(sqrt n)] centers. The
+    clusters are the trees of one shortest-path forest grown from every
+    center at once: each vertex joins its nearest center, and the oracle
+    stores
 
     - per vertex: its cluster index, its exact distance to its own
-      center, and the first edge of its shortest path toward that
-      center (the [up] pointer — the cluster's shortest-path tree,
-      inverted);
-    - per center pair: the exact center-graph distance through
-      {e portal} edges (for two adjacent clusters, the crossing spanner
-      edge minimizing [d(a,x) + w(x,y) + d(y,b)]) in a flat [k x k]
+      center (its forest label), and its forest parent (the [up]
+      pointer). A parent always lies in the same tree, so every
+      up-chain stays in its cluster and ends at its own center after
+      exactly that distance;
+    - per center pair: the center-graph distance through {e portal}
+      edges (for two adjacent clusters, the crossing spanner edge
+      minimizing [d(a,x) + w(x,y) + d(y,b)]) in a flat [k x k]
       row-major matrix, plus the first center hop of that path.
 
-    Every stored center-graph distance is the length of a genuine walk
-    in the snapshot, so the landmark estimate
-    [L = d(u,c_u) + dmat(c_u,c_v) + d(c_v,v)] never underestimates.
-    Queries split on [L]:
+    Every portal cost is the length of a real walk (down one tree,
+    across the edge, up the other), so the landmark estimate
+    [L = d(u,c_u) + dmat(c_u,c_v) + d(c_v,v)] is the length of a walk
+    and never underestimates. Queries split on [L]:
 
     - {b near} ([L <= near_bound], with
       [near_bound = 4 rho (1 + 1/eps)]): the true distance is at most
       [L], so a bounded workspace Dijkstra with bound [L] returns the
       {e exact} distance at the cost of a small ball scan;
     - {b far}: [L] itself is returned in O(1) — two cluster lookups
-      and one matrix read, no allocation, no search. Whenever the
-      center-graph detour costs at most [4 rho] over the true distance
-      (the regime geometric instances live in; the E-qps bench and the
-      oracle tests verify it on sampled pairs), far answers are within
+      and one matrix read, no allocation, no search. The [(1+eps)]
+      envelope is conditional: whenever the center-graph detour costs
+      at most [4 rho] over the true distance, far answers are within
       [1 + eps] of the snapshot distance, hence within [(1+eps) t] of
       the base-graph distance when the snapshot is a certified
-      [t]-spanner.
+      [t]-spanner. [dmat] is a distance in the center graph, not
+      between centers in the snapshot, so nothing bounds the detour in
+      general; the E-qps bench and the oracle tests check the envelope
+      on sampled pairs.
 
     Routing follows the same split: near routes are exact shortest
     paths read off the bounded search's parent tree; far routes ascend
-    [u] to its center, walk the center chain through the portals, and
-    descend to [v] — a genuine spanner walk of length exactly [L].
+    [u]'s up-chain to its center, walk the center chain through the
+    portals, and descend to [v] — a spanner walk of length exactly [L].
+    The route tests check this on instances where a fifth of the
+    sampled pairs are far.
 
     The oracle is immutable after {!build}; any number of domains may
     query one concurrently, each through its own {!query_ws}. *)
@@ -59,10 +66,10 @@ type t
     weight scale. Isolated vertices (dead capacity slots in engine
     snapshots) join no cluster and answer [infinity] / no-route.
 
-    Cluster shortest-path trees and the [k] center-graph searches run
-    on the {!Parallel.Pool}; every array written is slot-disjoint, so
+    The forest is one sequential search; the [k] center-graph
+    searches run on the {!Parallel.Pool} with slot-disjoint rows, so
     the result is bit-identical for every pool size. Raises
-    [Invalid_argument] on [eps <= 0]. *)
+    [Invalid_argument] on [eps <= 0] or [max_clusters < 1]. *)
 val build : ?eps:float -> ?max_clusters:int -> Graph.Csr.t -> t
 
 (** {1 Incremental repair} *)
@@ -71,48 +78,52 @@ type repair_result = {
   oracle : t;  (** valid over the new snapshot either way *)
   repaired : bool;  (** [false] = fell back to a scratch {!build} *)
   fallback : string option;  (** why repair declined, when it did *)
-  affected_clusters : int;  (** clusters re-anchored (or [k] on fallback) *)
+  affected_clusters : int;
+      (** clusters whose member set or member distances changed (or
+          [k] on fallback) *)
   repair_seconds : float;  (** wall time, including any fallback build *)
 }
 
 (** [repair ?max_clusters ~prev ~dirty csr] updates [prev] to the new
     snapshot [csr] without recomputing the cover: it keeps [prev]'s
-    centers, radius and near/far threshold, re-anchors only the
-    clusters whose radius-balls (in either snapshot) touch a vertex in
-    [dirty], and rebuilds the center tables from the patched
-    assignment. [dirty] must list every vertex whose incident spanner
-    edges changed — exactly [Dynamic.Engine]'s [snap_dirty] payload; a
-    vertex outside [dirty] must have identical incident edges in
-    [prev]'s snapshot and [csr]. Under that contract every retained
-    table entry still describes a genuine walk in [csr], so the
-    repaired oracle obeys the same never-underestimate /
-    [(1+eps)]-envelope contract as a scratch build (it may differ from
-    one bit-for-bit — cover anchoring legitimately diverges). To keep
-    that envelope honest at the near/far boundary, a repaired oracle
-    widens its near band by one center-detour allowance ([4 x radius]
-    on top of the build formula): the kept cover's detour can drift a
-    few percent past a fresh build's exactly-tight bound, so boundary
-    pairs are answered exactly and far answers retain a margin. The
-    widening is a function of (radius, eps) only — chained repairs do
-    not inflate it further.
+    centers, radius and eps and regrows the cluster forest over [csr]
+    from the centers that are still live (degree > 0). A live vertex
+    the forest leaves farther than the radius from every center is
+    exactly where a scratch greedy would start a cluster, so repair
+    mints centers there, in id order, each claiming its radius ball as
+    the greedy would, and grows the forest once more. Every live
+    vertex then lies within [radius] of its center, and every table
+    value is the length of a real walk in [csr], so the repaired
+    oracle keeps the contract of a scratch build: it never
+    underestimates, far routes are walks of length [L], and the
+    envelope holds under the same detour condition. It may differ from
+    a scratch build bit for bit (the centers are kept, not re-chosen).
+    To keep the envelope honest at the near/far boundary, a repaired
+    oracle widens its near band by one center-detour allowance
+    ([4 x radius] on top of the build formula): the kept cover's
+    detour can drift a few percent past a fresh build's exactly-tight
+    bound, so boundary pairs are answered exactly and far answers
+    retain a margin. The widening is a function of (radius, eps) only
+    — chained repairs do not inflate it further.
 
-    Vertex-slot growth is repaired in place — slots born since [prev]
-    start unassigned and are claimed like any cleared vertex (a live
-    one is necessarily dirty). A live vertex left outside every kept
-    ball is exactly where a scratch greedy would start a new cluster,
-    so repair mints one: the vertex becomes a new lowest-priority
-    center and claims the still-unassigned part of its ball. Repair
-    falls back to a scratch {!build} (with [prev]'s [eps] and the
-    given [max_clusters]) when the cover degraded past the point where
-    patching is honest: the snapshot capacity shrank, the
-    radius-doubling floor [4 x mean edge weight] outgrew [prev]'s
+    [dirty] should list every vertex whose incident spanner edges
+    changed, exactly [Dynamic.Engine]'s [snap_dirty] payload. The
+    repair does not rely on it for soundness: it only feeds the
+    dirty-fraction gate, and [dirty = [||]] returns [prev] re-pointed
+    at [csr] (with per-vertex tables grown for new, necessarily
+    isolated, slots) and no cluster affected.
+
+    Repair falls back to a scratch {!build} (with [prev]'s [eps] and
+    the given [max_clusters]) when patching is not worth it: the
+    snapshot capacity shrank, [prev] has no cluster or [csr] no edge,
+    the radius-doubling floor [4 x mean edge weight] outgrew [prev]'s
     radius by more than one doubling step, more than a quarter of the
-    vertices are dirty, more than a quarter of the clusters are
-    affected, or minting would push the cluster count past the cap a
+    vertices are dirty, more than a quarter of [prev]'s clusters are
+    affected, or minting pushed the cluster count past the cap a
     scratch build would use. [repaired]/[fallback] say which case you
     got.
 
-    Marking and re-anchoring are sequential; the center tables are
+    The forest and the minting are sequential; the center tables are
     pool-parallel with slot-disjoint rows — the result is bit-identical
     for every pool size, like {!build}. Raises [Invalid_argument] when
     [dirty] contains an out-of-range vertex. *)
@@ -134,7 +145,7 @@ type stats = {
   n_clusters : int;  (** landmark count [k] *)
   radius : float;  (** cover radius [rho] after doubling *)
   eps : float;
-  near_bound : float;  (** [4 rho (1 + 1/eps)] *)
+  near_bound : float;  (** [4 rho (1 + 1/eps)], plus [4 rho] once repaired *)
   build_seconds : float;
   table_words : int;  (** words held by the flat oracle arrays *)
 }
@@ -178,12 +189,17 @@ val distance_batch_into :
 (** [spanner_path t ws ~src ~dst] materializes the route the oracle
     would forward along: the exact shortest path on the near path, the
     ascend/portal-chain/descend walk (of length exactly the far
-    estimate) otherwise. [None] when unreachable. Allocates the
-    result array; use {!next_hop} on hot paths. *)
+    estimate) otherwise. A far walk may pass a vertex twice, [dst]
+    included: climbing through [dst] to its center and back down.
+    [None] when unreachable. Allocates the result array; use
+    {!next_hop} on hot paths. *)
 val spanner_path : t -> query_ws -> src:int -> dst:int -> int array option
 
 (** [next_hop t ws u ~dst] is the next vertex on the oracle's route
-    from [u] to [dst], [-1] when [u = dst], [-2] when unreachable.
+    from [u] to [dst] (the one {!spanner_path} returns), [-1] when
+    [u = dst], [-2] when unreachable. Forwarding stops at the first
+    arrival at [dst], so it costs the estimate, or less on a far walk
+    that passes [dst] early.
     The workspace caches the current route: repeated calls along it
     ([u] advancing hop by hop toward the same [dst], the forwarding
     pattern) are O(1) array reads; any deviation recomputes from the

@@ -10,14 +10,12 @@ type t = {
   members : (int, int list) Hashtbl.t;
 }
 
-let pack ?(skip_uncovered = false) ~radius ~centers ~center_of ~dist_to_center
-    () =
+let pack ~radius ~centers ~center_of ~dist_to_center =
   let members = Hashtbl.create (List.length centers) in
   Array.iteri
     (fun v c ->
-      if not (skip_uncovered && c = -1) then
-        let cur = Option.value ~default:[] (Hashtbl.find_opt members c) in
-        Hashtbl.replace members c (v :: cur))
+      let cur = Option.value ~default:[] (Hashtbl.find_opt members c) in
+      Hashtbl.replace members c (v :: cur))
     center_of;
   {
     radius;
@@ -51,49 +49,43 @@ let compute_csr j ~radius =
         (Dijkstra.within_csr_ws ws j v ~bound:radius)
     end
   done;
-  pack ~radius ~centers:!centers ~center_of ~dist_to_center ()
+  pack ~radius ~centers:!centers ~center_of ~dist_to_center
 
 let compute j ~radius = compute_csr (Csr.of_wgraph j) ~radius
 
 (* The oracle's radius-doubling loop wants to bail out of a too-fine
-   cover early instead of paying for all n singleton balls, and to
-   leave isolated vertices out of the landmark set entirely (a dead
-   slot in a capacity-indexed snapshot would otherwise cost a k x k
-   matrix row). Same greedy scan and claim order as [compute_csr], so
-   on inputs where it succeeds with [skip_isolated:false] the cover is
-   identical. *)
-let compute_csr_limited j ~radius ?(skip_isolated = false) ~max_clusters () =
+   cover early instead of paying for all n singleton balls, and reads
+   nothing but the centers. Isolated vertices stay out of the landmark
+   set (a dead slot in a capacity-indexed snapshot would otherwise cost
+   a k x k matrix row); their singleton balls claim nothing else, so
+   the other centers are [compute_csr]'s, in the same order. *)
+let compute_csr_limited j ~radius ~max_clusters =
   if radius < 0.0 then invalid_arg "Cluster_cover.compute: radius < 0";
   if max_clusters < 1 then
     invalid_arg "Cluster_cover.compute_csr_limited: max_clusters < 1";
   let n = Csr.n_vertices j in
-  let center_of = Array.make n (-1) in
-  let dist_to_center = Array.make n infinity in
+  let covered = Array.make n false in
+  let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
   let centers = ref [] in
   let n_centers = ref 0 in
   let ws = Dijkstra.domain_workspace () in
   let v = ref 0 in
   while !n_centers <= max_clusters && !v < n do
     let u = !v in
-    if center_of.(u) = -1 && not (skip_isolated && Csr.degree j u = 0) then begin
+    if (not covered.(u)) && Csr.degree j u > 0 then begin
       centers := u :: !centers;
       incr n_centers;
-      if !n_centers <= max_clusters then
-        List.iter
-          (fun (x, d) ->
-            if center_of.(x) = -1 then begin
-              center_of.(x) <- u;
-              dist_to_center.(x) <- d
-            end)
-          (Dijkstra.within_csr_ws ws j u ~bound:radius)
+      if !n_centers <= max_clusters then begin
+        let cnt = Dijkstra.within_csr_into ws j u ~bound:radius ~out_v ~out_d in
+        for i = 0 to cnt - 1 do
+          covered.(out_v.(i)) <- true
+        done
+      end
     end;
     incr v
   done;
   if !n_centers > max_clusters then None
-  else
-    Some
-      (pack ~skip_uncovered:skip_isolated ~radius ~centers:!centers ~center_of
-         ~dist_to_center ())
+  else Some (Array.of_list (List.rev !centers))
 
 let of_centers_csr j ~radius ~centers =
   if radius < 0.0 then invalid_arg "Cluster_cover.of_centers: radius < 0";
@@ -131,7 +123,7 @@ let of_centers_csr j ~radius ~centers =
         invalid_arg
           (Printf.sprintf "Cluster_cover.of_centers: vertex %d uncovered" v))
     center_of;
-  pack ~radius ~centers:(List.rev centers) ~center_of ~dist_to_center ()
+  pack ~radius ~centers:(List.rev centers) ~center_of ~dist_to_center
 
 let of_centers j ~radius ~centers =
   of_centers_csr (Csr.of_wgraph j) ~radius ~centers

@@ -28,26 +28,17 @@ val compute_csr : Graph.Csr.t -> radius:float -> t
 (** [compute j ~radius] is {!compute_csr} after freezing [j]. *)
 val compute : Graph.Wgraph.t -> radius:float -> t
 
-(** [compute_csr_limited j ~radius ?skip_isolated ~max_clusters ()] is
-    {!compute_csr} with an early abort: it returns [None] as soon as
-    the greedy scan would create more than [max_clusters] clusters
-    (without paying for the remaining balls), and [Some cover]
-    otherwise. With [skip_isolated] (default [false]) degree-0 vertices
-    are left uncovered — their [center_of] stays [-1], they appear in
-    no member list — instead of becoming singleton clusters; such a
-    cover fails {!is_valid} on purpose and is meant for
-    capacity-indexed snapshots where dead slots are isolated vertices.
-    The claim order is that of {!compute_csr}, so when
-    [skip_isolated = false] and the scan completes, the cover is
-    identical to [compute_csr j ~radius]. Raises [Invalid_argument] on
-    [radius < 0] or [max_clusters < 1]. *)
+(** [compute_csr_limited j ~radius ~max_clusters] is the center list
+    of {!compute_csr} without its isolated singletons, with an early
+    abort: it returns [None] as soon as the greedy scan would create
+    more than [max_clusters] clusters (without paying for the remaining
+    balls), and [Some centers] otherwise, in creation order. Degree-0
+    vertices (dead slots in capacity-indexed snapshots) are never
+    centers and claim nothing; every other vertex lies within [radius]
+    of some returned center. Raises [Invalid_argument] on [radius < 0]
+    or [max_clusters < 1]. *)
 val compute_csr_limited :
-  Graph.Csr.t ->
-  radius:float ->
-  ?skip_isolated:bool ->
-  max_clusters:int ->
-  unit ->
-  t option
+  Graph.Csr.t -> radius:float -> max_clusters:int -> int array option
 
 (** [of_centers_csr j ~radius ~centers] builds a cover with the
     prescribed center set: every vertex joins the nearest center (ties

@@ -69,6 +69,37 @@ let prop_of_centers_with_mis =
       let cover = Cluster_cover.of_centers g ~radius ~centers in
       Cluster_cover.is_valid g cover)
 
+(* The oracle's doubling loop reads only the centers: with isolated
+   vertices left out and no cap hit, they are the full greedy's, in
+   creation order; past the cap the scan gives up. *)
+let prop_limited_centers =
+  qtest ~count:60
+    "cover: compute_csr_limited = compute_csr centers minus isolated" seed_arb
+    (fun seed ->
+      let st = rand_state seed in
+      let n = 2 + Random.State.int st 40 in
+      let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 40) in
+      (* Isolate a few vertices, as dead slots in a snapshot are. *)
+      for _ = 1 to Random.State.int st 4 do
+        let v = Random.State.int st n in
+        List.iter
+          (fun (x, _) -> ignore (Wgraph.remove_edge g v x))
+          (Wgraph.neighbors g v)
+      done;
+      let j = Graph.Csr.of_wgraph g in
+      let radius = Random.State.float st 2.0 in
+      let expected =
+        List.filter
+          (fun c -> Wgraph.degree g c > 0)
+          (Array.to_list (Cluster_cover.compute_csr j ~radius).centers)
+      in
+      let max_clusters = 1 + Random.State.int st (List.length expected + 2) in
+      match Cluster_cover.compute_csr_limited j ~radius ~max_clusters with
+      | Some centers ->
+          List.length expected <= max_clusters
+          && Array.to_list centers = expected
+      | None -> List.length expected > max_clusters)
+
 let test_of_centers_rejects_nondominating () =
   let g = Wgraph.of_edges ~n:3 [ (0, 1, 1.0); (1, 2, 1.0) ] in
   Alcotest.(check bool) "uncovered vertex detected" true
@@ -284,6 +315,7 @@ let () =
           prop_cover_huge_radius_per_component;
           prop_cover_members_partition;
           prop_of_centers_with_mis;
+          prop_limited_centers;
           Alcotest.test_case "of_centers rejects non-dominating" `Quick
             test_of_centers_rejects_nondominating;
           Alcotest.test_case "distances recorded" `Quick test_cover_dist_recorded;

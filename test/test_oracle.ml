@@ -126,63 +126,127 @@ let edge_weight csr u v =
   Csr.iter_neighbors csr u (fun x wx -> if x = v then w := wx);
   !w
 
-(* A returned path must be a genuine walk in the snapshot whose length
-   is exactly the distance estimate (near routes are shortest paths,
-   far routes expand the estimate's walk). *)
+(* The route contract on one pair: [path] runs from [u] to [v] over
+   snapshot edges and its length is exactly [est] (near routes are
+   shortest paths, far routes expand the estimate's walk). *)
+let is_walk_of_length csr ~est ~u ~v path =
+  let m = Array.length path in
+  let len = ref 0.0 in
+  let ok = ref (m > 0 && path.(0) = u && path.(m - 1) = v) in
+  for i = 0 to m - 2 do
+    let w = edge_weight csr path.(i) path.(i + 1) in
+    if w = infinity then ok := false else len := !len +. w
+  done;
+  !ok && abs_float (!len -. est) <= 1e-6
+
+(* A far answer is the landmark walk length L, above the near band; a
+   near answer is the exact distance, at most L and so inside the
+   band. *)
+let is_far o est = est < infinity && est > (Dist.stats o).Dist.near_bound
+
+(* Routes leave their cluster only on far pairs, and at the sizes
+   above no sampled pair is far. Oracle eps = 4 over a relaxed spanner
+   at n = 300 shrinks the near band to 5 rho: a fifth or more of the
+   sampled pairs are far, and their routes cross many clusters. *)
+let far_n = 300
+let far_eps = 4.0
+
+(* A repaired oracle widens its near band to 9 rho, which spans the
+   whole field at n = 300; the repair chain needs a larger one. *)
+let far_repair_n = 800
+
+let relaxed_spanner_csr ~seed ~n =
+  let model = connected_model ~seed ~n ~dim:2 ~alpha:0.8 in
+  let params =
+    Topo.Params.of_epsilon ~eps:0.5 ~alpha:model.Ubg.Model.alpha
+      ~dim:(Ubg.Model.dim model)
+  in
+  Csr.of_wgraph
+    (Topo.Relaxed_greedy.build ~params model).Topo.Relaxed_greedy.spanner
+
+(* Runs [check] on the n = 160 base graph at [oracle_eps] and on the
+   far-pair instance; the far one must sample at least one far pair,
+   so the property cannot hold vacuously. *)
+let on_both_instances ~seed ~count check =
+  let n = 160 in
+  let csr = model_csr ~seed ~n in
+  let near_ok, _ =
+    check csr (Dist.build ~eps:oracle_eps csr) (sample_pairs ~seed ~n ~count)
+  in
+  let csr = relaxed_spanner_csr ~seed ~n:far_n in
+  let far_ok, far =
+    check csr (Dist.build ~eps:far_eps csr)
+      (sample_pairs ~seed ~n:far_n ~count:(3 * count))
+  in
+  near_ok && far_ok && far > 0
+
 let prop_spanner_path_is_walk_of_estimate_length =
   qtest ~count:10 "oracle: spanner_path is a walk of length = estimate"
     seed_arb (fun seed ->
-      let n = 160 in
-      let csr = model_csr ~seed ~n in
-      let oracle = Dist.build ~eps:oracle_eps csr in
-      let qws = Dist.create_query_ws () in
-      let pairs = sample_pairs ~seed ~n ~count:40 in
-      Array.for_all
-        (fun (u, v) ->
-          let est = Dist.distance_estimate oracle qws u v in
-          match Dist.spanner_path oracle qws ~src:u ~dst:v with
-          | None -> est = infinity
-          | Some path ->
-              let m = Array.length path in
-              let len = ref 0.0 in
-              let ok = ref (path.(0) = u && path.(m - 1) = v) in
-              for i = 0 to m - 2 do
-                let w = edge_weight csr path.(i) path.(i + 1) in
-                if w = infinity then ok := false else len := !len +. w
-              done;
-              !ok && abs_float (!len -. est) <= 1e-6)
-        pairs)
+      on_both_instances ~seed ~count:40 (fun csr oracle pairs ->
+          let qws = Dist.create_query_ws () in
+          let far = ref 0 in
+          let ok =
+            Array.for_all
+              (fun (u, v) ->
+                let est = Dist.distance_estimate oracle qws u v in
+                if is_far oracle est then incr far;
+                match Dist.spanner_path oracle qws ~src:u ~dst:v with
+                | None -> est = infinity
+                | Some path -> is_walk_of_length csr ~est ~u ~v path)
+              pairs
+          in
+          (ok, !far)))
 
+(* Forwarding follows the route [spanner_path] returns, hop for hop,
+   and stops at the first arrival at [dst]. A far walk can climb
+   through [dst] to its center and come back down; forwarding delivers
+   at that first visit, below the estimate. Every other route,
+   including every near one, delivers at exactly the estimate. *)
 let prop_next_hop_delivers =
   qtest ~count:10 "oracle: next_hop forwarding delivers at estimate cost"
     seed_arb (fun seed ->
-      let n = 160 in
-      let csr = model_csr ~seed ~n in
-      let oracle = Dist.build ~eps:oracle_eps csr in
-      let qws = Dist.create_query_ws () in
-      let pairs = sample_pairs ~seed ~n ~count:30 in
-      Array.for_all
-        (fun (src, dst) ->
-          let est = Dist.distance_estimate oracle qws src dst in
-          let len = ref 0.0 in
-          let cur = ref src in
-          let hops = ref 0 in
-          let ok = ref true in
-          while !ok && !cur <> dst && !hops <= 4 * n do
-            (match Dist.next_hop oracle qws !cur ~dst with
-            | -1 | -2 -> ok := false
-            | nxt ->
-                let w = edge_weight csr !cur nxt in
-                if w = infinity then ok := false
-                else begin
-                  len := !len +. w;
-                  cur := nxt
-                end);
-            incr hops
-          done;
-          if est = infinity then not !ok
-          else !ok && !cur = dst && abs_float (!len -. est) <= 1e-6)
-        pairs)
+      on_both_instances ~seed ~count:30 (fun csr oracle pairs ->
+          let n = Csr.n_vertices csr in
+          let qws = Dist.create_query_ws () in
+          let far = ref 0 in
+          let ok =
+            Array.for_all
+              (fun (src, dst) ->
+                let est = Dist.distance_estimate oracle qws src dst in
+                if is_far oracle est then incr far;
+                let route =
+                  Option.value ~default:[||]
+                    (Dist.spanner_path oracle qws ~src ~dst)
+                in
+                let len = ref 0.0 in
+                let cur = ref src in
+                let hops = ref 0 in
+                let ok = ref true in
+                while !ok && !cur <> dst && !hops <= 4 * n do
+                  (match Dist.next_hop oracle qws !cur ~dst with
+                  | -1 | -2 -> ok := false
+                  | nxt ->
+                      let w = edge_weight csr !cur nxt in
+                      if
+                        w = infinity
+                        || !hops + 1 >= Array.length route
+                        || route.(!hops + 1) <> nxt
+                      then ok := false
+                      else begin
+                        len := !len +. w;
+                        cur := nxt
+                      end);
+                  incr hops
+                done;
+                if est = infinity then not !ok
+                else
+                  !ok && !cur = dst
+                  && (!hops < Array.length route - 1
+                     || abs_float (!len -. est) <= 1e-6))
+              pairs
+          in
+          (ok, !far)))
 
 let test_next_hop_cache_deviation () =
   (* Forward two packets to the same destination with interleaved
@@ -296,41 +360,42 @@ let prop_repair_matches_scratch_within_envelope =
       !ok)
 
 (* Repaired routes must still be genuine walks of exactly the
-   estimate's length — the route machinery reads the patched
-   [up]/portal tables. *)
+   estimate's length — the route machinery reads the regrown
+   [up]/portal tables. The chain runs at oracle eps on n = 140, and at
+   eps = 4 on n = [far_repair_n], where some sampled pairs must be
+   far. *)
+let repaired_routes_ok ~seed ~n ~eps ~count =
+  let snaps = churn_snapshots ~seed ~n ~epochs:4 ~batch_max:5 in
+  let qws = Dist.create_query_ws () in
+  let ok = ref true and far = ref 0 in
+  let prev = ref (Dist.build ~eps snaps.(0).Engine.snap_spanner) in
+  for i = 1 to Array.length snaps - 1 do
+    let csr = snaps.(i).Engine.snap_spanner in
+    let r = Dist.repair ~prev:!prev ~dirty:snaps.(i).Engine.snap_dirty csr in
+    let o = r.Dist.oracle in
+    let pairs = sample_pairs ~seed:(seed + (7 * i)) ~n ~count in
+    Array.iter
+      (fun (u, v) ->
+        let est = Dist.distance_estimate o qws u v in
+        if is_far o est then incr far;
+        match Dist.spanner_path o qws ~src:u ~dst:v with
+        | None -> ok := !ok && est = infinity
+        | Some path -> ok := !ok && is_walk_of_length csr ~est ~u ~v path)
+      pairs;
+    prev := o
+  done;
+  (!ok, !far)
+
 let prop_repair_routes_are_walks =
   qtest ~count:5 "repair: routes on repaired oracles are walks of estimate \
                   length" seed_arb (fun seed ->
-      let n = 140 in
-      let snaps = churn_snapshots ~seed ~n ~epochs:4 ~batch_max:5 in
-      let qws = Dist.create_query_ws () in
-      let ok = ref true in
-      let prev = ref (Dist.build ~eps:oracle_eps snaps.(0).Engine.snap_spanner) in
-      for i = 1 to Array.length snaps - 1 do
-        let csr = snaps.(i).Engine.snap_spanner in
-        let r =
-          Dist.repair ~prev:!prev ~dirty:snaps.(i).Engine.snap_dirty csr
-        in
-        let o = r.Dist.oracle in
-        let pairs = sample_pairs ~seed:(seed + 7 * i) ~n ~count:25 in
-        Array.iter
-          (fun (u, v) ->
-            let est = Dist.distance_estimate o qws u v in
-            match Dist.spanner_path o qws ~src:u ~dst:v with
-            | None -> ok := !ok && est = infinity
-            | Some path ->
-                let m = Array.length path in
-                let len = ref 0.0 in
-                let walk = ref (path.(0) = u && path.(m - 1) = v) in
-                for j = 0 to m - 2 do
-                  let w = edge_weight csr path.(j) path.(j + 1) in
-                  if w = infinity then walk := false else len := !len +. w
-                done;
-                ok := !ok && !walk && abs_float (!len -. est) <= 1e-6)
-          pairs;
-        prev := o
-      done;
-      !ok)
+      let near_ok, _ =
+        repaired_routes_ok ~seed ~n:140 ~eps:oracle_eps ~count:25
+      in
+      let far_ok, far =
+        repaired_routes_ok ~seed ~n:far_repair_n ~eps:far_eps ~count:75
+      in
+      near_ok && far_ok && far > 0)
 
 let repair_fingerprint ~domains snaps ~pairs =
   Pool.set_domains domains;

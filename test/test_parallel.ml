@@ -283,6 +283,101 @@ let prop_within_into_agrees =
        with Invalid_argument _ -> ());
       !ok)
 
+(* The forest entry on random sources and bounds: labels are the
+   minimum over sources of the unbounded search, bit for bit; the
+   settled set is exactly the vertices within the bound, in
+   nondecreasing-label order; and every parent chain ends at a source
+   after edges that sum, from that source, to the label. *)
+let prop_multi_forest =
+  qtest ~count:40
+    "workspace: within_multi_csr_into grows the nearest-source forest" seed_arb
+    (fun seed ->
+      let st = rand_state seed in
+      let n = 2 + Random.State.int st 50 in
+      let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 70) in
+      let c = Csr.of_wgraph g in
+      let ws = Dijkstra.create_workspace () in
+      let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
+      let out_p = Array.make n 0 in
+      let weight u v =
+        let w = ref infinity in
+        Csr.iter_neighbors c u (fun x wx -> if x = v then w := Float.min !w wx);
+        !w
+      in
+      let ok = ref true in
+      for _ = 1 to 10 do
+        (* Repeats allowed; sometimes no source at all. *)
+        let srcs =
+          Array.init (Random.State.int st 5) (fun _ -> Random.State.int st n)
+        in
+        let bound = Random.State.float st 3.0 in
+        let best = Array.make n infinity in
+        Array.iter
+          (fun s ->
+            Array.iteri
+              (fun v d -> if d < best.(v) then best.(v) <- d)
+              (Dijkstra.distances_csr c s))
+          srcs;
+        let k =
+          Dijkstra.within_multi_csr_into ws c ~srcs ~bound ~out_v ~out_d ~out_p
+        in
+        let within =
+          Array.fold_left (fun m d -> if d <= bound then m + 1 else m) 0 best
+        in
+        if k <> within then ok := false;
+        let label = Array.make n nan and parent = Array.make n (-2) in
+        for i = 0 to k - 1 do
+          label.(out_v.(i)) <- out_d.(i);
+          parent.(out_v.(i)) <- out_p.(i);
+          if i > 0 && out_d.(i) < out_d.(i - 1) then ok := false
+        done;
+        for v = 0 to n - 1 do
+          if best.(v) <= bound then begin
+            if not (Int64.equal (Int64.bits_of_float label.(v))
+                      (Int64.bits_of_float best.(v)))
+            then ok := false;
+            (* Walk up to the root, then sum the weights back down. *)
+            let rec chain x acc steps =
+              if steps > n then None
+              else
+                match parent.(x) with
+                | -1 -> Some (x, acc)
+                | p when p >= 0 -> chain p (x :: acc) (steps + 1)
+                | _ -> None
+            in
+            match chain v [] 0 with
+            | None -> ok := false
+            | Some (root, down) ->
+                let sum, _ =
+                  List.fold_left
+                    (fun (sum, prev) x -> (sum +. weight prev x, x))
+                    (0.0, root) down
+                in
+                if (not (Array.mem root srcs)) || sum <> label.(v) then
+                  ok := false
+          end
+          else if not (Float.is_nan label.(v)) then ok := false
+        done
+      done;
+      (* An out-of-range source and each short buffer are rejected. *)
+      let rejects f =
+        try
+          ignore (f ());
+          false
+        with Invalid_argument _ -> true
+      in
+      let short = Array.make (n - 1) 0 and short_d = Array.make (n - 1) 0.0 in
+      let multi ?(out_v = out_v) ?(out_d = out_d) ?(out_p = out_p) srcs () =
+        Dijkstra.within_multi_csr_into ws c ~srcs ~bound:1.0 ~out_v ~out_d
+          ~out_p
+      in
+      !ok
+      && rejects (multi [| n |])
+      && rejects (multi [| -1 |])
+      && rejects (multi ~out_v:short [| 0 |])
+      && rejects (multi ~out_d:short_d [| 0 |])
+      && rejects (multi ~out_p:short [| 0 |]))
+
 (* ------------------------------------------------------------------ *)
 (* Determinism: parallel build bit-identical to sequential             *)
 (* ------------------------------------------------------------------ *)
@@ -411,6 +506,7 @@ let () =
         [
           prop_workspace_agrees;
           prop_within_into_agrees;
+          prop_multi_forest;
           prop_plain_entries_keep_domain_tree;
         ] );
       ( "determinism",
