@@ -24,8 +24,7 @@ let save ~path ~events engine =
 let load = Io.load_checkpoint
 let cursor ck = (ck.Io.ck_epoch, ck.Io.ck_events)
 
-let restore ?backend ?gray ?rebuild_threshold ?pipeline_min_edges ?history
-    ?clock ~params ck =
+let restore ?backend ?clock ~params ck =
   let snap =
     {
       Engine.snap_epoch = ck.Io.ck_epoch;
@@ -40,5 +39,4 @@ let restore ?backend ?gray ?rebuild_threshold ?pipeline_min_edges ?history
       snap_dirty = [||];
     }
   in
-  Engine.restore ?backend ?gray ?rebuild_threshold ?pipeline_min_edges
-    ?history ?clock ~params snap
+  Engine.restore ?backend ?clock ~params snap

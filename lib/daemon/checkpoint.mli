@@ -24,18 +24,13 @@ val load : string -> Ubg.Io.checkpoint
     on resume. *)
 val cursor : Ubg.Io.checkpoint -> int * int
 
-(** [restore ?backend ?gray ?rebuild_threshold ?pipeline_min_edges
-    ?history ?clock ~params ck] rebuilds a live engine from a loaded
-    checkpoint via {!Dynamic.Engine.restore} (which re-certifies — a
-    corrupt checkpoint raises [Failure]). Optional arguments are
+(** [restore ?backend ?clock ~params ck] rebuilds a live engine from a
+    loaded checkpoint via {!Dynamic.Engine.restore} (which re-certifies
+    — a corrupt checkpoint raises [Failure]). [backend] and [clock] are
     engine configuration, not state; pass the same values the original
     daemon ran with. *)
 val restore :
   ?backend:Spanner.Backend.t ->
-  ?gray:Ubg.Gray_zone.t ->
-  ?rebuild_threshold:float ->
-  ?pipeline_min_edges:int ->
-  ?history:int ->
   ?clock:(unit -> float) ->
   params:Topo.Params.t ->
   Ubg.Io.checkpoint ->

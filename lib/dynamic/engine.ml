@@ -61,14 +61,12 @@ type t = {
   backend_incremental : bool;  (* true also when backend = None *)
   gray : Ubg.Gray_zone.t;
   rebuild_threshold : float;
-  pipeline_min_edges : int;
-  history : int;
   clock : unit -> float;
   pop : Population.t;
   mutable ubg : Wgraph.t;  (* capacity-indexed; dead slots isolated *)
   mutable spanner : Wgraph.t;
   mutable epoch : int;
-  mutable snaps : snapshot list;  (* newest first, <= history long *)
+  mutable snaps : snapshot list;  (* newest first, <= [history] long *)
   mutable last_rebuild : float;
   mutable n_incremental : int;
   mutable n_rebuilds : int;
@@ -214,6 +212,13 @@ let certify t =
 
 let certifies t stretch = stretch <= t.params.Params.t +. 1e-9
 
+(* Snapshots kept for [diff] and [rollback]. *)
+let history = 4
+
+(* Dirty bins with fewer edges take the per-edge greedy rule, which is
+   exact; denser ones are worth the sub-instance extraction. *)
+let pipeline_min_edges = 16
+
 let restore_from t snap =
   Population.restore t.pop ~points:snap.snap_points ~alive:snap.snap_alive;
   t.ubg <- Csr.to_wgraph snap.snap_ubg;
@@ -270,7 +275,7 @@ let push_snapshot t ~base ~sp ~stretch =
       snap_dirty;
     }
   in
-  t.snaps <- snap :: take (t.history - 1) t.snaps
+  t.snaps <- snap :: take (history - 1) t.snaps
 
 let rollback t =
   match t.snaps with
@@ -402,7 +407,7 @@ let apply_batch_impl t (events : Churn.event array) =
         Array.iteri
           (fun i edges ->
             if Array.length edges > 0 then
-              if i = 0 || Array.length edges < t.pipeline_min_edges then
+              if i = 0 || Array.length edges < pipeline_min_edges then
                 greedy_repair t ws edges
               else pipeline_repair t ~dmin ~bins i edges)
           binned
@@ -490,44 +495,49 @@ let replay t (trace : Churn.trace) ~f =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ?backend ?(gray = Ubg.Gray_zone.Keep_all)
-    ?(rebuild_threshold = 0.3) ?(pipeline_min_edges = 16) ?(history = 4)
-    ?(clock = Sys.time) ~params model =
+(* The record [create] and [restore] both start from, with the one
+   validation of their configuration. The gray-zone policy and the
+   rebuild threshold are configuration, not state: a restored engine
+   runs with the defaults, so only [create] can pass a bad threshold. *)
+let make ?backend ?(gray = Ubg.Gray_zone.Keep_all) ?(rebuild_threshold = 0.3)
+    ~clock ~params ~pop ~ubg ~spanner ~epoch () =
   if rebuild_threshold <= 0.0 || rebuild_threshold > 1.0 then
     invalid_arg "Engine.create: rebuild_threshold must be in (0, 1]";
-  if pipeline_min_edges < 1 then
-    invalid_arg "Engine.create: pipeline_min_edges must be >= 1";
-  if history < 2 then invalid_arg "Engine.create: history must be >= 2";
   let backend_incremental =
     match backend with
     | None -> true
     | Some b -> (Spanner.Backend.capabilities b).Spanner.Backend.incremental
   in
-  let t0 = clock () in
-  let spanner0 = construct ~backend ~params model in
-  let build_seconds = clock () -. t0 in
+  {
+    params;
+    backend;
+    backend_incremental;
+    gray;
+    rebuild_threshold;
+    clock;
+    pop;
+    ubg;
+    spanner;
+    epoch;
+    snaps = [];
+    last_rebuild = 0.0;
+    n_incremental = 0;
+    n_rebuilds = 0;
+    n_cert_failures = 0;
+    epoch_hooks = [];
+  }
+
+let create ?backend ?gray ?rebuild_threshold ?(clock = Sys.time) ~params model
+    =
   let t =
-    {
-      params;
-      backend;
-      backend_incremental;
-      gray;
-      rebuild_threshold;
-      pipeline_min_edges;
-      history;
-      clock;
-      pop = Population.of_points model.Model.points;
-      ubg = Wgraph.copy model.Model.graph;
-      spanner = spanner0;
-      epoch = 0;
-      snaps = [];
-      last_rebuild = build_seconds;
-      n_incremental = 0;
-      n_rebuilds = 0;
-      n_cert_failures = 0;
-      epoch_hooks = [];
-    }
+    make ?backend ?gray ?rebuild_threshold ~clock ~params
+      ~pop:(Population.of_points model.Model.points)
+      ~ubg:(Wgraph.copy model.Model.graph) ~spanner:(Wgraph.create 0) ~epoch:0
+      ()
   in
+  let t0 = clock () in
+  t.spanner <- construct ~backend ~params model;
+  t.last_rebuild <- clock () -. t0;
   let base, sp, stretch = certify t in
   if not (certifies t stretch) then
     failwith
@@ -542,14 +552,7 @@ let create ?backend ?(gray = Ubg.Gray_zone.Keep_all)
 
 let export_state = latest
 
-let restore ?backend ?(gray = Ubg.Gray_zone.Keep_all)
-    ?(rebuild_threshold = 0.3) ?(pipeline_min_edges = 16) ?(history = 4)
-    ?(clock = Sys.time) ~params snap =
-  if rebuild_threshold <= 0.0 || rebuild_threshold > 1.0 then
-    invalid_arg "Engine.restore: rebuild_threshold must be in (0, 1]";
-  if pipeline_min_edges < 1 then
-    invalid_arg "Engine.restore: pipeline_min_edges must be >= 1";
-  if history < 2 then invalid_arg "Engine.restore: history must be >= 2";
+let restore ?backend ?(clock = Sys.time) ~params snap =
   let cap = Array.length snap.snap_points in
   if
     Array.length snap.snap_alive <> cap
@@ -558,34 +561,13 @@ let restore ?backend ?(gray = Ubg.Gray_zone.Keep_all)
   then failwith "Engine.restore: snapshot arrays disagree on capacity";
   if not (Array.exists Fun.id snap.snap_alive) then
     failwith "Engine.restore: snapshot has no alive slot";
-  let backend_incremental =
-    match backend with
-    | None -> true
-    | Some b -> (Spanner.Backend.capabilities b).Spanner.Backend.incremental
-  in
   let pop = Population.of_points snap.snap_points in
   Population.restore pop ~points:snap.snap_points ~alive:snap.snap_alive;
   let t =
-    {
-      params;
-      backend;
-      backend_incremental;
-      gray;
-      rebuild_threshold;
-      pipeline_min_edges;
-      history;
-      clock;
-      pop;
-      ubg = Csr.to_wgraph snap.snap_ubg;
-      spanner = Csr.to_wgraph snap.snap_spanner;
-      epoch = snap.snap_epoch;
-      snaps = [];
-      last_rebuild = 0.0;
-      n_incremental = 0;
-      n_rebuilds = 0;
-      n_cert_failures = 0;
-      epoch_hooks = [];
-    }
+    make ?backend ~clock ~params ~pop
+      ~ubg:(Csr.to_wgraph snap.snap_ubg)
+      ~spanner:(Csr.to_wgraph snap.snap_spanner)
+      ~epoch:snap.snap_epoch ()
   in
   (* Re-certify rather than trust the recorded stretch: a corrupt or
      hand-edited checkpoint must not become a serving engine. *)

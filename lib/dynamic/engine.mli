@@ -89,10 +89,9 @@ type report = {
 
 type t
 
-(** [create ?backend ?gray ?rebuild_threshold ?pipeline_min_edges
-    ?history ?clock ~params model] builds the initial spanner,
-    certifies it, and snapshots epoch 0. [params] must match the
-    model's alpha and dimension.
+(** [create ?backend ?gray ?rebuild_threshold ?clock ~params model]
+    builds the initial spanner, certifies it, and snapshots epoch 0.
+    [params] must match the model's alpha and dimension.
 
     [backend] selects the construction strategy. Omitted, the engine
     runs exactly its historic path: {!Topo.Relaxed_greedy.build} plus
@@ -110,17 +109,16 @@ type t
 
     [gray] (default [Keep_all]) re-decides gray-zone pairs incident to
     joined or moved nodes. [rebuild_threshold] (default [0.3]) is the
-    dirty fraction above which a batch falls back to a full rebuild.
-    [pipeline_min_edges] (default [16]) is the smallest dirty bin worth
-    the sub-instance extraction; sparser bins use the per-edge greedy
-    rule, which is exact. [history] (default [4], min 2) bounds the
-    snapshot list. [clock] (default [Sys.time]) times repairs. *)
+    dirty fraction above which a batch falls back to a full rebuild;
+    [Invalid_argument] unless it lies in [(0, 1]]. Dirty bins of at
+    least 16 edges are repaired by sub-instance extraction; sparser
+    bins use the per-edge greedy rule, which is exact. The snapshot
+    list keeps the 4 newest epochs. [clock] (default [Sys.time]) times
+    repairs. *)
 val create :
   ?backend:Spanner.Backend.t ->
   ?gray:Ubg.Gray_zone.t ->
   ?rebuild_threshold:float ->
-  ?pipeline_min_edges:int ->
-  ?history:int ->
   ?clock:(unit -> float) ->
   params:Topo.Params.t ->
   Ubg.Model.t ->
@@ -169,7 +167,7 @@ val counters : t -> int * int * int
 
 (** {2 Snapshots} *)
 
-(** Newest first; length bounded by [history]. *)
+(** Newest first; at most the 4 newest epochs. *)
 val snapshots : t -> snapshot list
 
 val latest : t -> snapshot
@@ -204,17 +202,17 @@ val rollback : t -> unit
 (** [export_state t] is {!latest}[ t] — the certified state to persist. *)
 val export_state : t -> snapshot
 
-(** [restore ?backend ?gray ?rebuild_threshold ?pipeline_min_edges
-    ?history ?clock ~params snap] reconstructs an engine positioned at
-    [snap]'s epoch without rebuilding the spanner: the population,
-    α-UBG and spanner are thawed from the snapshot, re-certified (a
-    corrupt or mismatched checkpoint raises [Failure]), and pushed as
-    the engine's only snapshot. Subsequent {!apply_batch} calls produce
+(** [restore ?backend ?clock ~params snap] reconstructs an engine
+    positioned at [snap]'s epoch without rebuilding the spanner: the
+    population, α-UBG and spanner are thawed from the snapshot,
+    re-certified (a corrupt or mismatched checkpoint raises
+    [Failure]), and pushed as the engine's only snapshot. Subsequent {!apply_batch} calls produce
     bit-identical epochs to an uninterrupted engine that reached
     [snap]'s epoch the long way — the resume guarantee the daemon's
-    kill/restart test pins. Optional arguments mean what they mean in
-    {!create}; they are configuration, not state, and must be re-given
-    on restore.
+    kill/restart test pins. [backend] and [clock] mean what they mean
+    in {!create}; they are configuration, not state, and must be
+    re-given on restore. A restored engine runs with {!create}'s
+    default gray-zone policy and rebuild threshold.
 
     {!on_epoch} hooks are configuration too, not state: a restored
     engine starts with {e no} registered hooks, exactly like a fresh
@@ -228,10 +226,6 @@ val export_state : t -> snapshot
     a from-scratch publication. *)
 val restore :
   ?backend:Spanner.Backend.t ->
-  ?gray:Ubg.Gray_zone.t ->
-  ?rebuild_threshold:float ->
-  ?pipeline_min_edges:int ->
-  ?history:int ->
   ?clock:(unit -> float) ->
   params:Topo.Params.t ->
   snapshot ->

@@ -345,7 +345,8 @@ let ws_parent ws v = if ws.stamp.(v) = ws.epoch then ws.par.(v) else -1
 (* Every source seeded at distance 0, so one settle grows the whole
    forest: each vertex within [bound] of some source hangs off the
    nearest one, and a parent always settles before its child. This is
-   the oracle's cluster forest. *)
+   the oracle's cluster forest, and from one source each row of its
+   center-graph tables. *)
 let within_multi_csr_into ws c ~srcs ~bound ~out_v ~out_d ~out_p =
   let n = Csr.n_vertices c in
   if Array.length out_v < n || Array.length out_d < n || Array.length out_p < n

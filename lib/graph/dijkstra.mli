@@ -13,8 +13,9 @@
       early-exit targets and optional tree parents, and stops once the
       frontier exceeds the bound or the last target is popped: cluster
       balls (Section 2.2.1), exact near-pair distances and routes, the
-      oracle's cluster forest, and certification, which searches once
-      per source up to its farthest base neighbour;
+      oracle's cluster forest and its center-graph rows, and
+      certification, which searches once per source up to its farthest
+      base neighbour;
     - the {b hop-bounded} search behind {!hop_bounded_distance},
       {!hop_bounded_distance_csr} and {!hop_bounded_distance_csr_ws}:
       query answering on the cluster graph (Lemma 8).
@@ -168,7 +169,9 @@ val ws_parent : workspace -> int -> int
     down its tree, and every parent chain ends at a source after edges
     that sum, from that source, to the label. Duplicate sources are
     fine; an empty [srcs] settles nothing. This is the oracle's cluster
-    forest ([Oracle.Dist]). Raises [Invalid_argument] on an
+    forest ([Oracle.Dist]) and, from a single center with bound
+    [infinity] over the center graph, each row of its distance and
+    first-hop tables. Raises [Invalid_argument] on an
     out-of-range source, or when a buffer is shorter than
     [Csr.n_vertices c]. *)
 val within_multi_csr_into :

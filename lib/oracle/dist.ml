@@ -1,4 +1,5 @@
 module Csr = Graph.Csr
+module Wgraph = Graph.Wgraph
 module Dijkstra = Graph.Dijkstra
 module Pool = Parallel.Pool
 
@@ -6,10 +7,9 @@ module Pool = Parallel.Pool
    vertex ids) index every k-sized table; [dmat] / [next_center] are
    k x k row-major. The clusters are the trees of one shortest-path
    forest grown from every center at once, so [up] chains stay inside
-   their cluster. The center graph H keeps its own CSR-style arrays
-   so each H edge can carry its portal (the crossing spanner edge the
-   route expansion threads through) — [Graph.Csr] has no edge
-   payloads. *)
+   their cluster. The portal table is three parallel arrays sorted by
+   center pair, so the route expansion finds the spanner edge behind
+   each center-graph hop by binary search. *)
 type t = {
   csr : Csr.t;
   eps : float;
@@ -22,10 +22,9 @@ type t = {
   up : int array; (* vertex -> forest parent toward own center, -1 at centers *)
   dmat : float array; (* k*k center-graph distances *)
   next_center : int array; (* k*k first center hop, -1 = unreachable *)
-  h_off : int array; (* k+1: center graph adjacency offsets *)
-  h_dst : int array;
-  h_px : int array; (* portal endpoint inside the source cluster *)
-  h_py : int array; (* portal endpoint inside the destination cluster *)
+  portal_key : int array; (* sorted adjacent pairs, a * k + b with a < b *)
+  portal_lo : int array; (* portal endpoint inside cluster a *)
+  portal_hi : int array; (* portal endpoint inside cluster b *)
   build_seconds : float;
 }
 
@@ -55,8 +54,8 @@ let stats t =
       Array.length t.centers + Array.length t.center_ix
       + Array.length t.dist_to_center + Array.length t.up
       + Array.length t.dmat + Array.length t.next_center
-      + Array.length t.h_off + Array.length t.h_dst + Array.length t.h_px
-      + Array.length t.h_py;
+      + Array.length t.portal_key + Array.length t.portal_lo
+      + Array.length t.portal_hi;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -85,32 +84,26 @@ let m_query_latency =
 (* Build                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let cluster_cap ?max_clusters n =
-  match max_clusters with
-  | Some k when k >= 1 -> k
-  | Some _ -> invalid_arg "Oracle.build: max_clusters must be >= 1"
-  | None -> max 16 (int_of_float (4.0 *. sqrt (float_of_int n)))
+let cluster_cap n = max 16 (int_of_float (4.0 *. sqrt (float_of_int n)))
 
 (* Pick the centers by radius doubling: start at four mean edge weights
    and double until the greedy cover fits under the cluster cap, so k
-   stays O(max_clusters) whatever the weight scale. Everything is a
-   pure function of the snapshot — no randomness, no schedule
-   dependence. *)
-let find_cover j ~max_clusters =
-  let m = Csr.n_edges j in
+   stays O(sqrt n) whatever the weight scale. Everything is a pure
+   function of the snapshot — no randomness, no schedule dependence. *)
+let find_cover j =
+  let n = Csr.n_vertices j and m = Csr.n_edges j in
   let mean_w = if m = 0 then 0.0 else Csr.total_weight j /. float_of_int m in
+  let greedy rho max_clusters =
+    Topo.Cluster_cover.compute_csr_limited j ~radius:rho ~max_clusters
+      ~covered:(Array.make n false)
+  in
   let rec attempt rho attempts =
     if attempts = 60 then
       (* Radius exceeds the total edge weight: clusters are whole
          components and the count cannot shrink further — accept. *)
-      ( Option.get
-          (Topo.Cluster_cover.compute_csr_limited j ~radius:rho
-             ~max_clusters:max_int),
-        rho )
+      (Option.get (greedy rho max_int), rho)
     else
-      match
-        Topo.Cluster_cover.compute_csr_limited j ~radius:rho ~max_clusters
-      with
+      match greedy rho (cluster_cap n) with
       | Some centers -> (centers, rho)
       | None -> attempt (rho *. 2.0) (attempts + 1)
   in
@@ -151,160 +144,72 @@ let grow_forest j ~centers ~radius =
    snapshot's edges (deterministic u < v lexicographic order) for
    cluster-crossing ones — each adjacent cluster pair keeps the
    crossing edge minimizing d(a,x) + w + d(y,b) as its portal, ties to
-   the first in scan order — then counting-sort both directions into
-   CSR form and run the k single-source searches that fill [dmat] and
-   [next_center]. Everything here is a pure function of
-   (j, center_ix, dist_to_center); rows are slot-disjoint on the pool,
-   so the tables are bit-identical for every pool size. *)
+   the first in scan order — then join each pair by one edge of that
+   cost in the k-vertex center graph H and fill each row of [dmat] and
+   [next_center] from one single-source search over it. Everything
+   here is a pure function of (j, center_ix, dist_to_center); rows are
+   slot-disjoint on the pool, so the tables are bit-identical for every
+   pool size. *)
 let center_tables j ~k ~center_ix ~dist_to_center =
   (* Keys are flattened center pairs ([a * k + b], [a < b]): int
      hashing and equality, no tuple allocated per crossing edge. *)
-  let h_edges = Hashtbl.create (4 * k) in
-  let h_order = ref [] in
+  let best = Hashtbl.create (4 * k) in
   Csr.iter_edges j (fun x y w ->
       let cx = center_ix.(x) and cy = center_ix.(y) in
       if cx >= 0 && cy >= 0 && cx <> cy then begin
         let key = if cx < cy then (cx * k) + cy else (cy * k) + cx in
-        let px, py = if cx < cy then (x, y) else (y, x) in
+        let lo, hi = if cx < cy then (x, y) else (y, x) in
         let cost = dist_to_center.(x) +. w +. dist_to_center.(y) in
-        match Hashtbl.find_opt h_edges key with
-        | None ->
-            Hashtbl.add h_edges key (cost, px, py);
-            h_order := key :: !h_order
-        | Some (best, _, _) ->
-            if cost < best then Hashtbl.replace h_edges key (cost, px, py)
+        match Hashtbl.find_opt best key with
+        | Some (c, _, _) when not (cost < c) -> ()
+        | _ -> Hashtbl.replace best key (cost, lo, hi)
       end);
-  let h_list = Array.of_list (List.rev !h_order) in
-  let deg = Array.make (k + 1) 0 in
-  Array.iter
-    (fun key ->
-      deg.(key / k) <- deg.(key / k) + 1;
-      deg.(key mod k) <- deg.(key mod k) + 1)
-    h_list;
-  let h_off = Array.make (k + 1) 0 in
-  for i = 0 to k - 1 do
-    h_off.(i + 1) <- h_off.(i) + deg.(i)
-  done;
-  let total = h_off.(k) in
-  let h_dst = Array.make total 0 in
-  let h_wgt = Array.make total 0.0 in
-  let h_px = Array.make total 0 in
-  let h_py = Array.make total 0 in
-  let cursor = Array.copy h_off in
-  Array.iter
-    (fun key ->
-      let a = key / k and b = key mod k in
-      let cost, px, py = Hashtbl.find h_edges key in
-      let ia = cursor.(a) in
-      cursor.(a) <- ia + 1;
-      h_dst.(ia) <- b;
-      h_wgt.(ia) <- cost;
-      h_px.(ia) <- px;
-      h_py.(ia) <- py;
-      let ib = cursor.(b) in
-      cursor.(b) <- ib + 1;
-      h_dst.(ib) <- a;
-      h_wgt.(ib) <- cost;
-      h_px.(ib) <- py;
-      h_py.(ib) <- px)
-    h_list;
-  (* APSP over H fills the distance matrix and the first-hop table.
-     H is tiny (k a few hundred, a handful of edges per center), so
-     the generic workspace Dijkstra's per-source constant — closure
-     per edge, stamped reads, checked heap ops — dominates the k
-     searches; a specialized loop over the flat H arrays with an
-     inline lazy-deletion binary heap is ~5x cheaper and this stage
-     is the bulk of every repair. Each row doubles as its own dist
-     array. Distances are unique shortest-path sums, so [dmat] is
-     bit-identical to the generic version's; pops come off the heap
-     in nondecreasing key order and H costs are strictly positive, so
-     a parent always settles strictly before its children and the
-     first hop can be read off the parent chain at settle time. *)
+  let portal_key = Array.of_seq (Hashtbl.to_seq_keys best) in
+  Array.sort Int.compare portal_key;
+  let m = Array.length portal_key in
+  let portal_lo = Array.make m 0 and portal_hi = Array.make m 0 in
+  let h = Wgraph.create k in
+  Array.iteri
+    (fun i key ->
+      let cost, lo, hi = Hashtbl.find best key in
+      portal_lo.(i) <- lo;
+      portal_hi.(i) <- hi;
+      Wgraph.add_edge h (key / k) (key mod k) cost)
+    portal_key;
+  let h = Csr.of_wgraph h in
+  (* A popped label is final whatever the tie order, so each row is
+     bit for bit the center-graph distance. A parent settles before its
+     child, so the first hop toward each center is read off its
+     parent's, in settle order. *)
   let dmat = Array.make (k * k) infinity in
   let next_center = Array.make (k * k) (-1) in
   Pool.iter_chunks k (fun lo hi ->
-      (* One push per improvement and each directed edge improves its
-         head at most once, so [total + 1] slots bound the heap. *)
-      let cap = total + 1 in
-      let hp_v = Array.make cap 0 in
-      let hp_d = Array.make cap 0.0 in
-      let par = Array.make k (-1) in
-      let settled = Array.make k false in
-      (* Loop cursors hoisted out of the hot loops: a ref allocated
-         per pop/push is minor-GC churn the APSP can feel. *)
-      let hn = ref 0 and i = ref 0 and s = ref 0 and sifting = ref false in
+      let ws = Dijkstra.domain_workspace () in
+      let src = [| 0 |] in
+      let out_v = Array.make k 0 and out_d = Array.make k 0.0 in
+      let out_p = Array.make k 0 in
       for a = lo to hi - 1 do
         let row = a * k in
-        Array.fill settled 0 k false;
-        dmat.(row + a) <- 0.0;
-        hp_v.(0) <- a;
-        hp_d.(0) <- 0.0;
-        hn := 1;
-        while !hn > 0 do
-          let u = hp_v.(0) and du = hp_d.(0) in
-          let last = !hn - 1 in
-          hp_v.(0) <- hp_v.(last);
-          hp_d.(0) <- hp_d.(last);
-          hn := last;
-          i := 0;
-          sifting := last > 1;
-          while !sifting do
-            let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-            s := !i;
-            if l < last && hp_d.(l) < hp_d.(!s) then s := l;
-            if r < last && hp_d.(r) < hp_d.(!s) then s := r;
-            if !s = !i then sifting := false
-            else begin
-              let tv = hp_v.(!i) and td = hp_d.(!i) in
-              hp_v.(!i) <- hp_v.(!s);
-              hp_d.(!i) <- hp_d.(!s);
-              hp_v.(!s) <- tv;
-              hp_d.(!s) <- td;
-              i := !s
-            end
-          done;
-          (* Stale entries (improved after push) pop after the fresh
-             one that superseded them; the settled flag skips them. *)
-          if not settled.(u) then begin
-            settled.(u) <- true;
-            (if u <> a then
-               let p = par.(u) in
-               next_center.(row + u) <-
-                 (if p = a then u else next_center.(row + p)));
-            for e = h_off.(u) to h_off.(u + 1) - 1 do
-              let v = h_dst.(e) in
-              let dv = du +. h_wgt.(e) in
-              if dv < dmat.(row + v) then begin
-                dmat.(row + v) <- dv;
-                par.(v) <- u;
-                i := !hn;
-                hn := !hn + 1;
-                while
-                  !i > 0
-                  &&
-                  let up = (!i - 1) / 2 in
-                  dv < hp_d.(up)
-                do
-                  let up = (!i - 1) / 2 in
-                  hp_v.(!i) <- hp_v.(up);
-                  hp_d.(!i) <- hp_d.(up);
-                  i := up
-                done;
-                hp_v.(!i) <- v;
-                hp_d.(!i) <- dv
-              end
-            done
-          end
+        src.(0) <- a;
+        let cnt =
+          Dijkstra.within_multi_csr_into ws h ~srcs:src ~bound:infinity ~out_v
+            ~out_d ~out_p
+        in
+        for i = 0 to cnt - 1 do
+          let b = out_v.(i) and p = out_p.(i) in
+          dmat.(row + b) <- out_d.(i);
+          if p >= 0 then
+            next_center.(row + b) <- (if p = a then b else next_center.(row + p))
         done
       done);
-  (h_off, h_dst, h_px, h_py, dmat, next_center)
+  (portal_key, portal_lo, portal_hi, dmat, next_center)
 
 (* The tables both [build] and [repair] end with, from the centers and
    their forest. *)
 let assemble j ~t0 ~eps ~radius ~near_bound ~centers
     (center_ix, dist_to_center, up) =
   let k = Array.length centers in
-  let h_off, h_dst, h_px, h_py, dmat, next_center =
+  let portal_key, portal_lo, portal_hi, dmat, next_center =
     center_tables j ~k ~center_ix ~dist_to_center
   in
   {
@@ -319,18 +224,16 @@ let assemble j ~t0 ~eps ~radius ~near_bound ~centers
     up;
     dmat;
     next_center;
-    h_off;
-    h_dst;
-    h_px;
-    h_py;
+    portal_key;
+    portal_lo;
+    portal_hi;
     build_seconds = Unix.gettimeofday () -. t0;
   }
 
-let build ?(eps = 0.5) ?max_clusters j =
+let build ?(eps = 0.5) j =
   if not (eps > 0.0) then invalid_arg "Oracle.build: eps must be > 0";
   let t0 = Unix.gettimeofday () in
-  let max_clusters = cluster_cap ?max_clusters (Csr.n_vertices j) in
-  let centers, radius = find_cover j ~max_clusters in
+  let centers, radius = find_cover j in
   let near_bound =
     if centers = [||] then 0.0 else 4.0 *. radius *. (1.0 +. (1.0 /. eps))
   in
@@ -341,13 +244,13 @@ let build ?(eps = 0.5) ?max_clusters j =
   Obs.Metrics.incr m_builds;
   t
 
-let build ?eps ?max_clusters j =
-  if not (Obs.Control.enabled ()) then build ?eps ?max_clusters j
+let build ?eps j =
+  if not (Obs.Control.enabled ()) then build ?eps j
   else begin
     let info = ref [] in
     Obs.Trace.span ~cat:"oracle" ~args:(fun () -> !info) "oracle.build"
       (fun () ->
-        let t = build ?eps ?max_clusters j in
+        let t = build ?eps j in
         info :=
           [
             ("n", float_of_int (Csr.n_vertices j));
@@ -369,28 +272,6 @@ type repair_result = {
   affected_clusters : int;
   repair_seconds : float;
 }
-
-(* A live vertex the forest left unassigned is farther than the radius
-   from every center: exactly where a scratch greedy would start a
-   cluster. Mint centers there in id order, each claiming its radius
-   ball as the greedy would, so every live vertex ends within the
-   radius of a kept or minted center. *)
-let mint j ~radius ~center_ix =
-  let n = Csr.n_vertices j in
-  let claimed = Array.map (fun ix -> ix >= 0) center_ix in
-  let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
-  let ws = Dijkstra.domain_workspace () in
-  let minted = ref [] in
-  for v = 0 to n - 1 do
-    if (not claimed.(v)) && Csr.degree j v > 0 then begin
-      minted := v :: !minted;
-      let cnt = Dijkstra.within_csr_into ws j v ~bound:radius ~out_v ~out_d in
-      for i = 0 to cnt - 1 do
-        claimed.(out_v.(i)) <- true
-      done
-    end
-  done;
-  Array.of_list (List.rev !minted)
 
 (* Clusters, named by center vertex, that gained, lost or moved a
    member between [prev] and the new assignment. *)
@@ -427,13 +308,17 @@ let count_affected ~prev ~centers ~center_ix ~dist_to_center =
    cover, or minting overflowing the cluster cap — repair falls back
    to a scratch [build] (mirroring the engine's own rebuild fallback)
    and says why in [fallback]. *)
-let repair_impl ?max_clusters ~prev ~dirty j =
+let repair_impl ~prev ~dirty j =
   let t0 = Unix.gettimeofday () in
   let n = Csr.n_vertices j in
+  Array.iter
+    (fun d ->
+      if d < 0 || d >= n then invalid_arg "Oracle.repair: dirty out of range")
+    dirty;
   let k = prev.k in
   let scratch reason =
     Obs.Metrics.incr m_repair_fallbacks;
-    let oracle = build ~eps:prev.eps ?max_clusters j in
+    let oracle = build ~eps:prev.eps j in
     {
       oracle;
       repaired = false;
@@ -468,10 +353,6 @@ let repair_impl ?max_clusters ~prev ~dirty j =
     scratch "radius_drift"
   else if 4 * Array.length dirty > n then scratch "dirty_fraction"
   else begin
-    Array.iter
-      (fun d ->
-        if d < 0 || d >= n then invalid_arg "Oracle.repair: dirty out of range")
-      dirty;
     if dirty = [||] then begin
       (* Nothing changed; the previous oracle is valid as-is, but
          re-point it at the new snapshot so near queries search the
@@ -498,8 +379,19 @@ let repair_impl ?max_clusters ~prev ~dirty j =
           (Seq.filter (fun c -> Csr.degree j c > 0) (Array.to_seq prev.centers))
       in
       let ((center_ix, _, _) as forest) = grow_forest j ~centers:kept ~radius in
+      (* A live vertex the forest left unassigned is farther than the
+         radius from every kept center: exactly where a scratch greedy
+         would start a cluster. The cover's greedy mints centers there,
+         so every live vertex ends within the radius of a kept or
+         minted center. *)
+      let minted =
+        Option.get
+          (Topo.Cluster_cover.compute_csr_limited j ~radius
+             ~max_clusters:max_int
+             ~covered:(Array.map (fun ix -> ix >= 0) center_ix))
+      in
       let centers, forest =
-        match mint j ~radius ~center_ix with
+        match minted with
         | [||] -> (kept, forest)
         | minted ->
             let centers = Array.append kept minted in
@@ -510,7 +402,7 @@ let repair_impl ?max_clusters ~prev ~dirty j =
         count_affected ~prev ~centers ~center_ix ~dist_to_center
       in
       if 4 * affected > k then scratch "affected_fraction"
-      else if Array.length centers > max (cluster_cap ?max_clusters n) k then
+      else if Array.length centers > max (cluster_cap n) k then
         scratch "cluster_overflow"
       else begin
         (* A build's near bound [4r(1 + 1/eps)] is exactly tight: far
@@ -532,13 +424,13 @@ let repair_impl ?max_clusters ~prev ~dirty j =
     end
   end
 
-let repair ?max_clusters ~prev ~dirty j =
-  if not (Obs.Control.enabled ()) then repair_impl ?max_clusters ~prev ~dirty j
+let repair ~prev ~dirty j =
+  if not (Obs.Control.enabled ()) then repair_impl ~prev ~dirty j
   else begin
     let info = ref [] in
     Obs.Trace.span ~cat:"oracle" ~args:(fun () -> !info) "oracle.repair"
       (fun () ->
-        let r = repair_impl ?max_clusters ~prev ~dirty j in
+        let r = repair_impl ~prev ~dirty j in
         info :=
           [
             ("n", float_of_int (Csr.n_vertices j));
@@ -683,6 +575,17 @@ let emit_descent t qws x =
     push qws qws.stack.(i)
   done
 
+(* Slot of the adjacent center pair {a, b} in the portal table. The
+   pair is always present: the center chain only follows H edges. *)
+let portal_index t a b =
+  let key = if a < b then (a * t.k) + b else (b * t.k) + a in
+  let lo = ref 0 and hi = ref (Array.length t.portal_key) in
+  while !hi - !lo > 1 do
+    let mid = (!lo + !hi) / 2 in
+    if t.portal_key.(mid) <= key then lo := mid else hi := mid
+  done;
+  !lo
+
 (* Rebuild the cached route from [src]. Near pairs route on the exact
    shortest path (parents search from [dst], so each vertex's parent
    IS its next hop toward [dst]); far pairs ascend to the source's
@@ -724,17 +627,17 @@ let compute_route t qws src dst =
           v := t.up.(!v);
           push qws !v
         done;
-        (* Center chain, expanding each H edge through its portal. *)
+        (* Center chain, expanding each H edge through its portal:
+           [x] in the current cluster, [y] in the next one. *)
         let a = ref cu in
         while !a <> cv do
           let b = t.next_center.((!a * t.k) + cv) in
-          let e = ref t.h_off.(!a) in
-          while t.h_dst.(!e) <> b do
-            incr e
-          done;
-          emit_descent t qws t.h_px.(!e);
-          push qws t.h_py.(!e);
-          let w = ref t.h_py.(!e) in
+          let i = portal_index t !a b in
+          let x = if !a < b then t.portal_lo.(i) else t.portal_hi.(i) in
+          let y = if !a < b then t.portal_hi.(i) else t.portal_lo.(i) in
+          emit_descent t qws x;
+          push qws y;
+          let w = ref y in
           while t.up.(!w) >= 0 do
             w := t.up.(!w);
             push qws !w

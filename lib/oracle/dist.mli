@@ -16,10 +16,18 @@
       pointer). A parent always lies in the same tree, so every
       up-chain stays in its cluster and ends at its own center after
       exactly that distance;
-    - per center pair: the center-graph distance through {e portal}
-      edges (for two adjacent clusters, the crossing spanner edge
-      minimizing [d(a,x) + w(x,y) + d(y,b)]) in a flat [k x k]
-      row-major matrix, plus the first center hop of that path.
+    - per adjacent center pair: its {e portal}, the crossing spanner
+      edge minimizing [d(a,x) + w(x,y) + d(y,b)] (ties to the first in
+      the snapshot's [u < v] edge order). The portal table is three
+      flat arrays sorted by the pair key [a * k + b] ([a < b]): the
+      keys, the endpoint inside cluster [a] and the endpoint inside
+      cluster [b]; a route finds a pair by binary search;
+    - per center pair: the distance in the center graph [H], which
+      joins each adjacent pair by one edge of its portal's cost, in a
+      flat [k x k] row-major matrix, plus the first center hop of that
+      path. [H] is a {!Graph.Csr.t}, and each row is one search of the
+      shared Dijkstra core ({!Graph.Dijkstra.within_multi_csr_into}
+      from that center alone, unbounded).
 
     Every portal cost is the length of a real walk (down one tree,
     across the edge, up the other), so the landmark estimate
@@ -46,7 +54,8 @@
     [u]'s up-chain to its center, walk the center chain through the
     portals, and descend to [v] — a spanner walk of length exactly [L].
     The route tests check this on instances where a fifth of the
-    sampled pairs are far.
+    sampled pairs are far, and a reference test rebuilds every sampled
+    far answer from its own cover, forest and center graph.
 
     The oracle is immutable after {!build}; any number of domains may
     query one concurrently, each through its own {!query_ws}. *)
@@ -55,22 +64,22 @@ type t
 
 (** {1 Building} *)
 
-(** [build ?eps ?max_clusters csr] precomputes an oracle over [csr].
+(** [build ?eps csr] precomputes an oracle over [csr].
 
     [eps > 0] (default [0.5]) is the oracle's advertised slack — it
     only moves the near/far threshold, trading preprocessing-free far
-    answers against exact-search near answers. [max_clusters] (default
-    [4 sqrt n], at least 16) caps the landmark count: the cover radius
-    starts at four times the mean edge weight and doubles until the
-    greedy cover fits, so the [k x k] tables stay compact whatever the
+    answers against exact-search near answers. The landmark count is
+    capped at [4 sqrt n] (at least 16): the cover radius starts at four
+    times the mean edge weight and doubles until the greedy cover fits
+    under the cap, so the [k x k] tables stay compact whatever the
     weight scale. Isolated vertices (dead capacity slots in engine
     snapshots) join no cluster and answer [infinity] / no-route.
 
     The forest is one sequential search; the [k] center-graph
-    searches run on the {!Parallel.Pool} with slot-disjoint rows, so
-    the result is bit-identical for every pool size. Raises
-    [Invalid_argument] on [eps <= 0] or [max_clusters < 1]. *)
-val build : ?eps:float -> ?max_clusters:int -> Graph.Csr.t -> t
+    searches run on the {!Parallel.Pool} in contiguous chunks of rows,
+    each row written by one search, so the result is bit-identical for
+    every pool size. Raises [Invalid_argument] on [eps <= 0]. *)
+val build : ?eps:float -> Graph.Csr.t -> t
 
 (** {1 Incremental repair} *)
 
@@ -84,14 +93,16 @@ type repair_result = {
   repair_seconds : float;  (** wall time, including any fallback build *)
 }
 
-(** [repair ?max_clusters ~prev ~dirty csr] updates [prev] to the new
+(** [repair ~prev ~dirty csr] updates [prev] to the new
     snapshot [csr] without recomputing the cover: it keeps [prev]'s
     centers, radius and eps and regrows the cluster forest over [csr]
     from the centers that are still live (degree > 0). A live vertex
     the forest leaves farther than the radius from every center is
     exactly where a scratch greedy would start a cluster, so repair
-    mints centers there, in id order, each claiming its radius ball as
-    the greedy would, and grows the forest once more. Every live
+    runs the cover's own greedy
+    ({!Topo.Cluster_cover.compute_csr_limited}) over the vertices the
+    kept clusters do not hold: it mints centers there, in id order,
+    each claiming its radius ball, and the forest grows once more. Every live
     vertex then lies within [radius] of its center, and every table
     value is the length of a real walk in [csr], so the repaired
     oracle keeps the contract of a scratch build: it never
@@ -113,8 +124,8 @@ type repair_result = {
     at [csr] (with per-vertex tables grown for new, necessarily
     isolated, slots) and no cluster affected.
 
-    Repair falls back to a scratch {!build} (with [prev]'s [eps] and
-    the given [max_clusters]) when patching is not worth it: the
+    Repair falls back to a scratch {!build} (with [prev]'s [eps]) when
+    patching is not worth it: the
     snapshot capacity shrank, [prev] has no cluster or [csr] no edge,
     the radius-doubling floor [4 x mean edge weight] outgrew [prev]'s
     radius by more than one doubling step, more than a quarter of the
@@ -126,13 +137,8 @@ type repair_result = {
     The forest and the minting are sequential; the center tables are
     pool-parallel with slot-disjoint rows — the result is bit-identical
     for every pool size, like {!build}. Raises [Invalid_argument] when
-    [dirty] contains an out-of-range vertex. *)
-val repair :
-  ?max_clusters:int ->
-  prev:t ->
-  dirty:int array ->
-  Graph.Csr.t ->
-  repair_result
+    [dirty] contains a vertex outside [csr], before any gate runs. *)
+val repair : prev:t -> dirty:int array -> Graph.Csr.t -> repair_result
 
 (** The snapshot the oracle was built over. *)
 val csr : t -> Graph.Csr.t

@@ -37,7 +37,6 @@ let queue_bound = 32
 type t = {
   cell : entry Atomic.t;
   eps : float option;
-  max_clusters : int option;
   label : string;
   g_epoch : Obs.Metrics.gauge;
   g_build : Obs.Metrics.gauge;
@@ -73,10 +72,7 @@ let compute s ~dirty ~epoch csr =
   let oracle =
     match dirty with
     | Some d when epoch = prev.epoch + 1 ->
-        let r =
-          Dist.repair ?max_clusters:s.max_clusters ~prev:prev.oracle ~dirty:d
-            csr
-        in
+        let r = Dist.repair ~prev:prev.oracle ~dirty:d csr in
         if r.Dist.repaired then Atomic.incr s.c_repairs
         else begin
           Atomic.incr s.c_scratch;
@@ -85,7 +81,7 @@ let compute s ~dirty ~epoch csr =
         r.Dist.oracle
     | _ ->
         Atomic.incr s.c_scratch;
-        Dist.build ?eps:s.eps ?max_clusters:s.max_clusters csr
+        Dist.build ?eps:s.eps csr
   in
   Obs.Metrics.set_gauge s.g_build (Unix.gettimeofday () -. t0);
   { epoch; csr; oracle }
@@ -200,13 +196,11 @@ let shutdown s =
 (* Creation                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let create ?eps ?max_clusters ~label ~epoch csr =
+let create ?eps ~label ~epoch csr =
   let s =
     {
-      cell =
-        Atomic.make { epoch; csr; oracle = Dist.build ?eps ?max_clusters csr };
+      cell = Atomic.make { epoch; csr; oracle = Dist.build ?eps csr };
       eps;
-      max_clusters;
       label;
       g_epoch = Obs.Metrics.gauge ("oracle.published_epoch." ^ label);
       g_build = Obs.Metrics.gauge ("oracle.build_seconds." ^ label);
@@ -219,14 +213,12 @@ let create ?eps ?max_clusters ~label ~epoch csr =
   Obs.Metrics.set_gauge s.g_epoch (float_of_int epoch);
   s
 
-let of_csr ?eps ?max_clusters ?(label = "static") csr =
-  create ?eps ?max_clusters ~label ~epoch:0 csr
+let of_csr ?eps ?(label = "static") csr = create ?eps ~label ~epoch:0 csr
 
-let attach ?eps ?max_clusters ?(label = "engine") ?(async = false) engine =
+let attach ?eps ?(label = "engine") ?(async = false) engine =
   let snap = Engine.latest engine in
   let s =
-    create ?eps ?max_clusters ~label ~epoch:snap.Engine.snap_epoch
-      snap.Engine.snap_spanner
+    create ?eps ~label ~epoch:snap.Engine.snap_epoch snap.Engine.snap_spanner
   in
   if async then s.worker <- Some (start_worker s);
   let submit ~epoch ~dirty csr =

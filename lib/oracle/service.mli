@@ -39,13 +39,12 @@ type t
 (** [current s] is the latest published entry — one atomic load. *)
 val current : t -> entry
 
-(** [of_csr ?eps ?max_clusters ?label csr] publishes a static epoch-0
-    entry; the serving cell for workloads without a dynamic engine.
-    [label] (default ["static"]) names the service's gauges. *)
-val of_csr :
-  ?eps:float -> ?max_clusters:int -> ?label:string -> Graph.Csr.t -> t
+(** [of_csr ?eps ?label csr] publishes a static epoch-0 entry; the
+    serving cell for workloads without a dynamic engine. [label]
+    (default ["static"]) names the service's gauges. *)
+val of_csr : ?eps:float -> ?label:string -> Graph.Csr.t -> t
 
-(** [attach ?eps ?max_clusters ?label ?async engine] builds and
+(** [attach ?eps ?label ?async engine] builds and
     publishes an oracle for the engine's current snapshot, then
     registers a {!Dynamic.Engine.on_epoch} hook that constructs and
     republishes after every batch, repairing forward from the
@@ -67,15 +66,14 @@ val of_csr :
     {!flush} to wait for the builder to catch up and {!shutdown} to
     drain and join it.
 
-    [eps] / [max_clusters] are frozen at attach time and passed to
-    every construction; [label] defaults to ["engine"].
+    [eps] is frozen at attach time, so every construction uses it;
+    [label] defaults to ["engine"].
 
     A {!Dynamic.Engine.restore}d engine has no hooks — re-attach (a
     fresh [attach]) after every restore; the first epoch after a
     resume is a scratch build by construction. *)
 val attach :
   ?eps:float ->
-  ?max_clusters:int ->
   ?label:string ->
   ?async:bool ->
   Dynamic.Engine.t ->

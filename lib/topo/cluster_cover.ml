@@ -7,23 +7,7 @@ type t = {
   centers : int array;
   center_of : int array;
   dist_to_center : float array;
-  members : (int, int list) Hashtbl.t;
 }
-
-let pack ~radius ~centers ~center_of ~dist_to_center =
-  let members = Hashtbl.create (List.length centers) in
-  Array.iteri
-    (fun v c ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt members c) in
-      Hashtbl.replace members c (v :: cur))
-    center_of;
-  {
-    radius;
-    centers = Array.of_list (List.rev centers);
-    center_of;
-    dist_to_center;
-    members;
-  }
 
 let compute_csr j ~radius =
   if radius < 0.0 then invalid_arg "Cluster_cover.compute: radius < 0";
@@ -49,22 +33,32 @@ let compute_csr j ~radius =
         (Dijkstra.within_csr_ws ws j v ~bound:radius)
     end
   done;
-  pack ~radius ~centers:!centers ~center_of ~dist_to_center
+  {
+    radius;
+    centers = Array.of_list (List.rev !centers);
+    center_of;
+    dist_to_center;
+  }
 
 let compute j ~radius = compute_csr (Csr.of_wgraph j) ~radius
 
-(* The oracle's radius-doubling loop wants to bail out of a too-fine
-   cover early instead of paying for all n singleton balls, and reads
-   nothing but the centers. Isolated vertices stay out of the landmark
-   set (a dead slot in a capacity-indexed snapshot would otherwise cost
-   a k x k matrix row); their singleton balls claim nothing else, so
-   the other centers are [compute_csr]'s, in the same order. *)
-let compute_csr_limited j ~radius ~max_clusters =
+(* The oracle's greedy: its radius-doubling loop bails out of a
+   too-fine cover early instead of paying for all n singleton balls,
+   and its repair mints centers where the kept clusters left a live
+   vertex uncovered. Both read nothing but the centers. Isolated
+   vertices stay out of the landmark set (a dead slot in a
+   capacity-indexed snapshot would otherwise cost a k x k matrix row);
+   their singleton balls claim nothing else, so from an empty
+   [covered] set the other centers are [compute_csr]'s, in the same
+   order. *)
+let compute_csr_limited j ~radius ~max_clusters ~covered =
   if radius < 0.0 then invalid_arg "Cluster_cover.compute: radius < 0";
   if max_clusters < 1 then
     invalid_arg "Cluster_cover.compute_csr_limited: max_clusters < 1";
   let n = Csr.n_vertices j in
-  let covered = Array.make n false in
+  if Array.length covered <> n then
+    invalid_arg "Cluster_cover.compute_csr_limited: covered length <> n";
+  let covered = Array.copy covered in
   let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
   let centers = ref [] in
   let n_centers = ref 0 in
@@ -123,7 +117,7 @@ let of_centers_csr j ~radius ~centers =
         invalid_arg
           (Printf.sprintf "Cluster_cover.of_centers: vertex %d uncovered" v))
     center_of;
-  pack ~radius ~centers:(List.rev centers) ~center_of ~dist_to_center
+  { radius; centers = centers_arr; center_of; dist_to_center }
 
 let of_centers j ~radius ~centers =
   of_centers_csr (Csr.of_wgraph j) ~radius ~centers
@@ -132,38 +126,36 @@ let n_clusters ~c = Array.length c.centers
 
 let is_valid j c =
   let j = Csr.of_wgraph j in
-  let n = Csr.n_vertices j in
   let eps = 1e-9 in
-  let ok = ref (n = Array.length c.center_of) in
-  (* Coverage + radius + recorded distances are genuine sp values. *)
+  (* Each center's radius ball, vertex -> sp distance. *)
+  let balls = Hashtbl.create 16 in
   Array.iter
     (fun center ->
-      let dist =
-        let table = Hashtbl.create 64 in
-        List.iter
-          (fun (x, d) -> Hashtbl.replace table x d)
-          (Dijkstra.within_csr j center ~bound:c.radius);
-        table
-      in
+      let dist = Hashtbl.create 64 in
       List.iter
-        (fun v ->
-          match Hashtbl.find_opt dist v with
-          | Some d ->
-              if abs_float (d -. c.dist_to_center.(v)) > eps then ok := false
-          | None -> ok := false)
-        (Option.value ~default:[] (Hashtbl.find_opt c.members center)))
+        (fun (x, d) -> Hashtbl.replace dist x d)
+        (Dijkstra.within_csr j center ~bound:c.radius);
+      Hashtbl.replace balls center dist)
     c.centers;
-  for v = 0 to n - 1 do
-    if c.center_of.(v) < 0 then ok := false;
-    if c.dist_to_center.(v) > c.radius +. eps then ok := false
-  done;
+  (* Coverage + radius + recorded distances are genuine sp values:
+     every vertex lies in its own center's ball, at the recorded
+     distance. *)
+  let in_own_ball v center =
+    match Hashtbl.find_opt balls center with
+    | None -> false
+    | Some dist -> (
+        match Hashtbl.find_opt dist v with
+        | Some d -> abs_float (d -. c.dist_to_center.(v)) <= eps
+        | None -> false)
+  in
   (* Center separation: no center inside another center's ball. *)
-  let center_set = Hashtbl.create 16 in
-  Array.iter (fun u -> Hashtbl.add center_set u ()) c.centers;
-  Array.iter
-    (fun u ->
-      List.iter
-        (fun (x, _) -> if x <> u && Hashtbl.mem center_set x then ok := false)
-        (Dijkstra.within_csr j u ~bound:c.radius))
-    c.centers;
-  !ok
+  let separated u =
+    Hashtbl.fold
+      (fun x _ ok -> ok && (x = u || not (Hashtbl.mem balls x)))
+      (Hashtbl.find balls u) true
+  in
+  Array.length c.center_of = Csr.n_vertices j
+  && Seq.for_all
+       (fun (v, center) -> in_own_ball v center)
+       (Array.to_seqi c.center_of)
+  && Array.for_all separated c.centers

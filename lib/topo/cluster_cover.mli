@@ -15,7 +15,6 @@ type t = private {
   center_of : int array;  (** vertex -> its cluster's center *)
   dist_to_center : float array;
       (** vertex -> [sp_J(center_of v, v)], always [<= radius] *)
-  members : (int, int list) Hashtbl.t;  (** center -> member list *)
 }
 
 (** [compute_csr j ~radius] builds a cover greedily over a frozen CSR
@@ -28,17 +27,26 @@ val compute_csr : Graph.Csr.t -> radius:float -> t
 (** [compute j ~radius] is {!compute_csr} after freezing [j]. *)
 val compute : Graph.Wgraph.t -> radius:float -> t
 
-(** [compute_csr_limited j ~radius ~max_clusters] is the center list
-    of {!compute_csr} without its isolated singletons, with an early
-    abort: it returns [None] as soon as the greedy scan would create
-    more than [max_clusters] clusters (without paying for the remaining
-    balls), and [Some centers] otherwise, in creation order. Degree-0
-    vertices (dead slots in capacity-indexed snapshots) are never
-    centers and claim nothing; every other vertex lies within [radius]
-    of some returned center. Raises [Invalid_argument] on [radius < 0]
-    or [max_clusters < 1]. *)
+(** [compute_csr_limited j ~radius ~max_clusters ~covered] runs the
+    greedy of {!compute_csr} over the vertices not already [covered]
+    and returns the centers it creates, in creation order, with an
+    early abort: [None] as soon as the scan would create more than
+    [max_clusters] clusters (without paying for the remaining balls).
+    Degree-0 vertices (dead slots in capacity-indexed snapshots) are
+    never centers and claim nothing; every other vertex not in
+    [covered] ends within [radius] of some returned center. From an
+    all-[false] [covered] the centers are {!compute_csr}'s without its
+    isolated singletons: the oracle's radius doubling. From the
+    vertices its kept clusters already hold, they are the centers its
+    repair mints. [covered] is read, not modified. Raises
+    [Invalid_argument] on [radius < 0], [max_clusters < 1], or when
+    [covered] is not of length [Csr.n_vertices j]. *)
 val compute_csr_limited :
-  Graph.Csr.t -> radius:float -> max_clusters:int -> int array option
+  Graph.Csr.t ->
+  radius:float ->
+  max_clusters:int ->
+  covered:bool array ->
+  int array option
 
 (** [of_centers_csr j ~radius ~centers] builds a cover with the
     prescribed center set: every vertex joins the nearest center (ties
@@ -55,6 +63,6 @@ val of_centers : Graph.Wgraph.t -> radius:float -> centers:int list -> t
 val n_clusters : c:t -> int
 
 (** [is_valid j c] re-checks the three cover properties on graph [j]
-    (coverage, radius, center separation); used by tests and by the
-    paranoid mode of the pipeline. *)
+    (coverage, radius, center separation), reading each cluster's
+    members off [center_of]; used by tests. *)
 val is_valid : Graph.Wgraph.t -> t -> bool

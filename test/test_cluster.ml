@@ -37,17 +37,26 @@ let prop_cover_huge_radius_per_component =
       let cover = Cluster_cover.compute g ~radius:1e9 in
       Cluster_cover.n_clusters ~c:cover = Graph.Components.count g)
 
+(* A cluster's members are the vertices whose [center_of] names its
+   center. The clusters of the distinct centers hold all n vertices
+   between them, so every vertex is in exactly one; each center heads
+   its own, so none is empty. *)
 let prop_cover_members_partition =
   qtest "cover: members partition the vertex set" seed_arb (fun seed ->
       let st = rand_state seed in
       let n = 2 + Random.State.int st 40 in
       let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 20) in
       let cover = Cluster_cover.compute g ~radius:(Random.State.float st 1.0) in
-      let seen = Array.make n 0 in
-      Hashtbl.iter
-        (fun _ members -> List.iter (fun v -> seen.(v) <- seen.(v) + 1) members)
-        cover.Cluster_cover.members;
-      Array.for_all (fun c -> c = 1) seen)
+      let centers = cover.Cluster_cover.centers in
+      let center_of = cover.Cluster_cover.center_of in
+      let size = Array.make n 0 in
+      Array.iter
+        (fun c -> if c >= 0 && c < n then size.(c) <- size.(c) + 1)
+        center_of;
+      List.length (List.sort_uniq compare (Array.to_list centers))
+      = Array.length centers
+      && Array.fold_left (fun acc c -> acc + size.(c)) 0 centers = n
+      && Array.for_all (fun c -> center_of.(c) = c) centers)
 
 let prop_of_centers_with_mis =
   (* MIS of the coverage graph (as the distributed algorithm elects
@@ -71,7 +80,10 @@ let prop_of_centers_with_mis =
 
 (* The oracle's doubling loop reads only the centers: with isolated
    vertices left out and no cap hit, they are the full greedy's, in
-   creation order; past the cap the scan gives up. *)
+   creation order; past the cap the scan gives up. From a pre-covered
+   set (the clusters an oracle repair keeps) it starts a cluster at
+   each live vertex no earlier ball reached, in id order, and leaves
+   the set as it was given. *)
 let prop_limited_centers =
   qtest ~count:60
     "cover: compute_csr_limited = compute_csr centers minus isolated" seed_arb
@@ -94,11 +106,29 @@ let prop_limited_centers =
           (Array.to_list (Cluster_cover.compute_csr j ~radius).centers)
       in
       let max_clusters = 1 + Random.State.int st (List.length expected + 2) in
-      match Cluster_cover.compute_csr_limited j ~radius ~max_clusters with
+      let covered = Array.init n (fun _ -> Random.State.int st 3 = 0) in
+      let given = Array.copy covered and reached = Array.copy covered in
+      let minted = ref [] in
+      for v = 0 to n - 1 do
+        if (not reached.(v)) && Wgraph.degree g v > 0 then begin
+          minted := v :: !minted;
+          List.iter
+            (fun (x, _) -> reached.(x) <- true)
+            (Graph.Dijkstra.within_csr j v ~bound:radius)
+        end
+      done;
+      (match
+         Cluster_cover.compute_csr_limited j ~radius ~max_clusters
+           ~covered:(Array.make n false)
+       with
       | Some centers ->
           List.length expected <= max_clusters
           && Array.to_list centers = expected
       | None -> List.length expected > max_clusters)
+      && Cluster_cover.compute_csr_limited j ~radius ~max_clusters:max_int
+           ~covered
+         = Some (Array.of_list (List.rev !minted))
+      && covered = given)
 
 let test_of_centers_rejects_nondominating () =
   let g = Wgraph.of_edges ~n:3 [ (0, 1, 1.0); (1, 2, 1.0) ] in

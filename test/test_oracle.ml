@@ -248,6 +248,69 @@ let prop_next_hop_delivers =
           in
           (ok, !far)))
 
+(* An independent reference for far answers. Rebuild the centers with
+   the cover greedy at the oracle's radius and grow their forest; give
+   every adjacent cluster pair its cheapest crossing walk
+   ([add_edge_min] over all crossing edges) and run all-pairs Dijkstra
+   on that center graph. A far answer must be the walk through the
+   cheapest portals along a shortest center-graph path,
+   [d(u, c_u) + D(c_u, c_v) + d(c_v, v)], bit for bit. *)
+let prop_far_answers_match_reference =
+  qtest ~count:8 "oracle: far answers equal an independent center-graph walk"
+    seed_arb (fun seed ->
+      let csr = relaxed_spanner_csr ~seed ~n:far_n in
+      let n = Csr.n_vertices csr in
+      let oracle = Dist.build ~eps:far_eps csr in
+      let s = Dist.stats oracle in
+      let radius = s.Dist.radius in
+      let centers =
+        Array.of_seq
+          (Seq.filter
+             (fun c -> Csr.degree csr c > 0)
+             (Array.to_seq
+                (Topo.Cluster_cover.compute_csr csr ~radius)
+                  .Topo.Cluster_cover.centers))
+      in
+      let k = Array.length centers in
+      let ix = Array.make n (-1) and dtc = Array.make n infinity in
+      Array.iteri (fun i c -> ix.(c) <- i) centers;
+      let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
+      let out_p = Array.make n 0 in
+      let cnt =
+        Dijkstra.within_multi_csr_into (Dijkstra.create_workspace ()) csr
+          ~srcs:centers ~bound:radius ~out_v ~out_d ~out_p
+      in
+      for i = 0 to cnt - 1 do
+        let v = out_v.(i) and p = out_p.(i) in
+        dtc.(v) <- out_d.(i);
+        if p >= 0 then ix.(v) <- ix.(p)
+      done;
+      let h = Graph.Wgraph.create k in
+      Csr.iter_edges csr (fun x y w ->
+          if ix.(x) >= 0 && ix.(y) >= 0 && ix.(x) <> ix.(y) then
+            ignore
+              (Graph.Wgraph.add_edge_min h ix.(x) ix.(y)
+                 (dtc.(x) +. w +. dtc.(y))));
+      let d = Graph.Apsp.dijkstra_all h in
+      let qws = Dist.create_query_ws () in
+      let far = ref 0 in
+      let ok =
+        Array.for_all
+          (fun (u, v) ->
+            u = v || ix.(u) < 0 || ix.(v) < 0
+            ||
+            let l = dtc.(u) +. d.(ix.(u)).(ix.(v)) +. dtc.(v) in
+            l <= s.Dist.near_bound
+            || begin
+                 incr far;
+                 Int64.equal
+                   (Int64.bits_of_float (Dist.distance_estimate oracle qws u v))
+                   (Int64.bits_of_float l)
+               end)
+          (sample_pairs ~seed ~n ~count:200)
+      in
+      k = s.Dist.n_clusters && ok && !far > 0)
+
 let test_next_hop_cache_deviation () =
   (* Forward two packets to the same destination with interleaved
      holders: every deviation from the cached route must recompute and
@@ -453,6 +516,15 @@ let test_repair_forced_fallback () =
         (est >= exact -. 1e-9))
     pairs
 
+let test_repair_dirty_out_of_range () =
+  (* The range check comes before every gate: a dirty set this large
+     would otherwise trip the dirty-fraction fallback first. *)
+  let csr = model_csr ~seed:11 ~n:120 in
+  let prev = Dist.build ~eps:oracle_eps csr in
+  Alcotest.check_raises "out-of-range dirty vertex"
+    (Invalid_argument "Oracle.repair: dirty out of range") (fun () ->
+      ignore (Dist.repair ~prev ~dirty:(Array.init 120 (fun i -> i - 1)) csr))
+
 let test_repair_empty_dirty () =
   (* An unchanged snapshot repairs in O(1): same tables, zero affected
      clusters, answers bit-identical to the previous oracle. *)
@@ -632,6 +704,7 @@ let () =
         [
           prop_spanner_path_is_walk_of_estimate_length;
           prop_next_hop_delivers;
+          prop_far_answers_match_reference;
           Alcotest.test_case "next_hop cache deviation" `Quick
             test_next_hop_cache_deviation;
           Alcotest.test_case "trivial and unreachable queries" `Quick
@@ -644,6 +717,8 @@ let () =
           prop_repair_deterministic_across_domains;
           Alcotest.test_case "forced fallback keeps the contract" `Quick
             test_repair_forced_fallback;
+          Alcotest.test_case "out-of-range dirty vertex raises before the \
+                              gates" `Quick test_repair_dirty_out_of_range;
           Alcotest.test_case "empty dirty set is a no-op repair" `Quick
             test_repair_empty_dirty;
         ] );

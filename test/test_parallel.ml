@@ -283,7 +283,8 @@ let prop_within_into_agrees =
        with Invalid_argument _ -> ());
       !ok)
 
-(* The forest entry on random sources and bounds: labels are the
+(* The forest entry on random sources and bounds, and on one source
+   with no bound (the oracle's center-graph rows): labels are the
    minimum over sources of the unbounded search, bit for bit; the
    settled set is exactly the vertices within the bound, in
    nondecreasing-label order; and every parent chain ends at a source
@@ -305,12 +306,7 @@ let prop_multi_forest =
         !w
       in
       let ok = ref true in
-      for _ = 1 to 10 do
-        (* Repeats allowed; sometimes no source at all. *)
-        let srcs =
-          Array.init (Random.State.int st 5) (fun _ -> Random.State.int st n)
-        in
-        let bound = Random.State.float st 3.0 in
+      let check srcs bound =
         let best = Array.make n infinity in
         Array.iter
           (fun s ->
@@ -358,7 +354,15 @@ let prop_multi_forest =
           end
           else if not (Float.is_nan label.(v)) then ok := false
         done
+      in
+      for _ = 1 to 10 do
+        (* Repeats allowed; sometimes no source at all. *)
+        let srcs =
+          Array.init (Random.State.int st 5) (fun _ -> Random.State.int st n)
+        in
+        check srcs (Random.State.float st 3.0)
       done;
+      check [| Random.State.int st n |] infinity;
       (* An out-of-range source and each short buffer are rejected. *)
       let rejects f =
         try
