@@ -161,6 +161,8 @@ let answer t payload =
           ("oracle.n", string_of_int st.Dist.n);
           ("oracle.edges", string_of_int st.Dist.n_edges);
           ("oracle.clusters", string_of_int st.Dist.n_clusters);
+          ("oracle.near_answers", string_of_int (Dist.near_answers t.qws));
+          ("oracle.far_answers", string_of_int (Dist.far_answers t.qws));
           ("requests", string_of_int t.requests);
         ]
         @ (match t.stats with None -> [] | Some f -> f ())

@@ -5,7 +5,6 @@
    that the output is unconditionally a t-spanner. *)
 
 module Wgraph = Graph.Wgraph
-module Heap = Graph.Heap
 
 type result = {
   spanner : Wgraph.t;
@@ -21,37 +20,15 @@ let gather_hops ~params =
   let t = params.Topo.Params.t and alpha = params.Topo.Params.alpha in
   max 2 (int_of_float (ceil (2.0 *. t /. alpha)))
 
-(* Bounded Dijkstra from [src] towards [dst] on [kept], relaxing only
-   vertices with [in_view] set, never past distance [bound]. [dist] is
-   an all-infinity scratch array; every write is undone before
-   returning so the caller can reuse it. *)
-let has_witness ~kept ~in_view ~heap ~dist ~src ~dst ~bound =
-  Heap.clear heap;
-  dist.(src) <- 0.0;
-  let touched = ref [ src ] in
-  Heap.insert heap src 0.0;
-  let found = ref false in
-  (try
-     while not (Heap.is_empty heap) do
-       let x, d = Heap.pop_min heap in
-       if x = dst then begin
-         found := true;
-         raise Exit
-       end;
-       if d > bound then raise Exit;
-       Wgraph.iter_neighbors kept x (fun y w ->
-           if in_view.(y) then begin
-             let nd = d +. w in
-             if nd <= bound && nd < dist.(y) then begin
-               if dist.(y) = infinity then touched := y :: !touched;
-               dist.(y) <- nd;
-               Heap.insert_or_decrease heap y nd
-             end
-           end)
-     done
-   with Exit -> ());
-  List.iter (fun y -> dist.(y) <- infinity) !touched;
-  !found
+(* Is there a path from [src] to [dst] in [kept], through vertices with
+   [in_view] set only, of length at most [bound]? The bounded search
+   on the shared core, restricted to the view by a neighbour filter:
+   its answer is at most [bound] exactly when the view-restricted
+   distance is. *)
+let has_witness ws ~kept ~in_view ~src ~dst ~bound =
+  Graph.Dijkstra.distance_upto_ws ~keep:(fun y -> in_view.(y)) ws kept src dst
+    ~bound
+  <= bound
 
 let build ~params model =
   Obs.Trace.span ~cat:"build"
@@ -73,8 +50,7 @@ let build ~params model =
   Array.sort Wgraph.compare_edge edges;
   let kept = Wgraph.create n in
   let in_view = Array.make n false in
-  let dist = Array.make n infinity in
-  let heap = Heap.create n in
+  let ws = Graph.Dijkstra.create_workspace () in
   let n_dropped = ref 0 in
   let t = params.Topo.Params.t in
   Array.iter
@@ -82,8 +58,7 @@ let build ~params model =
       let owner = min u v in
       List.iter (fun (x, _) -> in_view.(x) <- true) views.(owner);
       let witnessed =
-        has_witness ~kept ~in_view ~heap ~dist ~src:u ~dst:v
-          ~bound:(t *. w)
+        has_witness ws ~kept ~in_view ~src:u ~dst:v ~bound:(t *. w)
       in
       List.iter (fun (x, _) -> in_view.(x) <- false) views.(owner);
       if witnessed then incr n_dropped

@@ -6,9 +6,10 @@
    - [unbounded]: the full single-source search on fresh plain arrays,
      for callers that want every distance (all-pairs analysis);
    - [settle]: the bounded settle on a stamped workspace, under every
-     bounded, ball, tree, multi-source and target entry. Certification
-     runs it once per source, stopping at the source's farthest base
-     neighbour;
+     bounded, ball, tree, multi-source and target entry; target
+     entries may add a potential, which makes it an A* search.
+     Certification runs it once per source, stopping at the source's
+     farthest base neighbour;
    - [hop_bounded]: the hop-and-length bounded search of Lemma 8, on
      the same workspace. *)
 
@@ -130,21 +131,30 @@ let mark ws ~n v =
   end
 
 (* The bounded settle, run on a prepared and seeded workspace. It pops
-   in nondecreasing-distance order until the frontier exceeds [bound]
-   or the last of the [targets] vertices marked in the current round
-   is popped ([targets] = 0: no target stop), and appends every
+   in nondecreasing-priority order until a popped priority exceeds
+   [bound] or the last of the [targets] vertices marked in the current
+   round is popped ([targets] = 0: no target stop), and appends every
    settled vertex to [touched.(0 .. n_touched - 1)], so results are
    read off the settle trace, never off an O(n) scan, and steady state
-   allocates nothing. A popped label is final, so every target's label
-   is exact once the search stops. With [parents], [par.(v)] records
-   the predecessor that last improved [v]; that never changes the
-   relaxation sequence, so every entry point sees the same distances
-   and settle order. *)
-let settle ws ~iter ~targets ~parents ~bound =
+   allocates nothing. A vertex's priority is its label, plus
+   [potential] of it when one is given (target entries only: the A*
+   search toward the target). The relaxed label is read from [dist],
+   never from the popped priority, and an improved label re-inserts
+   its vertex even after it was popped, so a potential that rounding
+   leaves a hair inconsistent costs a re-pop, never a wrong label. A
+   re-popped vertex would repeat in [touched] and could overrun it, so
+   an A* search records no settle trace, which is why ball, forest and
+   certifier entries, which read it, take no potential. Without one a
+   popped label is final, so every target's label is exact once the
+   search stops. With
+   [parents], [par.(v)] records the predecessor that last improved
+   [v]; that never changes the relaxation sequence, so every entry
+   point sees the same distances and settle order. *)
+let settle ws ~iter ~targets ~parents ~potential ~bound =
   let pending = ref targets in
   let finished = ref false in
   while (not !finished) && not (Heap.is_empty ws.heap) do
-    let u, du = Heap.pop_min ws.heap in
+    let u, pu = Heap.pop_min ws.heap in
     let last_target =
       !pending > 0
       && ws.mark.(u) = ws.mark_epoch
@@ -153,35 +163,40 @@ let settle ws ~iter ~targets ~parents ~bound =
            !pending = 0
          end
     in
-    if du > bound || last_target then finished := true
+    if pu > bound || last_target then finished := true
     else begin
-      ws.touched.(ws.n_touched) <- u;
-      ws.n_touched <- ws.n_touched + 1;
+      (match potential with
+      | None ->
+          ws.touched.(ws.n_touched) <- u;
+          ws.n_touched <- ws.n_touched + 1
+      | Some _ -> ());
+      let du = ws.dist.(u) in
       iter u (fun v w ->
           let dv = du +. w in
           if dv < ws_get ws v then begin
             ws_set ws v dv;
             if parents then ws.par.(v) <- u;
-            Heap.insert_or_decrease ws.heap v dv
+            Heap.insert_or_decrease ws.heap v
+              (match potential with None -> dv | Some h -> dv +. h v)
           end)
     end
   done
 
 (* One target, or none when [target] is -1. *)
-let settle_from ws ~n ~iter src ~target ~parents ~bound =
+let settle_from ?potential ws ~n ~iter src ~target ~parents ~bound =
   ws_prepare ws n;
   seed ws ~n src;
   new_round ws;
   let targets = if target < 0 then 0 else mark ws ~n target in
-  settle ws ~iter ~targets ~parents ~bound
+  settle ws ~iter ~targets ~parents ~potential ~bound
 
 (* Early-exits at [dst]. A value above [bound] is a tentative frontier
    label or [infinity], both meaning "no path within [bound]". *)
-let upto ws ~n ~iter src dst ~bound =
+let upto ?potential ws ~n ~iter src dst ~bound =
   check_vertex ~n dst;
   if src = dst then 0.0
   else begin
-    settle_from ws ~n ~iter src ~target:dst ~parents:false ~bound;
+    settle_from ?potential ws ~n ~iter src ~target:dst ~parents:false ~bound;
     ws_get ws dst
   end
 
@@ -252,8 +267,16 @@ let wg_iter g u f = Wgraph.iter_neighbors g u f
 
 let distances g src = unbounded ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src
 
-let distance_upto_ws ws g src dst ~bound =
-  upto ws ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src dst ~bound
+(* [keep] filters neighbours, so the search runs on the subgraph
+   induced by [src] and the kept vertices. *)
+let distance_upto_ws ?keep ws g src dst ~bound =
+  let iter =
+    match keep with
+    | None -> wg_iter g
+    | Some keep ->
+        fun u f -> Wgraph.iter_neighbors g u (fun v w -> if keep v then f v w)
+  in
+  upto ws ~n:(Wgraph.n_vertices g) ~iter src dst ~bound
 
 let distance_upto g src dst ~bound =
   distance_upto_ws (plain_workspace ()) g src dst ~bound
@@ -306,11 +329,11 @@ let distances_to_csr c src ~targets =
   let pending = Array.fold_left (fun k v -> k + mark ws ~n v) 0 targets in
   if pending > 0 then
     settle ws ~iter:(csr_iter c) ~targets:pending ~parents:false
-      ~bound:infinity;
+      ~potential:None ~bound:infinity;
   Array.map (ws_get ws) targets
 
-let distance_upto_csr_ws ws c src dst ~bound =
-  upto ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src dst ~bound
+let distance_upto_csr_ws ?potential ws c src dst ~bound =
+  upto ?potential ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src dst ~bound
 
 let distance_upto_csr c src dst ~bound =
   distance_upto_csr_ws (plain_workspace ()) c src dst ~bound
@@ -335,10 +358,14 @@ let within_csr_into ws c src ~bound ~out_v ~out_d =
   read_ball ws ~name:"Dijkstra.within_csr_into" ~out_v ~out_d
 
 (* Leaves the tree in the workspace for [ws_parent]: the oracle's route
-   reader walks it in place instead of copying it out. *)
-let settle_parents_csr_ws ws c src ~bound =
-  settle_from ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src ~target:(-1)
-    ~parents:true ~bound
+   reader walks it in place instead of copying it out. The search stops
+   when [target] pops, so every vertex on the target's parent chain
+   settled before it and its parent is final. *)
+let settle_parents_csr_ws ?potential ws c src ~target ~bound =
+  let n = Csr.n_vertices c in
+  check_vertex ~n target;
+  settle_from ?potential ws ~n ~iter:(csr_iter c) src ~target ~parents:true
+    ~bound
 
 let ws_parent ws v = if ws.stamp.(v) = ws.epoch then ws.par.(v) else -1
 
@@ -353,7 +380,8 @@ let within_multi_csr_into ws c ~srcs ~bound ~out_v ~out_d ~out_p =
   then invalid_arg "Dijkstra.within_multi_csr_into: result buffers too small";
   ws_prepare ws n;
   Array.iter (seed ws ~n) srcs;
-  settle ws ~iter:(csr_iter c) ~targets:0 ~parents:true ~bound;
+  settle ws ~iter:(csr_iter c) ~targets:0 ~parents:true ~potential:None
+    ~bound;
   let k = read_ball ws ~name:"Dijkstra.within_multi_csr_into" ~out_v ~out_d in
   for i = 0 to k - 1 do
     out_p.(i) <- ws.par.(out_v.(i))

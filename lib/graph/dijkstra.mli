@@ -10,12 +10,14 @@
       {!distance}, {!distance_upto}, {!within}, {!path},
       {!distances_to_csr} and every [_csr], [_ws], [_into], [_parents]
       and [_multi] entry. It takes one or many sources, optional
-      early-exit targets and optional tree parents, and stops once the
-      frontier exceeds the bound or the last target is popped: cluster
+      early-exit targets, optional tree parents and, on target entries,
+      an optional lower-bound potential, and stops once a popped
+      priority exceeds the bound or the last target is popped: cluster
       balls (Section 2.2.1), exact near-pair distances and routes, the
-      oracle's cluster forest and its center-graph rows, and
+      oracle's cluster forest, center-graph rows and landmark rows,
       certification, which searches once per source up to its farthest
-      base neighbour;
+      base neighbour, and the quasi-UDG spanner's view-restricted
+      witness search;
     - the {b hop-bounded} search behind {!hop_bounded_distance},
       {!hop_bounded_distance_csr} and {!hop_bounded_distance_csr_ws}:
       query answering on the cluster graph (Lemma 8).
@@ -25,7 +27,40 @@
     {!domain_workspace} returns, so calling them leaves a caller's
     tree in that workspace intact. Like any workspace it serves one
     search at a time: systhreads sharing a domain must not run these
-    entries concurrently. *)
+    entries concurrently.
+
+    {2 Potentials (A* toward a target)}
+
+    {!distance_upto_csr_ws} and {!settle_parents_csr_ws} take an
+    optional [potential h], a lower bound on each vertex's remaining
+    distance to the target. The heap priority becomes label + [h v];
+    labels are relaxed from the workspace, never from the popped
+    priority, and the search stops when a popped priority exceeds the
+    bound or the target pops. Without a potential the priorities,
+    labels and settle order are those of the plain search, bit for
+    bit.
+
+    {b Exactness.} The target's label equals the plain search's label,
+    bit for bit, when every vertex [x] on the plain search's tree path
+    to the target pops before it: that holds when
+    [fl(D(x) + h x) <= D(t)], with [D] the plain search's float labels,
+    and [h t = 0]. A potential that is consistent in exact arithmetic
+    ([h u <= w(u,v) + h v], [h t = 0], as landmark bounds
+    [|d(L,t) - d(L,v)|] are) meets this once it is lowered by more than
+    the rounding in any label: a float label differs from the real
+    path length by at most [n 2^-53] of it. [Oracle.Dist] scales its
+    landmark bound by [1 - 2^-30] and subtracts [2^-30] of the search
+    bound, which covers that rounding while a landmark's distances
+    stay within [2^22 / n] times the bound (about 400 times at
+    [n = 10^4]). Rounding that still leaves [h] a hair inconsistent
+    ([h u > w(u,v) + h v]) costs a re-pop: an improved label
+    re-inserts its vertex even after it was popped, so no label is
+    ever wrong. [h v = infinity] is a true bound only when [v] cannot
+    reach the target, and [h] must never be NaN.
+
+    {b Target entries only.} An A* search records no settle trace (a
+    re-popped vertex would repeat in it), so ball, forest and
+    certifier entries, which read that trace, take no potential. *)
 
 (** [distances g src] is the array of shortest-path distances from
     [src]; [infinity] marks unreachable vertices. *)
@@ -116,14 +151,35 @@ val create_workspace : unit -> workspace
     points without a workspace argument never use it. *)
 val domain_workspace : unit -> workspace
 
+(** [distance_upto_ws ?keep ws g src dst ~bound] is {!distance_upto}
+    on [ws]. With [keep] the search runs on the subgraph induced by
+    [src] and the vertices [keep] accepts: only kept neighbours are
+    relaxed, so [dst] is reached only through kept vertices and only
+    when it is kept itself. *)
 val distance_upto_ws :
-  workspace -> Wgraph.t -> int -> int -> bound:float -> float
+  ?keep:(int -> bool) ->
+  workspace ->
+  Wgraph.t ->
+  int ->
+  int ->
+  bound:float ->
+  float
 
 val within_ws :
   workspace -> Wgraph.t -> int -> bound:float -> (int * float) list
 
+(** [distance_upto_csr_ws ?potential ws c src dst ~bound] is
+    {!distance_upto_csr} on [ws], an A* search toward [dst] when
+    [potential] is given (see {e Potentials} above; the answer is the
+    plain search's under the exactness condition there). *)
 val distance_upto_csr_ws :
-  workspace -> Csr.t -> int -> int -> bound:float -> float
+  ?potential:(int -> float) ->
+  workspace ->
+  Csr.t ->
+  int ->
+  int ->
+  bound:float ->
+  float
 
 val within_csr_ws :
   workspace -> Csr.t -> int -> bound:float -> (int * float) list
@@ -144,11 +200,23 @@ val within_csr_into :
   out_d:float array ->
   int
 
-(** [settle_parents_csr_ws ws c src ~bound] runs the bounded
-    shortest-path-tree search from [src] and leaves the tree in the
+(** [settle_parents_csr_ws ?potential ws c src ~target ~bound] runs
+    the bounded shortest-path-tree search from [src] toward [target],
+    an A* search when [potential] is given, and leaves the tree in the
     workspace, to be read in place through {!ws_parent}, with no
-    copy-out. The tree is valid until the workspace's next search. *)
-val settle_parents_csr_ws : workspace -> Csr.t -> int -> bound:float -> unit
+    copy-out. It stops when [target] pops, so when [target] lies
+    within [bound] its parent chain leads back to [src] over edges
+    that sum to its label: a shortest path. The tree is valid until
+    the workspace's next search. Raises [Invalid_argument] on an
+    out-of-range source or target. *)
+val settle_parents_csr_ws :
+  ?potential:(int -> float) ->
+  workspace ->
+  Csr.t ->
+  int ->
+  target:int ->
+  bound:float ->
+  unit
 
 (** Tree parent from the last {e parents} search, [-1] when untouched
     (or the source). Exact at settled vertices; a touched but unsettled

@@ -9,7 +9,9 @@ module Pool = Parallel.Pool
    forest grown from every center at once, so [up] chains stay inside
    their cluster. The portal table is three parallel arrays sorted by
    center pair, so the route expansion finds the spanner edge behind
-   each center-graph hop by binary search. *)
+   each center-graph hop by binary search. [landmark_dist] is n x m
+   vertex-major: row v holds v's distance to each of the m landmark
+   centers, the rows the near searches' A* bound reads. *)
 type t = {
   csr : Csr.t;
   eps : float;
@@ -25,6 +27,8 @@ type t = {
   portal_key : int array; (* sorted adjacent pairs, a * k + b with a < b *)
   portal_lo : int array; (* portal endpoint inside cluster a *)
   portal_hi : int array; (* portal endpoint inside cluster b *)
+  n_landmarks : int; (* m *)
+  landmark_dist : float array; (* n*m, infinity = unreachable *)
   build_seconds : float;
 }
 
@@ -55,7 +59,7 @@ let stats t =
       + Array.length t.dist_to_center + Array.length t.up
       + Array.length t.dmat + Array.length t.next_center
       + Array.length t.portal_key + Array.length t.portal_lo
-      + Array.length t.portal_hi;
+      + Array.length t.portal_hi + Array.length t.landmark_dist;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -204,6 +208,67 @@ let center_tables j ~k ~center_ix ~dist_to_center =
       done);
   (portal_key, portal_lo, portal_hi, dmat, next_center)
 
+(* At most this many landmarks: m = min 8 k. Each costs one full
+   search per build and repair. On a 7000-vertex spanner a near search
+   pops about 3200 vertices with none, 376 with 4, 202 with 8 and 141
+   with 16. *)
+let max_landmarks = 8
+
+(* Farthest-point selection over the centers on [dmat], so no search is
+   needed: the first landmark is the center farthest from center 0,
+   each next one the center farthest from every landmark so far (ties
+   to the lowest index). An unreachable center is infinitely far, so
+   every component that can hold a landmark gets one before any
+   component gets a second. A component with fewer than k/m centers
+   gets none: its near searches run plainly. *)
+let pick_landmarks ~k ~dmat =
+  let eligible =
+    Array.init k (fun a ->
+        let size = ref 0 in
+        for b = 0 to k - 1 do
+          if dmat.((a * k) + b) < infinity then incr size
+        done;
+        !size * max_landmarks >= k)
+  in
+  let far = Array.init k (fun b -> dmat.(b)) in
+  let picked = ref [] in
+  for _ = 1 to max_landmarks do
+    let best = ref (-1) in
+    for b = 0 to k - 1 do
+      if eligible.(b) && (!best < 0 || far.(b) > far.(!best)) then best := b
+    done;
+    let a = !best in
+    if a >= 0 then begin
+      picked := a :: !picked;
+      eligible.(a) <- false;
+      for b = 0 to k - 1 do
+        far.(b) <- Float.min far.(b) dmat.((a * k) + b)
+      done
+    end
+  done;
+  Array.of_list (List.rev !picked)
+
+(* One single-source search per landmark fills its column of the
+   vertex-major table. Columns are slot-disjoint on the pool and each
+   chunk reuses one pair of trace buffers, so the table is bit-identical
+   for every pool size. *)
+let landmark_table j ~landmarks =
+  let n = Csr.n_vertices j and m = Array.length landmarks in
+  let table = Array.make (n * m) infinity in
+  Pool.iter_chunks m (fun lo hi ->
+      let ws = Dijkstra.domain_workspace () in
+      let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
+      for i = lo to hi - 1 do
+        let cnt =
+          Dijkstra.within_csr_into ws j landmarks.(i) ~bound:infinity ~out_v
+            ~out_d
+        in
+        for x = 0 to cnt - 1 do
+          table.((out_v.(x) * m) + i) <- out_d.(x)
+        done
+      done);
+  table
+
 (* The tables both [build] and [repair] end with, from the centers and
    their forest. *)
 let assemble j ~t0 ~eps ~radius ~near_bound ~centers
@@ -212,6 +277,7 @@ let assemble j ~t0 ~eps ~radius ~near_bound ~centers
   let portal_key, portal_lo, portal_hi, dmat, next_center =
     center_tables j ~k ~center_ix ~dist_to_center
   in
+  let landmarks = Array.map (Array.get centers) (pick_landmarks ~k ~dmat) in
   {
     csr = j;
     eps;
@@ -227,6 +293,8 @@ let assemble j ~t0 ~eps ~radius ~near_bound ~centers
     portal_key;
     portal_lo;
     portal_hi;
+    n_landmarks = Array.length landmarks;
+    landmark_dist = landmark_table j ~landmarks;
     build_seconds = Unix.gettimeofday () -. t0;
   }
 
@@ -358,9 +426,9 @@ let repair_impl ~prev ~dirty j =
          re-point it at the new snapshot so near queries search the
          graph being served. Slots born this epoch are isolated (a
          live one would be dirty) and stay unassigned. *)
-      let grow src fill =
+      let grow ?(width = 1) src fill =
         if n_prev = n then src
-        else Array.append src (Array.make (n - n_prev) fill)
+        else Array.append src (Array.make ((n - n_prev) * width) fill)
       in
       repaired
         {
@@ -369,6 +437,8 @@ let repair_impl ~prev ~dirty j =
           center_ix = grow prev.center_ix (-1);
           dist_to_center = grow prev.dist_to_center infinity;
           up = grow prev.up (-1);
+          landmark_dist =
+            grow ~width:prev.n_landmarks prev.landmark_dist infinity;
         }
         0
     end
@@ -446,8 +516,39 @@ let repair ~prev ~dirty j =
 (* Query workspaces                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The A* potential of a near search toward [t]: v's landmark lower
+   bound max_i |D_i(t) - D_i(v)|, scaled by 1 - 2^-30 and lowered by
+   2^-30 of the search bound, so that it stays below the remaining
+   distance by more than the rounding in any label (the argument is in
+   [Dijkstra]'s interface). A NaN term (both distances infinite) counts
+   as 0; an infinite one means v and t lie in different components, a
+   true bound. The target's row is copied in once per search, and the
+   closure over this record is made once per workspace. *)
+type alt = {
+  mutable table : float array; (* the oracle's landmark_dist *)
+  mutable m : int;
+  row : float array; (* the target's row, row.(0 .. m-1) *)
+  mutable shift : float; (* 2^-30 x search bound *)
+}
+
+let alt_scale = 1.0 -. ldexp 1.0 (-30)
+
+let alt_potential a v =
+  let base = v * a.m in
+  let best = ref 0.0 in
+  for i = 0 to a.m - 1 do
+    let d = Float.abs (a.row.(i) -. a.table.(base + i)) in
+    if d > !best then best := d
+  done;
+  let h = (alt_scale *. !best) -. a.shift in
+  if h > 0.0 then h else 0.0
+
 type query_ws = {
   dws : Dijkstra.workspace;
+  alt : alt;
+  potential : int -> float; (* alt_potential alt *)
+  mutable near : int; (* answers a search gave *)
+  mutable far : int; (* answers read off the tables *)
   mutable route : int array; (* cached route, route.(0 .. route_len-1) *)
   mutable route_len : int;
   mutable route_pos : int; (* index of the current holder in route *)
@@ -456,8 +557,15 @@ type query_ws = {
 }
 
 let create_query_ws () =
+  let alt =
+    { table = [||]; m = 0; row = Array.make max_landmarks 0.0; shift = 0.0 }
+  in
   {
     dws = Dijkstra.create_workspace ();
+    alt;
+    potential = alt_potential alt;
+    near = 0;
+    far = 0;
     route = [||];
     route_len = 0;
     route_pos = 0;
@@ -467,6 +575,18 @@ let create_query_ws () =
 
 let qws_key = Domain.DLS.new_key create_query_ws
 let domain_query_ws () = Domain.DLS.get qws_key
+let near_answers qws = qws.near
+let far_answers qws = qws.far
+
+(* Points [qws]'s potential at [target] for a search bounded by
+   [bound], and returns it. *)
+let aim t qws target ~bound =
+  let a = qws.alt and m = t.n_landmarks in
+  a.table <- t.landmark_dist;
+  a.m <- m;
+  Array.blit t.landmark_dist (target * m) a.row 0 m;
+  a.shift <- ldexp bound (-30);
+  qws.potential
 
 (* ------------------------------------------------------------------ *)
 (* Distance queries                                                    *)
@@ -477,6 +597,14 @@ let domain_query_ws () = Domain.DLS.get qws_key
    the target on the near path; the epsilon absorbs rounding in the
    three-term sum. *)
 let bound_slack = 1e-9
+
+(* The exact answer for a near pair, whose landmark estimate is [l]:
+   an A* search toward [v]. *)
+let near_search t qws u v ~l =
+  qws.near <- qws.near + 1;
+  let bound = l +. bound_slack in
+  Dijkstra.distance_upto_csr_ws qws.dws t.csr u v ~bound
+    ~potential:(aim t qws v ~bound)
 
 let distance_estimate t qws u v =
   Obs.Metrics.incr m_queries;
@@ -489,9 +617,13 @@ let distance_estimate t qws u v =
         t.dist_to_center.(u) +. t.dmat.((cu * t.k) + cv)
         +. t.dist_to_center.(v)
       in
-      if l <= t.near_bound then
-        Dijkstra.distance_upto_csr_ws qws.dws t.csr u v ~bound:(l +. bound_slack)
-      else l
+      if l <= t.near_bound then near_search t qws u v ~l
+      else begin
+        (* Pairs in different components (an infinite estimate) count
+           as neither near nor far. *)
+        if l < infinity then qws.far <- qws.far + 1;
+        l
+      end
     end
   end
 
@@ -501,7 +633,7 @@ let distance_batch_into ?domains (t : t) ~u ~v ~out =
     invalid_arg "Oracle.distance_batch_into: array lengths disagree";
   let t0 = Unix.gettimeofday () in
   Pool.iter_chunks ?domains n (fun lo hi ->
-      let dws = (domain_query_ws ()).dws in
+      let qws = domain_query_ws () in
       let near_bound = t.near_bound in
       let k = t.k in
       for i = lo to hi - 1 do
@@ -517,11 +649,11 @@ let distance_batch_into ?domains (t : t) ~u ~v ~out =
               t.dist_to_center.(uu) +. t.dmat.((cu * k) + cv)
               +. t.dist_to_center.(vv)
             in
-            if l <= near_bound then
-              out.(i) <-
-                Dijkstra.distance_upto_csr_ws dws t.csr uu vv
-                  ~bound:(l +. bound_slack)
-            else out.(i) <- l
+            if l <= near_bound then out.(i) <- near_search t qws uu vv ~l
+            else begin
+              if l < infinity then qws.far <- qws.far + 1;
+              out.(i) <- l
+            end
           end
         end
       done);
@@ -587,10 +719,10 @@ let portal_index t a b =
   !lo
 
 (* Rebuild the cached route from [src]. Near pairs route on the exact
-   shortest path (parents search from [dst], so each vertex's parent
-   IS its next hop toward [dst]); far pairs ascend to the source's
-   center, thread the center chain through the portals, and descend.
-   Returns false when unreachable. *)
+   shortest path (an A* parents search from [dst] toward [src], so each
+   vertex's parent IS its next hop toward [dst]); far pairs ascend to
+   the source's center, thread the center chain through the portals,
+   and descend. Returns false when unreachable. *)
 let compute_route t qws src dst =
   qws.route_len <- 0;
   qws.route_pos <- 0;
@@ -605,11 +737,13 @@ let compute_route t qws src dst =
     if l = infinity then false
     else begin
       if l <= t.near_bound then begin
-        Dijkstra.settle_parents_csr_ws qws.dws t.csr dst
-          ~bound:(l +. bound_slack);
-        (* The true distance is at most [l], so [src] and every vertex
-           on its shortest path to [dst] settled within the bound; the
-           parent chain cannot dead-end. *)
+        qws.near <- qws.near + 1;
+        let bound = l +. bound_slack in
+        Dijkstra.settle_parents_csr_ws qws.dws t.csr dst ~target:src ~bound
+          ~potential:(aim t qws src ~bound);
+        (* The true distance is at most [l], so [src] popped within the
+           bound and every vertex on its shortest path to [dst] settled
+           before it; the parent chain cannot dead-end. *)
         let v = ref src in
         push qws src;
         while !v <> dst do
@@ -620,6 +754,7 @@ let compute_route t qws src dst =
         done
       end
       else begin
+        qws.far <- qws.far + 1;
         (* Ascend src -> its center. *)
         push qws src;
         let v = ref src in

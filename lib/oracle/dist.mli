@@ -27,7 +27,20 @@
       flat [k x k] row-major matrix, plus the first center hop of that
       path. [H] is a {!Graph.Csr.t}, and each row is one search of the
       shared Dijkstra core ({!Graph.Dijkstra.within_multi_csr_into}
-      from that center alone, unbounded).
+      from that center alone, unbounded);
+    - per vertex and landmark: the exact snapshot distance from each of
+      [m = min 8 k] landmark centers, in a flat [n x m] vertex-major
+      table (vertex [v]'s [m] distances are adjacent; [infinity] where
+      unreachable). The landmarks are picked farthest-first over the
+      centers on the center-graph matrix, so picking costs no search:
+      the first is the center farthest from center 0, each next the
+      center farthest from every landmark so far, an unreachable
+      center counting as infinitely far so every sizeable component
+      gets one before any gets a second. A component holding fewer
+      than [k / m] centers gets none; its near searches run plainly.
+      Filling the table costs [m] unbounded single-source searches on
+      the shared core per {!build}, and per {!repair} that regrows the
+      forest.
 
     Every portal cost is the length of a real walk (down one tree,
     across the edge, up the other), so the landmark estimate
@@ -36,8 +49,15 @@
 
     - {b near} ([L <= near_bound], with
       [near_bound = 4 rho (1 + 1/eps)]): the true distance is at most
-      [L], so a bounded workspace Dijkstra with bound [L] returns the
-      {e exact} distance at the cost of a small ball scan;
+      [L], so a bounded search with bound [L] returns the {e exact}
+      distance. Near answers are exact A* searches toward the target:
+      the potential is the landmark lower bound
+      [max_i |D_i(t) - D_i(v)|] (Goldberg and Harrelson's ALT), scaled
+      by [1 - 2^-30] and lowered by [2^-30 L], which keeps it below the
+      remaining distance by more than any label's rounding, so every
+      answer is bit for bit the plain bounded search's (the argument
+      is in {!Graph.Dijkstra}). It settles a small part of the ball a
+      plain search would;
     - {b far}: [L] itself is returned in O(1) — two cluster lookups
       and one matrix read, no allocation, no search. The [(1+eps)]
       envelope is conditional: whenever the center-graph detour costs
@@ -50,7 +70,8 @@
       on sampled pairs.
 
     Routing follows the same split: near routes are exact shortest
-    paths read off the bounded search's parent tree; far routes ascend
+    paths read off the parent tree of an A* search from [v] that stops
+    when [u] pops; far routes ascend
     [u]'s up-chain to its center, walk the center chain through the
     portals, and descend to [v] — a spanner walk of length exactly [L].
     The route tests check this on instances where a fifth of the
@@ -77,8 +98,10 @@ type t
 
     The forest is one sequential search; the [k] center-graph
     searches run on the {!Parallel.Pool} in contiguous chunks of rows,
-    each row written by one search, so the result is bit-identical for
-    every pool size. Raises [Invalid_argument] on [eps <= 0]. *)
+    each row written by one search, and the [m] landmark searches
+    likewise in chunks of table columns, so the result is
+    bit-identical for every pool size. Raises [Invalid_argument] on
+    [eps <= 0]. *)
 val build : ?eps:float -> Graph.Csr.t -> t
 
 (** {1 Incremental repair} *)
@@ -121,8 +144,10 @@ type repair_result = {
     changed, exactly [Dynamic.Engine]'s [snap_dirty] payload. The
     repair does not rely on it for soundness: it only feeds the
     dirty-fraction gate, and [dirty = [||]] returns [prev] re-pointed
-    at [csr] (with per-vertex tables grown for new, necessarily
-    isolated, slots) and no cluster affected.
+    at [csr] (with per-vertex tables, the landmark table included,
+    grown for new, necessarily isolated, slots) and no cluster
+    affected. Every other repair refills the landmark table from the
+    repaired centers, [m] full searches, like {!build}.
 
     Repair falls back to a scratch {!build} (with [prev]'s [eps]) when
     patching is not worth it: the
@@ -134,9 +159,10 @@ type repair_result = {
     scratch build would use. [repaired]/[fallback] say which case you
     got.
 
-    The forest and the minting are sequential; the center tables are
-    pool-parallel with slot-disjoint rows — the result is bit-identical
-    for every pool size, like {!build}. Raises [Invalid_argument] when
+    The forest and the minting are sequential; the center tables and
+    the landmark table are pool-parallel with slot-disjoint rows and
+    columns — the result is bit-identical for every pool size, like
+    {!build}. Raises [Invalid_argument] when
     [dirty] contains a vertex outside [csr], before any gate runs. *)
 val repair : prev:t -> dirty:int array -> Graph.Csr.t -> repair_result
 
@@ -153,7 +179,9 @@ type stats = {
   eps : float;
   near_bound : float;  (** [4 rho (1 + 1/eps)], plus [4 rho] once repaired *)
   build_seconds : float;
-  table_words : int;  (** words held by the flat oracle arrays *)
+  table_words : int;
+      (** words held by the flat oracle arrays, [n m] of them the
+          landmark table *)
 }
 
 val stats : t -> stats
@@ -161,9 +189,13 @@ val stats : t -> stats
 (** {1 Query workspaces}
 
     A workspace owns every buffer a query needs — the bounded-search
-    Dijkstra workspace, the parent-overlay scratch and the cached
-    route — so the query hot path allocates nothing in steady state
-    (buffers grow to the largest instance seen, then are reused). One
+    Dijkstra workspace, the target's landmark row and the A* potential
+    closure over it (made once per workspace), the descent scratch and
+    the cached route — so a query allocates no buffer and makes no
+    closure of its own in steady state (buffers grow to the largest
+    instance seen, then are reused; the search core still boxes small
+    values as it relaxes), and a far answer allocates nothing at all.
+    It also counts the near and far answers given through it. One
     workspace serves one query at a time and must not be shared
     between domains. *)
 
@@ -174,13 +206,25 @@ val create_query_ws : unit -> query_ws
 (** The calling domain's private workspace (via [Domain.DLS]). *)
 val domain_query_ws : unit -> query_ws
 
+(** [near_answers ws] is how many answers through [ws] ran a search:
+    near {!distance_estimate}s and batch slots, and near routes that
+    {!spanner_path} or {!next_hop} computed. *)
+val near_answers : query_ws -> int
+
+(** [far_answers ws] is how many answers through [ws] were read off the
+    tables: far estimates and routes. Trivial pairs ([u = v]),
+    unassigned vertices, pairs in different components and
+    {!next_hop} steps along a cached route count as neither. A batch
+    counts in the workspace of the domain that answered each chunk. *)
+val far_answers : query_ws -> int
+
 (** {1 Queries} *)
 
 (** [distance_estimate t ws u v] is [0] when [u = v], [infinity] when
     the vertices are in different components (or either is isolated),
-    the exact snapshot distance on the near path and the landmark
-    walk length [L] on the far path — never less than the true
-    snapshot distance. *)
+    the exact snapshot distance on the near path (bit for bit
+    {!Graph.Dijkstra.distance_csr}) and the landmark walk length [L]
+    on the far path — never less than the true snapshot distance. *)
 val distance_estimate : t -> query_ws -> int -> int -> float
 
 (** [distance_batch_into t ~u ~v ~out] answers [out.(i) <-

@@ -10,7 +10,9 @@
 #      only the remaining epochs, and finish with a final checkpoint
 #      byte-identical to run A's;
 #   5. resume both final checkpoints as serving daemons and assert the
-#      two answer an identical query batch identically.
+#      two answer an identical query batch identically;
+#   6. daemon A's STATS must count every finite, non-zero answer of
+#      that batch as either a near or a far answer.
 #
 # Artifacts (logs, checkpoints, query transcripts) land in
 # $SERVE_SMOKE_DIR (default ./serve-smoke-out) for CI upload. Sockets
@@ -127,4 +129,20 @@ wait_for_socket "$SOCK_B"
   | grep -v 'queries/s' >"$OUT/b.answers"
 diff -u "$OUT/a.answers" "$OUT/b.answers"
 cat "$OUT/a.answers"
+
+echo "== daemon A counts the batch's near and far answers =="
+"$TOPOCTL" ping --stats "$SOCK_A" | tee "$OUT/a.stats"
+NEAR=$(sed -n 's/^oracle\.near_answers=//p' "$OUT/a.stats")
+FAR=$(sed -n 's/^oracle\.far_answers=//p' "$OUT/a.stats")
+if [ -z "$NEAR" ] || [ -z "$FAR" ]; then
+  echo "serve-smoke: STATS lacks oracle.near_answers/oracle.far_answers" >&2
+  exit 1
+fi
+# Answer lines are "u v d"; 0 is a trivial pair, inf an unreachable one.
+ANSWERED=$(awk '!/^#/ && $3 != "0" && $3 != "inf" { c++ } END { print c + 0 }' \
+  "$OUT/a.answers")
+[ $((NEAR + FAR)) -eq "$ANSWERED" ] || {
+  echo "serve-smoke: $NEAR near + $FAR far answers, expected $ANSWERED" >&2
+  exit 1
+}
 echo "serve-smoke: OK"

@@ -387,6 +387,58 @@ let test_daemon_serves_published_oracle () =
         (Ubg.Churn.n_events trace)
         s.Runtime.events_applied)
 
+(* A static daemon counts the DIST answers its search ran (near) and
+   read off its tables (far) in STATS. Oracle eps = 4 over a relaxed
+   spanner at n = 300 makes a fifth of random pairs far; u = v pairs
+   count as neither. The expected counts come from a local oracle over
+   the same snapshot, classified against its near bound. *)
+let test_static_daemon_counts_near_and_far () =
+  let model = connected_model ~seed:4 ~n:300 ~dim:2 ~alpha:0.8 in
+  let csr =
+    Graph.Csr.of_wgraph
+      (Topo.Relaxed_greedy.build_eps ~eps:0.5 model).Topo.Relaxed_greedy.spanner
+  in
+  let oracle_eps = 4.0 in
+  let local = Oracle.Dist.build ~eps:oracle_eps csr in
+  let nb = (Oracle.Dist.stats local).Oracle.Dist.near_bound in
+  let qws = Oracle.Dist.create_query_ws () in
+  let st = Random.State.make [| 4; 0xd157 |] in
+  let pairs =
+    Array.init 60 (fun i ->
+        let u = Random.State.int st 300 in
+        (u, if i mod 10 = 0 then u else Random.State.int st 300))
+  in
+  let near = ref 0 and far = ref 0 in
+  Array.iter
+    (fun (u, v) ->
+      let d = Oracle.Dist.distance_estimate local qws u v in
+      if u <> v && d <= nb then incr near
+      else if d > nb && d < infinity then incr far)
+    pairs;
+  let sock = sock_path "counts" in
+  let stop = Atomic.make false in
+  let service = Oracle.Service.of_csr ~eps:oracle_eps csr in
+  let server = Daemon.Server.create ~socket:sock ~service ~stop () in
+  let d = Domain.spawn (fun () -> Daemon.Server.run server) in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join d;
+      if Sys.file_exists sock then Sys.remove sock)
+    (fun () ->
+      let c = connect_with_retry sock in
+      Array.iter (fun (u, v) -> ignore (Client.dist c u v)) pairs;
+      let _, rows = Client.stats c in
+      Client.close c;
+      let count key =
+        match Option.bind (List.assoc_opt key rows) int_of_string_opt with
+        | Some k -> k
+        | None -> Alcotest.failf "STATS lacks a count %s" key
+      in
+      Alcotest.(check bool) "both kinds sampled" true (!near > 0 && !far > 0);
+      Alcotest.(check int) "near answers" !near (count "oracle.near_answers");
+      Alcotest.(check int) "far answers" !far (count "oracle.far_answers"))
+
 (* The acceptance criterion: a daemon restarted from its checkpoint
    finishes with a final checkpoint byte-identical to a run that never
    stopped. *)
@@ -567,6 +619,8 @@ let () =
         [
           Alcotest.test_case "serves the published oracle" `Quick
             test_daemon_serves_published_oracle;
+          Alcotest.test_case "static daemon counts near and far answers"
+            `Quick test_static_daemon_counts_near_and_far;
           Alcotest.test_case "restart resumes bit-identically" `Quick
             test_daemon_restart_is_bit_identical;
           Alcotest.test_case "socket ingest" `Quick test_daemon_socket_ingest;

@@ -292,6 +292,104 @@ let test_distances_to_range () =
   Alcotest.(check (array (float 0.0))) "in range" [| 2.0; 0.0 |]
     (Dijkstra.distances_to_csr c 0 ~targets:[| 2; 0 |])
 
+(* The oracle's A* potential toward [target] over landmark distance
+   rows: max_i |D_i(target) - D_i(v)|, scaled by 1 - 2^-30 and lowered
+   by 2^-30 of the search bound, a NaN term counting as 0. *)
+let alt_potential rows ~target ~bound v =
+  let best = ref 0.0 in
+  Array.iter
+    (fun d ->
+      let x = Float.abs (d.(target) -. d.(v)) in
+      if x > !best then best := x)
+    rows;
+  let h = ((1.0 -. ldexp 1.0 (-30)) *. !best) -. ldexp bound (-30) in
+  if h > 0.0 then h else 0.0
+
+(* [g] frozen as is, with about a quarter of its edges at weight zero
+   ([Wgraph] refuses those, the snapshot takes them), or with
+   Energy-like weights (squared, as c |uv|^gamma with c = 1, gamma = 2
+   makes them). *)
+let reweighted st g =
+  let c = Csr.of_wgraph g in
+  let salt = Random.State.bits st in
+  let wgt = Array.copy c.Csr.wgt in
+  let mode = Random.State.int st 3 in
+  for u = 0 to Csr.n_vertices c - 1 do
+    for k = c.Csr.off.(u) to c.Csr.off.(u + 1) - 1 do
+      let v = c.Csr.dst.(k) in
+      match mode with
+      | 0 -> ()
+      | 1 ->
+          if Hashtbl.hash (salt, min u v, max u v) mod 4 = 0 then
+            wgt.(k) <- 0.0
+      | _ -> wgt.(k) <- wgt.(k) *. wgt.(k)
+    done
+  done;
+  Csr.of_arrays ~off:(Array.copy c.Csr.off) ~dst:(Array.copy c.Csr.dst) ~wgt
+
+(* The edges of the route entry's parent chain from [src] to [dst], in
+   the order the search from [dst] added them; [None] if it dead-ends
+   or loops. *)
+let parent_chain ws ~n ~src ~dst c =
+  let rec walk v acc steps =
+    if v = dst then Some acc
+    else
+      let p = Dijkstra.ws_parent ws v in
+      if p < 0 || steps > n then None
+      else
+        match Csr.weight c v p with
+        | None -> None
+        | Some w -> walk p (w :: acc) (steps + 1)
+  in
+  walk src [] 0
+
+let prop_potential_entries_exact =
+  qtest ~count:80
+    "dijkstra: A* entries with landmark potentials = distances_csr, bit for \
+     bit"
+    seed_arb (fun seed ->
+      let st = rand_state seed in
+      let c = reweighted st (split_graph st) in
+      let n = Csr.n_vertices c in
+      let rows =
+        Array.init
+          (1 + Random.State.int st 8)
+          (fun _ -> Dijkstra.distances_csr c (Random.State.int st n))
+      in
+      let ws = Dijkstra.create_workspace () in
+      let bits = Int64.bits_of_float in
+      let ok = ref true in
+      for _ = 1 to 12 do
+        let src = Random.State.int st n and dst = Random.State.int st n in
+        let d = (Dijkstra.distances_csr c src).(dst) in
+        (* At the distance, just above it as the oracle's estimate is,
+           or anywhere (unreachable targets included). *)
+        let bound =
+          match Random.State.int st 3 with
+          | 0 when d < infinity -> d
+          | 1 when d < infinity ->
+              (d *. (1.0 +. Random.State.float st 0.5)) +. 1e-9
+          | _ -> Random.State.float st 3.0
+        in
+        let potential = alt_potential rows ~target:dst ~bound in
+        let got = Dijkstra.distance_upto_csr_ws ~potential ws c src dst ~bound in
+        if d <= bound then (if bits got <> bits d then ok := false)
+        else if not (got > bound) then ok := false;
+        (* The route entry searches from [dst] toward [src]; its parent
+           chain from [src] folds, from [dst], to [src]'s label. *)
+        let rd = (Dijkstra.distances_csr c dst).(src) in
+        if rd <= bound && src <> dst then begin
+          let potential = alt_potential rows ~target:src ~bound in
+          Dijkstra.settle_parents_csr_ws ~potential ws c dst ~target:src ~bound;
+          match parent_chain ws ~n ~src ~dst c with
+          | None -> ok := false
+          | Some edges ->
+              if bits (List.fold_left ( +. ) 0.0 edges) <> bits rd then
+                ok := false
+        end
+      done;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* BFS                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -467,6 +565,7 @@ let () =
           prop_distances_to_exact;
           Alcotest.test_case "distances_to_csr range checks" `Quick
             test_distances_to_range;
+          prop_potential_entries_exact;
         ] );
       ( "bfs",
         [ Alcotest.test_case "path graph" `Quick test_bfs_path_graph; prop_induced_ball ] );

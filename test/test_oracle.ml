@@ -544,6 +544,134 @@ let test_repair_empty_dirty () =
     pairs
 
 (* ------------------------------------------------------------------ *)
+(* Near answers are exact A* searches                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every near answer through [o] is the plain search's, bit for bit:
+   the scalar estimate and the batch slot equal [distance_csr], and the
+   near route's edges, summed from [v] as the search from [v] adds
+   them, equal [distance_csr csr v u]. Returns the verdict and the
+   near count, so a caller can require near answers to exist. *)
+let near_answers_exact o csr pairs =
+  let qws = Dist.create_query_ws () in
+  let nb = (Dist.stats o).Dist.near_bound in
+  let bits = Int64.bits_of_float in
+  let out = Array.make (Array.length pairs) nan in
+  Dist.distance_batch_into o ~u:(Array.map fst pairs) ~v:(Array.map snd pairs)
+    ~out;
+  let ok = ref true and near = ref 0 in
+  Array.iteri
+    (fun i (u, v) ->
+      let est = Dist.distance_estimate o qws u v in
+      if bits out.(i) <> bits est then ok := false;
+      if u <> v && est <= nb then begin
+        incr near;
+        if bits est <> bits (Dijkstra.distance_csr csr u v) then ok := false;
+        match Dist.spanner_path o qws ~src:u ~dst:v with
+        | None -> ok := false
+        | Some p ->
+            let m = Array.length p in
+            let len = ref 0.0 in
+            for j = m - 1 downto 1 do
+              len := !len +. edge_weight csr p.(j) p.(j - 1)
+            done;
+            if
+              p.(0) <> u
+              || p.(m - 1) <> v
+              || bits !len <> bits (Dijkstra.distance_csr csr v u)
+            then ok := false
+      end)
+    pairs;
+  (!ok, !near)
+
+(* [csr] with [extra] isolated slots appended, as an engine snapshot
+   grows its capacity. *)
+let with_slots csr extra =
+  let n = Csr.n_vertices csr in
+  let off = Array.append csr.Csr.off (Array.make extra csr.Csr.off.(n)) in
+  Csr.of_arrays ~off ~dst:(Array.copy csr.Csr.dst) ~wgt:(Array.copy csr.Csr.wgt)
+
+(* A relaxed spanner beside a 12 x 12 grid, rows of 0.1-long edges and
+   columns of 0.3-long ones, and 50 isolated slots. The grid's many
+   equal-length paths add their edges in different orders, so their
+   float lengths differ in the last bits: without its scale and shift
+   the landmark bound fails this test here. *)
+let two_components_csr ~seed =
+  let a = relaxed_spanner_csr ~seed ~n:200 in
+  let na = Csr.n_vertices a and side = 12 in
+  let g = Graph.Wgraph.create (na + (side * side) + 50) in
+  Csr.iter_edges a (fun u v w -> Graph.Wgraph.add_edge g u v w);
+  let at r c = na + (r * side) + c in
+  for r = 0 to side - 1 do
+    for c = 0 to side - 1 do
+      if c + 1 < side then Graph.Wgraph.add_edge g (at r c) (at r (c + 1)) 0.1;
+      if r + 1 < side then Graph.Wgraph.add_edge g (at r c) (at (r + 1) c) 0.3
+    done
+  done;
+  Csr.of_wgraph g
+
+let prop_near_answers_exact =
+  qtest ~count:5 "oracle: near answers equal distance_csr, bit for bit"
+    seed_arb (fun seed ->
+      let energy = Geometry.Metric.Energy { c = 1.0; gamma = 2.0 } in
+      let model = connected_model ~seed ~n:250 ~dim:2 ~alpha:0.8 in
+      let energy_csr =
+        Csr.of_wgraph
+          (Topo.Relaxed_greedy.build_eps ~metric:energy ~eps:0.5 model)
+            .Topo.Relaxed_greedy.spanner
+      in
+      let relaxed = relaxed_spanner_csr ~seed ~n:far_n in
+      let split = two_components_csr ~seed in
+      let grid_pairs =
+        (* Corner to corner inside the grid, where ties abound. *)
+        let base = Csr.n_vertices split - 50 - 144 in
+        Array.init 40 (fun i -> (base + (i mod 12), base + 143 - (i / 3)))
+      in
+      let instances =
+        [
+          (relaxed, oracle_eps, [||]);
+          (relaxed, far_eps, [||]);
+          (energy_csr, oracle_eps, [||]);
+          (split, oracle_eps, grid_pairs);
+        ]
+      in
+      List.for_all
+        (fun (csr, eps, extra) ->
+          let n = Csr.n_vertices csr in
+          let pairs = Array.append (sample_pairs ~seed ~n ~count:120) extra in
+          let ok, near = near_answers_exact (Dist.build ~eps csr) csr pairs in
+          ok && near > 0)
+        instances)
+
+(* The same over a repair chain, ending with an empty-dirty repair onto
+   a snapshot grown by 20 isolated slots, which keeps the previous
+   landmark rows. *)
+let prop_repaired_near_answers_exact =
+  qtest ~count:4 "repair: near answers equal distance_csr, bit for bit"
+    seed_arb (fun seed ->
+      let n = 200 in
+      let snaps = churn_snapshots ~seed ~n ~epochs:4 ~batch_max:5 in
+      let ok = ref true in
+      let check o csr =
+        let m = Csr.n_vertices csr in
+        let good, near =
+          near_answers_exact o csr (sample_pairs ~seed ~n:m ~count:80)
+        in
+        ok := !ok && good && near > 0
+      in
+      let prev = ref (Dist.build ~eps:oracle_eps snaps.(0).Engine.snap_spanner) in
+      for i = 1 to Array.length snaps - 1 do
+        let csr = snaps.(i).Engine.snap_spanner in
+        let r = Dist.repair ~prev:!prev ~dirty:snaps.(i).Engine.snap_dirty csr in
+        check r.Dist.oracle csr;
+        prev := r.Dist.oracle
+      done;
+      let grown = with_slots (Dist.csr !prev) 20 in
+      let r = Dist.repair ~prev:!prev ~dirty:[||] grown in
+      check r.Dist.oracle grown;
+      !ok && r.Dist.repaired)
+
+(* ------------------------------------------------------------------ *)
 (* Service: RCU publication                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -700,6 +828,8 @@ let () =
           prop_batch_matches_scalar;
         ] );
       ("determinism", [ prop_deterministic_across_domains ]);
+      ( "exactness",
+        [ prop_near_answers_exact; prop_repaired_near_answers_exact ] );
       ( "routes",
         [
           prop_spanner_path_is_walk_of_estimate_length;

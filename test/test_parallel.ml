@@ -236,7 +236,12 @@ let prop_plain_entries_keep_domain_tree =
       let c = Csr.of_wgraph g in
       let ws = Dijkstra.domain_workspace () in
       let src = Random.State.int st n in
-      Dijkstra.settle_parents_csr_ws ws c src ~bound:infinity;
+      (* Weights are positive, so aiming at the farthest vertex leaves
+         every other vertex touched with a parent when it pops. *)
+      let dist = Dijkstra.distances_csr c src in
+      let target = ref src in
+      Array.iteri (fun x d -> if d > dist.(!target) then target := x) dist;
+      Dijkstra.settle_parents_csr_ws ws c src ~target:!target ~bound:infinity;
       let parents () = Array.init n (Dijkstra.ws_parent ws) in
       let before = parents () in
       let u = Random.State.int st n and v = Random.State.int st n in
