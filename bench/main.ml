@@ -1246,13 +1246,16 @@ let e_compare () =
      domains (slot-disjoint writes, schedule-independent values);
    - allocation: a far-only single-domain batch must not allocate per
      query — the far path is flat int/float array arithmetic, and this
-     is the sub-gate that catches an accidental boxing regression;
+     is the sub-gate that catches an accidental boxing regression. The
+     minor words per near answer (an A* search) are recorded beside it,
+     not gated;
    - throughput: batch qps at 4 domains vs 1 domain. On a >= 4 core
      box the soft gate wants 2x; on 2-3 cores it wants 1.2x; on 1 core
      the ratio is recorded but waived (oversubscription mode, like
      E-scale) and only the correctness sub-gates bind. The 1-domain
      batch is also split into its near and its far pairs, each timed
-     alone (recorded, not gated).
+     alone, and the near pairs are timed again once the 4-domain pool
+     exists (recorded, not gated).
 
    Emits the "oracle" record; each sub-check is a gate. *)
 let e_qps () =
@@ -1354,7 +1357,20 @@ let e_qps () =
   in
   let near_qps1 = qps_of near_us near_vs in
   let far_qps1 = qps_of far_us far_vs in
+  (* -- minor words per near answer, on the warm main domain -------- *)
+  let n_near = Array.length near_us in
+  let near_words =
+    if n_near = 0 then nan
+    else begin
+      let out = Array.make n_near 0.0 in
+      let w0 = Gc.minor_words () in
+      Oracle.Dist.distance_batch_into ~domains:1 oracle ~u:near_us ~v:near_vs
+        ~out;
+      (Gc.minor_words () -. w0) /. float_of_int n_near
+    end
+  in
   let qps4 = measure 4 out4 in
+  let near_qps1_pooled = qps_of near_us near_vs in
   let deterministic = out1 = out4 in
   (* -- allocation probe: far-only batch on the warm main domain ----- *)
   let far_u = ref [] and far_v = ref [] and n_far = ref 0 in
@@ -1459,6 +1475,12 @@ let e_qps () =
     ];
   Report.add_row t
     [
+      "  near pairs (1d, pooled)"; Report.cell_i n_near;
+      Printf.sprintf "%.3f" (float_of_int n_near /. near_qps1_pooled);
+      Printf.sprintf "%.3g" near_qps1_pooled; "after the 4d pool";
+    ];
+  Report.add_row t
+    [
       "distance batch (4d)"; Report.cell_i dist_total;
       Printf.sprintf "%.3f" (float_of_int dist_total /. qps4);
       Printf.sprintf "%.3g" qps4;
@@ -1504,6 +1526,8 @@ let e_qps () =
        Printf.sprintf "%.4f minor words/query over %d far queries: %s"
          alloc_per_query !n_far
          (if alloc_pass then "PASS" else "FAIL"));
+  Printf.printf "   near answers: %.1f minor words/query over %d (recorded)\n"
+    near_words n_near;
   Printf.printf
     "   soft qps gate [%s: 4-domain qps >= %.1fx 1-domain]: %s (ratio \
      %.2f)\n"
@@ -1539,6 +1563,7 @@ let e_qps () =
               [
                 ("qps_1d", Num qps1); ("qps_4d", Num qps4);
                 ("near_qps_1d", Num near_qps1); ("far_qps_1d", Num far_qps1);
+                ("near_qps_1d_pooled", Num near_qps1_pooled);
                 ("ratio", Num gate_ratio);
                 ("deterministic", Bool deterministic);
               ] );
@@ -1549,6 +1574,8 @@ let e_qps () =
                 ("measured", Bool alloc_measured); ("far_queries", int !n_far);
                 ("minor_words_per_query", Num alloc_per_query);
                 ("pass", Bool alloc_pass);
+                ("near_queries", int n_near);
+                ("near_minor_words_per_query", Num near_words);
               ] );
           ( "correctness",
             Obj

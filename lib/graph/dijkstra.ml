@@ -1,17 +1,27 @@
-(* Three relaxation loops serve every search in this module, each
-   written once against an abstract neighbor iterator and instantiated
-   over the mutable hashtable-backed [Wgraph.t] (builder-side callers)
-   and over immutable [Csr.t] snapshots (the hot read paths):
+(* Three relaxation loops serve every search in this module:
 
    - [unbounded]: the full single-source search on fresh plain arrays,
-     for callers that want every distance (all-pairs analysis);
+     for callers that want every distance (all-pairs analysis). It
+     runs over an abstract neighbor iterator and the [Heap] module, and
+     stays written that way: it is the independent reference the
+     bit-identity tests hold the other two loops to;
    - [settle]: the bounded settle on a stamped workspace, under every
      bounded, ball, tree, multi-source and target entry; target
-     entries may add a potential, which makes it an A* search.
+     entries may add a landmark potential, which makes it an A* search.
      Certification runs it once per source, stopping at the source's
      farthest base neighbour;
    - [hop_bounded]: the hop-and-length bounded search of Lemma 8, on
-     the same workspace. *)
+     the same workspace.
+
+   [settle] and [hop_bounded] are first-order loops over arc slices: a
+   target array, a weight array and a range. A [Csr.t] search passes
+   the snapshot's own arrays; a [Wgraph.t] search copies each expanded
+   vertex's hashtable slice into the workspace first. The indexed heap
+   lives in the workspace too, and the A* potential is evaluated
+   inline from the landmark table. No float crosses a function call
+   inside either loop: a float argument is boxed unless the call is
+   inlined, and the dev profile's [-opaque] stops inlining across
+   modules. So a CSR search allocates nothing per settled vertex. *)
 
 let unbounded ~n ~iter src =
   let dist = Array.make n infinity in
@@ -31,6 +41,8 @@ let unbounded ~n ~iter src =
   done;
   dist
 
+type landmarks = { table : float array; m : int }
+
 (* ------------------------------------------------------------------ *)
 (* Reusable epoch-stamped workspaces                                    *)
 (* ------------------------------------------------------------------ *)
@@ -38,10 +50,10 @@ let unbounded ~n ~iter src =
 (* Bounded searches touch a small neighborhood, so they run on a
    workspace instead of fresh O(n) arrays: arrays are invalidated by
    bumping an epoch counter instead of being refilled, and the heap is
-   recycled with [Heap.clear] (cost: leftover entries only). One
-   workspace serves one search at a time; [domain_workspace] hands
-   every domain its own, so the parallel phase stages reuse scratch
-   state without sharing it. *)
+   emptied in time proportional to its leftover entries. One workspace
+   serves one search at a time; [domain_workspace] hands every domain
+   its own, so the parallel phase stages reuse scratch state without
+   sharing it. *)
 
 type workspace = {
   mutable dist : float array; (* valid at v iff stamp.(v) = epoch *)
@@ -52,7 +64,21 @@ type workspace = {
   mutable n_touched : int;
   mutable epoch : int;
   mutable mark_epoch : int;
-  mutable heap : Heap.t;
+  (* The indexed binary min-heap of [Heap], flattened: slot -> key,
+     slot -> priority, key -> slot (-1 when absent). [hprio] has one
+     slot more than the capacity: a caller writes the priority it
+     offers into [hprio.(hsize)], the first free slot, and [offer]
+     files it, so no priority is ever passed to a call. *)
+  mutable hkey : int array;
+  mutable hprio : float array;
+  mutable hpos : int array;
+  mutable hsize : int;
+  (* A [Wgraph] vertex's arcs, copied in when the vertex is expanded. *)
+  mutable arc_v : int array;
+  mutable arc_w : float array;
+  (* The hop-bounded search's frontier and next frontier. *)
+  mutable front : int array;
+  mutable next : int array;
 }
 
 let create_workspace () =
@@ -65,7 +91,14 @@ let create_workspace () =
     n_touched = 0;
     epoch = 0;
     mark_epoch = 0;
-    heap = Heap.create 0;
+    hkey = [||];
+    hprio = [| 0.0 |];
+    hpos = [||];
+    hsize = 0;
+    arc_v = [||];
+    arc_w = [||];
+    front = [||];
+    next = [||];
   }
 
 let ws_key = Domain.DLS.new_key create_workspace
@@ -79,7 +112,9 @@ let plain_key = Domain.DLS.new_key create_workspace
 let plain_workspace () = Domain.DLS.get plain_key
 
 (* Grow to >= n and invalidate everything from the previous search.
-   Fresh stamp arrays are all 0, so the epoch starts at 1. *)
+   Fresh stamp arrays are all 0, so the epoch starts at 1. Every array
+   holds at least n entries, so a search never grows one: a vertex has
+   fewer than n arcs, a frontier and the heap at most n vertices. *)
 let ws_prepare ws n =
   if Array.length ws.dist < n then begin
     let cap = max n (2 * Array.length ws.dist) in
@@ -90,30 +125,155 @@ let ws_prepare ws n =
     ws.par <- Array.make cap (-1);
     ws.epoch <- 0;
     ws.mark_epoch <- 0;
-    ws.heap <- Heap.create cap
+    ws.hkey <- Array.make cap 0;
+    ws.hprio <- Array.make (cap + 1) 0.0;
+    ws.hpos <- Array.make cap (-1);
+    ws.hsize <- 0;
+    ws.arc_v <- Array.make cap 0;
+    ws.arc_w <- Array.make cap 0.0;
+    ws.front <- Array.make cap 0;
+    ws.next <- Array.make cap 0
   end;
   ws.epoch <- ws.epoch + 1;
   ws.n_touched <- 0;
-  Heap.clear ws.heap
+  for i = 0 to ws.hsize - 1 do
+    ws.hpos.(ws.hkey.(i)) <- -1
+  done;
+  ws.hsize <- 0
 
 let ws_get ws v = if ws.stamp.(v) = ws.epoch then ws.dist.(v) else infinity
-
-let ws_set ws v d =
-  ws.dist.(v) <- d;
-  ws.stamp.(v) <- ws.epoch
 
 (* The workspace may be larger than the graph, so range is checked
    against [n], not against the arrays. *)
 let check_vertex ~n v =
   if v < 0 || v >= n then invalid_arg "Dijkstra: vertex out of range"
 
+(* ------------------------------------------------------------------ *)
+(* The workspace heap                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [Heap]'s sifts with the moving entry held aside: the same strict
+   comparisons in the same order, so every layout, and with it every
+   tie between equal priorities, is [Heap]'s. *)
+let sift_up ws i =
+  let key = ws.hkey and prio = ws.hprio and pos = ws.hpos in
+  let k = key.(i) and p = prio.(i) in
+  let i = ref i in
+  while !i > 0 && p < prio.((!i - 1) / 2) do
+    let j = (!i - 1) / 2 in
+    key.(!i) <- key.(j);
+    prio.(!i) <- prio.(j);
+    pos.(key.(j)) <- !i;
+    i := j
+  done;
+  key.(!i) <- k;
+  prio.(!i) <- p;
+  pos.(k) <- !i
+
+let sift_down ws i =
+  let key = ws.hkey and prio = ws.hprio and pos = ws.hpos in
+  let size = ws.hsize in
+  let k = key.(i) and p = prio.(i) in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !i) + 1 in
+    let r = l + 1 in
+    let s = if l < size && prio.(l) < p then l else !i in
+    let s =
+      if r < size && prio.(r) < (if s = !i then p else prio.(s)) then r else s
+    in
+    if s = !i then moving := false
+    else begin
+      key.(!i) <- key.(s);
+      prio.(!i) <- prio.(s);
+      pos.(key.(s)) <- !i;
+      i := s
+    end
+  done;
+  key.(!i) <- k;
+  prio.(!i) <- p;
+  pos.(k) <- !i
+
+(* [Heap.insert_or_decrease] of [v] at the priority the caller wrote to
+   [hprio.(hsize)]. *)
+let offer ws v =
+  let free = ws.hsize in
+  let i = ws.hpos.(v) in
+  if i < 0 then begin
+    ws.hkey.(free) <- v;
+    ws.hpos.(v) <- free;
+    ws.hsize <- free + 1;
+    sift_up ws free
+  end
+  else if ws.hprio.(free) < ws.hprio.(i) then begin
+    ws.hprio.(i) <- ws.hprio.(free);
+    sift_up ws i
+  end
+
+(* [Heap.pop_min]'s removal of the minimum, whose key and priority the
+   caller has read from slot 0. *)
+let remove_min ws =
+  let u = ws.hkey.(0) and last = ws.hsize - 1 in
+  let k = ws.hkey.(last) in
+  ws.hkey.(0) <- k;
+  ws.hprio.(0) <- ws.hprio.(last);
+  ws.hpos.(k) <- 0;
+  ws.hpos.(u) <- -1;
+  ws.hsize <- last;
+  if last > 0 then sift_down ws 0
+
+(* ------------------------------------------------------------------ *)
+(* Arc slices                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Where a search reads its arcs: a snapshot's own arrays, or a
+   [Wgraph]'s hashtable slices, filtered by [keep] when given. *)
+type arcs = Snapshot of Csr.t | Builder of Wgraph.t * (int -> bool) option
+
+let n_of = function
+  | Snapshot c -> Csr.n_vertices c
+  | Builder (g, _) -> Wgraph.n_vertices g
+
+(* The slice arrays a search reads: the snapshot's, or the workspace's
+   arc scratch, which [arc_hi] refills per expanded vertex. *)
+let arc_dst ws = function Snapshot c -> c.Csr.dst | Builder _ -> ws.arc_v
+let arc_wgt ws = function Snapshot c -> c.Csr.wgt | Builder _ -> ws.arc_w
+let arc_lo arcs u = match arcs with Snapshot c -> c.Csr.off.(u) | Builder _ -> 0
+
+(* The end of [u]'s slice. A builder vertex's arcs, the kept ones
+   under [keep], are copied into the scratch in [Hashtbl.iter] order:
+   equal labels tie by relaxation order, so builder-side outputs (the
+   greedy spanners among them) depend on it. *)
+let arc_hi ws arcs u =
+  match arcs with
+  | Snapshot c -> c.Csr.off.(u + 1)
+  | Builder (g, keep) ->
+      let av = ws.arc_v and aw = ws.arc_w in
+      let copy v w k =
+        av.(k) <- v;
+        aw.(k) <- w;
+        k + 1
+      in
+      (match keep with
+      | None -> Wgraph.fold_neighbors g u copy 0
+      | Some keep ->
+          Wgraph.fold_neighbors g u
+            (fun v w k -> if keep v then copy v w k else k)
+            0)
+
+(* ------------------------------------------------------------------ *)
+(* The bounded settle                                                   *)
+(* ------------------------------------------------------------------ *)
+
 (* Seeds source [s] at distance 0; a repeated source is a no-op. *)
 let seed ws ~n s =
   check_vertex ~n s;
   if ws_get ws s > 0.0 then begin
-    ws_set ws s 0.0;
+    ws.dist.(s) <- 0.0;
+    ws.stamp.(s) <- ws.epoch;
     ws.par.(s) <- -1;
-    Heap.insert_or_decrease ws.heap s 0.0
+    ws.hprio.(ws.hsize) <- 0.0;
+    offer ws s
   end
 
 (* Opens a new mark round; [settle] waits for the vertices marked in
@@ -130,31 +290,51 @@ let mark ws ~n v =
     1
   end
 
+let alt_scale = 1.0 -. ldexp 1.0 (-30)
+
+let check_landmarks ~n = function
+  | Some { table; m } when m < 0 || Array.length table < n * m ->
+      invalid_arg "Dijkstra: landmark table smaller than n x m"
+  | Some _ | None -> ()
+
 (* The bounded settle, run on a prepared and seeded workspace. It pops
    in nondecreasing-priority order until a popped priority exceeds
    [bound] or the last of the [targets] vertices marked in the current
    round is popped ([targets] = 0: no target stop), and appends every
    settled vertex to [touched.(0 .. n_touched - 1)], so results are
    read off the settle trace, never off an O(n) scan, and steady state
-   allocates nothing. A vertex's priority is its label, plus
-   [potential] of it when one is given (target entries only: the A*
-   search toward the target). The relaxed label is read from [dist],
-   never from the popped priority, and an improved label re-inserts
-   its vertex even after it was popped, so a potential that rounding
-   leaves a hair inconsistent costs a re-pop, never a wrong label. A
-   re-popped vertex would repeat in [touched] and could overrun it, so
-   an A* search records no settle trace, which is why ball, forest and
-   certifier entries, which read it, take no potential. Without one a
-   popped label is final, so every target's label is exact once the
-   search stops. With
-   [parents], [par.(v)] records the predecessor that last improved
-   [v]; that never changes the relaxation sequence, so every entry
-   point sees the same distances and settle order. *)
-let settle ws ~iter ~targets ~parents ~potential ~bound =
+   allocates nothing. A vertex's priority is its label, plus the
+   landmark potential toward [target] when [landmarks] are given
+   (target entries only: the A* search toward the target). The
+   relaxed label is read from [dist], never from the popped priority,
+   and an improved label re-inserts its vertex even after it was
+   popped, so a potential that rounding leaves a hair inconsistent
+   costs a re-pop, never a wrong label. A re-popped vertex would repeat
+   in [touched] and could overrun it, so an A* search records no
+   settle trace, which is why ball, forest and certifier entries,
+   which read it, take no landmarks. Without them a popped label is
+   final, so every target's label is exact once the search stops.
+   With [parents], [par.(v)] records the predecessor that last
+   improved [v]; that never changes the relaxation sequence, so every
+   entry point sees the same distances and settle order. *)
+let settle ws arcs ~targets ~parents ~landmarks ~target ~bound =
+  let astar, table, m =
+    match landmarks with
+    | None -> (false, [||], 0)
+    | Some { table; m } -> (true, table, m)
+  in
+  (* h(v) = max(0, (1 - 2^-30) max_i |D_i(target) - D_i(v)| - 2^-30
+     bound), a NaN term counting as 0 (see the interface). *)
+  let tb = if astar then target * m else 0 in
+  let shift = ldexp bound (-30) in
+  let dst = arc_dst ws arcs and wgt = arc_wgt ws arcs in
+  let dist = ws.dist and stamp = ws.stamp and epoch = ws.epoch in
   let pending = ref targets in
   let finished = ref false in
-  while (not !finished) && not (Heap.is_empty ws.heap) do
-    let u, pu = Heap.pop_min ws.heap in
+  while (not !finished) && ws.hsize > 0 do
+    let u = ws.hkey.(0) in
+    let pu = ws.hprio.(0) in
+    remove_min ws;
     let last_target =
       !pending > 0
       && ws.mark.(u) = ws.mark_epoch
@@ -165,43 +345,60 @@ let settle ws ~iter ~targets ~parents ~potential ~bound =
     in
     if pu > bound || last_target then finished := true
     else begin
-      (match potential with
-      | None ->
-          ws.touched.(ws.n_touched) <- u;
-          ws.n_touched <- ws.n_touched + 1
-      | Some _ -> ());
-      let du = ws.dist.(u) in
-      iter u (fun v w ->
-          let dv = du +. w in
-          if dv < ws_get ws v then begin
-            ws_set ws v dv;
-            if parents then ws.par.(v) <- u;
-            Heap.insert_or_decrease ws.heap v
-              (match potential with None -> dv | Some h -> dv +. h v)
-          end)
+      if not astar then begin
+        ws.touched.(ws.n_touched) <- u;
+        ws.n_touched <- ws.n_touched + 1
+      end;
+      let du = dist.(u) in
+      let lo = arc_lo arcs u in
+      let hi = arc_hi ws arcs u in
+      for k = lo to hi - 1 do
+        let v = dst.(k) in
+        let dv = du +. wgt.(k) in
+        if dv < (if stamp.(v) = epoch then dist.(v) else infinity) then begin
+          dist.(v) <- dv;
+          stamp.(v) <- epoch;
+          if parents then ws.par.(v) <- u;
+          let free = ws.hsize in
+          if not astar then ws.hprio.(free) <- dv
+          else begin
+            let base = v * m in
+            let best = ref 0.0 in
+            for i = 0 to m - 1 do
+              let d = Float.abs (table.(tb + i) -. table.(base + i)) in
+              if d > !best then best := d
+            done;
+            let h = (alt_scale *. !best) -. shift in
+            ws.hprio.(free) <- dv +. (if h > 0.0 then h else 0.0)
+          end;
+          offer ws v
+        end
+      done
     end
   done
 
 (* One target, or none when [target] is -1. *)
-let settle_from ?potential ws ~n ~iter src ~target ~parents ~bound =
+let settle_from ?landmarks ws arcs src ~target ~parents ~bound =
+  let n = n_of arcs in
+  check_landmarks ~n landmarks;
   ws_prepare ws n;
   seed ws ~n src;
   new_round ws;
   let targets = if target < 0 then 0 else mark ws ~n target in
-  settle ws ~iter ~targets ~parents ~potential ~bound
+  settle ws arcs ~targets ~parents ~landmarks ~target ~bound
 
 (* Early-exits at [dst]. A value above [bound] is a tentative frontier
    label or [infinity], both meaning "no path within [bound]". *)
-let upto ?potential ws ~n ~iter src dst ~bound =
-  check_vertex ~n dst;
+let upto ?landmarks ws arcs src dst ~bound =
+  check_vertex ~n:(n_of arcs) dst;
   if src = dst then 0.0
   else begin
-    settle_from ?potential ws ~n ~iter src ~target:dst ~parents:false ~bound;
+    settle_from ?landmarks ws arcs src ~target:dst ~parents:false ~bound;
     ws_get ws dst
   end
 
-let ball ws ~n ~iter src ~bound =
-  settle_from ws ~n ~iter src ~target:(-1) ~parents:false ~bound;
+let ball ws arcs src ~bound =
+  settle_from ws arcs src ~target:(-1) ~parents:false ~bound;
   let acc = ref [] in
   for i = ws.n_touched - 1 downto 0 do
     let v = ws.touched.(i) in
@@ -224,78 +421,89 @@ let read_ball ws ~name ~out_v ~out_d =
   done;
   k
 
+(* ------------------------------------------------------------------ *)
+(* The hop-bounded search                                               *)
+(* ------------------------------------------------------------------ *)
+
 (* dist.(v) = best length of a path src->v with at most h hops, for the
    current round h. Only vertices improved in the previous round need
-   relaxing, so we keep an explicit frontier; the round number stamped
-   into [mark] dedupes it without a per-round hashtable. *)
-let hop_bounded ws ~n ~iter src dst ~max_hops ~bound =
+   relaxing, so the frontier holds just those, deduped by the round
+   number stamped into [mark], and each round walks it newest first. *)
+let hop_bounded ws arcs src dst ~max_hops ~bound =
+  let n = n_of arcs in
   check_vertex ~n src;
   check_vertex ~n dst;
   if src = dst then 0.0
   else begin
     ws_prepare ws n;
-    ws_set ws src 0.0;
-    let frontier = ref [ src ] in
-    let h = ref 0 in
-    while !h < max_hops && !frontier <> [] do
+    let dist = ws.dist and stamp = ws.stamp and epoch = ws.epoch in
+    dist.(src) <- 0.0;
+    stamp.(src) <- epoch;
+    let dst_arr = arc_dst ws arcs and wgt = arc_wgt ws arcs in
+    ws.front.(0) <- src;
+    let front = ref ws.front and next = ref ws.next in
+    let n_front = ref 1 and h = ref 0 in
+    while !h < max_hops && !n_front > 0 do
       incr h;
-      ws.mark_epoch <- ws.mark_epoch + 1;
-      let improved = ref [] in
-      List.iter
-        (fun u ->
-          let du = ws_get ws u in
-          iter u (fun v w ->
-              let dv = du +. w in
-              if dv < ws_get ws v && dv <= bound then begin
-                ws_set ws v dv;
-                if ws.mark.(v) <> ws.mark_epoch then begin
-                  ws.mark.(v) <- ws.mark_epoch;
-                  improved := v :: !improved
-                end
-              end))
-        !frontier;
-      frontier := !improved
+      new_round ws;
+      let round = ws.mark_epoch and f = !front and nx = !next in
+      let n_next = ref 0 in
+      for j = !n_front - 1 downto 0 do
+        let u = f.(j) in
+        let du = dist.(u) in
+        let lo = arc_lo arcs u in
+        let hi = arc_hi ws arcs u in
+        for k = lo to hi - 1 do
+          let v = dst_arr.(k) in
+          let dv = du +. wgt.(k) in
+          if
+            dv < (if stamp.(v) = epoch then dist.(v) else infinity)
+            && dv <= bound
+          then begin
+            dist.(v) <- dv;
+            stamp.(v) <- epoch;
+            if ws.mark.(v) <> round then begin
+              ws.mark.(v) <- round;
+              nx.(!n_next) <- v;
+              incr n_next
+            end
+          end
+        done
+      done;
+      front := nx;
+      next := f;
+      n_front := !n_next
     done;
     ws_get ws dst
   end
 
 (* ------------------------------------------------------------------ *)
-(* Wgraph instantiation                                                 *)
+(* Wgraph entries                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let wg_iter g u f = Wgraph.iter_neighbors g u f
-
-let distances g src = unbounded ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src
+let distances g src =
+  unbounded ~n:(Wgraph.n_vertices g) ~iter:(Wgraph.iter_neighbors g) src
 
 (* [keep] filters neighbours, so the search runs on the subgraph
    induced by [src] and the kept vertices. *)
 let distance_upto_ws ?keep ws g src dst ~bound =
-  let iter =
-    match keep with
-    | None -> wg_iter g
-    | Some keep ->
-        fun u f -> Wgraph.iter_neighbors g u (fun v w -> if keep v then f v w)
-  in
-  upto ws ~n:(Wgraph.n_vertices g) ~iter src dst ~bound
+  upto ws (Builder (g, keep)) src dst ~bound
 
 let distance_upto g src dst ~bound =
   distance_upto_ws (plain_workspace ()) g src dst ~bound
 
 let distance g src dst = distance_upto g src dst ~bound:infinity
-
-let within_ws ws g src ~bound =
-  ball ws ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g) src ~bound
-
+let within_ws ws g src ~bound = ball ws (Builder (g, None)) src ~bound
 let within g src ~bound = within_ws (plain_workspace ()) g src ~bound
 
 (* Read off a tree search from [src] that stopped at [dst]: every
    vertex on the chain settled before [dst], so its parent is final. *)
 let path g src dst =
-  let n = Wgraph.n_vertices g and ws = plain_workspace () in
-  check_vertex ~n dst;
+  let ws = plain_workspace () in
+  check_vertex ~n:(Wgraph.n_vertices g) dst;
   if src = dst then Some [ src ]
   else begin
-    settle_from ws ~n ~iter:(wg_iter g) src ~target:dst ~parents:true
+    settle_from ws (Builder (g, None)) src ~target:dst ~parents:true
       ~bound:infinity;
     if ws_get ws dst = infinity then None
     else begin
@@ -307,16 +515,14 @@ let path g src dst =
   end
 
 let hop_bounded_distance g src dst ~max_hops ~bound =
-  hop_bounded (plain_workspace ()) ~n:(Wgraph.n_vertices g) ~iter:(wg_iter g)
-    src dst ~max_hops ~bound
+  hop_bounded (plain_workspace ()) (Builder (g, None)) src dst ~max_hops ~bound
 
 (* ------------------------------------------------------------------ *)
-(* Csr instantiation                                                    *)
+(* Csr entries                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let csr_iter c u f = Csr.iter_neighbors c u f
-
-let distances_csr c src = unbounded ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src
+let distances_csr c src =
+  unbounded ~n:(Csr.n_vertices c) ~iter:(Csr.iter_neighbors c) src
 
 (* The settle a full search would run, cut at the last target's pop:
    labels never depend on how ties were broken, so each target reads
@@ -326,46 +532,42 @@ let distances_to_csr c src ~targets =
   ws_prepare ws n;
   seed ws ~n src;
   new_round ws;
-  let pending = Array.fold_left (fun k v -> k + mark ws ~n v) 0 targets in
-  if pending > 0 then
-    settle ws ~iter:(csr_iter c) ~targets:pending ~parents:false
-      ~potential:None ~bound:infinity;
+  let pending = ref 0 in
+  for i = 0 to Array.length targets - 1 do
+    pending := !pending + mark ws ~n targets.(i)
+  done;
+  if !pending > 0 then
+    settle ws (Snapshot c) ~targets:!pending ~parents:false ~landmarks:None
+      ~target:(-1) ~bound:infinity;
   Array.map (ws_get ws) targets
 
-let distance_upto_csr_ws ?potential ws c src dst ~bound =
-  upto ?potential ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src dst ~bound
+let distance_upto_csr_ws ?landmarks ws c src dst ~bound =
+  upto ?landmarks ws (Snapshot c) src dst ~bound
 
 let distance_upto_csr c src dst ~bound =
   distance_upto_csr_ws (plain_workspace ()) c src dst ~bound
 
 let distance_csr c src dst = distance_upto_csr c src dst ~bound:infinity
-
-let within_csr_ws ws c src ~bound =
-  ball ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src ~bound
-
+let within_csr_ws ws c src ~bound = ball ws (Snapshot c) src ~bound
 let within_csr c src ~bound = within_csr_ws (plain_workspace ()) c src ~bound
 
 let hop_bounded_distance_csr_ws ws c src dst ~max_hops ~bound =
-  hop_bounded ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src dst ~max_hops
-    ~bound
+  hop_bounded ws (Snapshot c) src dst ~max_hops ~bound
 
 let hop_bounded_distance_csr c src dst ~max_hops ~bound =
   hop_bounded_distance_csr_ws (plain_workspace ()) c src dst ~max_hops ~bound
 
 let within_csr_into ws c src ~bound ~out_v ~out_d =
-  settle_from ws ~n:(Csr.n_vertices c) ~iter:(csr_iter c) src ~target:(-1)
-    ~parents:false ~bound;
+  settle_from ws (Snapshot c) src ~target:(-1) ~parents:false ~bound;
   read_ball ws ~name:"Dijkstra.within_csr_into" ~out_v ~out_d
 
 (* Leaves the tree in the workspace for [ws_parent]: the oracle's route
    reader walks it in place instead of copying it out. The search stops
    when [target] pops, so every vertex on the target's parent chain
    settled before it and its parent is final. *)
-let settle_parents_csr_ws ?potential ws c src ~target ~bound =
-  let n = Csr.n_vertices c in
-  check_vertex ~n target;
-  settle_from ?potential ws ~n ~iter:(csr_iter c) src ~target ~parents:true
-    ~bound
+let settle_parents_csr_ws ?landmarks ws c src ~target ~bound =
+  check_vertex ~n:(Csr.n_vertices c) target;
+  settle_from ?landmarks ws (Snapshot c) src ~target ~parents:true ~bound
 
 let ws_parent ws v = if ws.stamp.(v) = ws.epoch then ws.par.(v) else -1
 
@@ -379,8 +581,10 @@ let within_multi_csr_into ws c ~srcs ~bound ~out_v ~out_d ~out_p =
   if Array.length out_v < n || Array.length out_d < n || Array.length out_p < n
   then invalid_arg "Dijkstra.within_multi_csr_into: result buffers too small";
   ws_prepare ws n;
-  Array.iter (seed ws ~n) srcs;
-  settle ws ~iter:(csr_iter c) ~targets:0 ~parents:true ~potential:None
+  for i = 0 to Array.length srcs - 1 do
+    seed ws ~n srcs.(i)
+  done;
+  settle ws (Snapshot c) ~targets:0 ~parents:true ~landmarks:None ~target:(-1)
     ~bound;
   let k = read_ball ws ~name:"Dijkstra.within_multi_csr_into" ~out_v ~out_d in
   for i = 0 to k - 1 do

@@ -1,26 +1,50 @@
 (** Single-source shortest paths (Dijkstra's algorithm).
 
-    Every entry point runs one of three loops, each written once over
-    an abstract neighbor iterator:
+    Every entry point runs one of three loops:
 
     - the {b unbounded} search on fresh plain arrays, behind
       {!distances} and {!distances_csr}: full single-source distances,
-      for callers that want every one (all-pairs analysis);
+      for callers that want every one (all-pairs analysis). It runs
+      over a neighbor iterator and {!Heap}, and is the independent
+      reference the other two loops are tested against bit for bit;
     - the {b bounded settle} on a stamped {!workspace}, behind
       {!distance}, {!distance_upto}, {!within}, {!path},
       {!distances_to_csr} and every [_csr], [_ws], [_into], [_parents]
       and [_multi] entry. It takes one or many sources, optional
       early-exit targets, optional tree parents and, on target entries,
-      an optional lower-bound potential, and stops once a popped
-      priority exceeds the bound or the last target is popped: cluster
-      balls (Section 2.2.1), exact near-pair distances and routes, the
-      oracle's cluster forest, center-graph rows and landmark rows,
-      certification, which searches once per source up to its farthest
-      base neighbour, and the quasi-UDG spanner's view-restricted
-      witness search;
+      optional {!landmarks} for an A* potential, and stops once a
+      popped priority exceeds the bound or the last target is popped:
+      cluster balls (Section 2.2.1), exact near-pair distances and
+      routes, the oracle's cluster forest, center-graph rows and
+      landmark rows, certification, which searches once per source up
+      to its farthest base neighbour, and the quasi-UDG spanner's
+      view-restricted witness search;
     - the {b hop-bounded} search behind {!hop_bounded_distance},
       {!hop_bounded_distance_csr} and {!hop_bounded_distance_csr_ws}:
       query answering on the cluster graph (Lemma 8).
+
+    {2 Allocation}
+
+    The bounded settle and the hop-bounded search are each written
+    once, as a first-order loop over arc slices: a target array, a
+    weight array and a range. A {!Csr.t} search reads the snapshot's
+    own arrays; a {!Wgraph.t} search copies each expanded vertex's
+    hashtable slice (the kept arcs, under [?keep]) into the workspace
+    and reads that. The indexed heap and the hop-bounded frontier live
+    in the workspace, and the landmark potential is evaluated inline
+    from its table. No float crosses a function call inside either
+    loop: the dev profile compiles with [-opaque], so no call is
+    inlined across modules and a float passed to one is boxed (a
+    release-profile build of closure-based loops allocated as much).
+    So once a workspace has grown to the graph, every
+    [Csr.t] search through a workspace allocates nothing per settled
+    vertex, only a small constant per call: {!within_csr_into},
+    {!distances_to_csr} (plus its result array),
+    {!within_multi_csr_into}, {!settle_parents_csr_ws},
+    {!distance_upto_csr_ws} with or without landmarks, and
+    {!hop_bounded_distance_csr_ws}. A [Wgraph.t] search allocates a
+    few words per expanded vertex for the hashtable walk, and the list
+    entries allocate their result.
 
     The bounded and hop-bounded entries without a workspace argument
     run on a private per-domain workspace, never on the one
@@ -31,36 +55,40 @@
 
     {2 Potentials (A* toward a target)}
 
-    {!distance_upto_csr_ws} and {!settle_parents_csr_ws} take an
-    optional [potential h], a lower bound on each vertex's remaining
-    distance to the target. The heap priority becomes label + [h v];
-    labels are relaxed from the workspace, never from the popped
-    priority, and the search stops when a popped priority exceeds the
-    bound or the target pops. Without a potential the priorities,
-    labels and settle order are those of the plain search, bit for
-    bit.
+    {!distance_upto_csr_ws} and {!settle_parents_csr_ws} take optional
+    {!landmarks}: [m] exact distance rows [D_i], from which the settle
+    evaluates, for every vertex [v] it relaxes, the potential
+    [h v = max (0, (1 - 2^-30) max_i |D_i(t) - D_i(v)| - 2^-30 B)]
+    toward the target [t] under the search bound [B], a NaN term
+    (both distances infinite) counting as 0. It is a lower bound on
+    [v]'s remaining distance to [t] (Goldberg and Harrelson's ALT).
+    The heap priority becomes label + [h v]; labels are relaxed from
+    the workspace, never from the popped priority, and the search
+    stops when a popped priority exceeds the bound or the target pops.
+    Without landmarks the priorities, labels and settle order are
+    those of the plain search, bit for bit.
 
     {b Exactness.} The target's label equals the plain search's label,
     bit for bit, when every vertex [x] on the plain search's tree path
     to the target pops before it: that holds when
     [fl(D(x) + h x) <= D(t)], with [D] the plain search's float labels,
-    and [h t = 0]. A potential that is consistent in exact arithmetic
-    ([h u <= w(u,v) + h v], [h t = 0], as landmark bounds
-    [|d(L,t) - d(L,v)|] are) meets this once it is lowered by more than
-    the rounding in any label: a float label differs from the real
-    path length by at most [n 2^-53] of it. [Oracle.Dist] scales its
-    landmark bound by [1 - 2^-30] and subtracts [2^-30] of the search
-    bound, which covers that rounding while a landmark's distances
-    stay within [2^22 / n] times the bound (about 400 times at
-    [n = 10^4]). Rounding that still leaves [h] a hair inconsistent
+    and [h t = 0]. The unscaled landmark bound [|d(L,t) - d(L,v)|] is
+    consistent in exact arithmetic ([h u <= w(u,v) + h v], [h t = 0]),
+    and it meets the condition once it is lowered by more than the
+    rounding in any label: a float label differs from the real path
+    length by at most [n 2^-53] of it. Scaling by [1 - 2^-30] and
+    subtracting [2^-30 B] covers that rounding while a landmark's
+    distances stay within [2^22 / n] times the bound (about 400 times
+    at [n = 10^4]). Rounding that still leaves [h] a hair inconsistent
     ([h u > w(u,v) + h v]) costs a re-pop: an improved label
     re-inserts its vertex even after it was popped, so no label is
-    ever wrong. [h v = infinity] is a true bound only when [v] cannot
-    reach the target, and [h] must never be NaN.
+    ever wrong. An infinite term is a true bound only when [v] cannot
+    reach the target, so rows must hold exact distances, [infinity]
+    exactly where unreachable.
 
     {b Target entries only.} An A* search records no settle trace (a
     re-popped vertex would repeat in it), so ball, forest and
-    certifier entries, which read that trace, take no potential. *)
+    certifier entries, which read that trace, take no landmarks. *)
 
 (** [distances g src] is the array of shortest-path distances from
     [src]; [infinity] marks unreachable vertices. *)
@@ -143,6 +171,11 @@ val hop_bounded_distance_csr :
 
 type workspace
 
+(** Landmark distance rows for the A* potential (see {e Potentials}):
+    [table.(v * m + i)] is vertex [v]'s exact distance to landmark [i],
+    [infinity] when unreachable. *)
+type landmarks = { table : float array; m : int }
+
 (** [create_workspace ()] is a fresh empty workspace; it grows to fit
     the largest graph it is used on. *)
 val create_workspace : unit -> workspace
@@ -168,12 +201,13 @@ val distance_upto_ws :
 val within_ws :
   workspace -> Wgraph.t -> int -> bound:float -> (int * float) list
 
-(** [distance_upto_csr_ws ?potential ws c src dst ~bound] is
+(** [distance_upto_csr_ws ?landmarks ws c src dst ~bound] is
     {!distance_upto_csr} on [ws], an A* search toward [dst] when
-    [potential] is given (see {e Potentials} above; the answer is the
-    plain search's under the exactness condition there). *)
+    [landmarks] are given (see {e Potentials} above; the answer is the
+    plain search's bit for bit). Raises [Invalid_argument] when the
+    landmark table holds fewer than [n * m] entries. *)
 val distance_upto_csr_ws :
-  ?potential:(int -> float) ->
+  ?landmarks:landmarks ->
   workspace ->
   Csr.t ->
   int ->
@@ -200,9 +234,9 @@ val within_csr_into :
   out_d:float array ->
   int
 
-(** [settle_parents_csr_ws ?potential ws c src ~target ~bound] runs
+(** [settle_parents_csr_ws ?landmarks ws c src ~target ~bound] runs
     the bounded shortest-path-tree search from [src] toward [target],
-    an A* search when [potential] is given, and leaves the tree in the
+    an A* search when [landmarks] are given, and leaves the tree in the
     workspace, to be read in place through {!ws_parent}, with no
     copy-out. It stops when [target] pops, so when [target] lies
     within [bound] its parent chain leads back to [src] over edges
@@ -210,7 +244,7 @@ val within_csr_into :
     the workspace's next search. Raises [Invalid_argument] on an
     out-of-range source or target. *)
 val settle_parents_csr_ws :
-  ?potential:(int -> float) ->
+  ?landmarks:landmarks ->
   workspace ->
   Csr.t ->
   int ->

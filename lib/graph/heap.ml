@@ -79,14 +79,6 @@ let peek_min t =
   if t.size = 0 then raise Not_found;
   (t.keys.(0), t.prios.(0))
 
-let clear t =
-  (* Cost proportional to the leftover entries, not the capacity, so a
-     workspace heap can be recycled cheaply between bounded searches. *)
-  for i = 0 to t.size - 1 do
-    t.pos.(t.keys.(i)) <- -1
-  done;
-  t.size <- 0
-
 let pop_min t =
   let k, p = peek_min t in
   let last = t.size - 1 in

@@ -37,11 +37,6 @@ val insert_or_decrease : t -> int -> float -> unit
     priority. Raises [Not_found] on an empty heap. *)
 val pop_min : t -> int * float
 
-(** [clear t] empties the heap in time proportional to its current
-    size, allowing a bounded search to recycle it without paying for
-    the capacity. *)
-val clear : t -> unit
-
 (** [peek_min t] is the minimum pair without removing it. Raises
     [Not_found] on an empty heap. *)
 val peek_min : t -> int * float

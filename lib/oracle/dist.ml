@@ -9,9 +9,9 @@ module Pool = Parallel.Pool
    forest grown from every center at once, so [up] chains stay inside
    their cluster. The portal table is three parallel arrays sorted by
    center pair, so the route expansion finds the spanner edge behind
-   each center-graph hop by binary search. [landmark_dist] is n x m
-   vertex-major: row v holds v's distance to each of the m landmark
-   centers, the rows the near searches' A* bound reads. *)
+   each center-graph hop by binary search. [landmarks] is an n x m
+   vertex-major table: row v holds v's distance to each of the m
+   landmark centers, the rows the near searches' A* potential reads. *)
 type t = {
   csr : Csr.t;
   eps : float;
@@ -27,8 +27,7 @@ type t = {
   portal_key : int array; (* sorted adjacent pairs, a * k + b with a < b *)
   portal_lo : int array; (* portal endpoint inside cluster a *)
   portal_hi : int array; (* portal endpoint inside cluster b *)
-  n_landmarks : int; (* m *)
-  landmark_dist : float array; (* n*m, infinity = unreachable *)
+  landmarks : Dijkstra.landmarks; (* n*m, infinity = unreachable *)
   build_seconds : float;
 }
 
@@ -59,7 +58,7 @@ let stats t =
       + Array.length t.dist_to_center + Array.length t.up
       + Array.length t.dmat + Array.length t.next_center
       + Array.length t.portal_key + Array.length t.portal_lo
-      + Array.length t.portal_hi + Array.length t.landmark_dist;
+      + Array.length t.portal_hi + Array.length t.landmarks.table;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -252,7 +251,7 @@ let pick_landmarks ~k ~dmat =
    vertex-major table. Columns are slot-disjoint on the pool and each
    chunk reuses one pair of trace buffers, so the table is bit-identical
    for every pool size. *)
-let landmark_table j ~landmarks =
+let landmark_table j ~landmarks : Dijkstra.landmarks =
   let n = Csr.n_vertices j and m = Array.length landmarks in
   let table = Array.make (n * m) infinity in
   Pool.iter_chunks m (fun lo hi ->
@@ -267,7 +266,7 @@ let landmark_table j ~landmarks =
           table.((out_v.(x) * m) + i) <- out_d.(x)
         done
       done);
-  table
+  { table; m }
 
 (* The tables both [build] and [repair] end with, from the centers and
    their forest. *)
@@ -293,8 +292,7 @@ let assemble j ~t0 ~eps ~radius ~near_bound ~centers
     portal_key;
     portal_lo;
     portal_hi;
-    n_landmarks = Array.length landmarks;
-    landmark_dist = landmark_table j ~landmarks;
+    landmarks = landmark_table j ~landmarks;
     build_seconds = Unix.gettimeofday () -. t0;
   }
 
@@ -437,8 +435,12 @@ let repair_impl ~prev ~dirty j =
           center_ix = grow prev.center_ix (-1);
           dist_to_center = grow prev.dist_to_center infinity;
           up = grow prev.up (-1);
-          landmark_dist =
-            grow ~width:prev.n_landmarks prev.landmark_dist infinity;
+          landmarks =
+            {
+              prev.landmarks with
+              table =
+                grow ~width:prev.landmarks.m prev.landmarks.table infinity;
+            };
         }
         0
     end
@@ -516,37 +518,8 @@ let repair ~prev ~dirty j =
 (* Query workspaces                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The A* potential of a near search toward [t]: v's landmark lower
-   bound max_i |D_i(t) - D_i(v)|, scaled by 1 - 2^-30 and lowered by
-   2^-30 of the search bound, so that it stays below the remaining
-   distance by more than the rounding in any label (the argument is in
-   [Dijkstra]'s interface). A NaN term (both distances infinite) counts
-   as 0; an infinite one means v and t lie in different components, a
-   true bound. The target's row is copied in once per search, and the
-   closure over this record is made once per workspace. *)
-type alt = {
-  mutable table : float array; (* the oracle's landmark_dist *)
-  mutable m : int;
-  row : float array; (* the target's row, row.(0 .. m-1) *)
-  mutable shift : float; (* 2^-30 x search bound *)
-}
-
-let alt_scale = 1.0 -. ldexp 1.0 (-30)
-
-let alt_potential a v =
-  let base = v * a.m in
-  let best = ref 0.0 in
-  for i = 0 to a.m - 1 do
-    let d = Float.abs (a.row.(i) -. a.table.(base + i)) in
-    if d > !best then best := d
-  done;
-  let h = (alt_scale *. !best) -. a.shift in
-  if h > 0.0 then h else 0.0
-
 type query_ws = {
   dws : Dijkstra.workspace;
-  alt : alt;
-  potential : int -> float; (* alt_potential alt *)
   mutable near : int; (* answers a search gave *)
   mutable far : int; (* answers read off the tables *)
   mutable route : int array; (* cached route, route.(0 .. route_len-1) *)
@@ -557,13 +530,8 @@ type query_ws = {
 }
 
 let create_query_ws () =
-  let alt =
-    { table = [||]; m = 0; row = Array.make max_landmarks 0.0; shift = 0.0 }
-  in
   {
     dws = Dijkstra.create_workspace ();
-    alt;
-    potential = alt_potential alt;
     near = 0;
     far = 0;
     route = [||];
@@ -577,16 +545,6 @@ let qws_key = Domain.DLS.new_key create_query_ws
 let domain_query_ws () = Domain.DLS.get qws_key
 let near_answers qws = qws.near
 let far_answers qws = qws.far
-
-(* Points [qws]'s potential at [target] for a search bounded by
-   [bound], and returns it. *)
-let aim t qws target ~bound =
-  let a = qws.alt and m = t.n_landmarks in
-  a.table <- t.landmark_dist;
-  a.m <- m;
-  Array.blit t.landmark_dist (target * m) a.row 0 m;
-  a.shift <- ldexp bound (-30);
-  qws.potential
 
 (* ------------------------------------------------------------------ *)
 (* Distance queries                                                    *)
@@ -604,7 +562,7 @@ let near_search t qws u v ~l =
   qws.near <- qws.near + 1;
   let bound = l +. bound_slack in
   Dijkstra.distance_upto_csr_ws qws.dws t.csr u v ~bound
-    ~potential:(aim t qws v ~bound)
+    ~landmarks:t.landmarks
 
 let distance_estimate t qws u v =
   Obs.Metrics.incr m_queries;
@@ -740,7 +698,7 @@ let compute_route t qws src dst =
         qws.near <- qws.near + 1;
         let bound = l +. bound_slack in
         Dijkstra.settle_parents_csr_ws qws.dws t.csr dst ~target:src ~bound
-          ~potential:(aim t qws src ~bound);
+          ~landmarks:t.landmarks;
         (* The true distance is at most [l], so [src] popped within the
            bound and every vertex on its shortest path to [dst] settled
            before it; the parent chain cannot dead-end. *)

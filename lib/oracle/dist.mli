@@ -189,12 +189,12 @@ val stats : t -> stats
 (** {1 Query workspaces}
 
     A workspace owns every buffer a query needs — the bounded-search
-    Dijkstra workspace, the target's landmark row and the A* potential
-    closure over it (made once per workspace), the descent scratch and
-    the cached route — so a query allocates no buffer and makes no
-    closure of its own in steady state (buffers grow to the largest
-    instance seen, then are reused; the search core still boxes small
-    values as it relaxes), and a far answer allocates nothing at all.
+    Dijkstra workspace, the descent scratch and the cached route — so
+    a query allocates no buffer in steady state (buffers grow to the
+    largest instance seen, then are reused). A near answer's A* search
+    reads the landmark table in place and allocates nothing per
+    settled vertex, only a few words per search (about ten in E-qps),
+    and a far answer allocates nothing at all.
     It also counts the near and far answers given through it. One
     workspace serves one query at a time and must not be shared
     between domains. *)

@@ -11,6 +11,10 @@ type t = private {
   alpha : float;
   n : int;  (** number of network nodes *)
   m : int;  (** largest bin index; bins are 0..m *)
+  thresholds : float array;
+      (** length [m]: [thresholds.(0) = alpha / n] and each next entry
+          is the previous one times [r], in float arithmetic; bin
+          [i < m] ends at [thresholds.(i)] *)
 }
 
 (** [make ~params ~n] derives the binning for an [n]-node input. *)
@@ -23,8 +27,9 @@ val count : t -> int
     the top of bin 0. *)
 val w : t -> int -> float
 
-(** [index b len] is the bin holding an edge of length [len]; requires
-    [0 < len <= 1]. *)
+(** [index b len] is the bin holding an edge of length [len]: the
+    first [i < m] with [len <= thresholds.(i)], else [m]. A binary
+    search, O(log m). Requires [0 < len <= 1]. *)
 val index : t -> float -> int
 
 (** [interval b i] is the half-open-below interval [(lo, hi]] of bin

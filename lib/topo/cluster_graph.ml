@@ -56,7 +56,7 @@ let crossing_keys spanner ~cover ~n =
         keys.(!i) <- (min a b * n) + max a b;
         incr i
       end);
-  Array.sort compare keys;
+  Array.sort Int.compare keys;
   (* Dedupe in place; [m] distinct keys survive. *)
   let m = ref 0 in
   Array.iteri

@@ -71,6 +71,47 @@ let prop_partition_preserves_edges =
               binned)
       && Random.State.int st 2 >= 0)
 
+(* The reference [Bins.index] must agree with: walk the thresholds up
+   one multiplication at a time from alpha / n, stopping at the first
+   one at least [len] or at the top bin. *)
+let chain_index (b : Bins.t) len =
+  let rec go i threshold =
+    if len <= threshold || i = b.m then i else go (i + 1) (threshold *. b.r)
+  in
+  go 0 (b.alpha /. float_of_int b.n)
+
+(* Every edge of the seed-1 perfbench-family instances (expected degree
+   10, alpha 0.8) binned at eps 0.5, and every chain threshold with the
+   floats on either side of it. *)
+let test_index_matches_chain () =
+  let params = Params.of_epsilon ~eps:0.5 ~alpha:0.8 ~dim:2 in
+  List.iter
+    (fun n ->
+      let side =
+        Ubg.Generator.side_for_expected_degree ~dim:2 ~n ~alpha:0.8
+          ~degree:10.0
+      in
+      let model =
+        Ubg.Generator.connected ~seed:1 ~dim:2 ~n ~alpha:0.8
+          (Ubg.Generator.Uniform { side })
+      in
+      let b = Bins.make ~params ~n in
+      let edges = ref 0 and bad = ref 0 in
+      let check len = if Bins.index b len <> chain_index b len then incr bad in
+      Wgraph.iter_edges model.Ubg.Model.graph (fun _ _ w ->
+          incr edges;
+          check w);
+      let threshold = ref (b.alpha /. float_of_int n) in
+      for _ = 0 to b.m do
+        List.iter
+          (fun x -> if x > 0.0 && x <= 1.0 then check x)
+          [ Float.pred !threshold; !threshold; Float.succ !threshold ];
+        threshold := !threshold *. b.r
+      done;
+      Alcotest.(check bool) (Printf.sprintf "n = %d has edges" n) true (!edges > n);
+      Alcotest.(check int) (Printf.sprintf "n = %d mismatches" n) 0 !bad)
+    [ 800; 7000; 10_000 ]
+
 let test_errors () =
   let b = Bins.make ~params ~n:10 in
   Alcotest.(check bool) "length 0 rejected" true
@@ -98,6 +139,8 @@ let () =
           prop_index_within_interval;
           prop_intervals_partition;
           Alcotest.test_case "boundaries" `Quick test_index_boundaries;
+          Alcotest.test_case "index = chain walk" `Quick
+            test_index_matches_chain;
           prop_partition_preserves_edges;
           Alcotest.test_case "errors" `Quick test_errors;
         ] );

@@ -161,6 +161,68 @@ let prop_of_arrays_sorts =
       done;
       Csr.of_arrays ~off:(Array.copy c.Csr.off) ~dst ~wgt = c)
 
+(* Shuffled rather than reversed slices, with a hub whose slice is
+   long enough for the heapsort path. *)
+let prop_of_arrays_sorts_shuffled =
+  qtest ~count:40 "csr: of_arrays normalizes shuffled slices, hubs included"
+    seed_arb (fun seed ->
+      let st = rand_state seed in
+      let n = 20 + Random.State.int st 180 in
+      let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 50) in
+      let hub = Random.State.int st n in
+      for v = 0 to n - 1 do
+        if v <> hub && Random.State.int st 3 > 0 then
+          Wgraph.add_edge g hub v (0.5 +. Random.State.float st 1.0)
+      done;
+      let c = Csr.of_wgraph g in
+      let dst = Array.copy c.Csr.dst and wgt = Array.copy c.Csr.wgt in
+      for u = 0 to n - 1 do
+        let lo = c.Csr.off.(u) and hi = c.Csr.off.(u + 1) in
+        for k = hi - 1 downto lo + 1 do
+          let j = lo + Random.State.int st (k - lo + 1) in
+          let v = dst.(k) and w = wgt.(k) in
+          dst.(k) <- dst.(j);
+          wgt.(k) <- wgt.(j);
+          dst.(j) <- v;
+          wgt.(j) <- w
+        done
+      done;
+      Csr.of_arrays ~off:(Array.copy c.Csr.off) ~dst ~wgt = c)
+
+(* Sorting happens in place on the adopted arrays: the only allocation
+   is the snapshot record, however many slices arrive out of order
+   (a boxed weight or a tuple per arc would read thousands of words). *)
+let test_of_arrays_sorts_without_allocating () =
+  let n = 2000 in
+  let st = Random.State.make [| 17 |] in
+  let g = random_graph ~st ~n ~extra_edges:(6 * n) in
+  for v = 1 to 200 do
+    Wgraph.add_edge g 0 v 1.0
+  done;
+  let c = Csr.of_wgraph g in
+  let shuffled () =
+    let dst = Array.copy c.Csr.dst and wgt = Array.copy c.Csr.wgt in
+    for u = 0 to n - 1 do
+      let lo = c.Csr.off.(u) and hi = c.Csr.off.(u + 1) in
+      for k = lo to ((lo + hi) / 2) - 1 do
+        let k' = hi - 1 - (k - lo) in
+        let v = dst.(k) and w = wgt.(k) in
+        dst.(k) <- dst.(k');
+        wgt.(k) <- wgt.(k');
+        dst.(k') <- v;
+        wgt.(k') <- w
+      done
+    done;
+    (Array.copy c.Csr.off, dst, wgt)
+  in
+  let off, dst, wgt = shuffled () in
+  let w0 = Gc.minor_words () in
+  let sorted = Csr.of_arrays ~off ~dst ~wgt in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "same layout" true (sorted = c);
+  if words > 64.0 then
+    Alcotest.failf "of_arrays allocated %.0f minor words" words
+
 (* The region snapshot: [induced] must freeze exactly what the builder
    route did — an induced Wgraph assembled vertex by vertex, then
    [of_wgraph] — with offsets, targets and weight bit patterns equal,
@@ -352,6 +414,9 @@ let () =
       ( "adopt",
         [
           prop_of_arrays_sorts;
+          prop_of_arrays_sorts_shuffled;
+          Alcotest.test_case "of_arrays sorts without allocating" `Quick
+            test_of_arrays_sorts_without_allocating;
           Alcotest.test_case "of_arrays rejects malformed" `Quick
             test_of_arrays_rejects_malformed;
         ] );

@@ -292,18 +292,11 @@ let test_distances_to_range () =
   Alcotest.(check (array (float 0.0))) "in range" [| 2.0; 0.0 |]
     (Dijkstra.distances_to_csr c 0 ~targets:[| 2; 0 |])
 
-(* The oracle's A* potential toward [target] over landmark distance
-   rows: max_i |D_i(target) - D_i(v)|, scaled by 1 - 2^-30 and lowered
-   by 2^-30 of the search bound, a NaN term counting as 0. *)
-let alt_potential rows ~target ~bound v =
-  let best = ref 0.0 in
-  Array.iter
-    (fun d ->
-      let x = Float.abs (d.(target) -. d.(v)) in
-      if x > !best then best := x)
-    rows;
-  let h = ((1.0 -. ldexp 1.0 (-30)) *. !best) -. ldexp bound (-30) in
-  if h > 0.0 then h else 0.0
+(* Landmark distance rows as the oracle lays them out: an n x m
+   vertex-major table. *)
+let landmark_table rows : Dijkstra.landmarks =
+  let m = Array.length rows and n = Array.length rows.(0) in
+  { table = Array.init (n * m) (fun x -> rows.(x mod m).(x / m)); m }
 
 (* [g] frozen as is, with about a quarter of its edges at weight zero
    ([Wgraph] refuses those, the snapshot takes them), or with
@@ -356,6 +349,7 @@ let prop_potential_entries_exact =
           (1 + Random.State.int st 8)
           (fun _ -> Dijkstra.distances_csr c (Random.State.int st n))
       in
+      let landmarks = landmark_table rows in
       let ws = Dijkstra.create_workspace () in
       let bits = Int64.bits_of_float in
       let ok = ref true in
@@ -371,16 +365,17 @@ let prop_potential_entries_exact =
               (d *. (1.0 +. Random.State.float st 0.5)) +. 1e-9
           | _ -> Random.State.float st 3.0
         in
-        let potential = alt_potential rows ~target:dst ~bound in
-        let got = Dijkstra.distance_upto_csr_ws ~potential ws c src dst ~bound in
+        let got =
+          Dijkstra.distance_upto_csr_ws ~landmarks ws c src dst ~bound
+        in
         if d <= bound then (if bits got <> bits d then ok := false)
         else if not (got > bound) then ok := false;
         (* The route entry searches from [dst] toward [src]; its parent
            chain from [src] folds, from [dst], to [src]'s label. *)
         let rd = (Dijkstra.distances_csr c dst).(src) in
         if rd <= bound && src <> dst then begin
-          let potential = alt_potential rows ~target:src ~bound in
-          Dijkstra.settle_parents_csr_ws ~potential ws c dst ~target:src ~bound;
+          Dijkstra.settle_parents_csr_ws ~landmarks ws c dst ~target:src
+            ~bound;
           match parent_chain ws ~n ~src ~dst c with
           | None -> ok := false
           | Some edges ->
@@ -389,6 +384,87 @@ let prop_potential_entries_exact =
         end
       done;
       !ok)
+
+(* Minor words one call of [f] allocates, averaged over [k] calls after
+   a warm-up call that grows the workspaces to the graph. *)
+let words_per_call ?(k = 10) f =
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  for _ = 1 to k do
+    ignore (f ())
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int k
+
+(* Every CSR entry through a workspace allocates nothing per settled
+   vertex once the workspace has grown, only a few words per call (the
+   boxed bound, an optional argument, [distances_to_csr]'s result). Each
+   call below settles hundreds to thousands of vertices, so one word
+   per settled vertex would read far above the limit. *)
+let test_csr_entries_allocate_nothing () =
+  let n = 3000 in
+  let side =
+    Ubg.Generator.side_for_expected_degree ~dim:2 ~n ~alpha:0.8 ~degree:10.0
+  in
+  let model =
+    Ubg.Generator.connected ~seed:3 ~dim:2 ~n ~alpha:0.8
+      (Ubg.Generator.Uniform { side })
+  in
+  let c = Csr.of_wgraph model.Ubg.Model.graph in
+  let ws = Dijkstra.create_workspace () in
+  let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
+  let out_p = Array.make n 0 in
+  let src = 0 in
+  let d0 = Dijkstra.distances_csr c src in
+  (* The farthest vertex, so target searches settle nearly everything. *)
+  let far = ref src in
+  Array.iteri (fun v d -> if d > d0.(!far) then far := v) d0;
+  let far = !far in
+  let rows = Array.map (Dijkstra.distances_csr c) [| 1; 2; 3; 4 |] in
+  let landmarks : Dijkstra.landmarks =
+    { table = Array.init (n * 4) (fun x -> rows.(x mod 4).(x / 4)); m = 4 }
+  in
+  let bound = d0.(far) +. 1e-9 in
+  let settled = Dijkstra.within_csr_into ws c src ~bound ~out_v ~out_d in
+  Alcotest.(check int) "the ball is the whole graph" n settled;
+  let limit = 64.0 in
+  List.iter
+    (fun (name, f) ->
+      let w = words_per_call f in
+      if w > limit then
+        Alcotest.failf "%s: %.1f minor words per call (limit %.0f)" name w
+          limit)
+    [
+      ("ball", fun () -> Dijkstra.within_csr_into ws c src ~bound ~out_v ~out_d);
+      ( "target set",
+        fun () ->
+          Array.length (Dijkstra.distances_to_csr c src ~targets:[| far; 7 |])
+      );
+      ( "forest",
+        fun () ->
+          Dijkstra.within_multi_csr_into ws c ~srcs:[| 0; 1000; 2000 |] ~bound
+            ~out_v ~out_d ~out_p );
+      ( "route parents",
+        fun () ->
+          Dijkstra.settle_parents_csr_ws ws c src ~target:far ~bound;
+          0 );
+      ( "plain target",
+        fun () ->
+          int_of_float (Dijkstra.distance_upto_csr_ws ws c src far ~bound) );
+      ( "A* with landmark rows",
+        fun () ->
+          int_of_float
+            (Dijkstra.distance_upto_csr_ws ~landmarks ws c src far ~bound) );
+      ( "A* route parents",
+        fun () ->
+          Dijkstra.settle_parents_csr_ws ~landmarks ws c src ~target:far
+            ~bound;
+          0 );
+      ( "hop-bounded",
+        fun () ->
+          int_of_float
+            (Dijkstra.hop_bounded_distance_csr_ws ws c src far ~max_hops:12
+               ~bound) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* BFS                                                                *)
@@ -566,6 +642,8 @@ let () =
           Alcotest.test_case "distances_to_csr range checks" `Quick
             test_distances_to_range;
           prop_potential_entries_exact;
+          Alcotest.test_case "CSR entries allocate nothing per settled vertex"
+            `Quick test_csr_entries_allocate_nothing;
         ] );
       ( "bfs",
         [ Alcotest.test_case "path graph" `Quick test_bfs_path_graph; prop_induced_ball ] );
