@@ -1,7 +1,7 @@
 .PHONY: all check test fmt bench bench-churn-smoke \
 	bench-scale-smoke bench-scale-large bench-compare-smoke \
 	bench-oracle-smoke bench-repair-smoke bench-daemon-smoke \
-	trace-smoke serve-smoke clean
+	trace-smoke serve-smoke fingerprints clean
 
 all:
 	dune build @all
@@ -98,6 +98,13 @@ trace-smoke:
 	TOPO_TRACE=trace.json TOPO_EAGER_WAKE=1 \
 		dune exec bench/main.exe -- E-obs quick
 	dune exec bin/topoctl.exe -- trace-check trace.json
+
+# Bit-identity fingerprints: MD5s of relaxed spanners at n = 10^4
+# (seeds 1-3), greedy/ft/ft-vertex spanners at n = 1500, `topoctl
+# rounds` at n = 800 and `simulate --full-protocol` at n = 60. Diff the
+# output of two checkouts; a refactor must leave it unchanged.
+fingerprints:
+	bash scripts/fingerprints.sh
 
 clean:
 	dune clean

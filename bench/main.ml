@@ -1044,11 +1044,14 @@ let e_churn () =
   let build_s = Dynamic.Engine.last_rebuild_seconds engine in
   let rows = ref [] in
   Dynamic.Engine.replay engine trace ~f:(fun r ->
+      let weight_ratio =
+        Dynamic.Engine.weight_ratio (Dynamic.Engine.latest engine)
+      in
       let fresh_model, _ = Dynamic.Engine.current_model engine in
       let t0 = Unix.gettimeofday () in
       ignore (Relaxed_greedy.build ~params fresh_model);
       let rebuild_s = Unix.gettimeofday () -. t0 in
-      rows := (r, rebuild_s) :: !rows);
+      rows := (r, weight_ratio, rebuild_s) :: !rows);
   let rows = List.rev !rows in
   let t =
     Report.create
@@ -1062,7 +1065,7 @@ let e_churn () =
           "rebuild ms"; "speedup"; "stretch"; "maxdeg"; "w/MST" ]
   in
   List.iter
-    (fun ((r : Dynamic.Engine.report), rebuild_s) ->
+    (fun ((r : Dynamic.Engine.report), weight_ratio, rebuild_s) ->
       Report.add_row t
         [
           Report.cell_i r.Dynamic.Engine.epoch;
@@ -1080,24 +1083,24 @@ let e_churn () =
             (rebuild_s /. Float.max 1e-9 r.Dynamic.Engine.repair_seconds);
           Report.cell_f r.Dynamic.Engine.stretch;
           Report.cell_i r.Dynamic.Engine.max_degree;
-          Report.cell_f r.Dynamic.Engine.weight_ratio;
+          Report.cell_f weight_ratio;
         ])
     rows;
   Report.print t;
   let speedups =
     List.map
-      (fun ((r : Dynamic.Engine.report), rebuild_s) ->
+      (fun ((r : Dynamic.Engine.report), _, rebuild_s) ->
         rebuild_s /. Float.max 1e-9 r.Dynamic.Engine.repair_seconds)
       rows
   in
   let min_speedup = List.fold_left Float.min infinity speedups in
   let sum_repair =
     List.fold_left
-      (fun acc ((r : Dynamic.Engine.report), _) ->
+      (fun acc ((r : Dynamic.Engine.report), _, _) ->
         acc +. r.Dynamic.Engine.repair_seconds)
       0.0 rows
   and sum_rebuild =
-    List.fold_left (fun acc (_, rb) -> acc +. rb) 0.0 rows
+    List.fold_left (fun acc (_, _, rb) -> acc +. rb) 0.0 rows
   in
   Printf.printf
     "   min per-epoch speedup %.1fx, aggregate %.1fx; bit-identical across \
@@ -1116,7 +1119,7 @@ let e_churn () =
           ( "epochs",
             Arr
               (List.map
-                 (fun ((r : Dynamic.Engine.report), rebuild_s) ->
+                 (fun ((r : Dynamic.Engine.report), weight_ratio, rebuild_s) ->
                    let kind =
                      match r.Dynamic.Engine.kind with
                      | Dynamic.Engine.Incremental -> "incremental"
@@ -1137,7 +1140,7 @@ let e_churn () =
                        ("speedup", Num (rebuild_s /. Float.max 1e-9 repair_s));
                        ("stretch", Num r.Dynamic.Engine.stretch);
                        ("max_degree", int r.Dynamic.Engine.max_degree);
-                       ("weight_ratio", Num r.Dynamic.Engine.weight_ratio);
+                       ("weight_ratio", Num weight_ratio);
                      ])
                  rows) );
         ]);

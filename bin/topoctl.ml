@@ -642,7 +642,8 @@ let churn_cmd =
                 (rebuild_s /. Float.max 1e-9 r.Dynamic.Engine.repair_seconds);
               Analysis.Report.cell_f r.Dynamic.Engine.stretch;
               Analysis.Report.cell_i r.Dynamic.Engine.max_degree;
-              Analysis.Report.cell_f r.Dynamic.Engine.weight_ratio;
+              Analysis.Report.cell_f
+                (Dynamic.Engine.weight_ratio (Dynamic.Engine.latest engine));
             ]);
       Analysis.Report.print table;
       let incr, rebuilds, cert_failures = Dynamic.Engine.counters engine in

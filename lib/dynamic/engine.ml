@@ -49,7 +49,6 @@ type report = {
   kind : repair_kind;
   stretch : float;
   max_degree : int;
-  weight_ratio : float;
   repair_seconds : float;
   certify_seconds : float;
 }
@@ -95,6 +94,9 @@ let on_epoch t f = t.epoch_hooks <- f :: t.epoch_hooks
 
 let diff ~before ~after =
   Csr.diff ~before:before.snap_spanner ~after:after.snap_spanner
+
+let weight_ratio snap =
+  Csr.total_weight snap.snap_spanner /. Graph.Mst.weight_csr snap.snap_ubg
 
 (* ------------------------------------------------------------------ *)
 (* Slot-indexed graph maintenance                                      *)
@@ -460,7 +462,6 @@ let apply_batch_impl t (events : Churn.event array) =
     kind = !kind;
     stretch;
     max_degree = Csr.max_degree sp;
-    weight_ratio = Csr.total_weight sp /. Graph.Mst.weight_csr base;
     repair_seconds;
     certify_seconds;
   }

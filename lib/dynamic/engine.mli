@@ -82,7 +82,6 @@ type report = {
   kind : repair_kind;
   stretch : float;  (** certified; always [<= t + 1e-9] on return *)
   max_degree : int;
-  weight_ratio : float;  (** spanner weight / MST weight of the α-UBG *)
   repair_seconds : float;  (** repair work, excluding certification *)
   certify_seconds : float;
 }
@@ -185,6 +184,12 @@ val on_epoch : t -> (snapshot -> unit) -> unit
 (** [diff ~before ~after] is {!Graph.Csr.diff} on the two snapshots'
     spanners: the edges added and removed between the epochs. *)
 val diff : before:snapshot -> after:snapshot -> Graph.Wgraph.edge array * Graph.Wgraph.edge array
+
+(** [weight_ratio snap] is the spanner's total weight over the weight
+    of a minimum spanning forest of the α-UBG, at [snap]'s epoch. It
+    runs one MST of the whole base graph, which is why {!apply_batch}
+    leaves it to the callers that print it. *)
+val weight_ratio : snapshot -> float
 
 (** [rollback t] discards the newest snapshot and restores the engine
     (population, α-UBG, spanner, epoch) to the one before it. Raises

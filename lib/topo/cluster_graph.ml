@@ -33,52 +33,38 @@ let check_radius ~cover ~w_prev =
 let reach_of ~cover ~w_prev =
   w_prev +. (2.0 *. cover.Cluster_cover.radius) +. 1e-12
 
-(* ------------------------------------------------------------------ *)
-(* Crossing-pair set: sorted packed keys + binary search                *)
-(* ------------------------------------------------------------------ *)
+(* Per-domain crossing stamps for condition (ii): while center [a] is
+   scanned, [stamps.(b) = epoch] marks every center [b] that a spanner
+   arc out of one of [a]'s members reaches. Each center takes a fresh
+   epoch, so a round costs its members' arcs and allocates nothing. *)
+let stamp_scratch : (int array ref * int ref) Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> (ref [||], ref 0))
 
-(* The set of center pairs {a, b} joined by a spanner edge crossing
-   between C_a and C_b (condition (ii) of Section 2.2.3), stored as a
-   sorted array of [a * n + b] keys with [a < b]. Membership is an
-   alloc-free binary search; building is two cache-linear passes over
-   the frozen spanner plus one sort — no hashtable buckets, no boxed
-   tuple keys. *)
-let crossing_keys spanner ~cover ~n =
-  let center_of = cover.Cluster_cover.center_of in
-  let count = ref 0 in
-  Csr.iter_edges spanner (fun u v _ ->
-      if center_of.(u) <> center_of.(v) then incr count);
-  let keys = Array.make !count 0 in
-  let i = ref 0 in
-  Csr.iter_edges spanner (fun u v _ ->
-      let a = center_of.(u) and b = center_of.(v) in
-      if a <> b then begin
-        keys.(!i) <- (min a b * n) + max a b;
-        incr i
-      end);
-  Array.sort Int.compare keys;
-  (* Dedupe in place; [m] distinct keys survive. *)
-  let m = ref 0 in
-  Array.iteri
-    (fun j k ->
-      if j = 0 || keys.(j - 1) <> k then begin
-        keys.(!m) <- k;
-        incr m
-      end)
-    keys;
-  if !m = Array.length keys then keys else Array.sub keys 0 !m
+let stamp_buffer n =
+  let stamps, epoch = Domain.DLS.get stamp_scratch in
+  if Array.length !stamps < n then stamps := Array.make n 0;
+  (!stamps, epoch)
 
-let mem_key keys key =
-  let lo = ref 0 and hi = ref (Array.length keys - 1) in
-  let found = ref false in
-  while (not !found) && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let x = keys.(mid) in
-    if x = key then found := true
-    else if x < key then lo := mid + 1
-    else hi := mid - 1
+(* Members of each center as one slice: a counting sort on [center_of],
+   so [mem.(mem_off.(a)) .. mem.(mem_off.(a + 1) - 1)] are the members
+   of [C_a], ascending. A vertex without a center is in no slice. *)
+let member_index ~center_of ~n =
+  let mem_off = Array.make (n + 1) 0 in
+  Array.iter
+    (fun a -> if a >= 0 then mem_off.(a + 1) <- mem_off.(a + 1) + 1)
+    center_of;
+  for a = 0 to n - 1 do
+    mem_off.(a + 1) <- mem_off.(a + 1) + mem_off.(a)
   done;
-  !found
+  let mem = Array.make mem_off.(n) 0 and cursor = Array.sub mem_off 0 n in
+  Array.iteri
+    (fun x a ->
+      if a >= 0 then begin
+        mem.(cursor.(a)) <- x;
+        cursor.(a) <- cursor.(a) + 1
+      end)
+    center_of;
+  (mem_off, mem)
 
 (* ------------------------------------------------------------------ *)
 (* Build: arenas + direct CSR emit                                      *)
@@ -113,9 +99,11 @@ let arena_push ar b d =
 (* H is built flat, without ever materializing a mutable graph or a
    hashtable:
 
-     1. crossing pairs: sorted key array (binary-search membership);
+     1. a member index: one counting sort on [center_of];
      2. per-center balls + qualification fan out over the pool in
-        contiguous chunks, each appending to a private arena — the
+        contiguous chunks, each appending to a private arena; a
+        partner farther than [W_{i-1}] qualifies when the center's
+        crossing stamps (its members' spanner arcs) reach it. The
         qualifying set is a pure function of the frozen inputs, so
         chunking does not change it;
      3. a sequential merge in center order drains the arenas;
@@ -135,7 +123,8 @@ let build_csr ~spanner ~cover ~w_prev =
   let dist_to_center = cover.Cluster_cover.dist_to_center in
   let k_centers = Array.length centers in
   let inter_degree = Array.make n 0 in
-  let crossing = crossing_keys spanner ~cover ~n in
+  let mem_off, mem = member_index ~center_of ~n in
+  let sp_off = spanner.Csr.off and sp_dst = spanner.Csr.dst in
   (* Merge order of each center doubles as its pair stamp (non-centers
      keep [max_int]). Balls are symmetric (sp and the qualifying
      conditions are), so the pair {a, b} is found from both endpoints;
@@ -161,8 +150,18 @@ let build_csr ~spanner ~cover ~w_prev =
       slots.(lo) <- Some ar;
       let ws = Dijkstra.domain_workspace () in
       let vbuf, dbuf = ball_buffers n in
+      let stamps, epoch = stamp_buffer n in
       for i = lo to hi - 1 do
         let a = centers.(i) in
+        incr epoch;
+        let ep = !epoch in
+        for p = mem_off.(a) to mem_off.(a + 1) - 1 do
+          let x = mem.(p) in
+          for q = sp_off.(x) to sp_off.(x + 1) - 1 do
+            let b = center_of.(sp_dst.(q)) in
+            if b >= 0 then stamps.(b) <- ep
+          done
+        done;
         let nk =
           Dijkstra.within_csr_into ws spanner a ~bound:reach ~out_v:vbuf
             ~out_d:dbuf
@@ -171,10 +170,7 @@ let build_csr ~spanner ~cover ~w_prev =
           let b = vbuf.(j) and d = dbuf.(j) in
           if merge_order.(b) > i && merge_order.(b) < max_int && d > 0.0
           then
-            if
-              d <= w_prev +. 1e-12
-              || mem_key crossing ((min a b * n) + max a b)
-            then begin
+            if d <= w_prev +. 1e-12 || stamps.(b) = ep then begin
               arena_push ar b d;
               ar.cnt.(i - lo) <- ar.cnt.(i - lo) + 1
             end

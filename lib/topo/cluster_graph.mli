@@ -13,13 +13,19 @@
     hop budget of [2 + ceil (t r / delta)] (Lemma 8), which makes the
     search exact for the accept/reject decision.
 
-    [H] is built flat and never materializes a mutable graph: crossing
-    pairs live in a sorted key array (binary-search membership),
+    [H] is built flat and never materializes a mutable graph:
     per-center balls fan out over the pool in contiguous chunks
     appending to per-chunk arenas, and the arcs are emitted straight
     into plain [int] / [float] arrays adopted by {!Graph.Csr.of_arrays}.
-    [H] is therefore an ordinary {!Graph.Csr.t}, searched by the same
-    Dijkstra core as the spanner. *)
+    Crossings are stamps: before its ball is read, a center stamps
+    every center that a spanner arc out of one of its members reaches
+    (the members come from one counting sort of the cover's
+    [center_of]), and a ball partner farther than [W_{i-1}] qualifies
+    exactly when it is stamped. Nothing is sorted per phase, and at
+    [ε = 0.5], where nearly every cluster is a singleton, a center's
+    stamps cost its own few arcs. [H] is therefore an ordinary
+    {!Graph.Csr.t}, searched by the same Dijkstra core as the
+    spanner. *)
 
 type t = private {
   hcsr : Graph.Csr.t;  (** frozen snapshot of H; all queries run here *)

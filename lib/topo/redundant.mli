@@ -27,7 +27,20 @@ type result = {
     2.2.5: one vertex per element of [added] (same indexing), one
     unit-weight edge per mutually redundant pair. The distributed
     engine runs its simulated MIS on this graph; {!filter} uses a
-    sequential greedy MIS internally. *)
+    sequential greedy MIS internally.
+
+    Within one bin the weights differ by at most the bin ratio, so the
+    weight precondition [t1 w1 - w2 >= 0] passes for nearly every pair,
+    and a pair scan would search [H] for each of them. Instead, for
+    each edge [e1] one plain bounded search on [H] from [e1.u], of
+    bound [t1 w1 - w_min] ([w_min] the smallest weight in [added]),
+    collects the later edges with an endpoint in its ball; only those
+    are tested, in ascending index order. Either pairing of a conflict
+    needs an endpoint of [e2] within the hop-bounded
+    [sp_H <= t1 w1 - w2] of [e1.u], and a plain distance never exceeds
+    the hop-bounded one, so no conflict is lost, under any metric. [J]
+    is the pair scan's graph: the same edges, inserted in the same
+    order. *)
 val conflict_graph :
   ?max_hops:int -> h:Cluster_graph.t -> params:Params.t ->
   Graph.Wgraph.edge array -> Graph.Wgraph.t

@@ -236,11 +236,23 @@ let insert_kept ~spanner kept stats =
    paths for its queries, the clusters along them, the inter-cluster
    Dijkstra reach — lies within Euclidean distance (t + 3) W_i of some
    bin-edge endpoint. Euclidean weights only (path weight bounds
-   Euclidean displacement). One reach-sized grid per bin; its marker
+   Euclidean displacement). [grid] is the last grid built, kept while
+   the reach fits its cell; a reach that outgrows it gets a new grid of
+   cell 2·reach. Bins ascend, so a build makes one grid per octave of
+   reach, and the marked set does not depend on the cell. The marker
    takes each distinct endpoint once and skips cells it has used up.
    Returns the region in increasing id order. *)
-let local_region ~points ~params ~w_len bin_edges =
+let local_region ~grid ~points ~params ~w_len bin_edges =
   let reach = (params.Params.t +. 3.0) *. w_len in
+  let g =
+    match !grid with
+    | Some (cell, g) when reach <= cell -> g
+    | _ ->
+        let cell = 2.0 *. reach in
+        let g = Geometry.Grid.build ~cell points in
+        grid := Some (cell, g);
+        g
+  in
   let n = Array.length points in
   let seen = Array.make n false and centres = ref [] in
   Array.iter
@@ -254,10 +266,7 @@ let local_region ~points ~params ~w_len bin_edges =
         [ e.u; e.v ])
     bin_edges;
   let in_region =
-    Geometry.Grid.mark_within
-      (Geometry.Grid.build ~cell:reach points)
-      ~radius:reach
-      (Array.of_list !centres)
+    Geometry.Grid.mark_within g ~radius:reach (Array.of_list !centres)
   in
   let region = ref [] in
   for v = n - 1 downto 0 do
@@ -293,9 +302,10 @@ let build ?(metric = Geometry.Metric.Euclidean)
   let region_of =
     match metric with
     | Geometry.Metric.Euclidean ->
+        let grid = ref None in
         fun ~w_len bin_edges ->
           stage "freeze" (fun () ->
-              local_region ~points ~params ~w_len bin_edges)
+              local_region ~grid ~points ~params ~w_len bin_edges)
     | Geometry.Metric.Energy _ ->
         let all = Array.init n Fun.id in
         fun ~w_len:_ _ -> all

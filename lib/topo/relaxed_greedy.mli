@@ -40,10 +40,11 @@ type result = {
     [PROCESS-LONG-EDGES] steps [cover], [select], [cluster_graph],
     [queries] and [redundant]. [freeze] covers the whole extraction of
     a phase's sub-instance: under Euclidean weights the grid region
-    (one run: a reach-sized {!Geometry.Grid} and its ball marker), then
-    in {!run_region} the id map, the region's positions, the
-    region-induced CSR of [G'_{i-1}] and the bin in local ids (one
-    more). Every run of a stage adds one call to the {!Obs.Metrics}
+    (one run: its ball marker, on a {!Geometry.Grid} the build keeps
+    while the bin's reach fits its cell and rebuilds, at twice the
+    reach, once per octave of reach), then in {!run_region} the id map,
+    the region's positions, the region-induced CSR of [G'_{i-1}] and
+    the bin in local ids (one more). Every run of a stage adds one call to the {!Obs.Metrics}
     timer [stage.<name>] and, with tracing enabled, records one span of
     category ["stage"] named [<name>]. *)
 val stages : string list
@@ -57,7 +58,9 @@ val stages : string list
     of Section 3's local computation: every point within Euclidean
     distance [(t + 3)·W_i] of a bin-edge endpoint, which holds
     everything the phase can consult, found with one
-    {!Geometry.Grid.mark_within} per bin. Energy weights do not bound
+    {!Geometry.Grid.mark_within} per bin; bins ascend, so one grid
+    serves every bin whose reach fits its cell, and an n = 10⁴ build
+    builds 8 grids for its 159 bins. Energy weights do not bound
     Euclidean displacement, so there a phase runs on every vertex (the
     literal Section 2 formulation).
 

@@ -302,11 +302,32 @@ let reference_h ~spanner ~cover ~w_prev =
     centers;
   (Graph.Csr.of_wgraph h, inter_degree)
 
+(* A phase-shaped context at a few hundred vertices with clusters of
+   several members: expected degree 30, W_{i-1} = 0.5 and cover radius
+   W_{i-1} / 2, so centers between W_{i-1} and 2 W_{i-1} apart qualify
+   only through a spanner edge crossing between their clusters. *)
+let dense_phase_context ~seed =
+  let n = 300 and alpha = 0.8 in
+  let side =
+    Ubg.Generator.side_for_expected_degree ~dim:2 ~n ~alpha ~degree:30.0
+  in
+  let model =
+    Ubg.Generator.connected ~seed ~dim:2 ~n ~alpha
+      (Ubg.Generator.Uniform { side })
+  in
+  let w_prev = 0.5 in
+  let short = Wgraph.create n in
+  Wgraph.iter_edges model.Ubg.Model.graph (fun u v w ->
+      if w <= w_prev then Wgraph.add_edge short u v w);
+  let spanner = Topo.Seq_greedy.spanner short ~t:1.5 in
+  let cover = Cluster_cover.compute spanner ~radius:(w_prev /. 2.0) in
+  (spanner, cover, w_prev)
+
 let prop_matches_reference =
-  (* On phase-shaped inputs and on arbitrary random graphs with
-     arbitrary covers, the build must freeze exactly the reference
-     snapshot (same arcs, bit-identical weights) and the same
-     inter-degree profile. *)
+  (* On phase-shaped inputs, small and at a few hundred vertices, and on
+     arbitrary random graphs with arbitrary covers, the build must
+     freeze exactly the reference snapshot (same arcs, bit-identical
+     weights) and the same inter-degree profile. *)
   qtest ~count:25 "cluster graph: build equals the reference H" seed_arb
     (fun seed ->
       let st = rand_state seed in
@@ -318,6 +339,8 @@ let prop_matches_reference =
       in
       let _, spanner, cover, w_prev = phase_context ~seed ~n:40 in
       agree ~spanner ~cover ~w_prev
+      && (let spanner, cover, w_prev = dense_phase_context ~seed in
+          agree ~spanner ~cover ~w_prev)
       &&
       let n = 2 + Random.State.int st 40 in
       let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 40) in
@@ -325,6 +348,30 @@ let prop_matches_reference =
       let radius = Random.State.float st w_prev in
       let cover = Cluster_cover.compute g ~radius in
       agree ~spanner:g ~cover ~w_prev)
+
+(* The dense context reaches the paths the property above must cover:
+   clusters of several members, and inter-cluster edges longer than
+   W_{i-1}, which qualify only by a crossing spanner edge. *)
+let test_dense_context_exercises_crossings () =
+  List.iter
+    (fun seed ->
+      let spanner, cover, w_prev = dense_phase_context ~seed in
+      let n = Wgraph.n_vertices spanner in
+      let size = Array.make n 0 in
+      Array.iter
+        (fun a -> if a >= 0 then size.(a) <- size.(a) + 1)
+        cover.Cluster_cover.center_of;
+      Alcotest.(check bool) "a cluster of at least 4 members" true
+        (Array.exists (fun k -> k >= 4) size);
+      let h = Cluster_graph.build ~spanner ~cover ~w_prev in
+      let center_of = cover.Cluster_cover.center_of in
+      let crossing_only = ref 0 in
+      Wgraph.iter_edges (Cluster_graph.to_wgraph h) (fun a b w ->
+          if center_of.(a) = a && center_of.(b) = b && w > w_prev +. 1e-12
+          then incr crossing_only);
+      Alcotest.(check bool) "inter-cluster edges longer than W_{i-1}" true
+        (!crossing_only > 0))
+    [ 1; 2; 3 ]
 
 let test_build_rejects_big_radius () =
   let g = Wgraph.of_edges ~n:2 [ (0, 1, 1.0) ] in
@@ -358,6 +405,8 @@ let () =
           prop_cluster_graph_lemma7_upper;
           prop_query_consistent_with_sp;
           prop_matches_reference;
+          Alcotest.test_case "dense context has crossing-only partners" `Quick
+            test_dense_context_exercises_crossings;
           Alcotest.test_case "rejects oversized radius" `Quick
             test_build_rejects_big_radius;
         ] );

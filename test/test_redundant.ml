@@ -142,6 +142,143 @@ let test_far_pair_not_redundant () =
   Alcotest.(check bool) "not redundant" false
     (Redundant.mutually_redundant ~h ~params e1 e2)
 
+(* The conflict graph by the full pair scan: every pair (i, j), i < j,
+   in index order. [Redundant.conflict_graph] tests only the later
+   edges incident to one ball per edge and must build this graph edge
+   for edge, with the same insertion order. *)
+let pair_scan ?max_hops ~h ~params edges =
+  let k = Array.length edges in
+  let j_graph = Wgraph.create k in
+  for i = 0 to k - 1 do
+    for j = i + 1 to k - 1 do
+      if Redundant.mutually_redundant ?max_hops ~h ~params edges.(i) edges.(j)
+      then Wgraph.add_edge j_graph i j 1.0
+    done
+  done;
+  j_graph
+
+(* Same edges, and every vertex's neighbours in the same order. *)
+let same_j a b =
+  Wgraph.n_vertices a = Wgraph.n_vertices b
+  && Wgraph.n_edges a = Wgraph.n_edges b
+  && List.for_all
+       (fun i -> Wgraph.neighbors a i = Wgraph.neighbors b i)
+       (List.init (Wgraph.n_vertices a) Fun.id)
+
+let shares_endpoint (e1 : Wgraph.edge) (e2 : Wgraph.edge) =
+  e1.u = e2.u || e1.u = e2.v || e1.v = e2.u || e1.v = e2.v
+
+(* A phase at scale under [metric]: G'_{i-1} is the greedy spanner of
+   the edges of length at most W_{i-1} = 0.3, weighted by the metric;
+   the added edges are every edge of length in (W_{i-1}, 1.25 W_{i-1}],
+   enough at n = 600 for a few hundred, many sharing an endpoint. The
+   hop budget is the phase pipeline's, from the band's weight ratio. *)
+let phase_at_scale ~metric ~seed =
+  let model = connected_model ~seed ~n:600 ~dim:2 ~alpha:0.8 in
+  let phi = Geometry.Metric.of_distance metric in
+  let w_prev_len = 0.3 and w_len = 0.375 in
+  let short = Wgraph.create (Ubg.Model.n model) in
+  Wgraph.iter_edges model.Ubg.Model.graph (fun u v w ->
+      if w <= w_prev_len then Wgraph.add_edge short u v (phi w));
+  let spanner = Topo.Seq_greedy.spanner short ~t:params.Topo.Params.t in
+  let w_prev = phi w_prev_len in
+  let cover =
+    Cluster_cover.compute spanner ~radius:(params.Topo.Params.delta *. w_prev)
+  in
+  let h = Cluster_graph.build ~spanner ~cover ~w_prev in
+  let added =
+    Array.of_list
+      (List.filter_map
+         (fun (e : Wgraph.edge) ->
+           if e.w > w_prev_len && e.w <= w_len then
+             Some { e with Wgraph.w = phi e.w }
+           else None)
+         (List.sort Wgraph.compare_edge (Wgraph.edges model.Ubg.Model.graph)))
+  in
+  let max_hops =
+    2
+    + int_of_float
+        (ceil
+           (params.Topo.Params.t *. (phi w_len /. w_prev)
+           /. params.Topo.Params.delta))
+  in
+  (h, added, max_hops)
+
+let test_j_matches_pair_scan metric () =
+  let conflicts = ref 0 and shared = ref 0 in
+  List.iter
+    (fun seed ->
+      let h, added, max_hops = phase_at_scale ~metric ~seed in
+      Alcotest.(check bool) "at least 100 added edges" true
+        (Array.length added >= 100);
+      let reference = pair_scan ~max_hops ~h ~params added in
+      let j_graph = Redundant.conflict_graph ~max_hops ~h ~params added in
+      Alcotest.(check bool) "J equals the pair scan" true
+        (same_j j_graph reference);
+      conflicts := !conflicts + Wgraph.n_edges reference;
+      Wgraph.iter_edges reference (fun i j _ ->
+          if shares_endpoint added.(i) added.(j) then incr shared))
+    [ 1; 2 ];
+  Alcotest.(check bool) "fixtures hold conflicts" true (!conflicts > 0);
+  Alcotest.(check bool) "some conflict shares an endpoint" true (!shared > 0)
+
+(* A conflict exactly at the ball's bound. [e1 = {a, v}] and
+   [e2 = {b, v}] share [v] and both weigh [w = w_min]; H joins [a] and
+   [b] by one edge of weight [d = t1 w - w], exact by Sterbenz's lemma
+   because [w <= t1 w <= 2 w]. Conditions (i) and (ii) then hold with
+   equality, and [b] lies at exactly the bound [t1 w1 - w_min] of the
+   ball from [a]. A heavier third edge, far from both, raises the
+   largest added weight, so a ball bounded by it would miss [b]. *)
+let test_conflict_at_ball_bound () =
+  let t1 = params.Topo.Params.t1 in
+  let w = 0.35 in
+  let d = (t1 *. w) -. w in
+  Alcotest.(check bool) "d + w = t1 w exactly" true (d +. w = t1 *. w);
+  let a = 0 and b = 1 and v = 2 in
+  let spanner = Wgraph.create 6 in
+  Wgraph.add_edge spanner a b d;
+  let w_prev = 0.3 in
+  let cover =
+    Cluster_cover.compute spanner ~radius:(params.Topo.Params.delta *. w_prev)
+  in
+  let h = Cluster_graph.build ~spanner ~cover ~w_prev in
+  let added =
+    [|
+      { Wgraph.u = a; v; w }; { Wgraph.u = b; v; w };
+      { Wgraph.u = 3; v = 4; w = 0.4 };
+    |]
+  in
+  let j_graph = Redundant.conflict_graph ~h ~params added in
+  Alcotest.(check bool) "pair at the bound detected" true
+    (Wgraph.mem_edge j_graph 0 1);
+  Alcotest.(check bool) "J equals the pair scan" true
+    (same_j j_graph (pair_scan ~h ~params added))
+
+(* A clique of conflicts: [k] added edges from the hub [v] to the
+   vertices of a short spanner chain, all of one weight, so every pair
+   is mutually redundant. Each J vertex then has more neighbours than
+   its adjacency table's initial buckets, so testing candidates in any
+   order but ascending index would change some vertex's neighbour
+   order. *)
+let test_conflict_clique_order () =
+  let k = 24 in
+  let v = k in
+  let spanner = Wgraph.create (k + 1) in
+  for a = 1 to k - 1 do
+    Wgraph.add_edge spanner (a - 1) a 0.001
+  done;
+  let w_prev = 0.3 in
+  let cover =
+    Cluster_cover.compute spanner ~radius:(params.Topo.Params.delta *. w_prev)
+  in
+  let h = Cluster_graph.build ~spanner ~cover ~w_prev in
+  let added = Array.init k (fun a -> { Wgraph.u = a; v; w = 0.35 }) in
+  let j_graph = Redundant.conflict_graph ~h ~params added in
+  Alcotest.(check int) "J is a clique" (k * (k - 1) / 2)
+    (Wgraph.n_edges j_graph);
+  Alcotest.(check bool) "J equals the pair scan" true
+    (same_j j_graph (pair_scan ~h ~params added))
+
 let () =
   Alcotest.run "redundant"
     [
@@ -151,6 +288,18 @@ let () =
           prop_dj_metric_axioms;
           Alcotest.test_case "forced pair" `Quick test_forced_redundant_pair;
           Alcotest.test_case "far pair" `Quick test_far_pair_not_redundant;
+        ] );
+      ( "conflict_graph",
+        [
+          Alcotest.test_case "J equals the pair scan (Euclidean)" `Quick
+            (test_j_matches_pair_scan Geometry.Metric.Euclidean);
+          Alcotest.test_case "J equals the pair scan (Energy)" `Quick
+            (test_j_matches_pair_scan
+               (Geometry.Metric.Energy { c = 1.0; gamma = 2.0 }));
+          Alcotest.test_case "conflict at the ball's bound" `Quick
+            test_conflict_at_ball_bound;
+          Alcotest.test_case "clique keeps the pair scan's order" `Quick
+            test_conflict_clique_order;
         ] );
       ( "filter",
         [
