@@ -289,7 +289,7 @@ let () =
           Alcotest.test_case "forced pair" `Quick test_forced_redundant_pair;
           Alcotest.test_case "far pair" `Quick test_far_pair_not_redundant;
         ] );
-      ( "conflict_graph",
+      ( "conflict",
         [
           Alcotest.test_case "J equals the pair scan (Euclidean)" `Quick
             (test_j_matches_pair_scan Geometry.Metric.Euclidean);
