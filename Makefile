@@ -55,9 +55,11 @@ bench-compare-smoke:
 	dune exec bench/main.exe -- E-compare quick
 
 # Query-serving gate: E-qps at reduced size, emits
-# BENCH_oracle.quick.json. Gates: oracle estimates sit in
-# [exact, (1+eps) exact], distance batches are bit-identical at 1 and
-# 4 domains, the far-path batch does not allocate per query, and the
+# BENCH_oracle.quick.json. Gates: sampled pairs, until at least 1000
+# answers came off the oracle's tables, keep the contract (answers in
+# [exact, (1+eps) exact], searched answers exact, routes walks of the
+# answer's length), distance batches are bit-identical at 1 and 4
+# domains, the table answers' batch does not allocate per query, and the
 # 4-domain batch clears the hardware-aware qps floor (>= 4 cores: 2x
 # the 1-domain qps; 2-3 cores: 1.2x; 1 core: ratio recorded but
 # waived).
@@ -66,9 +68,11 @@ bench-oracle-smoke:
 
 # Incremental-repair gate: E-repair at reduced size, sets the "repair"
 # member of BENCH_oracle.quick.json. Chains Dist.repair across a mild
-# churn trace against per-epoch scratch builds. Gates: repaired
-# answers sit in [exact, (1+eps) exact] every epoch, and the aggregate
-# repair speedup is >= 1x vs scratch (waived on 1 core, like E-qps).
+# churn trace against per-epoch scratch builds. Gates: every epoch the
+# repaired and the scratch oracle both keep E-qps's sampled contract
+# (answers in [exact, (1+eps) exact], no relative allowance), and the
+# aggregate repair speedup is >= 1x vs scratch (waived on 1 core, like
+# E-qps).
 bench-repair-smoke:
 	dune exec bench/main.exe -- E-repair quick
 
@@ -100,9 +104,11 @@ trace-smoke:
 	dune exec bin/topoctl.exe -- trace-check trace.json
 
 # Bit-identity fingerprints: MD5s of relaxed spanners at n = 10^4
-# (seeds 1-3), greedy/ft/ft-vertex spanners at n = 1500, `topoctl
-# rounds` at n = 800 and `simulate --full-protocol` at n = 60. Diff the
-# output of two checkouts; a refactor must leave it unchanged.
+# (seeds 1-3), the oracle's `topoctl query --batch` answers to 3000
+# fixed pairs on the seed-1 spanner, greedy/ft/ft-vertex spanners at
+# n = 1500, `topoctl rounds` at n = 800 and `simulate --full-protocol`
+# at n = 60. Diff the output of two checkouts; a refactor must leave
+# it unchanged.
 fingerprints:
 	bash scripts/fingerprints.sh
 

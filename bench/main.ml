@@ -1238,27 +1238,26 @@ let e_compare () =
    estimates in pool batches, ~20% greedy next-hop forwarding steps,
    ~10% full route extractions. Four sub-checks ride along:
 
-   - correctness: on sampled pairs the estimate is sandwiched between
-     the exact CSR distance and (1 + eps) times it, the oracle's
-     advertised regime, every near answer (estimate <= near bound)
-     equals [distance_csr] bit for bit (near answers are exact A*
-     searches, far answers are real walk lengths), and [spanner_path]
-     returns a spanner walk of length exactly the estimate; the near
-     and far pairs among them are counted;
+   - correctness: random pairs keep the oracle contract
+     ([Contract.check]: every answer in [d, (1 + eps) d], every
+     searched answer [distance_csr]'s bit for bit, every route a
+     spanner walk of the answer's length), sampled until at least 1000
+     answers came off the tables;
    - determinism: the distance batch is bit-identical at 1 and 4
      domains (slot-disjoint writes, schedule-independent values);
-   - allocation: a far-only single-domain batch must not allocate per
-     query — the far path is flat int/float array arithmetic, and this
-     is the sub-gate that catches an accidental boxing regression. The
-     minor words per near answer (an A* search) are recorded beside it,
+   - allocation: a single-domain batch of the pairs the oracle
+     answered from its tables must not allocate per query — a table
+     answer is flat int/float array arithmetic, and this is the
+     sub-gate that catches an accidental boxing regression. The minor
+     words per searched answer (an A* search) are recorded beside it,
      not gated;
    - throughput: batch qps at 4 domains vs 1 domain. On a >= 4 core
      box the soft gate wants 2x; on 2-3 cores it wants 1.2x; on 1 core
      the ratio is recorded but waived (oversubscription mode, like
      E-scale) and only the correctness sub-gates bind. The 1-domain
-     batch is also split into its near and its far pairs, each timed
-     alone, and the near pairs are timed again once the 4-domain pool
-     exists (recorded, not gated).
+     batch is also split into its searched and its table pairs, each
+     timed alone, and the searched pairs are timed again once the
+     4-domain pool exists (recorded, not gated).
 
    Emits the "oracle" record; each sub-check is a gate. *)
 let e_qps () =
@@ -1275,48 +1274,16 @@ let e_qps () =
   let oracle = Oracle.Dist.build ~eps csr in
   let st = Oracle.Dist.stats oracle in
   let qws = Oracle.Dist.create_query_ws () in
-  (* -- correctness: estimate in [exact, (1+eps) * exact] on samples,
-     and the route a spanner walk of length exactly the estimate -- *)
+  (* -- correctness: the sampled contract, until at least [min_far]
+     answers came off the tables -- *)
   let rand = Random.State.make [| 42 + n; 0x09d5 |] in
-  let sample_pairs = 200 in
-  let max_ratio = ref 1.0 in
-  let correct = ref true in
-  let sampled_far = ref 0 and bad_routes = ref 0 in
-  let sampled_near = ref 0 and near_inexact = ref 0 in
-  let is_walk_of_length ~est ~u ~v route =
-    let k = Array.length route in
-    let len = ref 0.0 and ok = ref (route.(0) = u && route.(k - 1) = v) in
-    for i = 0 to k - 2 do
-      match Graph.Csr.weight csr route.(i) route.(i + 1) with
-      | Some w -> len := !len +. w
-      | None -> ok := false
-    done;
-    !ok && Float.abs (!len -. est) <= 1e-6 *. Float.max 1.0 est
-  in
-  for _ = 1 to sample_pairs do
+  let min_far = 1_000 and max_pairs = 200_000 in
+  let contract = Contract.create ~eps in
+  while contract.far < min_far && contract.pairs < max_pairs do
     let u = Random.State.int rand n and v = Random.State.int rand n in
-    let est = Oracle.Dist.distance_estimate oracle qws u v in
-    let exact = Graph.Dijkstra.distance_csr csr u v in
-    if est < infinity && est > st.Oracle.Dist.near_bound then incr sampled_far;
-    if est <= st.Oracle.Dist.near_bound then begin
-      incr sampled_near;
-      if Int64.bits_of_float est <> Int64.bits_of_float exact then
-        incr near_inexact
-    end;
-    (match Oracle.Dist.spanner_path oracle qws ~src:u ~dst:v with
-    | None -> if est <> infinity then incr bad_routes
-    | Some route ->
-        if not (is_walk_of_length ~est ~u ~v route) then incr bad_routes);
-    if exact = infinity then begin
-      if est <> infinity then correct := false
-    end
-    else begin
-      if est < exact -. 1e-9 then correct := false;
-      if est > ((1.0 +. eps) *. exact) +. 1e-9 then correct := false;
-      if exact > 0.0 then max_ratio := Float.max !max_ratio (est /. exact)
-    end
+    ignore (Contract.check contract oracle qws csr u v)
   done;
-  if !bad_routes > 0 || !near_inexact > 0 then correct := false;
+  let correct = Contract.pass contract && contract.far >= min_far in
   (* -- distance batches at 1 and 4 domains ------------------------- *)
   let us = Array.init dist_total (fun _ -> Random.State.int rand n) in
   let vs = Array.init dist_total (fun _ -> Random.State.int rand n) in
@@ -1344,9 +1311,22 @@ let e_qps () =
     let pick a = Array.of_list (List.map (Array.get a) idx) in
     (pick us, pick vs)
   in
+  (* A pair's answer came off the tables when the far count moved as
+     it was answered again; only answers above the near bound can. *)
   let nb = st.Oracle.Dist.near_bound in
-  let near_us, near_vs = split (fun i -> us.(i) <> vs.(i) && out1.(i) <= nb) in
-  let far_us, far_vs = split (fun i -> out1.(i) < infinity && out1.(i) > nb) in
+  let table =
+    Array.init dist_total (fun i ->
+        out1.(i) < infinity && out1.(i) > nb
+        &&
+        let far = Oracle.Dist.far_answers qws in
+        ignore (Oracle.Dist.distance_estimate oracle qws us.(i) vs.(i));
+        Oracle.Dist.far_answers qws > far)
+  in
+  let near_us, near_vs =
+    split (fun i -> us.(i) <> vs.(i) && out1.(i) < infinity && not table.(i))
+  in
+  let far_us, far_vs = split (Array.get table) in
+  let n_far = Array.length far_us in
   let qps_of u v =
     let m = Array.length u in
     let out = Array.make m 0.0 in
@@ -1375,29 +1355,20 @@ let e_qps () =
   let qps4 = measure 4 out4 in
   let near_qps1_pooled = qps_of near_us near_vs in
   let deterministic = out1 = out4 in
-  (* -- allocation probe: far-only batch on the warm main domain ----- *)
-  let far_u = ref [] and far_v = ref [] and n_far = ref 0 in
-  Array.iteri
-    (fun i d ->
-      if d < infinity && d > st.Oracle.Dist.near_bound +. 1e-6 then begin
-        far_u := us.(i) :: !far_u;
-        far_v := vs.(i) :: !far_v;
-        incr n_far
-      end)
-    out1;
-  let alloc_measured = !n_far >= 1_000 in
+  (* -- allocation probe: the table answers' batch on the warm main
+     domain -- *)
+  let alloc_measured = n_far >= 1_000 in
   let alloc_per_query =
     if not alloc_measured then nan
     else begin
-      let fu = Array.of_list !far_u and fv = Array.of_list !far_v in
-      let fout = Array.make !n_far 0.0 in
-      Oracle.Dist.distance_batch_into ~domains:1 oracle ~u:fu ~v:fv
+      let fout = Array.make n_far 0.0 in
+      Oracle.Dist.distance_batch_into ~domains:1 oracle ~u:far_us ~v:far_vs
         ~out:fout;
       let w0 = Gc.minor_words () in
-      Oracle.Dist.distance_batch_into ~domains:1 oracle ~u:fu ~v:fv
+      Oracle.Dist.distance_batch_into ~domains:1 oracle ~u:far_us ~v:far_vs
         ~out:fout;
       let w1 = Gc.minor_words () in
-      (w1 -. w0) /. float_of_int !n_far
+      (w1 -. w0) /. float_of_int n_far
     end
   in
   let alloc_pass = (not alloc_measured) || alloc_per_query < 0.5 in
@@ -1462,7 +1433,7 @@ let e_qps () =
     [
       "distance batch (1d)"; Report.cell_i dist_total;
       Printf.sprintf "%.3f" dist_wall; Printf.sprintf "%.3g" qps1;
-      Printf.sprintf "%d far" !n_far;
+      Printf.sprintf "%d far" n_far;
     ];
   Report.add_row t
     [
@@ -1515,19 +1486,16 @@ let e_qps () =
     st.Oracle.Dist.build_seconds spanner_s st.Oracle.Dist.n_clusters
     st.Oracle.Dist.radius st.Oracle.Dist.near_bound
     st.Oracle.Dist.table_words;
-  Printf.printf
-    "   correctness on %d sampled pairs (%d far): %s (max est/exact %.4f, \
-     bound %.4f; %d routes not a walk of length = estimate; %d of %d near \
-     answers not exact)\n"
-    sample_pairs !sampled_far
-    (if !correct then "PASS" else "FAIL")
-    !max_ratio (1.0 +. eps) !bad_routes !near_inexact !sampled_near;
+  Printf.printf "   correctness on %s%s\n" (Contract.summary contract)
+    (if contract.far < min_far then
+       Printf.sprintf "; FAIL: fewer than %d from the tables" min_far
+     else "");
   Printf.printf "   allocation: %s\n"
     (if not alloc_measured then
-       Printf.sprintf "skipped (%d far pairs < 1000)" !n_far
+       Printf.sprintf "skipped (%d table answers < 1000)" n_far
      else
-       Printf.sprintf "%.4f minor words/query over %d far queries: %s"
-         alloc_per_query !n_far
+       Printf.sprintf "%.4f minor words/query over %d table answers: %s"
+         alloc_per_query n_far
          (if alloc_pass then "PASS" else "FAIL"));
   Printf.printf "   near answers: %.1f minor words/query over %d (recorded)\n"
     near_words n_near;
@@ -1574,21 +1542,13 @@ let e_qps () =
           ( "alloc",
             Obj
               [
-                ("measured", Bool alloc_measured); ("far_queries", int !n_far);
+                ("measured", Bool alloc_measured); ("far_queries", int n_far);
                 ("minor_words_per_query", Num alloc_per_query);
                 ("pass", Bool alloc_pass);
                 ("near_queries", int n_near);
                 ("near_minor_words_per_query", Num near_words);
               ] );
-          ( "correctness",
-            Obj
-              [
-                ("pairs", int sample_pairs); ("far", int !sampled_far);
-                ("near", int !sampled_near);
-                ("near_inexact", int !near_inexact);
-                ("max_ratio", Num !max_ratio); ("bound", Num (1.0 +. eps));
-                ("bad_routes", int !bad_routes); ("pass", Bool !correct);
-              ] );
+          ("correctness", Contract.to_json contract);
           ( "gate",
             Obj
               [
@@ -1596,7 +1556,7 @@ let e_qps () =
                 ("ratio", Num gate_ratio); ("pass", Bool gate_pass);
               ] );
         ]);
-  Record.gate "E-qps.correct" !correct;
+  Record.gate "E-qps.correct" correct;
   Record.gate "E-qps.deterministic" deterministic;
   Record.gate "E-qps.alloc" alloc_pass;
   Record.gate "E-qps.perf" gate_pass
@@ -1608,16 +1568,11 @@ let e_qps () =
 (* Replays a mild churn trace (<= 8 events/epoch) through the engine
    and, per epoch, times Dist.repair chained from the previous oracle
    against an independent scratch Dist.build of the same snapshot.
-   Every epoch the repaired answers are validated on sampled pairs
-   against the scratch oracle and the exact distance: neither oracle
-   may underestimate, and the repaired answer must stay inside
-   [exact, (1+eps) * exact] wherever the scratch answer does (the two
-   may anchor clusters differently, so the envelope, not bit-equality,
-   is the contract). Under churn the scratch build itself can leave
-   the 4*rho detour regime on a few far pairs and overshoot the
-   envelope; those scratch-side breaches are counted and reported, and
-   the repaired oracle is only held to "no worse than scratch" there —
-   its widened near band usually answers such pairs exactly.
+   Every epoch both oracles keep the contract on sampled pairs
+   ([Contract.check]: every answer in [exact, (1+eps) * exact], every
+   searched answer exact, every route a walk of the answer's length;
+   the two may anchor clusters differently, so the contract, not
+   bit-equality, is compared).
 
    Gates: validity, and an aggregate repair speedup >= 1x vs scratch
    on multi-core boxes (a recorded waiver on 1 core, matching E-qps's
@@ -1645,8 +1600,9 @@ let e_repair () =
   let rand = Random.State.make [| seed; 0x4e9a1 |] in
   let sample_count = if !quick then 60 else 120 in
   let qws = Oracle.Dist.create_query_ws () in
-  let valid = ref true in
-  let scratch_breaches = ref 0 in
+  let checked = Contract.create ~eps in
+  let checked_scratch = Contract.create ~eps in
+  let reported = ref false in
   let prev =
     ref
       (Oracle.Dist.build ~eps
@@ -1681,40 +1637,22 @@ let e_repair () =
       scratch_total := !scratch_total +. scratch_s;
       repair_total := !repair_total +. repair_s;
       if r.Oracle.Dist.repaired then incr repairs else incr fallbacks;
-      (* validity: repaired answers hold the scratch oracle's envelope
-         wherever scratch itself does, and never underestimate *)
+      (* validity: both oracles keep the contract on sampled pairs *)
       let nv = Graph.Csr.n_vertices csr in
       for _ = 1 to sample_count do
         let u = Random.State.int rand nv and v = Random.State.int rand nv in
-        let est = Oracle.Dist.distance_estimate r.Oracle.Dist.oracle qws u v in
-        let ref_est = Oracle.Dist.distance_estimate scratch qws u v in
-        let exact = Graph.Dijkstra.distance_csr csr u v in
-        let bad =
-          if exact = infinity then est <> infinity || ref_est <> infinity
-          else begin
-            let env = ((1.0 +. eps) *. exact) +. 1e-9 in
-            if ref_est > env then incr scratch_breaches;
-            est < exact -. 1e-9
-            || ref_est < exact -. 1e-9
-            || est > env
-               && (ref_est <= env || est > (ref_est *. 1.05) +. 1e-9)
-          end
-        in
-        if bad then begin
-          if !valid then begin
-            let rs = Oracle.Dist.stats r.Oracle.Dist.oracle in
-            let ss = Oracle.Dist.stats scratch in
-            Printf.printf
-              "   INVALID first at epoch %d: pair (%d, %d) est %g scratch \
-               %g exact %g\n   repaired: k %d radius %g near %g | scratch: \
-               k %d radius %g near %g\n"
-              (i + 1) u v est ref_est exact rs.Oracle.Dist.n_clusters
-              rs.Oracle.Dist.radius rs.Oracle.Dist.near_bound
-              ss.Oracle.Dist.n_clusters ss.Oracle.Dist.radius
-              ss.Oracle.Dist.near_bound
-          end;
-          valid := false
-        end
+        List.iter
+          (fun (name, c, o) ->
+            match Contract.check c o qws csr u v with
+            | Some what when not !reported ->
+                reported := true;
+                Printf.printf "   INVALID first at epoch %d, %s oracle: %s\n"
+                  (i + 1) name what
+            | Some _ | None -> ())
+          [
+            ("repaired", checked, r.Oracle.Dist.oracle);
+            ("scratch", checked_scratch, scratch);
+          ]
       done;
       let mode =
         if r.Oracle.Dist.repaired then "repair"
@@ -1755,11 +1693,12 @@ let e_repair () =
     "   %d epochs: %d repaired, %d scratch fallbacks; totals scratch %.3f \
      s, repair %.3f s (speedup %.2fx)\n"
     epochs !repairs !fallbacks !scratch_total !repair_total speedup;
+  let valid = Contract.pass checked && Contract.pass checked_scratch in
   Printf.printf
-    "   validity on %d pairs/epoch: %s (scratch detour-regime breaches: %d)\n"
+    "   validity on %d pairs/epoch: %s\n     repaired: %s\n     scratch: %s\n"
     sample_count
-    (if !valid then "PASS" else "FAIL")
-    !scratch_breaches;
+    (if valid then "PASS" else "FAIL")
+    (Contract.summary checked) (Contract.summary checked_scratch);
   Printf.printf "   repair gate [speedup >= 1x%s]: %s (%.2fx)\n"
     (if waived then ", waived on 1 core" else "")
     (if gate_pass then "PASS" else "FAIL")
@@ -1773,7 +1712,8 @@ let e_repair () =
           ("repairs", int !repairs); ("fallbacks", int !fallbacks);
           ("scratch_s_total", Num !scratch_total);
           ("repair_s_total", Num !repair_total); ("speedup", Num speedup);
-          ("valid", Bool !valid); ("scratch_breaches", int !scratch_breaches);
+          ("valid", Bool valid); ("contract", Contract.to_json checked);
+          ("scratch_contract", Contract.to_json checked_scratch);
           ("gate", Obj [ ("pass", Bool gate_pass); ("waived", Bool waived) ]);
           ("per_epoch", Arr (List.rev !per_epoch));
         ])
@@ -1784,7 +1724,7 @@ let e_repair () =
     | Some _ | None -> [ ("experiment", Obs.Json.Str "E-repair") ]
   in
   Record.write "oracle" (Obs.Json.Obj (fields @ [ ("repair", repair) ]));
-  Record.gate "E-repair.valid" !valid;
+  Record.gate "E-repair.valid" valid;
   Record.gate "E-repair.speedup" gate_pass
 
 (* ------------------------------------------------------------------ *)

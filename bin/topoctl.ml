@@ -739,8 +739,9 @@ let oracle_eps_arg =
     value & opt float 0.5
     & info [ "oracle-eps" ] ~docv:"EPS"
         ~doc:
-          "Oracle slack: far answers are within 1 + $(docv) of the exact \
-           topology distance (near answers are exact).")
+          "Oracle slack: answers read off the oracle's tables are within \
+           1 + $(docv) of the exact topology distance; every other answer \
+           is exact.")
 
 let load_pairs file =
   let ic = open_in file in
@@ -781,7 +782,7 @@ let connect_query ~sock ~pos0 ~pos1 ~batch ~show_path =
                 last_epoch := ep;
                 Format.printf "# epoch %d@." ep
               end;
-              Format.printf "%d %d %g@." u v d)
+              Format.printf "%d %d %.17g@." u v d)
             pairs;
           let dt = Unix.gettimeofday () -. t0 in
           let m = Array.length pairs in
@@ -803,7 +804,7 @@ let connect_query ~sock ~pos0 ~pos1 ~batch ~show_path =
           in
           let dst : int = need "DST" pos1 in
           let ep, d = Daemon.Client.dist c src dst in
-          Format.printf "estimate %d -> %d: %g (epoch %d)@." src dst d ep;
+          Format.printf "estimate %d -> %d: %.17g (epoch %d)@." src dst d ep;
           if show_path then begin
             match Daemon.Client.path c src dst with
             | _, None -> Format.printf "route: unreachable@."
@@ -840,7 +841,7 @@ let local_query ~instance ~algo ~eps ~oeps ~src ~dst ~batch ~show_path =
         Oracle.Dist.distance_batch_into oracle ~u ~v ~out;
         let dt = Unix.gettimeofday () -. t0 in
         Array.iteri
-          (fun i d -> Format.printf "%d %d %g@." u.(i) v.(i) d)
+          (fun i d -> Format.printf "%d %d %.17g@." u.(i) v.(i) d)
           out;
         Format.printf "# %d queries in %.3f ms (%.3g queries/s)@." m
           (1e3 *. dt)
@@ -860,7 +861,8 @@ let local_query ~instance ~algo ~eps ~oeps ~src ~dst ~batch ~show_path =
         let est = Oracle.Dist.distance_estimate oracle qws src dst in
         let exact = Graph.Dijkstra.distance_csr csr src dst in
         Format.printf
-          "estimate %d -> %d: %g (exact %g, ratio %.4f, advertised <= %.4f)@."
+          "estimate %d -> %d: %.17g (exact %.17g, ratio %.4f, advertised <= \
+           %.4f)@."
           src dst est exact
           (if exact > 0.0 && exact < infinity then est /. exact else 1.0)
           (1.0 +. oeps);
@@ -926,7 +928,9 @@ let query_cmd =
       & info [ "batch" ] ~docv:"FILE"
           ~doc:
             "Answer every \"u v\" pair in $(docv) (one per line, # \
-             comments) on the domain pool and print one distance per line.")
+             comments) on the domain pool and print one \"u v d\" line \
+             per pair, d with 17 significant digits so it reads back bit \
+             for bit.")
   in
   let show_path =
     Arg.(

@@ -11,7 +11,8 @@ module Pool = Parallel.Pool
    center pair, so the route expansion finds the spanner edge behind
    each center-graph hop by binary search. [landmarks] is an n x m
    vertex-major table: row v holds v's distance to each of the m
-   landmark centers, the rows the near searches' A* potential reads. *)
+   landmark centers, the rows the searches' A* potential reads and
+   every table answer's certificate. *)
 type t = {
   csr : Csr.t;
   eps : float;
@@ -269,10 +270,15 @@ let landmark_table j ~landmarks : Dijkstra.landmarks =
   { table; m }
 
 (* The tables both [build] and [repair] end with, from the centers and
-   their forest. *)
-let assemble j ~t0 ~eps ~radius ~near_bound ~centers
-    (center_ix, dist_to_center, up) =
+   their forest. The near band [4 rho (1 + 1/eps)] is where a bounded
+   search is cheap; correctness does not depend on it, since a pair
+   beyond it is answered from the tables only when its landmark rows
+   prove the envelope (see [classify]). *)
+let assemble j ~t0 ~eps ~radius ~centers (center_ix, dist_to_center, up) =
   let k = Array.length centers in
+  let near_bound =
+    if k = 0 then 0.0 else 4.0 *. radius *. (1.0 +. (1.0 /. eps))
+  in
   let portal_key, portal_lo, portal_hi, dmat, next_center =
     center_tables j ~k ~center_ix ~dist_to_center
   in
@@ -300,13 +306,8 @@ let build ?(eps = 0.5) j =
   if not (eps > 0.0) then invalid_arg "Oracle.build: eps must be > 0";
   let t0 = Unix.gettimeofday () in
   let centers, radius = find_cover j in
-  let near_bound =
-    if centers = [||] then 0.0 else 4.0 *. radius *. (1.0 +. (1.0 /. eps))
-  in
-  let t =
-    assemble j ~t0 ~eps ~radius ~near_bound ~centers
-      (grow_forest j ~centers ~radius)
-  in
+  let forest = grow_forest j ~centers ~radius in
+  let t = assemble j ~t0 ~eps ~radius ~centers forest in
   Obs.Metrics.incr m_builds;
   t
 
@@ -368,12 +369,15 @@ let count_affected ~prev ~centers ~center_ix ~dist_to_center =
    fell outside every kept ball. The forest is grown from scratch, so
    every table value is the length of a real walk in the new snapshot
    whatever [dirty] says; [dirty] only feeds the gate below. What
-   repair saves over [build] is the cover's radius doubling. Where the
-   kept cover stops fitting — the weight scale drifting away from the
-   doubling floor the radius was chosen at, churn concentrated in the
-   cover, or minting overflowing the cluster cap — repair falls back
-   to a scratch [build] (mirroring the engine's own rebuild fallback)
-   and says why in [fallback]. *)
+   repair saves over [build] is the cover's radius doubling. A kept
+   cover that fits badly costs searches, never correctness, so the
+   fallbacks to a scratch [build] guard speed and table size. On
+   perfbench churn-burst (n = 800, a regional outage every tenth
+   epoch) the dirty-fraction gate fires on the outage and heal epochs
+   and the affected-fraction gate on a few more; without either, five
+   runs read a higher [write_cpu_ms] in four, as the dropped gate's
+   epochs pay the forest and minting and then fall back or keep a
+   worn cover. *)
 let repair_impl ~prev ~dirty j =
   let t0 = Unix.gettimeofday () in
   let n = Csr.n_vertices j in
@@ -409,13 +413,16 @@ let repair_impl ~prev ~dirty j =
   if n_prev > n then scratch "capacity_changed"
   else if k = 0 || m = 0 then scratch "degenerate_cover"
   else if 4.0 *. mean_w > 2.0 *. prev.radius then
-    (* The envelope is scale-free in the cover radius, so the kept
-       radius only needs to track the weight scale loosely; one full
-       doubling step of drift past the search's starting floor
-       (4 x mean weight) is where we stop trusting the cover's
-       granularity. Without the slack a build whose doubling search
-       succeeded on its first attempt — radius exactly at the floor —
-       would fall back on any epoch that nudges the mean weight up. *)
+    (* The kept radius sets the near band and the cluster granularity,
+       not correctness, so it only needs to track the weight scale
+       loosely: one full doubling step of drift past the search's
+       starting floor (4 x mean weight) is where we stop trusting it.
+       It keeps the radius at least twice the mean weight, so the near
+       band stays above 8 x mean weight x (1 + 1/eps): every answer
+       below that is exact. Without the slack a build whose doubling
+       search succeeded on its first attempt — radius exactly at the
+       floor — would fall back on any epoch that nudges the mean
+       weight up. *)
     scratch "radius_drift"
   else if 4 * Array.length dirty > n then scratch "dirty_fraction"
   else begin
@@ -476,23 +483,9 @@ let repair_impl ~prev ~dirty j =
       if 4 * affected > k then scratch "affected_fraction"
       else if Array.length centers > max (cluster_cap n) k then
         scratch "cluster_overflow"
-      else begin
-        (* A build's near bound [4r(1 + 1/eps)] is exactly tight: far
-           correctness needs the center detour <= 4r, and greedy covers
-           sit within a hair of that line. A repaired cover's detour
-           can drift a few percent past it (frozen centers, kept
-           radius), so widen the near band by one detour allowance —
-           boundary pairs are answered exactly by the near search and
-           far pairs keep a 4r/3 detour margin. The formula is a
-           function of (radius, eps) only, so chained repairs do not
-           inflate it further. *)
-        let near_bound =
-          (4.0 *. radius *. (1.0 +. (1.0 /. prev.eps))) +. (4.0 *. radius)
-        in
-        repaired
-          (assemble j ~t0 ~eps:prev.eps ~radius ~near_bound ~centers forest)
-          affected
-      end
+      else
+        let t = assemble j ~t0 ~eps:prev.eps ~radius ~centers forest in
+        repaired t affected
     end
   end
 
@@ -520,6 +513,7 @@ let repair ~prev ~dirty j =
 
 type query_ws = {
   dws : Dijkstra.workspace;
+  estimate : float array; (* [classify]'s L, in one unboxed slot *)
   mutable near : int; (* answers a search gave *)
   mutable far : int; (* answers read off the tables *)
   mutable route : int array; (* cached route, route.(0 .. route_len-1) *)
@@ -532,6 +526,7 @@ type query_ws = {
 let create_query_ws () =
   {
     dws = Dijkstra.create_workspace ();
+    estimate = [| 0.0 |];
     near = 0;
     far = 0;
     route = [||];
@@ -547,43 +542,78 @@ let near_answers qws = qws.near
 let far_answers qws = qws.far
 
 (* ------------------------------------------------------------------ *)
+(* The answer rule                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type answer =
+  | Apart (* an unassigned vertex, or different components *)
+  | Search (* an exact search bounded by L *)
+  | Table (* L itself, and the portal walk *)
+
+(* The scale of the A* potential in {!Graph.Dijkstra}. *)
+let alt_scale = 1.0 -. ldexp 1.0 (-30)
+
+(* The one rule every answer follows, for a pair [u <> v]. It stores
+   the landmark walk length [L = d(u, c_u) + dmat(c_u, c_v) + d(c_v, v)]
+   in [qws.estimate.(0)]. A pair is answered from the tables only when
+   L is above the near band and the landmark rows prove the envelope:
+   [LB = (1 - 2^-30) max_i |D_i(u) - D_i(v)| - 2^-30 L], a NaN term
+   counting as 0, is the potential a search toward [v] bounded by L
+   gives [u], which {!Graph.Dijkstra} proves stays below d(u, v)
+   despite rounding in the rows, so [L <= (1 + eps) LB] gives
+   [L <= (1 + eps) d]. Every other connected pair is searched. Inlined
+   at each caller, so L and LB stay unboxed and a table answer
+   allocates nothing. *)
+let[@inline] classify t qws u v =
+  let cu = t.center_ix.(u) and cv = t.center_ix.(v) in
+  if cu < 0 || cv < 0 then Apart
+  else begin
+    let l =
+      t.dist_to_center.(u) +. t.dmat.((cu * t.k) + cv) +. t.dist_to_center.(v)
+    in
+    qws.estimate.(0) <- l;
+    if l = infinity then Apart
+    else if l <= t.near_bound then Search
+    else begin
+      let table = t.landmarks.table and m = t.landmarks.m in
+      let bu = u * m and bv = v * m in
+      let best = ref 0.0 in
+      for i = 0 to m - 1 do
+        let d = Float.abs (table.(bu + i) -. table.(bv + i)) in
+        if d > !best then best := d
+      done;
+      let lb = (alt_scale *. !best) -. ldexp l (-30) in
+      if l <= (1.0 +. t.eps) *. lb then Table else Search
+    end
+  end
+
+(* A search's bound: L never underestimates (it is a walk length), so
+   a search bounded by it always settles the target; the epsilon
+   absorbs rounding in the three-term sum. *)
+let search_bound qws = qws.estimate.(0) +. 1e-9
+
+(* ------------------------------------------------------------------ *)
 (* Distance queries                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Far estimates never underestimate (they are genuine walk lengths),
-   so a bounded exact search with the estimate as bound always settles
-   the target on the near path; the epsilon absorbs rounding in the
-   three-term sum. *)
-let bound_slack = 1e-9
-
-(* The exact answer for a near pair, whose landmark estimate is [l]:
-   an A* search toward [v]. *)
-let near_search t qws u v ~l =
-  qws.near <- qws.near + 1;
-  let bound = l +. bound_slack in
-  Dijkstra.distance_upto_csr_ws qws.dws t.csr u v ~bound
-    ~landmarks:t.landmarks
+(* Inlined into both entries, so a table answer reaches a batch's float
+   array unboxed. A searched pair runs an A* search toward [v]. *)
+let[@inline] answer t qws u v =
+  if u = v then 0.0
+  else
+    match classify t qws u v with
+    | Table ->
+        qws.far <- qws.far + 1;
+        qws.estimate.(0)
+    | Search ->
+        qws.near <- qws.near + 1;
+        Dijkstra.distance_upto_csr_ws qws.dws t.csr u v
+          ~bound:(search_bound qws) ~landmarks:t.landmarks
+    | Apart -> infinity
 
 let distance_estimate t qws u v =
   Obs.Metrics.incr m_queries;
-  if u = v then 0.0
-  else begin
-    let cu = t.center_ix.(u) and cv = t.center_ix.(v) in
-    if cu < 0 || cv < 0 then infinity
-    else begin
-      let l =
-        t.dist_to_center.(u) +. t.dmat.((cu * t.k) + cv)
-        +. t.dist_to_center.(v)
-      in
-      if l <= t.near_bound then near_search t qws u v ~l
-      else begin
-        (* Pairs in different components (an infinite estimate) count
-           as neither near nor far. *)
-        if l < infinity then qws.far <- qws.far + 1;
-        l
-      end
-    end
-  end
+  answer t qws u v
 
 let distance_batch_into ?domains (t : t) ~u ~v ~out =
   let n = Array.length u in
@@ -592,28 +622,8 @@ let distance_batch_into ?domains (t : t) ~u ~v ~out =
   let t0 = Unix.gettimeofday () in
   Pool.iter_chunks ?domains n (fun lo hi ->
       let qws = domain_query_ws () in
-      let near_bound = t.near_bound in
-      let k = t.k in
       for i = lo to hi - 1 do
-        let uu = u.(i) and vv = v.(i) in
-        if uu = vv then out.(i) <- 0.0
-        else begin
-          let cu = t.center_ix.(uu) and cv = t.center_ix.(vv) in
-          if cu < 0 || cv < 0 then out.(i) <- infinity
-          else begin
-            (* The far path is pure float arithmetic into a float
-               array slot: no boxing, no allocation, no search. *)
-            let l =
-              t.dist_to_center.(uu) +. t.dmat.((cu * k) + cv)
-              +. t.dist_to_center.(vv)
-            in
-            if l <= near_bound then out.(i) <- near_search t qws uu vv ~l
-            else begin
-              if l < infinity then qws.far <- qws.far + 1;
-              out.(i) <- l
-            end
-          end
-        end
+        out.(i) <- answer t qws u.(i) v.(i)
       done);
   let dt = Unix.gettimeofday () -. t0 in
   Obs.Metrics.incr m_batches;
@@ -676,73 +686,65 @@ let portal_index t a b =
   done;
   !lo
 
-(* Rebuild the cached route from [src]. Near pairs route on the exact
-   shortest path (an A* parents search from [dst] toward [src], so each
-   vertex's parent IS its next hop toward [dst]); far pairs ascend to
-   the source's center, thread the center chain through the portals,
-   and descend. Returns false when unreachable. *)
+(* Rebuild the cached route from [src <> dst]. A searched pair routes
+   on the exact shortest path (an A* parents search from [dst] toward
+   [src], so each vertex's parent IS its next hop toward [dst]); a
+   table pair ascends to the source's center, threads the center chain
+   through the portals, and descends. Returns false when
+   unreachable. *)
 let compute_route t qws src dst =
   qws.route_len <- 0;
   qws.route_pos <- 0;
   qws.route_dst <- -1;
-  let cu = t.center_ix.(src) and cv = t.center_ix.(dst) in
-  if cu < 0 || cv < 0 then false
-  else begin
-    let l =
-      t.dist_to_center.(src) +. t.dmat.((cu * t.k) + cv)
-      +. t.dist_to_center.(dst)
-    in
-    if l = infinity then false
-    else begin
-      if l <= t.near_bound then begin
-        qws.near <- qws.near + 1;
-        let bound = l +. bound_slack in
-        Dijkstra.settle_parents_csr_ws qws.dws t.csr dst ~target:src ~bound
-          ~landmarks:t.landmarks;
-        (* The true distance is at most [l], so [src] popped within the
-           bound and every vertex on its shortest path to [dst] settled
-           before it; the parent chain cannot dead-end. *)
-        let v = ref src in
-        push qws src;
-        while !v <> dst do
-          let p = Dijkstra.ws_parent qws.dws !v in
-          assert (p >= 0);
-          v := p;
-          push qws !v
-        done
-      end
-      else begin
-        qws.far <- qws.far + 1;
-        (* Ascend src -> its center. *)
-        push qws src;
-        let v = ref src in
-        while t.up.(!v) >= 0 do
-          v := t.up.(!v);
-          push qws !v
-        done;
-        (* Center chain, expanding each H edge through its portal:
-           [x] in the current cluster, [y] in the next one. *)
-        let a = ref cu in
-        while !a <> cv do
-          let b = t.next_center.((!a * t.k) + cv) in
-          let i = portal_index t !a b in
-          let x = if !a < b then t.portal_lo.(i) else t.portal_hi.(i) in
-          let y = if !a < b then t.portal_hi.(i) else t.portal_lo.(i) in
-          emit_descent t qws x;
-          push qws y;
-          let w = ref y in
-          while t.up.(!w) >= 0 do
-            w := t.up.(!w);
-            push qws !w
-          done;
-          a := b
-        done;
-        emit_descent t qws dst
-      end;
+  match classify t qws src dst with
+  | Apart -> false
+  | Search ->
+      qws.near <- qws.near + 1;
+      Dijkstra.settle_parents_csr_ws qws.dws t.csr dst ~target:src
+        ~bound:(search_bound qws) ~landmarks:t.landmarks;
+      (* The true distance is at most L, so [src] popped within the
+         bound and every vertex on its shortest path to [dst] settled
+         before it; the parent chain cannot dead-end. *)
+      let v = ref src in
+      push qws src;
+      while !v <> dst do
+        let p = Dijkstra.ws_parent qws.dws !v in
+        assert (p >= 0);
+        v := p;
+        push qws !v
+      done;
       qws.route_dst <- dst;
       true
-    end
-  end
+  | Table ->
+      qws.far <- qws.far + 1;
+      let cu = t.center_ix.(src) and cv = t.center_ix.(dst) in
+      (* Ascend src -> its center. *)
+      push qws src;
+      let v = ref src in
+      while t.up.(!v) >= 0 do
+        v := t.up.(!v);
+        push qws !v
+      done;
+      (* Center chain, expanding each H edge through its portal: [x] in
+         the current cluster, [y] in the next one. *)
+      let a = ref cu in
+      while !a <> cv do
+        let b = t.next_center.((!a * t.k) + cv) in
+        let i = portal_index t !a b in
+        let x = if !a < b then t.portal_lo.(i) else t.portal_hi.(i) in
+        let y = if !a < b then t.portal_hi.(i) else t.portal_lo.(i) in
+        emit_descent t qws x;
+        push qws y;
+        let w = ref y in
+        while t.up.(!w) >= 0 do
+          w := t.up.(!w);
+          push qws !w
+        done;
+        a := b
+      done;
+      emit_descent t qws dst;
+      qws.route_dst <- dst;
+      true
 
 let spanner_path t qws ~src ~dst =
   if src = dst then Some [| src |]

@@ -37,7 +37,8 @@
       center farthest from every landmark so far, an unreachable
       center counting as infinitely far so every sizeable component
       gets one before any gets a second. A component holding fewer
-      than [k / m] centers gets none; its near searches run plainly.
+      than [k / m] centers gets none: its searches run plainly and
+      its table answers fail the certificate.
       Filling the table costs [m] unbounded single-source searches on
       the shared core per {!build}, and per {!repair} that regrows the
       forest.
@@ -45,38 +46,39 @@
     Every portal cost is the length of a real walk (down one tree,
     across the edge, up the other), so the landmark estimate
     [L = d(u,c_u) + dmat(c_u,c_v) + d(c_v,v)] is the length of a walk
-    and never underestimates. Queries split on [L]:
+    and never underestimates. One rule decides every answer:
 
-    - {b near} ([L <= near_bound], with
-      [near_bound = 4 rho (1 + 1/eps)]): the true distance is at most
-      [L], so a bounded search with bound [L] returns the {e exact}
-      distance. Near answers are exact A* searches toward the target:
-      the potential is the landmark lower bound
-      [max_i |D_i(t) - D_i(v)|] (Goldberg and Harrelson's ALT), scaled
-      by [1 - 2^-30] and lowered by [2^-30 L], which keeps it below the
-      remaining distance by more than any label's rounding, so every
-      answer is bit for bit the plain bounded search's (the argument
-      is in {!Graph.Dijkstra}). It settles a small part of the ball a
-      plain search would;
-    - {b far}: [L] itself is returned in O(1) — two cluster lookups
-      and one matrix read, no allocation, no search. The [(1+eps)]
-      envelope is conditional: whenever the center-graph detour costs
-      at most [4 rho] over the true distance, far answers are within
-      [1 + eps] of the snapshot distance, hence within [(1+eps) t] of
-      the base-graph distance when the snapshot is a certified
-      [t]-spanner. [dmat] is a distance in the center graph, not
-      between centers in the snapshot, so nothing bounds the detour in
-      general; the E-qps bench and the oracle tests check the envelope
-      on sampled pairs.
+    - {b table}: when [L > near_bound], with
+      [near_bound = 4 rho (1 + 1/eps)], and the landmark rows certify
+      it, [L <= (1 + eps) LB] with
+      [LB = (1 - 2^-30) max_i |D_i(u) - D_i(v)| - 2^-30 L] (a NaN term
+      counting as 0), [L] itself is returned: two cluster lookups, one
+      matrix read and two table rows, no allocation, no search. [LB] is
+      the potential a search toward [v] bounded by [L] gives [u], which
+      {!Graph.Dijkstra} proves stays below the snapshot distance [d]
+      despite rounding in the rows, so a table answer lies in
+      [[d, (1 + eps) d]], hence within [(1 + eps) t] of the base-graph
+      distance when the snapshot is a certified [t]-spanner;
+    - {b search}: every other connected pair gets the exact distance
+      from a search bounded by [L] (which is at least [d]). Searches
+      are A* searches toward the target: the potential is the landmark
+      lower bound (Goldberg and Harrelson's ALT), scaled and lowered as
+      above, which keeps it below the remaining distance by more than
+      any label's rounding, so every answer is bit for bit the plain
+      bounded search's (the argument is in {!Graph.Dijkstra}). It
+      settles a small part of the ball a plain search would. The near
+      band is where a search is cheap; a pair beyond it whose rows do
+      not certify its [L] is searched too, at the cost of a larger
+      ball.
 
-    Routing follows the same split: near routes are exact shortest
-    paths read off the parent tree of an A* search from [v] that stops
-    when [u] pops; far routes ascend
-    [u]'s up-chain to its center, walk the center chain through the
-    portals, and descend to [v] — a spanner walk of length exactly [L].
-    The route tests check this on instances where a fifth of the
-    sampled pairs are far, and a reference test rebuilds every sampled
-    far answer from its own cover, forest and center graph.
+    Routing follows the same rule: a searched pair's route is an exact
+    shortest path read off the parent tree of an A* search from [v]
+    that stops when [u] pops; a table pair's route ascends [u]'s
+    up-chain to its center, walks the center chain through the
+    portals, and descends to [v] — a spanner walk of length exactly
+    [L]. The route tests check this on instances where a fifth of the
+    sampled pairs are table answers, and a reference test rebuilds
+    every table answer from its own cover, forest and center graph.
 
     The oracle is immutable after {!build}; any number of domains may
     query one concurrently, each through its own {!query_ws}. *)
@@ -87,9 +89,10 @@ type t
 
 (** [build ?eps csr] precomputes an oracle over [csr].
 
-    [eps > 0] (default [0.5]) is the oracle's advertised slack — it
-    only moves the near/far threshold, trading preprocessing-free far
-    answers against exact-search near answers. The landmark count is
+    [eps > 0] (default [0.5]) is the oracle's slack: table answers
+    lie within [1 + eps] of the distance, and a larger [eps] narrows
+    the near band and certifies more pairs, trading exact searched
+    answers for O(1) table answers. The landmark count is
     capped at [4 sqrt n] (at least 16): the cover radius starts at four
     times the mean edge weight and doubles until the greedy cover fits
     under the cap, so the [k x k] tables stay compact whatever the
@@ -116,29 +119,19 @@ type repair_result = {
   repair_seconds : float;  (** wall time, including any fallback build *)
 }
 
-(** [repair ~prev ~dirty csr] updates [prev] to the new
-    snapshot [csr] without recomputing the cover: it keeps [prev]'s
-    centers, radius and eps and regrows the cluster forest over [csr]
-    from the centers that are still live (degree > 0). A live vertex
-    the forest leaves farther than the radius from every center is
-    exactly where a scratch greedy would start a cluster, so repair
-    runs the cover's own greedy
-    ({!Topo.Cluster_cover.compute_csr_limited}) over the vertices the
-    kept clusters do not hold: it mints centers there, in id order,
-    each claiming its radius ball, and the forest grows once more. Every live
-    vertex then lies within [radius] of its center, and every table
-    value is the length of a real walk in [csr], so the repaired
-    oracle keeps the contract of a scratch build: it never
-    underestimates, far routes are walks of length [L], and the
-    envelope holds under the same detour condition. It may differ from
-    a scratch build bit for bit (the centers are kept, not re-chosen).
-    To keep the envelope honest at the near/far boundary, a repaired
-    oracle widens its near band by one center-detour allowance
-    ([4 x radius] on top of the build formula): the kept cover's
-    detour can drift a few percent past a fresh build's exactly-tight
-    bound, so boundary pairs are answered exactly and far answers
-    retain a margin. The widening is a function of (radius, eps) only
-    — chained repairs do not inflate it further.
+(** [repair ~prev ~dirty csr] updates [prev] to the new snapshot
+    [csr] without recomputing the cover: it keeps [prev]'s centers,
+    radius and eps and regrows the cluster forest over [csr] from the
+    centers that are still live (degree > 0). A live vertex the forest
+    leaves farther than the radius from every center is exactly where
+    a scratch greedy would start a cluster, so repair runs the cover's
+    own greedy ({!Topo.Cluster_cover.compute_csr_limited}) over the
+    vertices the kept clusters do not hold: it mints centers there, in
+    id order, each claiming its radius ball, and the forest grows once
+    more. Every table value is the length of a real walk in [csr], and
+    the answer rule and near band are a build's, so the repaired
+    oracle keeps a scratch build's contract. It may differ from a
+    scratch build bit for bit (the centers are kept, not re-chosen).
 
     [dirty] should list every vertex whose incident spanner edges
     changed, exactly [Dynamic.Engine]'s [snap_dirty] payload. The
@@ -177,7 +170,7 @@ type stats = {
   n_clusters : int;  (** landmark count [k] *)
   radius : float;  (** cover radius [rho] after doubling *)
   eps : float;
-  near_bound : float;  (** [4 rho (1 + 1/eps)], plus [4 rho] once repaired *)
+  near_bound : float;  (** [4 rho (1 + 1/eps)]: pairs with [L] below search *)
   build_seconds : float;
   table_words : int;
       (** words held by the flat oracle arrays, [n m] of them the
@@ -191,11 +184,11 @@ val stats : t -> stats
     A workspace owns every buffer a query needs — the bounded-search
     Dijkstra workspace, the descent scratch and the cached route — so
     a query allocates no buffer in steady state (buffers grow to the
-    largest instance seen, then are reused). A near answer's A* search
-    reads the landmark table in place and allocates nothing per
-    settled vertex, only a few words per search (about ten in E-qps),
-    and a far answer allocates nothing at all.
-    It also counts the near and far answers given through it. One
+    largest instance seen, then are reused). A search reads the
+    landmark table in place and allocates nothing per settled vertex,
+    only a few words per search (about ten in E-qps), and a table
+    answer allocates nothing at all. The workspace also counts the
+    searched and table answers given through it. One
     workspace serves one query at a time and must not be shared
     between domains. *)
 
@@ -207,12 +200,13 @@ val create_query_ws : unit -> query_ws
 val domain_query_ws : unit -> query_ws
 
 (** [near_answers ws] is how many answers through [ws] ran a search:
-    near {!distance_estimate}s and batch slots, and near routes that
+    searched {!distance_estimate}s and batch slots (a pair beyond the
+    near band whose rows do not certify [L] included), and routes that
     {!spanner_path} or {!next_hop} computed. *)
 val near_answers : query_ws -> int
 
 (** [far_answers ws] is how many answers through [ws] were read off the
-    tables: far estimates and routes. Trivial pairs ([u = v]),
+    tables: table estimates and routes. Trivial pairs ([u = v]),
     unassigned vertices, pairs in different components and
     {!next_hop} steps along a cached route count as neither. A batch
     counts in the workspace of the domain that answered each chunk. *)
@@ -222,9 +216,9 @@ val far_answers : query_ws -> int
 
 (** [distance_estimate t ws u v] is [0] when [u = v], [infinity] when
     the vertices are in different components (or either is isolated),
-    the exact snapshot distance on the near path (bit for bit
-    {!Graph.Dijkstra.distance_csr}) and the landmark walk length [L]
-    on the far path — never less than the true snapshot distance. *)
+    the exact snapshot distance for a searched pair (bit for bit
+    {!Graph.Dijkstra.distance_csr}) and the certified landmark walk
+    length [L] for a table pair: always in [[d, (1 + eps) d]]. *)
 val distance_estimate : t -> query_ws -> int -> int -> float
 
 (** [distance_batch_into t ~u ~v ~out] answers [out.(i) <-
@@ -237,9 +231,9 @@ val distance_batch_into :
   ?domains:int -> t -> u:int array -> v:int array -> out:float array -> unit
 
 (** [spanner_path t ws ~src ~dst] materializes the route the oracle
-    would forward along: the exact shortest path on the near path, the
-    ascend/portal-chain/descend walk (of length exactly the far
-    estimate) otherwise. A far walk may pass a vertex twice, [dst]
+    would forward along: the exact shortest path for a searched pair,
+    the ascend/portal-chain/descend walk (of length exactly [L]) for a
+    table pair. A table walk may pass a vertex twice, [dst]
     included: climbing through [dst] to its center and back down.
     [None] when unreachable. Allocates the result array; use
     {!next_hop} on hot paths. *)
@@ -248,7 +242,7 @@ val spanner_path : t -> query_ws -> src:int -> dst:int -> int array option
 (** [next_hop t ws u ~dst] is the next vertex on the oracle's route
     from [u] to [dst] (the one {!spanner_path} returns), [-1] when
     [u = dst], [-2] when unreachable. Forwarding stops at the first
-    arrival at [dst], so it costs the estimate, or less on a far walk
+    arrival at [dst], so it costs the estimate, or less on a table walk
     that passes [dst] early.
     The workspace caches the current route: repeated calls along it
     ([u] advancing hop by hop toward the same [dst], the forwarding

@@ -2,6 +2,9 @@
 # fingerprints: MD5s of the outputs a refactor must leave bit-identical.
 #
 #   - relaxed-greedy spanners (`topoctl build`) at n = 10^4, seeds 1-3;
+#   - the oracle's answers (`topoctl query --batch`) to a fixed
+#     3000-pair file on the n = 10^4, seed-1 relaxed spanner, answer
+#     lines only (printed with 17 significant digits);
 #   - greedy, ft and ft-vertex spanners at n = 1500;
 #   - the Dist_greedy engine's `topoctl rounds` table at n = 800;
 #   - `topoctl simulate --full-protocol` at n = 60.
@@ -26,6 +29,14 @@ for seed in 1 2 3; do
     -o "$WORK/relaxed$seed.topo" >/dev/null
   echo "relaxed n=10000 seed=$seed $(md5 "$WORK/relaxed$seed.topo")"
 done
+
+# 3000 pairs from a Lehmer generator, identical on every machine.
+awk 'BEGIN { x = 1; for (i = 0; i < 3000; i++) {
+  x = (x * 48271) % 2147483647; u = x % 10000
+  x = (x * 48271) % 2147483647; print u, x % 10000 } }' >"$WORK/pairs.txt"
+"$TOPOCTL" query "$WORK/n10000s1.ubg" --batch "$WORK/pairs.txt" \
+  | grep -E '^[0-9]+ [0-9]+ ' >"$WORK/oracle.txt"
+echo "oracle n=10000 seed=1 $(md5 "$WORK/oracle.txt")"
 
 gen 1500 1 n1500.ubg
 for algo in greedy ft ft-vertex; do

@@ -390,8 +390,8 @@ let test_daemon_serves_published_oracle () =
 (* A static daemon counts the DIST answers its search ran (near) and
    read off its tables (far) in STATS. Oracle eps = 4 over a relaxed
    spanner at n = 300 makes a fifth of random pairs far; u = v pairs
-   count as neither. The expected counts come from a local oracle over
-   the same snapshot, classified against its near bound. *)
+   count as neither. The expected counts are a local oracle's over the
+   same snapshot and pairs, read off its workspace. *)
 let test_static_daemon_counts_near_and_far () =
   let model = connected_model ~seed:4 ~n:300 ~dim:2 ~alpha:0.8 in
   let csr =
@@ -400,7 +400,6 @@ let test_static_daemon_counts_near_and_far () =
   in
   let oracle_eps = 4.0 in
   let local = Oracle.Dist.build ~eps:oracle_eps csr in
-  let nb = (Oracle.Dist.stats local).Oracle.Dist.near_bound in
   let qws = Oracle.Dist.create_query_ws () in
   let st = Random.State.make [| 4; 0xd157 |] in
   let pairs =
@@ -408,13 +407,11 @@ let test_static_daemon_counts_near_and_far () =
         let u = Random.State.int st 300 in
         (u, if i mod 10 = 0 then u else Random.State.int st 300))
   in
-  let near = ref 0 and far = ref 0 in
   Array.iter
-    (fun (u, v) ->
-      let d = Oracle.Dist.distance_estimate local qws u v in
-      if u <> v && d <= nb then incr near
-      else if d > nb && d < infinity then incr far)
+    (fun (u, v) -> ignore (Oracle.Dist.distance_estimate local qws u v))
     pairs;
+  let near = Oracle.Dist.near_answers qws in
+  let far = Oracle.Dist.far_answers qws in
   let sock = sock_path "counts" in
   let stop = Atomic.make false in
   let service = Oracle.Service.of_csr ~eps:oracle_eps csr in
@@ -435,9 +432,9 @@ let test_static_daemon_counts_near_and_far () =
         | Some k -> k
         | None -> Alcotest.failf "STATS lacks a count %s" key
       in
-      Alcotest.(check bool) "both kinds sampled" true (!near > 0 && !far > 0);
-      Alcotest.(check int) "near answers" !near (count "oracle.near_answers");
-      Alcotest.(check int) "far answers" !far (count "oracle.far_answers"))
+      Alcotest.(check bool) "both kinds sampled" true (near > 0 && far > 0);
+      Alcotest.(check int) "near answers" near (count "oracle.near_answers");
+      Alcotest.(check int) "far answers" far (count "oracle.far_answers"))
 
 (* The acceptance criterion: a daemon restarted from its checkpoint
    finishes with a final checkpoint byte-identical to a run that never
