@@ -550,20 +550,18 @@ type answer =
   | Search (* an exact search bounded by L *)
   | Table (* L itself, and the portal walk *)
 
-(* The scale of the A* potential in {!Graph.Dijkstra}. *)
-let alt_scale = 1.0 -. ldexp 1.0 (-30)
-
-(* The one rule every answer follows, for a pair [u <> v]. It stores
-   the landmark walk length [L = d(u, c_u) + dmat(c_u, c_v) + d(c_v, v)]
-   in [qws.estimate.(0)]. A pair is answered from the tables only when
-   L is above the near band and the landmark rows prove the envelope:
-   [LB = (1 - 2^-30) max_i |D_i(u) - D_i(v)| - 2^-30 L], a NaN term
-   counting as 0, is the potential a search toward [v] bounded by L
-   gives [u], which {!Graph.Dijkstra} proves stays below d(u, v)
-   despite rounding in the rows, so [L <= (1 + eps) LB] gives
-   [L <= (1 + eps) d]. Every other connected pair is searched. Inlined
-   at each caller, so L and LB stay unboxed and a table answer
-   allocates nothing. *)
+(* The one rule every answer follows, for a pair [u <> v]; it stores
+   the landmark walk length L in [qws.estimate.(0)]. A pair is answered
+   from the tables only when L is above the near band and
+   [L <= (1 + eps) LB], [LB] the largest
+   [(1 - 2^-30) |D_i(u) - D_i(v)| - 2^-30 (D_i(u) + D_i(v))] (NaN terms
+   ignored). A row entry's relative error is at most about [n 2^-53],
+   so [|D_i(u) - D_i(v)|] exceeds d(u, v) by about
+   [n 2^-53 (D_i(u) + D_i(v))] at most: for [n <= 2^22] the shift covers
+   that and the scale the rest of the rounding, so LB stays below
+   d(u, v). The sum, unlike the larger entry, needs no branch. Every
+   other connected pair is searched. Inlined at each caller, so L and
+   LB stay unboxed and a table answer allocates nothing. *)
 let[@inline] classify t qws u v =
   let cu = t.center_ix.(u) and cv = t.center_ix.(v) in
   if cu < 0 || cv < 0 then Apart
@@ -577,13 +575,15 @@ let[@inline] classify t qws u v =
     else begin
       let table = t.landmarks.table and m = t.landmarks.m in
       let bu = u * m and bv = v * m in
-      let best = ref 0.0 in
+      let lb = ref 0.0 in
       for i = 0 to m - 1 do
-        let d = Float.abs (table.(bu + i) -. table.(bv + i)) in
-        if d > !best then best := d
+        let a = table.(bu + i) and b = table.(bv + i) in
+        let x =
+          ((1.0 -. 0x1p-30) *. Float.abs (a -. b)) -. (0x1p-30 *. (a +. b))
+        in
+        if x > !lb then lb := x
       done;
-      let lb = (alt_scale *. !best) -. ldexp l (-30) in
-      if l <= (1.0 +. t.eps) *. lb then Table else Search
+      if l <= (1.0 +. t.eps) *. !lb then Table else Search
     end
   end
 

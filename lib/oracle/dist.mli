@@ -50,26 +50,27 @@
 
     - {b table}: when [L > near_bound], with
       [near_bound = 4 rho (1 + 1/eps)], and the landmark rows certify
-      it, [L <= (1 + eps) LB] with
-      [LB = (1 - 2^-30) max_i |D_i(u) - D_i(v)| - 2^-30 L] (a NaN term
-      counting as 0), [L] itself is returned: two cluster lookups, one
-      matrix read and two table rows, no allocation, no search. [LB] is
-      the potential a search toward [v] bounded by [L] gives [u], which
-      {!Graph.Dijkstra} proves stays below the snapshot distance [d]
-      despite rounding in the rows, so a table answer lies in
-      [[d, (1 + eps) d]], hence within [(1 + eps) t] of the base-graph
-      distance when the snapshot is a certified [t]-spanner;
+      it, [L <= (1 + eps) LB] with [LB] the largest
+      [(1 - 2^-30) |D_i(u) - D_i(v)| - 2^-30 (D_i(u) + D_i(v))] (a NaN
+      term ignored), [L] itself is returned: two cluster lookups, one
+      matrix read and two table rows, no allocation, no search. The
+      shift covers the rounding in the rows whatever their magnitude,
+      so for [n <= 2^22] [LB] stays below the snapshot distance [d]
+      and a table answer lies in [[d, (1 + eps) d]], hence within
+      [(1 + eps) t] of the base-graph distance when the snapshot is a
+      certified [t]-spanner;
     - {b search}: every other connected pair gets the exact distance
       from a search bounded by [L] (which is at least [d]). Searches
       are A* searches toward the target: the potential is the landmark
-      lower bound (Goldberg and Harrelson's ALT), scaled and lowered as
-      above, which keeps it below the remaining distance by more than
-      any label's rounding, so every answer is bit for bit the plain
-      bounded search's (the argument is in {!Graph.Dijkstra}). It
-      settles a small part of the ball a plain search would. The near
-      band is where a search is cheap; a pair beyond it whose rows do
-      not certify its [L] is searched too, at the cost of a larger
-      ball.
+      lower bound (Goldberg and Harrelson's ALT), scaled and lowered by
+      [2^-30] of the bound, which keeps it below the remaining distance
+      by more than any label's rounding while the landmark distances
+      stay within [2^22 / n] times the bound, so every answer is bit
+      for bit the plain bounded search's (the argument is in
+      {!Graph.Dijkstra}). It settles a small part of the ball a plain
+      search would. The near band is where a search is cheap; a pair
+      beyond it whose rows do not certify its [L] is searched too, at
+      the cost of a larger ball.
 
     Routing follows the same rule: a searched pair's route is an exact
     shortest path read off the parent tree of an A* search from [v]

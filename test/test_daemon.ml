@@ -391,7 +391,10 @@ let test_daemon_serves_published_oracle () =
    read off its tables (far) in STATS. Oracle eps = 4 over a relaxed
    spanner at n = 300 makes a fifth of random pairs far; u = v pairs
    count as neither. The expected counts are a local oracle's over the
-   same snapshot and pairs, read off its workspace. *)
+   same snapshot and pairs, read off its workspace, and are checked on
+   their own: the model is connected, so each u <> v pair counts once;
+   a table answer is L, above the near bound; and an answer other than
+   the exact distance came off the tables. *)
 let test_static_daemon_counts_near_and_far () =
   let model = connected_model ~seed:4 ~n:300 ~dim:2 ~alpha:0.8 in
   let csr =
@@ -407,11 +410,28 @@ let test_static_daemon_counts_near_and_far () =
         let u = Random.State.int st 300 in
         (u, if i mod 10 = 0 then u else Random.State.int st 300))
   in
-  Array.iter
-    (fun (u, v) -> ignore (Oracle.Dist.distance_estimate local qws u v))
-    pairs;
+  let answers =
+    Array.map (fun (u, v) -> Oracle.Dist.distance_estimate local qws u v) pairs
+  in
   let near = Oracle.Dist.near_answers qws in
   let far = Oracle.Dist.far_answers qws in
+  let nb = (Oracle.Dist.stats local).Oracle.Dist.near_bound in
+  let count p =
+    let c = ref 0 in
+    Array.iteri (fun i (u, v) -> if u <> v && p i u v then incr c) pairs;
+    !c
+  in
+  let distinct = count (fun _ _ _ -> true) in
+  let above = count (fun i _ _ -> answers.(i) > nb) in
+  let inexact =
+    count (fun i u v ->
+        Int64.bits_of_float answers.(i)
+        <> Int64.bits_of_float (Graph.Dijkstra.distance_csr csr u v))
+  in
+  Alcotest.(check int) "each u <> v pair counted once" distinct (near + far);
+  Alcotest.(check bool) "far answers lie above the near bound" true
+    (far <= above);
+  Alcotest.(check bool) "inexact answers are far" true (inexact <= far);
   let sock = sock_path "counts" in
   let stop = Atomic.make false in
   let service = Oracle.Service.of_csr ~eps:oracle_eps csr in
