@@ -1,7 +1,7 @@
 .PHONY: all check test fmt bench bench-churn-smoke \
 	bench-scale-smoke bench-scale-large bench-compare-smoke \
 	bench-oracle-smoke bench-repair-smoke bench-daemon-smoke \
-	trace-smoke serve-smoke fingerprints clean
+	trace-smoke serve-smoke fingerprints fingerprints-diff clean
 
 all:
 	dune build @all
@@ -111,6 +111,13 @@ trace-smoke:
 # it unchanged.
 fingerprints:
 	bash scripts/fingerprints.sh
+
+# The same check against a commit: make fingerprints-diff REF=<commit>
+# runs scripts/fingerprints.sh in a temporary git worktree of REF and
+# in the working tree, prints both, and exits 1 on any difference. The
+# worktree is removed afterwards.
+fingerprints-diff:
+	bash scripts/fingerprints_diff.sh "$(REF)"
 
 clean:
 	dune clean

@@ -1413,11 +1413,15 @@ let e_qps () =
     end
   done;
   let hop_wall = Unix.gettimeofday () -. t0 in
-  (* -- full route extractions --------------------------------------- *)
+  (* -- full route extractions: their pairs come from a stream of
+     their own, so the sample does not depend on how many pairs the
+     hop chains above drew (a chain's length depends on the routes) -- *)
+  let path_rand = Random.State.make [| 42 + n; 0x9a75 |] in
   let routed = ref 0 in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to path_total do
-    let src = Random.State.int rand n and dst = Random.State.int rand n in
+    let src = Random.State.int path_rand n
+    and dst = Random.State.int path_rand n in
     match Oracle.Dist.spanner_path oracle qws ~src ~dst with
     | Some _ -> incr routed
     | None -> ()

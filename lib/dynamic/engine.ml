@@ -187,7 +187,9 @@ let pipeline_repair t ~dmin ~bins i (edges : Wgraph.edge array) =
   let kept, _stats =
     Topo.Relaxed_greedy.run_region ~points:t.pop.Population.points
       ~params:t.params ~phase:i ~w_prev_len ~w_len
-      ~region:(Array.of_list !region) ~spanner:t.spanner edges
+      ~region:(Array.of_list !region)
+      ~spanner:(Topo.Relaxed_greedy.Builder t.spanner)
+      edges
   in
   Array.iter
     (fun (e : Wgraph.edge) ->

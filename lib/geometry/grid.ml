@@ -29,8 +29,10 @@ let hash key off dim =
 (* Linear probing from slot [s]: the slot holding the cell whose coord
    vector is [key]'s row at [off], or the empty slot where it belongs.
    Top-level rather than a local closure, so a lookup allocates
-   nothing. *)
-let rec linear_probe ~slots ~coords ~dim key off s =
+   nothing; the coordinates are typed [int], so comparing them is an
+   integer compare, not the polymorphic [caml_equal]. *)
+let rec linear_probe ~slots ~(coords : int array) ~dim (key : int array) off s
+    =
   let id = slots.(s) in
   if id < 0 then s
   else begin
@@ -136,48 +138,14 @@ let iter_within t ~radius p f =
         if dist <= radius then f j dist
       done)
 
-(* Union of balls: [unmarked.(c)] counts cell c's members not yet
-   marked, so once a cell is used up no later centre rescans it. Dense
-   centre sets (a bin's endpoints, whose balls overlap heavily) then
-   cost one lookup per box cell instead of one distance per member. *)
-let mark_within t ~radius centres =
-  check_radius t ~radius "Grid.mark_within";
-  let marked = Array.make (Array.length t.points) false in
-  let unmarked =
-    Array.init (Array.length t.cell_start - 1) (fun c ->
-        t.cell_start.(c + 1) - t.cell_start.(c))
-  in
-  Array.iter
-    (fun p ->
-      iter_box_cells t p ~radius (fun id ->
-          if unmarked.(id) > 0 then
-            for k = t.cell_start.(id) to t.cell_start.(id + 1) - 1 do
-              let j = t.cell_pts.(k) in
-              if (not marked.(j)) && Point.distance t.points.(j) p <= radius
-              then begin
-                marked.(j) <- true;
-                unmarked.(id) <- unmarked.(id) - 1
-              end
-            done))
-    centres;
-  marked
-
-(* Lexicographically positive offsets of {-1,0,1}^d: first nonzero
-   component positive. Scanning only these (plus the home cell) visits
-   every unordered cell pair exactly once — a (3^d - 1) / 2 + 1 scan
-   per cell instead of 3^d per point. *)
-let half_offsets d =
+(* Every offset in {-1, 0, 1}^d, the zero offset first. *)
+let all_offsets d =
   let acc = ref [] in
   let offset = Array.make d 0 in
   let rec loop i =
     if i = d then begin
-      let rec positive j =
-        if j = d then false
-        else if offset.(j) > 0 then true
-        else if offset.(j) < 0 then false
-        else positive (j + 1)
-      in
-      if positive 0 then acc := Array.copy offset :: !acc
+      if Array.exists (fun x -> x <> 0) offset then
+        acc := Array.copy offset :: !acc
     end
     else
       for v = -1 to 1 do
@@ -186,7 +154,120 @@ let half_offsets d =
       done
   in
   loop 0;
-  Array.of_list (List.rev !acc)
+  Array.of_list (Array.make d 0 :: List.rev !acc)
+
+(* Union of balls, point by point. The centres are bucketed by cell in
+   a private table laid out like the grid's own ([ccoord] rows,
+   [cslots] slots, [cstart]/[cpts] a counting sort by bucket). One
+   lookup per bucket and offset then files the bucket in the near list
+   of each occupied cell around it ([head] and [next]; entry
+   [b * n_off + oi] stands for bucket [b] at offset [oi]): by symmetry
+   a cell's list names exactly the buckets of its 3^d neighbouring
+   cells. The zero offset is filed last, so a cell's own bucket heads
+   its list. Each point of a listed cell is tested against its list's
+   centres until the first hit: with [radius <= cell] a centre within
+   the radius lies in a neighbouring cell, so a point costs the centres
+   near it up to its first hit, never one test per ball that covers
+   it, and no cell is looked up per point or per visit. *)
+let mark_within t ~radius centres =
+  check_radius t ~radius "Grid.mark_within";
+  let dim = t.dim and cell = t.cell in
+  let marked = Array.make (Array.length t.points) false in
+  let k = Array.length centres in
+  let size = ref 2 in
+  while !size < 2 * k do
+    size := 2 * !size
+  done;
+  let cslots = Array.make !size (-1) and ccoord = Array.make (k * dim) 0 in
+  let bucket = Array.make k 0 and nb = ref 0 in
+  Array.iteri
+    (fun i p ->
+      if Point.dim p <> dim then invalid_arg "Grid: query dimension mismatch";
+      let off = !nb * dim in
+      for d = 0 to dim - 1 do
+        ccoord.(off + d) <- coord_of ~cell (Point.coord p d)
+      done;
+      let s = slot_of ~slots:cslots ~coords:ccoord ~dim ccoord off in
+      if cslots.(s) < 0 then begin
+        cslots.(s) <- !nb;
+        incr nb
+      end;
+      bucket.(i) <- cslots.(s))
+    centres;
+  let nb = !nb in
+  let cstart = Array.make (nb + 1) 0 in
+  Array.iter (fun b -> cstart.(b + 1) <- cstart.(b + 1) + 1) bucket;
+  for b = 0 to nb - 1 do
+    cstart.(b + 1) <- cstart.(b + 1) + cstart.(b)
+  done;
+  let cursor = Array.sub cstart 0 nb and cpts = Array.make k 0 in
+  Array.iteri
+    (fun i b ->
+      cpts.(cursor.(b)) <- i;
+      cursor.(b) <- cursor.(b) + 1)
+    bucket;
+  let offsets = all_offsets dim in
+  let n_off = Array.length offsets in
+  let n_cells = Array.length t.cell_start - 1 in
+  let head = Array.make n_cells (-1) in
+  let next = Array.make (nb * n_off) (-1) in
+  let listed = Array.make (min n_cells (nb * n_off)) 0 and n_listed = ref 0 in
+  let probe = Array.make dim 0 in
+  for oi = n_off - 1 downto 0 do
+    let o = offsets.(oi) in
+    for b = 0 to nb - 1 do
+      for d = 0 to dim - 1 do
+        probe.(d) <- ccoord.((b * dim) + d) + o.(d)
+      done;
+      let c = find_cell t probe in
+      if c >= 0 then begin
+        if head.(c) < 0 then begin
+          listed.(!n_listed) <- c;
+          incr n_listed
+        end;
+        let e = (b * n_off) + oi in
+        next.(e) <- head.(c);
+        head.(c) <- e
+      end
+    done
+  done;
+  let near = Array.make n_off 0 in
+  for i = 0 to !n_listed - 1 do
+    let c = listed.(i) in
+    let nn = ref 0 and e = ref head.(c) in
+    while !e >= 0 do
+      near.(!nn) <- !e / n_off;
+      incr nn;
+      e := next.(!e)
+    done;
+    for q = t.cell_start.(c) to t.cell_start.(c + 1) - 1 do
+      let j = t.cell_pts.(q) in
+      let hit = ref false and a = ref 0 in
+      while (not !hit) && !a < !nn do
+        let b = near.(!a) in
+        let x = ref cstart.(b) in
+        while (not !hit) && !x < cstart.(b + 1) do
+          hit := Point.distance t.points.(j) centres.(cpts.(!x)) <= radius;
+          incr x
+        done;
+        incr a
+      done;
+      marked.(j) <- !hit
+    done
+  done;
+  marked
+
+(* Lexicographically positive offsets of {-1,0,1}^d: first nonzero
+   component positive. Scanning only these (plus the home cell) visits
+   every unordered cell pair exactly once — a (3^d - 1) / 2 + 1 scan
+   per cell instead of 3^d per point. [all_offsets] lists them in
+   lexicographic order after the zero offset, which is not positive. *)
+let half_offsets d =
+  let rec positive o j =
+    j < d && (o.(j) > 0 || (o.(j) = 0 && positive o (j + 1)))
+  in
+  Array.of_list
+    (List.filter (fun o -> positive o 0) (Array.to_list (all_offsets d)))
 
 let iter_close_pairs t ~radius f =
   check_radius t ~radius "Grid.iter_close_pairs";

@@ -23,10 +23,13 @@ val iter_within : t -> radius:float -> Point.t -> (int -> float -> unit) -> unit
 (** [mark_within t ~radius centres] is the indicator array, over the
     indexed points, of the union of the closed balls of radius [radius]
     around [centres]: [j] is marked iff
-    [Point.distance points.(j) c <= radius] for some centre [c]. A cell
-    whose members are all marked is never scanned again, so heavily
-    overlapping balls cost one lookup per cell. Requires
-    [radius <= cell]. *)
+    [Point.distance points.(j) c <= radius] for some centre [c]. The
+    centres are bucketed by cell, and each point in a cell next to a
+    centre's cell is tested only against the centres of its [3^d]
+    neighbouring cells, its own cell first, until the first hit:
+    heavily overlapping balls cost about one test per point, not one
+    per ball. Requires [radius <= cell] and centres of the grid's
+    dimension. *)
 val mark_within : t -> radius:float -> Point.t array -> bool array
 
 (** [iter_close_pairs t ~radius f] calls [f i j dist] once for every

@@ -138,6 +138,137 @@ let find_arc c u v =
   done;
   !found
 
+(* The region's slices copied out of the snapshot, dropping arcs that
+   leave the region: one pass counts the kept arcs into the offsets, so
+   the arc arrays are allocated at their size, and one copies them. An
+   ascending region keeps every slice ascending, so [of_arrays] only
+   validates. *)
+let restrict c ~region ~local_of =
+  let nr = Array.length region in
+  let off = Array.make (nr + 1) 0 in
+  for i = 0 to nr - 1 do
+    let u = region.(i) in
+    let kept = ref 0 in
+    for k = c.off.(u) to c.off.(u + 1) - 1 do
+      if local_of.(c.dst.(k)) >= 0 then incr kept
+    done;
+    off.(i + 1) <- off.(i) + !kept
+  done;
+  let dst = Array.make off.(nr) 0 and wgt = Array.make off.(nr) 0.0 in
+  for i = 0 to nr - 1 do
+    let u = region.(i) in
+    let m2 = ref off.(i) in
+    for k = c.off.(u) to c.off.(u + 1) - 1 do
+      let j = local_of.(c.dst.(k)) in
+      if j >= 0 then begin
+        dst.(!m2) <- j;
+        wgt.(!m2) <- c.wgt.(k);
+        incr m2
+      end
+    done
+  done;
+  of_arrays ~off ~dst ~wgt
+
+(* The batch as arcs in both directions, sorted by (source, target) and
+   cut to one arc per pair at its smallest weight; then one pass over
+   the vertices: a run of vertices without new arcs is blitted whole,
+   its offsets shifted by the arcs added before it, and a touched
+   vertex's slice is merged with its new arcs by target. *)
+let add_edges c (edges : Wgraph.edge array) =
+  let n = n_vertices c in
+  let k = 2 * Array.length edges in
+  if k = 0 then c
+  else begin
+    let src = Array.make k 0 and tgt = Array.make k 0 and aw = Array.make k 0.0 in
+    Array.iteri
+      (fun i (e : Wgraph.edge) ->
+        check_vertex c e.u;
+        check_vertex c e.v;
+        if e.u = e.v then invalid_arg "Csr.add_edges: self loop";
+        if e.w <= 0.0 then invalid_arg "Csr.add_edges: nonpositive weight";
+        src.(2 * i) <- e.u;
+        tgt.(2 * i) <- e.v;
+        src.((2 * i) + 1) <- e.v;
+        tgt.((2 * i) + 1) <- e.u;
+        aw.(2 * i) <- e.w;
+        aw.((2 * i) + 1) <- e.w)
+      edges;
+    let order = Array.init k Fun.id in
+    Array.sort
+      (fun a b ->
+        let d = Int.compare src.(a) src.(b) in
+        if d <> 0 then d else Int.compare tgt.(a) tgt.(b))
+      order;
+    (* Distinct batch arcs [0, nb), sorted, at their smallest weight. *)
+    let bs = Array.make k 0 and bt = Array.make k 0 and bw = Array.make k 0.0 in
+    let nb = ref 0 in
+    Array.iter
+      (fun a ->
+        let last = !nb - 1 in
+        if last >= 0 && bs.(last) = src.(a) && bt.(last) = tgt.(a) then begin
+          if aw.(a) < bw.(last) then bw.(last) <- aw.(a)
+        end
+        else begin
+          bs.(!nb) <- src.(a);
+          bt.(!nb) <- tgt.(a);
+          bw.(!nb) <- aw.(a);
+          incr nb
+        end)
+      order;
+    let nb = !nb in
+    let fresh = ref 0 in
+    for a = 0 to nb - 1 do
+      if find_arc c bs.(a) bt.(a) < 0 then incr fresh
+    done;
+    let m2 = Array.length c.dst + !fresh in
+    let off = Array.make (n + 1) 0 in
+    let dst = Array.make m2 0 and wgt = Array.make m2 0.0 in
+    (* [u0] is the first vertex not yet written, [shift] the arcs added
+       at vertices before it. *)
+    let u0 = ref 0 and shift = ref 0 and a = ref 0 in
+    let blit_upto u =
+      let lo = c.off.(!u0) and hi = c.off.(u) in
+      Array.blit c.dst lo dst (lo + !shift) (hi - lo);
+      Array.blit c.wgt lo wgt (lo + !shift) (hi - lo);
+      for x = !u0 to u - 1 do
+        off.(x) <- c.off.(x) + !shift
+      done
+    in
+    while !a < nb do
+      let u = bs.(!a) in
+      blit_upto u;
+      off.(u) <- c.off.(u) + !shift;
+      let o = ref (off.(u)) and i = ref c.off.(u) and hi = c.off.(u + 1) in
+      let emit v w =
+        dst.(!o) <- v;
+        wgt.(!o) <- w;
+        incr o
+      in
+      while !a < nb && bs.(!a) = u do
+        let v = bt.(!a) in
+        while !i < hi && c.dst.(!i) < v do
+          emit c.dst.(!i) c.wgt.(!i);
+          incr i
+        done;
+        if !i < hi && c.dst.(!i) = v then begin
+          emit v (if bw.(!a) < c.wgt.(!i) then bw.(!a) else c.wgt.(!i));
+          incr i
+        end
+        else emit v bw.(!a);
+        incr a
+      done;
+      while !i < hi do
+        emit c.dst.(!i) c.wgt.(!i);
+        incr i
+      done;
+      shift := !o - c.off.(u + 1);
+      u0 := u + 1
+    done;
+    blit_upto n;
+    off.(n) <- m2;
+    { off; dst; wgt }
+  end
+
 let mem_edge c u v =
   check_vertex c u;
   check_vertex c v;

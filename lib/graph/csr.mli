@@ -15,10 +15,14 @@
     graphs, query selection, the oracle, the distributed runtime)
     freeze a snapshot once and consume it for every subsequent
     traversal. A snapshot comes from {!of_wgraph}, from {!induced}
-    when only a region of the builder is wanted (a relaxed-greedy
-    phase's sub-instance), or from {!of_arrays} when a builder emits
-    the arcs itself (the cluster graph does). Building is O(n + m); a
-    snapshot never observes later mutations of the source graph. *)
+    when only a region of the builder is wanted (a dynamic repair's
+    sub-instance), from {!restrict} when that region is read out of
+    another snapshot (a relaxed-greedy phase's sub-instance), from
+    {!add_edges} when a snapshot gains a batch of edges (a build's
+    partial spanner after each bin), or from {!of_arrays} when a
+    builder emits the arcs itself (the cluster graph does). Building is
+    O(n + m); a snapshot never observes later mutations of the source
+    graph. *)
 
 type t = private {
   off : int array;  (** length [n + 1]; vertex [u]'s arcs live in
@@ -38,6 +42,28 @@ val of_wgraph : Wgraph.t -> t
     {!of_arrays}: the result equals {!of_wgraph} of the induced
     {!Wgraph.t}, bit for bit, without building one. *)
 val induced : Wgraph.t -> region:int array -> local_of:int array -> t
+
+(** [restrict c ~region ~local_of] is the subgraph of [c] induced by
+    [region] (distinct vertices), relabelled like {!induced}: bit for
+    bit [induced] of [to_wgraph c], copied slice by slice out of [c]'s
+    own arrays. When [region] ascends, local ids ascend with global
+    ids, so every copied slice is already sorted and nothing is
+    sorted. This is how a relaxed-greedy build reads a phase's region
+    out of its one snapshot of the partial spanner. *)
+val restrict : t -> region:int array -> local_of:int array -> t
+
+(** [add_edges c edges] is a new snapshot: [c] with [edges] added, bit
+    for bit {!of_wgraph} of [to_wgraph c] after
+    [Wgraph.add_edge_min] of each edge, so an edge already present, or
+    repeated in the batch, keeps its smallest weight. [c] is unchanged.
+    One pass over the vertices: the runs between vertices that gain
+    arcs are blitted, and each touched slice is merged with its sorted
+    new arcs; the batch itself is sorted, so the cost is
+    O(n + m + k log k) for [k] edges. An empty batch returns [c]. A
+    relaxed-greedy build patches its snapshot of the partial spanner
+    with each bin's kept edges this way. Raises [Invalid_argument] on
+    an out-of-range vertex, a self loop or a nonpositive weight. *)
+val add_edges : t -> Wgraph.edge array -> t
 
 (** [of_arrays ~off ~dst ~wgt] adopts caller-built arrays as a
     snapshot without copying them; the caller must not mutate them

@@ -104,6 +104,19 @@ let create_workspace () =
 let ws_key = Domain.DLS.new_key create_workspace
 let domain_workspace () = Domain.DLS.get ws_key
 
+(* Ball buffers for [within_csr_into], one pair per domain, grown to
+   the largest graph asked for: the per-bin covers and cluster graphs
+   run a ball per center, and fresh buffers per call would be major-heap
+   garbage of two graph-sized arrays each time. *)
+let ball_key : (int array * float array) ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref ([||], [||]))
+
+let domain_ball_buffers n =
+  let buf = Domain.DLS.get ball_key in
+  if Array.length (fst !buf) < n then
+    buf := (Array.make n 0, Array.make n 0.0);
+  !buf
+
 (* The plain entries run on a second per-domain workspace, never on
    [domain_workspace ()]: a caller may keep a tree in its own workspace
    across calls to them (the oracle's route reader walks one in
@@ -154,8 +167,10 @@ let check_vertex ~n v =
 
 (* [Heap]'s sifts with the moving entry held aside: the same strict
    comparisons in the same order, so every layout, and with it every
-   tie between equal priorities, is [Heap]'s. *)
-let sift_up ws i =
+   tie between equal priorities, is [Heap]'s. The heap operations are
+   inlined into the loops that call them: a ball settles a handful of
+   vertices, and calls would be a tenth of its cost. *)
+let[@inline] sift_up ws i =
   let key = ws.hkey and prio = ws.hprio and pos = ws.hpos in
   let k = key.(i) and p = prio.(i) in
   let i = ref i in
@@ -170,7 +185,7 @@ let sift_up ws i =
   prio.(!i) <- p;
   pos.(k) <- !i
 
-let sift_down ws i =
+let[@inline] sift_down ws i =
   let key = ws.hkey and prio = ws.hprio and pos = ws.hpos in
   let size = ws.hsize in
   let k = key.(i) and p = prio.(i) in
@@ -196,7 +211,7 @@ let sift_down ws i =
 
 (* [Heap.insert_or_decrease] of [v] at the priority the caller wrote to
    [hprio.(hsize)]. *)
-let offer ws v =
+let[@inline] offer ws v =
   let free = ws.hsize in
   let i = ws.hpos.(v) in
   if i < 0 then begin
@@ -212,7 +227,7 @@ let offer ws v =
 
 (* [Heap.pop_min]'s removal of the minimum, whose key and priority the
    caller has read from slot 0. *)
-let remove_min ws =
+let[@inline] remove_min ws =
   let u = ws.hkey.(0) and last = ws.hsize - 1 in
   let k = ws.hkey.(last) in
   ws.hkey.(0) <- k;
@@ -298,9 +313,15 @@ let check_landmarks ~n = function
   | Some _ | None -> ()
 
 (* The bounded settle, run on a prepared and seeded workspace. It pops
-   in nondecreasing-priority order until a popped priority exceeds
-   [bound] or the last of the [targets] vertices marked in the current
-   round is popped ([targets] = 0: no target stop), and appends every
+   in nondecreasing-priority order until the heap runs dry, a popped
+   priority exceeds [bound] (only a seed can, under a negative bound)
+   or the last of the [targets] vertices marked in the current round
+   is popped ([targets] = 0: no target stop). A relaxed label whose
+   priority exceeds [bound] is not stored at all, neither label, stamp
+   nor heap entry: it could never pop, so a ball pays for the arcs it
+   settles, not for the frontier beyond it. The test is [not (p >
+   bound)], the complement of the pop test, so a NaN bound still bounds
+   nothing. The search appends every
    settled vertex to [touched.(0 .. n_touched - 1)], so results are
    read off the settle trace, never off an O(n) scan, and steady state
    allocates nothing. A vertex's priority is its label, plus the
@@ -328,6 +349,8 @@ let settle ws arcs ~targets ~parents ~landmarks ~target ~bound =
   let tb = if astar then target * m else 0 in
   let shift = ldexp bound (-30) in
   let dst = arc_dst ws arcs and wgt = arc_wgt ws arcs in
+  let off = match arcs with Snapshot c -> c.Csr.off | Builder _ -> [||] in
+  let snapshot = Array.length off > 0 in
   let dist = ws.dist and stamp = ws.stamp and epoch = ws.epoch in
   let pending = ref targets in
   let finished = ref false in
@@ -350,15 +373,17 @@ let settle ws arcs ~targets ~parents ~landmarks ~target ~bound =
         ws.n_touched <- ws.n_touched + 1
       end;
       let du = dist.(u) in
-      let lo = arc_lo arcs u in
-      let hi = arc_hi ws arcs u in
+      let lo = if snapshot then off.(u) else 0 in
+      let hi = if snapshot then off.(u + 1) else arc_hi ws arcs u in
       for k = lo to hi - 1 do
         let v = dst.(k) in
         let dv = du +. wgt.(k) in
-        if dv < (if stamp.(v) = epoch then dist.(v) else infinity) then begin
-          dist.(v) <- dv;
-          stamp.(v) <- epoch;
-          if parents then ws.par.(v) <- u;
+        (* A priority is never below its label, so a label above the
+           bound is dropped before anything is read. *)
+        if
+          (not (dv > bound))
+          && dv < (if stamp.(v) = epoch then dist.(v) else infinity)
+        then begin
           let free = ws.hsize in
           if not astar then ws.hprio.(free) <- dv
           else begin
@@ -371,7 +396,12 @@ let settle ws arcs ~targets ~parents ~landmarks ~target ~bound =
             let h = (alt_scale *. !best) -. shift in
             ws.hprio.(free) <- dv +. (if h > 0.0 then h else 0.0)
           end;
-          offer ws v
+          if not (ws.hprio.(free) > bound) then begin
+            dist.(v) <- dv;
+            stamp.(v) <- epoch;
+            if parents then ws.par.(v) <- u;
+            offer ws v
+          end
         end
       done
     end
@@ -387,8 +417,8 @@ let settle_from ?landmarks ws arcs src ~target ~parents ~bound =
   let targets = if target < 0 then 0 else mark ws ~n target in
   settle ws arcs ~targets ~parents ~landmarks ~target ~bound
 
-(* Early-exits at [dst]. A value above [bound] is a tentative frontier
-   label or [infinity], both meaning "no path within [bound]". *)
+(* Early-exits at [dst]. Nothing above [bound] is stored, so a target
+   beyond it reads [infinity]: "no path within [bound]". *)
 let upto ?landmarks ws arcs src dst ~bound =
   check_vertex ~n:(n_of arcs) dst;
   if src = dst then 0.0

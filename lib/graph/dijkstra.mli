@@ -12,8 +12,11 @@
       {!distances_to_csr} and every [_csr], [_ws], [_into], [_parents]
       and [_multi] entry. It takes one or many sources, optional
       early-exit targets, optional tree parents and, on target entries,
-      optional {!landmarks} for an A* potential, and stops once a
-      popped priority exceeds the bound or the last target is popped:
+      optional {!landmarks} for an A* potential. It stores a relaxed
+      label (distance, stamp, heap entry) only when its priority lies
+      within the bound, so nothing above the bound is ever stored or
+      pushed, and it stops when the heap runs dry or the last target
+      is popped:
       cluster balls (Section 2.2.1), exact near-pair distances and
       routes, the oracle's cluster forest, center-graph rows and
       landmark rows, certification, which searches once per source up
@@ -63,8 +66,9 @@
     (both distances infinite) counting as 0. It is a lower bound on
     [v]'s remaining distance to [t] (Goldberg and Harrelson's ALT).
     The heap priority becomes label + [h v]; labels are relaxed from
-    the workspace, never from the popped priority, and the search
-    stops when a popped priority exceeds the bound or the target pops.
+    the workspace, never from the popped priority, a label whose
+    priority exceeds the bound is not stored, and the search stops when
+    the heap runs dry or the target pops.
     Without landmarks the priorities, labels and settle order are
     those of the plain search, bit for bit.
 
@@ -98,9 +102,10 @@ val distances : Wgraph.t -> int -> float array
     vertices, [infinity] if disconnected. Early-exits at [dst]. *)
 val distance : Wgraph.t -> int -> int -> float
 
-(** [distance_upto g src dst ~bound] is like [distance] but abandons the
-    search once every frontier label exceeds [bound]; any return value
-    greater than [bound] means "no path within [bound]". *)
+(** [distance_upto g src dst ~bound] is like [distance] but searches
+    only within [bound]: no label above [bound] is stored, so the
+    answer is the exact distance when it is at most [bound] and
+    [infinity] otherwise ("no path within [bound]"). *)
 val distance_upto : Wgraph.t -> int -> int -> bound:float -> float
 
 (** [within g src ~bound] is the list of [(v, d)] with
@@ -184,6 +189,12 @@ val create_workspace : unit -> workspace
     points without a workspace argument never use it. *)
 val domain_workspace : unit -> workspace
 
+(** [domain_ball_buffers n] is the calling domain's pair of result
+    buffers for {!within_csr_into}, at least [n] long: reused across
+    calls, so a stage that runs a ball per center allocates none. Like
+    the workspace, they serve one caller at a time on their domain. *)
+val domain_ball_buffers : int -> int array * float array
+
 (** [distance_upto_ws ?keep ws g src dst ~bound] is {!distance_upto}
     on [ws]. With [keep] the search runs on the subgraph induced by
     [src] and the vertices [keep] accepts: only kept neighbours are
@@ -253,7 +264,8 @@ val settle_parents_csr_ws :
   unit
 
 (** Tree parent from the last {e parents} search, [-1] when untouched
-    (or the source). Exact at settled vertices; a touched but unsettled
+    (a vertex whose labels all lay beyond the bound, say) or the
+    source. Exact at settled vertices; a touched but unsettled
     frontier vertex reports its tentative parent, so walks should start
     from a vertex known to be settled. After a parentless search the
     value is stale: only use after {!settle_parents_csr_ws}. *)

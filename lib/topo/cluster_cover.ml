@@ -14,31 +14,57 @@ let compute_csr j ~radius =
   let n = Csr.n_vertices j in
   let center_of = Array.make n (-1) in
   let dist_to_center = Array.make n infinity in
-  let centers = ref [] in
+  let k = ref 0 in
   (* Each ball's members depend on all earlier claims, so this greedy
-     stays sequential; the workspace removes the O(n) allocation a
-     fresh ball search would otherwise pay. *)
+     stays sequential; the domain's workspace and ball buffers remove
+     the O(n) allocation a fresh ball search would otherwise pay, and
+     the buffers the list it would return. *)
   let ws = Dijkstra.domain_workspace () in
+  let out_v, out_d = Dijkstra.domain_ball_buffers n in
+  let off = j.Csr.off and wgt = j.Csr.wgt in
   for v = 0 to n - 1 do
     if center_of.(v) = -1 then begin
-      centers := v :: !centers;
-      (* Claim every still-uncovered vertex within the radius ball; the
-         ball is measured in the full graph, per Section 2.2.1. *)
-      List.iter
-        (fun (x, d) ->
+      incr k;
+      (* A center all of whose arcs are longer than the radius is its
+         ball alone: the search would settle it at 0 and store nothing
+         else (the same test as its relaxation). At a phase's radius
+         delta W_{i-1} that is nearly every center, so they skip the
+         search. *)
+      let alone = ref true in
+      for q = off.(v) to off.(v + 1) - 1 do
+        if not (wgt.(q) > radius) then alone := false
+      done;
+      if !alone then begin
+        center_of.(v) <- v;
+        dist_to_center.(v) <- 0.0
+      end
+      else begin
+        (* Claim every still-uncovered vertex within the radius ball;
+           the ball is measured in the full graph, per Section 2.2.1. *)
+        let cnt =
+          Dijkstra.within_csr_into ws j v ~bound:radius ~out_v ~out_d
+        in
+        for i = 0 to cnt - 1 do
+          let x = out_v.(i) in
           if center_of.(x) = -1 then begin
             center_of.(x) <- v;
-            dist_to_center.(x) <- d
-          end)
-        (Dijkstra.within_csr_ws ws j v ~bound:radius)
+            dist_to_center.(x) <- out_d.(i)
+          end
+        done
+      end
     end
   done;
-  {
-    radius;
-    centers = Array.of_list (List.rev !centers);
+  (* A center claims itself first, so the centers are exactly the
+     vertices that are their own center, in creation (id) order. *)
+  let centers = Array.make !k 0 and i = ref 0 in
+  Array.iteri
+    (fun v a ->
+      if a = v then begin
+        centers.(!i) <- v;
+        incr i
+      end)
     center_of;
-    dist_to_center;
-  }
+  { radius; centers; center_of; dist_to_center }
 
 let compute j ~radius = compute_csr (Csr.of_wgraph j) ~radius
 
@@ -59,7 +85,7 @@ let compute_csr_limited j ~radius ~max_clusters ~covered =
   if Array.length covered <> n then
     invalid_arg "Cluster_cover.compute_csr_limited: covered length <> n";
   let covered = Array.copy covered in
-  let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
+  let out_v, out_d = Dijkstra.domain_ball_buffers n in
   let centers = ref [] in
   let n_centers = ref 0 in
   let ws = Dijkstra.domain_workspace () in
@@ -88,8 +114,10 @@ let of_centers_csr j ~radius ~centers =
   let dist_to_center = Array.make n infinity in
   (* Prescribed centers are independent, so their balls run on the
      pool; the claim merge below stays in center order, with the same
-     tie-break, so the cover is identical to the sequential one. *)
-  let centers_arr = Array.of_list centers in
+     tie-break, so the cover is identical to the sequential one. The
+     merge breaks ties by id, so sorting the centers changes no claim;
+     it keeps them ascending, as every cover's are. *)
+  let centers_arr = Array.of_list (List.sort_uniq Int.compare centers) in
   let balls =
     Parallel.Pool.map
       (fun c ->

@@ -11,7 +11,9 @@
 
 type t = private {
   radius : float;
-  centers : int array;  (** cluster centers, in creation order *)
+  centers : int array;
+      (** cluster centers, ascending (the greedy creates them in id
+          order; {!of_centers_csr} sorts the set it is given) *)
   center_of : int array;  (** vertex -> its cluster's center *)
   dist_to_center : float array;
       (** vertex -> [sp_J(center_of v, v)], always [<= radius] *)
@@ -49,8 +51,8 @@ val compute_csr_limited :
   int array option
 
 (** [of_centers_csr j ~radius ~centers] builds a cover with the
-    prescribed center set: every vertex joins the nearest center (ties
-    to the smaller id). Raises [Invalid_argument] if some vertex is
+    prescribed center set (in any order, repeats ignored): every vertex
+    joins the nearest center (ties to the smaller id). Raises [Invalid_argument] if some vertex is
     farther than [radius] from all centers — i.e. [centers] fails to
     dominate, meaning the MIS that produced it was not maximal. *)
 val of_centers_csr : Graph.Csr.t -> radius:float -> centers:int list -> t

@@ -8,21 +8,6 @@ type t = {
   inter_degree : int array;
 }
 
-(* Per-domain scratch for [Dijkstra.within_csr_into]: each pool worker
-   reuses one pair of ball buffers, so a per-center search allocates
-   nothing proportional to the graph — no assoc list, and therefore no
-   minor-GC pressure shared across domains. *)
-let ball_scratch : (int array ref * float array ref) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (ref [||], ref [||]))
-
-let ball_buffers n =
-  let vbuf, dbuf = Domain.DLS.get ball_scratch in
-  if Array.length !vbuf < n then begin
-    vbuf := Array.make n 0;
-    dbuf := Array.make n 0.0
-  end;
-  (!vbuf, !dbuf)
-
 let check_radius ~cover ~w_prev =
   if cover.Cluster_cover.radius > w_prev +. 1e-12 then
     invalid_arg "Cluster_graph.build: cover radius exceeds W_{i-1}"
@@ -47,16 +32,35 @@ let stamp_buffer n =
 
 (* Members of each center as one slice: a counting sort on [center_of],
    so [mem.(mem_off.(a)) .. mem.(mem_off.(a + 1) - 1)] are the members
-   of [C_a], ascending. A vertex without a center is in no slice. *)
+   of [C_a], ascending. A vertex without a center is in no slice. The
+   arrays are the calling domain's, reused by every call (a phase per
+   bin would otherwise allocate three graph-sized arrays for them);
+   [cursor] is left to the caller as scratch. *)
+type index = {
+  mutable mem_off : int array;
+  mutable mem : int array;
+  mutable cursor : int array;
+}
+
+let index_scratch : index Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> { mem_off = [||]; mem = [||]; cursor = [||] })
+
 let member_index ~center_of ~n =
-  let mem_off = Array.make (n + 1) 0 in
+  let ix = Domain.DLS.get index_scratch in
+  if Array.length ix.cursor < n then begin
+    ix.mem_off <- Array.make (n + 1) 0;
+    ix.mem <- Array.make n 0;
+    ix.cursor <- Array.make n 0
+  end
+  else Array.fill ix.mem_off 0 (n + 1) 0;
+  let mem_off = ix.mem_off and mem = ix.mem and cursor = ix.cursor in
   Array.iter
     (fun a -> if a >= 0 then mem_off.(a + 1) <- mem_off.(a + 1) + 1)
     center_of;
   for a = 0 to n - 1 do
     mem_off.(a + 1) <- mem_off.(a + 1) + mem_off.(a)
   done;
-  let mem = Array.make mem_off.(n) 0 and cursor = Array.sub mem_off 0 n in
+  Array.blit mem_off 0 cursor 0 n;
   Array.iteri
     (fun x a ->
       if a >= 0 then begin
@@ -64,7 +68,7 @@ let member_index ~center_of ~n =
         cursor.(a) <- cursor.(a) + 1
       end)
     center_of;
-  (mem_off, mem)
+  ix
 
 (* ------------------------------------------------------------------ *)
 (* Build: arenas + direct CSR emit                                      *)
@@ -73,28 +77,43 @@ let member_index ~center_of ~n =
 (* Per-chunk arena for qualifying inter-cluster partners. A chunk of
    centers appends (partner, weight) pairs to one growable pair of flat
    arrays; [cnt] records how many belong to each center of the chunk,
-   so the sequential merge can read each center's run back without
-   per-center allocations. *)
+   so the merge can read each center's run back without per-center
+   allocations. Arenas outlive their call: a chunk takes one from
+   [spare], a lock-free stack, or makes one, and the call pushes all of
+   its arenas back once H is emitted, so the bins of a build reuse a
+   few buffers instead of allocating a set per bin, and concurrent
+   calls never share one. *)
 type arena = {
-  base : int; (* first center index of the chunk *)
-  cnt : int array; (* per center of the chunk: #partners recorded *)
+  mutable base : int; (* first center index of the chunk *)
+  mutable size : int; (* centers in the chunk *)
+  mutable cnt : int array; (* per center of the chunk: #partners recorded *)
   mutable pv : int array;
   mutable pw : float array;
   mutable len : int;
 }
 
-let arena_push ar b d =
-  if ar.len = Array.length ar.pv then begin
-    let cap = max 64 (2 * ar.len) in
-    let pv = Array.make cap 0 and pw = Array.make cap 0.0 in
-    Array.blit ar.pv 0 pv 0 ar.len;
-    Array.blit ar.pw 0 pw 0 ar.len;
-    ar.pv <- pv;
-    ar.pw <- pw
-  end;
-  ar.pv.(ar.len) <- b;
-  ar.pw.(ar.len) <- d;
-  ar.len <- ar.len + 1
+let spare : arena list Atomic.t = Atomic.make []
+
+let rec take_arena () =
+  match Atomic.get spare with
+  | [] -> { base = 0; size = 0; cnt = [||]; pv = [||]; pw = [||]; len = 0 }
+  | ar :: rest as top ->
+      if Atomic.compare_and_set spare top rest then ar else take_arena ()
+
+let rec give_back ars =
+  let top = Atomic.get spare in
+  if not (Atomic.compare_and_set spare top (List.rev_append ars top)) then
+    give_back ars
+
+(* Doubles the arena; the caller writes the pair itself, so no weight
+   crosses a call (a float argument is boxed). *)
+let arena_grow ar =
+  let cap = max 64 (2 * ar.len) in
+  let pv = Array.make cap 0 and pw = Array.make cap 0.0 in
+  Array.blit ar.pv 0 pv 0 ar.len;
+  Array.blit ar.pw 0 pw 0 ar.len;
+  ar.pv <- pv;
+  ar.pw <- pw
 
 (* H is built flat, without ever materializing a mutable graph or a
    hashtable:
@@ -106,15 +125,23 @@ let arena_push ar b d =
         crossing stamps (its members' spanner arcs) reach it. The
         qualifying set is a pure function of the frozen inputs, so
         chunking does not change it;
-     3. a sequential merge in center order drains the arenas;
-     4. degrees -> prefix sum -> direct arc fill into plain CSR arrays,
-        adopted by [Csr.of_arrays] (which sorts the few center slices
-        whose inter arcs arrived out of id order).
+     3. degrees -> prefix sum;
+     4. two passes over the vertices in id order fill the slices in id
+        order: the first writes each vertex into the slices of its
+        neighbours with larger ids (a member into its center's, a
+        center into its members' and its partners'), so every slice's
+        lower part fills ascending; the second reads each vertex's
+        lower part back and writes the vertex into the slices of those
+        neighbours, so every upper part fills ascending too, and
+        [Csr.of_arrays] only validates.
 
-   The result is a function of the edge set alone (CSR slices are
-   sorted by unique neighbor id): the intra weights are read from the
-   cover, and each inter weight comes from the bounded search run from
-   the pair's earlier-merged endpoint. *)
+   Centers ascend (a {!Cluster_cover} invariant), so a center's arena
+   run holds exactly its partners of larger id, and the runs are read
+   back in center order. The result is a function of the edge set
+   alone: the intra weights are read from the cover, and each inter
+   weight comes from the bounded search run from the pair's smaller
+   endpoint. No weight crosses a function call on the way, so nothing
+   is boxed per partner. *)
 let build_csr ~spanner ~cover ~w_prev =
   check_radius ~cover ~w_prev;
   let n = Csr.n_vertices spanner in
@@ -122,34 +149,29 @@ let build_csr ~spanner ~cover ~w_prev =
   let center_of = cover.Cluster_cover.center_of in
   let dist_to_center = cover.Cluster_cover.dist_to_center in
   let k_centers = Array.length centers in
-  let inter_degree = Array.make n 0 in
-  let mem_off, mem = member_index ~center_of ~n in
+  let ix = member_index ~center_of ~n in
+  let mem_off = ix.mem_off and mem = ix.mem in
   let sp_off = spanner.Csr.off and sp_dst = spanner.Csr.dst in
-  (* Merge order of each center doubles as its pair stamp (non-centers
-     keep [max_int]). Balls are symmetric (sp and the qualifying
-     conditions are), so the pair {a, b} is found from both endpoints;
-     [merge_order.(b) > i] keeps it only at the earlier one. *)
-  let merge_order = Array.make n max_int in
-  Array.iteri (fun i a -> merge_order.(a) <- i) centers;
   let reach = reach_of ~cover ~w_prev in
+  let near = w_prev +. 1e-12 in
   (* Chunked fan-out: each chunk fetches its domain's workspace and
      ball buffers once, then scans its centers, recording qualifying
      partners in its own arena. Chunk-start indices are unique, so
-     [slots.(lo)] is a race-free home for the chunk's arena. *)
+     [slots.(lo)] is a race-free home for the chunk's arena. Balls are
+     symmetric (sp and the qualifying conditions are), so the pair
+     {a, b} is found from both centers; [b > a] keeps it only at the
+     smaller. *)
   let slots : arena option array = Array.make (max 1 k_centers) None in
   Parallel.Pool.iter_chunks k_centers (fun lo hi ->
-      let ar =
-        {
-          base = lo;
-          cnt = Array.make (hi - lo) 0;
-          pv = [||];
-          pw = [||];
-          len = 0;
-        }
-      in
+      let ar = take_arena () in
+      ar.base <- lo;
+      ar.size <- hi - lo;
+      ar.len <- 0;
+      if Array.length ar.cnt < hi - lo then ar.cnt <- Array.make (hi - lo) 0
+      else Array.fill ar.cnt 0 (hi - lo) 0;
       slots.(lo) <- Some ar;
       let ws = Dijkstra.domain_workspace () in
-      let vbuf, dbuf = ball_buffers n in
+      let vbuf, dbuf = Dijkstra.domain_ball_buffers n in
       let stamps, epoch = stamp_buffer n in
       for i = lo to hi - 1 do
         let a = centers.(i) in
@@ -167,86 +189,111 @@ let build_csr ~spanner ~cover ~w_prev =
             ~out_d:dbuf
         in
         for j = 0 to nk - 1 do
-          let b = vbuf.(j) and d = dbuf.(j) in
-          if merge_order.(b) > i && merge_order.(b) < max_int && d > 0.0
-          then
-            if d <= w_prev +. 1e-12 || stamps.(b) = ep then begin
-              arena_push ar b d;
-              ar.cnt.(i - lo) <- ar.cnt.(i - lo) + 1
-            end
+          let b = vbuf.(j) in
+          if
+            b > a
+            && center_of.(b) = b
+            && dbuf.(j) > 0.0
+            && (dbuf.(j) <= near || stamps.(b) = ep)
+          then begin
+            if ar.len = Array.length ar.pv then arena_grow ar;
+            ar.pv.(ar.len) <- b;
+            ar.pw.(ar.len) <- dbuf.(j);
+            ar.len <- ar.len + 1;
+            ar.cnt.(i - lo) <- ar.cnt.(i - lo) + 1
+          end
         done
       done);
-  (* Degrees: one arc per (center, member) end plus one per recorded
-     inter pair end. *)
-  let deg = Array.make n 0 in
+  (* Step 3: one arc per (center, member) pair and per recorded inter
+     pair, at both ends. *)
+  let inter_degree = Array.make n 0 in
+  let off = Array.make (n + 1) 0 in
   for x = 0 to n - 1 do
     let a = center_of.(x) in
     if a >= 0 && a <> x then begin
-      deg.(x) <- deg.(x) + 1;
-      deg.(a) <- deg.(a) + 1
+      off.(x + 1) <- off.(x + 1) + 1;
+      off.(a + 1) <- off.(a + 1) + 1
     end
   done;
-  for lo = 0 to k_centers - 1 do
-    match slots.(lo) with
-    | None -> ()
-    | Some ar ->
-        for j = 0 to ar.len - 1 do
-          deg.(ar.pv.(j)) <- deg.(ar.pv.(j)) + 1
-        done;
-        Array.iteri
-          (fun ci c ->
-            deg.(centers.(ar.base + ci)) <- deg.(centers.(ar.base + ci)) + c)
-          ar.cnt
-  done;
-  let off = Array.make (n + 1) 0 in
+  Array.iter
+    (function
+      | None -> ()
+      | Some ar ->
+          for ci = 0 to ar.size - 1 do
+            let a = centers.(ar.base + ci) in
+            inter_degree.(a) <- inter_degree.(a) + ar.cnt.(ci)
+          done;
+          for j = 0 to ar.len - 1 do
+            let b = ar.pv.(j) in
+            inter_degree.(b) <- inter_degree.(b) + 1
+          done)
+    slots;
   for u = 0 to n - 1 do
-    off.(u + 1) <- off.(u) + deg.(u)
+    off.(u + 1) <- off.(u + 1) + inter_degree.(u) + off.(u)
   done;
   let m2 = off.(n) in
   let dst = Array.make m2 0 and wgt = Array.make m2 0.0 in
-  let cursor = Array.sub off 0 n in
-  let emit u v w =
-    let c = cursor.(u) in
-    dst.(c) <- v;
-    wgt.(c) <- w;
-    cursor.(u) <- c + 1
-  in
-  (* Intra arcs in ascending member order: member slices (degree 1 for
-     a plain member) and the intra prefix of center slices come out
-     already sorted. *)
-  for x = 0 to n - 1 do
-    let a = center_of.(x) in
-    if a >= 0 && a <> x then begin
-      let w = dist_to_center.(x) in
-      emit a x w;
-      emit x a w
+  let cursor = ix.cursor in
+  Array.blit off 0 cursor 0 n;
+  (* Step 4, first pass: each vertex into the slices of its neighbours
+     of larger id, so each slice's lower part fills ascending. Center
+     index [ci] walks the arenas in step with the ascending centers. *)
+  let ci = ref 0 and chunk = ref None and run_at = ref 0 in
+  for u = 0 to n - 1 do
+    let a = center_of.(u) in
+    if a > u then begin
+      let c = cursor.(a) in
+      dst.(c) <- u;
+      wgt.(c) <- dist_to_center.(u);
+      cursor.(a) <- c + 1
+    end;
+    for p = mem_off.(u) to mem_off.(u + 1) - 1 do
+      let x = mem.(p) in
+      if x > u then begin
+        let c = cursor.(x) in
+        dst.(c) <- u;
+        wgt.(c) <- dist_to_center.(x);
+        cursor.(x) <- c + 1
+      end
+    done;
+    if !ci < k_centers && centers.(!ci) = u then begin
+      (match slots.(!ci) with
+      | Some _ as starts ->
+          chunk := starts;
+          run_at := 0
+      | None -> ());
+      (match !chunk with
+      | None -> ()
+      | Some ar ->
+          let run = ar.cnt.(!ci - ar.base) in
+          for j = !run_at to !run_at + run - 1 do
+            let b = ar.pv.(j) in
+            let c = cursor.(b) in
+            dst.(c) <- u;
+            wgt.(c) <- ar.pw.(j);
+            cursor.(b) <- c + 1
+          done;
+          run_at := !run_at + run);
+      incr ci
     end
   done;
-  (* Sequential merge in center order: drain each chunk's arena,
-     reading center i's partner run. Deterministic — arena contents
-     are chunk-independent and the walk order is fixed. *)
-  let cur = ref None in
-  let cur_off = ref 0 in
-  for i = 0 to k_centers - 1 do
-    (match slots.(i) with
-    | Some ar ->
-        cur := Some ar;
-        cur_off := 0
-    | None -> ());
-    match !cur with
-    | None -> ()
-    | Some ar ->
-        let a = centers.(i) in
-        let run = ar.cnt.(i - ar.base) in
-        for j = !cur_off to !cur_off + run - 1 do
-          let b = ar.pv.(j) and d = ar.pw.(j) in
-          emit a b d;
-          emit b a d;
-          inter_degree.(a) <- inter_degree.(a) + 1;
-          inter_degree.(b) <- inter_degree.(b) + 1
-        done;
-        cur_off := !cur_off + run
+  (* Second pass: each vertex's lower part, now complete, names its
+     neighbours of smaller id; writing the vertex into their slices in
+     id order fills every upper part ascending. A slice [u] is written
+     here only by larger vertices, after [u]'s own turn. *)
+  for u = 0 to n - 1 do
+    for k = off.(u) to cursor.(u) - 1 do
+      let v = dst.(k) in
+      let c = cursor.(v) in
+      dst.(c) <- u;
+      wgt.(c) <- wgt.(k);
+      cursor.(v) <- c + 1
+    done
   done;
+  give_back
+    (Array.fold_left
+       (fun acc slot -> match slot with Some ar -> ar :: acc | None -> acc)
+       [] slots);
   let hcsr = Csr.of_arrays ~off ~dst ~wgt in
   { hcsr; w_prev; cover; inter_degree }
 

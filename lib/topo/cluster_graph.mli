@@ -15,8 +15,12 @@
 
     [H] is built flat and never materializes a mutable graph:
     per-center balls fan out over the pool in contiguous chunks
-    appending to per-chunk arenas, and the arcs are emitted straight
-    into plain [int] / [float] arrays adopted by {!Graph.Csr.of_arrays}.
+    appending to per-chunk arenas (recycled across calls), and the arcs
+    are emitted straight into plain [int] / [float] arrays, every slice
+    in id order, adopted by {!Graph.Csr.of_arrays}, which only
+    validates them. A pair of centers is recorded at the smaller one
+    (centers ascend), with the weight its search found; no weight
+    passes through a function call per partner, so nothing is boxed.
     Crossings are stamps: before its ball is read, a center stamps
     every center that a spanner arc out of one of its members reaches
     (the members come from one counting sort of the cover's

@@ -190,17 +190,28 @@ let phase_core ~points ~params ~phi ~phase ~w_prev_len ~w_len ~bin_edges
 
 let relabel f (e : Wgraph.edge) = { e with Wgraph.u = f e.u; v = f e.v }
 
+type partial = Snapshot of Csr.t | Builder of Wgraph.t
+
 (* The region runner: one phase on the sub-instance induced by
    [region] (strictly increasing global ids). Extraction is the local
    form of freezing G'_{i-1}, so it all runs in the [freeze] stage:
    a flat global -> local id map, the region's positions, the spanner's
-   region-induced CSR and the bin in local ids. The kept additions come
-   back in global ids. *)
+   region-induced CSR and the bin in local ids. A region of every
+   vertex is the identity, so it reads a snapshot as is. The kept
+   additions come back in global ids. *)
 let run_region ?(metric = Geometry.Metric.Euclidean) ~points ~params ~phase
     ~w_prev_len ~w_len ~region ~spanner bin_edges =
   let sub_points, frozen, sub_bin =
     stage "freeze" (fun () ->
-        let local_of = Array.make (Array.length points) (-1) in
+        let n = Array.length points in
+        let n_spanner =
+          match spanner with
+          | Snapshot c -> Csr.n_vertices c
+          | Builder g -> Wgraph.n_vertices g
+        in
+        if n_spanner <> n then
+          invalid_arg "Relaxed_greedy.run_region: spanner and points disagree";
+        let local_of = Array.make n (-1) in
         Array.iteri
           (fun i v ->
             if i > 0 && region.(i - 1) >= v then
@@ -212,9 +223,18 @@ let run_region ?(metric = Geometry.Metric.Euclidean) ~points ~params ~phase
             invalid_arg "Relaxed_greedy.run_region: bin edge outside region";
           local_of.(v)
         in
-        ( Array.map (Array.get points) region,
-          Csr.induced spanner ~region ~local_of,
-          Array.map (relabel local) bin_edges ))
+        let whole = Array.length region = n in
+        let frozen =
+          match spanner with
+          | Snapshot c when whole -> c
+          | Snapshot c -> Csr.restrict c ~region ~local_of
+          | Builder g -> Csr.induced g ~region ~local_of
+        in
+        if whole then (points, frozen, bin_edges)
+        else
+          ( Array.map (Array.get points) region,
+            frozen,
+            Array.map (relabel local) bin_edges ))
   in
   let kept, stats =
     phase_core ~points:sub_points ~params
@@ -240,8 +260,9 @@ let insert_kept ~spanner kept stats =
    the reach fits its cell; a reach that outgrows it gets a new grid of
    cell 2·reach. Bins ascend, so a build makes one grid per octave of
    reach, and the marked set does not depend on the cell. The marker
-   takes each distinct endpoint once and skips cells it has used up.
-   Returns the region in increasing id order. *)
+   takes each distinct endpoint once, buckets them by cell and tests
+   each point against the endpoints of its neighbouring cells until
+   the first hit. Returns the region in increasing id order. *)
 let local_region ~grid ~points ~params ~w_len bin_edges =
   let reach = (params.Params.t +. 3.0) *. w_len in
   let g =
@@ -253,14 +274,13 @@ let local_region ~grid ~points ~params ~w_len bin_edges =
         grid := Some (cell, g);
         g
   in
-  let n = Array.length points in
-  let seen = Array.make n false and centres = ref [] in
+  let seen = Bytes.make (Array.length points) '\000' and centres = ref [] in
   Array.iter
     (fun (e : Wgraph.edge) ->
       List.iter
         (fun v ->
-          if not seen.(v) then begin
-            seen.(v) <- true;
+          if Bytes.get seen v = '\000' then begin
+            Bytes.set seen v '\001';
             centres := points.(v) :: !centres
           end)
         [ e.u; e.v ])
@@ -268,11 +288,18 @@ let local_region ~grid ~points ~params ~w_len bin_edges =
   let in_region =
     Geometry.Grid.mark_within g ~radius:reach (Array.of_list !centres)
   in
-  let region = ref [] in
-  for v = n - 1 downto 0 do
-    if in_region.(v) then region := v :: !region
-  done;
-  Array.of_list !region
+  let region =
+    Array.make (Array.fold_left (fun k b -> if b then k + 1 else k) 0 in_region) 0
+  in
+  let k = ref 0 in
+  Array.iteri
+    (fun v b ->
+      if b then begin
+        region.(!k) <- v;
+        incr k
+      end)
+    in_region;
+  region
 
 let build ?(metric = Geometry.Metric.Euclidean)
     ?(observer = fun ~phase:_ ~spanner:_ -> ()) ~params model =
@@ -338,6 +365,9 @@ let build ?(metric = Geometry.Metric.Euclidean)
       in
       push s0;
       observer ~phase:0 ~spanner;
+      (* G'_0 frozen once and patched with each bin's kept edges: every
+         phase reads its region out of this one snapshot. *)
+      let frozen = ref (stage "freeze" (fun () -> Csr.of_wgraph spanner)) in
       for i = 1 to bins.Bins.m do
         if Array.length binned.(i) > 0 then begin
           let w_prev_len = Bins.w bins (i - 1) and w_len = Bins.w bins i in
@@ -347,10 +377,11 @@ let build ?(metric = Geometry.Metric.Euclidean)
             bin_span i info (fun () ->
                 let kept, s =
                   run_region ~metric ~points ~params ~phase:i ~w_prev_len
-                    ~w_len ~region:(region_of ~w_len bin_edges) ~spanner
-                    bin_edges
+                    ~w_len ~region:(region_of ~w_len bin_edges)
+                    ~spanner:(Snapshot !frozen) bin_edges
                 in
                 let s = insert_kept ~spanner kept s in
+                frozen := stage "freeze" (fun () -> Csr.add_edges !frozen kept);
                 info := span_info s;
                 s)
           in

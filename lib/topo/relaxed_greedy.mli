@@ -38,15 +38,18 @@ type result = {
 (** The pipeline stages in order: phase 0's [short_edges], then the
     per-phase [freeze] of the partial spanner and the five
     [PROCESS-LONG-EDGES] steps [cover], [select], [cluster_graph],
-    [queries] and [redundant]. [freeze] covers the whole extraction of
-    a phase's sub-instance: under Euclidean weights the grid region
-    (one run: its ball marker, on a {!Geometry.Grid} the build keeps
-    while the bin's reach fits its cell and rebuilds, at twice the
-    reach, once per octave of reach), then in {!run_region} the id map,
-    the region's positions, the region-induced CSR of [G'_{i-1}] and
-    the bin in local ids (one more). Every run of a stage adds one call to the {!Obs.Metrics}
-    timer [stage.<name>] and, with tracing enabled, records one span of
-    category ["stage"] named [<name>]. *)
+    [queries] and [redundant]. [freeze] covers keeping [G'_{i-1}]
+    frozen and extracting a phase's sub-instance: the build's one
+    snapshot of [G'_0] (one run, after phase 0); per bin, under
+    Euclidean weights, the grid region (one run: its ball marker, on a
+    {!Geometry.Grid} the build keeps while the bin's reach fits its
+    cell and rebuilds, at twice the reach, once per octave of reach),
+    then in {!run_region} the id map, the region's positions, the
+    region-induced CSR of [G'_{i-1}] and the bin in local ids (one
+    more), and the patch of the snapshot with the bin's kept edges
+    (one more). Every run of a stage adds one call to the
+    {!Obs.Metrics} timer [stage.<name>] and, with tracing enabled,
+    records one span of category ["stage"] named [<name>]. *)
 val stages : string list
 
 (** [build ?metric ~params model] runs the algorithm on [model]. The
@@ -62,7 +65,9 @@ val stages : string list
     serves every bin whose reach fits its cell, and an n = 10⁴ build
     builds 8 grids for its 159 bins. Energy weights do not bound
     Euclidean displacement, so there a phase runs on every vertex (the
-    literal Section 2 formulation).
+    literal Section 2 formulation). Either way every phase reads
+    [G'_{i-1}] from one snapshot the build freezes after phase 0 and
+    patches with each bin's kept edges ({!Graph.Csr.add_edges}).
 
     [observer], when given, is invoked after every executed phase with
     the phase index and a read-only view of the partial spanner [G'_i];
@@ -83,6 +88,12 @@ val build_eps :
   Ubg.Model.t ->
   result
 
+(** [G'_{i-1}] as a phase reads it: a frozen snapshot ({!build} keeps
+    one for the whole build and patches it with each bin's kept edges
+    through {!Graph.Csr.add_edges}) or a live builder graph (the
+    dynamic engine's spanner). *)
+type partial = Snapshot of Graph.Csr.t | Builder of Graph.Wgraph.t
+
 (** [run_region ?metric ~points ~params ~phase ~w_prev_len ~w_len
     ~region ~spanner bin_edges] is the region runner: one
     [PROCESS-LONG-EDGES] phase (the five Section 2.2 steps) for the bin
@@ -90,17 +101,21 @@ val build_eps :
     increasing global ids, holding every bin-edge endpoint) induces.
     [build] passes its grid region under Euclidean weights and every
     vertex under Energy weights; [Dynamic.Engine] passes its dirty
-    region. A phase reads
-    only positions ([points]) and [G'_{i-1}] ([spanner], only read:
-    {!Graph.Csr.induced} freezes its region-induced subgraph), so no
-    α-UBG is built for the region. Local ids follow global order, so
-    the all-vertices region is exactly the whole-graph phase.
+    region. A phase reads only positions ([points]) and [G'_{i-1}]
+    ([spanner], only read), so no α-UBG is built for the region. The
+    region-induced subgraph is copied out of a [Snapshot] with
+    {!Graph.Csr.restrict} and frozen from a [Builder] with
+    {!Graph.Csr.induced}; both give the same snapshot, and a region of
+    every vertex reads a [Snapshot] as is. Local ids follow global
+    order, so the all-vertices region is exactly the whole-graph
+    phase.
     [bin_edges] carry Euclidean lengths, mapped into the spanner's
     weight space by [metric] (default Euclidean). Returns the kept
     additions in global ids plus stats, {e without} inserting them
     ([n_added] is 0): the caller merges with [Wgraph.add_edge_min].
-    Raises [Invalid_argument] if [region] is not increasing or a bin
-    edge leaves it. *)
+    Raises [Invalid_argument] if [region] is not increasing, a bin
+    edge leaves it, or [spanner] and [points] disagree on the number of
+    vertices. *)
 val run_region :
   ?metric:Geometry.Metric.t ->
   points:Geometry.Point.t array ->
@@ -109,7 +124,7 @@ val run_region :
   w_prev_len:float ->
   w_len:float ->
   region:int array ->
-  spanner:Graph.Wgraph.t ->
+  spanner:partial ->
   Graph.Wgraph.edge array ->
   Graph.Wgraph.edge array * phase_stats
 

@@ -325,7 +325,9 @@ let prop_region_runner_global_ids =
       let nr = Array.length region in
       let run ~points ~region ~spanner bin =
         Topo.Relaxed_greedy.run_region ~points ~params ~phase:1
-          ~w_prev_len:w_prev ~w_len ~region ~spanner bin
+          ~w_prev_len:w_prev ~w_len ~region
+          ~spanner:(Topo.Relaxed_greedy.Builder spanner)
+          bin
       in
       let kept, stats = run ~points ~region ~spanner bin in
       (* The reference: relabel by hand, run on every local vertex, map
@@ -368,13 +370,152 @@ let test_region_runner_rejects () =
     try
       ignore
         (Topo.Relaxed_greedy.run_region ~points ~params ~phase:1
-           ~w_prev_len:0.5 ~w_len:1.0 ~region ~spanner bin);
+           ~w_prev_len:0.5 ~w_len:1.0 ~region
+           ~spanner:(Topo.Relaxed_greedy.Builder spanner)
+           bin);
       false
     with Invalid_argument _ -> true
   in
   Alcotest.(check bool) "region must increase" true (rejects [| 2; 0 |]);
   Alcotest.(check bool) "bin edges must stay inside" true (rejects [| 0; 1 |]);
   Alcotest.(check bool) "well-formed accepted" false (rejects [| 0; 2 |])
+
+(* The per-bin patch: [add_edges] must equal freezing the builder after
+   [Wgraph.add_edge_min] of the same batch, offsets, targets and weight
+   bits alike, and leave its input snapshot as it was. Batches mix new
+   edges, edges already present (heavier and lighter than the stored
+   weight), repeats, a vertex gaining several arcs, arcs at vertices 0
+   and n - 1, and nothing at all. *)
+let prop_add_edges_matches_builder =
+  qtest ~count:60 "csr: add_edges = of_wgraph after add_edge_min" seed_arb
+    (fun seed ->
+      let st = rand_state seed in
+      let n = 2 + Random.State.int st 50 in
+      let g = Wgraph.create n in
+      for _ = 1 to Random.State.int st (2 * n) do
+        let u = Random.State.int st n and v = Random.State.int st n in
+        if u <> v then Wgraph.add_edge g u v (0.1 +. Random.State.float st 1.0)
+      done;
+      let c = Csr.of_wgraph g in
+      let before = (Array.copy c.Csr.off, Array.copy c.Csr.dst, bits c) in
+      let edge u v = { Wgraph.u; v; w = 0.1 +. Random.State.float st 1.0 } in
+      let random_edge () =
+        let u = Random.State.int st n in
+        let v = (u + 1 + Random.State.int st (n - 1)) mod n in
+        edge u v
+      in
+      let hub = Random.State.int st n in
+      let existing = Array.of_list (Wgraph.edges g) in
+      let batch =
+        match Random.State.int st 4 with
+        | 0 -> [||]
+        | _ ->
+            Array.concat
+              [
+                Array.init (Random.State.int st 8) (fun _ -> random_edge ());
+                Array.init
+                  (min (n - 1) (Random.State.int st 5))
+                  (fun i -> edge hub ((hub + 1 + i) mod n));
+                [| edge 0 (n - 1) |];
+                Array.map
+                  (fun (e : Wgraph.edge) ->
+                    { e with Wgraph.w = e.w *. Random.State.float st 2.0 +. 0.05 })
+                  (Array.sub existing 0 (min 3 (Array.length existing)));
+              ]
+      in
+      let batch =
+        if Array.length batch > 0 then Array.append batch [| batch.(0) |]
+        else batch
+      in
+      let patched = Csr.add_edges c batch in
+      let h = Wgraph.copy g in
+      Array.iter
+        (fun (e : Wgraph.edge) -> ignore (Wgraph.add_edge_min h e.u e.v e.w))
+        batch;
+      let expected = Csr.of_wgraph h in
+      patched.Csr.off = expected.Csr.off
+      && patched.Csr.dst = expected.Csr.dst
+      && bits patched = bits expected
+      && (Array.copy c.Csr.off, Array.copy c.Csr.dst, bits c) = before)
+
+(* The region read out of a snapshot: [restrict] on the frozen builder
+   equals [induced] on the builder itself, for random increasing
+   regions, the empty region, one vertex and every vertex. *)
+let prop_restrict_matches_induced =
+  qtest ~count:50 "csr: restrict of a snapshot = induced of its builder"
+    seed_arb (fun seed ->
+      let st = rand_state seed in
+      let n = 1 + Random.State.int st 60 in
+      let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 80) in
+      let c = Csr.of_wgraph g in
+      let keep = Random.State.float st 1.0 in
+      let subset =
+        Array.of_list
+          (List.filter
+             (fun _ -> Random.State.float st 1.0 < keep)
+             (List.init n Fun.id))
+      in
+      List.for_all
+        (fun region ->
+          let local_of = Array.make n (-1) in
+          Array.iteri (fun i v -> local_of.(v) <- i) region;
+          let got = Csr.restrict c ~region ~local_of in
+          let expected = Csr.induced g ~region ~local_of in
+          got.Csr.off = expected.Csr.off
+          && got.Csr.dst = expected.Csr.dst
+          && bits got = bits expected)
+        [ [||]; [| Random.State.int st n |]; Array.init n Fun.id; subset ])
+
+(* The region runner reads [G'_{i-1}] from a snapshot or from a builder;
+   both must run the same phase, the whole-vertex region (which reads
+   the snapshot as is) included. *)
+let prop_region_runner_snapshot_builder =
+  let params = Topo.Params.make ~t:1.5 ~alpha:0.8 ~dim:2 () in
+  qtest ~count:20 "csr: region runner on a snapshot = on its builder" seed_arb
+    (fun seed ->
+      let st = rand_state seed in
+      let model = connected_model ~seed ~n:60 ~dim:2 ~alpha:0.8 in
+      let n = Ubg.Model.n model and points = model.Ubg.Model.points in
+      let edges =
+        List.sort Wgraph.compare_edge (Wgraph.edges model.Ubg.Model.graph)
+      in
+      let m = List.length edges in
+      let w_prev = (List.nth edges ((m / 2) - 1)).w in
+      let w_len = w_prev *. params.Topo.Params.r in
+      let spanner = Wgraph.create n in
+      List.iteri
+        (fun i (e : Wgraph.edge) ->
+          let budget = params.Topo.Params.t *. e.w in
+          if
+            i < m / 2
+            && Graph.Dijkstra.distance_upto spanner e.u e.v ~bound:budget
+               > budget
+          then Wgraph.add_edge spanner e.u e.v e.w)
+        edges;
+      let bin =
+        Array.of_list
+          (List.filter
+             (fun (e : Wgraph.edge) -> e.w > w_prev && e.w <= w_len)
+             edges)
+      in
+      let inside = Array.init n (fun _ -> Random.State.bool st) in
+      Array.iter
+        (fun (e : Wgraph.edge) ->
+          inside.(e.u) <- true;
+          inside.(e.v) <- true)
+        bin;
+      let partial =
+        Array.of_list (List.filter (fun v -> inside.(v)) (List.init n Fun.id))
+      in
+      let run region source =
+        Topo.Relaxed_greedy.run_region ~points ~params ~phase:1
+          ~w_prev_len:w_prev ~w_len ~region ~spanner:source bin
+      in
+      List.for_all
+        (fun region ->
+          run region (Topo.Relaxed_greedy.Snapshot (Csr.of_wgraph spanner))
+          = run region (Topo.Relaxed_greedy.Builder spanner))
+        [ partial; Array.init n Fun.id ])
 
 let test_of_arrays_rejects_malformed () =
   let rejects ~off ~dst ~wgt =
@@ -426,5 +567,8 @@ let () =
           prop_region_runner_global_ids;
           Alcotest.test_case "region runner rejects bad regions" `Quick
             test_region_runner_rejects;
+          prop_restrict_matches_induced;
+          prop_region_runner_snapshot_builder;
         ] );
+      ("patch", [ prop_add_edges_matches_builder ]);
     ]

@@ -213,6 +213,52 @@ let prop_grid_mark_within =
                     centres)
               marked))
 
+let mark_reference points ~radius centres =
+  Array.map
+    (fun p -> Array.exists (fun c -> Point.distance p c <= radius) centres)
+    points
+
+(* Points on a lattice whose spacing is the radius, so many pairs lie at
+   exactly the radius (on an axis) and the ball's boundary decides them;
+   in 2 and 3 dimensions, with the radius equal to the cell and below
+   it, and with centres at the lattice's corners as well as inside. *)
+let test_grid_mark_within_exact () =
+  let lattice dim side spacing =
+    let pts = ref [] in
+    let rec fill i acc =
+      if i = dim then pts := Point.create (Array.of_list (List.rev acc)) :: !pts
+      else
+        for x = 0 to side - 1 do
+          fill (i + 1) ((float_of_int x *. spacing) :: acc)
+        done
+    in
+    fill 0 [];
+    Array.of_list (List.rev !pts)
+  in
+  List.iter
+    (fun (dim, side, radius, cell) ->
+      let points = lattice dim side radius in
+      let n = Array.length points in
+      let grid = Grid.build ~cell points in
+      List.iter
+        (fun ids ->
+          let centres = Array.map (Array.get points) ids in
+          let got = Grid.mark_within grid ~radius centres in
+          let want = mark_reference points ~radius centres in
+          if got <> want then
+            Alcotest.failf "dim %d radius %g cell %g: marker disagrees" dim
+              radius cell;
+          if not (Array.exists Fun.id got) && Array.length ids > 0 then
+            Alcotest.failf "dim %d: no point marked" dim)
+        [
+          [||];
+          [| 0 |];
+          [| n - 1 |];
+          [| n / 2; n / 2 |];
+          Array.init (n / 3) (fun i -> 3 * i);
+        ])
+    [ (2, 7, 0.5, 0.5); (2, 7, 0.5, 0.75); (3, 5, 0.25, 0.25); (3, 5, 1.0, 1.5) ]
+
 (* ------------------------------------------------------------------ *)
 (* Metric                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -260,7 +306,12 @@ let () =
           prop_cone_assign_within_theta;
         ] );
       ( "grid",
-        [ prop_grid_close_pairs; prop_grid_neighbors; prop_grid_mark_within ]
-      );
+        [
+          prop_grid_close_pairs;
+          prop_grid_neighbors;
+          prop_grid_mark_within;
+          Alcotest.test_case "mark_within at exactly the radius, 2-d and 3-d"
+            `Quick test_grid_mark_within_exact;
+        ] );
       ("metric", [ Alcotest.test_case "weights" `Quick test_metric; prop_metric_monotone ]);
     ]

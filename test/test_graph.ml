@@ -336,6 +336,66 @@ let parent_chain ws ~n ~src ~dst c =
   in
   walk src [] 0
 
+(* Bounded searches store nothing above their bound. On graphs of
+   small integer weights, where labels tie everywhere and often equal
+   the (integer) bound exactly, every bounded entry must still agree
+   with the unbounded reference: a ball holds exactly the vertices the
+   reference puts within the bound, at the reference's labels, in
+   nondecreasing order; an [upto] answer is the reference's label
+   bit for bit when it lies within the bound and [infinity] above it,
+   for the plain, builder, landmark and parents entries alike. *)
+let prop_bounded_matches_unbounded =
+  qtest ~count:60
+    "dijkstra: bounded searches = unbounded reference on tied weights"
+    seed_arb (fun seed ->
+      let st = rand_state seed in
+      let n = 2 + Random.State.int st 40 in
+      let g = Wgraph.create n in
+      for _ = 1 to Random.State.int st (3 * n) do
+        let u = Random.State.int st n and v = Random.State.int st n in
+        if u <> v then
+          Wgraph.add_edge g u v (float_of_int (1 + Random.State.int st 3))
+      done;
+      let c = Csr.of_wgraph g in
+      let ws = Dijkstra.create_workspace () in
+      let landmarks =
+        landmark_table
+          (Array.init 3 (fun _ -> Dijkstra.distances_csr c (Random.State.int st n)))
+      in
+      let bits = Int64.bits_of_float in
+      let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
+      List.for_all
+        (fun src ->
+          let reference = Dijkstra.distances_csr c src in
+          let bound = float_of_int (Random.State.int st 8) in
+          let within = Array.map (fun d -> d <= bound) reference in
+          let ball_ok ball =
+            List.length ball = Array.fold_left (fun k b -> if b then k + 1 else k) 0 within
+            && List.for_all
+                 (fun (v, d) -> within.(v) && bits d = bits reference.(v))
+                 ball
+            && fst
+                 (List.fold_left
+                    (fun (ok, prev) (_, d) -> (ok && prev <= d, d))
+                    (true, 0.0) ball)
+          in
+          let k = Dijkstra.within_csr_into ws c src ~bound ~out_v ~out_d in
+          let upto_ok d t = bits d = bits (if within.(t) then reference.(t) else infinity) in
+          ball_ok (Dijkstra.within_csr_ws ws c src ~bound)
+          && ball_ok (Dijkstra.within g src ~bound)
+          && ball_ok (List.init k (fun i -> (out_v.(i), out_d.(i))))
+          && List.for_all
+               (fun t ->
+                 upto_ok (Dijkstra.distance_upto_csr_ws ws c src t ~bound) t
+                 && upto_ok (Dijkstra.distance_upto_csr_ws ~landmarks ws c src t ~bound) t
+                 && upto_ok (Dijkstra.distance_upto g src t ~bound) t
+                 &&
+                 (Dijkstra.settle_parents_csr_ws ~landmarks ws c src ~target:t ~bound;
+                  (not within.(t)) || t = src
+                  || Dijkstra.ws_parent ws t >= 0))
+               (List.init n Fun.id))
+        (List.init (min n 6) (fun _ -> Random.State.int st n)))
+
 let prop_potential_entries_exact =
   qtest ~count:80
     "dijkstra: A* entries with landmark potentials = distances_csr, bit for \
@@ -638,6 +698,7 @@ let () =
           prop_hop_bounded_unbounded_agrees;
           Alcotest.test_case "hop bound honored" `Quick test_hop_bounded_respects_hops;
           prop_within_bound;
+          prop_bounded_matches_unbounded;
           prop_distances_to_exact;
           Alcotest.test_case "distances_to_csr range checks" `Quick
             test_distances_to_range;
