@@ -7,7 +7,6 @@ module Model = Ubg.Model
 module Churn = Ubg.Churn
 module Population = Ubg.Churn.Population
 module Params = Topo.Params
-module Bins = Topo.Bins
 
 let src = Logs.Src.create "dynamic.engine" ~doc:"Incremental spanner engine"
 
@@ -156,45 +155,17 @@ let full_rebuild t =
 (* Incremental repair                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The greedy rule itself, one distance-bounded Dijkstra per dirty edge
-   in ascending (w, u, v) order — exact, and cheap when the bin is
-   sparse. *)
-let greedy_repair t ws edges =
-  Array.iter
+(* The greedy rule itself, one Dijkstra bounded by t·len per dirty
+   edge in ascending (w, u, v) order: the edge joins the spanner when
+   the search finds no path within the bound. *)
+let greedy_repair t dirty =
+  let ws = Dijkstra.domain_workspace () in
+  List.iter
     (fun (e : Wgraph.edge) ->
       let budget = t.params.Params.t *. e.w in
       if Dijkstra.distance_upto_ws ws t.spanner e.u e.v ~bound:budget > budget
       then ignore (Wgraph.add_edge_min t.spanner e.u e.v e.w))
-    edges
-
-(* Re-run the five-step PROCESS-LONG-EDGES pipeline for bin [i] on the
-   region of alive nodes within the dirty threshold plus the phase's own
-   consultation reach. The runner hands back kept additions in slot
-   ids; the surviving spanner is never shrunk, so certified paths
-   persist. *)
-let pipeline_repair t ~dmin ~bins i (edges : Wgraph.edge array) =
-  let w_len = Bins.w bins i and w_prev_len = Bins.w bins (i - 1) in
-  let thresh =
-    (0.5 *. t.params.Params.t *. w_len) +. (t.params.Params.delta *. w_prev_len)
-  in
-  let reach = (t.params.Params.t +. 1.0) *. w_len in
-  let radius = thresh +. reach in
-  let region = ref [] in
-  for s = Population.capacity t.pop - 1 downto 0 do
-    if Population.is_alive t.pop s && dmin.(s) <= radius then
-      region := s :: !region
-  done;
-  let kept, _stats =
-    Topo.Relaxed_greedy.run_region ~points:t.pop.Population.points
-      ~params:t.params ~phase:i ~w_prev_len ~w_len
-      ~region:(Array.of_list !region)
-      ~spanner:(Topo.Relaxed_greedy.Builder t.spanner)
-      edges
-  in
-  Array.iter
-    (fun (e : Wgraph.edge) ->
-      ignore (Wgraph.add_edge_min t.spanner e.u e.v e.w))
-    kept
+    (List.sort Wgraph.compare_edge dirty)
 
 (* ------------------------------------------------------------------ *)
 (* Certification and snapshots                                         *)
@@ -214,14 +185,14 @@ let certify t =
   in
   (base, sp, stretch)
 
-let certifies t stretch = stretch <= t.params.Params.t +. 1e-9
+(* The largest stretch certification accepts; dirty marking uses it
+   too, as the witness radius (see the marking step). *)
+let certified_stretch t = t.params.Params.t +. 1e-9
+
+let certifies t stretch = stretch <= certified_stretch t
 
 (* Snapshots kept for [diff] and [rollback]. *)
 let history = 4
-
-(* Dirty bins with fewer edges take the per-edge greedy rule, which is
-   exact; denser ones are worth the sub-instance extraction. *)
-let pipeline_min_edges = 16
 
 let restore_from t snap =
   Population.restore t.pop ~points:snap.snap_points ~alive:snap.snap_alive;
@@ -350,9 +321,10 @@ let apply_batch_impl t (events : Churn.event array) =
               end))
       refreshed
   end;
-  (* 3. Dirty marking: edge {u,v} of length len in bin i is dirty when
-     an endpoint is within t*len/2 + delta*W_{i-1} of a touched
-     position (see the .mli headnote / DESIGN.md section 10). *)
+  (* 3. Dirty marking: edge {u,v} of length len is dirty when an
+     endpoint is within certified_stretch·len/2 of a touched position,
+     the radius of any certified witness path through it (see the .mli
+     headnote / DESIGN.md section 10). *)
   let dmin = Array.make cap infinity in
   Population.iter_alive t.pop (fun i ->
       let p = points.(i) in
@@ -361,15 +333,10 @@ let apply_batch_impl t (events : Churn.event array) =
           let d = Point.distance p q in
           if d < dmin.(i) then dmin.(i) <- d)
         touched);
-  let bins = Bins.make ~params:t.params ~n:(Population.n_alive t.pop) in
+  let half_stretch = 0.5 *. certified_stretch t in
   let dirty = ref [] and n_dirty = ref 0 in
   Wgraph.iter_edges t.ubg (fun u v w ->
-      let b = Bins.index bins w in
-      let w_prev = if b = 0 then 0.0 else Bins.w bins (b - 1) in
-      let thresh =
-        (0.5 *. t.params.Params.t *. w) +. (t.params.Params.delta *. w_prev)
-      in
-      if Float.min dmin.(u) dmin.(v) <= thresh then begin
+      if Float.min dmin.(u) dmin.(v) <= half_stretch *. w then begin
         dirty := { Wgraph.u; v; w } :: !dirty;
         incr n_dirty
       end);
@@ -379,8 +346,8 @@ let apply_batch_impl t (events : Churn.event array) =
     else float_of_int !n_dirty /. float_of_int n_ubg_edges
   in
   Obs.Metrics.set_gauge g_dirty dirty_fraction;
-  (* 4. Repair: full rebuild past the threshold, else per-bin greedy /
-     pipeline over the dirty edges in ascending phase order. *)
+  (* 4. Repair: full rebuild past the threshold, else the greedy rule
+     over the dirty edges. *)
   let kind = ref Incremental in
   Obs.Trace.span ~cat:"dynamic"
     ~args:(fun () ->
@@ -404,17 +371,7 @@ let apply_batch_impl t (events : Churn.event array) =
       else begin
         t.n_incremental <- t.n_incremental + 1;
         Obs.Metrics.incr m_incremental;
-        let binned =
-          Bins.partition bins (List.sort Wgraph.compare_edge !dirty)
-        in
-        let ws = Dijkstra.create_workspace () in
-        Array.iteri
-          (fun i edges ->
-            if Array.length edges > 0 then
-              if i = 0 || Array.length edges < pipeline_min_edges then
-                greedy_repair t ws edges
-              else pipeline_repair t ~dmin ~bins i edges)
-          binned
+        greedy_repair t !dirty
       end);
   let repair_seconds = t.clock () -. t0 in
   (* 5. Certify; an incremental result that fails falls back to a full

@@ -9,34 +9,29 @@
 
     Repair is local. A batch first updates the α-UBG itself (edges
     incident to touched nodes are re-derived through a unit-cell
-    {!Geometry.Grid} and the gray-zone policy), then marks {e dirty}
-    base edges: edge [{u, v}] of length [len] in bin [i] is dirty when
-    some endpoint lies within [t·len/2 + δ·W_{i-1}] of a touched
-    position. The [t·len/2] term is
-    the certification radius — a surviving t-path for [{u, v}] that
-    detours through a touched node [x] satisfies
-    [d(u,x) + d(x,v) <= t·len], so one endpoint is within [t·len/2] of
-    [x]; edges farther away than that from every touched position kept
-    their witness path untouched. The [δ·W_{i-1}] dilation covers the
-    cluster-cover radius of the edge's phase, so re-running the phase
-    pipeline on the dirty sub-instance sees every cluster that could
-    have answered for the edge (DESIGN.md §10).
+    {!Geometry.Grid} and the gray-zone policy), drops the spanner edges
+    incident to touched nodes, then marks {e dirty} base edges: edge
+    [{u, v}] of length [len] is dirty when some endpoint lies within
+    [(t + 1e-9)·len/2] of a touched position, [t + 1e-9] being the
+    largest stretch certification accepts. That is the witness radius:
+    a certified path for [{u, v}] through a touched node [x] satisfies
+    [d(u,x) + d(x,v) <= (t + 1e-9)·len], so one endpoint is within
+    [(t + 1e-9)·len/2] of [x]; edges farther away than that from every
+    touched position kept their witness path untouched (DESIGN.md §10).
 
-    Dirty bins are repaired in ascending order: sparse bins by the
-    greedy rule itself (one bounded Dijkstra per edge), dense bins by
-    handing the region around the dirty edges to
-    {!Topo.Relaxed_greedy.run_region}, the five-step pipeline's region
-    runner, which reads only positions and the spanner's
-    region-induced CSR. Repairs only {e add}
-    edges, never remove surviving spanner edges, so certified paths
-    persist within a repair; when the dirty fraction crosses
-    [rebuild_threshold] the engine falls back to a full rebuild.
+    Every dirty edge then takes [SEQ-GREEDY]'s exact rule, in
+    ascending [(w, u, v)] order: one Dijkstra bounded by [t·len] on the
+    live spanner, and the edge joins the spanner when that search finds
+    no path. Repairs only {e add} edges, never remove surviving spanner
+    edges, so certified paths persist within a repair; when the dirty
+    fraction crosses [rebuild_threshold] the engine falls back to a
+    full rebuild.
 
     Every epoch is re-certified from scratch with
     {!Topo.Verify.edge_stretch_csr} on frozen {!Graph.Csr} snapshots.
     Its search from each vertex stops at the vertex's farthest base
     neighbour, so certification settles a t-ball per vertex, not the
-    whole graph: 42–86 ms per epoch at n = 10⁴ (E-churn,
+    whole graph: 29–43 ms per epoch at n = 10⁴ (E-churn,
     [BENCH_dynamic.json]), where one search per vertex over the whole
     graph took 13–15 s. A certification failure triggers
     a full rebuild; if even that fails, the engine rolls back to the
@@ -93,11 +88,11 @@ type t
     [params] must match the model's alpha and dimension.
 
     [backend] selects the construction strategy. Omitted, the engine
-    runs exactly its historic path: {!Topo.Relaxed_greedy.build} plus
-    the incremental dirty-region repair — replays are bit-identical to
-    pre-backend versions. With an [incremental] backend (the
-    registry's ["relaxed"]) the repair path is kept and only full
-    rebuilds route through the backend. With a {e non-incremental}
+    calls {!Topo.Relaxed_greedy.build} directly for full builds and
+    runs the incremental dirty-region repair. With an [incremental]
+    backend (the registry's ["relaxed"]) the repair path is kept and
+    only full rebuilds route through the backend, so replays are
+    bit-identical to the default's. With a {e non-incremental}
     backend the engine degrades to per-epoch
     rebuild-with-certification: every batch rebuilds via the backend
     (reported as {!Rebuild_backend}); dirty marking still runs so
@@ -109,10 +104,8 @@ type t
     [gray] (default [Keep_all]) re-decides gray-zone pairs incident to
     joined or moved nodes. [rebuild_threshold] (default [0.3]) is the
     dirty fraction above which a batch falls back to a full rebuild;
-    [Invalid_argument] unless it lies in [(0, 1]]. Dirty bins of at
-    least 16 edges are repaired by sub-instance extraction; sparser
-    bins use the per-edge greedy rule, which is exact. The snapshot
-    list keeps the 4 newest epochs. [clock] (default [Sys.time]) times
+    [Invalid_argument] unless it lies in [(0, 1]]. The snapshot list
+    keeps the 4 newest epochs. [clock] (default [Sys.time]) times
     repairs. *)
 val create :
   ?backend:Spanner.Backend.t ->

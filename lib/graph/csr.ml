@@ -83,35 +83,24 @@ let of_arrays ~off ~dst ~wgt =
   done;
   { off; dst; wgt }
 
-(* One pass over the region's hashtable slices, emitting arcs in local
-   ids into buffers sized by the region's global degree sum: exact when
-   every neighbor is inside (the all-vertices case), trimmed otherwise. *)
-let induced g ~region ~local_of =
-  let nr = Array.length region in
-  let cap = Array.fold_left (fun acc u -> acc + Wgraph.degree g u) 0 region in
-  let off = Array.make (nr + 1) 0 in
-  let dst = Array.make cap 0 and wgt = Array.make cap 0.0 in
-  let m2 = ref 0 in
-  Array.iteri
-    (fun i u ->
-      Wgraph.iter_neighbors g u (fun v w ->
-          let j = local_of.(v) in
-          if j >= 0 then begin
-            dst.(!m2) <- j;
-            wgt.(!m2) <- w;
-            incr m2
-          end);
-      off.(i + 1) <- !m2)
-    region;
-  let dst, wgt =
-    if !m2 = cap then (dst, wgt) else (Array.sub dst 0 !m2, Array.sub wgt 0 !m2)
-  in
-  (* Hashtable order is not deterministic; [of_arrays] sorts. *)
-  of_arrays ~off ~dst ~wgt
-
+(* One pass over the hashtable slices, emitting arcs into buffers of
+   the degree sum; hashtable order is not deterministic, so
+   [of_arrays] sorts. *)
 let of_wgraph g =
-  let all = Array.init (Wgraph.n_vertices g) Fun.id in
-  induced g ~region:all ~local_of:all
+  let n = Wgraph.n_vertices g in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u) + Wgraph.degree g u
+  done;
+  let dst = Array.make off.(n) 0 and wgt = Array.make off.(n) 0.0 in
+  let k = ref 0 in
+  for u = 0 to n - 1 do
+    Wgraph.iter_neighbors g u (fun v w ->
+        dst.(!k) <- v;
+        wgt.(!k) <- w;
+        incr k)
+  done;
+  of_arrays ~off ~dst ~wgt
 
 let degree c u =
   check_vertex c u;

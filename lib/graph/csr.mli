@@ -14,15 +14,13 @@
     type; the read-heavy layers (Dijkstra, cluster covers, cluster
     graphs, query selection, the oracle, the distributed runtime)
     freeze a snapshot once and consume it for every subsequent
-    traversal. A snapshot comes from {!of_wgraph}, from {!induced}
-    when only a region of the builder is wanted (a dynamic repair's
-    sub-instance), from {!restrict} when that region is read out of
-    another snapshot (a relaxed-greedy phase's sub-instance), from
-    {!add_edges} when a snapshot gains a batch of edges (a build's
-    partial spanner after each bin), or from {!of_arrays} when a
-    builder emits the arcs itself (the cluster graph does). Building is
-    O(n + m); a snapshot never observes later mutations of the source
-    graph. *)
+    traversal. A snapshot comes from {!of_wgraph}, from {!restrict}
+    when only a region of another snapshot is wanted (a relaxed-greedy
+    phase's sub-instance), from {!add_edges} when a snapshot gains a
+    batch of edges (a build's partial spanner after each bin), or from
+    {!of_arrays} when a builder emits the arcs itself (the cluster
+    graph does). Building is O(n + m); a snapshot never observes later
+    mutations of the source graph. *)
 
 type t = private {
   off : int array;  (** length [n + 1]; vertex [u]'s arcs live in
@@ -31,21 +29,14 @@ type t = private {
   wgt : float array;  (** arc weights, parallel to [dst] *)
 }
 
-(** [of_wgraph g] freezes [g] into a snapshot in O(n + m): {!induced}
-    with every vertex in place. *)
+(** [of_wgraph g] freezes [g] into a snapshot in O(n + m). *)
 val of_wgraph : Wgraph.t -> t
 
-(** [induced g ~region ~local_of] freezes the subgraph of [g] induced
-    by [region] (distinct vertices), relabelled so that [region.(i)]
-    becomes vertex [i]; [local_of] maps each vertex of [g] to its
-    region index, or [-1] outside it. The arcs go straight into
-    {!of_arrays}: the result equals {!of_wgraph} of the induced
-    {!Wgraph.t}, bit for bit, without building one. *)
-val induced : Wgraph.t -> region:int array -> local_of:int array -> t
-
 (** [restrict c ~region ~local_of] is the subgraph of [c] induced by
-    [region] (distinct vertices), relabelled like {!induced}: bit for
-    bit [induced] of [to_wgraph c], copied slice by slice out of [c]'s
+    [region] (distinct vertices), relabelled so that [region.(i)]
+    becomes vertex [i]; [local_of] maps each vertex of [c] to its
+    region index, or [-1] outside it. The result equals {!of_wgraph} of
+    that induced graph, bit for bit, copied slice by slice out of [c]'s
     own arrays. When [region] ascends, local ids ascend with global
     ids, so every copied slice is already sorted and nothing is
     sorted. This is how a relaxed-greedy build reads a phase's region

@@ -190,26 +190,19 @@ let phase_core ~points ~params ~phi ~phase ~w_prev_len ~w_len ~bin_edges
 
 let relabel f (e : Wgraph.edge) = { e with Wgraph.u = f e.u; v = f e.v }
 
-type partial = Snapshot of Csr.t | Builder of Wgraph.t
-
 (* The region runner: one phase on the sub-instance induced by
-   [region] (strictly increasing global ids). Extraction is the local
-   form of freezing G'_{i-1}, so it all runs in the [freeze] stage:
-   a flat global -> local id map, the region's positions, the spanner's
-   region-induced CSR and the bin in local ids. A region of every
-   vertex is the identity, so it reads a snapshot as is. The kept
-   additions come back in global ids. *)
+   [region] (strictly increasing global ids) in the snapshot [spanner]
+   of G'_{i-1}. Extraction is the local form of freezing G'_{i-1}, so
+   it all runs in the [freeze] stage: a flat global -> local id map, the
+   region's positions, the spanner's region-induced CSR and the bin in
+   local ids. A region of every vertex is the identity, so it reads the
+   snapshot as is. The kept additions come back in global ids. *)
 let run_region ?(metric = Geometry.Metric.Euclidean) ~points ~params ~phase
     ~w_prev_len ~w_len ~region ~spanner bin_edges =
   let sub_points, frozen, sub_bin =
     stage "freeze" (fun () ->
         let n = Array.length points in
-        let n_spanner =
-          match spanner with
-          | Snapshot c -> Csr.n_vertices c
-          | Builder g -> Wgraph.n_vertices g
-        in
-        if n_spanner <> n then
+        if Csr.n_vertices spanner <> n then
           invalid_arg "Relaxed_greedy.run_region: spanner and points disagree";
         let local_of = Array.make n (-1) in
         Array.iteri
@@ -223,17 +216,10 @@ let run_region ?(metric = Geometry.Metric.Euclidean) ~points ~params ~phase
             invalid_arg "Relaxed_greedy.run_region: bin edge outside region";
           local_of.(v)
         in
-        let whole = Array.length region = n in
-        let frozen =
-          match spanner with
-          | Snapshot c when whole -> c
-          | Snapshot c -> Csr.restrict c ~region ~local_of
-          | Builder g -> Csr.induced g ~region ~local_of
-        in
-        if whole then (points, frozen, bin_edges)
+        if Array.length region = n then (points, spanner, bin_edges)
         else
           ( Array.map (Array.get points) region,
-            frozen,
+            Csr.restrict spanner ~region ~local_of,
             Array.map (relabel local) bin_edges ))
   in
   let kept, stats =
@@ -378,7 +364,7 @@ let build ?(metric = Geometry.Metric.Euclidean)
                 let kept, s =
                   run_region ~metric ~points ~params ~phase:i ~w_prev_len
                     ~w_len ~region:(region_of ~w_len bin_edges)
-                    ~spanner:(Snapshot !frozen) bin_edges
+                    ~spanner:!frozen bin_edges
                 in
                 let s = insert_kept ~spanner kept s in
                 frozen := stage "freeze" (fun () -> Csr.add_edges !frozen kept);

@@ -88,27 +88,19 @@ val build_eps :
   Ubg.Model.t ->
   result
 
-(** [G'_{i-1}] as a phase reads it: a frozen snapshot ({!build} keeps
-    one for the whole build and patches it with each bin's kept edges
-    through {!Graph.Csr.add_edges}) or a live builder graph (the
-    dynamic engine's spanner). *)
-type partial = Snapshot of Graph.Csr.t | Builder of Graph.Wgraph.t
-
 (** [run_region ?metric ~points ~params ~phase ~w_prev_len ~w_len
     ~region ~spanner bin_edges] is the region runner: one
     [PROCESS-LONG-EDGES] phase (the five Section 2.2 steps) for the bin
     [(w_prev_len, w_len]] on the sub-instance that [region] (strictly
     increasing global ids, holding every bin-edge endpoint) induces.
     [build] passes its grid region under Euclidean weights and every
-    vertex under Energy weights; [Dynamic.Engine] passes its dirty
-    region. A phase reads only positions ([points]) and [G'_{i-1}]
-    ([spanner], only read), so no α-UBG is built for the region. The
-    region-induced subgraph is copied out of a [Snapshot] with
-    {!Graph.Csr.restrict} and frozen from a [Builder] with
-    {!Graph.Csr.induced}; both give the same snapshot, and a region of
-    every vertex reads a [Snapshot] as is. Local ids follow global
-    order, so the all-vertices region is exactly the whole-graph
-    phase.
+    vertex under Energy weights. A phase reads only positions
+    ([points]) and [G'_{i-1}] ([spanner], a frozen snapshot, only
+    read), so no α-UBG is built for the region. The region-induced
+    subgraph is copied out of [spanner] with {!Graph.Csr.restrict}, and
+    a region of every vertex reads [spanner] as is. Local ids follow
+    global order, so the all-vertices region is exactly the
+    whole-graph phase.
     [bin_edges] carry Euclidean lengths, mapped into the spanner's
     weight space by [metric] (default Euclidean). Returns the kept
     additions in global ids plus stats, {e without} inserting them
@@ -124,7 +116,7 @@ val run_region :
   w_prev_len:float ->
   w_len:float ->
   region:int array ->
-  spanner:partial ->
+  spanner:Graph.Csr.t ->
   Graph.Wgraph.edge array ->
   Graph.Wgraph.edge array * phase_stats
 

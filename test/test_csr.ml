@@ -223,19 +223,18 @@ let test_of_arrays_sorts_without_allocating () =
   if words > 64.0 then
     Alcotest.failf "of_arrays allocated %.0f minor words" words
 
-(* The region snapshot: [induced] must freeze exactly what the builder
-   route did — an induced Wgraph assembled vertex by vertex, then
-   [of_wgraph] — with offsets, targets and weight bit patterns equal,
-   and every arc mapped back through [region] must be the global edge
-   it came from. Regions: empty, one vertex, every vertex, and a random
-   subset in shuffled order (the emitter does not need sorted ids). *)
+(* The region snapshot: [restrict] of a snapshot [c] of the builder [g]
+   must equal freezing the induced subgraph of [g] assembled vertex by
+   vertex as a Wgraph, with offsets, targets and weight bit patterns
+   equal, and every arc mapped back through [region] must be the global
+   edge of [g] it came from. *)
 let bits c = Array.map Int64.bits_of_float c.Csr.wgt
 
-let region_snapshot_ok g region =
+let region_snapshot_ok c g region =
   let n = Wgraph.n_vertices g in
   let local_of = Array.make n (-1) in
   Array.iteri (fun i v -> local_of.(v) <- i) region;
-  let c = Csr.induced g ~region ~local_of in
+  let c = Csr.restrict c ~region ~local_of in
   let h = Wgraph.create (Array.length region) in
   Array.iteri
     (fun i v ->
@@ -255,6 +254,16 @@ let region_snapshot_ok g region =
       | Some _ | None -> global_ok := false);
   !global_ok
 
+let random_subset st n =
+  let keep = Random.State.float st 1.0 in
+  Array.of_list
+    (List.filter
+       (fun _ -> Random.State.float st 1.0 < keep)
+       (List.init n Fun.id))
+
+(* A region snapshot of a frozen graph. Regions: empty, one vertex,
+   every vertex, a random increasing subset (slices copied in order)
+   and the same subset shuffled (slices that [of_arrays] must sort). *)
 let prop_induced_matches_builder =
   qtest ~count:50
     "csr: induced region snapshot = of_wgraph of the induced graph" seed_arb
@@ -262,21 +271,52 @@ let prop_induced_matches_builder =
       let st = rand_state seed in
       let n = 1 + Random.State.int st 60 in
       let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 80) in
-      let keep = Random.State.float st 1.0 in
-      let subset =
-        Array.of_list
-          (List.filter
-             (fun _ -> Random.State.float st 1.0 < keep)
-             (List.init n Fun.id))
-      in
-      for i = Array.length subset - 1 downto 1 do
+      let subset = random_subset st n in
+      let shuffled = Array.copy subset in
+      for i = Array.length shuffled - 1 downto 1 do
         let j = Random.State.int st (i + 1) in
-        let x = subset.(i) in
-        subset.(i) <- subset.(j);
-        subset.(j) <- x
+        let x = shuffled.(i) in
+        shuffled.(i) <- shuffled.(j);
+        shuffled.(j) <- x
       done;
-      List.for_all (region_snapshot_ok g)
-        [ [||]; [| Random.State.int st n |]; Array.init n Fun.id; subset ])
+      List.for_all
+        (region_snapshot_ok (Csr.of_wgraph g) g)
+        [
+          [||]; [| Random.State.int st n |]; Array.init n Fun.id; subset;
+          shuffled;
+        ])
+
+(* A region read out of a snapshot made the way a relaxed-greedy build
+   makes its partial spanner: frozen once, then patched by a few
+   batches of random edges with [add_edges] (an edge may repeat in its
+   batch or be present already; the smaller weight stays) while its
+   builder takes the same edges with [add_edge_min]. Regions: empty,
+   one vertex, every vertex and a random increasing subset. *)
+let prop_restrict_matches_induced =
+  qtest ~count:50 "csr: restrict of a snapshot = induced of its builder"
+    seed_arb (fun seed ->
+      let st = rand_state seed in
+      let n = 2 + Random.State.int st 60 in
+      let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 40) in
+      let c = ref (Csr.of_wgraph g) in
+      for _ = 1 to 1 + Random.State.int st 3 do
+        let batch =
+          Array.init (Random.State.int st 12) (fun _ ->
+              let u = Random.State.int st n in
+              let v = (u + 1 + Random.State.int st (n - 1)) mod n in
+              { Wgraph.u; v; w = 0.1 +. Random.State.float st 1.0 })
+        in
+        c := Csr.add_edges !c batch;
+        Array.iter
+          (fun (e : Wgraph.edge) -> ignore (Wgraph.add_edge_min g e.u e.v e.w))
+          batch
+      done;
+      List.for_all
+        (region_snapshot_ok !c g)
+        [
+          [||]; [| Random.State.int st n |]; Array.init n Fun.id;
+          random_subset st n;
+        ])
 
 (* The region runner on a mid-algorithm phase (greedy partial spanner
    over the short half of a random α-UBG's edges, next band of edges as
@@ -325,8 +365,7 @@ let prop_region_runner_global_ids =
       let nr = Array.length region in
       let run ~points ~region ~spanner bin =
         Topo.Relaxed_greedy.run_region ~points ~params ~phase:1
-          ~w_prev_len:w_prev ~w_len ~region
-          ~spanner:(Topo.Relaxed_greedy.Builder spanner)
+          ~w_prev_len:w_prev ~w_len ~region ~spanner:(Csr.of_wgraph spanner)
           bin
       in
       let kept, stats = run ~points ~region ~spanner bin in
@@ -364,15 +403,13 @@ let test_region_runner_rejects () =
   let points =
     Array.init 3 (fun i -> Geometry.Point.make2 (float_of_int i *. 0.5) 0.0)
   in
-  let spanner = Wgraph.create 3 in
+  let spanner = Csr.of_wgraph (Wgraph.create 3) in
   let bin = [| { Wgraph.u = 0; v = 2; w = 1.0 } |] in
   let rejects region =
     try
       ignore
         (Topo.Relaxed_greedy.run_region ~points ~params ~phase:1
-           ~w_prev_len:0.5 ~w_len:1.0 ~region
-           ~spanner:(Topo.Relaxed_greedy.Builder spanner)
-           bin);
+           ~w_prev_len:0.5 ~w_len:1.0 ~region ~spanner bin);
       false
     with Invalid_argument _ -> true
   in
@@ -438,85 +475,6 @@ let prop_add_edges_matches_builder =
       && bits patched = bits expected
       && (Array.copy c.Csr.off, Array.copy c.Csr.dst, bits c) = before)
 
-(* The region read out of a snapshot: [restrict] on the frozen builder
-   equals [induced] on the builder itself, for random increasing
-   regions, the empty region, one vertex and every vertex. *)
-let prop_restrict_matches_induced =
-  qtest ~count:50 "csr: restrict of a snapshot = induced of its builder"
-    seed_arb (fun seed ->
-      let st = rand_state seed in
-      let n = 1 + Random.State.int st 60 in
-      let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 80) in
-      let c = Csr.of_wgraph g in
-      let keep = Random.State.float st 1.0 in
-      let subset =
-        Array.of_list
-          (List.filter
-             (fun _ -> Random.State.float st 1.0 < keep)
-             (List.init n Fun.id))
-      in
-      List.for_all
-        (fun region ->
-          let local_of = Array.make n (-1) in
-          Array.iteri (fun i v -> local_of.(v) <- i) region;
-          let got = Csr.restrict c ~region ~local_of in
-          let expected = Csr.induced g ~region ~local_of in
-          got.Csr.off = expected.Csr.off
-          && got.Csr.dst = expected.Csr.dst
-          && bits got = bits expected)
-        [ [||]; [| Random.State.int st n |]; Array.init n Fun.id; subset ])
-
-(* The region runner reads [G'_{i-1}] from a snapshot or from a builder;
-   both must run the same phase, the whole-vertex region (which reads
-   the snapshot as is) included. *)
-let prop_region_runner_snapshot_builder =
-  let params = Topo.Params.make ~t:1.5 ~alpha:0.8 ~dim:2 () in
-  qtest ~count:20 "csr: region runner on a snapshot = on its builder" seed_arb
-    (fun seed ->
-      let st = rand_state seed in
-      let model = connected_model ~seed ~n:60 ~dim:2 ~alpha:0.8 in
-      let n = Ubg.Model.n model and points = model.Ubg.Model.points in
-      let edges =
-        List.sort Wgraph.compare_edge (Wgraph.edges model.Ubg.Model.graph)
-      in
-      let m = List.length edges in
-      let w_prev = (List.nth edges ((m / 2) - 1)).w in
-      let w_len = w_prev *. params.Topo.Params.r in
-      let spanner = Wgraph.create n in
-      List.iteri
-        (fun i (e : Wgraph.edge) ->
-          let budget = params.Topo.Params.t *. e.w in
-          if
-            i < m / 2
-            && Graph.Dijkstra.distance_upto spanner e.u e.v ~bound:budget
-               > budget
-          then Wgraph.add_edge spanner e.u e.v e.w)
-        edges;
-      let bin =
-        Array.of_list
-          (List.filter
-             (fun (e : Wgraph.edge) -> e.w > w_prev && e.w <= w_len)
-             edges)
-      in
-      let inside = Array.init n (fun _ -> Random.State.bool st) in
-      Array.iter
-        (fun (e : Wgraph.edge) ->
-          inside.(e.u) <- true;
-          inside.(e.v) <- true)
-        bin;
-      let partial =
-        Array.of_list (List.filter (fun v -> inside.(v)) (List.init n Fun.id))
-      in
-      let run region source =
-        Topo.Relaxed_greedy.run_region ~points ~params ~phase:1
-          ~w_prev_len:w_prev ~w_len ~region ~spanner:source bin
-      in
-      List.for_all
-        (fun region ->
-          run region (Topo.Relaxed_greedy.Snapshot (Csr.of_wgraph spanner))
-          = run region (Topo.Relaxed_greedy.Builder spanner))
-        [ partial; Array.init n Fun.id ])
-
 let test_of_arrays_rejects_malformed () =
   let rejects ~off ~dst ~wgt =
     try
@@ -568,7 +526,6 @@ let () =
           Alcotest.test_case "region runner rejects bad regions" `Quick
             test_region_runner_rejects;
           prop_restrict_matches_induced;
-          prop_region_runner_snapshot_builder;
         ] );
       ("patch", [ prop_add_edges_matches_builder ]);
     ]

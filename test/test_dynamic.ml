@@ -546,6 +546,147 @@ let test_engine_forced_rebuild_threshold () =
   let _, rebuilds, _ = Engine.counters e in
   Alcotest.(check int) "rebuild counted" 1 rebuilds
 
+(* The one repair rule, rebuilt from consecutive snapshots alone. The
+   touched slots are those whose alive flag or position changed; their
+   old positions (alive before) and new ones (alive after) are the
+   touched positions. An edge of the new α-UBG is dirty when an
+   endpoint lies within (t + 1e-9)·len/2 of a touched position, the
+   certifier's tolerance. The expected spanner is the previous one
+   without the touched slots' edges, after the greedy rule (one search
+   bounded by t·len, the edge added when it finds no path) on every
+   dirty edge in (w, u, v) order. Returns the expected spanner and the
+   dirty count, plus the number of touched slots: the model assumes a
+   batch touches each slot once, which the caller checks against the
+   event count. *)
+let reference_repair ~t ~(prev : Engine.snapshot) ~(next : Engine.snapshot) =
+  let cap_prev = Array.length prev.Engine.snap_points in
+  let cap = Array.length next.Engine.snap_points in
+  let alive_before s = s < cap_prev && prev.Engine.snap_alive.(s) in
+  let alive_after s = next.Engine.snap_alive.(s) in
+  let touched =
+    Array.init cap (fun s ->
+        alive_before s <> alive_after s
+        || s < cap_prev
+           && Point.compare prev.Engine.snap_points.(s)
+                next.Engine.snap_points.(s)
+              <> 0)
+  in
+  let positions = ref [] in
+  Array.iteri
+    (fun s hit ->
+      if hit then begin
+        if alive_before s then
+          positions := prev.Engine.snap_points.(s) :: !positions;
+        if alive_after s then
+          positions := next.Engine.snap_points.(s) :: !positions
+      end)
+    touched;
+  let near u w =
+    List.exists
+      (fun q ->
+        Point.distance next.Engine.snap_points.(u) q
+        <= 0.5 *. (t +. 1e-9) *. w)
+      !positions
+  in
+  let dirty = ref [] in
+  Csr.iter_edges next.Engine.snap_ubg (fun u v w ->
+      if near u w || near v w then dirty := { Wgraph.u; v; w } :: !dirty);
+  let expected = Wgraph.create cap in
+  Csr.iter_edges prev.Engine.snap_spanner (fun u v w ->
+      if not (touched.(u) || touched.(v)) then Wgraph.add_edge expected u v w);
+  List.iter
+    (fun (e : Wgraph.edge) ->
+      let budget = t *. e.w in
+      if Graph.Dijkstra.distance_upto expected e.u e.v ~bound:budget > budget
+      then ignore (Wgraph.add_edge_min expected e.u e.v e.w))
+    (List.sort Wgraph.compare_edge !dirty);
+  ( Csr.of_wgraph expected,
+    List.length !dirty,
+    Array.fold_left (fun k hit -> if hit then k + 1 else k) 0 touched )
+
+(* [trace] without the events that would touch a slot a second time
+   in their batch (a second move, a join into a slot that left in the
+   same batch, ...): snapshots do not show the positions in between,
+   so the reference needs each batch to touch each slot once. An event
+   naming a slot that a dropped join would have created is dropped
+   too. *)
+let once_per_slot (model : Ubg.Model.t) (trace : Churn.trace) =
+  let pop = Population.of_points model.Ubg.Model.points in
+  let keep touched ev =
+    let slot =
+      match ev with
+      | Churn.Join _ -> (
+          match pop.Population.free with
+          | s :: _ -> s
+          | [] -> Population.capacity pop)
+      | Churn.Leave i | Churn.Move (i, _) ->
+          if i < Population.capacity pop && Population.is_alive pop i then i
+          else -1
+    in
+    slot >= 0
+    && (not (Hashtbl.mem touched slot))
+    &&
+    (Hashtbl.replace touched slot ();
+     ignore (Population.apply pop ev);
+     true)
+  in
+  let batches =
+    Array.map
+      (fun batch ->
+        let touched = Hashtbl.create 8 in
+        Array.of_list (List.filter (keep touched) (Array.to_list batch)))
+      trace.Churn.batches
+  in
+  { trace with Churn.batches }
+
+(* E-churn's quick instance (n = 300, alpha 0.8, expected degree 10,
+   10 batches of at most 8 events) with each batch touching each slot
+   once. Its epochs are up to 21% dirty, so each repair decides
+   hundreds of edges whose searches see each other's additions. Every
+   incremental epoch's spanner must equal the reference bit for bit,
+   and every epoch's dirty count the brute-force one. *)
+let test_engine_matches_reference_rule () =
+  let n = 300 and alpha = 0.8 in
+  let side =
+    Ubg.Generator.side_for_expected_degree ~dim:2 ~n ~alpha ~degree:10.0
+  in
+  let model =
+    Ubg.Generator.connected ~seed:(9 + n) ~dim:2 ~n ~alpha
+      (Ubg.Generator.Uniform { side })
+  in
+  let trace =
+    once_per_slot model
+      (Churn.generate ~seed:(n + 1) ~epochs:10 ~batch_max:8
+         (Churn.default_dynamics ~side) model)
+  in
+  let params = params_for model in
+  let t = params.Topo.Params.t in
+  let e = Engine.create ~params model in
+  let compared = ref 0 in
+  Engine.replay e trace ~f:(fun r ->
+      match Engine.snapshots e with
+      | next :: prev :: _ ->
+          let expected, n_dirty, n_touched = reference_repair ~t ~prev ~next in
+          let epoch = r.Engine.epoch in
+          Alcotest.(check int)
+            (Printf.sprintf "epoch %d touches one slot per event" epoch)
+            r.Engine.n_events n_touched;
+          Alcotest.(check int)
+            (Printf.sprintf "epoch %d dirty count" epoch)
+            n_dirty r.Engine.n_dirty;
+          if r.Engine.kind = Engine.Incremental then begin
+            incr compared;
+            let got = next.Engine.snap_spanner in
+            Alcotest.(check bool)
+              (Printf.sprintf "epoch %d spanner = reference, bit for bit" epoch)
+              true
+              (got.Csr.off = expected.Csr.off
+              && got.Csr.dst = expected.Csr.dst
+              && Array.map bits got.Csr.wgt = Array.map bits expected.Csr.wgt)
+          end
+      | _ -> Alcotest.fail "expected two snapshots");
+  Alcotest.(check int) "every epoch incremental" 10 !compared
+
 (* ------------------------------------------------------------------ *)
 (* Adversarial: forced certification failures and the rebuild/rollback *)
 (* fallbacks                                                           *)
@@ -871,6 +1012,8 @@ let () =
             test_engine_restore_clears_snap_dirty;
           Alcotest.test_case "threshold rebuild path" `Quick
             test_engine_forced_rebuild_threshold;
+          Alcotest.test_case "repair = greedy rule from snapshots" `Quick
+            test_engine_matches_reference_rule;
         ] );
       ( "engine-adversarial",
         [

@@ -58,16 +58,40 @@ let prop_vertex_k0_equals_seq_greedy =
       and b = Topo.Seq_greedy.spanner g ~t:1.5 in
       List.sort compare (Wgraph.edges a) = List.sort compare (Wgraph.edges b))
 
-let prop_vertex_variant_denser =
-  (* Vertex-disjointness is stricter than edge-disjointness, so the
-     vertex-tolerant spanner needs at least as many edges. *)
-  qtest ~count:20 "fault: vertex variant at least as dense as edge variant"
-    seed_arb (fun seed ->
-      let st = rand_state seed in
-      let n = 4 + Random.State.int st 20 in
-      let g = random_graph ~st ~n ~extra_edges:(Random.State.int st 30) in
-      Wgraph.n_edges (Fault_tolerant.vertex_spanner g ~t:1.5 ~k:1)
-      >= Wgraph.n_edges (Fault_tolerant.spanner g ~t:1.5 ~k:1))
+(* A vertex k = 1 spanner also survives any single edge fault: an edge
+   it skipped had two internally vertex-disjoint paths within budget,
+   each of at least two edges (the direct edge was not yet kept), and
+   such paths share no edge, so one of them avoids the fault. *)
+let vertex_spanner_survives_edge_faults g =
+  let t = 1.5 in
+  let s = Fault_tolerant.vertex_spanner g ~t ~k:1 in
+  List.for_all
+    (fun (e : Wgraph.edge) ->
+      Fault_tolerant.stretch_under_faults ~base:g ~spanner:s
+        ~faults:[ (e.u, e.v) ]
+      <= t +. 1e-9)
+    (Wgraph.edges s)
+
+let fault_graph seed =
+  let st = rand_state seed in
+  let n = 4 + Random.State.int st 20 in
+  random_graph ~st ~n ~extra_edges:(Random.State.int st 30)
+
+let prop_vertex_survives_edge_faults =
+  qtest ~count:20 "fault: vertex variant survives any single edge fault"
+    seed_arb (fun seed -> vertex_spanner_survives_edge_faults (fault_graph seed))
+
+(* Seed 2477 is why the vertex variant is not claimed to be at least as
+   dense as the edge variant: its greedy keeps 13 edges where the edge
+   variant keeps 14. It still survives every single edge fault. *)
+let test_seed_2477 () =
+  let g = fault_graph 2477 in
+  Alcotest.(check int) "vertex variant edges" 13
+    (Wgraph.n_edges (Fault_tolerant.vertex_spanner g ~t:1.5 ~k:1));
+  Alcotest.(check int) "edge variant edges" 14
+    (Wgraph.n_edges (Fault_tolerant.spanner g ~t:1.5 ~k:1));
+  Alcotest.(check bool) "survives every single edge fault" true
+    (vertex_spanner_survives_edge_faults g)
 
 let prop_vertex_k1_survives_single_vertex_fault =
   qtest ~count:8 "fault: vertex k = 1 survives any single vertex fault"
@@ -169,10 +193,12 @@ let () =
       ( "vertex variant",
         [
           prop_vertex_k0_equals_seq_greedy;
-          prop_vertex_variant_denser;
+          prop_vertex_survives_edge_faults;
           prop_vertex_k1_survives_single_vertex_fault;
           Alcotest.test_case "vertex-disjoint short paths" `Quick
             test_vertex_disjoint_short_paths;
+          Alcotest.test_case "seed 2477: sparser, still edge-tolerant" `Quick
+            test_seed_2477;
         ] );
       ( "primitives",
         [
