@@ -106,9 +106,10 @@ trace-smoke:
 # Bit-identity fingerprints: MD5s of relaxed spanners at n = 10^4
 # (seeds 1-3), the oracle's `topoctl query --batch` answers to 3000
 # fixed pairs on the seed-1 spanner, greedy/ft/ft-vertex spanners at
-# n = 1500, `topoctl rounds` at n = 800 and `simulate --full-protocol`
-# at n = 60. Diff the output of two checkouts; a refactor must leave
-# it unchanged.
+# n = 1500, `topoctl rounds` at n = 800, `simulate --full-protocol`
+# at n = 60 and the final checkpoint of a 30-epoch churn replay at
+# n = 2000 through `topoctl serve`. Diff the output of two checkouts;
+# a refactor must leave it unchanged.
 fingerprints:
 	bash scripts/fingerprints.sh
 

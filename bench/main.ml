@@ -1027,9 +1027,7 @@ let e_churn () =
      bit-identical however the repair work is spread over domains. *)
   let fingerprint domains =
     Parallel.Pool.set_domains domains;
-    let engine =
-      Dynamic.Engine.create ~clock:Unix.gettimeofday ~params model
-    in
+    let engine = Dynamic.Engine.create ~params model in
     let acc = ref [] in
     Dynamic.Engine.replay engine trace ~f:(fun r ->
         acc :=
@@ -1040,7 +1038,7 @@ let e_churn () =
   in
   let deterministic = fingerprint 1 = fingerprint 4 in
   (* The measured run. *)
-  let engine = Dynamic.Engine.create ~clock:Unix.gettimeofday ~params model in
+  let engine = Dynamic.Engine.create ~params model in
   let build_s = Dynamic.Engine.last_rebuild_seconds engine in
   let rows = ref [] in
   Dynamic.Engine.replay engine trace ~f:(fun r ->

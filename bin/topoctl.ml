@@ -589,7 +589,7 @@ let churn_cmd =
       in
       let engine =
         Dynamic.Engine.create ?backend ~gray ~rebuild_threshold:threshold
-          ~clock:Unix.gettimeofday ~params model
+          ~params model
       in
       Format.printf
         "initial: n = %d, t = %.3f, %d spanner edges, full build %.1f ms@."
@@ -964,9 +964,7 @@ let serve_bench_cmd =
       Topo.Params.of_epsilon ~eps ~alpha:model.Ubg.Model.alpha
         ~dim:(Ubg.Model.dim model)
     in
-    let engine =
-      Dynamic.Engine.create ~clock:Unix.gettimeofday ~params model
-    in
+    let engine = Dynamic.Engine.create ~params model in
     let service =
       Oracle.Service.attach ~eps:oeps ~label:"serve-bench" engine
     in

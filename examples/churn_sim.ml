@@ -52,18 +52,9 @@ let () =
   Format.printf "@.%d incremental epochs, %d rebuilds, %d cert failures@." incr
     rebuilds cert_failures;
 
-  (* 4. Epoch-stamped snapshots support structural diffs: what did the
-     last batch actually change in the spanner? *)
-  (match Dynamic.Engine.snapshots engine with
-  | after :: before :: _ ->
-      let added, removed = Dynamic.Engine.diff ~before ~after in
-      Format.printf "last epoch: +%d / -%d spanner edges@." (Array.length added)
-        (Array.length removed)
-  | _ -> ());
-
-  (* 5. And rollback: rewind the engine one epoch. *)
-  let e = Dynamic.Engine.epoch engine in
-  Dynamic.Engine.rollback engine;
-  Format.printf "rollback  : epoch %d -> %d, %d nodes alive@." e
-    (Dynamic.Engine.epoch engine)
-    (Dynamic.Engine.n_alive engine)
+  (* 4. The latest snapshot names the nodes whose spanner edges the
+     last batch changed: the region a consumer such as the distance
+     oracle repairs from. *)
+  let snap = Dynamic.Engine.latest engine in
+  Format.printf "last epoch: %d nodes with changed spanner edges@."
+    (Array.length snap.Dynamic.Engine.snap_dirty)

@@ -3,7 +3,7 @@ module Engine = Dynamic.Engine
 module Csr = Graph.Csr
 
 let save ~path ~events engine =
-  let snap = Engine.export_state engine in
+  let snap = Engine.latest engine in
   let params = Engine.params engine in
   let ck =
     {
@@ -24,7 +24,7 @@ let save ~path ~events engine =
 let load = Io.load_checkpoint
 let cursor ck = (ck.Io.ck_epoch, ck.Io.ck_events)
 
-let restore ?backend ?clock ~params ck =
+let restore ?backend ~params ck =
   let snap =
     {
       Engine.snap_epoch = ck.Io.ck_epoch;
@@ -39,4 +39,4 @@ let restore ?backend ?clock ~params ck =
       snap_dirty = [||];
     }
   in
-  Engine.restore ?backend ?clock ~params snap
+  Engine.restore ?backend ~params snap

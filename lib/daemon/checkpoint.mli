@@ -1,7 +1,7 @@
 (** Atomic engine checkpoints over {!Ubg.Io}'s [ubg-checkpoint]
     format.
 
-    {!save} serialises {!Dynamic.Engine.export_state} plus the ingest
+    {!save} serialises {!Dynamic.Engine.latest} plus the ingest
     cursor; the write goes to [path ^ ".tmp"] and is renamed into
     place, so a crash mid-write leaves the previous checkpoint intact
     and a reader never observes a torn file. {!restore} is the inverse:
@@ -24,14 +24,13 @@ val load : string -> Ubg.Io.checkpoint
     on resume. *)
 val cursor : Ubg.Io.checkpoint -> int * int
 
-(** [restore ?backend ?clock ~params ck] rebuilds a live engine from a
+(** [restore ?backend ~params ck] rebuilds a live engine from a
     loaded checkpoint via {!Dynamic.Engine.restore} (which re-certifies
-    — a corrupt checkpoint raises [Failure]). [backend] and [clock] are
-    engine configuration, not state; pass the same values the original
-    daemon ran with. *)
+    — a corrupt checkpoint raises [Failure]). [backend] is engine
+    configuration, not state; pass the value the original daemon ran
+    with. *)
 val restore :
   ?backend:Spanner.Backend.t ->
-  ?clock:(unit -> float) ->
   params:Topo.Params.t ->
   Ubg.Io.checkpoint ->
   Dynamic.Engine.t

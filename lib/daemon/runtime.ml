@@ -92,8 +92,7 @@ let run ?stop config =
                ck_dim dim);
         let params = Topo.Params.of_epsilon ~eps:config.eps ~alpha ~dim in
         let engine =
-          Checkpoint.restore ?backend:config.backend
-            ~clock:Unix.gettimeofday ~params ck
+          Checkpoint.restore ?backend:config.backend ~params ck
         in
         let ck_epoch, ck_events = Checkpoint.cursor ck in
         (match tail with
@@ -108,8 +107,7 @@ let run ?stop config =
           Topo.Params.of_epsilon ~eps:config.eps
             ~alpha:initial_model.Ubg.Model.alpha ~dim
         in
-        ( Engine.create ?backend:config.backend ~clock:Unix.gettimeofday
-            ~params initial_model,
+        ( Engine.create ?backend:config.backend ~params initial_model,
           0 )
   in
   (* Oracle serving plane. Attach runs on both paths deliberately: a

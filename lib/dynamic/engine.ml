@@ -61,38 +61,28 @@ type t = {
   rebuild_threshold : float;
   clock : unit -> float;
   pop : Population.t;
-  mutable ubg : Wgraph.t;  (* capacity-indexed; dead slots isolated *)
-  mutable spanner : Wgraph.t;
-  mutable epoch : int;
-  mutable snaps : snapshot list;  (* newest first, <= [history] long *)
+  mutable spanner : Wgraph.t;  (* capacity-indexed; dead slots isolated *)
+  mutable latest : snapshot;
+      (* the certified epoch; its [snap_ubg] is the engine's only copy
+         of the α-UBG *)
   mutable last_rebuild : float;
   mutable n_incremental : int;
   mutable n_rebuilds : int;
   mutable n_cert_failures : int;
   mutable epoch_hooks : (snapshot -> unit) list;
       (* newest first; fired in registration order after each
-         successful apply_batch snapshot push *)
+         successful apply_batch *)
 }
 
-let epoch t = t.epoch
+let epoch t = t.latest.snap_epoch
 let n_alive t = Population.n_alive t.pop
 let params t = t.params
 let backend t = t.backend
-let ubg t = t.ubg
 let spanner t = t.spanner
 let last_rebuild_seconds t = t.last_rebuild
 let counters t = (t.n_incremental, t.n_rebuilds, t.n_cert_failures)
-let snapshots t = t.snaps
-
-let latest t =
-  match t.snaps with
-  | s :: _ -> s
-  | [] -> assert false (* create always pushes epoch 0 *)
-
+let latest t = t.latest
 let on_epoch t f = t.epoch_hooks <- f :: t.epoch_hooks
-
-let diff ~before ~after =
-  Csr.diff ~before:before.snap_spanner ~after:after.snap_spanner
 
 let weight_ratio snap =
   Csr.total_weight snap.snap_spanner /. Graph.Mst.weight_csr snap.snap_ubg
@@ -101,32 +91,24 @@ let weight_ratio snap =
 (* Slot-indexed graph maintenance                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Wgraph vertex sets are fixed at creation, so capacity growth (a join
-   with no free slot) reallocates and re-inserts. Joins grow capacity
-   by one, so this stays O(m) per fresh slot. *)
-let grown g cap =
-  if Wgraph.n_vertices g >= cap then g
-  else begin
-    let g' = Wgraph.create cap in
-    Wgraph.iter_edges g (fun u v w -> Wgraph.add_edge g' u v w);
-    g'
-  end
-
 let remove_incident g s =
   List.iter (fun (v, _) -> ignore (Wgraph.remove_edge g s v)) (Wgraph.neighbors g s)
 
-(* [current_model t] compacts alive slots to 0..k-1 and revalidates the
-   α-UBG invariant; the mapping array sends compact ids back to slots. *)
-let current_model t =
+(* [model_of t base] compacts alive slots to 0..k-1 and revalidates
+   the α-UBG invariant on [base]; the mapping array sends compact ids
+   back to slots. *)
+let model_of t base =
   let ids = Array.of_list (Population.alive_ids t.pop) in
   let k = Array.length ids in
   let local_of = Array.make (Population.capacity t.pop) (-1) in
   Array.iteri (fun li s -> local_of.(s) <- li) ids;
   let points = Array.map (fun s -> t.pop.Population.points.(s)) ids in
   let g = Wgraph.create k in
-  Wgraph.iter_edges t.ubg (fun u v w ->
+  Csr.iter_edges base (fun u v w ->
       Wgraph.add_edge g local_of.(u) local_of.(v) w);
   (Model.make ~alpha:t.params.Params.alpha points g, ids)
+
+let current_model t = model_of t t.latest.snap_ubg
 
 (* ------------------------------------------------------------------ *)
 (* Full rebuild fallback                                               *)
@@ -141,8 +123,8 @@ let construct ~backend ~params model =
       (Topo.Relaxed_greedy.build ~params model).Topo.Relaxed_greedy.spanner
   | Some b -> (Spanner.Backend.build b ~params model).Spanner.Backend.spanner
 
-let full_rebuild t =
-  let model, ids = current_model t in
+let full_rebuild t base =
+  let model, ids = model_of t base in
   let t0 = t.clock () in
   let spanner = construct ~backend:t.backend ~params:t.params model in
   t.last_rebuild <- t.clock () -. t0;
@@ -171,11 +153,12 @@ let greedy_repair t dirty =
 (* Certification and snapshots                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Freeze both graphs and certify: subgraph inclusion + edge stretch.
-   A spanner edge missing from the base reads as infinite stretch so
-   the caller's fallback logic treats it like any other failure. *)
-let certify t =
-  let base = Csr.of_wgraph t.ubg and sp = Csr.of_wgraph t.spanner in
+(* Freeze the live spanner and certify it against [base]: subgraph
+   inclusion + edge stretch. A spanner edge missing from the base reads
+   as infinite stretch so the caller's fallback logic treats it like
+   any other failure. *)
+let certify ~base spanner =
+  let sp = Csr.of_wgraph spanner in
   let subgraph_ok = ref true in
   Csr.iter_edges sp (fun u v _ ->
       if not (Csr.mem_edge base u v) then subgraph_ok := false);
@@ -183,27 +166,13 @@ let certify t =
     if !subgraph_ok then Topo.Verify.edge_stretch_csr ~base ~spanner:sp
     else infinity
   in
-  (base, sp, stretch)
+  (sp, stretch)
 
 (* The largest stretch certification accepts; dirty marking uses it
    too, as the witness radius (see the marking step). *)
-let certified_stretch t = t.params.Params.t +. 1e-9
+let certified_stretch params = params.Params.t +. 1e-9
 
-let certifies t stretch = stretch <= certified_stretch t
-
-(* Snapshots kept for [diff] and [rollback]. *)
-let history = 4
-
-let restore_from t snap =
-  Population.restore t.pop ~points:snap.snap_points ~alive:snap.snap_alive;
-  t.ubg <- Csr.to_wgraph snap.snap_ubg;
-  t.spanner <- Csr.to_wgraph snap.snap_spanner;
-  t.epoch <- snap.snap_epoch
-
-let rec take k = function
-  | [] -> []
-  | _ when k <= 0 -> []
-  | x :: rest -> x :: take (k - 1) rest
+let certifies params stretch = stretch <= certified_stretch params
 
 (* Endpoints of every spanner edge that changed between [prev] and
    [sp], sorted and deduplicated. This is the dirty-region payload the
@@ -213,58 +182,37 @@ let rec take k = function
    these endpoints. *)
 let dirty_of_diff ~prev ~sp =
   let added, removed = Csr.diff ~before:prev ~after:sp in
-  if Array.length added = 0 && Array.length removed = 0 then [||]
-  else begin
-    let tbl = Hashtbl.create 64 in
-    let mark { Wgraph.u; v; _ } =
-      Hashtbl.replace tbl u ();
-      Hashtbl.replace tbl v ()
-    in
-    Array.iter mark added;
-    Array.iter mark removed;
-    let out = Array.make (Hashtbl.length tbl) 0 in
-    let i = ref 0 in
-    Hashtbl.iter
-      (fun v () ->
-        out.(!i) <- v;
-        incr i)
-      tbl;
-    Array.sort compare out;
-    out
-  end
+  let ends = ref [] in
+  let mark { Wgraph.u; v; _ } = ends := u :: v :: !ends in
+  Array.iter mark added;
+  Array.iter mark removed;
+  Array.of_list (List.sort_uniq compare !ends)
 
-let push_snapshot t ~base ~sp ~stretch =
-  let snap_dirty =
-    match t.snaps with
-    | [] -> [||]
-    | prev :: _ -> dirty_of_diff ~prev:prev.snap_spanner ~sp
-  in
-  let snap =
-    {
-      snap_epoch = t.epoch;
-      snap_points = Array.copy t.pop.Population.points;
-      snap_alive = Array.copy t.pop.Population.alive;
-      snap_ubg = base;
-      snap_spanner = sp;
-      snap_stretch = stretch;
-      snap_dirty;
-    }
-  in
-  t.snaps <- snap :: take (history - 1) t.snaps
-
-let rollback t =
-  match t.snaps with
-  | _ :: (prev :: _ as rest) ->
-      restore_from t prev;
-      t.snaps <- rest
-  | _ -> failwith "Engine.rollback: no older snapshot"
+let snapshot pop ~epoch ~base ~sp ~stretch ~dirty =
+  {
+    snap_epoch = epoch;
+    snap_points = Array.copy pop.Population.points;
+    snap_alive = Array.copy pop.Population.alive;
+    snap_ubg = base;
+    snap_spanner = sp;
+    snap_stretch = stretch;
+    snap_dirty = dirty;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Batch application                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let apply_batch_impl t (events : Churn.event array) =
+(* Put the population and the live spanner back to the latest
+   snapshot, so that a batch that raises leaves no trace. *)
+let restore_latest t =
+  let s = t.latest in
+  Population.restore t.pop ~points:s.snap_points ~alive:s.snap_alive;
+  t.spanner <- Csr.to_wgraph s.snap_spanner
+
+let step t (events : Churn.event array) =
   let t0 = t.clock () in
+  let prev = t.latest in
   (* 1. Events -> population, recording touched positions (old and new)
      and which slots need their incident α-UBG edges re-derived. *)
   let touched = ref [] and refreshed = ref [] and dead = ref [] in
@@ -289,22 +237,19 @@ let apply_batch_impl t (events : Churn.event array) =
     events;
   let touched = !touched in
   let cap = Population.capacity t.pop in
-  t.ubg <- grown t.ubg cap;
-  t.spanner <- grown t.spanner cap;
-  (* 2. Update the α-UBG itself: drop every edge incident to a touched
-     slot, then re-derive adjacency for the slots that are alive with a
-     new position (join targets and movers). *)
+  Wgraph.grow t.spanner cap;
+  (* 2. Derive the α-UBG from the latest one: drop every edge incident
+     to a touched slot, then re-derive adjacency for the slots that are
+     alive with a new position (join targets and movers). *)
   let sort_uniq l = List.sort_uniq compare l in
-  List.iter
-    (fun s ->
-      remove_incident t.ubg s;
-      remove_incident t.spanner s)
-    (sort_uniq (!dead @ !refreshed));
+  let cut = sort_uniq (!dead @ !refreshed) in
+  List.iter (remove_incident t.spanner) cut;
   let alpha = t.params.Params.alpha in
   let points = t.pop.Population.points in
   (* Unit-cell grid over every stored coordinate, dead slots included
      (they are skipped below); a leave-only batch builds none. *)
   let refreshed = sort_uniq !refreshed in
+  let fresh = ref [] in
   if refreshed <> [] then begin
     let grid = Grid.build ~cell:1.0 points in
     List.iter
@@ -317,10 +262,15 @@ let apply_batch_impl t (events : Churn.event array) =
                   || Ubg.Gray_zone.decide t.gray ~alpha ~u:s ~v:j
                        ~pu:points.(s) ~pv:points.(j) ~dist:d
                 in
-                if keep then Wgraph.add_edge t.ubg s j d
+                if keep then fresh := { Wgraph.u = s; v = j; w = d } :: !fresh
               end))
       refreshed
   end;
+  let base =
+    Csr.add_edges
+      (Csr.isolate prev.snap_ubg ~n:cap (Array.of_list cut))
+      (Array.of_list !fresh)
+  in
   (* 3. Dirty marking: edge {u,v} of length len is dirty when an
      endpoint is within certified_stretch·len/2 of a touched position,
      the radius of any certified witness path through it (see the .mli
@@ -333,14 +283,14 @@ let apply_batch_impl t (events : Churn.event array) =
           let d = Point.distance p q in
           if d < dmin.(i) then dmin.(i) <- d)
         touched);
-  let half_stretch = 0.5 *. certified_stretch t in
+  let half_stretch = 0.5 *. certified_stretch t.params in
   let dirty = ref [] and n_dirty = ref 0 in
-  Wgraph.iter_edges t.ubg (fun u v w ->
+  Csr.iter_edges base (fun u v w ->
       if Float.min dmin.(u) dmin.(v) <= half_stretch *. w then begin
         dirty := { Wgraph.u; v; w } :: !dirty;
         incr n_dirty
       end);
-  let n_ubg_edges = Wgraph.n_edges t.ubg in
+  let n_ubg_edges = Csr.n_edges base in
   let dirty_fraction =
     if n_ubg_edges = 0 then 0.0
     else float_of_int !n_dirty /. float_of_int n_ubg_edges
@@ -360,13 +310,13 @@ let apply_batch_impl t (events : Churn.event array) =
         kind := Rebuild_backend;
         t.n_rebuilds <- t.n_rebuilds + 1;
         Obs.Metrics.incr m_rebuilds;
-        full_rebuild t
+        full_rebuild t base
       end
       else if dirty_fraction > t.rebuild_threshold then begin
         kind := Rebuild_threshold;
         t.n_rebuilds <- t.n_rebuilds + 1;
         Obs.Metrics.incr m_rebuilds;
-        full_rebuild t
+        full_rebuild t base
       end
       else begin
         t.n_incremental <- t.n_incremental + 1;
@@ -375,43 +325,41 @@ let apply_batch_impl t (events : Churn.event array) =
       end);
   let repair_seconds = t.clock () -. t0 in
   (* 5. Certify; an incremental result that fails falls back to a full
-     rebuild, and a rebuild that fails rolls the engine back. *)
+     rebuild, and a rebuild that fails raises (the caller rolls the
+     engine back). *)
   let c0 = t.clock () in
-  let base, sp, stretch =
+  let sp, stretch =
     Obs.Trace.span ~cat:"dynamic" "certify" (fun () ->
-        let base, sp, stretch = certify t in
-        if certifies t stretch then (base, sp, stretch)
+        let sp, stretch = certify ~base t.spanner in
+        if certifies t.params stretch then (sp, stretch)
         else begin
           Log.warn (fun m ->
               m "epoch %d: stretch %g fails t = %g after %s repair; rebuilding"
-                (t.epoch + 1) stretch t.params.Params.t
+                (prev.snap_epoch + 1) stretch t.params.Params.t
                 (match !kind with Incremental -> "incremental" | _ -> "rebuild"));
           t.n_cert_failures <- t.n_cert_failures + 1;
           Obs.Metrics.incr m_cert_failures;
           if !kind = Incremental then begin
             kind := Rebuild_cert_failure;
-            full_rebuild t;
-            certify t
+            full_rebuild t base;
+            certify ~base t.spanner
           end
-          else (base, sp, stretch)
+          else (sp, stretch)
         end)
   in
-  if not (certifies t stretch) then begin
-    restore_from t (latest t);
+  if not (certifies t.params stretch) then
     failwith
       (Printf.sprintf
          "Engine.apply_batch: stretch %g exceeds t = %g even after full \
           rebuild; rolled back to epoch %d"
-         stretch t.params.Params.t t.epoch)
-  end;
+         stretch t.params.Params.t prev.snap_epoch);
   let certify_seconds = t.clock () -. c0 in
-  t.epoch <- t.epoch + 1;
+  t.latest <-
+    snapshot t.pop ~epoch:(prev.snap_epoch + 1) ~base ~sp ~stretch
+      ~dirty:(dirty_of_diff ~prev:prev.snap_spanner ~sp);
   Obs.Metrics.incr m_epochs;
-  push_snapshot t ~base ~sp ~stretch;
-  (let snap = latest t in
-   List.iter (fun f -> f snap) (List.rev t.epoch_hooks));
   {
-    epoch = t.epoch;
+    epoch = t.latest.snap_epoch;
     n_events = Array.length events;
     n_alive = Population.n_alive t.pop;
     n_ubg_edges;
@@ -424,6 +372,17 @@ let apply_batch_impl t (events : Churn.event array) =
     repair_seconds;
     certify_seconds;
   }
+
+let apply_batch_impl t events =
+  let r =
+    try step t events
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      restore_latest t;
+      Printexc.raise_with_backtrace e bt
+  in
+  List.iter (fun f -> f t.latest) (List.rev t.epoch_hooks);
+  r
 
 let kind_code = function
   | Incremental -> 0.0
@@ -452,17 +411,19 @@ let replay t (trace : Churn.trace) ~f =
   Array.iter (fun batch -> f (apply_batch t batch)) trace.Churn.batches
 
 (* ------------------------------------------------------------------ *)
-(* Construction                                                        *)
+(* Construction and restore                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The record [create] and [restore] both start from, with the one
-   validation of their configuration. The gray-zone policy and the
-   rebuild threshold are configuration, not state: a restored engine
-   runs with the defaults, so only [create] can pass a bad threshold. *)
+(* The record [create] and [restore] both start from, once [spanner]
+   certifies against [base]; [fail] words the failure from the stretch
+   and [t]. The gray-zone policy and the rebuild threshold are
+   configuration, not state: a restored engine runs with the
+   defaults. *)
 let make ?backend ?(gray = Ubg.Gray_zone.Keep_all) ?(rebuild_threshold = 0.3)
-    ~clock ~params ~pop ~ubg ~spanner ~epoch () =
-  if rebuild_threshold <= 0.0 || rebuild_threshold > 1.0 then
-    invalid_arg "Engine.create: rebuild_threshold must be in (0, 1]";
+    ~clock ~params ~pop ~spanner ~last_rebuild ~epoch ~base ~fail () =
+  let sp, stretch = certify ~base spanner in
+  if not (certifies params stretch) then
+    failwith (fail stretch params.Params.t);
   let backend_incremental =
     match backend with
     | None -> true
@@ -476,43 +437,32 @@ let make ?backend ?(gray = Ubg.Gray_zone.Keep_all) ?(rebuild_threshold = 0.3)
     rebuild_threshold;
     clock;
     pop;
-    ubg;
     spanner;
-    epoch;
-    snaps = [];
-    last_rebuild = 0.0;
+    latest = snapshot pop ~epoch ~base ~sp ~stretch ~dirty:[||];
+    last_rebuild;
     n_incremental = 0;
     n_rebuilds = 0;
     n_cert_failures = 0;
     epoch_hooks = [];
   }
 
-let create ?backend ?gray ?rebuild_threshold ?(clock = Sys.time) ~params model
-    =
-  let t =
-    make ?backend ?gray ?rebuild_threshold ~clock ~params
-      ~pop:(Population.of_points model.Model.points)
-      ~ubg:(Wgraph.copy model.Model.graph) ~spanner:(Wgraph.create 0) ~epoch:0
-      ()
-  in
+let create ?backend ?gray ?rebuild_threshold ?(clock = Obs.Control.now)
+    ~params model =
+  (match rebuild_threshold with
+  | Some r when r <= 0.0 || r > 1.0 ->
+      invalid_arg "Engine.create: rebuild_threshold must be in (0, 1]"
+  | _ -> ());
   let t0 = clock () in
-  t.spanner <- construct ~backend ~params model;
-  t.last_rebuild <- clock () -. t0;
-  let base, sp, stretch = certify t in
-  if not (certifies t stretch) then
-    failwith
-      (Printf.sprintf "Engine.create: initial build has stretch %g > t = %g"
-         stretch t.params.Params.t);
-  push_snapshot t ~base ~sp ~stretch;
-  t
+  let spanner = construct ~backend ~params model in
+  let last_rebuild = clock () -. t0 in
+  make ?backend ?gray ?rebuild_threshold ~clock ~params
+    ~pop:(Population.of_points model.Model.points)
+    ~spanner ~last_rebuild ~epoch:0 ~base:(Csr.of_wgraph model.Model.graph)
+    ~fail:
+      (Printf.sprintf "Engine.create: initial build has stretch %g > t = %g")
+    ()
 
-(* ------------------------------------------------------------------ *)
-(* State export / restore                                              *)
-(* ------------------------------------------------------------------ *)
-
-let export_state = latest
-
-let restore ?backend ?(clock = Sys.time) ~params snap =
+let restore ?backend ~params snap =
   let cap = Array.length snap.snap_points in
   if
     Array.length snap.snap_alive <> cap
@@ -523,23 +473,20 @@ let restore ?backend ?(clock = Sys.time) ~params snap =
     failwith "Engine.restore: snapshot has no alive slot";
   let pop = Population.of_points snap.snap_points in
   Population.restore pop ~points:snap.snap_points ~alive:snap.snap_alive;
-  let t =
-    make ?backend ~clock ~params ~pop
-      ~ubg:(Csr.to_wgraph snap.snap_ubg)
-      ~spanner:(Csr.to_wgraph snap.snap_spanner)
-      ~epoch:snap.snap_epoch ()
-  in
   (* Re-certify rather than trust the recorded stretch: a corrupt or
      hand-edited checkpoint must not become a serving engine. *)
-  let base, sp, stretch = certify t in
-  if not (certifies t stretch) then
-    failwith
-      (Printf.sprintf
-         "Engine.restore: checkpoint at epoch %d has stretch %g > t = %g"
-         snap.snap_epoch stretch t.params.Params.t);
-  if abs_float (stretch -. snap.snap_stretch) > 1e-6 then
+  let t =
+    make ?backend ~clock:Obs.Control.now ~params ~pop
+      ~spanner:(Csr.to_wgraph snap.snap_spanner) ~last_rebuild:0.0
+      ~epoch:snap.snap_epoch ~base:snap.snap_ubg
+      ~fail:
+        (Printf.sprintf
+           "Engine.restore: checkpoint at epoch %d has stretch %g > t = %g"
+           snap.snap_epoch)
+      ()
+  in
+  if abs_float (t.latest.snap_stretch -. snap.snap_stretch) > 1e-6 then
     Log.warn (fun m ->
-        m "restore: recomputed stretch %g differs from recorded %g" stretch
-          snap.snap_stretch);
-  push_snapshot t ~base ~sp ~stretch;
+        m "restore: recomputed stretch %g differs from recorded %g"
+          t.latest.snap_stretch snap.snap_stretch);
   t

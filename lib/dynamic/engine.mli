@@ -1,14 +1,17 @@
 (** Incremental spanner maintenance under churn.
 
-    The engine owns a live α-UBG (a {!Ubg.Churn.Population} plus its
-    edge set) and a certified [t]-spanner of it, and applies batched
-    join / leave / move events without recomputing the spanner from
-    scratch. Node identities are capacity slots (dead slots stay as
-    isolated vertices until a join reuses them), so graphs never
-    renumber across epochs.
+    The engine owns an α-UBG over a {!Ubg.Churn.Population} and a
+    certified [t]-spanner of it, and applies batched join / leave /
+    move events without recomputing the spanner from scratch. Node
+    identities are capacity slots (dead slots stay as isolated vertices
+    until a join reuses them), so graphs never renumber across epochs.
+    The engine keeps one epoch: the {!latest} certified snapshot, whose
+    [snap_ubg] is its only copy of the α-UBG, and the live spanner
+    ({!spanner}) that the repair edits.
 
-    Repair is local. A batch first updates the α-UBG itself (edges
-    incident to touched nodes are re-derived through a unit-cell
+    Repair is local. A batch first derives the next α-UBG from the
+    latest one ({!Graph.Csr.isolate} drops the edges of touched slots,
+    {!Graph.Csr.add_edges} adds the ones re-derived through a unit-cell
     {!Geometry.Grid} and the gray-zone policy), drops the spanner edges
     incident to touched nodes, then marks {e dirty} base edges: edge
     [{u, v}] of length [len] is dirty when some endpoint lies within
@@ -28,15 +31,16 @@
     full rebuild.
 
     Every epoch is re-certified from scratch with
-    {!Topo.Verify.edge_stretch_csr} on frozen {!Graph.Csr} snapshots.
-    Its search from each vertex stops at the vertex's farthest base
-    neighbour, so certification settles a t-ball per vertex, not the
-    whole graph: 29–43 ms per epoch at n = 10⁴ (E-churn,
-    [BENCH_dynamic.json]), where one search per vertex over the whole
-    graph took 13–15 s. A certification failure triggers
-    a full rebuild; if even that fails, the engine rolls back to the
-    previous snapshot and raises. Snapshots are epoch-stamped and kept
-    in a bounded history for {!diff} and {!rollback}. *)
+    {!Topo.Verify.edge_stretch_csr}: the new α-UBG against a frozen
+    {!Graph.Csr} copy of the live spanner. Its search from each vertex
+    stops at the vertex's farthest base neighbour, so certification
+    settles a t-ball per vertex, not the whole graph: 13–16 ms per
+    epoch at n = 10⁴ (E-churn, [BENCH_dynamic.json]), where one search
+    per vertex over the whole graph took 13–15 s. A certification
+    failure triggers a full rebuild. A batch that raises (an event
+    naming a dead slot, or a rebuild that fails certification) puts
+    the population and the spanner back to the latest snapshot, so the
+    engine stays at its last certified epoch. *)
 
 type snapshot = {
   snap_epoch : int;
@@ -50,7 +54,7 @@ type snapshot = {
           changed since the previous snapshot ({!Graph.Csr.diff} on
           consecutive spanners) — the dirty region consumers such as
           {!Oracle.Service} repair from. Empty on the epoch-0 snapshot
-          and on the snapshot pushed by {!restore}, where no previous
+          and on the snapshot {!restore} starts from, where no previous
           spanner exists to diff against. A vertex absent from
           [snap_dirty] has byte-identical incident spanner edges in
           both epochs. *)
@@ -104,9 +108,10 @@ type t
     [gray] (default [Keep_all]) re-decides gray-zone pairs incident to
     joined or moved nodes. [rebuild_threshold] (default [0.3]) is the
     dirty fraction above which a batch falls back to a full rebuild;
-    [Invalid_argument] unless it lies in [(0, 1]]. The snapshot list
-    keeps the 4 newest epochs. [clock] (default [Sys.time]) times
-    repairs. *)
+    [Invalid_argument] unless it lies in [(0, 1]]. [clock] (default
+    {!Obs.Control.now}, the wall clock unless a test replaces it) times
+    repairs and rebuilds. It stays an argument only because the
+    perfbench harness ([perfbench/main.ml]) passes its own. *)
 val create :
   ?backend:Spanner.Backend.t ->
   ?gray:Ubg.Gray_zone.t ->
@@ -121,10 +126,11 @@ val create :
 val backend : t -> Spanner.Backend.t option
 
 (** [apply_batch t events] applies one epoch's events and repairs +
-    certifies the spanner. Raises [Invalid_argument] on an event
-    naming a dead slot (the population is then in a partial state —
-    {!rollback} recovers); raises [Failure] if even a full rebuild
-    fails certification (after rolling back). *)
+    certifies the spanner. The batch is atomic: it raises
+    [Invalid_argument] on an event naming a dead slot, and [Failure]
+    if even a full rebuild fails certification, and either way the
+    engine is first put back to {!latest}, as if the batch had never
+    been applied. *)
 val apply_batch : t -> Ubg.Churn.event array -> report
 
 (** Replay convenience: [replay t trace ~f] applies every batch of
@@ -137,15 +143,14 @@ val epoch : t -> int
 val n_alive : t -> int
 val params : t -> Topo.Params.t
 
-(** The live α-UBG and spanner, capacity-indexed (dead slots are
-    isolated). Callers must not mutate them. *)
-val ubg : t -> Graph.Wgraph.t
-
+(** The live spanner, capacity-indexed (dead slots are isolated),
+    which the repair edits in place. Callers must not mutate it. The
+    α-UBG is [(latest t).snap_ubg]. *)
 val spanner : t -> Graph.Wgraph.t
 
-(** [current_model t] compacts the alive slots into a fresh validated
-    {!Ubg.Model.t}; the returned array maps compact ids back to slots
-    (ascending). *)
+(** [current_model t] compacts the alive slots of {!latest} into a
+    fresh validated {!Ubg.Model.t}; the returned array maps compact ids
+    back to slots (ascending). *)
 val current_model : t -> Ubg.Model.t * int array
 
 (** Wall-clock seconds of the most recent full rebuild (initial build
@@ -159,24 +164,21 @@ val counters : t -> int * int * int
 
 (** {2 Snapshots} *)
 
-(** Newest first; at most the 4 newest epochs. *)
-val snapshots : t -> snapshot list
-
+(** The latest certified epoch, the only one the engine keeps. A caller
+    that wants two consecutive epochs reads it before and after
+    {!apply_batch}. *)
 val latest : t -> snapshot
 
 (** [on_epoch t f] registers [f] to run on each new snapshot, on the
     domain calling {!apply_batch}, after certification succeeds and
-    the snapshot is pushed but before the report is returned — the
-    publish hook the oracle serving plane attaches to. Hooks fire in
-    registration order and are never unregistered; neither {!create}'s
-    epoch-0 snapshot (register-then-publish yourself via {!latest})
-    nor {!rollback} fires them. A hook that raises aborts the batch
-    {e after} the epoch was committed — keep hooks total. *)
+    the snapshot becomes {!latest} but before the report is returned —
+    the publish hook the oracle serving plane attaches to. Hooks fire in
+    registration order and are never unregistered; {!create}'s
+    epoch-0 snapshot does not fire them (register-then-publish
+    yourself via {!latest}), nor does a batch that raises. A hook that
+    raises aborts the batch {e after} the epoch was committed — keep
+    hooks total. *)
 val on_epoch : t -> (snapshot -> unit) -> unit
-
-(** [diff ~before ~after] is {!Graph.Csr.diff} on the two snapshots'
-    spanners: the edges added and removed between the epochs. *)
-val diff : before:snapshot -> after:snapshot -> Graph.Wgraph.edge array * Graph.Wgraph.edge array
 
 (** [weight_ratio snap] is the spanner's total weight over the weight
     of a minimum spanning forest of the α-UBG, at [snap]'s epoch. It
@@ -184,33 +186,27 @@ val diff : before:snapshot -> after:snapshot -> Graph.Wgraph.edge array * Graph.
     leaves it to the callers that print it. *)
 val weight_ratio : snapshot -> float
 
-(** [rollback t] discards the newest snapshot and restores the engine
-    (population, α-UBG, spanner, epoch) to the one before it. Raises
-    [Failure] when no older snapshot remains. *)
-val rollback : t -> unit
-
-(** {2 State export / restore}
+(** {2 State restore}
 
     The persistence surface behind [Ubg.Io]'s [ubg-checkpoint] format
     and the daemon's checkpointer. A {!snapshot} already is the full
     engine state at an epoch boundary (apply_batch only reads the
-    population, the two graphs and the parameters), so export is
-    {!latest} and restore rebuilds a live engine around a snapshot. *)
+    population, the two graphs and the parameters), so the state to
+    persist is {!latest} and restore rebuilds a live engine around a
+    snapshot. *)
 
-(** [export_state t] is {!latest}[ t] — the certified state to persist. *)
-val export_state : t -> snapshot
-
-(** [restore ?backend ?clock ~params snap] reconstructs an engine
-    positioned at [snap]'s epoch without rebuilding the spanner: the
-    population, α-UBG and spanner are thawed from the snapshot,
-    re-certified (a corrupt or mismatched checkpoint raises
-    [Failure]), and pushed as the engine's only snapshot. Subsequent {!apply_batch} calls produce
-    bit-identical epochs to an uninterrupted engine that reached
-    [snap]'s epoch the long way — the resume guarantee the daemon's
-    kill/restart test pins. [backend] and [clock] mean what they mean
-    in {!create}; they are configuration, not state, and must be
-    re-given on restore. A restored engine runs with {!create}'s
-    default gray-zone policy and rebuild threshold.
+(** [restore ?backend ~params snap] reconstructs an engine positioned
+    at [snap]'s epoch without rebuilding the spanner: the population
+    and spanner are thawed from the snapshot, the spanner is
+    re-certified against [snap_ubg] (a corrupt or mismatched checkpoint
+    raises [Failure]), and the result becomes the engine's snapshot.
+    Subsequent {!apply_batch} calls produce bit-identical epochs to an
+    uninterrupted engine that reached [snap]'s epoch the long way — the
+    resume guarantee the daemon's kill/restart test pins. [backend]
+    means what it means in {!create}; it is configuration, not state,
+    and must be re-given on restore. A restored engine times its work
+    with {!Obs.Control.now} and runs with {!create}'s default gray-zone
+    policy and rebuild threshold.
 
     {!on_epoch} hooks are configuration too, not state: a restored
     engine starts with {e no} registered hooks, exactly like a fresh
@@ -219,12 +215,11 @@ val export_state : t -> snapshot
     [restore] — see [Daemon.Runtime], which re-runs
     [Oracle.Service.attach] on the restored engine explicitly. The
     restored snapshot's [snap_dirty] is empty for the same reason:
-    there is no previous epoch in the new engine's history to diff
-    against, so re-attached consumers must treat the resume epoch as
-    a from-scratch publication. *)
+    there is no previous epoch in the new engine to diff against, so
+    re-attached consumers must treat the resume epoch as a
+    from-scratch publication. *)
 val restore :
   ?backend:Spanner.Backend.t ->
-  ?clock:(unit -> float) ->
   params:Topo.Params.t ->
   snapshot ->
   t

@@ -158,6 +158,41 @@ let restrict c ~region ~local_of =
   done;
   of_arrays ~off ~dst ~wgt
 
+(* Two passes over the arcs, as in [restrict]: one counts the kept arcs
+   into the offsets, one copies them; dropping arcs keeps every slice
+   sorted. *)
+let isolate c ~n vs =
+  let n0 = n_vertices c in
+  if n < n0 then invalid_arg "Csr.isolate: fewer vertices than the snapshot";
+  let cut = Array.make n false in
+  Array.iter
+    (fun v ->
+      if v < 0 || v >= n then invalid_arg "Csr.isolate: vertex out of range";
+      cut.(v) <- true)
+    vs;
+  let kept u k = not (cut.(u) || cut.(c.dst.(k))) in
+  let off = Array.make (n + 1) 0 in
+  for u = 0 to n - 1 do
+    let d = ref 0 in
+    if u < n0 then
+      for k = c.off.(u) to c.off.(u + 1) - 1 do
+        if kept u k then incr d
+      done;
+    off.(u + 1) <- off.(u) + !d
+  done;
+  let dst = Array.make off.(n) 0 and wgt = Array.make off.(n) 0.0 in
+  for u = 0 to n0 - 1 do
+    let o = ref off.(u) in
+    for k = c.off.(u) to c.off.(u + 1) - 1 do
+      if kept u k then begin
+        dst.(!o) <- c.dst.(k);
+        wgt.(!o) <- c.wgt.(k);
+        incr o
+      end
+    done
+  done;
+  { off; dst; wgt }
+
 (* The batch as arcs in both directions, sorted by (source, target) and
    cut to one arc per pair at its smallest weight; then one pass over
    the vertices: a run of vertices without new arcs is blitted whole,

@@ -17,7 +17,9 @@
     traversal. A snapshot comes from {!of_wgraph}, from {!restrict}
     when only a region of another snapshot is wanted (a relaxed-greedy
     phase's sub-instance), from {!add_edges} when a snapshot gains a
-    batch of edges (a build's partial spanner after each bin), or from
+    batch of edges (a build's partial spanner after each bin), from
+    {!isolate} when some vertices lose every edge (the dynamic engine's
+    α-UBG, whose touched slots are re-derived each epoch), or from
     {!of_arrays} when a builder emits the arcs itself (the cluster
     graph does). Building is O(n + m); a snapshot never observes later
     mutations of the source graph. *)
@@ -55,6 +57,15 @@ val restrict : t -> region:int array -> local_of:int array -> t
     with each bin's kept edges this way. Raises [Invalid_argument] on
     an out-of-range vertex, a self loop or a nonpositive weight. *)
 val add_edges : t -> Wgraph.edge array -> t
+
+(** [isolate c ~n vs] is [c] grown to [n >= n_vertices c] vertices
+    without the edges incident to a vertex of [vs] (which may repeat
+    vertices and name new ones): bit for bit {!of_wgraph} of that
+    graph. [c] is unchanged; O(n + m). The dynamic engine derives each
+    epoch's α-UBG this way, then adds the re-derived edges with
+    {!add_edges}. Raises [Invalid_argument] when [n] is below
+    [n_vertices c] or a vertex of [vs] lies outside [0, n). *)
+val isolate : t -> n:int -> int array -> t
 
 (** [of_arrays ~off ~dst ~wgt] adopts caller-built arrays as a
     snapshot without copying them; the caller must not mutate them

@@ -1,4 +1,4 @@
-type t = { adj : (int, float) Hashtbl.t array; mutable n_edges : int }
+type t = { mutable adj : (int, float) Hashtbl.t array; mutable n_edges : int }
 
 type edge = { u : int; v : int; w : float }
 
@@ -15,6 +15,12 @@ let create n =
 
 let n_vertices g = Array.length g.adj
 let n_edges g = g.n_edges
+
+let grow g n =
+  let n0 = n_vertices g in
+  if n > n0 then
+    g.adj <-
+      Array.init n (fun u -> if u < n0 then g.adj.(u) else Hashtbl.create 8)
 
 let check_vertex g u =
   if u < 0 || u >= n_vertices g then invalid_arg "Wgraph: vertex out of range"

@@ -1,9 +1,9 @@
 (** Mutable undirected graphs with float edge weights.
 
-    Vertices are the integers [0 .. n-1] fixed at creation; edges carry a
-    strictly positive weight. This is the shared substrate for the input
-    α-UBG, the partial spanners [G'_i], the cluster graphs [H_i], and
-    every baseline topology. *)
+    Vertices are the integers [0 .. n-1], fixed at creation unless
+    {!grow} adds some; edges carry a strictly positive weight. This is
+    the shared substrate for the input α-UBG, the partial spanners
+    [G'_i], the cluster graphs [H_i], and every baseline topology. *)
 
 type t
 
@@ -24,6 +24,12 @@ val n_vertices : t -> int
 
 (** [n_edges g] is the number of edges. *)
 val n_edges : t -> int
+
+(** [grow g n] gives [g] isolated vertices up to [n] in place, keeping
+    every edge and adjacency table; a no-op when [g] already has [n]
+    vertices or more. O(n), where re-inserting the edges into a larger
+    graph would cost O(n + m). *)
+val grow : t -> int -> unit
 
 (** [add_edge g u v w] inserts (or reweights) the undirected edge
     [{u, v}]. Requires [u <> v], vertices in range and [w > 0]. *)

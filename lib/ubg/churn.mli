@@ -56,7 +56,8 @@ module Population : sig
   val apply : t -> event -> int
 
   (** [restore p ~points ~alive] overwrites the population from a
-      snapshot, recomputing the free list; used for engine rollback. *)
+      snapshot, recomputing the free list; the engine uses it to undo a
+      batch that raises. *)
   val restore :
     t -> points:Geometry.Point.t array -> alive:bool array -> unit
 end

@@ -7,7 +7,10 @@
 #     lines only (printed with 17 significant digits);
 #   - greedy, ft and ft-vertex spanners at n = 1500;
 #   - the Dist_greedy engine's `topoctl rounds` table at n = 800;
-#   - `topoctl simulate --full-protocol` at n = 60.
+#   - `topoctl simulate --full-protocol` at n = 60;
+#   - the dynamic engine: a 30-epoch churn trace at n = 2000
+#     (`topoctl churn --record`) replayed by `topoctl serve --period 0
+#     --quit-at-tail`, its final checkpoint.
 #
 # One line per artifact, `<name> <md5>`. Run it on two checkouts and
 # diff the outputs: any difference is a behaviour change. Instances and
@@ -52,3 +55,8 @@ echo "rounds n=800 $(md5 "$WORK/rounds.txt")"
 gen 60 1 n60.ubg
 "$TOPOCTL" simulate "$WORK/n60.ubg" --full-protocol >"$WORK/simulate.txt"
 echo "simulate --full-protocol n=60 $(md5 "$WORK/simulate.txt")"
+
+"$TOPOCTL" churn "$WORK/churn.trace" --record -n 2000 --epochs 30 >/dev/null
+"$TOPOCTL" serve "$WORK/churn.trace" --socket "$WORK/engine.sock" \
+  --checkpoint "$WORK/churn.ck" --period 0 --quit-at-tail >/dev/null
+echo "engine n=2000 epochs=30 $(md5 "$WORK/churn.ck")"

@@ -475,6 +475,52 @@ let prop_add_edges_matches_builder =
       && bits patched = bits expected
       && (Array.copy c.Csr.off, Array.copy c.Csr.dst, bits c) = before)
 
+(* The engine's per-epoch base: [isolate] must equal freezing the
+   thawed graph, grown to [n], without the edges of the cut vertices,
+   offsets, targets and weight bits alike, and leave its input snapshot
+   as it was. Cut sets: none, every vertex, and a random subset with
+   repeats and new vertices; [n] grows by 0 to 5. *)
+let prop_isolate_matches_builder =
+  qtest ~count:60 "csr: isolate = of_wgraph of the grown graph minus the cut"
+    seed_arb (fun seed ->
+      let st = rand_state seed in
+      let n0 = 1 + Random.State.int st 50 in
+      let g = random_graph ~st ~n:n0 ~extra_edges:(Random.State.int st 60) in
+      let c = Csr.of_wgraph g in
+      let before = (Array.copy c.Csr.off, Array.copy c.Csr.dst, bits c) in
+      let n = n0 + Random.State.int st 6 in
+      let random_cut =
+        Array.init (Random.State.int st 8) (fun _ -> Random.State.int st n)
+      in
+      List.for_all
+        (fun vs ->
+          let cut = Array.make n false in
+          Array.iter (fun v -> cut.(v) <- true) vs;
+          let h = Wgraph.create n in
+          Wgraph.iter_edges g (fun u v w ->
+              if not (cut.(u) || cut.(v)) then Wgraph.add_edge h u v w);
+          let got = Csr.isolate c ~n vs and expected = Csr.of_wgraph h in
+          got.Csr.off = expected.Csr.off
+          && got.Csr.dst = expected.Csr.dst
+          && bits got = bits expected)
+        [ [||]; Array.init n Fun.id; random_cut ]
+      && (Array.copy c.Csr.off, Array.copy c.Csr.dst, bits c) = before)
+
+let test_isolate_rejects () =
+  let c = Csr.of_wgraph (Wgraph.of_edges ~n:3 [ (0, 1, 1.0); (1, 2, 1.0) ]) in
+  let rejects f =
+    try
+      ignore (f ());
+      false
+    with Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "fewer vertices than the snapshot" true
+    (rejects (fun () -> Csr.isolate c ~n:2 [||]));
+  Alcotest.(check bool) "vertex beyond n" true
+    (rejects (fun () -> Csr.isolate c ~n:4 [| 4 |]));
+  Alcotest.(check bool) "negative vertex" true
+    (rejects (fun () -> Csr.isolate c ~n:3 [| -1 |]))
+
 let test_of_arrays_rejects_malformed () =
   let rejects ~off ~dst ~wgt =
     try
@@ -527,5 +573,11 @@ let () =
             test_region_runner_rejects;
           prop_restrict_matches_induced;
         ] );
-      ("patch", [ prop_add_edges_matches_builder ]);
+      ( "patch",
+        [
+          prop_add_edges_matches_builder;
+          prop_isolate_matches_builder;
+          Alcotest.test_case "isolate rejects bad sizes and vertices" `Quick
+            test_isolate_rejects;
+        ] );
     ]

@@ -260,7 +260,7 @@ let test_checkpoint_resume_matches_full_run () =
       Array.iteri
         (fun i batch -> if i >= 3 then ignore (Engine.apply_batch c batch))
         batches;
-      let sa = Engine.export_state a and sc = Engine.export_state c in
+      let sa = Engine.latest a and sc = Engine.latest c in
       Alcotest.(check int) "epoch" sa.Engine.snap_epoch sc.Engine.snap_epoch;
       Alcotest.(check bool) "spanner identical" true
         (canonical_csr sa.Engine.snap_spanner

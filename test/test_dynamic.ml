@@ -276,6 +276,23 @@ let params_for model =
   Topo.Params.of_epsilon ~eps:0.5 ~alpha:model.Ubg.Model.alpha
     ~dim:(Ubg.Model.dim model)
 
+(* The engine's α-UBG, thawed: the base of its latest snapshot. *)
+let base_of e = Csr.to_wgraph (Engine.latest e).Engine.snap_ubg
+
+let same_csr (a : Csr.t) (b : Csr.t) =
+  a.Csr.off = b.Csr.off && a.Csr.dst = b.Csr.dst
+  && Array.map bits a.Csr.wgt = Array.map bits b.Csr.wgt
+
+(* Replays [trace] on [e], calling [f ~prev ~next r] with the latest
+   snapshot before and after each batch and the batch's report. *)
+let replay_pairs e (trace : Churn.trace) f =
+  Array.iter
+    (fun batch ->
+      let prev = Engine.latest e in
+      let r = Engine.apply_batch e batch in
+      f ~prev ~next:(Engine.latest e) r)
+    trace.Churn.batches
+
 (* Replay a trace and collect the canonical spanner edge set after
    every epoch, plus the final reports. *)
 let replay_fingerprint ~domains (model, trace) =
@@ -301,7 +318,7 @@ let prop_engine_certifies_and_tracks_rebuild =
              rebuild fallback, so reaching here already means the epoch
              certified; check the reported numbers anyway. *)
           if r.Engine.stretch > t +. 1e-9 then ok := false;
-          let spanner = Engine.spanner e and base = Engine.ubg e in
+          let spanner = Engine.spanner e and base = base_of e in
           if bits r.Engine.stretch <> bits (reference_stretch ~base ~spanner) then
             ok := false;
           Wgraph.iter_edges spanner (fun u v _ ->
@@ -339,8 +356,8 @@ let brute_ubg ~gray ~alpha points alive =
   List.sort compare !acc
 
 (* Checks the engine's own edge re-derivation, (alpha, 1] edges
-   included: [current_model]'s validation only catches missing pairs
-   within alpha. *)
+   included, on the base it publishes: [current_model]'s validation
+   only catches missing pairs within alpha. *)
 let prop_engine_ubg_matches_brute_force =
   qtest ~count:6 "engine: UBG equals brute force every epoch, two policies"
     seed_arb (fun seed ->
@@ -365,7 +382,7 @@ let prop_engine_ubg_matches_brute_force =
           Engine.replay e trace ~f:(fun _ ->
               let snap = Engine.latest e in
               if
-                canonical (Engine.ubg e)
+                canonical (Csr.to_wgraph snap.Engine.snap_ubg)
                 <> brute_ubg ~gray ~alpha snap.Engine.snap_points
                      snap.Engine.snap_alive
               then ok := false);
@@ -427,49 +444,22 @@ let test_engine_spanner_avoids_dead_slots () =
     (fun s alive ->
       if not alive then begin
         if Wgraph.degree (Engine.spanner e) s > 0 then pop_dead := s :: !pop_dead;
-        if Wgraph.degree (Engine.ubg e) s > 0 then pop_dead := s :: !pop_dead
+        if Csr.degree snap.Engine.snap_ubg s > 0 then pop_dead := s :: !pop_dead
       end)
     snap.Engine.snap_alive;
   Alcotest.(check (list int)) "dead slots isolated" [] !pop_dead
 
-let test_engine_rollback () =
-  let model, trace = trace_setup ~seed:5 ~n:45 ~epochs:2 ~batch_max:4 in
-  let e = Engine.create ~params:(params_for model) model in
-  let edges0 = canonical (Engine.spanner e) in
-  let alive0 = Array.copy (Engine.latest e).Engine.snap_alive in
-  ignore (Engine.apply_batch e trace.Churn.batches.(0));
-  Alcotest.(check int) "epoch advanced" 1 (Engine.epoch e);
-  Engine.rollback e;
-  Alcotest.(check int) "epoch back to 0" 0 (Engine.epoch e);
-  Alcotest.(check bool) "spanner restored" true
-    (canonical (Engine.spanner e) = edges0);
-  Alcotest.(check bool) "alive set restored" true
-    ((Engine.latest e).Engine.snap_alive = alive0);
-  (* The engine keeps working after a rollback. *)
-  let r = Engine.apply_batch e trace.Churn.batches.(0) in
-  Alcotest.(check int) "epoch re-advanced" 1 r.Engine.epoch;
-  Alcotest.check_raises "rollback exhausts history"
-    (Failure "Engine.rollback: no older snapshot") (fun () ->
-      Engine.rollback e;
-      Engine.rollback e)
+let spanner_diff ~(before : Engine.snapshot) ~(after : Engine.snapshot) =
+  Csr.diff ~before:before.Engine.snap_spanner ~after:after.Engine.snap_spanner
 
 let test_engine_snapshot_diff () =
   let model, trace = trace_setup ~seed:23 ~n:55 ~epochs:3 ~batch_max:5 in
   let e = Engine.create ~params:(params_for model) model in
-  Engine.replay e trace ~f:(fun _ -> ());
-  match Engine.snapshots e with
-  | after :: before :: _ ->
-      let added, removed = Engine.diff ~before ~after in
+  replay_pairs e trace (fun ~prev:before ~next:after _ ->
+      let added, removed = spanner_diff ~before ~after in
       (* Patching the older spanner with the diff gives the newer one. *)
       let patched = Csr.to_wgraph before.Engine.snap_spanner in
-      let patched =
-        let cap =
-          Csr.n_vertices after.Engine.snap_spanner
-        in
-        let g = Wgraph.create (max cap (Wgraph.n_vertices patched)) in
-        Wgraph.iter_edges patched (fun u v w -> Wgraph.add_edge g u v w);
-        g
-      in
+      Wgraph.grow patched (Csr.n_vertices after.Engine.snap_spanner);
       Array.iter
         (fun (e : Wgraph.edge) -> ignore (Wgraph.remove_edge patched e.u e.v))
         removed;
@@ -477,8 +467,8 @@ let test_engine_snapshot_diff () =
         (fun (e : Wgraph.edge) -> Wgraph.add_edge patched e.u e.v e.w)
         added;
       Alcotest.(check bool) "diff patches across epochs" true
-        (canonical patched = canonical (Csr.to_wgraph after.Engine.snap_spanner))
-  | _ -> Alcotest.fail "expected at least two snapshots"
+        (canonical patched
+        = canonical (Csr.to_wgraph after.Engine.snap_spanner)))
 
 (* snap_dirty is the oracle-repair contract: the sorted, deduplicated
    endpoints of the spanner diff against the previous snapshot, and
@@ -488,37 +478,25 @@ let test_engine_snap_dirty_matches_diff () =
   let e = Engine.create ~params:(params_for model) model in
   Alcotest.(check (array int)) "epoch 0 has no dirty set" [||]
     (Engine.latest e).Engine.snap_dirty;
-  Engine.replay e trace ~f:(fun _ -> ());
-  let rec walk = function
-    | after :: (before :: _ as rest) ->
-        let added, removed = Engine.diff ~before ~after in
-        let tbl = Hashtbl.create 16 in
-        Array.iter
-          (fun (ed : Wgraph.edge) ->
-            Hashtbl.replace tbl ed.Wgraph.u ();
-            Hashtbl.replace tbl ed.Wgraph.v ())
-          added;
-        Array.iter
-          (fun (ed : Wgraph.edge) ->
-            Hashtbl.replace tbl ed.Wgraph.u ();
-            Hashtbl.replace tbl ed.Wgraph.v ())
-          removed;
-        let expect = Array.of_seq (Hashtbl.to_seq_keys tbl) in
-        Array.sort compare expect;
-        Alcotest.(check (array int))
-          (Printf.sprintf "epoch %d dirty = diff endpoints"
-             after.Engine.snap_epoch)
-          expect after.Engine.snap_dirty;
-        walk rest
-    | [ oldest ] ->
-        (* Snapshot retention is bounded; only a retained epoch 0 is
-           required to carry an empty dirty set. *)
-        if oldest.Engine.snap_epoch = 0 then
-          Alcotest.(check (array int)) "epoch 0 has no dirty set" [||]
-            oldest.Engine.snap_dirty
-    | [] -> Alcotest.fail "expected snapshots"
-  in
-  walk (Engine.snapshots e)
+  replay_pairs e trace (fun ~prev:before ~next:after _ ->
+      let added, removed = spanner_diff ~before ~after in
+      let tbl = Hashtbl.create 16 in
+      Array.iter
+        (fun (ed : Wgraph.edge) ->
+          Hashtbl.replace tbl ed.Wgraph.u ();
+          Hashtbl.replace tbl ed.Wgraph.v ())
+        added;
+      Array.iter
+        (fun (ed : Wgraph.edge) ->
+          Hashtbl.replace tbl ed.Wgraph.u ();
+          Hashtbl.replace tbl ed.Wgraph.v ())
+        removed;
+      let expect = Array.of_seq (Hashtbl.to_seq_keys tbl) in
+      Array.sort compare expect;
+      Alcotest.(check (array int))
+        (Printf.sprintf "epoch %d dirty = diff endpoints"
+           after.Engine.snap_epoch)
+        expect after.Engine.snap_dirty)
 
 let test_engine_restore_clears_snap_dirty () =
   let model, trace = trace_setup ~seed:43 ~n:45 ~epochs:2 ~batch_max:4 in
@@ -527,7 +505,7 @@ let test_engine_restore_clears_snap_dirty () =
   Engine.replay e trace ~f:(fun _ -> ());
   Alcotest.(check bool) "live engine accumulated dirt" true
     (Array.length (Engine.latest e).Engine.snap_dirty > 0);
-  let r = Engine.restore ~params (Engine.export_state e) in
+  let r = Engine.restore ~params (Engine.latest e) in
   (* The restored snapshot has no predecessor, so a repair chain must
      not resume across it: the dirty set is empty. *)
   Alcotest.(check (array int)) "restored snapshot has no dirty set" [||]
@@ -663,28 +641,22 @@ let test_engine_matches_reference_rule () =
   let t = params.Topo.Params.t in
   let e = Engine.create ~params model in
   let compared = ref 0 in
-  Engine.replay e trace ~f:(fun r ->
-      match Engine.snapshots e with
-      | next :: prev :: _ ->
-          let expected, n_dirty, n_touched = reference_repair ~t ~prev ~next in
-          let epoch = r.Engine.epoch in
-          Alcotest.(check int)
-            (Printf.sprintf "epoch %d touches one slot per event" epoch)
-            r.Engine.n_events n_touched;
-          Alcotest.(check int)
-            (Printf.sprintf "epoch %d dirty count" epoch)
-            n_dirty r.Engine.n_dirty;
-          if r.Engine.kind = Engine.Incremental then begin
-            incr compared;
-            let got = next.Engine.snap_spanner in
-            Alcotest.(check bool)
-              (Printf.sprintf "epoch %d spanner = reference, bit for bit" epoch)
-              true
-              (got.Csr.off = expected.Csr.off
-              && got.Csr.dst = expected.Csr.dst
-              && Array.map bits got.Csr.wgt = Array.map bits expected.Csr.wgt)
-          end
-      | _ -> Alcotest.fail "expected two snapshots");
+  replay_pairs e trace (fun ~prev ~next r ->
+      let expected, n_dirty, n_touched = reference_repair ~t ~prev ~next in
+      let epoch = r.Engine.epoch in
+      Alcotest.(check int)
+        (Printf.sprintf "epoch %d touches one slot per event" epoch)
+        r.Engine.n_events n_touched;
+      Alcotest.(check int)
+        (Printf.sprintf "epoch %d dirty count" epoch)
+        n_dirty r.Engine.n_dirty;
+      if r.Engine.kind = Engine.Incremental then begin
+        incr compared;
+        Alcotest.(check bool)
+          (Printf.sprintf "epoch %d spanner = reference, bit for bit" epoch)
+          true
+          (same_csr next.Engine.snap_spanner expected)
+      end);
   Alcotest.(check int) "every epoch incremental" 10 !compared
 
 (* ------------------------------------------------------------------ *)
@@ -698,6 +670,42 @@ let nudge model i =
   let c = Point.coords model.Ubg.Model.points.(i) in
   c.(0) <- c.(0) +. 1e-3;
   [| Churn.Move (i, Point.create c) |]
+
+(* A batch whose second event names a dead slot raises after its first
+   event has moved slot 0 by 0.7, out of reach of some of its α-UBG
+   neighbours. The engine must come back as if the batch had never
+   been applied: same epoch and snapshot, a population that still
+   matches the α-UBG, and a next batch that gives the spanner and base
+   of an engine that never saw the bad batch. *)
+let test_engine_bad_batch_leaves_no_trace () =
+  let model = connected_model ~seed:31 ~n:200 ~dim:2 ~alpha:0.8 in
+  let params = params_for model in
+  let e = Engine.create ~params model in
+  let clean = Engine.create ~params model in
+  let before = Engine.latest e in
+  let shove =
+    let c = Point.coords model.Ubg.Model.points.(0) in
+    c.(0) <- c.(0) +. 0.7;
+    Churn.Move (0, Point.create c)
+  in
+  (match Engine.apply_batch e [| shove; Churn.Leave 5000 |] with
+  | _ -> Alcotest.fail "a leave of a dead slot must raise"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "epoch unchanged" 0 (Engine.epoch e);
+  Alcotest.(check bool) "latest unchanged" true (Engine.latest e == before);
+  Alcotest.(check int) "population matches the α-UBG" (Ubg.Model.n model)
+    (Ubg.Model.n (fst (Engine.current_model e)));
+  ignore (Engine.apply_batch e (nudge model 1));
+  ignore (Engine.apply_batch clean (nudge model 1));
+  let got = Engine.latest e and want = Engine.latest clean in
+  Alcotest.(check bool) "spanner = a clean engine's" true
+    (same_csr got.Engine.snap_spanner want.Engine.snap_spanner);
+  Alcotest.(check bool) "base = a clean engine's" true
+    (same_csr got.Engine.snap_ubg want.Engine.snap_ubg);
+  Alcotest.(check bool) "points = a clean engine's" true
+    (Array.for_all2
+       (fun p q -> Point.compare p q = 0)
+       got.Engine.snap_points want.Engine.snap_points)
 
 let test_engine_cert_failure_fallback () =
   let model = connected_model ~seed:31 ~n:60 ~dim:2 ~alpha:0.8 in
@@ -734,7 +742,7 @@ let test_engine_far_edge_cert_failure () =
   let e = Engine.create ~params model in
   let sp = Engine.spanner e in
   let before = canonical sp in
-  let s = drop_far_edge ~base:(Engine.ubg e) ~spanner:sp ~t in
+  let s = drop_far_edge ~base:(base_of e) ~spanner:sp ~t in
   Alcotest.(check bool) "a far edge was dropped" true (s > t && s < infinity);
   let u =
     match List.filter (fun x -> not (List.mem x (canonical sp))) before with
@@ -753,7 +761,7 @@ let test_engine_far_edge_cert_failure () =
     (r.Engine.kind = Engine.Rebuild_cert_failure);
   Alcotest.(check bool) "the rebuilt epoch's stretch is exact" true
     (bits r.Engine.stretch
-    = bits (reference_stretch ~base:(Engine.ubg e) ~spanner:(Engine.spanner e)))
+    = bits (reference_stretch ~base:(base_of e) ~spanner:(Engine.spanner e)))
 
 (* A backend that builds honestly until armed, then sabotages every
    rebuild: an edgeless "spanner", or an honest one missing one far
@@ -907,7 +915,7 @@ let test_engine_partition_heal_burst () =
   Alcotest.(check bool) "bit-identical across domains {1,4}" true (log = log4)
 
 (* ------------------------------------------------------------------ *)
-(* export_state / restore: the daemon's resume guarantee               *)
+(* restore: the daemon's resume guarantee                              *)
 (* ------------------------------------------------------------------ *)
 
 let prop_engine_restore_resumes_bit_identical =
@@ -922,13 +930,13 @@ let prop_engine_restore_resumes_bit_identical =
       for i = 0 to 2 do
         ignore (Engine.apply_batch b trace.Churn.batches.(i))
       done;
-      let c = Engine.restore ~params (Engine.export_state b) in
+      let c = Engine.restore ~params (Engine.latest b) in
       Engine.epoch c = 3
       && (for i = 3 to 5 do
             ignore (Engine.apply_batch c trace.Churn.batches.(i))
           done;
           canonical (Engine.spanner c) = canonical (Engine.spanner a))
-      && canonical (Engine.ubg c) = canonical (Engine.ubg a)
+      && canonical (base_of c) = canonical (base_of a)
       && close ~eps:0.0
            (Engine.latest c).Engine.snap_stretch
            (Engine.latest a).Engine.snap_stretch)
@@ -945,7 +953,7 @@ let prop_engine_restore_bit_identical_across_domains =
             for i = 0 to 1 do
               ignore (Engine.apply_batch b trace.Churn.batches.(i))
             done;
-            let c = Engine.restore ~params (Engine.export_state b) in
+            let c = Engine.restore ~params (Engine.latest b) in
             for i = 2 to 4 do
               ignore (Engine.apply_batch c trace.Churn.batches.(i))
             done;
@@ -957,7 +965,7 @@ let test_engine_restore_rejects_corrupt_snapshot () =
   let model = connected_model ~seed:47 ~n:40 ~dim:2 ~alpha:0.8 in
   let params = params_for model in
   let e = Engine.create ~params model in
-  let snap = Engine.export_state e in
+  let snap = Engine.latest e in
   (* Corrupt: drop all spanner edges. Re-certification must refuse. *)
   let corrupt =
     {
@@ -1004,7 +1012,8 @@ let () =
           prop_engine_identical_traced;
           Alcotest.test_case "dead slots isolated" `Quick
             test_engine_spanner_avoids_dead_slots;
-          Alcotest.test_case "rollback" `Quick test_engine_rollback;
+          Alcotest.test_case "bad batch leaves no trace" `Quick
+            test_engine_bad_batch_leaves_no_trace;
           Alcotest.test_case "snapshot diff" `Quick test_engine_snapshot_diff;
           Alcotest.test_case "snap_dirty = diff endpoints" `Quick
             test_engine_snap_dirty_matches_diff;

@@ -57,6 +57,20 @@ let test_wgraph_union () =
     (Wgraph.weight g 0 1);
   Alcotest.(check int) "merged" 2 (Wgraph.n_edges g)
 
+let test_wgraph_grow () =
+  let g = Wgraph.of_edges ~n:3 [ (0, 1, 2.0); (1, 2, 3.0) ] in
+  Wgraph.grow g 2;
+  Alcotest.(check int) "never shrinks" 3 (Wgraph.n_vertices g);
+  Wgraph.grow g 5;
+  Alcotest.(check int) "grown" 5 (Wgraph.n_vertices g);
+  Alcotest.(check int) "edges kept" 2 (Wgraph.n_edges g);
+  Alcotest.(check (option (float 0.0))) "weight kept" (Some 3.0)
+    (Wgraph.weight g 2 1);
+  Alcotest.(check int) "new vertex isolated" 0 (Wgraph.degree g 4);
+  Wgraph.add_edge g 4 0 1.0;
+  Alcotest.(check bool) "new vertex usable" true
+    (Wgraph.mem_edge g 0 4 && Wgraph.is_symmetric_consistent g)
+
 let prop_wgraph_consistent =
   qtest "wgraph: symmetric adjacency invariant" seed_arb (fun seed ->
       let st = rand_state seed in
@@ -681,6 +695,7 @@ let () =
           Alcotest.test_case "errors" `Quick test_wgraph_errors;
           Alcotest.test_case "copy independent" `Quick test_wgraph_copy_independent;
           Alcotest.test_case "union" `Quick test_wgraph_union;
+          Alcotest.test_case "grow in place" `Quick test_wgraph_grow;
           prop_wgraph_consistent;
           prop_wgraph_edges_roundtrip;
         ] );

@@ -218,7 +218,7 @@ let engine_checkpoint ~seed ~epochs =
   Array.iter
     (fun batch -> ignore (Dynamic.Engine.apply_batch engine batch))
     trace.Ubg.Churn.batches;
-  let snap = Dynamic.Engine.export_state engine in
+  let snap = Dynamic.Engine.latest engine in
   {
     Io.ck_epoch = snap.Dynamic.Engine.snap_epoch;
     ck_events = Ubg.Churn.n_events trace;
