@@ -1006,9 +1006,12 @@ let e_scale () =
 
 (* Replays a recorded churn trace through Dynamic.Engine, measuring per
    epoch the incremental repair against a from-scratch relaxed-greedy
-   rebuild of the same live instance. Also replays the whole trace at 1
-   and 4 domains and gates on every epoch's spanner being
-   bit-identical. Emits the "dynamic" record. *)
+   rebuild of the same live instance. Outside the timed region, each
+   epoch's stretch is compared with the full certifier on the epoch's
+   graphs, bit for bit, and the share of alive sources the engine
+   searched from (its [engine.certify_sources] gauge) is recorded. Also
+   replays the whole trace at 1 and 4 domains and gates on every
+   epoch's spanner being bit-identical. Emits the "dynamic" record. *)
 let e_churn () =
   let n = if !quick then 300 else 10_000 in
   let eps = 0.5 and alpha = 0.8 in
@@ -1040,17 +1043,28 @@ let e_churn () =
   (* The measured run. *)
   let engine = Dynamic.Engine.create ~params model in
   let build_s = Dynamic.Engine.last_rebuild_seconds engine in
-  let rows = ref [] in
+  let rows = ref [] and certify_exact = ref true in
+  let certify_sources = Obs.Metrics.gauge "engine.certify_sources" in
   Dynamic.Engine.replay engine trace ~f:(fun r ->
-      let weight_ratio =
-        Dynamic.Engine.weight_ratio (Dynamic.Engine.latest engine)
+      let snap = Dynamic.Engine.latest engine in
+      let share =
+        Obs.Metrics.gauge_value certify_sources
+        /. float_of_int r.Dynamic.Engine.n_alive
       in
+      let full =
+        Topo.Verify.edge_stretch_csr ~base:snap.Dynamic.Engine.snap_ubg
+          ~spanner:snap.Dynamic.Engine.snap_spanner
+      in
+      if Int64.bits_of_float full <> Int64.bits_of_float r.Dynamic.Engine.stretch
+      then certify_exact := false;
+      let weight_ratio = Dynamic.Engine.weight_ratio snap in
       let fresh_model, _ = Dynamic.Engine.current_model engine in
       let t0 = Unix.gettimeofday () in
       ignore (Relaxed_greedy.build ~params fresh_model);
       let rebuild_s = Unix.gettimeofday () -. t0 in
-      rows := (r, weight_ratio, rebuild_s) :: !rows);
+      rows := (r, weight_ratio, rebuild_s, share) :: !rows);
   let rows = List.rev !rows in
+  let certify_exact = !certify_exact in
   let t =
     Report.create
       ~title:
@@ -1060,10 +1074,10 @@ let e_churn () =
            n eps batch_max build_s)
       ~columns:
         [ "epoch"; "ev"; "dirty%"; "kind"; "repair ms"; "certify ms";
-          "rebuild ms"; "speedup"; "stretch"; "maxdeg"; "w/MST" ]
+          "src%"; "rebuild ms"; "speedup"; "stretch"; "maxdeg"; "w/MST" ]
   in
   List.iter
-    (fun ((r : Dynamic.Engine.report), weight_ratio, rebuild_s) ->
+    (fun ((r : Dynamic.Engine.report), weight_ratio, rebuild_s, share) ->
       Report.add_row t
         [
           Report.cell_i r.Dynamic.Engine.epoch;
@@ -1076,6 +1090,7 @@ let e_churn () =
           | Dynamic.Engine.Rebuild_backend -> "backend");
           Report.cell_f (1e3 *. r.Dynamic.Engine.repair_seconds);
           Report.cell_f (1e3 *. r.Dynamic.Engine.certify_seconds);
+          Report.cell_f (100.0 *. share);
           Report.cell_f (1e3 *. rebuild_s);
           Printf.sprintf "%.1fx"
             (rebuild_s /. Float.max 1e-9 r.Dynamic.Engine.repair_seconds);
@@ -1087,25 +1102,26 @@ let e_churn () =
   Report.print t;
   let speedups =
     List.map
-      (fun ((r : Dynamic.Engine.report), _, rebuild_s) ->
+      (fun ((r : Dynamic.Engine.report), _, rebuild_s, _) ->
         rebuild_s /. Float.max 1e-9 r.Dynamic.Engine.repair_seconds)
       rows
   in
   let min_speedup = List.fold_left Float.min infinity speedups in
   let sum_repair =
     List.fold_left
-      (fun acc ((r : Dynamic.Engine.report), _, _) ->
+      (fun acc ((r : Dynamic.Engine.report), _, _, _) ->
         acc +. r.Dynamic.Engine.repair_seconds)
       0.0 rows
   and sum_rebuild =
-    List.fold_left (fun acc (_, _, rb) -> acc +. rb) 0.0 rows
+    List.fold_left (fun acc (_, _, rb, _) -> acc +. rb) 0.0 rows
   in
   Printf.printf
     "   min per-epoch speedup %.1fx, aggregate %.1fx; bit-identical across \
-     1/4 domains: %b\n"
+     1/4 domains: %b\n\
+    \   every epoch's stretch = the full certifier's, bit for bit: %b\n"
     min_speedup
     (sum_rebuild /. Float.max 1e-9 sum_repair)
-    deterministic;
+    deterministic certify_exact;
   Record.write "dynamic"
     Obs.Json.(
       Obj
@@ -1113,11 +1129,13 @@ let e_churn () =
           ("experiment", Str "E-churn"); ("n", int n); ("eps", Num eps);
           ("batch_max", int batch_max); ("initial_build_s", Num build_s);
           ("deterministic", Bool deterministic);
+          ("certify_exact", Bool certify_exact);
           ("min_speedup", Num min_speedup);
           ( "epochs",
             Arr
               (List.map
-                 (fun ((r : Dynamic.Engine.report), weight_ratio, rebuild_s) ->
+                 (fun ((r : Dynamic.Engine.report), weight_ratio, rebuild_s,
+                       share) ->
                    let kind =
                      match r.Dynamic.Engine.kind with
                      | Dynamic.Engine.Incremental -> "incremental"
@@ -1134,6 +1152,7 @@ let e_churn () =
                        ("dirty_fraction", Num r.Dynamic.Engine.dirty_fraction);
                        ("kind", Str kind); ("repair_s", Num repair_s);
                        ("certify_s", Num r.Dynamic.Engine.certify_seconds);
+                       ("certify_share", Num share);
                        ("rebuild_s", Num rebuild_s);
                        ("speedup", Num (rebuild_s /. Float.max 1e-9 repair_s));
                        ("stretch", Num r.Dynamic.Engine.stretch);
@@ -1142,7 +1161,8 @@ let e_churn () =
                      ])
                  rows) );
         ]);
-  Record.gate "E-churn.deterministic" deterministic
+  Record.gate "E-churn.deterministic" deterministic;
+  Record.gate "E-churn.certify_exact" certify_exact
 
 (* ------------------------------------------------------------------ *)
 (* E-obs: tracing overhead — the disabled path must be free.           *)

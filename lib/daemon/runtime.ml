@@ -58,6 +58,9 @@ let g_checkpoints = lazy (Obs.Metrics.gauge "daemon.checkpoints")
 let g_repair_ms = lazy (Obs.Metrics.gauge "daemon.repair_ms")
 let g_certify_ms = lazy (Obs.Metrics.gauge "daemon.certify_ms")
 
+(* Set by the engine itself on every certification. *)
+let g_certify_sources = lazy (Obs.Metrics.gauge "engine.certify_sources")
+
 let run ?stop config =
   if config.tick <= 0.0 then invalid_arg "Runtime.run: tick must be positive";
   if config.period < 0.0 then invalid_arg "Runtime.run: negative period";
@@ -145,6 +148,8 @@ let run ?stop config =
       ("engine.alive", string_of_int (int_of_float (g g_alive)));
       ("engine.repair_ms", Printf.sprintf "%.3f" (g g_repair_ms));
       ("engine.certify_ms", Printf.sprintf "%.3f" (g g_certify_ms));
+      ( "engine.certify_sources",
+        string_of_int (int_of_float (g g_certify_sources)) );
       ("ingest.events", string_of_int (int_of_float (g g_events)));
       ("ingest.ev_per_s", Printf.sprintf "%.1f" (g g_rate));
       ("ingest.batches", string_of_int (int_of_float (g g_batches)));

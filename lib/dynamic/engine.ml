@@ -20,6 +20,7 @@ let m_incremental = Obs.Metrics.counter "engine.incremental"
 let m_rebuilds = Obs.Metrics.counter "engine.rebuilds"
 let m_cert_failures = Obs.Metrics.counter "engine.cert_failures"
 let g_dirty = Obs.Metrics.gauge "engine.dirty_fraction"
+let g_certify_sources = Obs.Metrics.gauge "engine.certify_sources"
 
 type snapshot = {
   snap_epoch : int;
@@ -65,6 +66,9 @@ type t = {
   mutable latest : snapshot;
       (* the certified epoch; its [snap_ubg] is the engine's only copy
          of the α-UBG *)
+  mutable stretches : float array;
+      (* [Topo.Verify.source_stretch] of every slot at [latest],
+         replaced together with it *)
   mutable last_rebuild : float;
   mutable n_incremental : int;
   mutable n_rebuilds : int;
@@ -82,6 +86,7 @@ let spanner t = t.spanner
 let last_rebuild_seconds t = t.last_rebuild
 let counters t = (t.n_incremental, t.n_rebuilds, t.n_cert_failures)
 let latest t = t.latest
+let source_stretches t = Array.copy t.stretches
 let on_epoch t f = t.epoch_hooks <- f :: t.epoch_hooks
 
 let weight_ratio snap =
@@ -153,40 +158,130 @@ let greedy_repair t dirty =
 (* Certification and snapshots                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Freeze the live spanner and certify it against [base]: subgraph
-   inclusion + edge stretch. A spanner edge missing from the base reads
-   as infinite stretch so the caller's fallback logic treats it like
-   any other failure. *)
-let certify ~base spanner =
-  let sp = Csr.of_wgraph spanner in
-  let subgraph_ok = ref true in
-  Csr.iter_edges sp (fun u v _ ->
-      if not (Csr.mem_edge base u v) then subgraph_ok := false);
-  let stretch =
-    if !subgraph_ok then Topo.Verify.edge_stretch_csr ~base ~spanner:sp
-    else infinity
-  in
-  (sp, stretch)
-
 (* The largest stretch certification accepts; dirty marking uses it
    too, as the witness radius (see the marking step). *)
 let certified_stretch params = params.Params.t +. 1e-9
 
 let certifies params stretch = stretch <= certified_stretch params
 
-(* Endpoints of every spanner edge that changed between [prev] and
-   [sp], sorted and deduplicated. This is the dirty-region payload the
-   oracle layer repairs from: any vertex whose incident spanner edges
-   are untouched keeps its shortest-path neighborhood byte-identical,
-   so consumers only need to re-examine structures reachable from
-   these endpoints. *)
-let dirty_of_diff ~prev ~sp =
-  let added, removed = Csr.diff ~before:prev ~after:sp in
+(* What a certification leaves: the frozen live spanner, the stretch
+   of every slot as a source ([Topo.Verify.source_stretch]) and their
+   maximum; [infinity] and no per-slot values when the spanner is not
+   a subgraph of the base, which the caller's fallback logic treats
+   like any other failure. *)
+type certificate = { sp : Csr.t; stretches : float array; stretch : float }
+
+let max_stretch stretches = Array.fold_left Float.max 1.0 stretches
+
+let failed sp = { sp; stretches = [||]; stretch = infinity }
+
+(* The full certifier on [sp], the frozen live spanner: every spanner
+   edge checked against [base], a search from every source. *)
+let certify ~base sp =
+  let subgraph_ok = ref true in
+  Csr.iter_edges sp (fun u v _ ->
+      if not (Csr.mem_edge base u v) then subgraph_ok := false);
+  if not !subgraph_ok then failed sp
+  else
+    let stretches = Topo.Verify.source_stretches ~base ~spanner:sp in
+    { sp; stretches; stretch = max_stretch stretches }
+
+(* Sorted, deduplicated endpoints of the edges of a {!Csr.diff}. Of the
+   spanner's diff they are both the incremental certifier's search
+   sources and the snapshot's [snap_dirty], the dirty region the oracle
+   layer repairs from: a vertex whose incident spanner edges are
+   untouched keeps its shortest-path neighbourhood byte-identical. *)
+let endpoints (added, removed) =
   let ends = ref [] in
   let mark { Wgraph.u; v; _ } = ends := u :: v :: !ends in
   Array.iter mark added;
   Array.iter mark removed;
   Array.of_list (List.sort_uniq compare !ends)
+
+(* Rounding slack on the reach radii. The search measures a path from
+   its changed end back to the source, and a float path length depends
+   on the direction of travel: each direction is within about k·2⁻⁵³
+   of the exact length for k arcs, so a factor 1 + 2⁻²⁰ covers every
+   path of fewer than 2³⁰ arcs, and the roundings of the radius and of
+   the certified ratio besides. *)
+let reach_slack = 1.0 +. 0x1p-20
+
+(* The sources, ascending, whose value can differ from the latest
+   epoch's: those with a changed forward base edge ([Csr.diff] lists
+   each edge as u < v, the forward edge of u), and those within their
+   radius, [certified_stretch] times their longest forward base edge,
+   of a [changed] endpoint in [sp] (one bounded multi-source search).
+   Every other source keeps its value bit for bit: a path no longer
+   than the radius that crosses a changed arc reaches its first changed
+   endpoint along arcs present in both spanners, so the search would
+   have found the source; the paths within the radius are thus the same
+   in both spanners, and the latest epoch certified that they reach
+   every forward neighbour (DESIGN.md §10). *)
+let reached_sources ~params ~base ~sp ~changed ~base_diff =
+  let cap = Csr.n_vertices base in
+  let redo = Array.make cap false in
+  let mark_source (e : Wgraph.edge) = redo.(e.u) <- true in
+  Array.iter mark_source (fst base_diff);
+  Array.iter mark_source (snd base_diff);
+  let c = certified_stretch params in
+  let radius u =
+    let r = ref 0.0 in
+    for k = base.Csr.off.(u) to base.Csr.off.(u + 1) - 1 do
+      if base.Csr.dst.(k) > u && base.Csr.wgt.(k) > !r then r := base.Csr.wgt.(k)
+    done;
+    c *. !r *. reach_slack
+  in
+  let len_max = ref 0.0 in
+  for k = 0 to Array.length base.Csr.wgt - 1 do
+    if base.Csr.wgt.(k) > !len_max then len_max := base.Csr.wgt.(k)
+  done;
+  let out_v = Array.make cap 0 and out_d = Array.make cap 0.0 in
+  let out_p = Array.make cap 0 in
+  let k =
+    Dijkstra.within_multi_csr_into (Dijkstra.domain_workspace ()) sp
+      ~srcs:changed ~bound:(c *. !len_max *. reach_slack) ~out_v ~out_d ~out_p
+  in
+  for i = 0 to k - 1 do
+    let u = out_v.(i) in
+    if (not redo.(u)) && out_d.(i) <= radius u then redo.(u) <- true
+  done;
+  let sources = ref [] in
+  for u = cap - 1 downto 0 do
+    if redo.(u) then sources := u :: !sources
+  done;
+  Array.of_list !sources
+
+(* The incremental certifier: [prev] certified with per-slot values
+   [stretches], [sp] is the frozen live spanner, [diff] its
+   [Csr.diff] against [prev.snap_spanner] and [changed] the diff's
+   endpoints. Neither comes from the repair's records, so a spanner
+   edge lost behind the engine's back is seen like any other. Subgraph
+   inclusion is checked on the diffs: [prev.snap_spanner] lay in
+   [prev.snap_ubg], so [sp] lies in [base] when every added spanner
+   edge is a base edge and no removed base edge is still a spanner
+   edge. Returns the certificate and the number of sources searched
+   from. *)
+let recertify ~params ~prev ~stretches ~base ~sp ~diff ~changed =
+  let base_diff = Csr.diff ~before:prev.snap_ubg ~after:base in
+  let in_base (e : Wgraph.edge) = Csr.mem_edge base e.u e.v in
+  let still_spanner (e : Wgraph.edge) = Csr.mem_edge sp e.u e.v in
+  if
+    not
+      (Array.for_all in_base (fst diff)
+      && Array.for_all
+           (fun e -> in_base e || not (still_spanner e))
+           (snd base_diff))
+  then (failed sp, 0)
+  else begin
+    let sources = reached_sources ~params ~base ~sp ~changed ~base_diff in
+    let fresh =
+      Parallel.Pool.map (Topo.Verify.source_stretch ~base ~spanner:sp) sources
+    in
+    let next = Array.make (Csr.n_vertices base) 1.0 in
+    Array.blit stretches 0 next 0 (Array.length stretches);
+    Array.iteri (fun i u -> next.(u) <- fresh.(i)) sources;
+    ({ sp; stretches = next; stretch = max_stretch next }, Array.length sources)
+  end
 
 let snapshot pop ~epoch ~base ~sp ~stretch ~dirty =
   {
@@ -267,8 +362,7 @@ let step t (events : Churn.event array) =
       refreshed
   end;
   let base =
-    Csr.add_edges
-      (Csr.isolate prev.snap_ubg ~n:cap (Array.of_list cut))
+    Csr.add_edges ~n:cap ~cut:(Array.of_list cut) prev.snap_ubg
       (Array.of_list !fresh)
   in
   (* 3. Dirty marking: edge {u,v} of length len is dirty when an
@@ -324,29 +418,44 @@ let step t (events : Churn.event array) =
         greedy_repair t !dirty
       end);
   let repair_seconds = t.clock () -. t0 in
-  (* 5. Certify; an incremental result that fails falls back to a full
-     rebuild, and a rebuild that fails raises (the caller rolls the
-     engine back). *)
+  (* 5. Certify: freeze the live spanner and diff it against the
+     latest one, then re-certify the sources a change can reach (an
+     incremental repair) or every source (a rebuild). An incremental
+     result that fails falls back to a full rebuild, and a rebuild that
+     fails raises (the caller rolls the engine back). *)
   let c0 = t.clock () in
-  let sp, stretch =
+  let check ~incremental =
+    let sp = Csr.of_wgraph t.spanner in
+    let diff = Csr.diff ~before:prev.snap_spanner ~after:sp in
+    let changed = endpoints diff in
+    let cert, searched =
+      if incremental then
+        recertify ~params:t.params ~prev ~stretches:t.stretches ~base ~sp ~diff
+          ~changed
+      else (certify ~base sp, Population.n_alive t.pop)
+    in
+    (cert, changed, searched)
+  in
+  let cert, dirty, searched =
     Obs.Trace.span ~cat:"dynamic" "certify" (fun () ->
-        let sp, stretch = certify ~base t.spanner in
-        if certifies t.params stretch then (sp, stretch)
+        let ((cert, _, _) as first) = check ~incremental:(!kind = Incremental) in
+        if certifies t.params cert.stretch then first
         else begin
           Log.warn (fun m ->
               m "epoch %d: stretch %g fails t = %g after %s repair; rebuilding"
-                (prev.snap_epoch + 1) stretch t.params.Params.t
+                (prev.snap_epoch + 1) cert.stretch t.params.Params.t
                 (match !kind with Incremental -> "incremental" | _ -> "rebuild"));
           t.n_cert_failures <- t.n_cert_failures + 1;
           Obs.Metrics.incr m_cert_failures;
           if !kind = Incremental then begin
             kind := Rebuild_cert_failure;
             full_rebuild t base;
-            certify ~base t.spanner
+            check ~incremental:false
           end
-          else (sp, stretch)
+          else first
         end)
   in
+  let stretch = cert.stretch and sp = cert.sp in
   if not (certifies t.params stretch) then
     failwith
       (Printf.sprintf
@@ -354,9 +463,10 @@ let step t (events : Churn.event array) =
           rebuild; rolled back to epoch %d"
          stretch t.params.Params.t prev.snap_epoch);
   let certify_seconds = t.clock () -. c0 in
+  Obs.Metrics.set_gauge g_certify_sources (float_of_int searched);
   t.latest <-
-    snapshot t.pop ~epoch:(prev.snap_epoch + 1) ~base ~sp ~stretch
-      ~dirty:(dirty_of_diff ~prev:prev.snap_spanner ~sp);
+    snapshot t.pop ~epoch:(prev.snap_epoch + 1) ~base ~sp ~stretch ~dirty;
+  t.stretches <- cert.stretches;
   Obs.Metrics.incr m_epochs;
   {
     epoch = t.latest.snap_epoch;
@@ -421,9 +531,11 @@ let replay t (trace : Churn.trace) ~f =
    defaults. *)
 let make ?backend ?(gray = Ubg.Gray_zone.Keep_all) ?(rebuild_threshold = 0.3)
     ~clock ~params ~pop ~spanner ~last_rebuild ~epoch ~base ~fail () =
-  let sp, stretch = certify ~base spanner in
+  let { sp; stretches; stretch } = certify ~base (Csr.of_wgraph spanner) in
   if not (certifies params stretch) then
     failwith (fail stretch params.Params.t);
+  Obs.Metrics.set_gauge g_certify_sources
+    (float_of_int (Population.n_alive pop));
   let backend_incremental =
     match backend with
     | None -> true
@@ -439,6 +551,7 @@ let make ?backend ?(gray = Ubg.Gray_zone.Keep_all) ?(rebuild_threshold = 0.3)
     pop;
     spanner;
     latest = snapshot pop ~epoch ~base ~sp ~stretch ~dirty:[||];
+    stretches;
     last_rebuild;
     n_incremental = 0;
     n_rebuilds = 0;

@@ -10,10 +10,11 @@
     ({!spanner}) that the repair edits.
 
     Repair is local. A batch first derives the next α-UBG from the
-    latest one ({!Graph.Csr.isolate} drops the edges of touched slots,
-    {!Graph.Csr.add_edges} adds the ones re-derived through a unit-cell
-    {!Geometry.Grid} and the gray-zone policy), drops the spanner edges
-    incident to touched nodes, then marks {e dirty} base edges: edge
+    latest one in one {!Graph.Csr.add_edges} (its [cut] drops the
+    edges of touched slots, its batch adds the ones re-derived through
+    a unit-cell {!Geometry.Grid} and the gray-zone policy), drops the
+    spanner edges incident to touched nodes, then marks {e dirty} base
+    edges: edge
     [{u, v}] of length [len] is dirty when some endpoint lies within
     [(t + 1e-9)·len/2] of a touched position, [t + 1e-9] being the
     largest stretch certification accepts. That is the witness radius:
@@ -30,17 +31,36 @@
     fraction crosses [rebuild_threshold] the engine falls back to a
     full rebuild.
 
-    Every epoch is re-certified from scratch with
-    {!Topo.Verify.edge_stretch_csr}: the new α-UBG against a frozen
-    {!Graph.Csr} copy of the live spanner. Its search from each vertex
-    stops at the vertex's farthest base neighbour, so certification
-    settles a t-ball per vertex, not the whole graph: 13–16 ms per
-    epoch at n = 10⁴ (E-churn, [BENCH_dynamic.json]), where one search
-    per vertex over the whole graph took 13–15 s. A certification
-    failure triggers a full rebuild. A batch that raises (an event
-    naming a dead slot, or a rebuild that fails certification) puts
-    the population and the spanner back to the latest snapshot, so the
-    engine stays at its last certified epoch. *)
+    Every epoch is certified against the new α-UBG on a frozen
+    {!Graph.Csr} copy of the live spanner, with the exact value the
+    full certifier {!Topo.Verify.edge_stretch_csr} would give. That
+    value is the maximum over sources [u] of
+    {!Topo.Verify.source_stretch}: the worst [sp(u, v) / w(u, v)] over
+    u's forward base edges ([v > u]), one search from [u] that stops
+    at its farthest forward neighbour. The engine keeps every slot's
+    value ({!source_stretches}) and, after an incremental repair,
+    searches again only from the sources a change can reach. The
+    changes are read from {!Graph.Csr.diff} of the latest and the new
+    snapshots, base and spanner, never from the repair's own records,
+    so a spanner edge lost behind the engine's back is seen. A source
+    is searched again when one of its forward base edges changed, or
+    when an endpoint of a changed spanner arc lies within its radius,
+    [(t + 1e-9)] times its longest forward base edge, in the new
+    spanner (one bounded multi-source search from those endpoints).
+    Every other source keeps its value, bit for bit: the latest epoch
+    certified that its forward neighbours lie within its radius, and a
+    path no longer than the radius crosses no changed arc in either
+    spanner, so its labels are unchanged. (A path that did would reach
+    a first changed endpoint along arcs present in both spanners, so
+    that endpoint would lie within the radius in the new spanner too:
+    a removal that lengthens a path and an addition that shortens one
+    are both seen from the new spanner alone.) {!create}, {!restore}
+    and every rebuild run the full certifier. Subgraph inclusion is checked on the diffs. A
+    certification failure triggers a full rebuild. A batch that raises
+    (an event naming a dead slot, or a rebuild that fails
+    certification) puts the population, the spanner and the per-slot
+    values back to the latest snapshot, so the engine stays at its
+    last certified epoch. *)
 
 type snapshot = {
   snap_epoch : int;
@@ -168,6 +188,14 @@ val counters : t -> int * int * int
     that wants two consecutive epochs reads it before and after
     {!apply_batch}. *)
 val latest : t -> snapshot
+
+(** [source_stretches t] is a copy of the per-slot values behind
+    [(latest t).snap_stretch]: slot [u] holds
+    {!Topo.Verify.source_stretch} of [u] on [snap_ubg] and
+    [snap_spanner], and their maximum from [1.0] is [snap_stretch].
+    They are bit for bit {!Topo.Verify.source_stretches} of the two
+    graphs, however many epochs carried them forward. *)
+val source_stretches : t -> float array
 
 (** [on_epoch t f] registers [f] to run on each new snapshot, on the
     domain calling {!apply_batch}, after certification succeeds and

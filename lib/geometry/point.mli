@@ -6,7 +6,11 @@
     vector-space operations needed by the spanner algorithms (cone
     membership tests, angle computations). *)
 
-type t
+(** The coordinates themselves. A hot loop may read them through the
+    coercion [(p :> float array)], with no copy and no boxed float per
+    coordinate (the covered test of [Topo.Query_select] does); it must
+    never write them. *)
+type t = private float array
 
 (** [create coords] builds a point from a coordinate array. The array is
     copied, so later mutation of [coords] does not affect the point.

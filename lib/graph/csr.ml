@@ -158,56 +158,35 @@ let restrict c ~region ~local_of =
   done;
   of_arrays ~off ~dst ~wgt
 
-(* Two passes over the arcs, as in [restrict]: one counts the kept arcs
-   into the offsets, one copies them; dropping arcs keeps every slice
-   sorted. *)
-let isolate c ~n vs =
-  let n0 = n_vertices c in
-  if n < n0 then invalid_arg "Csr.isolate: fewer vertices than the snapshot";
-  let cut = Array.make n false in
-  Array.iter
-    (fun v ->
-      if v < 0 || v >= n then invalid_arg "Csr.isolate: vertex out of range";
-      cut.(v) <- true)
-    vs;
-  let kept u k = not (cut.(u) || cut.(c.dst.(k))) in
-  let off = Array.make (n + 1) 0 in
-  for u = 0 to n - 1 do
-    let d = ref 0 in
-    if u < n0 then
-      for k = c.off.(u) to c.off.(u + 1) - 1 do
-        if kept u k then incr d
-      done;
-    off.(u + 1) <- off.(u) + !d
-  done;
-  let dst = Array.make off.(n) 0 and wgt = Array.make off.(n) 0.0 in
-  for u = 0 to n0 - 1 do
-    let o = ref off.(u) in
-    for k = c.off.(u) to c.off.(u + 1) - 1 do
-      if kept u k then begin
-        dst.(!o) <- c.dst.(k);
-        wgt.(!o) <- c.wgt.(k);
-        incr o
-      end
-    done
-  done;
-  { off; dst; wgt }
-
 (* The batch as arcs in both directions, sorted by (source, target) and
-   cut to one arc per pair at its smallest weight; then one pass over
-   the vertices: a run of vertices without new arcs is blitted whole,
-   its offsets shifted by the arcs added before it, and a touched
-   vertex's slice is merged with its new arcs by target. *)
-let add_edges c (edges : Wgraph.edge array) =
-  let n = n_vertices c in
+   cut to one arc per pair at its smallest weight. A vertex's slice
+   changes when it has new arcs, is cut, or neighbours a cut vertex:
+   those are listed in ascending order and each one's new degree is
+   counted (its surviving arcs, plus its new targets). Then one pass
+   over the vertices writes the result: a run of unchanged vertices is
+   blitted whole, its offsets shifted by the arcs gained and lost
+   before it, and a changed vertex's surviving arcs are merged with its
+   new arcs by target. *)
+let add_edges ?n ?(cut = [||]) c (edges : Wgraph.edge array) =
+  let n0 = n_vertices c in
+  let n = Option.value n ~default:n0 in
+  if n < n0 then invalid_arg "Csr.add_edges: fewer vertices than the snapshot";
   let k = 2 * Array.length edges in
-  if k = 0 then c
+  if k = 0 && Array.length cut = 0 && n = n0 then c
   else begin
+    let is_cut = if Array.length cut = 0 then [||] else Array.make n false in
+    Array.iter
+      (fun v ->
+        if v < 0 || v >= n then
+          invalid_arg "Csr.add_edges: cut vertex out of range";
+        is_cut.(v) <- true)
+      cut;
+    let cut_v v = Array.length is_cut > 0 && is_cut.(v) in
     let src = Array.make k 0 and tgt = Array.make k 0 and aw = Array.make k 0.0 in
     Array.iteri
       (fun i (e : Wgraph.edge) ->
-        check_vertex c e.u;
-        check_vertex c e.v;
+        if e.u < 0 || e.u >= n || e.v < 0 || e.v >= n then
+          invalid_arg "Csr: vertex out of range";
         if e.u = e.v then invalid_arg "Csr.add_edges: self loop";
         if e.w <= 0.0 then invalid_arg "Csr.add_edges: nonpositive weight";
         src.(2 * i) <- e.u;
@@ -240,54 +219,106 @@ let add_edges c (edges : Wgraph.edge array) =
         end)
       order;
     let nb = !nb in
-    let fresh = ref 0 in
+    (* The batch's sources, off the sorted arcs; with a cut, its
+       vertices and their neighbours too. *)
+    let first a = a = 0 || bs.(a - 1) <> bs.(a) in
+    let n_sources = ref 0 in
     for a = 0 to nb - 1 do
-      if find_arc c bs.(a) bt.(a) < 0 then incr fresh
+      if first a then incr n_sources
     done;
-    let m2 = Array.length c.dst + !fresh in
+    let sources = Array.make !n_sources 0 and j = ref 0 in
+    for a = 0 to nb - 1 do
+      if first a then begin
+        sources.(!j) <- bs.(a);
+        incr j
+      end
+    done;
+    let changed =
+      if Array.length cut = 0 then sources
+      else begin
+        let l = ref (Array.to_list sources) in
+        Array.iter
+          (fun v ->
+            l := v :: !l;
+            if v < n0 then
+              for a = c.off.(v) to c.off.(v + 1) - 1 do
+                l := c.dst.(a) :: !l
+              done)
+          cut;
+        Array.of_list (List.sort_uniq Int.compare !l)
+      end
+    in
+    (* [u]'s old arcs that survive lie in [lo u, hi u), less those into
+       a cut vertex. *)
+    let lo u = if u < n0 && not (cut_v u) then c.off.(u) else 0 in
+    let hi u = if u < n0 && not (cut_v u) then c.off.(u + 1) else 0 in
+    let old_off u = c.off.(min u n0) in
+    (* New degree of each changed vertex, and the arc count. *)
+    let degree = Array.make (Array.length changed) 0 in
+    let m2 = ref (Array.length c.dst) and a = ref 0 in
+    Array.iteri
+      (fun j u ->
+        let d = ref 0 in
+        for i = lo u to hi u - 1 do
+          if not (cut_v c.dst.(i)) then incr d
+        done;
+        while !a < nb && bs.(!a) = u do
+          let v = bt.(!a) in
+          if cut_v v || lo u = hi u || find_arc c u v < 0 then incr d;
+          incr a
+        done;
+        degree.(j) <- !d;
+        m2 := !m2 + !d - (old_off (u + 1) - old_off u))
+      changed;
+    let m2 = !m2 in
     let off = Array.make (n + 1) 0 in
     let dst = Array.make m2 0 and wgt = Array.make m2 0.0 in
-    (* [u0] is the first vertex not yet written, [shift] the arcs added
-       at vertices before it. *)
+    (* [u0] is the first vertex not yet written, [shift] the arcs gained
+       less those lost at vertices before it. *)
     let u0 = ref 0 and shift = ref 0 and a = ref 0 in
     let blit_upto u =
-      let lo = c.off.(!u0) and hi = c.off.(u) in
-      Array.blit c.dst lo dst (lo + !shift) (hi - lo);
-      Array.blit c.wgt lo wgt (lo + !shift) (hi - lo);
-      for x = !u0 to u - 1 do
+      let from = old_off !u0 and upto = old_off u in
+      Array.blit c.dst from dst (from + !shift) (upto - from);
+      Array.blit c.wgt from wgt (from + !shift) (upto - from);
+      for x = !u0 to min u n0 - 1 do
         off.(x) <- c.off.(x) + !shift
+      done;
+      for x = max !u0 n0 to u - 1 do
+        off.(x) <- c.off.(n0) + !shift
       done
     in
-    while !a < nb do
-      let u = bs.(!a) in
-      blit_upto u;
-      off.(u) <- c.off.(u) + !shift;
-      let o = ref (off.(u)) and i = ref c.off.(u) and hi = c.off.(u + 1) in
-      let emit v w =
-        dst.(!o) <- v;
-        wgt.(!o) <- w;
-        incr o
-      in
-      while !a < nb && bs.(!a) = u do
-        let v = bt.(!a) in
-        while !i < hi && c.dst.(!i) < v do
-          emit c.dst.(!i) c.wgt.(!i);
+    Array.iteri
+      (fun j u ->
+        blit_upto u;
+        off.(u) <- old_off u + !shift;
+        let o = ref off.(u) and i = ref (lo u) and hi = hi u in
+        let emit v w =
+          dst.(!o) <- v;
+          wgt.(!o) <- w;
+          incr o
+        in
+        let emit_old () =
+          if not (cut_v c.dst.(!i)) then emit c.dst.(!i) c.wgt.(!i);
           incr i
+        in
+        while !a < nb && bs.(!a) = u do
+          let v = bt.(!a) in
+          while !i < hi && c.dst.(!i) < v do
+            emit_old ()
+          done;
+          if !i < hi && c.dst.(!i) = v && not (cut_v v) then begin
+            emit v (if bw.(!a) < c.wgt.(!i) then bw.(!a) else c.wgt.(!i));
+            incr i
+          end
+          else emit v bw.(!a);
+          incr a
         done;
-        if !i < hi && c.dst.(!i) = v then begin
-          emit v (if bw.(!a) < c.wgt.(!i) then bw.(!a) else c.wgt.(!i));
-          incr i
-        end
-        else emit v bw.(!a);
-        incr a
-      done;
-      while !i < hi do
-        emit c.dst.(!i) c.wgt.(!i);
-        incr i
-      done;
-      shift := !o - c.off.(u + 1);
-      u0 := u + 1
-    done;
+        while !i < hi do
+          emit_old ()
+        done;
+        shift := !shift + degree.(j) - (old_off (u + 1) - old_off u);
+        u0 := u + 1)
+      changed;
     blit_upto n;
     off.(n) <- m2;
     { off; dst; wgt }

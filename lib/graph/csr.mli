@@ -17,10 +17,10 @@
     traversal. A snapshot comes from {!of_wgraph}, from {!restrict}
     when only a region of another snapshot is wanted (a relaxed-greedy
     phase's sub-instance), from {!add_edges} when a snapshot gains a
-    batch of edges (a build's partial spanner after each bin), from
-    {!isolate} when some vertices lose every edge (the dynamic engine's
-    α-UBG, whose touched slots are re-derived each epoch), or from
-    {!of_arrays} when a builder emits the arcs itself (the cluster
+    batch of edges (a build's partial spanner after each bin) or some
+    vertices lose every edge and others gain new ones (the dynamic
+    engine's α-UBG, whose touched slots are re-derived each epoch), or
+    from {!of_arrays} when a builder emits the arcs itself (the cluster
     graph does). Building is O(n + m); a snapshot never observes later
     mutations of the source graph. *)
 
@@ -45,27 +45,27 @@ val of_wgraph : Wgraph.t -> t
     out of its one snapshot of the partial spanner. *)
 val restrict : t -> region:int array -> local_of:int array -> t
 
-(** [add_edges c edges] is a new snapshot: [c] with [edges] added, bit
-    for bit {!of_wgraph} of [to_wgraph c] after
-    [Wgraph.add_edge_min] of each edge, so an edge already present, or
-    repeated in the batch, keeps its smallest weight. [c] is unchanged.
-    One pass over the vertices: the runs between vertices that gain
-    arcs are blitted, and each touched slice is merged with its sorted
+(** [add_edges ?n ?cut c edges] is a new snapshot: [c] grown to [n]
+    vertices (default [n_vertices c]), without the edges incident to a
+    vertex of [cut] (default none; vertices may repeat and may be new
+    ones), with [edges] added. Bit for bit it is {!of_wgraph} of that
+    graph after [Wgraph.add_edge_min] of each edge, so an edge already
+    present, or repeated in the batch, keeps its smallest weight; the
+    cut removes only [c]'s edges, never the batch's. [c] is unchanged.
+    One pass over the vertices: the runs of vertices whose slice is
+    unchanged are blitted, and each changed slice (a cut vertex, a
+    neighbour of one, a vertex with new arcs) is merged with its sorted
     new arcs; the batch itself is sorted, so the cost is
-    O(n + m + k log k) for [k] edges. An empty batch returns [c]. A
-    relaxed-greedy build patches its snapshot of the partial spanner
-    with each bin's kept edges this way. Raises [Invalid_argument] on
-    an out-of-range vertex, a self loop or a nonpositive weight. *)
-val add_edges : t -> Wgraph.edge array -> t
-
-(** [isolate c ~n vs] is [c] grown to [n >= n_vertices c] vertices
-    without the edges incident to a vertex of [vs] (which may repeat
-    vertices and name new ones): bit for bit {!of_wgraph} of that
-    graph. [c] is unchanged; O(n + m). The dynamic engine derives each
-    epoch's α-UBG this way, then adds the re-derived edges with
-    {!add_edges}. Raises [Invalid_argument] when [n] is below
-    [n_vertices c] or a vertex of [vs] lies outside [0, n). *)
-val isolate : t -> n:int -> int array -> t
+    O(n + m + k log k) for [k] edges, and no intermediate snapshot is
+    made. With no edge, no cut and no growth it
+    returns [c]. A relaxed-greedy build patches its snapshot of the
+    partial spanner with each bin's kept edges this way, and the
+    dynamic engine derives each epoch's α-UBG from the last one with
+    the touched slots as [cut] and their re-derived edges. Raises
+    [Invalid_argument] when [n] is below [n_vertices c], on a cut
+    vertex outside [0, n), and on an edge with an endpoint outside
+    [0, n), a self loop or a nonpositive weight. *)
+val add_edges : ?n:int -> ?cut:int array -> t -> Wgraph.edge array -> t
 
 (** [of_arrays ~off ~dst ~wgt] adopts caller-built arrays as a
     snapshot without copying them; the caller must not mutate them

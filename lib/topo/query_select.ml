@@ -13,18 +13,55 @@ type selection = {
 (* One side of the covered test: a spanner edge {u, z} with z close to v
    and a narrow wedge at u. |uz| <= |uv| always holds here because
    spanner edges come from earlier bins, but we keep the explicit check
-   that Lemma 3 requires. *)
-let covered_at ~points ~spanner ~params ~pivot ~far ~len =
-  let dist a b = Point.distance points.(a) points.(b) in
-  Csr.fold_neighbors spanner pivot
-    (fun z _ acc ->
-      acc
-      || (z <> far
-         && dist z far <= params.Params.alpha
-         && dist pivot z <= len
-         && Point.angle ~apex:points.(pivot) points.(far) points.(z)
-            <= params.Params.theta))
-    false
+   that Lemma 3 requires. The test is a first-order loop over u's slice
+   that stops at the first covering z: [Point.distance z v],
+   [Point.distance u z] and [Point.angle ~apex:u v z] written out, the
+   same float operations in the same order, so an arc allocates no
+   boxed float and no vector. *)
+let covered_at ~(points : Point.t array) ~spanner ~params ~pivot ~far ~len =
+  let p = (points.(pivot) :> float array) and q = (points.(far) :> float array) in
+  let dim = Array.length p in
+  let alpha = params.Params.alpha and theta = params.Params.theta in
+  let covered = ref false and k = ref spanner.Csr.off.(pivot) in
+  let hi = spanner.Csr.off.(pivot + 1) in
+  while (not !covered) && !k < hi do
+    let z = spanner.Csr.dst.(!k) in
+    if z <> far then begin
+      let r = (points.(z) :> float array) in
+      if Array.length r <> dim || Array.length q <> dim then
+        invalid_arg "Point: dimension mismatch";
+      let zv = ref 0.0 in
+      for i = 0 to dim - 1 do
+        let d = r.(i) -. q.(i) in
+        zv := !zv +. (d *. d)
+      done;
+      if sqrt !zv <= alpha then begin
+        let uz = ref 0.0 in
+        for i = 0 to dim - 1 do
+          let d = p.(i) -. r.(i) in
+          uz := !uz +. (d *. d)
+        done;
+        if sqrt !uz <= len then begin
+          (* The wedge at u between a = v - u and b = z - u. *)
+          let aa = ref 0.0 and bb = ref 0.0 and ab = ref 0.0 in
+          for i = 0 to dim - 1 do
+            let a = q.(i) -. p.(i) and b = r.(i) -. p.(i) in
+            aa := !aa +. (a *. a);
+            bb := !bb +. (b *. b);
+            ab := !ab +. (a *. b)
+          done;
+          let na = sqrt !aa and nb = sqrt !bb in
+          if na = 0.0 || nb = 0.0 then
+            invalid_arg "Point.angle: degenerate wedge";
+          let c = !ab /. (na *. nb) in
+          let c = if c > 1.0 then 1.0 else if c < -1.0 then -1.0 else c in
+          if acos c <= theta then covered := true
+        end
+      end
+    end;
+    incr k
+  done;
+  !covered
 
 let is_covered ~points ~spanner ~params ~u ~v ~len =
   covered_at ~points ~spanner ~params ~pivot:u ~far:v ~len

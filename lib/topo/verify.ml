@@ -1,39 +1,43 @@
 module Wgraph = Graph.Wgraph
 module Csr = Graph.Csr
 
-let edge_stretch_csr ~base ~spanner =
+let check_sizes name ~base ~spanner =
   if Csr.n_vertices base <> Csr.n_vertices spanner then
-    invalid_arg "Verify.edge_stretch_csr: vertex set mismatch";
-  (* One search per source u with a base neighbor v > u. Slices are
-     sorted, so those forward neighbors are a suffix of u's slice, and
-     the search stops once the farthest of them is popped. Sources fan
-     out over the pool; max is commutative, so the ordered fold is
-     bit-identical at any pool size. *)
-  let forward u =
-    let lo = ref base.Csr.off.(u + 1) in
-    while !lo > base.Csr.off.(u) && base.Csr.dst.(!lo - 1) > u do
-      decr lo
-    done;
-    !lo
-  in
-  let sources = ref [] in
-  for u = Csr.n_vertices base - 1 downto 0 do
-    if forward u < base.Csr.off.(u + 1) then sources := u :: !sources
+    invalid_arg (name ^ ": vertex set mismatch")
+
+(* One search from [u] in [spanner], with u's forward base neighbours
+   (those v > u) as targets. Slices are sorted, so they are a suffix of
+   u's slice, and the search stops once the farthest of them is
+   popped. *)
+let source_stretch ~base ~spanner u =
+  check_sizes "Verify.source_stretch" ~base ~spanner;
+  let hi = base.Csr.off.(u + 1) in
+  let lo = ref hi in
+  while !lo > base.Csr.off.(u) && base.Csr.dst.(!lo - 1) > u do
+    decr lo
   done;
-  let per_source =
-    Parallel.Pool.map
-      (fun u ->
-        let lo = forward u in
-        let targets = Array.sub base.Csr.dst lo (base.Csr.off.(u + 1) - lo) in
-        let dist = Graph.Dijkstra.distances_to_csr spanner u ~targets in
-        let worst = ref 1.0 in
-        Array.iteri
-          (fun i d -> worst := Float.max !worst (d /. base.Csr.wgt.(lo + i)))
-          dist;
-        !worst)
-      (Array.of_list !sources)
-  in
-  Array.fold_left Float.max 1.0 per_source
+  let lo = !lo in
+  if lo = hi then 1.0
+  else begin
+    let targets = Array.sub base.Csr.dst lo (hi - lo) in
+    let dist = Graph.Dijkstra.distances_to_csr spanner u ~targets in
+    let worst = ref 1.0 in
+    for i = 0 to hi - lo - 1 do
+      worst := Float.max !worst (dist.(i) /. base.Csr.wgt.(lo + i))
+    done;
+    !worst
+  end
+
+(* Sources fan out over the pool, each writing its own slot. *)
+let source_stretches ~base ~spanner =
+  check_sizes "Verify.source_stretches" ~base ~spanner;
+  Parallel.Pool.map
+    (source_stretch ~base ~spanner)
+    (Array.init (Csr.n_vertices base) Fun.id)
+
+(* Max is commutative, so the fold is bit-identical at any pool size. *)
+let edge_stretch_csr ~base ~spanner =
+  Array.fold_left Float.max 1.0 (source_stretches ~base ~spanner)
 
 let is_t_spanner_csr ~base ~spanner ~t =
   edge_stretch_csr ~base ~spanner <= t +. 1e-9

@@ -475,13 +475,15 @@ let prop_add_edges_matches_builder =
       && bits patched = bits expected
       && (Array.copy c.Csr.off, Array.copy c.Csr.dst, bits c) = before)
 
-(* The engine's per-epoch base: [isolate] must equal freezing the
-   thawed graph, grown to [n], without the edges of the cut vertices,
-   offsets, targets and weight bits alike, and leave its input snapshot
-   as it was. Cut sets: none, every vertex, and a random subset with
-   repeats and new vertices; [n] grows by 0 to 5. *)
-let prop_isolate_matches_builder =
-  qtest ~count:60 "csr: isolate = of_wgraph of the grown graph minus the cut"
+(* The engine's per-epoch base, with no new edge: [add_edges ~n ~cut]
+   of an empty batch must equal freezing the thawed graph, grown to
+   [n], without the edges of the cut vertices, offsets, targets and
+   weight bits alike, and leave its input snapshot as it was. Cut sets:
+   none, every vertex, and a random subset with repeats and new
+   vertices; [n] grows by 0 to 5. *)
+let prop_cut_matches_builder =
+  qtest ~count:60
+    "csr: add_edges ~cut = of_wgraph of the grown graph minus the cut"
     seed_arb (fun seed ->
       let st = rand_state seed in
       let n0 = 1 + Random.State.int st 50 in
@@ -499,14 +501,68 @@ let prop_isolate_matches_builder =
           let h = Wgraph.create n in
           Wgraph.iter_edges g (fun u v w ->
               if not (cut.(u) || cut.(v)) then Wgraph.add_edge h u v w);
-          let got = Csr.isolate c ~n vs and expected = Csr.of_wgraph h in
+          let got = Csr.add_edges ~n ~cut:vs c [||]
+          and expected = Csr.of_wgraph h in
           got.Csr.off = expected.Csr.off
           && got.Csr.dst = expected.Csr.dst
           && bits got = bits expected)
         [ [||]; Array.init n Fun.id; random_cut ]
       && (Array.copy c.Csr.off, Array.copy c.Csr.dst, bits c) = before)
 
-let test_isolate_rejects () =
+(* The engine's whole per-epoch step in one call: grow, cut, then add
+   a batch whose edges touch cut vertices, new vertices and edges the
+   cut removed (at a new weight), with repeats. The result must equal
+   the builder that removes the cut vertices' edges and then takes the
+   batch with [add_edge_min]. *)
+let prop_cut_and_batch_match_builder =
+  qtest ~count:60 "csr: add_edges ~n ~cut batch = cut, then add_edge_min"
+    seed_arb (fun seed ->
+      let st = rand_state seed in
+      let n0 = 2 + Random.State.int st 40 in
+      let g = random_graph ~st ~n:n0 ~extra_edges:(Random.State.int st 60) in
+      let c = Csr.of_wgraph g in
+      let n = n0 + Random.State.int st 4 in
+      let vs = Array.init (Random.State.int st 6) (fun _ -> Random.State.int st n) in
+      let cut = Array.make n false in
+      Array.iter (fun v -> cut.(v) <- true) vs;
+      let edge u v = { Wgraph.u; v; w = 0.1 +. Random.State.float st 1.0 } in
+      let random_edge () =
+        let u = Random.State.int st n in
+        edge u ((u + 1 + Random.State.int st (n - 1)) mod n)
+      in
+      let rejoined =
+        List.filter_map
+          (fun (e : Wgraph.edge) ->
+            if cut.(e.u) || cut.(e.v) then Some (edge e.u e.v) else None)
+          (Wgraph.edges g)
+      in
+      let batch =
+        Array.concat
+          [
+            Array.init (Random.State.int st 10) (fun _ -> random_edge ());
+            Array.of_list rejoined;
+            Array.map
+              (fun v -> edge v ((v + 1) mod n))
+              (Array.sub vs 0 (min 2 (Array.length vs)));
+          ]
+      in
+      let batch =
+        if Array.length batch > 0 then Array.append batch [| batch.(0) |]
+        else batch
+      in
+      let h = Wgraph.create n in
+      Wgraph.iter_edges g (fun u v w ->
+          if not (cut.(u) || cut.(v)) then Wgraph.add_edge h u v w);
+      Array.iter
+        (fun (e : Wgraph.edge) -> ignore (Wgraph.add_edge_min h e.u e.v e.w))
+        batch;
+      let got = Csr.add_edges ~n ~cut:vs c batch
+      and expected = Csr.of_wgraph h in
+      got.Csr.off = expected.Csr.off
+      && got.Csr.dst = expected.Csr.dst
+      && bits got = bits expected)
+
+let test_cut_rejects () =
   let c = Csr.of_wgraph (Wgraph.of_edges ~n:3 [ (0, 1, 1.0); (1, 2, 1.0) ]) in
   let rejects f =
     try
@@ -515,11 +571,11 @@ let test_isolate_rejects () =
     with Invalid_argument _ -> true
   in
   Alcotest.(check bool) "fewer vertices than the snapshot" true
-    (rejects (fun () -> Csr.isolate c ~n:2 [||]));
+    (rejects (fun () -> Csr.add_edges ~n:2 c [||]));
   Alcotest.(check bool) "vertex beyond n" true
-    (rejects (fun () -> Csr.isolate c ~n:4 [| 4 |]));
+    (rejects (fun () -> Csr.add_edges ~n:4 ~cut:[| 4 |] c [||]));
   Alcotest.(check bool) "negative vertex" true
-    (rejects (fun () -> Csr.isolate c ~n:3 [| -1 |]))
+    (rejects (fun () -> Csr.add_edges ~n:3 ~cut:[| -1 |] c [||]))
 
 let test_of_arrays_rejects_malformed () =
   let rejects ~off ~dst ~wgt =
@@ -576,8 +632,9 @@ let () =
       ( "patch",
         [
           prop_add_edges_matches_builder;
-          prop_isolate_matches_builder;
-          Alcotest.test_case "isolate rejects bad sizes and vertices" `Quick
-            test_isolate_rejects;
+          prop_cut_matches_builder;
+          Alcotest.test_case "add_edges rejects bad sizes and cut vertices"
+            `Quick test_cut_rejects;
+          prop_cut_and_batch_match_builder;
         ] );
     ]

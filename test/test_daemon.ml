@@ -378,6 +378,22 @@ let test_daemon_serves_published_oracle () =
               Alcotest.(check bool) (key ^ " is a duration") true (ms >= 0.0)
           | None -> Alcotest.failf "STATS lacks a numeric %s" key)
         [ "engine.repair_ms"; "engine.certify_ms" ];
+      (* The last certification searched from at least one source and
+         at most every alive one. *)
+      (match
+         Option.bind
+           (List.assoc_opt "engine.certify_sources" rows)
+           int_of_string_opt
+       with
+      | Some k ->
+          Alcotest.(check bool) "engine.certify_sources in [1, alive]" true
+            (k >= 1
+            && k
+               <= Option.value ~default:0
+                    (Option.bind
+                       (List.assoc_opt "engine.alive" rows)
+                       int_of_string_opt))
+      | None -> Alcotest.fail "STATS lacks engine.certify_sources");
       let final = Client.shutdown c in
       Alcotest.(check int) "final epoch" epochs final;
       Client.close c;

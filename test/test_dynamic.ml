@@ -660,6 +660,158 @@ let test_engine_matches_reference_rule () =
   Alcotest.(check int) "every epoch incremental" 10 !compared
 
 (* ------------------------------------------------------------------ *)
+(* The carried certificate: every epoch equals the full certifier      *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine's per-slot values and stretch against the full certifier
+   on its latest snapshot's graphs, bit for bit. *)
+let certificate_exact e =
+  let snap = Engine.latest e in
+  let base = snap.Engine.snap_ubg and spanner = snap.Engine.snap_spanner in
+  Array.map bits (Engine.source_stretches e)
+  = Array.map bits (Topo.Verify.source_stretches ~base ~spanner)
+  && bits snap.Engine.snap_stretch
+     = bits (Topo.Verify.edge_stretch_csr ~base ~spanner)
+
+let check_certificate e =
+  Alcotest.(check bool)
+    (Printf.sprintf "epoch %d certificate = full certifier" (Engine.epoch e))
+    true (certificate_exact e)
+
+let certify_sources () =
+  int_of_float
+    (Obs.Metrics.gauge_value (Obs.Metrics.gauge "engine.certify_sources"))
+
+(* Replays [batches] and checks every epoch's certificate, returning the
+   number of incremental epochs that searched again from fewer sources
+   than are alive (so the carried values were used). *)
+let replay_certified e batches =
+  check_certificate e;
+  Alcotest.(check int) "create certifies every alive source"
+    (Engine.n_alive e) (certify_sources ());
+  let partial = ref 0 in
+  List.iter
+    (fun batch ->
+      let r = Engine.apply_batch e batch in
+      check_certificate e;
+      if r.Engine.kind = Engine.Incremental then begin
+        if certify_sources () < r.Engine.n_alive then incr partial
+      end
+      else
+        Alcotest.(check int)
+          (Printf.sprintf "epoch %d rebuild certifies every alive source"
+             r.Engine.epoch)
+          r.Engine.n_alive (certify_sources ()))
+    batches;
+  !partial
+
+(* E-churn quick's instance and trace (n = 300, 10 batches of at most 8
+   events), all of it: moves, joins and leaves, with slots touched
+   twice in a batch. *)
+let test_certificate_e_churn () =
+  let n = 300 and alpha = 0.8 in
+  let side =
+    Ubg.Generator.side_for_expected_degree ~dim:2 ~n ~alpha ~degree:10.0
+  in
+  let model =
+    Ubg.Generator.connected ~seed:(9 + n) ~dim:2 ~n ~alpha
+      (Ubg.Generator.Uniform { side })
+  in
+  let trace =
+    Churn.generate ~seed:(n + 1) ~epochs:10 ~batch_max:8
+      (Churn.default_dynamics ~side) model
+  in
+  let e = Engine.create ~params:(params_for model) model in
+  let partial = replay_certified e (Array.to_list trace.Churn.batches) in
+  Alcotest.(check int) "every epoch carried values forward" 10 partial
+
+(* Mostly joins and leaves, a few moves: slots die, are reused and the
+   capacity grows, so forward base slices gain and lose edges without
+   a spanner arc of their own changing. *)
+let prop_certificate_join_leave =
+  qtest ~count:4 "engine: certificate = full certifier, join/leave-heavy"
+    seed_arb (fun seed ->
+      let n = 150 and alpha = 0.8 in
+      let side =
+        Ubg.Generator.side_for_expected_degree ~dim:2 ~n ~alpha ~degree:10.0
+      in
+      let model =
+        Ubg.Generator.connected ~seed ~dim:2 ~n ~alpha
+          (Ubg.Generator.Uniform { side })
+      in
+      let dynamics =
+        {
+          (Churn.default_dynamics ~side) with
+          Churn.join_weight = 4.0;
+          leave_weight = 4.0;
+          move_weight = 0.5;
+        }
+      in
+      let trace =
+        Churn.generate ~seed:(seed + 5) ~epochs:12 ~batch_max:6 dynamics model
+      in
+      let e = Engine.create ~params:(params_for model) model in
+      replay_certified e (Array.to_list trace.Churn.batches) > 0)
+
+(* A regional outage and its heal, between mild batches: the slots
+   within 1.2 of slot 0 jump 1000 away, then come back, and the
+   population churns around them. Each epoch stays under the rebuild
+   threshold, so the outage's removals and the heal's additions are
+   both certified incrementally. *)
+let test_certificate_outage_heal () =
+  let n = 400 and alpha = 0.8 in
+  let side =
+    Ubg.Generator.side_for_expected_degree ~dim:2 ~n ~alpha ~degree:10.0
+  in
+  let model =
+    Ubg.Generator.connected ~seed:77 ~dim:2 ~n ~alpha
+      (Ubg.Generator.Uniform { side })
+  in
+  let pts = model.Ubg.Model.points in
+  let region =
+    List.filter
+      (fun i -> Point.distance pts.(i) pts.(0) <= 1.2)
+      (List.init n Fun.id)
+  in
+  let moved dx i =
+    let c = Point.coords pts.(i) in
+    c.(0) <- c.(0) +. dx;
+    Point.create c
+  in
+  let shifted dx i = Churn.Move (i, moved dx i) in
+  let outage = Array.of_list (List.map (shifted 1e3) region) in
+  let heal = Array.of_list (List.map (fun i -> Churn.Move (i, pts.(i))) region) in
+  (* Mild batches away from the region: a nudge, a leave, and a join
+     that takes the slot just freed. *)
+  let far =
+    Array.of_list
+      (List.filter
+         (fun i -> Point.distance pts.(i) pts.(0) > 3.0)
+         (List.init n Fun.id))
+  in
+  let mild =
+    Array.init 4 (fun k ->
+        [|
+          shifted 1e-2 far.(k);
+          Churn.Leave far.(k + 10);
+          Churn.Join (moved 0.05 far.(k + 20));
+        |])
+  in
+  let e = Engine.create ~params:(params_for model) model in
+  let kinds = ref [] in
+  check_certificate e;
+  List.iter
+    (fun b ->
+      let r = Engine.apply_batch e b in
+      kinds := r.Engine.kind :: !kinds;
+      check_certificate e)
+    [ mild.(0); outage; mild.(1); heal; mild.(2); outage; heal; mild.(3) ];
+  Alcotest.(check bool) "the region is a burst, not a trickle" true
+    (List.length region >= 8);
+  Alcotest.(check bool) "outage and heal repaired incrementally" true
+    (List.for_all (fun k -> k = Engine.Incremental) !kinds)
+
+(* ------------------------------------------------------------------ *)
 (* Adversarial: forced certification failures and the rebuild/rollback *)
 (* fallbacks                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -723,6 +875,7 @@ let test_engine_cert_failure_fallback () =
   let r = Engine.apply_batch e (nudge model 0) in
   Alcotest.(check bool) "fell back to a cert-failure rebuild" true
     (r.Engine.kind = Engine.Rebuild_cert_failure);
+  check_certificate e;
   let _, _, failures = Engine.counters e in
   Alcotest.(check int) "certification failure counted" 1 failures;
   Alcotest.(check bool) "recovered epoch certifies" true
@@ -730,7 +883,8 @@ let test_engine_cert_failure_fallback () =
   (* And the engine keeps going normally afterwards. *)
   let r2 = Engine.apply_batch e (nudge model 1) in
   Alcotest.(check bool) "next epoch incremental again" true
-    (r2.Engine.kind = Engine.Incremental)
+    (r2.Engine.kind = Engine.Incremental);
+  check_certificate e
 
 (* One far spanner edge short, away from the batch: the incremental
    repair never revisits it, so the epoch fails certification and a
@@ -761,7 +915,12 @@ let test_engine_far_edge_cert_failure () =
     (r.Engine.kind = Engine.Rebuild_cert_failure);
   Alcotest.(check bool) "the rebuilt epoch's stretch is exact" true
     (bits r.Engine.stretch
-    = bits (reference_stretch ~base:(base_of e) ~spanner:(Engine.spanner e)))
+    = bits (reference_stretch ~base:(base_of e) ~spanner:(Engine.spanner e)));
+  check_certificate e;
+  let r2 = Engine.apply_batch e (nudge model u) in
+  Alcotest.(check bool) "then incremental again" true
+    (r2.Engine.kind = Engine.Incremental);
+  check_certificate e
 
 (* A backend that builds honestly until armed, then sabotages every
    rebuild: an edgeless "spanner", or an honest one missing one far
@@ -836,6 +995,7 @@ let sabotaged_batch_rolls_back e model mode =
         ((Engine.latest e).Engine.snap_epoch = snap_before.Engine.snap_epoch);
       Alcotest.(check bool) "live spanner restored" true
         (canonical (Engine.spanner e) = spanner_before);
+      check_certificate e;
       let _, _, failures = Engine.counters e in
       Alcotest.(check int) "failure counted" (failures_before + 1) failures;
       msg)
@@ -1023,6 +1183,14 @@ let () =
             test_engine_forced_rebuild_threshold;
           Alcotest.test_case "repair = greedy rule from snapshots" `Quick
             test_engine_matches_reference_rule;
+        ] );
+      ( "engine-certificate",
+        [
+          Alcotest.test_case "E-churn quick trace = full certifier" `Quick
+            test_certificate_e_churn;
+          prop_certificate_join_leave;
+          Alcotest.test_case "outage/heal burst = full certifier" `Quick
+            test_certificate_outage_heal;
         ] );
       ( "engine-adversarial",
         [
