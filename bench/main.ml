@@ -1665,8 +1665,8 @@ let e_repair () =
             %.2f, <= %d events/epoch)"
            n eps batch_max)
       ~columns:
-        [ "epoch"; "events"; "dirty"; "affected"; "mode"; "scratch ms";
-          "repair ms"; "speedup" ]
+        [ "epoch"; "events"; "dirty"; "affected"; "rows upd/srch"; "mode";
+          "scratch ms"; "repair ms"; "speedup" ]
   in
   Array.iteri
     (fun i batch ->
@@ -1712,6 +1712,8 @@ let e_repair () =
           Report.cell_i (Array.length batch);
           Report.cell_i (Array.length dirty);
           Report.cell_i r.Oracle.Dist.affected_clusters;
+          Printf.sprintf "%d/%d" r.Oracle.Dist.rows_updated
+            r.Oracle.Dist.rows_searched;
           mode;
           Printf.sprintf "%.2f" (1e3 *. scratch_s);
           Printf.sprintf "%.2f" (1e3 *. repair_s);
@@ -1724,6 +1726,8 @@ let e_repair () =
               ("epoch", int (i + 1)); ("events", int (Array.length batch));
               ("dirty", int (Array.length dirty));
               ("affected", int r.Oracle.Dist.affected_clusters);
+              ("rows_updated", int r.Oracle.Dist.rows_updated);
+              ("rows_searched", int r.Oracle.Dist.rows_searched);
               ("repaired", Bool r.Oracle.Dist.repaired);
               ("scratch_s", Num scratch_s); ("repair_s", Num repair_s);
             ])

@@ -124,6 +124,10 @@ let run ?stop config =
     Oracle.Service.attach ~eps:config.oracle_eps ~label:"daemon" ~async:true
       engine
   in
+  (* The engine epoch STATS reports, and the publish lag behind it, are
+     right from the start, before the first batch lands. *)
+  Obs.Metrics.set_gauge (Lazy.force g_epoch)
+    (float_of_int (Engine.epoch engine));
   (* --- socket-ingest queue ------------------------------------------ *)
   let pending = Queue.create () in
   let pending_lock = Mutex.create () in
@@ -143,8 +147,9 @@ let run ?stop config =
   in
   let stats () =
     let g l = Obs.Metrics.gauge_value (Lazy.force l) in
+    let engine_epoch = int_of_float (g g_epoch) in
     [
-      ("engine.epoch", string_of_int (int_of_float (g g_epoch)));
+      ("engine.epoch", string_of_int engine_epoch);
       ("engine.alive", string_of_int (int_of_float (g g_alive)));
       ("engine.repair_ms", Printf.sprintf "%.3f" (g g_repair_ms));
       ("engine.certify_ms", Printf.sprintf "%.3f" (g g_certify_ms));
@@ -166,6 +171,13 @@ let run ?stop config =
       ( "oracle.repair_fallbacks",
         string_of_int ost.Oracle.Service.repair_fallbacks );
       ("oracle.pending", string_of_int ost.Oracle.Service.pending);
+      ( "oracle.builder_failed",
+        if ost.Oracle.Service.builder_failed then "1" else "0" );
+      (* The gauge is set after the batch that the builder may already
+         have published, so a moment's negative lag reads 0. *)
+      ( "oracle.publish_lag",
+        string_of_int
+          (max 0 (engine_epoch - ost.Oracle.Service.published_epoch)) );
     ]
   in
   let server =

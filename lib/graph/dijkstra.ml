@@ -1,4 +1,5 @@
-(* Three relaxation loops serve every search in this module:
+(* Three relaxation loops serve every search in this module, and a
+   fourth updates a distance row after its graph changed:
 
    - [unbounded]: the full single-source search on fresh plain arrays,
      for callers that want every distance (all-pairs analysis). It
@@ -11,7 +12,9 @@
      Certification runs it once per source, stopping at the source's
      farthest base neighbour;
    - [hop_bounded]: the hop-and-length bounded search of Lemma 8, on
-     the same workspace.
+     the same workspace;
+   - [update_row_csr]: a full search's row carried from one snapshot to
+     the next, on the workspace heap: the oracle's landmark rows.
 
    [settle] and [hop_bounded] are first-order loops over arc slices: a
    target array, a weight array and a range. A [Csr.t] search passes
@@ -621,3 +624,133 @@ let within_multi_csr_into ws c ~srcs ~bound ~out_v ~out_d ~out_p =
     out_p.(i) <- ws.par.(out_v.(i))
   done;
   k
+
+(* ------------------------------------------------------------------ *)
+(* The row update                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A scratch label is the least [fl(D(p) + w)] over the neighbours: a
+   neighbour popped after [x] offers at least [D(x)], since adding a
+   positive weight never rounds below the sum's first term. A label
+   that some path yields, rounding at each step, is never below the
+   scratch label, by induction along the path. So labels that some
+   path yields and that no arc can lower are the scratch labels, bit
+   for bit: lower than a scratch label would mean lower along its
+   scratch tree path. The update keeps that pair of facts.
+
+   The deletion step resets every vertex whose old label no path in
+   [after] may still yield. It pops candidates in increasing old label
+   from the workspace heap. A candidate keeps its label when an arc of
+   [after] is tight into it ([fl(D(p) + w) = D(x)]) from a vertex with
+   a strictly smaller label that was not reset: that vertex's status
+   is final by then, and the strict order makes the supports a chain
+   that ends at the source. A vertex no candidate's reset reaches still
+   has its old tree parent over an unchanged arc. Equal labels (an arc
+   too light to move a label) never support, so a reset cycle cannot
+   keep itself. [stamp] flags the reset vertices, [touched] lists them
+   and [mark] enqueues a candidate once: a later reset with an equal
+   label cannot have supported it.
+
+   The re-settle step seeds each reset vertex from its kept neighbours
+   and each inserted arc's head from its tail, then pops: every seed
+   and every relaxation is a path's label, and once the heap runs dry
+   no arc can lower any label (a kept vertex already met its unchanged
+   arcs in [before]). *)
+let update_row_csr ws ~before ~after ~removed ~added ~src ~rows ~col =
+  let n = Csr.n_vertices after and n0 = Csr.n_vertices before in
+  if n < n0 then invalid_arg "Dijkstra.update_row_csr: the snapshot shrank";
+  check_vertex ~n src;
+  let { table; m } = rows in
+  if col < 0 || col >= m || Array.length table < n * m then
+    invalid_arg "Dijkstra.update_row_csr: no such column";
+  ws_prepare ws n;
+  new_round ws;
+  let stamp = ws.stamp and epoch = ws.epoch in
+  let mark = ws.mark and round = ws.mark_epoch in
+  (* Deletions. *)
+  let enqueue v =
+    if mark.(v) <> round && v <> src then begin
+      mark.(v) <- round;
+      ws.hprio.(ws.hsize) <- table.((v * m) + col);
+      offer ws v
+    end
+  in
+  Array.iter
+    (fun (e : Wgraph.edge) ->
+      let du = table.((e.u * m) + col) and dv = table.((e.v * m) + col) in
+      if dv < infinity && du +. e.w = dv then enqueue e.v;
+      if du < infinity && dv +. e.w = du then enqueue e.u)
+    removed;
+  while ws.hsize > 0 do
+    let x = ws.hkey.(0) in
+    remove_min ws;
+    let dx = table.((x * m) + col) in
+    let k = ref after.Csr.off.(x) and hi = after.Csr.off.(x + 1) in
+    let kept = ref false in
+    while (not !kept) && !k < hi do
+      let p = after.Csr.dst.(!k) in
+      let dp = table.((p * m) + col) in
+      if dp < dx && stamp.(p) <> epoch && dp +. after.Csr.wgt.(!k) = dx then
+        kept := true;
+      incr k
+    done;
+    if not !kept then begin
+      stamp.(x) <- epoch;
+      ws.touched.(ws.n_touched) <- x;
+      ws.n_touched <- ws.n_touched + 1;
+      if x < n0 then
+        for k = before.Csr.off.(x) to before.Csr.off.(x + 1) - 1 do
+          let y = before.Csr.dst.(k) in
+          let dy = table.((y * m) + col) in
+          if dy < infinity && dx +. before.Csr.wgt.(k) = dy then enqueue y
+        done
+    end
+  done;
+  (* Re-settle. *)
+  let touched = ws.touched in
+  for i = 0 to ws.n_touched - 1 do
+    table.((touched.(i) * m) + col) <- infinity
+  done;
+  for i = 0 to ws.n_touched - 1 do
+    let x = touched.(i) in
+    let best = ref infinity in
+    for k = after.Csr.off.(x) to after.Csr.off.(x + 1) - 1 do
+      let p = after.Csr.dst.(k) in
+      if stamp.(p) <> epoch then begin
+        let d = table.((p * m) + col) +. after.Csr.wgt.(k) in
+        if d < !best then best := d
+      end
+    done;
+    if !best < infinity then begin
+      table.((x * m) + col) <- !best;
+      ws.hprio.(ws.hsize) <- !best;
+      offer ws x
+    end
+  done;
+  Array.iter
+    (fun (e : Wgraph.edge) ->
+      for dir = 0 to 1 do
+        let a = if dir = 0 then e.u else e.v in
+        let b = if dir = 0 then e.v else e.u in
+        let d = table.((a * m) + col) +. e.w in
+        if d < table.((b * m) + col) then begin
+          table.((b * m) + col) <- d;
+          ws.hprio.(ws.hsize) <- d;
+          offer ws b
+        end
+      done)
+    added;
+  while ws.hsize > 0 do
+    let u = ws.hkey.(0) in
+    remove_min ws;
+    let du = table.((u * m) + col) in
+    for k = after.Csr.off.(u) to after.Csr.off.(u + 1) - 1 do
+      let v = after.Csr.dst.(k) in
+      let d = du +. after.Csr.wgt.(k) in
+      if d < table.((v * m) + col) then begin
+        table.((v * m) + col) <- d;
+        ws.hprio.(ws.hsize) <- d;
+        offer ws v
+      end
+    done
+  done

@@ -1,6 +1,7 @@
 (** Single-source shortest paths (Dijkstra's algorithm).
 
-    Every entry point runs one of three loops:
+    Every search entry runs one of three loops, and
+    {!update_row_csr} a fourth:
 
     - the {b unbounded} search on fresh plain arrays, behind
       {!distances} and {!distances_csr}: full single-source distances,
@@ -24,7 +25,11 @@
       view-restricted witness search;
     - the {b hop-bounded} search behind {!hop_bounded_distance},
       {!hop_bounded_distance_csr} and {!hop_bounded_distance_csr_ws}:
-      query answering on the cluster graph (Lemma 8).
+      query answering on the cluster graph (Lemma 8);
+    - the {b row update} behind {!update_row_csr}: a full search's
+      distances carried from one snapshot to the next on the workspace
+      heap, re-settling only what changed (the oracle's landmark rows
+      under churn).
 
     {2 Allocation}
 
@@ -44,8 +49,9 @@
     vertex, only a small constant per call: {!within_csr_into},
     {!distances_to_csr} (plus its result array),
     {!within_multi_csr_into}, {!settle_parents_csr_ws},
-    {!distance_upto_csr_ws} with or without landmarks, and
-    {!hop_bounded_distance_csr_ws}. A [Wgraph.t] search allocates a
+    {!distance_upto_csr_ws} with or without landmarks,
+    {!hop_bounded_distance_csr_ws}, and {!update_row_csr} per vertex it
+    resets or lowers. A [Wgraph.t] search allocates a
     few words per expanded vertex for the hashtable walk, and the list
     entries allocate their result.
 
@@ -300,3 +306,43 @@ val within_multi_csr_into :
 
 val hop_bounded_distance_csr_ws :
   workspace -> Csr.t -> int -> int -> max_hops:int -> bound:float -> float
+
+(** {2 Row updates} *)
+
+(** [update_row_csr ws ~before ~after ~removed ~added ~src ~rows ~col]
+    carries a distance row from one snapshot to the next in place.
+    Column [col] of [rows] ([rows.table.(v * rows.m + col)]) must hold
+    [src]'s distances in [before], [infinity] at the slots [after] grew
+    by, and [(added, removed)] must be {!Csr.diff}[ ~before ~after].
+    Afterwards the column holds [src]'s distances in [after], bit for
+    bit {!within_csr_into} with bound [infinity] (the dynamic
+    single-source update of Ramalingam and Reps, J. Algorithms 21,
+    1996):
+
+    - {b deletions}: candidates, first the heads of removed arcs that
+      were tight ([fl(D(p) + w) = D(x)]), pop in increasing old label.
+      A candidate keeps its label when an arc of [after] is tight into
+      it from a vertex with a strictly smaller label that kept its own;
+      otherwise it is reset, and its tight arcs in [before] make their
+      heads candidates;
+    - {b re-settle}: each reset vertex is seeded from its kept
+      neighbours and each inserted arc's head from its tail, and one
+      settle on the workspace heap propagates every decrease.
+
+    Each label is the least [fl(D(p) + w)] over its neighbours, whatever
+    the order the search met them in, which is why the result is the
+    scratch search's. The cost is the arcs of the vertices reset or
+    lowered, not the graph's; the source's own arcs may change too.
+    Raises [Invalid_argument] when [after] has fewer vertices than
+    [before], [src] is out of range, or [rows] has no column [col] for
+    [after]'s vertices. *)
+val update_row_csr :
+  workspace ->
+  before:Csr.t ->
+  after:Csr.t ->
+  removed:Wgraph.edge array ->
+  added:Wgraph.edge array ->
+  src:int ->
+  rows:landmarks ->
+  col:int ->
+  unit

@@ -11,8 +11,8 @@ module Pool = Parallel.Pool
    center pair, so the route expansion finds the spanner edge behind
    each center-graph hop by binary search. [landmarks] is an n x m
    vertex-major table: row v holds v's distance to each of the m
-   landmark centers, the rows the searches' A* potential reads and
-   every table answer's certificate. *)
+   landmark centers [landmark_ids], the rows the searches' A* potential
+   reads and every table answer's certificate. *)
 type t = {
   csr : Csr.t;
   eps : float;
@@ -28,11 +28,18 @@ type t = {
   portal_key : int array; (* sorted adjacent pairs, a * k + b with a < b *)
   portal_lo : int array; (* portal endpoint inside cluster a *)
   portal_hi : int array; (* portal endpoint inside cluster b *)
+  landmark_ids : int array; (* column -> landmark vertex *)
   landmarks : Dijkstra.landmarks; (* n*m, infinity = unreachable *)
   build_seconds : float;
 }
 
 let csr t = t.csr
+let landmarks t = Array.copy t.landmark_ids
+
+let landmark_row t i =
+  let { Dijkstra.table; m } = t.landmarks in
+  if i < 0 || i >= m then invalid_arg "Oracle.landmark_row: no such landmark";
+  Array.init (Csr.n_vertices t.csr) (fun v -> table.((v * m) + i))
 
 type stats = {
   n : int;
@@ -215,66 +222,119 @@ let center_tables j ~k ~center_ix ~dist_to_center =
 let max_landmarks = 8
 
 (* Farthest-point selection over the centers on [dmat], so no search is
-   needed: the first landmark is the center farthest from center 0,
-   each next one the center farthest from every landmark so far (ties
-   to the lowest index). An unreachable center is infinitely far, so
+   needed. [slots] holds a center index per landmark slot: a landmark
+   kept, or -1 where one is to be picked. Each pick, in slot order, is
+   the center farthest from every landmark so far, kept ones included
+   (ties to the lowest index); with none kept, the first is the center
+   farthest from center 0. An unreachable center is infinitely far, so
    every component that can hold a landmark gets one before any
    component gets a second. A component with fewer than k/m centers
-   gets none: its near searches run plainly. *)
-let pick_landmarks ~k ~dmat =
-  let eligible =
-    Array.init k (fun a ->
-        let size = ref 0 in
-        for b = 0 to k - 1 do
-          if dmat.((a * k) + b) < infinity then incr size
-        done;
-        !size * max_landmarks >= k)
-  in
-  let far = Array.init k (fun b -> dmat.(b)) in
-  let picked = ref [] in
-  for _ = 1 to max_landmarks do
-    let best = ref (-1) in
-    for b = 0 to k - 1 do
-      if eligible.(b) && (!best < 0 || far.(b) > far.(!best)) then best := b
-    done;
-    let a = !best in
-    if a >= 0 then begin
-      picked := a :: !picked;
+   gets no pick: its near searches run plainly. A slot no center can
+   fill is dropped. *)
+let pick_landmarks ~k ~dmat slots =
+  if Array.for_all (fun a -> a >= 0) slots then slots
+  else begin
+    let eligible =
+      Array.init k (fun a ->
+          let size = ref 0 in
+          for b = 0 to k - 1 do
+            if dmat.((a * k) + b) < infinity then incr size
+          done;
+          !size * max_landmarks >= k)
+    in
+    let far = Array.make k infinity in
+    let chosen a =
       eligible.(a) <- false;
       for b = 0 to k - 1 do
         far.(b) <- Float.min far.(b) dmat.((a * k) + b)
       done
-    end
-  done;
-  Array.of_list (List.rev !picked)
+    in
+    Array.iter (fun a -> if a >= 0 then chosen a) slots;
+    if Array.for_all (fun a -> a < 0) slots then Array.blit dmat 0 far 0 k;
+    let slots = Array.copy slots in
+    Array.iteri
+      (fun i a ->
+        if a < 0 then begin
+          let best = ref (-1) in
+          for b = 0 to k - 1 do
+            if eligible.(b) && (!best < 0 || far.(b) > far.(!best)) then
+              best := b
+          done;
+          if !best >= 0 then begin
+            slots.(i) <- !best;
+            chosen !best
+          end
+        end)
+      slots;
+    Array.of_seq (Seq.filter (fun a -> a >= 0) (Array.to_seq slots))
+  end
 
-(* One single-source search per landmark fills its column of the
-   vertex-major table. Columns are slot-disjoint on the pool and each
-   chunk reuses one pair of trace buffers, so the table is bit-identical
-   for every pool size. *)
-let landmark_table j ~landmarks : Dijkstra.landmarks =
+(* The rows a repair carries over from [prev]: the snapshot they were
+   searched on, its diff to the new one, and which columns continue
+   [prev]'s (same landmark, same column). *)
+type carried = {
+  before : t;
+  added : Wgraph.edge array;
+  removed : Wgraph.edge array;
+  keep : bool array;
+}
+
+(* Fills the vertex-major table, one column per landmark: a carried
+   table starts as a copy of [prev]'s, grown by rows of [infinity],
+   and each kept column is updated in place from the diff
+   ([Dijkstra.update_row_csr]); every other column is cleared and
+   filled by one full single-source search. Either way the column is
+   bit for bit the full search's. Columns are slot-disjoint on the
+   pool and a chunk reuses one pair of trace buffers, so the table is
+   bit-identical for every pool size. *)
+let landmark_table ?carried j ~landmarks : Dijkstra.landmarks =
   let n = Csr.n_vertices j and m = Array.length landmarks in
-  let table = Array.make (n * m) infinity in
+  let table =
+    match carried with
+    | Some c ->
+        let old = c.before.landmarks.table in
+        Array.append old (Array.make ((n * m) - Array.length old) infinity)
+    | None -> Array.make (n * m) infinity
+  in
+  let rows : Dijkstra.landmarks = { table; m } in
   Pool.iter_chunks m (fun lo hi ->
       let ws = Dijkstra.domain_workspace () in
-      let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
+      let out = lazy (Array.make n 0, Array.make n 0.0) in
       for i = lo to hi - 1 do
-        let cnt =
-          Dijkstra.within_csr_into ws j landmarks.(i) ~bound:infinity ~out_v
-            ~out_d
-        in
-        for x = 0 to cnt - 1 do
-          table.((out_v.(x) * m) + i) <- out_d.(x)
-        done
+        match carried with
+        | Some c when c.keep.(i) ->
+            Dijkstra.update_row_csr ws ~before:c.before.csr ~after:j
+              ~removed:c.removed ~added:c.added ~src:landmarks.(i) ~rows
+              ~col:i
+        | Some _ | None ->
+            if Option.is_some carried then
+              for v = 0 to n - 1 do
+                table.((v * m) + i) <- infinity
+              done;
+            let out_v, out_d = Lazy.force out in
+            let cnt =
+              Dijkstra.within_csr_into ws j landmarks.(i) ~bound:infinity
+                ~out_v ~out_d
+            in
+            for x = 0 to cnt - 1 do
+              table.((out_v.(x) * m) + i) <- out_d.(x)
+            done
       done);
-  { table; m }
+  rows
 
 (* The tables both [build] and [repair] end with, from the centers and
-   their forest. The near band [4 rho (1 + 1/eps)] is where a bounded
-   search is cheap; correctness does not depend on it, since a pair
-   beyond it is answered from the tables only when its landmark rows
-   prove the envelope (see [classify]). *)
-let assemble j ~t0 ~eps ~radius ~centers (center_ix, dist_to_center, up) =
+   their forest, and how many landmark rows were carried over. The near
+   band [4 rho (1 + 1/eps)] is where a bounded search is cheap;
+   correctness does not depend on it, since a pair beyond it is
+   answered from the tables only when its landmark rows prove the
+   envelope (see [classify]). A repair passes [prev] and the diff from
+   its snapshot: each of [prev]'s landmarks that is still a kept center
+   (degree > 0) keeps its slot and its row is carried, a slot whose
+   landmark left is re-picked, and so are the free slots up to
+   [max_landmarks], so an oracle with fewer landmarks gains one when
+   its centers allow. *)
+let assemble ?diff j ~t0 ~eps ~radius ~centers (center_ix, dist_to_center, up)
+    =
   let k = Array.length centers in
   let near_bound =
     if k = 0 then 0.0 else 4.0 *. radius *. (1.0 +. (1.0 /. eps))
@@ -282,8 +342,37 @@ let assemble j ~t0 ~eps ~radius ~centers (center_ix, dist_to_center, up) =
   let portal_key, portal_lo, portal_hi, dmat, next_center =
     center_tables j ~k ~center_ix ~dist_to_center
   in
-  let landmarks = Array.map (Array.get centers) (pick_landmarks ~k ~dmat) in
-  {
+  let slots =
+    match diff with
+    | None -> Array.make max_landmarks (-1)
+    | Some (prev, _, _) ->
+        Array.init max_landmarks (fun i ->
+            if i >= prev.landmarks.m then -1
+            else
+              let v = prev.landmark_ids.(i) in
+              if Csr.degree j v > 0 then center_ix.(v) else -1)
+  in
+  let landmark_ids =
+    Array.map (Array.get centers) (pick_landmarks ~k ~dmat slots)
+  in
+  (* A slot no center could fill shifts the columns after it, and a
+     gained landmark widens the table: then every row is searched
+     afresh. *)
+  let carried =
+    match diff with
+    | Some (prev, added, removed)
+      when Array.length landmark_ids = prev.landmarks.m ->
+        let keep = Array.map2 Int.equal landmark_ids prev.landmark_ids in
+        Some { before = prev; added; removed; keep }
+    | Some _ | None -> None
+  in
+  let carried_rows =
+    match carried with
+    | Some c ->
+        Array.fold_left (fun acc k -> if k then acc + 1 else acc) 0 c.keep
+    | None -> 0
+  in
+  ( {
     csr = j;
     eps;
     radius;
@@ -298,16 +387,18 @@ let assemble j ~t0 ~eps ~radius ~centers (center_ix, dist_to_center, up) =
     portal_key;
     portal_lo;
     portal_hi;
-    landmarks = landmark_table j ~landmarks;
-    build_seconds = Unix.gettimeofday () -. t0;
-  }
+    landmark_ids;
+    landmarks = landmark_table ?carried j ~landmarks:landmark_ids;
+    build_seconds = Obs.Control.now () -. t0;
+  },
+  carried_rows )
 
 let build ?(eps = 0.5) j =
   if not (eps > 0.0) then invalid_arg "Oracle.build: eps must be > 0";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Control.now () in
   let centers, radius = find_cover j in
   let forest = grow_forest j ~centers ~radius in
-  let t = assemble j ~t0 ~eps ~radius ~centers forest in
+  let t, _ = assemble j ~t0 ~eps ~radius ~centers forest in
   Obs.Metrics.incr m_builds;
   t
 
@@ -337,6 +428,8 @@ type repair_result = {
   repaired : bool;
   fallback : string option;
   affected_clusters : int;
+  rows_updated : int;
+  rows_searched : int;
   repair_seconds : float;
 }
 
@@ -366,11 +459,13 @@ let count_affected ~prev ~centers ~center_ix ~dist_to_center =
 
 (* Repair keeps [prev]'s cover (centers, radius, eps) and regrows the
    forest over the new snapshot, minting centers where a live vertex
-   fell outside every kept ball. The forest is grown from scratch, so
-   every table value is the length of a real walk in the new snapshot
-   whatever [dirty] says; [dirty] only feeds the gate below. What
-   repair saves over [build] is the cover's radius doubling. A kept
-   cover that fits badly costs searches, never correctness, so the
+   fell outside every kept ball. The forest is grown from scratch, and
+   the landmark rows are carried over from the changed arcs of
+   [Csr.diff], never from [dirty], so every table value is the length
+   of a real walk in the new snapshot whatever [dirty] says; [dirty]
+   only feeds the gate below. What repair saves over [build] is the
+   cover's radius doubling and the landmark searches. A kept cover
+   that fits badly costs searches, never correctness, so the
    fallbacks to a scratch [build] guard speed and table size. On
    perfbench churn-burst (n = 800, a regional outage every tenth
    epoch) the dirty-fraction gate fires on the outage and heal epochs
@@ -379,7 +474,7 @@ let count_affected ~prev ~centers ~center_ix ~dist_to_center =
    epochs pay the forest and minting and then fall back or keep a
    worn cover. *)
 let repair_impl ~prev ~dirty j =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Control.now () in
   let n = Csr.n_vertices j in
   Array.iter
     (fun d ->
@@ -394,17 +489,21 @@ let repair_impl ~prev ~dirty j =
       repaired = false;
       fallback = Some reason;
       affected_clusters = k;
-      repair_seconds = Unix.gettimeofday () -. t0;
+      rows_updated = 0;
+      rows_searched = oracle.landmarks.m;
+      repair_seconds = Obs.Control.now () -. t0;
     }
   in
-  let repaired oracle affected_clusters =
+  let repaired oracle ~affected ~updated =
     Obs.Metrics.incr m_repairs;
     {
       oracle;
       repaired = true;
       fallback = None;
-      affected_clusters;
-      repair_seconds = Unix.gettimeofday () -. t0;
+      affected_clusters = affected;
+      rows_updated = updated;
+      rows_searched = oracle.landmarks.m - updated;
+      repair_seconds = Obs.Control.now () -. t0;
     }
   in
   let m = Csr.n_edges j in
@@ -426,11 +525,12 @@ let repair_impl ~prev ~dirty j =
     scratch "radius_drift"
   else if 4 * Array.length dirty > n then scratch "dirty_fraction"
   else begin
-    if dirty = [||] then begin
+    let added, removed = Csr.diff ~before:prev.csr ~after:j in
+    if added = [||] && removed = [||] then begin
       (* Nothing changed; the previous oracle is valid as-is, but
          re-point it at the new snapshot so near queries search the
-         graph being served. Slots born this epoch are isolated (a
-         live one would be dirty) and stay unassigned. *)
+         graph being served. Slots born this epoch are isolated (an
+         arc at one would be in the diff) and stay unassigned. *)
       let grow ?(width = 1) src fill =
         if n_prev = n then src
         else Array.append src (Array.make ((n - n_prev) * width) fill)
@@ -449,7 +549,7 @@ let repair_impl ~prev ~dirty j =
                 grow ~width:prev.landmarks.m prev.landmarks.table infinity;
             };
         }
-        0
+        ~affected:0 ~updated:prev.landmarks.m
     end
     else begin
       let radius = prev.radius in
@@ -484,8 +584,11 @@ let repair_impl ~prev ~dirty j =
       else if Array.length centers > max (cluster_cap n) k then
         scratch "cluster_overflow"
       else
-        let t = assemble j ~t0 ~eps:prev.eps ~radius ~centers forest in
-        repaired t affected
+        let t, updated =
+          assemble ~diff:(prev, added, removed) j ~t0 ~eps:prev.eps ~radius
+            ~centers forest
+        in
+        repaired t ~affected ~updated
     end
   end
 
@@ -501,6 +604,7 @@ let repair ~prev ~dirty j =
             ("n", float_of_int (Csr.n_vertices j));
             ("dirty", float_of_int (Array.length dirty));
             ("affected", float_of_int r.affected_clusters);
+            ("rows_updated", float_of_int r.rows_updated);
             ("repaired", if r.repaired then 1.0 else 0.0);
             ("repair_s", r.repair_seconds);
           ];
@@ -619,13 +723,13 @@ let distance_batch_into ?domains (t : t) ~u ~v ~out =
   let n = Array.length u in
   if Array.length v <> n || Array.length out <> n then
     invalid_arg "Oracle.distance_batch_into: array lengths disagree";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Control.now () in
   Pool.iter_chunks ?domains n (fun lo hi ->
       let qws = domain_query_ws () in
       for i = lo to hi - 1 do
         out.(i) <- answer t qws u.(i) v.(i)
       done);
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = Obs.Control.now () -. t0 in
   Obs.Metrics.incr m_batches;
   Obs.Metrics.add m_queries n;
   if n > 0 then begin

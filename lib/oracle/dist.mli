@@ -39,9 +39,13 @@
       gets one before any gets a second. A component holding fewer
       than [k / m] centers gets none: its searches run plainly and
       its table answers fail the certificate.
-      Filling the table costs [m] unbounded single-source searches on
-      the shared core per {!build}, and per {!repair} that regrows the
-      forest.
+      A {!build} fills the table with [m] unbounded single-source
+      searches on the shared core. A {!repair} keeps each landmark
+      that is still a kept center, in its column, re-picks only the
+      others (farthest-first, given the kept ones) and carries each
+      kept row over from the snapshot diff
+      ({!Graph.Dijkstra.update_row_csr}), bit for bit the row a full
+      search would give; a re-picked landmark gets a full search.
 
     Every portal cost is the length of a real walk (down one tree,
     across the edge, up the other), so the landmark estimate
@@ -117,7 +121,15 @@ type repair_result = {
   affected_clusters : int;
       (** clusters whose member set or member distances changed (or
           [k] on fallback) *)
-  repair_seconds : float;  (** wall time, including any fallback build *)
+  rows_updated : int;
+      (** landmark rows carried over from [prev] and updated from the
+          snapshot diff *)
+  rows_searched : int;
+      (** landmark rows filled by a full search (every row on
+          fallback) *)
+  repair_seconds : float;
+      (** elapsed {!Obs.Control.now} time, including any fallback
+          build *)
 }
 
 (** [repair ~prev ~dirty csr] updates [prev] to the new snapshot
@@ -134,14 +146,27 @@ type repair_result = {
     oracle keeps a scratch build's contract. It may differ from a
     scratch build bit for bit (the centers are kept, not re-chosen).
 
+    The landmarks stay where they were: a landmark whose vertex is
+    still a kept center keeps its column, and only a slot whose
+    landmark left is re-picked, farthest-first on the repaired center
+    graph given the kept landmarks. An oracle with fewer than 8
+    landmarks also fills its free slots when the repaired centers
+    allow, so the count can grow. Repair reads the changed arcs from
+    {!Graph.Csr.diff} of [prev]'s snapshot and [csr] and updates each
+    kept row from them ({!Graph.Dijkstra.update_row_csr}) on a copy:
+    [prev], which may still be serving, is never mutated. A re-picked
+    landmark gets a full search, and so does every row when the
+    landmark count changes. Every row equals a full search from its
+    landmark over [csr], bit for bit, and the rows stay
+    column-parallel on the pool.
+
     [dirty] should list every vertex whose incident spanner edges
     changed, exactly [Dynamic.Engine]'s [snap_dirty] payload. The
     repair does not rely on it for soundness: it only feeds the
-    dirty-fraction gate, and [dirty = [||]] returns [prev] re-pointed
-    at [csr] (with per-vertex tables, the landmark table included,
-    grown for new, necessarily isolated, slots) and no cluster
-    affected. Every other repair refills the landmark table from the
-    repaired centers, [m] full searches, like {!build}.
+    dirty-fraction gate. A snapshot with no changed edge returns
+    [prev] re-pointed at [csr] (with per-vertex tables, the landmark
+    table included, grown for new, necessarily isolated, slots) and no
+    cluster affected.
 
     Repair falls back to a scratch {!build} (with [prev]'s [eps]) when
     patching is not worth it: the
@@ -162,6 +187,14 @@ val repair : prev:t -> dirty:int array -> Graph.Csr.t -> repair_result
 
 (** The snapshot the oracle was built over. *)
 val csr : t -> Graph.Csr.t
+
+(** The landmark vertices, one per column of the landmark table. *)
+val landmarks : t -> int array
+
+(** [landmark_row t i] is a fresh copy of landmark [i]'s row: entry [v]
+    is [v]'s distance to [(landmarks t).(i)] in {!csr}, [infinity] where
+    unreachable. *)
+val landmark_row : t -> int -> float array
 
 (** {1 Introspection} *)
 

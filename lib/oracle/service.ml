@@ -1,5 +1,9 @@
 module Engine = Dynamic.Engine
 
+let src = Logs.Src.create "oracle.service" ~doc:"oracle publication"
+
+module Log = (val Logs.src_log src : Logs.LOG)
+
 type entry = { epoch : int; csr : Graph.Csr.t; oracle : Dist.t }
 
 (* One queued oracle construction: an epoch's spanner plus the dirty
@@ -43,6 +47,7 @@ type t = {
   c_repairs : int Atomic.t;
   c_scratch : int Atomic.t;
   c_fallbacks : int Atomic.t;
+  builder_failed : bool Atomic.t; (* sticky: set by the first failure *)
   mutable worker : worker option;
 }
 
@@ -53,6 +58,7 @@ type service_stats = {
   scratch_builds : int;
   repair_fallbacks : int;
   pending : int;
+  builder_failed : bool;
 }
 
 let current s = Atomic.get s.cell
@@ -68,7 +74,7 @@ let current s = Atomic.get s.cell
    back to scratch. *)
 let compute s ~dirty ~epoch csr =
   let prev = Atomic.get s.cell in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Control.now () in
   let oracle =
     match dirty with
     | Some d when epoch = prev.epoch + 1 ->
@@ -83,7 +89,7 @@ let compute s ~dirty ~epoch csr =
         Atomic.incr s.c_scratch;
         Dist.build ?eps:s.eps csr
   in
-  Obs.Metrics.set_gauge s.g_build (Unix.gettimeofday () -. t0);
+  Obs.Metrics.set_gauge s.g_build (Obs.Control.now () -. t0);
   { epoch; csr; oracle }
 
 (* Monotonic install: publication is idempotent by epoch, so a late or
@@ -131,7 +137,13 @@ let worker_loop s w =
        with e ->
          Mutex.lock w.mu;
          if w.failed = None then w.failed <- Some e;
-         Mutex.unlock w.mu);
+         Mutex.unlock w.mu;
+         (* Serving goes on from the last published oracle, so say so
+            now rather than at the next [flush] or [shutdown]. *)
+         if not (Atomic.exchange s.builder_failed true) then
+           Log.err (fun m ->
+               m "oracle builder %S failed at epoch %d: %s" s.label
+                 job.job_epoch (Printexc.to_string e)));
       Mutex.lock w.mu;
       w.in_flight <- false;
       Condition.broadcast w.cond;
@@ -207,6 +219,7 @@ let create ?eps ~label ~epoch csr =
       c_repairs = Atomic.make 0;
       c_scratch = Atomic.make 1;
       c_fallbacks = Atomic.make 0;
+      builder_failed = Atomic.make false;
       worker = None;
     }
   in
@@ -263,4 +276,5 @@ let stats s =
     scratch_builds = Atomic.get s.c_scratch;
     repair_fallbacks = Atomic.get s.c_fallbacks;
     pending;
+    builder_failed = Atomic.get s.builder_failed;
   }

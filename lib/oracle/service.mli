@@ -23,7 +23,8 @@
 
     Each service owns labelled gauges
     [oracle.published_epoch.<label>] and [oracle.build_seconds.<label>]
-    (the wall time of the last construction, repair or scratch), so
+    (the {!Obs.Control.now} time of the last construction, repair or
+    scratch), so
     two services in one process — the daemon's and a bench's, say —
     no longer clobber each other's metrics. Give services distinct
     labels when you run more than one. *)
@@ -107,6 +108,12 @@ type service_stats = {
   scratch_builds : int;  (** scratch builds, initial + fallbacks included *)
   repair_fallbacks : int;  (** repairs that declined and rebuilt *)
   pending : int;  (** async jobs queued or in flight right now *)
+  builder_failed : bool;
+      (** the async builder has raised at least once. The first
+          exception is logged by name when it is caught (source
+          ["oracle.service"], error level); serving goes on from the
+          last published oracle. Sticky: {!flush} and {!shutdown}
+          re-raise that exception but leave this set. *)
 }
 
 val stats : t -> service_stats

@@ -9,28 +9,67 @@ let topology_version = 1
 let trace_version = 1
 let checkpoint_version = 1
 
-let write_instance_body oc model =
-  let n = Model.n model and dim = Model.dim model in
-  Printf.fprintf oc "%d %d %.17g\n" n dim model.Model.alpha;
-  Array.iter
-    (fun p ->
-      for i = 0 to dim - 1 do
-        if i > 0 then output_char oc ' ';
-        Printf.fprintf oc "%.17g" (Point.coord p i)
-      done;
-      output_char oc '\n')
-    model.Model.points;
-  Printf.fprintf oc "%d\n" (Wgraph.n_edges model.Model.graph);
-  Wgraph.iter_edges model.Model.graph (fun u v _ ->
-      Printf.fprintf oc "%d %d\n" u v)
+(* The writers below build a file in a buffer that goes to the channel
+   each time a line ends past 64 KB, and once at the end: no channel
+   call per line, and a large file never sits in memory whole. Ids and
+   counts print as [string_of_int] does; floats as "%.17g", which reads
+   back bit for bit. *)
+type sink = { buf : Buffer.t; oc : out_channel }
 
-let save_instance path model =
+let spill_at = 65536
+let add_char s c = Buffer.add_char s.buf c
+let add_string s str = Buffer.add_string s.buf str
+let add_int s i = Buffer.add_string s.buf (string_of_int i)
+let add_float s x = Buffer.add_string s.buf (Printf.sprintf "%.17g" x)
+
+let newline s =
+  Buffer.add_char s.buf '\n';
+  if Buffer.length s.buf >= spill_at then begin
+    Buffer.output_buffer s.oc s.buf;
+    Buffer.clear s.buf
+  end
+
+(* "[u] [v]\n" *)
+let add_pair s u v =
+  add_int s u;
+  add_char s ' ';
+  add_int s v;
+  newline s
+
+let write_file path f =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      Printf.fprintf oc "ubg-instance v%d\n" instance_version;
-      write_instance_body oc model)
+      let s = { buf = Buffer.create (2 * spill_at); oc } in
+      f s;
+      Buffer.output_buffer oc s.buf)
+
+let write_instance_body s model =
+  let n = Model.n model and dim = Model.dim model in
+  add_int s n;
+  add_char s ' ';
+  add_int s dim;
+  add_char s ' ';
+  add_float s model.Model.alpha;
+  newline s;
+  Array.iter
+    (fun p ->
+      for i = 0 to dim - 1 do
+        if i > 0 then add_char s ' ';
+        add_float s (Point.coord p i)
+      done;
+      newline s)
+    model.Model.points;
+  add_int s (Wgraph.n_edges model.Model.graph);
+  newline s;
+  Wgraph.iter_edges model.Model.graph (fun u v _ -> add_pair s u v)
+
+let save_instance path model =
+  write_file path (fun s ->
+      add_string s (Printf.sprintf "ubg-instance v%d" instance_version);
+      newline s;
+      write_instance_body s model)
 
 (* Line reader skipping blanks and # comments, tracking line numbers
    for error messages. *)
@@ -165,34 +204,38 @@ let load_topology path ~model =
 (* Churn traces                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let write_point_fields oc p =
+let write_point_fields s p =
   for i = 0 to Point.dim p - 1 do
-    output_char oc ' ';
-    Printf.fprintf oc "%.17g" (Point.coord p i)
+    add_char s ' ';
+    add_float s (Point.coord p i)
   done
 
 let save_trace path (trace : Churn.trace) =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "ubg-churn v%d\n" trace_version;
-      write_instance_body oc trace.Churn.initial;
-      Printf.fprintf oc "%d\n" (Array.length trace.Churn.batches);
+  write_file path (fun s ->
+      add_string s (Printf.sprintf "ubg-churn v%d" trace_version);
+      newline s;
+      write_instance_body s trace.Churn.initial;
+      add_int s (Array.length trace.Churn.batches);
+      newline s;
       Array.iter
         (fun batch ->
-          Printf.fprintf oc "batch %d\n" (Array.length batch);
+          add_string s "batch ";
+          add_int s (Array.length batch);
+          newline s;
           Array.iter
             (fun ev ->
               (match ev with
               | Churn.Join p ->
-                  output_string oc "join";
-                  write_point_fields oc p
-              | Churn.Leave i -> Printf.fprintf oc "leave %d" i
+                  add_string s "join";
+                  write_point_fields s p
+              | Churn.Leave i ->
+                  add_string s "leave ";
+                  add_int s i
               | Churn.Move (i, p) ->
-                  Printf.fprintf oc "move %d" i;
-                  write_point_fields oc p);
-              output_char oc '\n')
+                  add_string s "move ";
+                  add_int s i;
+                  write_point_fields s p);
+              newline s)
             batch)
         trace.Churn.batches)
 
@@ -258,26 +301,33 @@ let save_checkpoint path ck =
   if Array.length ck.ck_alive <> cap then
     invalid_arg "save_checkpoint: points/alive length mismatch";
   let dim = if cap = 0 then 0 else Point.dim ck.ck_points.(0) in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "ubg-checkpoint v%d\n" checkpoint_version;
-      Printf.fprintf oc "%d %d %d %d %.17g %.17g\n" ck.ck_epoch ck.ck_events
-        cap dim ck.ck_alpha ck.ck_stretch;
+  write_file path (fun s ->
+      add_string s (Printf.sprintf "ubg-checkpoint v%d" checkpoint_version);
+      newline s;
+      List.iter
+        (fun i ->
+          add_int s i;
+          add_char s ' ')
+        [ ck.ck_epoch; ck.ck_events; cap; dim ];
+      add_float s ck.ck_alpha;
+      add_char s ' ';
+      add_float s ck.ck_stretch;
+      newline s;
       Array.iteri
         (fun i p ->
-          output_string oc (if ck.ck_alive.(i) then "1" else "0");
-          write_point_fields oc p;
-          output_char oc '\n')
+          add_char s (if ck.ck_alive.(i) then '1' else '0');
+          write_point_fields s p;
+          newline s)
         ck.ck_points;
       let write_edges g =
-        Printf.fprintf oc "%d\n" (Wgraph.n_edges g);
-        Wgraph.iter_edges g (fun u v _ -> Printf.fprintf oc "%d %d\n" u v)
+        add_int s (Wgraph.n_edges g);
+        newline s;
+        Wgraph.iter_edges g (fun u v _ -> add_pair s u v)
       in
       write_edges ck.ck_ubg;
       write_edges ck.ck_spanner;
-      output_string oc "end\n")
+      add_string s "end";
+      newline s)
 
 let load_checkpoint path =
   let ic = open_in path in

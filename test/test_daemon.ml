@@ -394,6 +394,13 @@ let test_daemon_serves_published_oracle () =
                        (List.assoc_opt "engine.alive" rows)
                        int_of_string_opt))
       | None -> Alcotest.fail "STATS lacks engine.certify_sources");
+      (* The served epoch is the tail's, so the builder has published
+         every epoch the engine applied, and it never failed. *)
+      List.iter
+        (fun key ->
+          Alcotest.(check (option string)) key (Some "0")
+            (List.assoc_opt key rows))
+        [ "oracle.builder_failed"; "oracle.publish_lag" ];
       let final = Client.shutdown c in
       Alcotest.(check int) "final epoch" epochs final;
       Client.close c;

@@ -459,6 +459,156 @@ let prop_potential_entries_exact =
       done;
       !ok)
 
+(* ------------------------------------------------------------------ *)
+(* Row updates                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* An edge table, pair [(u, v)] with [u < v] to weight, as a snapshot
+   on [n] slots; [of_arrays] takes the zero weights [Csr.add_edges]
+   refuses. *)
+let csr_of_table n tbl =
+  let off = Array.make (n + 1) 0 in
+  Hashtbl.iter
+    (fun (u, v) _ ->
+      off.(u + 1) <- off.(u + 1) + 1;
+      off.(v + 1) <- off.(v + 1) + 1)
+    tbl;
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u + 1) + off.(u)
+  done;
+  let fill = Array.sub off 0 n in
+  let dst = Array.make off.(n) 0 and wgt = Array.make off.(n) 0.0 in
+  let arc u v w =
+    dst.(fill.(u)) <- v;
+    wgt.(fill.(u)) <- w;
+    fill.(u) <- fill.(u) + 1
+  in
+  Hashtbl.iter
+    (fun (u, v) w ->
+      arc u v w;
+      arc v u w)
+    tbl;
+  Csr.of_arrays ~off ~dst ~wgt
+
+(* Weights that make labels tie: an arc of weight 0 or 2^-60 moves no
+   label (past the source's neighbours), and small integers tie
+   sums. *)
+let tie_weight st =
+  match Random.State.int st 6 with
+  | 0 -> 0.0
+  | 1 -> ldexp 1.0 (-60)
+  | 2 -> float_of_int (1 + Random.State.int st 3)
+  | _ -> 0.05 +. Random.State.float st 1.0
+
+let random_pair st n =
+  let u = Random.State.int st n and v = Random.State.int st n in
+  if u = v then None else Some (min u v, max u v)
+
+(* One batch on the edge table over [n] slots: some edges removed,
+   some re-weighted, some added, and often the source's own arcs among
+   them. *)
+let churn_table st tbl ~n ~src =
+  let edges = Hashtbl.fold (fun e w acc -> (e, w) :: acc) tbl [] in
+  let p_cut = Random.State.float st 0.3 and p_weight = Random.State.float st 0.2 in
+  let cut_src = Random.State.int st 3 = 0 in
+  List.iter
+    (fun (((u, v) as e), _) ->
+      let r = Random.State.float st 1.0 in
+      if r < p_cut || (cut_src && (u = src || v = src) && r < 0.7) then
+        Hashtbl.remove tbl e
+      else if r < p_cut +. p_weight then Hashtbl.replace tbl e (tie_weight st))
+    (List.sort compare edges);
+  for _ = 1 to Random.State.int st (1 + (n / 4)) do
+    match random_pair st n with
+    | Some e -> Hashtbl.replace tbl e (tie_weight st)
+    | None -> ()
+  done;
+  if Random.State.bool st then
+    for _ = 1 to 1 + Random.State.int st 3 do
+      let v = Random.State.int st n in
+      if v <> src then Hashtbl.replace tbl (min v src, max v src) (tie_weight st)
+    done
+
+(* [src]'s row in [c] as a full search gives it. *)
+let scratch_row ws c src =
+  let n = Csr.n_vertices c in
+  let row = Array.make n infinity in
+  let out_v = Array.make n 0 and out_d = Array.make n 0.0 in
+  let cnt =
+    Dijkstra.within_csr_into ws c src ~bound:infinity ~out_v ~out_d
+  in
+  for i = 0 to cnt - 1 do
+    row.(out_v.(i)) <- out_d.(i)
+  done;
+  row
+
+(* Chains of batches on sparse graphs (many components, isolated
+   slots), each batch growing the capacity by up to five slots: after
+   every batch the updated column equals the full search bit for bit,
+   and no other column moved. *)
+let prop_row_update_exact =
+  qtest ~count:150 "dijkstra: updated rows = a full search, bit for bit"
+    seed_arb (fun seed ->
+      let st = rand_state seed in
+      let n0 = 2 + Random.State.int st 180 in
+      let tbl = Hashtbl.create 64 in
+      for _ = 1 to Random.State.int st (2 * n0) do
+        match random_pair st n0 with
+        | Some e -> Hashtbl.replace tbl e (tie_weight st)
+        | None -> ()
+      done;
+      let src = Random.State.int st n0 in
+      let m = 3 and col = Random.State.int st 3 in
+      let ws = Dijkstra.create_workspace () and sws = Dijkstra.create_workspace () in
+      let bits = Int64.bits_of_float in
+      let before = ref (csr_of_table n0 tbl) in
+      let row = ref (scratch_row sws !before src) in
+      let ok = ref true in
+      for _ = 1 to 3 do
+        let n = Csr.n_vertices !before + Random.State.int st 6 in
+        churn_table st tbl ~n ~src;
+        let after = csr_of_table n tbl in
+        let added, removed = Csr.diff ~before:!before ~after in
+        (* Other columns hold a sentinel the update must not touch. *)
+        let table =
+          Array.init (n * m) (fun x ->
+              let v = x / m in
+              if x mod m <> col then -1.0
+              else if v < Array.length !row then !row.(v)
+              else infinity)
+        in
+        Dijkstra.update_row_csr ws ~before:!before ~after ~removed ~added ~src
+          ~rows:{ table; m } ~col;
+        let want = scratch_row sws after src in
+        for v = 0 to n - 1 do
+          if bits table.((v * m) + col) <> bits want.(v) then ok := false;
+          for i = 0 to m - 1 do
+            if i <> col && table.((v * m) + i) <> -1.0 then ok := false
+          done
+        done;
+        before := after;
+        row := want
+      done;
+      !ok)
+
+let test_row_update_range_checks () =
+  let c = Csr.of_wgraph (Wgraph.of_edges ~n:3 [ (0, 1, 1.0); (1, 2, 1.0) ]) in
+  let small = Csr.of_wgraph (Wgraph.of_edges ~n:2 [ (0, 1, 1.0) ]) in
+  let rows : Dijkstra.landmarks = { table = Array.make 6 infinity; m = 2 } in
+  let update ~before ~after ~src ~col =
+    Dijkstra.update_row_csr (Dijkstra.create_workspace ()) ~before ~after
+      ~removed:[||] ~added:[||] ~src ~rows ~col
+  in
+  Alcotest.check_raises "shrunk snapshot"
+    (Invalid_argument "Dijkstra.update_row_csr: the snapshot shrank")
+    (fun () -> update ~before:c ~after:small ~src:0 ~col:0);
+  Alcotest.check_raises "source out of range"
+    (Invalid_argument "Dijkstra: vertex out of range") (fun () ->
+      update ~before:c ~after:c ~src:3 ~col:0);
+  Alcotest.check_raises "no such column"
+    (Invalid_argument "Dijkstra.update_row_csr: no such column") (fun () ->
+      update ~before:c ~after:c ~src:0 ~col:2)
+
 (* Minor words one call of [f] allocates, averaged over [k] calls after
    a warm-up call that grows the workspaces to the graph. *)
 let words_per_call ?(k = 10) f =
@@ -498,6 +648,13 @@ let test_csr_entries_allocate_nothing () =
     { table = Array.init (n * 4) (fun x -> rows.(x mod 4).(x / 4)); m = 4 }
   in
   let bound = d0.(far) +. 1e-9 in
+  (* Source 1's row carried to the snapshot without the edges of one of
+     its neighbours, and back: a reset subtree and a re-settle each
+     way, the row restored after every pair of calls. *)
+  let cut = c.Csr.dst.(c.Csr.off.(1)) in
+  let without = Csr.add_edges ~cut:[| cut |] c [||] in
+  let cut_edges, _ = Csr.diff ~before:without ~after:c in
+  let row : Dijkstra.landmarks = { table = Array.copy rows.(0); m = 1 } in
   let settled = Dijkstra.within_csr_into ws c src ~bound ~out_v ~out_d in
   Alcotest.(check int) "the ball is the whole graph" n settled;
   let limit = 64.0 in
@@ -538,7 +695,15 @@ let test_csr_entries_allocate_nothing () =
           int_of_float
             (Dijkstra.hop_bounded_distance_csr_ws ws c src far ~max_hops:12
                ~bound) );
-    ]
+      ( "row update, there and back",
+        fun () ->
+          Dijkstra.update_row_csr ws ~before:c ~after:without
+            ~removed:cut_edges ~added:[||] ~src:1 ~rows:row ~col:0;
+          Dijkstra.update_row_csr ws ~before:without ~after:c ~removed:[||]
+            ~added:cut_edges ~src:1 ~rows:row ~col:0;
+          0 );
+    ];
+  Alcotest.(check bool) "the row came back" true (row.table = rows.(0))
 
 (* ------------------------------------------------------------------ *)
 (* BFS                                                                *)
@@ -718,6 +883,9 @@ let () =
           Alcotest.test_case "distances_to_csr range checks" `Quick
             test_distances_to_range;
           prop_potential_entries_exact;
+          prop_row_update_exact;
+          Alcotest.test_case "row update range checks" `Quick
+            test_row_update_range_checks;
           Alcotest.test_case "CSR entries allocate nothing per settled vertex"
             `Quick test_csr_entries_allocate_nothing;
         ] );

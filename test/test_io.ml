@@ -255,6 +255,94 @@ let prop_checkpoint_roundtrip =
           Io.save_checkpoint path ck;
           checkpoint_eq ck (Io.load_checkpoint path)))
 
+(* The checkpoint writer as it was when each line went through its own
+   [Printf.fprintf]: the buffered writer must emit the same bytes. *)
+let save_checkpoint_printf path (ck : Io.checkpoint) =
+  let cap = Array.length ck.Io.ck_points in
+  let dim = if cap = 0 then 0 else Geometry.Point.dim ck.Io.ck_points.(0) in
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      Printf.fprintf oc "ubg-checkpoint v%d\n" 1;
+      Printf.fprintf oc "%d %d %d %d %.17g %.17g\n" ck.Io.ck_epoch
+        ck.Io.ck_events cap dim ck.Io.ck_alpha ck.Io.ck_stretch;
+      Array.iteri
+        (fun i p ->
+          output_string oc (if ck.Io.ck_alive.(i) then "1" else "0");
+          for k = 0 to Geometry.Point.dim p - 1 do
+            output_char oc ' ';
+            Printf.fprintf oc "%.17g" (Geometry.Point.coord p k)
+          done;
+          output_char oc '\n')
+        ck.Io.ck_points;
+      let write_edges g =
+        Printf.fprintf oc "%d\n" (Wgraph.n_edges g);
+        Wgraph.iter_edges g (fun u v _ -> Printf.fprintf oc "%d %d\n" u v)
+      in
+      write_edges ck.Io.ck_ubg;
+      write_edges ck.Io.ck_spanner;
+      output_string oc "end\n")
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* An engine checkpoint after churn, its capacity grown by dead slots
+   at awkward coordinates, enough of them that the writer's buffer
+   reaches the channel several times (and one alive slot killed, with
+   its edges), written by both writers. *)
+let test_checkpoint_bytes_unchanged () =
+  let ck = engine_checkpoint ~seed:5 ~epochs:6 in
+  let awkward =
+    [| [ 0.1; 1e-300 ]; [ -0.0; 1.0 /. 3.0 ]; [ 123456789.123; 5e-324 ] |]
+  in
+  let extra =
+    Array.init 6000 (fun i ->
+        if i < 3 then Geometry.Point.of_list awkward.(i)
+        else
+          Geometry.Point.of_list
+            [ float_of_int i /. 7.0; sqrt (float_of_int i) ])
+  in
+  let alive =
+    Array.append ck.Io.ck_alive (Array.make (Array.length extra) false)
+  in
+  let dead = ref (-1) in
+  Array.iteri (fun i a -> if a && !dead < 0 then dead := i) alive;
+  alive.(!dead) <- false;
+  let without g =
+    let h = Wgraph.copy g in
+    List.iter
+      (fun (v, _) -> ignore (Wgraph.remove_edge h !dead v))
+      (Wgraph.neighbors g !dead);
+    h
+  in
+  let ck =
+    {
+      ck with
+      Io.ck_points = Array.append ck.Io.ck_points extra;
+      ck_alive = alive;
+      ck_ubg = without ck.Io.ck_ubg;
+      ck_spanner = without ck.Io.ck_spanner;
+      ck_stretch = Float.pi;
+    }
+  in
+  let a = temp_file ".ck" and b = temp_file ".ck" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove a;
+      Sys.remove b)
+    (fun () ->
+      Io.save_checkpoint a ck;
+      save_checkpoint_printf b ck;
+      Alcotest.(check bool) "past several spills" true
+        (String.length (read_file b) > 3 * 65536);
+      Alcotest.(check string) "same bytes" (read_file b) (read_file a);
+      Alcotest.(check bool) "loads back" true
+        (checkpoint_eq ck (Io.load_checkpoint a)))
+
 (* Corrupted checkpoints must be rejected loudly rather than resumed
    from: a daemon restarting on garbage state would silently serve
    wrong answers forever. *)
@@ -349,6 +437,8 @@ let () =
       ( "checkpoint",
         [
           prop_checkpoint_roundtrip;
+          Alcotest.test_case "buffered writer emits the Printf writer's bytes"
+            `Quick test_checkpoint_bytes_unchanged;
           Alcotest.test_case "malformed checkpoints rejected" `Quick
             test_checkpoint_rejects_malformed;
           Alcotest.test_case "coexists with instance format" `Quick

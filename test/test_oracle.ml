@@ -564,6 +564,128 @@ let prop_repair_deterministic_across_domains =
       let f8 = repair_fingerprint ~domains:8 snaps ~pairs in
       f1 = f4 && f4 = f8)
 
+(* Each landmark row of [o] is a full search from its landmark, bit for
+   bit. *)
+let rows_exact o =
+  let csr = Dist.csr o in
+  let bits row = Array.map Int64.bits_of_float row in
+  let ok = ref true in
+  Array.iteri
+    (fun i l ->
+      if bits (Dist.landmark_row o i) <> bits (Dijkstra.distances_csr csr l)
+      then ok := false)
+    (Dist.landmarks o);
+  !ok
+
+(* A repair keeps, in their order, the landmarks whose vertex is still a
+   kept center (degree > 0), and changes only the others; it may pick
+   more than it had. *)
+let landmarks_kept ~prev (r : Dist.repair_result) csr =
+  let old = Dist.landmarks prev and now = Dist.landmarks r.Dist.oracle in
+  (not r.Dist.repaired)
+  || List.filter (fun l -> Array.mem l old) (Array.to_list now)
+     = List.filter (fun l -> Csr.degree csr l > 0) (Array.to_list old)
+
+(* Chained repairs on the repair instances: on every epoch the repaired
+   rows are full searches from the same landmarks, bit for bit, and a
+   landmark changes only when its vertex left. The chain runs twice:
+   with the engine's dirty sets, and with each cut to its first half,
+   which repair must not need (it reads the changed arcs off the
+   snapshots). Small instances often fall back, so only the case as a
+   whole must have updated some row. *)
+let prop_repaired_rows_exact =
+  qtest ~count:5 "repair: landmark rows equal full searches, bit for bit"
+    seed_arb (fun seed ->
+      let updated = ref 0 in
+      List.for_all
+        (fun (n, epochs) ->
+          let snaps = churn_snapshots ~seed ~n ~epochs ~batch_max:5 in
+          List.for_all
+            (fun cut ->
+              let prev =
+                ref (Dist.build ~eps:oracle_eps snaps.(0).Engine.snap_spanner)
+              in
+              let ok = ref (rows_exact !prev) in
+              for i = 1 to Array.length snaps - 1 do
+                let csr = snaps.(i).Engine.snap_spanner in
+                let d = snaps.(i).Engine.snap_dirty in
+                let dirty = if cut then Array.sub d 0 (Array.length d / 2) else d in
+                let r = Dist.repair ~prev:!prev ~dirty csr in
+                let o = r.Dist.oracle in
+                ok :=
+                  !ok && rows_exact o
+                  && landmarks_kept ~prev:!prev r csr
+                  && r.Dist.rows_updated + r.Dist.rows_searched
+                     = Array.length (Dist.landmarks o);
+                updated := !updated + r.Dist.rows_updated;
+                prev := o
+              done;
+              !ok)
+            [ false; true ])
+        [ (150, 5); (far_repair_n, 4) ]
+      && !updated > 0)
+
+(* Repair and build time themselves on [Obs.Control.now]: under a clock
+   that ticks once per read, a build reads it at its start and for its
+   [build_seconds], and a repair that keeps the cover at its start, for
+   the oracle's [build_seconds] and at its end. *)
+let test_repair_reads_obs_clock () =
+  let snaps = churn_snapshots ~seed:4 ~n:150 ~epochs:1 ~batch_max:5 in
+  let t = ref 0.0 in
+  Obs.Control.set_clock (fun () ->
+      t := !t +. 1.0;
+      !t);
+  Fun.protect
+    ~finally:(fun () -> Obs.Control.set_clock Unix.gettimeofday)
+    (fun () ->
+      let prev = Dist.build ~eps:oracle_eps snaps.(0).Engine.snap_spanner in
+      check_float "build_seconds" 1.0 (Dist.stats prev).Dist.build_seconds;
+      let r =
+        Dist.repair ~prev ~dirty:snaps.(1).Engine.snap_dirty
+          snaps.(1).Engine.snap_spanner
+      in
+      Alcotest.(check bool) "repaired" true r.Dist.repaired;
+      check_float "repair_seconds" 2.0 r.Dist.repair_seconds)
+
+(* An oracle with fewer than eight landmarks gains one when a repair
+   mints a center it can take. Five unit-weight paths of five vertices
+   are five clusters of radius 4, all landmarks; a sixth path on slots
+   that were isolated mints a sixth center, which the repair picks, and
+   the wider table is searched afresh. The next repair keeps all six
+   and updates their rows from the diff. *)
+let test_repair_gains_landmarks () =
+  let paths ?(w = fun _ -> 1.0) count =
+    let g = Graph.Wgraph.create 30 in
+    for p = 0 to count - 1 do
+      for i = 0 to 3 do
+        let u = (5 * p) + i in
+        Graph.Wgraph.add_edge g u (u + 1) (w u)
+      done
+    done;
+    Csr.of_wgraph g
+  in
+  let prev = Dist.build ~eps:oracle_eps (paths 5) in
+  let old = Dist.landmarks prev in
+  Alcotest.(check int) "five landmarks" 5 (Array.length old);
+  let csr = paths 6 in
+  let r = Dist.repair ~prev ~dirty:[| 25; 26; 27; 28; 29 |] csr in
+  Alcotest.(check bool) "repaired" true r.Dist.repaired;
+  let now = Dist.landmarks r.Dist.oracle in
+  Alcotest.(check (array int)) "kept landmarks keep their columns, the \
+                                minted center is added"
+    (Array.append old [| 25 |]) now;
+  Alcotest.(check (pair int int)) "rows updated / searched" (0, 6)
+    (r.Dist.rows_updated, r.Dist.rows_searched);
+  Alcotest.(check bool) "rows exact" true (rows_exact r.Dist.oracle);
+  let csr' = paths ~w:(fun u -> if u = 1 then 0.5 else 1.0) 6 in
+  let r' = Dist.repair ~prev:r.Dist.oracle ~dirty:[| 1; 2 |] csr' in
+  Alcotest.(check bool) "repaired again" true r'.Dist.repaired;
+  Alcotest.(check (array int)) "landmarks kept" now
+    (Dist.landmarks r'.Dist.oracle);
+  Alcotest.(check (pair int int)) "rows updated / searched" (6, 0)
+    (r'.Dist.rows_updated, r'.Dist.rows_searched);
+  Alcotest.(check bool) "rows exact" true (rows_exact r'.Dist.oracle)
+
 let test_repair_forced_fallback () =
   (* Marking every vertex dirty trips the dirty-fraction gate: repair
      must decline, scratch-build, and still produce a valid oracle. *)
@@ -594,8 +716,9 @@ let test_repair_dirty_out_of_range () =
       ignore (Dist.repair ~prev ~dirty:(Array.init 120 (fun i -> i - 1)) csr))
 
 let test_repair_empty_dirty () =
-  (* An unchanged snapshot repairs in O(1): same tables, zero affected
-     clusters, answers bit-identical to the previous oracle. *)
+  (* An unchanged snapshot (an empty diff) keeps the previous tables:
+     zero affected clusters, answers bit-identical to the previous
+     oracle. *)
   let csr = model_csr ~seed:5 ~n:100 in
   let prev = Dist.build ~eps:oracle_eps csr in
   let r = Dist.repair ~prev ~dirty:[||] csr in
@@ -887,6 +1010,62 @@ let test_attach_async_flush_and_shutdown () =
     (Engine.epoch e)
     (Service.current s).Service.epoch
 
+(* A builder that raises is seen at once: it is logged by name and
+   [stats] flags it while serving goes on from the last published
+   oracle, before any [flush]. [flush] re-raises the exception and the
+   flag stays set. Only the builder's domain gets the failing clock
+   (the oracle reads [Obs.Control.now]); the engine keeps its own. *)
+exception Clock_stopped
+
+let test_async_builder_failure () =
+  let model, trace = trace_setup ~seed:13 ~n:60 ~epochs:1 ~batch_max:4 in
+  let e =
+    Engine.create ~clock:Unix.gettimeofday ~params:(params_for model) model
+  in
+  let s = Service.attach ~eps:oracle_eps ~label:"failing" ~async:true e in
+  let logged = Atomic.make 0 in
+  let reporter = Logs.reporter () in
+  Logs.set_reporter
+    {
+      Logs.report =
+        (fun src level ~over k _ ->
+          if Logs.Src.name src = "oracle.service" && level = Logs.Error then
+            Atomic.incr logged;
+          over ();
+          k ());
+    };
+  let main = Domain.self () in
+  Obs.Control.set_clock (fun () ->
+      if Domain.self () <> main then raise Clock_stopped
+      else Unix.gettimeofday ());
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Control.set_clock Unix.gettimeofday;
+      Logs.set_reporter reporter;
+      try Service.shutdown s with Clock_stopped -> ())
+    (fun () ->
+      Alcotest.(check bool) "not failed at attach" false
+        (Service.stats s).Service.builder_failed;
+      Array.iter (fun b -> ignore (Engine.apply_batch e b))
+        trace.Ubg.Churn.batches;
+      let deadline = Unix.gettimeofday () +. 30.0 in
+      while
+        (not (Service.stats s).Service.builder_failed)
+        && Unix.gettimeofday () < deadline
+      do
+        Unix.sleepf 0.001
+      done;
+      Alcotest.(check bool) "flagged before any flush" true
+        (Service.stats s).Service.builder_failed;
+      Alcotest.(check int) "logged once" 1 (Atomic.get logged);
+      Alcotest.(check int) "still serving epoch 0" 0
+        (Service.current s).Service.epoch;
+      (match Service.flush s with
+      | () -> Alcotest.fail "flush did not re-raise the builder's exception"
+      | exception Clock_stopped -> ());
+      Alcotest.(check bool) "still flagged after flush" true
+        (Service.stats s).Service.builder_failed)
+
 let () =
   Alcotest.run "oracle"
     [
@@ -917,6 +1096,11 @@ let () =
           prop_repair_matches_scratch_within_envelope;
           prop_repair_routes_are_walks;
           prop_repair_deterministic_across_domains;
+          prop_repaired_rows_exact;
+          Alcotest.test_case "repair times itself on Obs.Control.now" `Quick
+            test_repair_reads_obs_clock;
+          Alcotest.test_case "a repair can gain landmarks" `Quick
+            test_repair_gains_landmarks;
           Alcotest.test_case "forced fallback keeps the contract" `Quick
             test_repair_forced_fallback;
           Alcotest.test_case "out-of-range dirty vertex raises before the \
@@ -936,5 +1120,7 @@ let () =
             test_attach_races_live_engine;
           Alcotest.test_case "async attach: flush and shutdown" `Quick
             test_attach_async_flush_and_shutdown;
+          Alcotest.test_case "async builder failure is flagged at once"
+            `Quick test_async_builder_failure;
         ] );
     ]
