@@ -1,30 +1,5 @@
-module Point = Geometry.Point
-module Wgraph = Graph.Wgraph
+module Io = Ubg.Io
 module Churn = Ubg.Churn
-
-let fields s = String.split_on_char ' ' s |> List.filter (fun f -> f <> "")
-
-let parse_event ~dim line =
-  let point_of coords =
-    if List.length coords <> dim then
-      Error (Printf.sprintf "expected %d coordinates" dim)
-    else
-      match List.map float_of_string coords with
-      | cs -> Ok (Point.of_list cs)
-      | exception Failure _ -> Error "bad coordinate"
-  in
-  match fields line with
-  | "join" :: coords ->
-      Result.map (fun p -> Churn.Join p) (point_of coords)
-  | [ "leave"; a ] -> (
-      match int_of_string_opt a with
-      | Some i -> Ok (Churn.Leave i)
-      | None -> Error "bad leave slot")
-  | "move" :: a :: coords -> (
-      match int_of_string_opt a with
-      | Some i -> Result.map (fun p -> Churn.Move (i, p)) (point_of coords)
-      | None -> Error "bad move slot")
-  | _ -> Error (Printf.sprintf "unrecognized event %S" line)
 
 module Tail = struct
   (* A line-buffered incremental reader over a regular file that may
@@ -32,200 +7,118 @@ module Tail = struct
      now", not end of stream — the producer appends and we poll again.
      Only '\n'-terminated lines ever leave [partial], so a half-flushed
      line is invisible until completed. *)
-  type t = {
+  type buffer = {
     fd : Unix.file_descr;
-    path : string;
     chunk : bytes;
     partial : Buffer.t;
     lines : string Queue.t;
-    mutable initial : Ubg.Model.t option;
-    mutable dim : int;
-    mutable advertised : int;
-    mutable batches_read : int;
-    mutable events_read : int;
-    (* Partially ingested batch: [want] events still missing, collected
-       ones in [acc] (reversed). Survives across polls. *)
-    mutable want : int;
-    mutable acc : Churn.event list;
-    mutable in_batch : bool;
   }
 
-  let refill t =
+  (* Raised by the line source when no complete line is buffered: the
+     producer has not written it yet. *)
+  exception Dry
+
+  type t = {
+    buf : buffer;
+    r : Io.reader;
+    initial : Ubg.Model.t;
+    advertised : int;
+    mutable batches_read : int;
+    mutable events_read : int;
+    (* Partially ingested batch: [want] events still missing ([-1] when
+       no batch header is pending), collected ones in [acc] (reversed).
+       Survives across polls. *)
+    mutable want : int;
+    mutable acc : Churn.event list;
+  }
+
+  let refill b =
     let continue = ref true in
     while !continue do
-      let k = Unix.read t.fd t.chunk 0 (Bytes.length t.chunk) in
+      let k = Unix.read b.fd b.chunk 0 (Bytes.length b.chunk) in
       if k = 0 then continue := false
       else
         for i = 0 to k - 1 do
-          let c = Bytes.get t.chunk i in
+          let c = Bytes.get b.chunk i in
           if c = '\n' then begin
-            Queue.add (Buffer.contents t.partial) t.lines;
-            Buffer.clear t.partial
+            Queue.add (Buffer.contents b.partial) b.lines;
+            Buffer.clear b.partial
           end
-          else Buffer.add_char t.partial c
+          else Buffer.add_char b.partial c
         done
     done
 
-  (* Next non-blank, non-comment complete line, or [None]. *)
-  let rec next_data_line t =
-    match Queue.take_opt t.lines with
-    | None -> None
-    | Some raw ->
-        let s = String.trim raw in
-        if s = "" || s.[0] = '#' then next_data_line t else Some s
-
-  let fail t what = failwith (Printf.sprintf "%s: tail: %s" t.path what)
-
-  let require_line t what =
-    refill t;
-    match next_data_line t with
-    | Some s -> s
-    | None -> fail t ("incomplete prefix: missing " ^ what)
-
-  (* The instance prefix — header, [n dim alpha], n points, m edges and
-     the advisory batch count — mirrors Io.load_trace but reads off the
-     incremental buffer. *)
-  let parse_prefix t =
-    (match fields (require_line t "header") with
-    | [ "ubg-churn" ] | [ "ubg-churn"; "v1" ] -> ()
-    | _ -> fail t "not a ubg-churn v1 header");
-    let n, dim, alpha =
-      match fields (require_line t "n dim alpha") with
-      | [ a; b; c ] -> (
-          try (int_of_string a, int_of_string b, float_of_string c)
-          with Failure _ -> fail t "bad n dim alpha")
-      | _ -> fail t "bad n dim alpha"
-    in
-    if n <= 0 || dim <= 0 then fail t "bad instance size";
-    let points =
-      Array.init n (fun _ ->
-          let coords = fields (require_line t "point line") in
-          if List.length coords <> dim then fail t "bad point line";
-          try Point.of_list (List.map float_of_string coords)
-          with Failure _ -> fail t "bad point line")
-    in
-    let m =
-      match int_of_string_opt (require_line t "edge count") with
-      | Some m when m >= 0 -> m
-      | _ -> fail t "bad edge count"
-    in
-    let g = Wgraph.create n in
-    for _ = 1 to m do
-      match fields (require_line t "edge line") with
-      | [ a; b ] -> (
-          match (int_of_string_opt a, int_of_string_opt b) with
-          | Some u, Some v when u >= 0 && u < n && v >= 0 && v < n && u <> v
-            ->
-              Wgraph.add_edge g u v (Point.distance points.(u) points.(v))
-          | _ -> fail t "bad edge line")
-      | _ -> fail t "bad edge line"
-    done;
-    let advertised =
-      match int_of_string_opt (require_line t "batch count") with
-      | Some b when b >= 0 -> b
-      | _ -> fail t "bad batch count"
-    in
-    t.initial <- Some (Ubg.Model.make ~alpha points g);
-    t.dim <- dim;
-    t.advertised <- advertised
+  let next_line b () =
+    match Queue.take_opt b.lines with Some _ as l -> l | None -> raise Dry
 
   let open_ ?(wait_prefix = 0.0) path =
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-    let t =
+    let buf =
       {
         fd;
-        path;
         chunk = Bytes.create 65536;
         partial = Buffer.create 256;
         lines = Queue.create ();
-        initial = None;
-        dim = 0;
-        advertised = 0;
-        batches_read = 0;
-        events_read = 0;
-        want = 0;
-        acc = [];
-        in_batch = false;
       }
     in
     let deadline = Unix.gettimeofday () +. wait_prefix in
+    (* Consumed lines are gone, so a retry reads again from offset 0. *)
     let rec attempt () =
-      (* A torn prefix shows up as "incomplete prefix"; anything else is
-         a real format error and retrying cannot help. Consumed lines
-         are gone, so retrying means reopening from offset 0. *)
-      try parse_prefix t
-      with Failure msg ->
-        let incomplete =
-          let marker = "incomplete prefix" in
-          let rec find i =
-            i + String.length marker <= String.length msg
-            && (String.sub msg i (String.length marker) = marker
-               || find (i + 1))
-          in
-          find 0
-        in
-        if incomplete && Unix.gettimeofday () < deadline then begin
-          ignore (Unix.lseek t.fd 0 Unix.SEEK_SET);
-          Buffer.clear t.partial;
-          Queue.clear t.lines;
+      ignore (Unix.lseek fd 0 Unix.SEEK_SET);
+      Buffer.clear buf.partial;
+      Queue.clear buf.lines;
+      refill buf;
+      let r = Io.reader ~name:path (next_line buf) in
+      match Io.read_trace_prefix r with
+      | initial, advertised ->
+          {
+            buf;
+            r;
+            initial;
+            advertised;
+            batches_read = 0;
+            events_read = 0;
+            want = -1;
+            acc = [];
+          }
+      | exception Dry ->
+          if Unix.gettimeofday () >= deadline then
+            Io.fail r "incomplete prefix";
           Unix.sleepf 0.01;
           attempt ()
-        end
-        else begin
-          Unix.close fd;
-          failwith msg
-        end
     in
-    attempt ();
-    t
+    match attempt () with
+    | t -> t
+    | exception e ->
+        Unix.close fd;
+        raise e
 
-  let initial t =
-    match t.initial with
-    | Some m -> m
-    | None -> assert false (* open_ always parses the prefix *)
-
-  let dim t = t.dim
+  let initial t = t.initial
   let advertised_batches t = t.advertised
   let batches_read t = t.batches_read
   let events_read t = t.events_read
 
   let poll t =
-    refill t;
-    let rec go () =
-      if not t.in_batch then
-        match next_data_line t with
-        | None -> None
-        | Some line -> (
-            match fields line with
-            | [ "batch"; a ] -> (
-                match int_of_string_opt a with
-                | Some k when k >= 0 ->
-                    t.in_batch <- true;
-                    t.want <- k;
-                    t.acc <- [];
-                    go ()
-                | _ -> fail t "bad batch header")
-            | _ -> fail t (Printf.sprintf "expected batch header, got %S" line))
-      else if t.want = 0 then begin
+    refill t.buf;
+    let dim = Ubg.Model.dim t.initial in
+    match
+      if t.want < 0 then begin
+        t.want <- Io.read_batch_header t.r;
+        t.acc <- []
+      end;
+      while t.want > 0 do
+        t.acc <- Io.read_event t.r ~dim :: t.acc;
+        t.want <- t.want - 1
+      done
+    with
+    | () ->
         let batch = Array.of_list (List.rev t.acc) in
-        t.in_batch <- false;
+        t.want <- -1;
         t.acc <- [];
         t.batches_read <- t.batches_read + 1;
         t.events_read <- t.events_read + Array.length batch;
         Some batch
-      end
-      else
-        match next_data_line t with
-        | None -> None (* mid-batch; the rest has not been flushed yet *)
-        | Some line -> (
-            match parse_event ~dim:t.dim line with
-            | Ok ev ->
-                t.acc <- ev :: t.acc;
-                t.want <- t.want - 1;
-                go ()
-            | Error msg -> fail t msg)
-    in
-    go ()
+    | exception Dry -> None
 
   let skip ?(wait = 10.0) t n =
     let deadline = Unix.gettimeofday () +. wait in
@@ -235,11 +128,9 @@ module Tail = struct
       | Some _ -> decr remaining
       | None ->
           if Unix.gettimeofday () >= deadline then
-            fail t
-              (Printf.sprintf "resume skip: tail ended %d batches early"
-                 !remaining);
+            Io.fail t.r "resume skip: tail ended %d batches early" !remaining;
           Unix.sleepf 0.01
     done
 
-  let close t = Unix.close t.fd
+  let close t = Unix.close t.buf.fd
 end

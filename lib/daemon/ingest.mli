@@ -1,46 +1,35 @@
-(** Churn event sources for the daemon.
+(** Tail ingest for the daemon: a growing [ubg-churn] trace file.
 
-    Two ingest modes share one event grammar — the event lines of the
-    [ubg-churn] trace format ({!Ubg.Io}):
+    The instance prefix is read once at open, then complete batches
+    are polled off the tail as the producer appends them. Parsing is
+    {!Ubg.Io}'s: {!Ubg.Io.read_trace_prefix}, {!Ubg.Io.read_batch_header}
+    and {!Ubg.Io.read_event}, over a line source that raises when no
+    complete line is buffered yet. This module keeps only the
+    buffering: a line not yet ['\n']-terminated, and a batch whose
+    event lines have not all been flushed, stay pending until the
+    producer catches up, so only complete batches are ever returned.
+    One recorded batch is one engine epoch — the same batching an
+    offline replay uses, which is what makes a kill/restart resume
+    bit-identical to an uninterrupted run. The batch-count line [<B>]
+    of the prefix is advisory here — it is the {e tail length} the
+    daemon reports sync progress against, but polling past it simply
+    returns [None] until more data arrives.
 
-    {v
-    join <x_1> ... <x_dim>
-    leave <slot>
-    move <slot> <x_1> ... <x_dim>
-    v}
-
-    {b Tail mode} follows a growing trace file: the instance prefix is
-    parsed once at open, then complete batches are polled off the tail
-    as the producer appends them. One recorded batch is one engine
-    epoch — the same batching an offline replay uses, which is what
-    makes a kill/restart resume bit-identical to an uninterrupted run.
-    Only complete batches are ever returned: a batch header whose event
-    lines have not all been flushed yet (or a line not yet
-    ['\n']-terminated) stays pending until the producer catches up.
-    The batch-count line [<B>] of the prefix is advisory in this mode —
-    it is the {e tail length} the daemon reports sync progress against,
-    but polling past it simply returns [None] until more data arrives.
-
-    {b Socket mode} has no source object here: clients push single
-    event lines through the wire protocol's [EV] frames and the daemon
-    batches whatever arrived when the epoch clock fires, using
-    {!parse_event} for the grammar. *)
-
-(** [parse_event ~dim line] parses one event line. *)
-val parse_event : dim:int -> string -> (Ubg.Churn.event, string) result
+    Socket ingest has no source object: the daemon parses each [EV]
+    line with {!Ubg.Io.parse_event}. *)
 
 module Tail : sig
   type t
 
-  (** [open_ ?wait_prefix path] opens a trace and parses its header and
-      instance body. The prefix must be complete on disk; with
-      [wait_prefix] (seconds, default [0]) an incomplete prefix is
-      re-polled until the deadline. Raises [Failure] on malformed or
-      (past the deadline) incomplete input. *)
+  (** [open_ ?wait_prefix path] opens a trace and reads its header,
+      instance body and batch count. The prefix must be complete on
+      disk; with [wait_prefix] (seconds, default [0]) an incomplete
+      prefix is read again from the start until the deadline. Raises
+      [Failure] naming the file and line on malformed or (past the
+      deadline) incomplete input. *)
   val open_ : ?wait_prefix:float -> string -> t
 
   val initial : t -> Ubg.Model.t
-  val dim : t -> int
 
   (** The prefix's advisory batch count — the tail length for sync
       progress reports. *)
@@ -53,8 +42,8 @@ module Tail : sig
   val events_read : t -> int
 
   (** [poll t] returns the next complete batch, or [None] when the tail
-      has no complete batch yet. Raises [Failure] on a malformed
-      line. *)
+      has no complete batch yet. Raises [Failure] naming the file and
+      line on a malformed line. *)
   val poll : t -> Ubg.Churn.batch option
 
   (** [skip t n] consumes [n] batches without returning them — the

@@ -55,6 +55,7 @@ let g_rate = lazy (Obs.Metrics.gauge "daemon.ev_per_s")
 let g_tail = lazy (Obs.Metrics.gauge "daemon.tail_batches")
 let g_batches = lazy (Obs.Metrics.gauge "daemon.batches_read")
 let g_checkpoints = lazy (Obs.Metrics.gauge "daemon.checkpoints")
+let g_dropped = lazy (Obs.Metrics.gauge "daemon.dropped_batches")
 let g_repair_ms = lazy (Obs.Metrics.gauge "daemon.repair_ms")
 let g_certify_ms = lazy (Obs.Metrics.gauge "daemon.certify_ms")
 
@@ -71,15 +72,14 @@ let run ?stop config =
     Sys.set_signal Sys.sigint handler
   end;
   (* --- ingest source ------------------------------------------------ *)
-  let tail, initial_model, dim =
+  let tail, initial_model =
     match config.source with
     | Tail path ->
         let tail = Ingest.Tail.open_ ~wait_prefix:5.0 path in
-        (Some tail, Ingest.Tail.initial tail, Ingest.Tail.dim tail)
-    | Socket_ingest path ->
-        let model = Ubg.Io.load_instance path in
-        (None, model, Ubg.Model.dim model)
+        (Some tail, Ingest.Tail.initial tail)
+    | Socket_ingest path -> (None, Ubg.Io.load_instance path)
   in
+  let dim = Ubg.Model.dim initial_model in
   (* --- engine: fresh or resumed ------------------------------------- *)
   let engine, start_events =
     match config.checkpoint with
@@ -124,10 +124,29 @@ let run ?stop config =
     Oracle.Service.attach ~eps:config.oracle_eps ~label:"daemon" ~async:true
       engine
   in
-  (* The engine epoch STATS reports, and the publish lag behind it, are
-     right from the start, before the first batch lands. *)
-  Obs.Metrics.set_gauge (Lazy.force g_epoch)
-    (float_of_int (Engine.epoch engine));
+  (* --- engine-domain counters ------------------------------------- *)
+  let epochs = ref 0 and events = ref start_events in
+  let checkpoints = ref 0 and dropped = ref 0 in
+  let publish_gauges () =
+    Obs.Metrics.set_gauge (Lazy.force g_epoch)
+      (float_of_int (Engine.epoch engine));
+    Obs.Metrics.set_gauge (Lazy.force g_alive)
+      (float_of_int (Engine.n_alive engine));
+    Obs.Metrics.set_gauge (Lazy.force g_events) (float_of_int !events);
+    Obs.Metrics.set_gauge (Lazy.force g_checkpoints)
+      (float_of_int !checkpoints);
+    Obs.Metrics.set_gauge (Lazy.force g_dropped) (float_of_int !dropped);
+    match tail with
+    | Some tail ->
+        Obs.Metrics.set_gauge (Lazy.force g_tail)
+          (float_of_int (Ingest.Tail.advertised_batches tail));
+        Obs.Metrics.set_gauge (Lazy.force g_batches)
+          (float_of_int (Ingest.Tail.batches_read tail))
+    | None -> ()
+  in
+  (* What STATS reports, the engine epoch and the publish lag behind it
+     included, is right from the start, before the first batch lands. *)
+  publish_gauges ();
   (* --- socket-ingest queue ------------------------------------------ *)
   let pending = Queue.create () in
   let pending_lock = Mutex.create () in
@@ -137,7 +156,7 @@ let run ?stop config =
     | Socket_ingest _ ->
         Some
           (fun line ->
-            match Ingest.parse_event ~dim line with
+            match Ubg.Io.parse_event ~dim line with
             | Error _ as e -> e
             | Ok ev ->
                 Mutex.lock pending_lock;
@@ -159,6 +178,8 @@ let run ?stop config =
       ("ingest.ev_per_s", Printf.sprintf "%.1f" (g g_rate));
       ("ingest.batches", string_of_int (int_of_float (g g_batches)));
       ("ingest.tail", string_of_int (int_of_float (g g_tail)));
+      ( "ingest.dropped_batches",
+        string_of_int (int_of_float (g g_dropped)) );
       ("checkpoints", string_of_int (int_of_float (g g_checkpoints)));
     ]
     @
@@ -187,29 +208,11 @@ let run ?stop config =
   (* --- engine domain ------------------------------------------------ *)
   let engine_loop () =
     let clock = Clock.create ~period:config.period () in
-    let epochs = ref 0 and events = ref start_events in
-    let checkpoints = ref 0 in
     let last_ck_time = ref (Unix.gettimeofday ()) in
     let last_ck_epoch = ref (Engine.epoch engine) in
     let rate_t0 = ref (Unix.gettimeofday ()) in
     let rate_ev0 = ref start_events in
     let last_progress = ref 0.0 in
-    let publish_gauges () =
-      Obs.Metrics.set_gauge (Lazy.force g_epoch)
-        (float_of_int (Engine.epoch engine));
-      Obs.Metrics.set_gauge (Lazy.force g_alive)
-        (float_of_int (Engine.n_alive engine));
-      Obs.Metrics.set_gauge (Lazy.force g_events) (float_of_int !events);
-      Obs.Metrics.set_gauge (Lazy.force g_checkpoints)
-        (float_of_int !checkpoints);
-      match tail with
-      | Some tail ->
-          Obs.Metrics.set_gauge (Lazy.force g_tail)
-            (float_of_int (Ingest.Tail.advertised_batches tail));
-          Obs.Metrics.set_gauge (Lazy.force g_batches)
-            (float_of_int (Ingest.Tail.batches_read tail))
-      | None -> ()
-    in
     let rate () =
       let now = Unix.gettimeofday () in
       let dt = now -. !rate_t0 in
@@ -284,20 +287,32 @@ let run ?stop config =
        while not (Atomic.get stop) do
          if Clock.due clock then (
            match next_batch () with
-           | `Batch batch ->
-               let report = Engine.apply_batch engine batch in
-               (* The last epoch's split, as the engine timed it. *)
-               Obs.Metrics.set_gauge (Lazy.force g_repair_ms)
-                 (1e3 *. report.Engine.repair_seconds);
-               Obs.Metrics.set_gauge (Lazy.force g_certify_ms)
-                 (1e3 *. report.Engine.certify_seconds);
-               incr epochs;
-               events := !events + Array.length batch;
-               Clock.advance clock;
-               publish_gauges ();
-               ignore (rate ());
-               progress ();
-               if checkpoint_due () then write_checkpoint ()
+           | `Batch batch -> (
+               match Engine.apply_batch engine batch with
+               | report ->
+                   (* The last epoch's split, as the engine timed it. *)
+                   Obs.Metrics.set_gauge (Lazy.force g_repair_ms)
+                     (1e3 *. report.Engine.repair_seconds);
+                   Obs.Metrics.set_gauge (Lazy.force g_certify_ms)
+                     (1e3 *. report.Engine.certify_seconds);
+                   incr epochs;
+                   events := !events + Array.length batch;
+                   Clock.advance clock;
+                   publish_gauges ();
+                   ignore (rate ());
+                   progress ();
+                   if checkpoint_due () then write_checkpoint ()
+               | exception (Invalid_argument msg | Failure msg)
+                 when Option.is_none tail ->
+                   (* A client's batch (a recorded trace's stays fatal,
+                      below): apply_batch has put the engine back at its
+                      latest epoch, so drop the batch and go on. *)
+                   Log.err (fun m ->
+                       m "dropped a batch of %d client events: %s"
+                         (Array.length batch) msg);
+                   incr dropped;
+                   Clock.advance clock;
+                   publish_gauges ())
            | `Idle ->
                (* socket mode, nothing pending: skip the epoch, and
                   sleep — with period = 0 the clock is always due, so
@@ -322,14 +337,11 @@ let run ?stop config =
      with e ->
        Log.err (fun m ->
            m "final checkpoint failed: %s" (Printexc.to_string e)));
-    publish_gauges ();
-    (!epochs, !events, !checkpoints)
+    publish_gauges ()
   in
   let engine_domain = Domain.spawn engine_loop in
   Server.run server;
-  let epochs_applied, events_applied, checkpoints_written =
-    Domain.join engine_domain
-  in
+  Domain.join engine_domain;
   (* Drain and join the oracle builder; its failures should not mask a
      clean engine shutdown, but they must not pass silently either. *)
   (try Oracle.Service.shutdown service
@@ -338,9 +350,9 @@ let run ?stop config =
   (match tail with Some t -> Ingest.Tail.close t | None -> ());
   {
     final_epoch = Engine.epoch engine;
-    epochs_applied;
-    events_applied = events_applied - start_events;
-    checkpoints_written;
+    epochs_applied = !epochs;
+    events_applied = !events - start_events;
+    checkpoints_written = !checkpoints;
     requests_served = Server.n_requests server;
   }
 

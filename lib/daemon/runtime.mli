@@ -22,7 +22,11 @@ type source =
   | Tail of string  (** follow a growing [ubg-churn] trace file *)
   | Socket_ingest of string
       (** instance file; events arrive as [EV] frames and are batched
-          per clock tick *)
+          per clock tick. A batch the engine rejects (say, a slot out
+          of range) is dropped, logged and counted in [STATS]
+          [ingest.dropped_batches], and the daemon goes on; in tail
+          mode such a batch stops the daemon, since a recorded trace
+          must replay whole. *)
 
 type config = {
   socket : string;  (** Unix-domain socket path to serve on *)

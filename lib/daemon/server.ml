@@ -238,12 +238,12 @@ let handle_readable t conn =
              match Wire.next conn.dec with
              | None -> ()
              | Some payload ->
-                 let t0 = Unix.gettimeofday () in
+                 let t0 = Obs.Control.now () in
                  let resp = answer t payload in
                  t.requests <- t.requests + 1;
                  Obs.Metrics.incr t.m_requests;
                  Obs.Metrics.add_seconds t.m_service
-                   (Unix.gettimeofday () -. t0);
+                   (Obs.Control.now () -. t0);
                  enqueue conn resp;
                  drain ()
            in

@@ -103,7 +103,7 @@ let install s entry =
   in
   if go () then Obs.Metrics.set_gauge s.g_epoch (float_of_int entry.epoch)
 
-let publish ?dirty s ~epoch csr = install s (compute s ~dirty ~epoch csr)
+let publish s ~epoch csr = install s (compute s ~dirty:None ~epoch csr)
 
 (* ------------------------------------------------------------------ *)
 (* The async builder                                                   *)

@@ -80,14 +80,12 @@ val attach :
   Dynamic.Engine.t ->
   t
 
-(** [publish ?dirty s ~epoch csr] constructs and installs an entry by
-    hand (tests and static pipelines): a repair when [dirty] is given
-    and [epoch] is exactly one past the currently published entry, a
-    scratch build otherwise. No-op when [epoch] is not newer than the
-    published entry. Synchronous even on an [async] service — don't
-    mix manual publishes with a live engine hook unless idempotent
-    publication is what you want. *)
-val publish : ?dirty:int array -> t -> epoch:int -> Graph.Csr.t -> unit
+(** [publish s ~epoch csr] constructs and installs an entry by hand
+    (tests and static pipelines): always a scratch build. No-op when
+    [epoch] is not newer than the published entry. Synchronous even on
+    an [async] service — don't mix manual publishes with a live engine
+    hook unless idempotent publication is what you want. *)
+val publish : t -> epoch:int -> Graph.Csr.t -> unit
 
 (** [flush s] blocks until the async builder's queue is empty and no
     construction is in flight (returns immediately on a synchronous

@@ -56,7 +56,7 @@ let default () =
            (String.concat ", " (names ())))
 
 let build ((module B : S) : t) ?metric ~params model =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Control.now () in
   (* The backend tag rides as a span argument; Trace args are float
      pairs, so the name goes in the key ("backend=<name>", 1.). *)
   Obs.Trace.span ~cat:"build"
@@ -69,4 +69,4 @@ let build ((module B : S) : t) ?metric ~params model =
     "build"
   @@ fun () ->
   let r = B.build ?metric ~params model in
-  { r with build_seconds = Unix.gettimeofday () -. t0 }
+  { r with build_seconds = Obs.Control.now () -. t0 }

@@ -9,6 +9,10 @@ let topology_version = 1
 let trace_version = 1
 let checkpoint_version = 1
 
+(* ------------------------------------------------------------------ *)
+(* Writing                                                             *)
+(* ------------------------------------------------------------------ *)
+
 (* The writers below build a file in a buffer that goes to the channel
    each time a line ends past 64 KB, and once at the end: no channel
    call per line, and a large file never sits in memory whole. Ids and
@@ -71,138 +75,12 @@ let save_instance path model =
       newline s;
       write_instance_body s model)
 
-(* Line reader skipping blanks and # comments, tracking line numbers
-   for error messages. *)
-type reader = { ic : in_channel; mutable line : int }
-
-let next_line r =
-  let rec go () =
-    match In_channel.input_line r.ic with
-    | None -> failwith (Printf.sprintf "line %d: unexpected end of file" r.line)
-    | Some raw ->
-        r.line <- r.line + 1;
-        let s = String.trim raw in
-        if s = "" || s.[0] = '#' then go () else s
-  in
-  go ()
-
-let fields s = String.split_on_char ' ' s |> List.filter (fun f -> f <> "")
-
-let parse_err r what = failwith (Printf.sprintf "line %d: expected %s" r.line what)
-
-(* [expect_header r ~family ~upto] accepts "<family>" (the legacy
-   unversioned form, read as v1) and "<family> vK" for 1 <= K <= upto,
-   returning K. *)
-let expect_header r ~family ~upto =
-  let line = next_line r in
-  let bad () =
-    failwith
-      (Printf.sprintf "line %d: expected %s header (up to v%d), got %S" r.line
-         family upto line)
-  in
-  if line = family then 1
-  else
-    match fields line with
-    | [ f; v ]
-      when f = family
-           && String.length v >= 2
-           && v.[0] = 'v'
-           && String.for_all
-                (fun c -> c >= '0' && c <= '9')
-                (String.sub v 1 (String.length v - 1)) ->
-        let k = int_of_string (String.sub v 1 (String.length v - 1)) in
-        if k < 1 || k > upto then bad () else k
-    | _ -> bad ()
-
-let read_instance_body r =
-  let n, dim, alpha =
-    match fields (next_line r) with
-    | [ a; b; c ] -> (
-        try (int_of_string a, int_of_string b, float_of_string c)
-        with Failure _ -> parse_err r "n dim alpha")
-    | _ -> parse_err r "n dim alpha"
-  in
-  let points =
-    Array.init n (fun _ ->
-        let coords = fields (next_line r) in
-        if List.length coords <> dim then parse_err r "point coordinates";
-        try Point.of_list (List.map float_of_string coords)
-        with Failure _ -> parse_err r "point coordinates")
-  in
-  let m =
-    match fields (next_line r) with
-    | [ a ] -> ( try int_of_string a with Failure _ -> parse_err r "edge count")
-    | _ -> parse_err r "edge count"
-  in
-  let g = Wgraph.create n in
-  for _ = 1 to m do
-    match fields (next_line r) with
-    | [ a; b ] -> (
-        try
-          let u = int_of_string a and v = int_of_string b in
-          Wgraph.add_edge g u v (Point.distance points.(u) points.(v))
-        with Failure _ | Invalid_argument _ -> parse_err r "edge")
-    | _ -> parse_err r "edge"
-  done;
-  Model.make ~alpha points g
-
-let load_instance path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let r = { ic; line = 0 } in
-      let _version =
-        expect_header r ~family:"ubg-instance" ~upto:instance_version
-      in
-      read_instance_body r)
-
 let save_topology path g =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "ubg-topology v%d\n%d %d\n" topology_version
-        (Wgraph.n_vertices g) (Wgraph.n_edges g);
-      Wgraph.iter_edges g (fun u v _ -> Printf.fprintf oc "%d %d\n" u v))
-
-let load_topology path ~model =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let r = { ic; line = 0 } in
-      let _version =
-        expect_header r ~family:"ubg-topology" ~upto:topology_version
-      in
-      let n, m =
-        match fields (next_line r) with
-        | [ a; b ] -> (
-            try (int_of_string a, int_of_string b)
-            with Failure _ -> parse_err r "n m")
-        | _ -> parse_err r "n m"
-      in
-      if n <> Model.n model then failwith "load_topology: vertex count mismatch";
-      let g = Wgraph.create n in
-      for _ = 1 to m do
-        match fields (next_line r) with
-        | [ a; b ] ->
-            let u, v =
-              try (int_of_string a, int_of_string b)
-              with Failure _ -> parse_err r "edge"
-            in
-            if u < 0 || u >= n || v < 0 || v >= n then parse_err r "edge ids";
-            if not (Wgraph.mem_edge model.Model.graph u v) then
-              failwith
-                (Printf.sprintf "load_topology: {%d,%d} not an instance edge" u v);
-            Wgraph.add_edge g u v (Model.distance model u v)
-        | _ -> parse_err r "edge"
-      done;
-      g)
-
-(* ------------------------------------------------------------------ *)
-(* Churn traces                                                        *)
-(* ------------------------------------------------------------------ *)
+  write_file path (fun s ->
+      add_string s (Printf.sprintf "ubg-topology v%d" topology_version);
+      newline s;
+      add_pair s (Wgraph.n_vertices g) (Wgraph.n_edges g);
+      Wgraph.iter_edges g (fun u v _ -> add_pair s u v))
 
 let write_point_fields s p =
   for i = 0 to Point.dim p - 1 do
@@ -238,52 +116,6 @@ let save_trace path (trace : Churn.trace) =
               newline s)
             batch)
         trace.Churn.batches)
-
-let load_trace path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let r = { ic; line = 0 } in
-      let _version = expect_header r ~family:"ubg-churn" ~upto:trace_version in
-      let initial = read_instance_body r in
-      let dim = Model.dim initial in
-      let point_of coords =
-        if List.length coords <> dim then parse_err r "event coordinates";
-        try Point.of_list (List.map float_of_string coords)
-        with Failure _ -> parse_err r "event coordinates"
-      in
-      let n_batches =
-        match fields (next_line r) with
-        | [ a ] -> (
-            try int_of_string a with Failure _ -> parse_err r "batch count")
-        | _ -> parse_err r "batch count"
-      in
-      let batches =
-        Array.init n_batches (fun _ ->
-            let k =
-              match fields (next_line r) with
-              | [ "batch"; a ] -> (
-                  try int_of_string a
-                  with Failure _ -> parse_err r "batch size")
-              | _ -> parse_err r "batch header"
-            in
-            Array.init k (fun _ ->
-                match fields (next_line r) with
-                | "join" :: coords -> Churn.Join (point_of coords)
-                | [ "leave"; a ] -> (
-                    try Churn.Leave (int_of_string a)
-                    with Failure _ -> parse_err r "leave slot")
-                | "move" :: a :: coords -> (
-                    try Churn.Move (int_of_string a, point_of coords)
-                    with Failure _ -> parse_err r "move slot")
-                | _ -> parse_err r "event"))
-      in
-      { Churn.initial; batches })
-
-(* ------------------------------------------------------------------ *)
-(* Engine checkpoints                                                  *)
-(* ------------------------------------------------------------------ *)
 
 type checkpoint = {
   ck_epoch : int;
@@ -329,74 +161,244 @@ let save_checkpoint path ck =
       add_string s "end";
       newline s)
 
-let load_checkpoint path =
+(* ------------------------------------------------------------------ *)
+(* Reading                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every reader takes lines from a source, skips blanks and # comments
+   and counts lines, so that each error names its line. Nothing here
+   catches what the source raises: a tail's source raises when its
+   buffered lines run out, and a line is counted only once taken. *)
+type reader = {
+  next : unit -> string option;
+  name : string;
+  mutable line : int;
+}
+
+let reader ~name next = { next; name; line = 0 }
+
+let fail r fmt =
+  Printf.ksprintf
+    (fun what -> failwith (Printf.sprintf "%s: line %d: %s" r.name r.line what))
+    fmt
+
+let rec next_line r =
+  match r.next () with
+  | None -> fail r "unexpected end of file"
+  | Some raw ->
+      r.line <- r.line + 1;
+      let s = String.trim raw in
+      if s = "" || s.[0] = '#' then next_line r else s
+
+let fields s = String.split_on_char ' ' s |> List.filter (fun f -> f <> "")
+
+let count r ?(min = 0) what s =
+  match int_of_string_opt s with
+  | Some k when k >= min -> k
+  | _ -> fail r "expected %s >= %d, got %S" what min s
+
+let number r what s =
+  match float_of_string_opt s with
+  | Some x -> x
+  | None -> fail r "expected %s, got %S" what s
+
+(* A line holding one count. *)
+let read_count r what =
+  match fields (next_line r) with
+  | [ a ] -> count r what a
+  | _ -> fail r "expected %s" what
+
+(* [read_n k f] is [f ()] [k] times, in order. [k] comes from the file,
+   so it sizes no allocation: a count beyond the file fails at its
+   end. *)
+let read_n k f =
+  let rec go i acc =
+    if i = k then Array.of_list (List.rev acc) else go (i + 1) (f () :: acc)
+  in
+  go 0 []
+
+(* [header] is "<family>" (the legacy unversioned form, read as v1) or
+   "<family> vK" for 1 <= K <= [upto]. *)
+let expect_header r ~family ~upto =
+  let line = next_line r in
+  let version =
+    if line = family then Some 1
+    else
+      match fields line with
+      | [ f; v ]
+        when f = family
+             && String.length v >= 2
+             && v.[0] = 'v'
+             && String.for_all
+                  (fun c -> c >= '0' && c <= '9')
+                  (String.sub v 1 (String.length v - 1)) ->
+          int_of_string_opt (String.sub v 1 (String.length v - 1))
+      | _ -> None
+  in
+  match version with
+  | Some k when k >= 1 && k <= upto -> ()
+  | _ -> fail r "expected %s header (up to v%d), got %S" family upto line
+
+let point_of ~dim coords =
+  if List.length coords <> dim then
+    Error (Printf.sprintf "expected %d coordinates" dim)
+  else
+    match List.map float_of_string coords with
+    | cs -> Ok (Point.of_list cs)
+    | exception Failure _ -> Error "bad coordinate"
+
+let read_point r ~dim coords =
+  match point_of ~dim coords with Ok p -> p | Error why -> fail r "%s" why
+
+(* [read_edges r points m] reads [m] lines "u v" into a graph over the
+   slots of [points], each edge weighed by the distance of its
+   endpoints: ids in range, u <> v, a positive weight, and [check u v]
+   ([Some why] when the caller's condition fails). *)
+let read_edges ?(check = fun _ _ -> None) r points m =
+  let n = Array.length points in
+  let g = Wgraph.create n in
+  for _ = 1 to m do
+    match fields (next_line r) with
+    | [ a; b ] ->
+        let u = count r "vertex id" a in
+        let v = count r "vertex id" b in
+        if u >= n || v >= n then fail r "edge {%d,%d}: ids beyond %d" u v n;
+        if u = v then fail r "edge {%d,%d}: a self loop" u v;
+        (match check u v with
+        | Some why -> fail r "edge {%d,%d}: %s" u v why
+        | None -> ());
+        let w = Point.distance points.(u) points.(v) in
+        if not (w > 0.0) then
+          fail r "edge {%d,%d}: weight %g is not positive" u v w;
+        Wgraph.add_edge g u v w
+    | _ -> fail r "expected an edge \"u v\""
+  done;
+  g
+
+let read_instance_body r =
+  let n, dim, alpha =
+    match fields (next_line r) with
+    | [ a; b; c ] ->
+        let n = count r ~min:1 "n" a in
+        let dim = count r ~min:1 "dim" b in
+        (n, dim, number r "alpha" c)
+    | _ -> fail r "expected \"n dim alpha\""
+  in
+  let points = read_n n (fun () -> read_point r ~dim (fields (next_line r))) in
+  let g = read_edges r points (read_count r "edge count") in
+  match Model.make ~alpha points g with
+  | model -> model
+  | exception Invalid_argument why -> fail r "%s" why
+
+let with_reader path f =
   let ic = open_in path in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let r = { ic; line = 0 } in
-      let _version =
-        expect_header r ~family:"ubg-checkpoint" ~upto:checkpoint_version
+    (fun () -> f (reader ~name:path (fun () -> In_channel.input_line ic)))
+
+let load_instance path =
+  with_reader path (fun r ->
+      expect_header r ~family:"ubg-instance" ~upto:instance_version;
+      read_instance_body r)
+
+let load_topology path ~model =
+  with_reader path (fun r ->
+      expect_header r ~family:"ubg-topology" ~upto:topology_version;
+      let m =
+        match fields (next_line r) with
+        | [ a; b ] ->
+            let n = count r "n" a in
+            if n <> Model.n model then
+              fail r "%d vertices, the instance has %d" n (Model.n model);
+            count r "edge count" b
+        | _ -> fail r "expected \"n m\""
       in
+      read_edges r model.Model.points m ~check:(fun u v ->
+          if Wgraph.mem_edge model.Model.graph u v then None
+          else Some "not an instance edge"))
+
+(* ------------------------------------------------------------------ *)
+(* Churn traces and events                                             *)
+(* ------------------------------------------------------------------ *)
+
+let parse_event ~dim line =
+  match fields line with
+  | "join" :: coords ->
+      Result.map (fun p -> Churn.Join p) (point_of ~dim coords)
+  | [ "leave"; a ] -> (
+      match int_of_string_opt a with
+      | Some i -> Ok (Churn.Leave i)
+      | None -> Error "bad leave slot")
+  | "move" :: a :: coords -> (
+      match int_of_string_opt a with
+      | Some i -> Result.map (fun p -> Churn.Move (i, p)) (point_of ~dim coords)
+      | None -> Error "bad move slot")
+  | _ -> Error (Printf.sprintf "unrecognized event %S" line)
+
+let read_trace_prefix r =
+  expect_header r ~family:"ubg-churn" ~upto:trace_version;
+  let initial = read_instance_body r in
+  (initial, read_count r "batch count")
+
+let read_batch_header r =
+  match fields (next_line r) with
+  | [ "batch"; k ] -> count r "batch size" k
+  | _ -> fail r "expected \"batch <k>\""
+
+let read_event r ~dim =
+  match parse_event ~dim (next_line r) with
+  | Ok ev -> ev
+  | Error why -> fail r "%s" why
+
+let load_trace path =
+  with_reader path (fun r ->
+      let initial, b = read_trace_prefix r in
+      let dim = Model.dim initial in
+      let batches =
+        read_n b (fun () ->
+            read_n (read_batch_header r) (fun () -> read_event r ~dim))
+      in
+      { Churn.initial; batches })
+
+(* ------------------------------------------------------------------ *)
+(* Engine checkpoints                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let load_checkpoint path =
+  with_reader path (fun r ->
+      expect_header r ~family:"ubg-checkpoint" ~upto:checkpoint_version;
       let epoch, events, cap, dim, alpha, stretch =
         match fields (next_line r) with
-        | [ a; b; c; d; e; f ] -> (
-            try
-              ( int_of_string a, int_of_string b, int_of_string c,
-                int_of_string d, float_of_string e, float_of_string f )
-            with Failure _ -> parse_err r "epoch events cap dim alpha stretch")
-        | _ -> parse_err r "epoch events cap dim alpha stretch"
+        | [ a; b; c; d; e; f ] ->
+            let epoch = count r "epoch" a in
+            let events = count r "event count" b in
+            let cap = count r ~min:1 "cap" c in
+            let dim = count r ~min:1 "dim" d in
+            let alpha = number r "alpha" e in
+            (epoch, events, cap, dim, alpha, number r "stretch" f)
+        | _ -> fail r "expected \"epoch events cap dim alpha stretch\""
       in
-      if cap <= 0 || dim <= 0 then parse_err r "positive cap and dim";
-      let alive = Array.make cap false in
-      let points =
-        Array.init cap (fun i ->
+      let slots =
+        read_n cap (fun () ->
             match fields (next_line r) with
-            | flag :: coords when List.length coords = dim -> (
-                (match flag with
-                | "1" -> alive.(i) <- true
-                | "0" -> alive.(i) <- false
-                | _ -> parse_err r "alive flag");
-                try Point.of_list (List.map float_of_string coords)
-                with Failure _ -> parse_err r "slot coordinates")
-            | _ -> parse_err r "slot line")
+            | "1" :: coords -> (true, read_point r ~dim coords)
+            | "0" :: coords -> (false, read_point r ~dim coords)
+            | _ -> fail r "expected a slot \"<0|1> <coordinates>\"")
       in
-      let read_edges what =
-        let m =
-          match fields (next_line r) with
-          | [ a ] -> (
-              try int_of_string a
-              with Failure _ -> parse_err r (what ^ " edge count"))
-          | _ -> parse_err r (what ^ " edge count")
-        in
-        let g = Wgraph.create cap in
-        for _ = 1 to m do
-          match fields (next_line r) with
-          | [ a; b ] -> (
-              try
-                let u = int_of_string a and v = int_of_string b in
-                if u < 0 || u >= cap || v < 0 || v >= cap then
-                  failwith "ids out of range";
-                if not (alive.(u) && alive.(v)) then
-                  failwith "edge on a dead slot";
-                Wgraph.add_edge g u v (Point.distance points.(u) points.(v))
-              with Failure _ | Invalid_argument _ ->
-                parse_err r (what ^ " edge"))
-          | _ -> parse_err r (what ^ " edge")
-        done;
-        g
+      let alive = Array.map fst slots and points = Array.map snd slots in
+      let ubg =
+        read_edges r points (read_count r "α-UBG edge count")
+          ~check:(fun u v ->
+            if alive.(u) && alive.(v) then None else Some "on a dead slot")
       in
-      let ubg = read_edges "ubg" in
-      let spanner = read_edges "spanner" in
-      Wgraph.iter_edges spanner (fun u v _ ->
-          if not (Wgraph.mem_edge ubg u v) then
-            failwith
-              (Printf.sprintf
-                 "load_checkpoint: spanner edge {%d,%d} missing from the α-UBG"
-                 u v));
-      (match next_line r with
-      | "end" -> ()
-      | _ -> parse_err r "end sentinel (file truncated?)");
+      let spanner =
+        read_edges r points (read_count r "spanner edge count")
+          ~check:(fun u v ->
+            if Wgraph.mem_edge ubg u v then None
+            else Some "missing from the α-UBG")
+      in
+      if next_line r <> "end" then
+        fail r "expected the end sentinel (file truncated?)";
       {
         ck_epoch = epoch;
         ck_events = events;

@@ -169,7 +169,7 @@ let test_tail_partial_batches () =
       Fun.protect
         ~finally:(fun () -> Ingest.Tail.close t)
         (fun () ->
-          Alcotest.(check int) "dim" 2 (Ingest.Tail.dim t);
+          Alcotest.(check int) "dim" 2 (Ubg.Model.dim (Ingest.Tail.initial t));
           Alcotest.(check int) "advertised tail" 2
             (Ingest.Tail.advertised_batches t);
           Alcotest.(check int) "initial population" 3
@@ -196,17 +196,17 @@ let test_tail_partial_batches () =
 
 let test_parse_event () =
   Alcotest.(check bool) "join parses" true
-    (match Ingest.parse_event ~dim:2 "join 0.5 0.25" with
+    (match Io.parse_event ~dim:2 "join 0.5 0.25" with
     | Ok (Ubg.Churn.Join _) -> true
     | _ -> false);
   Alcotest.(check bool) "leave parses" true
-    (match Ingest.parse_event ~dim:2 "leave 4" with
+    (match Io.parse_event ~dim:2 "leave 4" with
     | Ok (Ubg.Churn.Leave 4) -> true
     | _ -> false);
   List.iter
     (fun bad ->
       Alcotest.(check bool) ("rejected: " ^ bad) true
-        (match Ingest.parse_event ~dim:2 bad with
+        (match Io.parse_event ~dim:2 bad with
         | Error _ -> true
         | Ok _ -> false))
     [ ""; "explode 3"; "move 0 1"; "join 0.5"; "leave x"; "move x 0 0" ]
@@ -292,6 +292,24 @@ let wait_for_epoch ?(deadline = 30.0) client target =
       go ()
     end
     else ep
+  in
+  go ()
+
+(* Polls STATS until row [key] reads [value]; fails past the deadline. *)
+let wait_for_stat ?(deadline = 30.0) client key value =
+  let limit = Unix.gettimeofday () +. deadline in
+  let rec go () =
+    let _, rows = Client.stats client in
+    match List.assoc_opt key rows with
+    | Some v when v = value -> ()
+    | got ->
+        if Unix.gettimeofday () < limit then begin
+          Unix.sleepf 0.02;
+          go ()
+        end
+        else
+          Alcotest.failf "STATS %s: expected %s, got %s" key value
+            (Option.value got ~default:"no row")
   in
   go ()
 
@@ -556,10 +574,43 @@ let test_daemon_socket_ingest () =
            Client.event c "explode 3";
            false
          with Failure _ -> true);
+      (* Epoch 1 may hold only the first event: wait for both. *)
+      wait_for_stat c "ingest.events" "2";
       ignore (Client.shutdown c);
       Client.close c;
       let s = Runtime.join h in
       Alcotest.(check int) "both events applied" 2 s.Runtime.events_applied)
+
+(* A client's event that the engine rejects (a slot out of range) costs
+   its batch, not the daemon: the batch is dropped and counted, and the
+   daemon keeps serving and ingesting. *)
+let test_daemon_drops_rejected_batch () =
+  let model = connected_model ~seed:21 ~n:12 ~dim:2 ~alpha:0.9 in
+  let inst = temp_file ".ubg" in
+  let sock = sock_path "drop" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove inst;
+      if Sys.file_exists sock then Sys.remove sock)
+    (fun () ->
+      Io.save_instance inst model;
+      let cfg =
+        Runtime.default ~socket:sock ~source:(Runtime.Socket_ingest inst)
+      in
+      let h = Runtime.start cfg in
+      let c = connect_with_retry sock in
+      wait_for_stat c "ingest.dropped_batches" "0";
+      Client.event c "leave 999";
+      wait_for_stat c "ingest.dropped_batches" "1";
+      Alcotest.(check int) "still serving epoch 0" 0 (Client.ping c);
+      Client.event c "move 0 0.9 0.9";
+      Alcotest.(check int) "a good event advances the epoch" 1
+        (wait_for_epoch c 1);
+      ignore (Client.shutdown c);
+      Client.close c;
+      let s = Runtime.join h in
+      Alcotest.(check int) "one epoch applied" 1 s.Runtime.epochs_applied;
+      Alcotest.(check int) "the good event applied" 1 s.Runtime.events_applied)
 
 (* Misbehaving clients must not take down the serving plane: a peer
    that disconnects with responses queued used to SIGPIPE the whole
@@ -664,6 +715,8 @@ let () =
           Alcotest.test_case "restart resumes bit-identically" `Quick
             test_daemon_restart_is_bit_identical;
           Alcotest.test_case "socket ingest" `Quick test_daemon_socket_ingest;
+          Alcotest.test_case "drops a rejected client batch" `Quick
+            test_daemon_drops_rejected_batch;
           Alcotest.test_case "survives bad clients" `Quick
             test_daemon_survives_bad_clients;
         ] );

@@ -1,6 +1,7 @@
 module Wgraph = Graph.Wgraph
 module Io = Ubg.Io
 module Model = Ubg.Model
+module Tail = Daemon.Ingest.Tail
 open Test_helpers
 
 let temp_file suffix = Filename.temp_file "topo_test" suffix
@@ -409,6 +410,213 @@ let test_checkpoint_coexists_with_instance_format () =
            false
          with Failure _ -> true))
 
+(* ---- one reader, every entry ------------------------------------------
+
+   Each malformed input must fail as a [Failure] that names its file and
+   line through every entry that reads it: [load_instance] and
+   [load_trace] and the daemon's tail for an instance body, [load_trace]
+   and the tail for a trace's batches, [load_checkpoint] for a
+   checkpoint. Anything else a loader lets escape ([Invalid_argument])
+   fails the case. *)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let rejects what path read =
+  match read path with
+  | _ -> Alcotest.failf "%s: loaded" what
+  | exception Failure msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names the file and a line" what msg)
+        true
+        (String.starts_with ~prefix:path msg && contains msg ": line ")
+
+(* Opens a tail on [path] and polls it dry. *)
+let tail_read path =
+  let t = Tail.open_ path in
+  Fun.protect
+    ~finally:(fun () -> Tail.close t)
+    (fun () ->
+      while Option.is_some (Tail.poll t) do
+        ()
+      done)
+
+let with_file content f =
+  let path = write_file content in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let test_malformed_everywhere () =
+  (* Instance bodies, the part after the header that instance and trace
+     files share. Two points 5 apart need no edge, so a negative edge
+     count read as none would load a valid α-UBG. *)
+  List.iter
+    (fun (what, body) ->
+      with_file ("ubg-instance v2\n" ^ body) (fun path ->
+          rejects ("instance: " ^ what) path Io.load_instance);
+      with_file ("ubg-churn v1\n" ^ body ^ "0\n") (fun path ->
+          rejects ("trace: " ^ what) path Io.load_trace;
+          rejects ("tail: " ^ what) path tail_read))
+    [
+      ("n = -1", "-1 2 0.9\n0 0\n0\n");
+      ("n = 0", "0 2 0.9\n0\n");
+      ("dim = 0", "1 0 0.9\n0\n");
+      ("n beyond the file", "100000000000000000 2 0.9\n0 0\n5 0\n0\n");
+      ("negative edge count", "2 2 0.9\n0 0\n5 0\n-1\n");
+      ("edge between coincident points", "2 2 0.9\n0 0\n0 0\n1\n0 1\n");
+      ("not an α-UBG", "2 2 0.9\n0 0\n0.5 0\n0\n");
+    ];
+  let good_body = "2 2 0.9\n0 0\n0.5 0\n1\n0 1\n" in
+  List.iter
+    (fun (what, rest) ->
+      with_file ("ubg-churn v1\n" ^ good_body ^ rest) (fun path ->
+          rejects ("trace: " ^ what) path Io.load_trace;
+          rejects ("tail: " ^ what) path tail_read))
+    [
+      ("negative batch count", "-1\n");
+      ("negative event count", "1\nbatch -1\n");
+      ("unknown event", "1\nbatch 1\nexplode 3\n");
+    ];
+  (* Checkpoints: header, [body], "end"; the slots are [good_body]'s. *)
+  let good_slots = "1 0 0\n1 0.5 0\n" in
+  List.iter
+    (fun (what, body) ->
+      with_file ("ubg-checkpoint v1\n" ^ body ^ "end\n") (fun path ->
+          rejects ("checkpoint: " ^ what) path Io.load_checkpoint))
+    [
+      ("edge count -1", "0 0 2 2 0.9 1\n" ^ good_slots ^ "-1\n0\n");
+      ("negative epoch", "-3 0 2 2 0.9 1\n" ^ good_slots ^ "1\n0 1\n1\n0 1\n");
+      ("negative event count", "0 -5 2 2 0.9 1\n" ^ good_slots ^ "1\n0 1\n1\n0 1\n");
+      ( "edge between coincident points",
+        "0 0 2 2 0.9 1\n1 0 0\n1 0 0\n1\n0 1\n0\n" );
+      ("spanner edge off the α-UBG", "0 0 2 2 0.9 1\n" ^ good_slots ^ "0\n1\n0 1\n");
+    ];
+  (* The well-formed versions of the above load. *)
+  with_file ("ubg-churn v1\n" ^ good_body ^ "1\nbatch 1\nleave 1\n")
+    (fun path ->
+      Alcotest.(check int) "good trace" 1
+        (Array.length (Io.load_trace path).Ubg.Churn.batches);
+      tail_read path);
+  with_file
+    ("ubg-checkpoint v1\n0 0 2 2 0.9 1\n" ^ good_slots ^ "1\n0 1\n1\n0 1\nend\n")
+    (fun path ->
+      Alcotest.(check int) "good checkpoint" 1
+        (Wgraph.n_edges (Io.load_checkpoint path).Io.ck_spanner))
+
+(* The byte offset just past the [k]-th newline of [s]. *)
+let after_lines s k =
+  let rec go i k =
+    if k = 0 then i else go (String.index_from s i '\n' + 1) (k - 1)
+  in
+  go 0 k
+
+let append path s =
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc s;
+  close_out oc
+
+(* A recorded trace, its prefix (header, instance, batch count: n + m +
+   4 lines) and the rest. *)
+let split_trace ~seed =
+  let st = rand_state seed in
+  let n = 8 + Random.State.int st 20 in
+  let model = random_model ~seed ~n ~dim:2 ~alpha:0.8 in
+  let trace =
+    Ubg.Churn.generate ~seed ~epochs:(1 + Random.State.int st 8) ~batch_max:5
+      (Ubg.Churn.default_dynamics ~side:4.0)
+      model
+  in
+  let path = temp_file ".churn" in
+  Io.save_trace path trace;
+  let text = read_file path in
+  let cut = after_lines text (n + Wgraph.n_edges model.Model.graph + 4) in
+  (path, String.sub text 0 cut, String.sub text cut (String.length text - cut))
+
+(* The tail appended to in random chunks, cut anywhere (mid-line
+   included), returns exactly the batches [load_trace] reads. *)
+let prop_tail_chunks_equal_load_trace =
+  qtest ~count:30 "tail: random chunks read as load_trace" seed_arb (fun seed ->
+      let full, prefix, rest = split_trace ~seed in
+      let path = temp_file ".churn" in
+      Fun.protect
+        ~finally:(fun () ->
+          Sys.remove full;
+          Sys.remove path)
+        (fun () ->
+          let expected = (Io.load_trace full).Ubg.Churn.batches in
+          let oc = open_out_bin path in
+          output_string oc prefix;
+          close_out oc;
+          let t = Tail.open_ path in
+          Fun.protect
+            ~finally:(fun () -> Tail.close t)
+            (fun () ->
+              let st = rand_state (seed + 1) in
+              let got = ref [] in
+              let rec drain () =
+                match Tail.poll t with
+                | Some b ->
+                    got := b :: !got;
+                    drain ()
+                | None -> ()
+              in
+              let pos = ref 0 in
+              while !pos < String.length rest do
+                let k =
+                  min (1 + Random.State.int st 40) (String.length rest - !pos)
+                in
+                append path (String.sub rest !pos k);
+                pos := !pos + k;
+                drain ()
+              done;
+              let got = Array.of_list (List.rev !got) in
+              got = expected
+              && Tail.batches_read t = Array.length expected
+              && Tail.events_read t
+                 = Array.fold_left (fun a b -> a + Array.length b) 0 expected)))
+
+(* A prefix torn mid-edge-list: no wait fails by name; a wait opens it
+   once another domain writes the rest before the deadline. *)
+let test_torn_prefix () =
+  let full, prefix, _ = split_trace ~seed:3 in
+  let path = temp_file ".churn" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove full;
+      Sys.remove path)
+    (fun () ->
+      let expected = Io.load_trace full in
+      let model = expected.Ubg.Churn.initial in
+      (* Two and a half edge lines in. *)
+      let edges = after_lines prefix (Model.n model + 3) in
+      let cut = after_lines prefix (Model.n model + 5) + 1 in
+      Alcotest.(check bool) "the cut lies inside the edge list" true
+        (edges < cut && cut < String.length prefix - 2);
+      let oc = open_out_bin path in
+      output_string oc (String.sub prefix 0 cut);
+      close_out oc;
+      rejects "torn prefix" path (fun p -> Tail.open_ ~wait_prefix:0.0 p);
+      let writer =
+        Domain.spawn (fun () ->
+            Unix.sleepf 0.1;
+            append path (String.sub prefix cut (String.length prefix - cut)))
+      in
+      let t = Tail.open_ ~wait_prefix:10.0 path in
+      Domain.join writer;
+      Fun.protect
+        ~finally:(fun () -> Tail.close t)
+        (fun () ->
+          let initial = Tail.initial t in
+          Alcotest.(check int) "n" (Model.n model) (Model.n initial);
+          Alcotest.(check bool) "the same edges" true
+            (Wgraph.edges initial.Model.graph = Wgraph.edges model.Model.graph);
+          Alcotest.(check int) "advertised batches"
+            (Array.length expected.Ubg.Churn.batches)
+            (Tail.advertised_batches t)))
+
 let () =
   Alcotest.run "io"
     [
@@ -443,5 +651,13 @@ let () =
             test_checkpoint_rejects_malformed;
           Alcotest.test_case "coexists with instance format" `Quick
             test_checkpoint_coexists_with_instance_format;
+        ] );
+      ( "reader",
+        [
+          Alcotest.test_case "malformed inputs fail by line, every entry"
+            `Quick test_malformed_everywhere;
+          prop_tail_chunks_equal_load_trace;
+          Alcotest.test_case "torn prefix: fails at once, opens when written"
+            `Quick test_torn_prefix;
         ] );
     ]
