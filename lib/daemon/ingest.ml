@@ -2,26 +2,15 @@ module Io = Ubg.Io
 module Churn = Ubg.Churn
 
 module Tail = struct
-  (* A line-buffered incremental reader over a regular file that may
-     still be growing. [read] returning 0 means "no more bytes right
-     now", not end of stream — the producer appends and we poll again.
-     Only '\n'-terminated lines ever leave [partial], so a half-flushed
-     line is invisible until completed. *)
-  type buffer = {
-    fd : Unix.file_descr;
-    chunk : bytes;
-    partial : Buffer.t;
-    lines : string Queue.t;
-  }
-
-  (* Raised by the line source when no complete line is buffered: the
-     producer has not written it yet. *)
+  (* Raised by the byte source when the file holds no more bytes yet:
+     the producer has not written them. *)
   exception Dry
 
   type t = {
-    buf : buffer;
+    fd : Unix.file_descr;
     r : Io.reader;
-    initial : Ubg.Model.t;
+    initial : Ubg.Model.t option;  (* [None] when opened to resume *)
+    shape : Io.shape;
     advertised : int;
     mutable batches_read : int;
     mutable events_read : int;
@@ -32,49 +21,33 @@ module Tail = struct
     mutable acc : Churn.event list;
   }
 
-  let refill b =
-    let continue = ref true in
-    while !continue do
-      let k = Unix.read b.fd b.chunk 0 (Bytes.length b.chunk) in
-      if k = 0 then continue := false
-      else
-        for i = 0 to k - 1 do
-          let c = Bytes.get b.chunk i in
-          if c = '\n' then begin
-            Queue.add (Buffer.contents b.partial) b.lines;
-            Buffer.clear b.partial
-          end
-          else Buffer.add_char b.partial c
-        done
-    done
+  (* The bytes of a regular file that may still be growing. [read]
+     returning 0 means "no more bytes right now", not end of stream —
+     the producer appends and we poll again. The reader holds a line
+     back until its '\n' arrives, so a half-flushed line is invisible
+     until completed. *)
+  let source fd =
+    let chunk = Bytes.create 65536 in
+    fun () ->
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> raise Dry
+      | k -> Some (Bytes.sub_string chunk 0 k)
 
-  let next_line b () =
-    match Queue.take_opt b.lines with Some _ as l -> l | None -> raise Dry
-
-  let open_ ?(wait_prefix = 0.0) path =
+  (* [read_prefix r] is [(initial, shape, batches)]. *)
+  let open_with ~read_prefix ?(wait_prefix = 0.0) path =
     let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
-    let buf =
-      {
-        fd;
-        chunk = Bytes.create 65536;
-        partial = Buffer.create 256;
-        lines = Queue.create ();
-      }
-    in
     let deadline = Unix.gettimeofday () +. wait_prefix in
     (* Consumed lines are gone, so a retry reads again from offset 0. *)
     let rec attempt () =
       ignore (Unix.lseek fd 0 Unix.SEEK_SET);
-      Buffer.clear buf.partial;
-      Queue.clear buf.lines;
-      refill buf;
-      let r = Io.reader ~name:path (next_line buf) in
-      match Io.read_trace_prefix r with
-      | initial, advertised ->
+      let r = Io.reader ~name:path (source fd) in
+      match read_prefix r with
+      | initial, shape, advertised ->
           {
-            buf;
+            fd;
             r;
             initial;
+            shape;
             advertised;
             batches_read = 0;
             events_read = 0;
@@ -93,14 +66,29 @@ module Tail = struct
         Unix.close fd;
         raise e
 
-  let initial t = t.initial
+  let open_ =
+    open_with ~read_prefix:(fun r ->
+        let initial, advertised = Io.read_trace_prefix r in
+        (Some initial, Io.shape_of_model initial, advertised))
+
+  let open_checked =
+    open_with ~read_prefix:(fun r ->
+        let shape, advertised = Io.check_trace_prefix r in
+        (None, shape, advertised))
+
+  let initial t =
+    match t.initial with
+    | Some m -> m
+    | None ->
+        invalid_arg "Tail.initial: a tail opened to resume keeps no instance"
+
+  let shape t = t.shape
   let advertised_batches t = t.advertised
   let batches_read t = t.batches_read
   let events_read t = t.events_read
 
   let poll t =
-    refill t.buf;
-    let dim = Ubg.Model.dim t.initial in
+    let dim = t.shape.Io.dim in
     match
       if t.want < 0 then begin
         t.want <- Io.read_batch_header t.r;
@@ -132,5 +120,5 @@ module Tail = struct
           Unix.sleepf 0.01
     done
 
-  let close t = Unix.close t.buf.fd
+  let close t = Unix.close t.fd
 end

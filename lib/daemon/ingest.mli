@@ -2,12 +2,14 @@
 
     The instance prefix is read once at open, then complete batches
     are polled off the tail as the producer appends them. Parsing is
-    {!Ubg.Io}'s: {!Ubg.Io.read_trace_prefix}, {!Ubg.Io.read_batch_header}
-    and {!Ubg.Io.read_event}, over a line source that raises when no
-    complete line is buffered yet. This module keeps only the
-    buffering: a line not yet ['\n']-terminated, and a batch whose
-    event lines have not all been flushed, stay pending until the
-    producer catches up, so only complete batches are ever returned.
+    {!Ubg.Io}'s: {!Ubg.Io.read_trace_prefix} (or, to resume,
+    {!Ubg.Io.check_trace_prefix}), {!Ubg.Io.read_batch_header} and
+    {!Ubg.Io.read_event}, over a byte source that raises when the file
+    holds nothing new yet. This module keeps only that source and the
+    batch in progress: the reader holds back a line not yet
+    ['\n']-terminated, and a batch whose event lines have not all been
+    flushed stays pending until the producer catches up, so only
+    complete batches are ever returned.
     One recorded batch is one engine epoch — the same batching an
     offline replay uses, which is what makes a kill/restart resume
     bit-identical to an uninterrupted run. The batch-count line [<B>]
@@ -29,7 +31,19 @@ module Tail : sig
       deadline) incomplete input. *)
   val open_ : ?wait_prefix:float -> string -> t
 
+  (** [open_checked ?wait_prefix path] opens a trace to resume from a
+      checkpoint: as {!open_}, but the instance body is read into a
+      {!Graph.Csr}, checked with {!Ubg.Model.validate} and dropped
+      ({!Ubg.Io.check_trace_prefix}). Only its {!shape} is kept; the
+      checkpoint holds the state. *)
+  val open_checked : ?wait_prefix:float -> string -> t
+
+  (** The instance the prefix holds. Raises [Invalid_argument] on a
+      tail from {!open_checked}, which keeps none. *)
   val initial : t -> Ubg.Model.t
+
+  (** The instance's n, dimension and alpha. *)
+  val shape : t -> Ubg.Io.shape
 
   (** The prefix's advisory batch count — the tail length for sync
       progress reports. *)

@@ -62,6 +62,108 @@ let g_certify_ms = lazy (Obs.Metrics.gauge "daemon.certify_ms")
 (* Set by the engine itself on every certification. *)
 let g_certify_sources = lazy (Obs.Metrics.gauge "engine.certify_sources")
 
+(* The start-up steps, each holding the last start-up's time: opening
+   the source (the tail's prefix or the instance, and a resume's skip
+   past the consumed batches), loading the checkpoint, creating or
+   restoring the engine, and building the first oracle. *)
+let t_source = lazy (Obs.Metrics.timer "daemon.start.source")
+let t_checkpoint = lazy (Obs.Metrics.timer "daemon.start.checkpoint")
+let t_engine = lazy (Obs.Metrics.timer "daemon.start.engine")
+let t_oracle = lazy (Obs.Metrics.timer "daemon.start.oracle")
+
+(* Each step's STATS row. *)
+let start_rows =
+  [
+    ("daemon.start.source_ms", t_source);
+    ("daemon.start.checkpoint_ms", t_checkpoint);
+    ("daemon.start.engine_ms", t_engine);
+    ("daemon.start.oracle_ms", t_oracle);
+  ]
+
+let step t f = Obs.Metrics.time (Lazy.force t) f
+let source_name = function Tail path | Socket_ingest path -> path
+
+(* A fresh start: the source's instance, and an engine built from it.
+   Returns [(tail, engine, events consumed, dim)]. *)
+let start_fresh config =
+  let tail, model =
+    step t_source (fun () ->
+        match config.source with
+        | Tail path ->
+            let tail = Ingest.Tail.open_ ~wait_prefix:5.0 path in
+            (Some tail, Ingest.Tail.initial tail)
+        | Socket_ingest path -> (None, Ubg.Io.load_instance path))
+  in
+  let dim = Ubg.Model.dim model in
+  let params =
+    Topo.Params.of_epsilon ~eps:config.eps ~alpha:model.Ubg.Model.alpha ~dim
+  in
+  let engine =
+    step t_engine (fun () ->
+        Engine.create ?backend:config.backend ~params model)
+  in
+  (tail, engine, 0, dim)
+
+(* The checkpoint must fit the source's header: the same dimension, the
+   same alpha bit for bit, and room for the header's n nodes. *)
+let check_fit config ~ckpath (ck : Checkpoint.t) (shape : Ubg.Io.shape) =
+  let mismatch fmt =
+    Printf.ksprintf
+      (fun what ->
+        failwith
+          (Printf.sprintf "daemon: checkpoint %s does not fit %s: %s" ckpath
+             (source_name config.source) what))
+      fmt
+  in
+  let points = ck.Checkpoint.snapshot.Engine.snap_points in
+  let dim = Point.dim points.(0) and cap = Array.length points in
+  if dim <> shape.Ubg.Io.dim then
+    mismatch "dimension %d, the source's is %d" dim shape.Ubg.Io.dim;
+  if
+    Int64.bits_of_float ck.Checkpoint.alpha
+    <> Int64.bits_of_float shape.Ubg.Io.alpha
+  then
+    mismatch "alpha %.17g, the source's is %.17g" ck.Checkpoint.alpha
+      shape.Ubg.Io.alpha;
+  if cap < shape.Ubg.Io.n then
+    mismatch "capacity %d, below the source's %d nodes" cap shape.Ubg.Io.n
+
+(* A resume: the state comes from the checkpoint, so the source's
+   instance is only checked (no model is built), the checkpoint is
+   checked against it, the engine is restored and the tail skips the
+   consumed batches. *)
+let start_resumed config ~ckpath =
+  let tail, shape =
+    step t_source (fun () ->
+        match config.source with
+        | Tail path ->
+            let tail = Ingest.Tail.open_checked ~wait_prefix:5.0 path in
+            (Some tail, Ingest.Tail.shape tail)
+        | Socket_ingest path -> (None, Ubg.Io.check_instance path))
+  in
+  try
+    let ck = step t_checkpoint (fun () -> Checkpoint.load ckpath) in
+    check_fit config ~ckpath ck shape;
+    let dim = shape.Ubg.Io.dim in
+    let params =
+      Topo.Params.of_epsilon ~eps:config.eps ~alpha:ck.Checkpoint.alpha ~dim
+    in
+    let engine =
+      step t_engine (fun () ->
+          Checkpoint.restore ?backend:config.backend ~params ck)
+    in
+    let ck_epoch, ck_events = Checkpoint.cursor ck in
+    Option.iter
+      (fun tail -> step t_source (fun () -> Ingest.Tail.skip tail ck_epoch))
+      tail;
+    Log.app (fun m ->
+        m "resumed from %s: epoch %d, %d events consumed" ckpath ck_epoch
+          ck_events);
+    (tail, engine, ck_events, dim)
+  with e ->
+    Option.iter Ingest.Tail.close tail;
+    raise e
+
 let run ?stop config =
   if config.tick <= 0.0 then invalid_arg "Runtime.run: tick must be positive";
   if config.period < 0.0 then invalid_arg "Runtime.run: negative period";
@@ -71,47 +173,12 @@ let run ?stop config =
     Sys.set_signal Sys.sigterm handler;
     Sys.set_signal Sys.sigint handler
   end;
-  (* --- ingest source ------------------------------------------------ *)
-  let tail, initial_model =
-    match config.source with
-    | Tail path ->
-        let tail = Ingest.Tail.open_ ~wait_prefix:5.0 path in
-        (Some tail, Ingest.Tail.initial tail)
-    | Socket_ingest path -> (None, Ubg.Io.load_instance path)
-  in
-  let dim = Ubg.Model.dim initial_model in
-  (* --- engine: fresh or resumed ------------------------------------- *)
-  let engine, start_events =
+  List.iter (fun (_, t) -> Obs.Metrics.reset (Lazy.force t)) start_rows;
+  (* --- source and engine: decided before the source is opened ------ *)
+  let tail, engine, start_events, dim =
     match config.checkpoint with
-    | Some ckpath when Sys.file_exists ckpath ->
-        let ck = Checkpoint.load ckpath in
-        let alpha = ck.Ubg.Io.ck_alpha in
-        let ck_dim = Point.dim ck.Ubg.Io.ck_points.(0) in
-        if ck_dim <> dim then
-          failwith
-            (Printf.sprintf
-               "daemon: checkpoint dimension %d does not match source \
-                dimension %d"
-               ck_dim dim);
-        let params = Topo.Params.of_epsilon ~eps:config.eps ~alpha ~dim in
-        let engine =
-          Checkpoint.restore ?backend:config.backend ~params ck
-        in
-        let ck_epoch, ck_events = Checkpoint.cursor ck in
-        (match tail with
-        | Some tail -> Ingest.Tail.skip tail ck_epoch
-        | None -> ());
-        Log.app (fun m ->
-            m "resumed from %s: epoch %d, %d events consumed" ckpath ck_epoch
-              ck_events);
-        (engine, ck_events)
-    | _ ->
-        let params =
-          Topo.Params.of_epsilon ~eps:config.eps
-            ~alpha:initial_model.Ubg.Model.alpha ~dim
-        in
-        ( Engine.create ?backend:config.backend ~params initial_model,
-          0 )
+    | Some ckpath when Sys.file_exists ckpath -> start_resumed config ~ckpath
+    | _ -> start_fresh config
   in
   (* Oracle serving plane. Attach runs on both paths deliberately: a
      restored engine carries NO epoch hooks (Engine.restore drops them
@@ -121,8 +188,9 @@ let run ?stop config =
      a dedicated builder domain repairs/publishes, so ingest never
      waits on oracle construction. *)
   let service =
-    Oracle.Service.attach ~eps:config.oracle_eps ~label:"daemon" ~async:true
-      engine
+    step t_oracle (fun () ->
+        Oracle.Service.attach ~eps:config.oracle_eps ~label:"daemon"
+          ~async:true engine)
   in
   (* --- engine-domain counters ------------------------------------- *)
   let epochs = ref 0 and events = ref start_events in
@@ -182,6 +250,12 @@ let run ?stop config =
         string_of_int (int_of_float (g g_dropped)) );
       ("checkpoints", string_of_int (int_of_float (g g_checkpoints)));
     ]
+    @ List.map
+        (fun (key, t) ->
+          ( key,
+            Printf.sprintf "%.3f"
+              (1e3 *. fst (Obs.Metrics.timer_value (Lazy.force t))) ))
+        start_rows
     @
     let ost = Oracle.Service.stats service in
     [

@@ -12,11 +12,19 @@
     lock-free against the writer.
 
     With a checkpoint path configured, {!run} resumes from an existing
-    checkpoint file: the engine is thawed at its certified epoch
+    checkpoint file. It decides so before it opens its source: a
+    resume only checks the source's instance and keeps its shape (no
+    model is built), loads the checkpoint straight into the engine's
+    snapshot and requires it to fit the source's header (the same
+    dimension, alpha equal bit for bit, a capacity of at least the
+    header's n). The engine is restored at its certified epoch
     (re-certified on load), the tail is fast-forwarded past the
     consumed batches, and ingest continues mid-history — producing
     epochs bit-identical to a run that was never stopped. Sync progress
-    is logged as [epoch X / tail Y, Z ev/s]. *)
+    is logged as [epoch X / tail Y, Z ev/s]. [STATS] reports what each
+    start-up step took: [daemon.start.source_ms],
+    [daemon.start.checkpoint_ms], [daemon.start.engine_ms] and
+    [daemon.start.oracle_ms]. *)
 
 type source =
   | Tail of string  (** follow a growing [ubg-churn] trace file *)
@@ -64,7 +72,8 @@ type summary = {
     engine domain it spawns) until [stop] is set — by a [SHUTDOWN]
     request, a handled signal, [quit_at_tail], or the caller flipping
     the flag it passed in. Raises [Failure] on a malformed trace,
-    checkpoint, or socket path. *)
+    checkpoint, or socket path, and on a checkpoint that does not fit
+    its source, naming both. *)
 val run : ?stop:bool Atomic.t -> config -> summary
 
 (** {2 In-process handle} — tests and benches run the whole daemon on a

@@ -524,14 +524,14 @@ let replay t (trace : Churn.trace) ~f =
 (* Construction and restore                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The record [create] and [restore] both start from, once [spanner]
-   certifies against [base]; [fail] words the failure from the stretch
-   and [t]. The gray-zone policy and the rebuild threshold are
-   configuration, not state: a restored engine runs with the
-   defaults. *)
+(* The record [create] and [restore] both start from, once [sp], the
+   frozen [spanner], certifies against [base]; [fail] words the failure
+   from the stretch and [t]. The gray-zone policy and the rebuild
+   threshold are configuration, not state: a restored engine runs with
+   the defaults. *)
 let make ?backend ?(gray = Ubg.Gray_zone.Keep_all) ?(rebuild_threshold = 0.3)
-    ~clock ~params ~pop ~spanner ~last_rebuild ~epoch ~base ~fail () =
-  let { sp; stretches; stretch } = certify ~base (Csr.of_wgraph spanner) in
+    ~clock ~params ~pop ~spanner ~sp ~last_rebuild ~epoch ~base ~fail () =
+  let { sp; stretches; stretch } = certify ~base sp in
   if not (certifies params stretch) then
     failwith (fail stretch params.Params.t);
   Obs.Metrics.set_gauge g_certify_sources
@@ -570,7 +570,8 @@ let create ?backend ?gray ?rebuild_threshold ?(clock = Obs.Control.now)
   let last_rebuild = clock () -. t0 in
   make ?backend ?gray ?rebuild_threshold ~clock ~params
     ~pop:(Population.of_points model.Model.points)
-    ~spanner ~last_rebuild ~epoch:0 ~base:(Csr.of_wgraph model.Model.graph)
+    ~spanner ~sp:(Csr.of_wgraph spanner) ~last_rebuild ~epoch:0
+    ~base:(Csr.of_wgraph model.Model.graph)
     ~fail:
       (Printf.sprintf "Engine.create: initial build has stretch %g > t = %g")
     ()
@@ -587,10 +588,13 @@ let restore ?backend ~params snap =
   let pop = Population.of_points snap.snap_points in
   Population.restore pop ~points:snap.snap_points ~alive:snap.snap_alive;
   (* Re-certify rather than trust the recorded stretch: a corrupt or
-     hand-edited checkpoint must not become a serving engine. *)
+     hand-edited checkpoint must not become a serving engine. The
+     snapshot's spanner is certified as given; only the live copy the
+     repair edits is thawed. *)
   let t =
     make ?backend ~clock:Obs.Control.now ~params ~pop
-      ~spanner:(Csr.to_wgraph snap.snap_spanner) ~last_rebuild:0.0
+      ~spanner:(Csr.to_wgraph snap.snap_spanner) ~sp:snap.snap_spanner
+      ~last_rebuild:0.0
       ~epoch:snap.snap_epoch ~base:snap.snap_ubg
       ~fail:
         (Printf.sprintf

@@ -224,10 +224,12 @@ val weight_ratio : snapshot -> float
     snapshot. *)
 
 (** [restore ?backend ~params snap] reconstructs an engine positioned
-    at [snap]'s epoch without rebuilding the spanner: the population
-    and spanner are thawed from the snapshot, the spanner is
-    re-certified against [snap_ubg] (a corrupt or mismatched checkpoint
-    raises [Failure]), and the result becomes the engine's snapshot.
+    at [snap]'s epoch without rebuilding the spanner: [snap_spanner] is
+    re-certified, as given, against [snap_ubg] (a corrupt or mismatched
+    checkpoint raises [Failure]), and the snapshot's two graphs become
+    the engine's own. The population is copied from the snapshot, and
+    the one graph built is the live spanner the repair edits, one
+    {!Graph.Csr.to_wgraph} of [snap_spanner].
     Subsequent {!apply_batch} calls produce bit-identical epochs to an
     uninterrupted engine that reached [snap]'s epoch the long way — the
     resume guarantee the daemon's kill/restart test pins. [backend]

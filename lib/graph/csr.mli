@@ -21,7 +21,7 @@
     vertices lose every edge and others gain new ones (the dynamic
     engine's α-UBG, whose touched slots are re-derived each epoch), or
     from {!of_arrays} when a builder emits the arcs itself (the cluster
-    graph does). Building is O(n + m); a snapshot never observes later
+    graph does, and so does the checkpoint parser in [Ubg.Io]). Building is O(n + m); a snapshot never observes later
     mutations of the source graph. *)
 
 type t = private {

@@ -1,5 +1,6 @@
 module Point = Geometry.Point
 module Wgraph = Graph.Wgraph
+module Csr = Graph.Csr
 
 (* On-disk format versions. Writers always emit the current version;
    readers accept every version ever shipped, including the pre-v1
@@ -117,16 +118,18 @@ let save_trace path (trace : Churn.trace) =
             batch)
         trace.Churn.batches)
 
-type checkpoint = {
+type 'g checkpoint_of = {
   ck_epoch : int;
   ck_events : int;
   ck_alpha : float;
   ck_points : Point.t array;
   ck_alive : bool array;
-  ck_ubg : Wgraph.t;
-  ck_spanner : Wgraph.t;
+  ck_ubg : 'g;
+  ck_spanner : 'g;
   ck_stretch : float;
 }
+
+type checkpoint = Wgraph.t checkpoint_of
 
 let save_checkpoint path ck =
   let cap = Array.length ck.ck_points in
@@ -165,48 +168,207 @@ let save_checkpoint path ck =
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Every reader takes lines from a source, skips blanks and # comments
-   and counts lines, so that each error names its line. Nothing here
-   catches what the source raises: a tail's source raises when its
-   buffered lines run out, and a line is counted only once taken. *)
+(* Every reader takes its input from a source of bytes, cuts it into
+   lines, skips blanks and # comments and counts lines, so that each
+   error names its line. Nothing here catches what the source raises: a
+   tail's source raises when no more bytes are there yet, and a line is
+   counted only once it is complete and taken.
+
+   The bytes sit in [buf]; the line taken last is [buf.[start .. stop)],
+   trimmed, and the next one starts at [next]. A line is scanned in
+   place, [pos] being the cursor: no line is copied out of [buf], and
+   none is split into a token list. [buf] is replaced only when a line
+   runs past its end, by the rest of it and the source's next bytes. *)
 type reader = {
-  next : unit -> string option;
+  more : unit -> string option;
   name : string;
   mutable line : int;
+  mutable buf : string;
+  mutable start : int;
+  mutable stop : int;
+  mutable pos : int;
+  mutable next : int;
 }
 
-let reader ~name next = { next; name; line = 0 }
+let reader ~name more =
+  { more; name; line = 0; buf = ""; start = 0; stop = 0; pos = 0; next = 0 }
 
-let fail r fmt =
+let fail_at r line fmt =
   Printf.ksprintf
-    (fun what -> failwith (Printf.sprintf "%s: line %d: %s" r.name r.line what))
+    (fun what -> failwith (Printf.sprintf "%s: line %d: %s" r.name line what))
     fmt
 
+let fail r fmt = fail_at r r.line fmt
+
+(* What the scanner raises. Each public entry turns it into [fail] at
+   the line taken last, and [parse_event] into an [Error]. *)
+exception Bad of string
+
+let bad fmt = Printf.ksprintf (fun why -> raise (Bad why)) fmt
+let guard r f = try f r with Bad why -> fail r "%s" why
+
+let is_space c = c = ' ' || c = '\t' || c = '\r' || c = '\n' || c = '\012'
+
+(* Make [buf.[i .. j)], trimmed as [String.trim] trims, the line. *)
+let set_line r i j =
+  let i = ref i and j = ref j in
+  while !i < !j && is_space (String.unsafe_get r.buf !i) do
+    incr i
+  done;
+  while !j > !i && is_space (String.unsafe_get r.buf (!j - 1)) do
+    decr j
+  done;
+  r.start <- !i;
+  r.stop <- !j;
+  r.pos <- !i
+
+(* The index of the first '\n' of [buf] at or past [i], or -1. *)
+let newline_from buf i =
+  let j = ref i and n = String.length buf in
+  while !j < n && String.unsafe_get buf !j <> '\n' do
+    incr j
+  done;
+  if !j < n then !j else -1
+
+(* Take the next line: [true], or [false] at the end of the input. A
+   last line without its newline is a line. *)
+let rec take_line r =
+  let nl = newline_from r.buf r.next in
+  if nl >= 0 then begin
+    r.line <- r.line + 1;
+    set_line r r.next nl;
+    r.next <- nl + 1;
+    true
+  end
+  else
+    let rest = String.length r.buf - r.next in
+    match r.more () with
+    | Some bytes ->
+        r.buf <-
+          (if rest = 0 then bytes
+           else String.sub r.buf r.next rest ^ bytes);
+        r.next <- 0;
+        take_line r
+    | None ->
+        rest > 0
+        && begin
+             r.line <- r.line + 1;
+             set_line r r.next (String.length r.buf);
+             r.next <- String.length r.buf;
+             true
+           end
+
 let rec next_line r =
-  match r.next () with
-  | None -> fail r "unexpected end of file"
-  | Some raw ->
-      r.line <- r.line + 1;
-      let s = String.trim raw in
-      if s = "" || s.[0] = '#' then next_line r else s
+  if not (take_line r) then bad "unexpected end of file"
+  else if r.start = r.stop || String.unsafe_get r.buf r.start = '#' then
+    next_line r
 
-let fields s = String.split_on_char ' ' s |> List.filter (fun f -> f <> "")
+(* The line, for a message. *)
+let current r = String.sub r.buf r.start (r.stop - r.start)
 
-let count r ?(min = 0) what s =
-  match int_of_string_opt s with
-  | Some k when k >= min -> k
-  | _ -> fail r "expected %s >= %d, got %S" what min s
+(* ---- the scanner ----------------------------------------------------
 
-let number r what s =
-  match float_of_string_opt s with
-  | Some x -> x
-  | None -> fail r "expected %s, got %S" what s
+   Tokens are separated by blanks. A count, id or slot is decimal
+   digits and nothing else; a coordinate, alpha or stretch is a finite
+   decimal, one [float_of_string_opt] per token on a token of digits,
+   '.', signs and exponent letters only. So [0x0], [0b1], [1_000],
+   [+5], [nan] and [inf] are all refused. *)
+
+let is_digit c = c >= '0' && c <= '9'
+
+let skip_blanks r =
+  let i = ref r.pos in
+  while !i < r.stop && String.unsafe_get r.buf !i = ' ' do
+    incr i
+  done;
+  r.pos <- !i
+
+let token_end r i =
+  let j = ref i in
+  while !j < r.stop && String.unsafe_get r.buf !j <> ' ' do
+    incr j
+  done;
+  !j
+
+(* The token at the cursor, for a message. *)
+let token r = String.sub r.buf r.pos (token_end r r.pos - r.pos)
+let at_end r = r.pos >= r.stop
+
+(* The decimal at the cursor, taken; [-1], with the cursor left at the
+   token, when the token is not one or exceeds [max_int]. *)
+let decimal r =
+  skip_blanks r;
+  let s = r.buf and start = r.pos in
+  let i = ref start and v = ref 0 in
+  while !v >= 0 && !i < r.stop && is_digit (String.unsafe_get s !i) do
+    let d = Char.code (String.unsafe_get s !i) - Char.code '0' in
+    v := if !v > (max_int - d) / 10 then -1 else (10 * !v) + d;
+    incr i
+  done;
+  if !i = start || (!i < r.stop && String.unsafe_get s !i <> ' ') then -1
+  else begin
+    if !v >= 0 then r.pos <- !i;
+    !v
+  end
+
+let count r ?(min = 0) what =
+  let v = decimal r in
+  if v < min then bad "expected %s >= %d, got %S" what min (token r) else v
+
+let is_decimal_char c =
+  is_digit c || c = '.' || c = 'e' || c = 'E' || c = '-' || c = '+'
+
+let number r what =
+  skip_blanks r;
+  let start = r.pos in
+  let stop = token_end r start in
+  let plain = ref (stop > start) in
+  for i = start to stop - 1 do
+    if not (is_decimal_char (String.unsafe_get r.buf i)) then plain := false
+  done;
+  let tok = String.sub r.buf start (stop - start) in
+  match if !plain then float_of_string_opt tok else None with
+  | Some x when Float.is_finite x ->
+      r.pos <- stop;
+      x
+  | _ -> bad "expected %s, got %S" what tok
+
+(* Whether the token at the cursor is [w]; taken if so. *)
+let word r w =
+  skip_blanks r;
+  let i = r.pos and k = String.length w in
+  let rec same j =
+    j = k || (String.unsafe_get r.buf (i + j) = w.[j] && same (j + 1))
+  in
+  if token_end r i - i = k && same 0 then begin
+    r.pos <- i + k;
+    true
+  end
+  else false
+
+(* Nothing but blanks may follow on the line. *)
+let finish r what =
+  skip_blanks r;
+  if not (at_end r) then bad "expected %s, got %S" what (current r)
 
 (* A line holding one count. *)
 let read_count r what =
-  match fields (next_line r) with
-  | [ a ] -> count r what a
-  | _ -> fail r "expected %s" what
+  next_line r;
+  let k = count r what in
+  finish r what;
+  k
+
+(* [dim] coordinates, the rest of the line. *)
+let point r ~dim =
+  let c = Array.make dim 0.0 in
+  for i = 0 to dim - 1 do
+    skip_blanks r;
+    if at_end r then bad "expected %d coordinates" dim;
+    c.(i) <- number r "a coordinate"
+  done;
+  skip_blanks r;
+  if not (at_end r) then bad "expected %d coordinates" dim;
+  Point.create c
 
 (* [read_n k f] is [f ()] [k] times, in order. [k] comes from the file,
    so it sizes no allocation: a count beyond the file fails at its
@@ -220,100 +382,196 @@ let read_n k f =
 (* [header] is "<family>" (the legacy unversioned form, read as v1) or
    "<family> vK" for 1 <= K <= [upto]. *)
 let expect_header r ~family ~upto =
-  let line = next_line r in
+  next_line r;
   let version =
-    if line = family then Some 1
-    else
-      match fields line with
-      | [ f; v ]
-        when f = family
-             && String.length v >= 2
-             && v.[0] = 'v'
-             && String.for_all
-                  (fun c -> c >= '0' && c <= '9')
-                  (String.sub v 1 (String.length v - 1)) ->
-          int_of_string_opt (String.sub v 1 (String.length v - 1))
-      | _ -> None
+    if not (word r family) then -1
+    else begin
+      skip_blanks r;
+      let s = r.buf and i = r.pos in
+      if at_end r then 1
+      else if s.[i] = 'v' && i + 1 < r.stop && is_digit s.[i + 1] then begin
+        r.pos <- i + 1;
+        let k = decimal r in
+        if at_end r then k else -1
+      end
+      else -1
+    end
   in
-  match version with
-  | Some k when k >= 1 && k <= upto -> ()
-  | _ -> fail r "expected %s header (up to v%d), got %S" family upto line
+  if version < 1 || version > upto then
+    bad "expected %s header (up to v%d), got %S" family upto (current r)
 
-let point_of ~dim coords =
-  if List.length coords <> dim then
-    Error (Printf.sprintf "expected %d coordinates" dim)
-  else
-    match List.map float_of_string coords with
-    | cs -> Ok (Point.of_list cs)
-    | exception Failure _ -> Error "bad coordinate"
+(* ---- edge lists -------------------------------------------------- *)
 
-let read_point r ~dim coords =
-  match point_of ~dim coords with Ok p -> p | Error why -> fail r "%s" why
-
-(* [read_edges r points m] reads [m] lines "u v" into a graph over the
-   slots of [points], each edge weighed by the distance of its
-   endpoints: ids in range, u <> v, a positive weight, and [check u v]
-   ([Some why] when the caller's condition fails). *)
-let read_edges ?(check = fun _ _ -> None) r points m =
+(* [edge_lines r points m f] reads [m] lines "u v" over the slots of
+   [points] and calls [f u v w], [w] the distance of the endpoints: ids
+   in range, u <> v, a positive weight and [check u v] ([Some why] when
+   the caller's condition fails). *)
+let edge_lines ~check r points m f =
   let n = Array.length points in
-  let g = Wgraph.create n in
   for _ = 1 to m do
-    match fields (next_line r) with
-    | [ a; b ] ->
-        let u = count r "vertex id" a in
-        let v = count r "vertex id" b in
-        if u >= n || v >= n then fail r "edge {%d,%d}: ids beyond %d" u v n;
-        if u = v then fail r "edge {%d,%d}: a self loop" u v;
-        (match check u v with
-        | Some why -> fail r "edge {%d,%d}: %s" u v why
-        | None -> ());
-        let w = Point.distance points.(u) points.(v) in
-        if not (w > 0.0) then
-          fail r "edge {%d,%d}: weight %g is not positive" u v w;
-        Wgraph.add_edge g u v w
-    | _ -> fail r "expected an edge \"u v\""
-  done;
+    next_line r;
+    let u = count r "vertex id" in
+    let v = count r "vertex id" in
+    finish r "an edge \"u v\"";
+    if u >= n || v >= n then bad "edge {%d,%d}: ids beyond %d" u v n;
+    if u = v then bad "edge {%d,%d}: a self loop" u v;
+    (match check u v with
+    | Some why -> bad "edge {%d,%d}: %s" u v why
+    | None -> ());
+    let w = Point.distance points.(u) points.(v) in
+    if not (w > 0.0) then bad "edge {%d,%d}: weight %g is not positive" u v w;
+    f u v w
+  done
+
+let no_check _ _ = None
+
+(* The edge lines into a graph. An edge read twice fails, as it does on
+   the CSR path below. *)
+let read_wgraph ?(check = no_check) r points m =
+  let g = Wgraph.create (Array.length points) in
+  edge_lines ~check r points m (fun u v w ->
+      if Wgraph.mem_edge g u v then bad "edge {%d,%d}: repeated" u v;
+      Wgraph.add_edge g u v w);
   g
 
-let read_instance_body r =
-  let n, dim, alpha =
-    match fields (next_line r) with
-    | [ a; b; c ] ->
-        let n = count r ~min:1 "n" a in
-        let dim = count r ~min:1 "dim" b in
-        (n, dim, number r "alpha" c)
-    | _ -> fail r "expected \"n dim alpha\""
+(* [a] copied into an array of length [len]. *)
+let resize a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* The edge lines straight into a CSR: endpoints, weights and line
+   numbers are collected in file order, then a counting sort by
+   endpoint lays out both arcs of every edge and [Csr.of_arrays] sorts
+   each slice. The result is [Csr.of_wgraph] of {!read_wgraph}'s graph,
+   bit for bit. A repeated edge shows as two equal neighbours in a
+   sorted slice; it fails at the line that repeats it. *)
+let read_csr ?(check = no_check) r points m =
+  let n = Array.length points in
+  let ends = ref [||] and ws = ref [||] and lines = ref [||] in
+  let k = ref 0 in
+  edge_lines ~check r points m (fun u v w ->
+      (* The edge count comes from the file, so it sizes nothing: the
+         arrays double as the edges arrive. *)
+      if !k = Array.length !ws then begin
+        let cap = max 64 (2 * !k) in
+        ends := resize !ends (2 * cap) 0;
+        ws := resize !ws cap 0.0;
+        lines := resize !lines cap 0
+      end;
+      !ends.(2 * !k) <- u;
+      !ends.((2 * !k) + 1) <- v;
+      !ws.(!k) <- w;
+      !lines.(!k) <- r.line;
+      incr k);
+  let ends = !ends and ws = !ws and k = !k in
+  let off = Array.make (n + 1) 0 in
+  for a = 0 to (2 * k) - 1 do
+    off.(ends.(a) + 1) <- off.(ends.(a) + 1) + 1
+  done;
+  for u = 0 to n - 1 do
+    off.(u + 1) <- off.(u + 1) + off.(u)
+  done;
+  let fill = Array.sub off 0 n in
+  let dst = Array.make (2 * k) 0 and wgt = Array.make (2 * k) 0.0 in
+  for a = 0 to (2 * k) - 1 do
+    let u = ends.(a) in
+    dst.(fill.(u)) <- ends.(a lxor 1);
+    wgt.(fill.(u)) <- ws.(a / 2);
+    fill.(u) <- fill.(u) + 1
+  done;
+  let c = Csr.of_arrays ~off ~dst ~wgt in
+  for u = 0 to n - 1 do
+    for a = off.(u) + 1 to off.(u + 1) - 1 do
+      let v = c.Csr.dst.(a) in
+      if v = c.Csr.dst.(a - 1) then begin
+        (* The second line naming {u, v}. *)
+        let seen = ref false and line = ref 0 in
+        for i = 0 to k - 1 do
+          let x = ends.(2 * i) and y = ends.((2 * i) + 1) in
+          if !line = 0 && ((x = u && y = v) || (x = v && y = u)) then
+            if !seen then line := !lines.(i) else seen := true
+        done;
+        fail_at r !line "edge {%d,%d}: repeated" (min u v) (max u v)
+      end
+    done
+  done;
+  c
+
+(* ---- instances --------------------------------------------------- *)
+
+(* "n dim alpha" and the n point lines: alpha and the points. *)
+let read_points r =
+  next_line r;
+  let n = count r ~min:1 "n" in
+  let dim = count r ~min:1 "dim" in
+  let alpha = number r "alpha" in
+  finish r "\"n dim alpha\"";
+  let points =
+    read_n n (fun () ->
+        next_line r;
+        point r ~dim)
   in
-  let points = read_n n (fun () -> read_point r ~dim (fields (next_line r))) in
-  let g = read_edges r points (read_count r "edge count") in
+  (alpha, points)
+
+let read_instance_body r =
+  let alpha, points = read_points r in
+  let g = read_wgraph r points (read_count r "edge count") in
   match Model.make ~alpha points g with
   | model -> model
-  | exception Invalid_argument why -> fail r "%s" why
+  | exception Invalid_argument why -> bad "%s" why
 
+type shape = { n : int; dim : int; alpha : float }
+
+let shape_of_model m =
+  { n = Model.n m; dim = Model.dim m; alpha = m.Model.alpha }
+
+(* The instance body frozen and checked, as [Model.make] checks it, and
+   then dropped: only its shape is kept. *)
+let check_instance_body r =
+  let alpha, points = read_points r in
+  let g = read_csr r points (read_count r "edge count") in
+  match
+    Model.validate ~alpha points ~n_vertices:(Csr.n_vertices g)
+      ~iter_edges:(Csr.iter_edges g)
+      ~mem_edge:(fun u v -> Csr.mem_edge g u v)
+  with
+  | Ok () -> { n = Array.length points; dim = Point.dim points.(0); alpha }
+  | Error why -> bad "%s" why
+
+(* A file, read in 64 KB pieces. *)
 let with_reader path f =
-  let ic = open_in path in
+  let ic = open_in_bin path in
+  let chunk = Bytes.create 65536 in
+  let more () =
+    match input ic chunk 0 (Bytes.length chunk) with
+    | 0 -> None
+    | k -> Some (Bytes.sub_string chunk 0 k)
+  in
   Fun.protect
     ~finally:(fun () -> close_in ic)
-    (fun () -> f (reader ~name:path (fun () -> In_channel.input_line ic)))
+    (fun () -> guard (reader ~name:path more) f)
 
 let load_instance path =
   with_reader path (fun r ->
       expect_header r ~family:"ubg-instance" ~upto:instance_version;
       read_instance_body r)
 
+let check_instance path =
+  with_reader path (fun r ->
+      expect_header r ~family:"ubg-instance" ~upto:instance_version;
+      check_instance_body r)
+
 let load_topology path ~model =
   with_reader path (fun r ->
       expect_header r ~family:"ubg-topology" ~upto:topology_version;
-      let m =
-        match fields (next_line r) with
-        | [ a; b ] ->
-            let n = count r "n" a in
-            if n <> Model.n model then
-              fail r "%d vertices, the instance has %d" n (Model.n model);
-            count r "edge count" b
-        | _ -> fail r "expected \"n m\""
-      in
-      read_edges r model.Model.points m ~check:(fun u v ->
+      next_line r;
+      let n = count r "n" in
+      if n <> Model.n model then
+        bad "%d vertices, the instance has %d" n (Model.n model);
+      let m = count r "edge count" in
+      finish r "\"n m\"";
+      read_wgraph r model.Model.points m ~check:(fun u v ->
           if Wgraph.mem_edge model.Model.graph u v then None
           else Some "not an instance edge"))
 
@@ -321,42 +579,55 @@ let load_topology path ~model =
 (* Churn traces and events                                             *)
 (* ------------------------------------------------------------------ *)
 
-let parse_event ~dim line =
-  match fields line with
-  | "join" :: coords ->
-      Result.map (fun p -> Churn.Join p) (point_of ~dim coords)
-  | [ "leave"; a ] -> (
-      match int_of_string_opt a with
-      | Some i -> Ok (Churn.Leave i)
-      | None -> Error "bad leave slot")
-  | "move" :: a :: coords -> (
-      match int_of_string_opt a with
-      | Some i -> Result.map (fun p -> Churn.Move (i, p)) (point_of ~dim coords)
-      | None -> Error "bad move slot")
-  | _ -> Error (Printf.sprintf "unrecognized event %S" line)
+let event r ~dim =
+  if word r "join" then Churn.Join (point r ~dim)
+  else if word r "leave" then begin
+    let i = count r "leave slot" in
+    finish r "\"leave <slot>\"";
+    Churn.Leave i
+  end
+  else if word r "move" then begin
+    let i = count r "move slot" in
+    Churn.Move (i, point r ~dim)
+  end
+  else bad "unrecognized event %S" (current r)
 
-let read_trace_prefix r =
+let parse_event ~dim line =
+  let r = { (reader ~name:"" (fun () -> None)) with buf = line } in
+  set_line r 0 (String.length line);
+  match event r ~dim with ev -> Ok ev | exception Bad why -> Error why
+
+let trace_prefix r body =
   expect_header r ~family:"ubg-churn" ~upto:trace_version;
-  let initial = read_instance_body r in
+  let initial = body r in
   (initial, read_count r "batch count")
 
-let read_batch_header r =
-  match fields (next_line r) with
-  | [ "batch"; k ] -> count r "batch size" k
-  | _ -> fail r "expected \"batch <k>\""
+let read_trace_prefix r = guard r (fun r -> trace_prefix r read_instance_body)
+let check_trace_prefix r = guard r (fun r -> trace_prefix r check_instance_body)
+
+let batch_header r =
+  next_line r;
+  if not (word r "batch") then bad "expected \"batch <k>\"";
+  let k = count r "batch size" in
+  finish r "\"batch <k>\"";
+  k
+
+let read_batch_header r = guard r batch_header
 
 let read_event r ~dim =
-  match parse_event ~dim (next_line r) with
-  | Ok ev -> ev
-  | Error why -> fail r "%s" why
+  guard r (fun r ->
+      next_line r;
+      event r ~dim)
 
 let load_trace path =
   with_reader path (fun r ->
-      let initial, b = read_trace_prefix r in
+      let initial, b = trace_prefix r read_instance_body in
       let dim = Model.dim initial in
       let batches =
         read_n b (fun () ->
-            read_n (read_batch_header r) (fun () -> read_event r ~dim))
+            read_n (batch_header r) (fun () ->
+                next_line r;
+                event r ~dim))
       in
       { Churn.initial; batches })
 
@@ -364,41 +635,43 @@ let load_trace path =
 (* Engine checkpoints                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let load_checkpoint path =
+let load_checkpoint_csr path =
   with_reader path (fun r ->
       expect_header r ~family:"ubg-checkpoint" ~upto:checkpoint_version;
-      let epoch, events, cap, dim, alpha, stretch =
-        match fields (next_line r) with
-        | [ a; b; c; d; e; f ] ->
-            let epoch = count r "epoch" a in
-            let events = count r "event count" b in
-            let cap = count r ~min:1 "cap" c in
-            let dim = count r ~min:1 "dim" d in
-            let alpha = number r "alpha" e in
-            (epoch, events, cap, dim, alpha, number r "stretch" f)
-        | _ -> fail r "expected \"epoch events cap dim alpha stretch\""
-      in
-      let slots =
+      next_line r;
+      let epoch = count r "epoch" in
+      let events = count r "event count" in
+      let cap = count r ~min:1 "cap" in
+      let dim = count r ~min:1 "dim" in
+      let alpha = number r "alpha" in
+      let stretch = number r "stretch" in
+      finish r "\"epoch events cap dim alpha stretch\"";
+      let alive = ref [] in
+      let points =
         read_n cap (fun () ->
-            match fields (next_line r) with
-            | "1" :: coords -> (true, read_point r ~dim coords)
-            | "0" :: coords -> (false, read_point r ~dim coords)
-            | _ -> fail r "expected a slot \"<0|1> <coordinates>\"")
+            next_line r;
+            let a =
+              if word r "1" then true
+              else if word r "0" then false
+              else bad "expected a slot \"<0|1> <coordinates>\""
+            in
+            alive := a :: !alive;
+            point r ~dim)
       in
-      let alive = Array.map fst slots and points = Array.map snd slots in
+      let alive = Array.of_list (List.rev !alive) in
       let ubg =
-        read_edges r points (read_count r "α-UBG edge count")
-          ~check:(fun u v ->
+        read_csr r points (read_count r "α-UBG edge count") ~check:(fun u v ->
             if alive.(u) && alive.(v) then None else Some "on a dead slot")
       in
       let spanner =
-        read_edges r points (read_count r "spanner edge count")
+        read_csr r points (read_count r "spanner edge count")
           ~check:(fun u v ->
-            if Wgraph.mem_edge ubg u v then None
+            if Csr.mem_edge ubg u v then None
             else Some "missing from the α-UBG")
       in
-      if next_line r <> "end" then
-        fail r "expected the end sentinel (file truncated?)";
+      next_line r;
+      if not (word r "end" && at_end r) then
+        bad "expected the end sentinel (file truncated?)";
       {
         ck_epoch = epoch;
         ck_events = events;
@@ -409,3 +682,11 @@ let load_checkpoint path =
         ck_spanner = spanner;
         ck_stretch = stretch;
       })
+
+let load_checkpoint path =
+  let ck = load_checkpoint_csr path in
+  {
+    ck with
+    ck_ubg = Csr.to_wgraph ck.ck_ubg;
+    ck_spanner = Csr.to_wgraph ck.ck_spanner;
+  }

@@ -5,12 +5,13 @@ type t = { alpha : float; points : Point.t array; graph : Wgraph.t }
 
 let tolerance = 1e-9
 
-let validate ~alpha points graph =
-  if alpha <= 0.0 || alpha > 1.0 then Error "alpha out of (0, 1]"
+let validate ~alpha points ~n_vertices ~iter_edges ~mem_edge =
+  (* Written positively, so that a NaN alpha fails too. *)
+  if not (alpha > 0.0 && alpha <= 1.0) then Error "alpha out of (0, 1]"
   else begin
     let n = Array.length points in
     if n = 0 then Error "no points"
-    else if Wgraph.n_vertices graph <> n then Error "graph size mismatch"
+    else if n_vertices <> n then Error "graph size mismatch"
     else begin
       let dim = Point.dim points.(0) in
       if Array.exists (fun p -> Point.dim p <> dim) points then
@@ -18,7 +19,7 @@ let validate ~alpha points graph =
       else begin
         let bad = ref None in
         (* Every edge: within unit distance and weighted by distance. *)
-        Wgraph.iter_edges graph (fun u v w ->
+        iter_edges (fun u v w ->
             let d = Point.distance points.(u) points.(v) in
             if d > 1.0 +. tolerance then
               bad := Some (Printf.sprintf "edge {%d,%d} longer than 1" u v)
@@ -31,15 +32,20 @@ let validate ~alpha points graph =
         | None ->
             let grid = Geometry.Grid.build ~cell:(max alpha 1e-6) points in
             Geometry.Grid.iter_close_pairs grid ~radius:alpha (fun i j _ ->
-                if not (Wgraph.mem_edge graph i j) then
+                if not (mem_edge i j) then
                   bad := Some (Printf.sprintf "missing short edge {%d,%d}" i j)));
         match !bad with Some msg -> Error msg | None -> Ok ()
       end
     end
   end
 
+let validate_graph ~alpha points graph =
+  validate ~alpha points ~n_vertices:(Wgraph.n_vertices graph)
+    ~iter_edges:(Wgraph.iter_edges graph)
+    ~mem_edge:(fun u v -> Wgraph.mem_edge graph u v)
+
 let make ~alpha points graph =
-  match validate ~alpha points graph with
+  match validate_graph ~alpha points graph with
   | Ok () -> { alpha; points; graph }
   | Error msg -> invalid_arg ("Ubg.Model.make: " ^ msg)
 
@@ -47,7 +53,7 @@ let n t = Array.length t.points
 let dim t = Point.dim t.points.(0)
 let distance t u v = Point.distance t.points.(u) t.points.(v)
 let angle t ~apex u v = Point.angle ~apex:t.points.(apex) t.points.(u) t.points.(v)
-let check t = validate ~alpha:t.alpha t.points t.graph
+let check t = validate_graph ~alpha:t.alpha t.points t.graph
 
 let reweight t metric =
   Geometry.Metric.validate metric;

@@ -19,6 +19,24 @@ type t = private {
     (tolerance [1e-9] on weights). *)
 val make : alpha:float -> Geometry.Point.t array -> Graph.Wgraph.t -> t
 
+(** [validate ~alpha points ~n_vertices ~iter_edges ~mem_edge] is the
+    check behind {!make} and {!check}, over a graph in any
+    representation: [n_vertices] is its vertex count, [iter_edges f]
+    calls [f u v w] once per edge and [mem_edge u v] tests adjacency.
+    It requires [0 < alpha <= 1] (so a NaN alpha fails), at least one
+    point, one vertex per point, a single dimension, every edge at most
+    [1] long and weighted by its length (tolerance [1e-9]), and every
+    pair at most [alpha] apart joined by an edge; [Error] names a
+    violation. A daemon's resume runs it on the frozen
+    graph of a trace's instance, which it checks but does not keep. *)
+val validate :
+  alpha:float ->
+  Geometry.Point.t array ->
+  n_vertices:int ->
+  iter_edges:((int -> int -> float -> unit) -> unit) ->
+  mem_edge:(int -> int -> bool) ->
+  (unit, string) result
+
 (** [n t] is the number of nodes. *)
 val n : t -> int
 

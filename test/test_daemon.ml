@@ -213,6 +213,12 @@ let test_parse_event () =
 
 (* ---- checkpoint module ------------------------------------------------ *)
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let canonical_csr c =
   List.sort compare
     (List.map
@@ -270,6 +276,88 @@ let test_checkpoint_resume_matches_full_run () =
       Alcotest.(check (float 0.0)) "stretch identical" sa.Engine.snap_stretch
         sc.Engine.snap_stretch)
 
+(* The one-pass resume. Over small random churn histories, the CSR
+   snapshots [Daemon.Checkpoint.load] reads equal, array for array,
+   [Csr.of_wgraph] of the graphs [Io.load_checkpoint] reads; and the
+   engine restored from them walks the rest of the history as the
+   uninterrupted engine does: the same reports and snapshots, the same
+   per-slot stretches, and the same final checkpoint bytes. *)
+let same_floats a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y)
+       a b
+
+let same_csr (a : Graph.Csr.t) (b : Graph.Csr.t) =
+  a.Graph.Csr.off = b.Graph.Csr.off
+  && a.Graph.Csr.dst = b.Graph.Csr.dst
+  && same_floats a.Graph.Csr.wgt b.Graph.Csr.wgt
+
+let same_report (a : Engine.report) (b : Engine.report) =
+  a.Engine.epoch = b.Engine.epoch
+  && a.Engine.n_events = b.Engine.n_events
+  && a.Engine.n_alive = b.Engine.n_alive
+  && a.Engine.n_ubg_edges = b.Engine.n_ubg_edges
+  && a.Engine.n_spanner_edges = b.Engine.n_spanner_edges
+  && a.Engine.n_dirty = b.Engine.n_dirty
+  && a.Engine.kind = b.Engine.kind
+  && Int64.bits_of_float a.Engine.stretch = Int64.bits_of_float b.Engine.stretch
+  && a.Engine.max_degree = b.Engine.max_degree
+
+let prop_one_pass_resume =
+  qtest ~count:12 "one-pass resume: CSR load, then epochs as uninterrupted"
+    seed_arb (fun seed ->
+      let st = rand_state seed in
+      let n = 12 + Random.State.int st 30 in
+      let model = connected_model ~seed ~n ~dim:2 ~alpha:0.9 in
+      let epochs = 2 + Random.State.int st 6 in
+      let trace =
+        Ubg.Churn.generate ~seed ~epochs ~batch_max:(1 + Random.State.int st 6)
+          (Ubg.Churn.default_dynamics ~side:4.0)
+          model
+      in
+      let batches = trace.Ubg.Churn.batches in
+      let cut = Random.State.int st (Array.length batches + 1) in
+      let a = Engine.create ~params:daemon_params model in
+      for i = 0 to cut - 1 do
+        ignore (Engine.apply_batch a batches.(i))
+      done;
+      let path = temp_file ".ck" and fa = temp_file ".ck" in
+      let fc = temp_file ".ck" in
+      Fun.protect
+        ~finally:(fun () -> List.iter Sys.remove [ path; fa; fc ])
+        (fun () ->
+          Daemon.Checkpoint.save ~path ~events:0 a;
+          let ck = Daemon.Checkpoint.load path in
+          let thawed = Io.load_checkpoint path in
+          let snap = ck.Daemon.Checkpoint.snapshot in
+          let loaded_equal =
+            same_csr snap.Engine.snap_ubg (Graph.Csr.of_wgraph thawed.Io.ck_ubg)
+            && same_csr snap.Engine.snap_spanner
+                 (Graph.Csr.of_wgraph thawed.Io.ck_spanner)
+            && same_csr snap.Engine.snap_ubg (Engine.latest a).Engine.snap_ubg
+            && same_csr snap.Engine.snap_spanner
+                 (Engine.latest a).Engine.snap_spanner
+          in
+          let c = Daemon.Checkpoint.restore ~params:daemon_params ck in
+          let same_stretches () =
+            same_floats (Engine.source_stretches a) (Engine.source_stretches c)
+          in
+          let epochs_equal = ref (same_stretches ()) in
+          for i = cut to Array.length batches - 1 do
+            let ra = Engine.apply_batch a batches.(i) in
+            let rc = Engine.apply_batch c batches.(i) in
+            let sa = Engine.latest a and sc = Engine.latest c in
+            epochs_equal :=
+              !epochs_equal && same_report ra rc
+              && same_csr sa.Engine.snap_ubg sc.Engine.snap_ubg
+              && same_csr sa.Engine.snap_spanner sc.Engine.snap_spanner
+              && same_stretches ()
+          done;
+          Daemon.Checkpoint.save ~path:fa ~events:0 a;
+          Daemon.Checkpoint.save ~path:fc ~events:0 c;
+          loaded_equal && !epochs_equal && read_file fa = read_file fc))
+
 (* ---- end-to-end daemon ------------------------------------------------ *)
 
 let connect_with_retry ?(deadline = 30.0) sock =
@@ -312,12 +400,6 @@ let wait_for_stat ?(deadline = 30.0) client key value =
             (Option.value got ~default:"no row")
   in
   go ()
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* Serve a recorded trace, wait for the daemon to catch the tail, and
    check every answer against an oracle built locally over the same
@@ -396,6 +478,23 @@ let test_daemon_serves_published_oracle () =
               Alcotest.(check bool) (key ^ " is a duration") true (ms >= 0.0)
           | None -> Alcotest.failf "STATS lacks a numeric %s" key)
         [ "engine.repair_ms"; "engine.certify_ms" ];
+      (* The start-up steps: a fresh start reads its source, builds the
+         engine and the first oracle, and loads no checkpoint. *)
+      List.iter
+        (fun (key, positive) ->
+          match Option.bind (List.assoc_opt key rows) float_of_string_opt with
+          | Some ms ->
+              Alcotest.(check bool)
+                (key ^ if positive then " > 0" else " = 0")
+                true
+                (if positive then ms > 0.0 else ms = 0.0)
+          | None -> Alcotest.failf "STATS lacks a numeric %s" key)
+        [
+          ("daemon.start.source_ms", true);
+          ("daemon.start.checkpoint_ms", false);
+          ("daemon.start.engine_ms", true);
+          ("daemon.start.oracle_ms", true);
+        ];
       (* The last certification searched from at least one source and
          at most every alive one. *)
       (match
@@ -546,6 +645,69 @@ let test_daemon_restart_is_bit_identical () =
         sb.Runtime.epochs_applied;
       Alcotest.(check string) "final checkpoints byte-identical"
         (read_file cka) (read_file ckb))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+(* A resume checks the checkpoint against its source's header: the same
+   dimension, the same alpha bit for bit, and a capacity of at least the
+   header's n. A checkpoint of a history recorded at alpha 0.9, resumed
+   against the same history recorded at alpha 0.8, fails by name before
+   it serves; so does one resumed against a larger instance. Against its
+   own history it resumes. *)
+let test_daemon_resume_checks_source () =
+  let epochs = 6 in
+  let model, trace = make_trace ~seed:13 ~epochs in
+  let b = Engine.create ~params:daemon_params model in
+  Array.iteri
+    (fun i batch -> if i < 3 then ignore (Engine.apply_batch b batch))
+    trace.Ubg.Churn.batches;
+  let ck = temp_file ".ck" and tracef = temp_file ".churn" in
+  let sock = sock_path "mismatch" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> if Sys.file_exists f then Sys.remove f)
+        [ ck; ck ^ ".tmp"; tracef; sock ])
+    (fun () ->
+      Daemon.Checkpoint.save ~path:ck ~events:0 b;
+      let resume trace =
+        Io.save_trace tracef trace;
+        let cfg = Runtime.default ~socket:sock ~source:(Runtime.Tail tracef) in
+        Runtime.join
+          (Runtime.start
+             { cfg with Runtime.checkpoint = Some ck; quit_at_tail = true })
+      in
+      let fails what trace key =
+        match resume trace with
+        | _ -> Alcotest.failf "%s: resumed" what
+        | exception Failure msg ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: %S names the checkpoint and its %s" what
+                 msg key)
+              true
+              (contains msg ck && contains msg key)
+      in
+      let at_08 =
+        Ubg.Model.make ~alpha:0.8 model.Ubg.Model.points model.Ubg.Model.graph
+      in
+      fails "another alpha" { trace with Ubg.Churn.initial = at_08 } "alpha";
+      fails "a larger instance"
+        {
+          Ubg.Churn.initial = connected_model ~seed:13 ~n:400 ~dim:2 ~alpha:0.9;
+          batches = [||];
+        }
+        "capacity";
+      Alcotest.(check bool) "the unchanged checkpoint is still there" true
+        (Sys.file_exists ck);
+      let s = resume trace in
+      Alcotest.(check int) "its own history resumes" epochs
+        s.Runtime.final_epoch;
+      Alcotest.(check int) "from epoch 3" (epochs - 3) s.Runtime.epochs_applied)
 
 (* Socket-ingest mode: no trace file; events arrive as EV frames and
    are batched per clock tick. *)
@@ -705,6 +867,7 @@ let () =
         [
           Alcotest.test_case "file-level resume matches full run" `Quick
             test_checkpoint_resume_matches_full_run;
+          prop_one_pass_resume;
         ] );
       ( "e2e",
         [
@@ -714,6 +877,8 @@ let () =
             `Quick test_static_daemon_counts_near_and_far;
           Alcotest.test_case "restart resumes bit-identically" `Quick
             test_daemon_restart_is_bit_identical;
+          Alcotest.test_case "resume checks the checkpoint against the trace"
+            `Quick test_daemon_resume_checks_source;
           Alcotest.test_case "socket ingest" `Quick test_daemon_socket_ingest;
           Alcotest.test_case "drops a rejected client batch" `Quick
             test_daemon_drops_rejected_batch;

@@ -61,12 +61,66 @@ let expect_failure what content =
            false
          with Failure _ -> true))
 
+(* Each malformed input must fail as a [Failure] that names its file
+   and line; anything else a loader lets escape ([Invalid_argument])
+   fails the case. *)
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let rejects what path read =
+  match read path with
+  | _ -> Alcotest.failf "%s: loaded" what
+  | exception Failure msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S names the file and a line" what msg)
+        true
+        (String.starts_with ~prefix:path msg && contains msg ": line ")
+
+(* Opens a tail on [path] and polls it dry. *)
+let drain_tail open_ path =
+  let t = open_ path in
+  Fun.protect
+    ~finally:(fun () -> Tail.close t)
+    (fun () ->
+      while Option.is_some (Tail.poll t) do
+        ()
+      done)
+
+let tail_read = drain_tail (fun p -> Tail.open_ p)
+
+(* The same through the tail a resume opens, which checks the instance
+   without keeping it. *)
+let checked_tail_read = drain_tail (fun p -> Tail.open_checked p)
+
+let with_file content f =
+  let path = write_file content in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let malformed_instances =
+  [
+    ("bad header", "not-a-header\n1 2 0.5\n");
+    ("truncated points", "ubg-instance v1\n3 2 0.5\n0 0\n");
+    ("bad coordinate", "ubg-instance v1\n1 2 0.5\n0 zero\n0\n");
+    ("bad edge", "ubg-instance v1\n2 2 0.9\n0 0\n0.5 0\n1\n0 7\n");
+    ("missing edge count", "ubg-instance v1\n1 2 0.5\n0 0\n");
+  ]
+
+(* The instance reader, and the checking reader a resume uses instead
+   ({!Io.check_instance}, which builds no model). *)
 let test_malformed_inputs () =
-  expect_failure "bad header" "not-a-header\n1 2 0.5\n";
-  expect_failure "truncated points" "ubg-instance v1\n3 2 0.5\n0 0\n";
-  expect_failure "bad coordinate" "ubg-instance v1\n1 2 0.5\n0 zero\n0\n";
-  expect_failure "bad edge" "ubg-instance v1\n2 2 0.9\n0 0\n0.5 0\n1\n0 7\n";
-  expect_failure "missing edge count" "ubg-instance v1\n1 2 0.5\n0 0\n"
+  List.iter
+    (fun (what, content) ->
+      let path = write_file content in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          rejects what path Io.load_instance;
+          rejects ("checked: " ^ what) path Io.check_instance))
+    malformed_instances
 
 let test_comments_and_blanks () =
   let path =
@@ -149,22 +203,24 @@ let prop_trace_roundtrip =
                  Array.length x = Array.length y && Array.for_all2 event_eq x y)
                loaded.Ubg.Churn.batches trace.Ubg.Churn.batches))
 
+(* Through [load_trace] and both tails; a trace that ends early fails
+   only [load_trace], since a tail waits for the rest. *)
 let test_malformed_trace () =
-  let bad content =
-    let path = write_file content in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Alcotest.(check bool) "rejected" true
-          (try
-             ignore (Io.load_trace path);
-             false
-           with Failure _ -> true))
+  let bad ?(tails = true) what content =
+    with_file content (fun path ->
+        rejects what path Io.load_trace;
+        if tails then begin
+          rejects ("tail: " ^ what) path tail_read;
+          rejects ("resuming tail: " ^ what) path checked_tail_read
+        end)
   in
-  bad "ubg-topology v1\n2 1\n0 1\n";
-  bad "ubg-churn v1\n2 2 0.9\n0 0\n0.5 0\n1\n0 1\n1\nbatch 1\nexplode 3\n";
-  bad "ubg-churn v1\n2 2 0.9\n0 0\n0.5 0\n1\n0 1\n1\nbatch 1\nmove x 0 0\n";
-  bad "ubg-churn v1\n2 2 0.9\n0 0\n0.5 0\n1\n0 1\n2\nbatch 1\nleave 0\n"
+  bad "topology header" "ubg-topology v1\n2 1\n0 1\n";
+  bad "unknown event"
+    "ubg-churn v1\n2 2 0.9\n0 0\n0.5 0\n1\n0 1\n1\nbatch 1\nexplode 3\n";
+  bad "bad move slot"
+    "ubg-churn v1\n2 2 0.9\n0 0\n0.5 0\n1\n0 1\n1\nbatch 1\nmove x 0 0\n";
+  bad ~tails:false "a batch short"
+    "ubg-churn v1\n2 2 0.9\n0 0\n0.5 0\n1\n0 1\n2\nbatch 1\nleave 0\n"
 
 let test_topology_must_be_subgraph () =
   let model = random_model ~seed:3 ~n:10 ~dim:2 ~alpha:0.8 in
@@ -193,6 +249,15 @@ let test_topology_must_be_subgraph () =
                ignore (Io.load_topology path ~model);
                false
              with Failure _ -> true))
+
+(* Every entry that reads a checkpoint: the one parser, into CSR, its
+   thawed form, and the daemon's loader on top of it. *)
+let checkpoint_readers =
+  [
+    ("load_checkpoint_csr", fun p -> ignore (Io.load_checkpoint_csr p));
+    ("load_checkpoint", fun p -> ignore (Io.load_checkpoint p));
+    ("Checkpoint.load", fun p -> ignore (Daemon.Checkpoint.load p));
+  ]
 
 (* ---- engine checkpoints ("ubg-checkpoint v1") ------------------------
 
@@ -372,11 +437,9 @@ let test_checkpoint_rejects_malformed () =
     Fun.protect
       ~finally:(fun () -> Sys.remove bad)
       (fun () ->
-        Alcotest.(check bool) what true
-          (try
-             ignore (Io.load_checkpoint bad);
-             false
-           with Failure _ -> true))
+        List.iter
+          (fun (entry, read) -> rejects (entry ^ ": " ^ what) bad read)
+          checkpoint_readers)
   in
   let n = List.length lines in
   reject "missing end sentinel"
@@ -413,41 +476,12 @@ let test_checkpoint_coexists_with_instance_format () =
 (* ---- one reader, every entry ------------------------------------------
 
    Each malformed input must fail as a [Failure] that names its file and
-   line through every entry that reads it: [load_instance] and
-   [load_trace] and the daemon's tail for an instance body, [load_trace]
-   and the tail for a trace's batches, [load_checkpoint] for a
-   checkpoint. Anything else a loader lets escape ([Invalid_argument])
-   fails the case. *)
-
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
-let rejects what path read =
-  match read path with
-  | _ -> Alcotest.failf "%s: loaded" what
-  | exception Failure msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: %S names the file and a line" what msg)
-        true
-        (String.starts_with ~prefix:path msg && contains msg ": line ")
-
-(* Opens a tail on [path] and polls it dry. *)
-let tail_read path =
-  let t = Tail.open_ path in
-  Fun.protect
-    ~finally:(fun () -> Tail.close t)
-    (fun () ->
-      while Option.is_some (Tail.poll t) do
-        ()
-      done)
-
-let with_file content f =
-  let path = write_file content in
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+   line through every entry that reads it: for an instance body,
+   [load_instance], [check_instance], [load_trace] and the daemon's tail
+   in both its fresh and its resuming form; for a trace's batches,
+   [load_trace] and both tails; for a checkpoint, [checkpoint_readers].
+   Anything else a loader lets escape ([Invalid_argument]) fails the
+   case. *)
 
 let test_malformed_everywhere () =
   (* Instance bodies, the part after the header that instance and trace
@@ -456,10 +490,12 @@ let test_malformed_everywhere () =
   List.iter
     (fun (what, body) ->
       with_file ("ubg-instance v2\n" ^ body) (fun path ->
-          rejects ("instance: " ^ what) path Io.load_instance);
+          rejects ("instance: " ^ what) path Io.load_instance;
+          rejects ("checked instance: " ^ what) path Io.check_instance);
       with_file ("ubg-churn v1\n" ^ body ^ "0\n") (fun path ->
           rejects ("trace: " ^ what) path Io.load_trace;
-          rejects ("tail: " ^ what) path tail_read))
+          rejects ("tail: " ^ what) path tail_read;
+          rejects ("resuming tail: " ^ what) path checked_tail_read))
     [
       ("n = -1", "-1 2 0.9\n0 0\n0\n");
       ("n = 0", "0 2 0.9\n0\n");
@@ -474,7 +510,8 @@ let test_malformed_everywhere () =
     (fun (what, rest) ->
       with_file ("ubg-churn v1\n" ^ good_body ^ rest) (fun path ->
           rejects ("trace: " ^ what) path Io.load_trace;
-          rejects ("tail: " ^ what) path tail_read))
+          rejects ("tail: " ^ what) path tail_read;
+          rejects ("resuming tail: " ^ what) path checked_tail_read))
     [
       ("negative batch count", "-1\n");
       ("negative event count", "1\nbatch -1\n");
@@ -485,7 +522,10 @@ let test_malformed_everywhere () =
   List.iter
     (fun (what, body) ->
       with_file ("ubg-checkpoint v1\n" ^ body ^ "end\n") (fun path ->
-          rejects ("checkpoint: " ^ what) path Io.load_checkpoint))
+          List.iter
+            (fun (entry, read) ->
+              rejects (entry ^ ": " ^ what) path read)
+            checkpoint_readers))
     [
       ("edge count -1", "0 0 2 2 0.9 1\n" ^ good_slots ^ "-1\n0\n");
       ("negative epoch", "-3 0 2 2 0.9 1\n" ^ good_slots ^ "1\n0 1\n1\n0 1\n");
@@ -499,12 +539,134 @@ let test_malformed_everywhere () =
     (fun path ->
       Alcotest.(check int) "good trace" 1
         (Array.length (Io.load_trace path).Ubg.Churn.batches);
-      tail_read path);
+      tail_read path;
+      checked_tail_read path);
   with_file
     ("ubg-checkpoint v1\n0 0 2 2 0.9 1\n" ^ good_slots ^ "1\n0 1\n1\n0 1\nend\n")
     (fun path ->
       Alcotest.(check int) "good checkpoint" 1
         (Wgraph.n_edges (Io.load_checkpoint path).Io.ck_spanner))
+
+(* Numbers the writers never emit fail by name on every entry. Counts,
+   ids and slots take decimal digits only, where [int_of_string] would
+   read [0x0], [0b1], [0u3], [1_000] and [+5]; coordinates, alpha and
+   stretch take finite decimals only, where [float_of_string] would read
+   [nan], [inf] and hexadecimal. So [0x0 0b1] is not the edge
+   {0, 1}. *)
+let test_numbers_never_written () =
+  List.iter
+    (fun (what, body) ->
+      with_file ("ubg-instance v2\n" ^ body) (fun path ->
+          rejects ("instance: " ^ what) path Io.load_instance;
+          rejects ("checked instance: " ^ what) path Io.check_instance);
+      with_file ("ubg-churn v1\n" ^ body ^ "0\n") (fun path ->
+          rejects ("trace: " ^ what) path Io.load_trace;
+          rejects ("tail: " ^ what) path tail_read;
+          rejects ("resuming tail: " ^ what) path checked_tail_read))
+    [
+      ("hexadecimal and binary ids", "2 2 0.9\n0 0\n0.5 0\n1\n0x0 0b1\n");
+      ("unsigned n", "0u2 2 0.9\n0 0\n0.5 0\n1\n0 1\n");
+      ("underscored edge count", "2 2 0.9\n0 0\n0.5 0\n0_1\n0 1\n");
+      ("signed n", "+2 2 0.9\n0 0\n0.5 0\n1\n0 1\n");
+      ("nan coordinate", "2 2 0.9\nnan 0\n5 0\n0\n");
+      ("inf coordinate", "2 2 0.9\n0 0\n5 inf\n0\n");
+      ("hexadecimal coordinate", "2 2 0.9\n0x1p-1 0\n5 0\n0\n");
+      ("alpha = nan", "2 2 nan\n0 0\n5 0\n0\n");
+      ("alpha = inf", "2 2 inf\n0 0\n5 0\n0\n");
+    ];
+  let good_body = "2 2 0.9\n0 0\n0.5 0\n1\n0 1\n" in
+  List.iter
+    (fun (what, rest) ->
+      with_file ("ubg-churn v1\n" ^ good_body ^ rest) (fun path ->
+          rejects ("trace: " ^ what) path Io.load_trace;
+          rejects ("tail: " ^ what) path tail_read;
+          rejects ("resuming tail: " ^ what) path checked_tail_read))
+    [
+      ("hexadecimal batch count", "0x1\nbatch 1\nleave 1\n");
+      ("binary batch size", "1\nbatch 0b1\nleave 1\n");
+      ("hexadecimal leave slot", "1\nbatch 1\nleave 0x1\n");
+      ("signed leave slot", "1\nbatch 1\nleave +1\n");
+      ("nan join", "1\nbatch 1\njoin nan 0\n");
+      ("inf move", "1\nbatch 1\nmove 1 inf 0\n");
+      ("binary move slot", "1\nbatch 1\nmove 0b1 0 0\n");
+    ];
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) ("event rejected: " ^ line) true
+        (Result.is_error (Io.parse_event ~dim:2 line)))
+    [
+      "leave 0x1"; "leave 1_0"; "leave +1"; "leave -1"; "join nan 0";
+      "join inf 0"; "join 0x1p-1 0"; "move 0b1 0.5 0"; "move 1 0.5 -inf";
+    ];
+  let good_slots = "1 0 0\n1 0.5 0\n" and edges = "1\n0 1\n1\n0 1\n" in
+  List.iter
+    (fun (what, body) ->
+      with_file ("ubg-checkpoint v1\n" ^ body ^ "end\n") (fun path ->
+          List.iter
+            (fun (entry, read) -> rejects (entry ^ ": " ^ what) path read)
+            checkpoint_readers))
+    [
+      ("hexadecimal epoch", "0x1 0 2 2 0.9 1\n" ^ good_slots ^ edges);
+      ("unsigned capacity", "0 0 0u2 2 0.9 1\n" ^ good_slots ^ edges);
+      ("alpha = nan", "0 0 2 2 nan 1\n" ^ good_slots ^ edges);
+      ("stretch = inf", "0 0 2 2 0.9 inf\n" ^ good_slots ^ edges);
+      ("nan slot", "0 0 2 2 0.9 1\n1 nan 0\n1 0.5 0\n" ^ edges);
+      ("alive flag 01", "0 0 2 2 0.9 1\n01 0 0\n1 0.5 0\n" ^ edges);
+      ( "hexadecimal α-UBG edge",
+        "0 0 2 2 0.9 1\n" ^ good_slots ^ "1\n0x0 0b1\n1\n0 1\n" );
+      ( "binary spanner edge",
+        "0 0 2 2 0.9 1\n" ^ good_slots ^ "1\n0 1\n1\n0b0 1\n" );
+    ];
+  (* A NaN alpha fails the α-UBG check itself, not only the scanner. *)
+  let points =
+    [| Geometry.Point.make2 0.0 0.0; Geometry.Point.make2 5.0 0.0 |]
+  in
+  Alcotest.(check bool) "Model.make rejects alpha = nan" true
+    (match Model.make ~alpha:Float.nan points (Wgraph.create 2) with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+(* An edge listed twice fails by name at the line that repeats it, on
+   every path: the hashtable readers and the CSR parser alike, so no
+   reader collapses what another rejects. *)
+let test_repeated_edge () =
+  let repeated_at line what path read =
+    match read path with
+    | _ -> Alcotest.failf "%s: loaded" what
+    | exception Failure msg ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names line %d and the repeat" what msg line)
+          true
+          (String.starts_with
+             ~prefix:(Printf.sprintf "%s: line %d: " path line)
+             msg
+          && contains msg "repeated")
+  in
+  (* The repeat on line 8, past a comment, reversed. *)
+  let body = "2 2 0.9\n0 0\n0.5 0\n2\n0 1\n# again\n1 0\n" in
+  with_file ("ubg-instance v2\n" ^ body) (fun path ->
+      repeated_at 8 "instance" path Io.load_instance;
+      repeated_at 8 "checked instance" path Io.check_instance);
+  with_file ("ubg-churn v1\n" ^ body ^ "0\n") (fun path ->
+      repeated_at 8 "trace" path Io.load_trace;
+      repeated_at 8 "tail" path tail_read;
+      repeated_at 8 "resuming tail" path checked_tail_read);
+  with_file "ubg-instance v2\n2 2 0.9\n0 0\n0.5 0\n1\n0 1\n" (fun inst ->
+      let model = Io.load_instance inst in
+      with_file "ubg-topology v1\n2 2\n0 1\n0 1\n" (fun path ->
+          repeated_at 4 "topology" path (fun p -> Io.load_topology p ~model)));
+  let head = "ubg-checkpoint v1\n0 0 2 2 0.9 1\n1 0 0\n1 0.5 0\n" in
+  List.iter
+    (fun (what, line, edges) ->
+      with_file (head ^ edges ^ "end\n") (fun path ->
+          List.iter
+            (fun (entry, read) ->
+              repeated_at line (entry ^ ": " ^ what) path read)
+            checkpoint_readers))
+    [
+      ("α-UBG", 7, "2\n0 1\n1 0\n1\n0 1\n");
+      ("spanner", 9, "1\n0 1\n2\n0 1\n0 1\n");
+    ]
 
 (* The byte offset just past the [k]-th newline of [s]. *)
 let after_lines s k =
@@ -599,6 +761,8 @@ let test_torn_prefix () =
       output_string oc (String.sub prefix 0 cut);
       close_out oc;
       rejects "torn prefix" path (fun p -> Tail.open_ ~wait_prefix:0.0 p);
+      rejects "torn prefix, resuming" path (fun p ->
+          Tail.open_checked ~wait_prefix:0.0 p);
       let writer =
         Domain.spawn (fun () ->
             Unix.sleepf 0.1;
@@ -656,6 +820,10 @@ let () =
         [
           Alcotest.test_case "malformed inputs fail by line, every entry"
             `Quick test_malformed_everywhere;
+          Alcotest.test_case "numbers the writers never emit fail by name"
+            `Quick test_numbers_never_written;
+          Alcotest.test_case "a repeated edge fails by line, every entry"
+            `Quick test_repeated_edge;
           prop_tail_chunks_equal_load_trace;
           Alcotest.test_case "torn prefix: fails at once, opens when written"
             `Quick test_torn_prefix;
